@@ -92,6 +92,7 @@ class NetworkModel:
     norton_y: np.ndarray           # 1/(j xdp_sys)
     h_sec: np.ndarray              # machine base, seconds
     s_mach: np.ndarray             # machine MVA bases
+    s_solved: np.ndarray           # solved complex output, system-base pu
     load_ids: list[str]
     load_bus: np.ndarray
     load_shunt: np.ndarray         # constant-impedance load admittances
@@ -179,15 +180,14 @@ class MachineStates:
 
 
 def _csc_diag_positions(y: sp.csc_matrix) -> np.ndarray:
-    """Index into y.data of each structurally-present diagonal (-1 if absent)."""
+    """Index into y.data of each structurally-present diagonal (-1 if absent).
+
+    y holds no duplicate entries, as a sum of sparse matrices does not."""
     n = y.shape[0]
+    col = np.repeat(np.arange(n), np.diff(y.indptr))
+    on_diag = np.flatnonzero(y.indices == col)
     pos = np.full(n, -1, dtype=np.int64)
-    indptr, indices = y.indptr, y.indices
-    for col in range(n):
-        sl = indices[indptr[col]:indptr[col + 1]]
-        hit = np.flatnonzero(sl == col)
-        if hit.size:
-            pos[col] = indptr[col] + hit[0]
+    pos[col[on_diag]] = on_diag
     return pos
 
 
@@ -294,6 +294,7 @@ def augment_dynamic(ybus: sp.csc_matrix, case: GridCase,
         norton_y=1.0 / (1j * np.array(xdp_sys)),
         h_sec=np.array(h_sec),
         s_mach=np.array(s_mach),
+        s_solved=np.array([solved_s[gid] for gid in mach_ids], dtype=complex),
         load_ids=load_ids,
         load_bus=np.array(load_bus, dtype=np.int64),
         load_shunt=np.array(load_shunt, dtype=complex),
@@ -310,7 +311,8 @@ def init_machines(model: NetworkModel, case: GridCase,
                   solution: PowerFlowSolution) -> MachineStates:
     """Initialize E', delta, Norton injections, and steady-state torques.
 
-    For each machine: stator current I_t = conj(S)/conj(V); internal EMF
+    For each machine, with S its solved output stored on the model by
+    augment_dynamic: stator current I_t = conj(S)/conj(V); internal EMF
     E' /_ delta = V + j x'd I_t; Norton injection (E'/x'd) /_ (delta - pi/2).
     Mechanical torque is set equal to electrical torque at the re-solved
     network voltages, so the initial state is an exact equilibrium of the
@@ -320,11 +322,8 @@ def init_machines(model: NetworkModel, case: GridCase,
     """
     if case != model.case:
         raise ModelBuildError("model was built from a different case")
-    ybus = build_ybus(case)
-    solved_s = solved_generator_powers(case, ybus, solution)
-    s_gen = np.array([solved_s[gid] for gid in model.machine_ids])
     vb = solution.v[model.machine_bus]
-    i_t = np.conj(s_gen) / np.conj(vb)
+    i_t = np.conj(model.s_solved) / np.conj(vb)
     e_cplx = vb + 1j * model.xdp_sys * i_t
     e_prime = np.abs(e_cplx)
     delta = np.angle(e_cplx)

@@ -59,6 +59,7 @@ class RocofResult:
     ``bus_rocof_hz_s`` is NaN on buses whose island retains no synchronous
     machine (listed in ``undefined_islands``); ``machine_accel`` is the
     per-machine speed derivative in per-unit/s, NaN for outaged machines.
+    ``n_solves`` counts the linear solves the screen made on its model.
     """
 
     contingency_id: str
@@ -70,7 +71,7 @@ class RocofResult:
     machine_accel: np.ndarray
     post_disturbance_voltages: np.ndarray
     undefined_islands: list[list[int]] = field(default_factory=list)
-    n_solves: int = 2
+    n_solves: int = 0
 
 
 def system_rocof(case: GridCase, p_loss_mw: float, outaged_ids=()) -> float:
@@ -132,6 +133,7 @@ def locational_rocof(model: NetworkModel, states: MachineStates,
     that lose their last machine are reported as undefined rather than
     diverging; see RocofResult.
     """
+    solves_before = model.solve_count
     nm = len(model.machine_ids)
     active = np.ones(nm, dtype=bool)
     if contingency.outaged_generator_ids:
@@ -198,4 +200,5 @@ def locational_rocof(model: NetworkModel, states: MachineStates,
         machine_accel=wdot,
         post_disturbance_voltages=v_post,
         undefined_islands=undefined_islands,
+        n_solves=model.solve_count - solves_before,
     )

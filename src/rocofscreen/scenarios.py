@@ -33,7 +33,7 @@ import numpy as np
 
 from .case_model import GridCase
 from .netdyn import augment_dynamic, build_ybus, init_machines
-from .powerflow import solve_powerflow
+from .powerflow import PowerFlowSolution, solve_powerflow
 from .rocof import Contingency, locational_rocof
 from .swingsim import SimOptions, simulate
 
@@ -102,10 +102,8 @@ def dispatch_heuristic(case: GridCase, target_load_mw: float,
     of service, and the power flow is re-solved with the slack absorbing
     losses. The returned case carries the solved voltages.
     """
-    base_load = sum(l.p_mw for l in case.loads)
-    if base_load <= 0:
+    if sum(l.p_mw for l in case.loads) <= 0:
         raise InfeasibleDispatch("case has no load to scale")
-    load_factor = target_load_mw / base_load
 
     wind = [g for g in case.generators if not g.synchronous and g.status]
     wind_cap = sum(g.p_max_mw for g in wind)
@@ -115,7 +113,6 @@ def dispatch_heuristic(case: GridCase, target_load_mw: float,
             f"capability {wind_cap:.0f} MW")
     wind_factor = target_wind_mw / wind_cap if wind_cap > 0 else 0.0
 
-    idx = case.bus_index()
     slack_buses = {b.id for b in case.buses if b.kind == "slack"}
     sync = [g for g in case.generators if g.synchronous and g.status]
     nuclear_mw = sum(g.p_max_mw for g in sync if g.fuel == "nuclear")
@@ -143,35 +140,37 @@ def dispatch_heuristic(case: GridCase, target_load_mw: float,
             f"beyond nuclear, have {cap:.0f} MW")
     lam = required / cap if cap > 0 else 0.0
 
-    committed_ids = {g.id for g in committed}
+    p_mw = {g.id: g.p_max_mw * wind_factor for g in wind}
+    p_mw.update((g.id, g.p_max_mw if g.fuel == "nuclear" else lam * g.p_max_mw)
+                for g in committed)
+    return _dispatch(case, target_load_mw, p_mw)[0]
+
+
+def _dispatch(case: GridCase, target_load_mw: float,
+              p_mw: dict[str, float]) -> tuple[GridCase, PowerFlowSolution]:
+    """Scale every load to the target total, run each in-service unit listed
+    in p_mw at its MW (non-synchronous units at zero MVAr), take the other
+    in-service units out of service and solve the power flow. The returned
+    case carries the solved voltages."""
+    factor = target_load_mw / sum(l.p_mw for l in case.loads)
     new_gens = []
     for g in case.generators:
         if not g.status:
             new_gens.append(g)
-        elif not g.synchronous:
-            new_gens.append(replace(g, p_mw=g.p_max_mw * wind_factor, q_mvar=0.0))
-        elif g.id in committed_ids:
-            p = g.p_max_mw if g.fuel == "nuclear" else lam * g.p_max_mw
-            new_gens.append(replace(g, p_mw=p))
+        elif g.id in p_mw:
+            new_gens.append(replace(g, p_mw=p_mw[g.id],
+                                    q_mvar=g.q_mvar if g.synchronous else 0.0))
         else:
             new_gens.append(replace(g, status=False))
-
-    new_loads = [replace(l, p_mw=l.p_mw * load_factor,
-                         q_mvar=l.q_mvar * load_factor) for l in case.loads]
-
-    # a pv bus with nothing left in service cannot regulate voltage
-    alive = {g.bus_id for g in new_gens if g.status}
-    new_buses = [replace(b, kind="pq") if b.kind == "pv" and b.id not in alive
-                 else b for b in case.buses]
-
-    out = replace(case, generators=tuple(new_gens), loads=tuple(new_loads),
-                  buses=tuple(new_buses))
+    new_loads = [replace(l, p_mw=l.p_mw * factor, q_mvar=l.q_mvar * factor)
+                 for l in case.loads]
+    out = replace(case, generators=tuple(new_gens), loads=tuple(new_loads))
     sol = solve_powerflow(out)
     pos = {bid: i for i, bid in enumerate(sol.bus_ids)}
     out = out.with_buses(replace(b, v_mag=float(sol.v_mag[pos[b.id]]),
                                  v_ang=float(sol.v_ang[pos[b.id]]))
                          for b in out.buses)
-    return out
+    return out, sol
 
 
 def loading_case_from(case: GridCase, dispatched: GridCase, lc_id: str,
@@ -233,29 +232,7 @@ def generate_loading_cases(case: GridCase, n: int,
 
 def apply_loading_case(case: GridCase, lc: LoadingCase) -> GridCase:
     """Reconstruct the dispatched, solved case recorded in a LoadingCase."""
-    base_load = sum(l.p_mw for l in case.loads)
-    factor = lc.target_load_mw / base_load
-    new_gens = []
-    for g in case.generators:
-        if not g.status:
-            new_gens.append(g)
-        elif g.id in lc.dispatch:
-            new_gens.append(replace(g, p_mw=lc.dispatch[g.id],
-                                    q_mvar=0.0 if not g.synchronous else g.q_mvar))
-        else:
-            new_gens.append(replace(g, status=False))
-    new_loads = [replace(l, p_mw=l.p_mw * factor, q_mvar=l.q_mvar * factor)
-                 for l in case.loads]
-    alive = {g.bus_id for g in new_gens if g.status}
-    new_buses = [replace(b, kind="pq") if b.kind == "pv" and b.id not in alive
-                 else b for b in case.buses]
-    out = replace(case, generators=tuple(new_gens), loads=tuple(new_loads),
-                  buses=tuple(new_buses))
-    sol = solve_powerflow(out)
-    pos = {bid: i for i, bid in enumerate(sol.bus_ids)}
-    return out.with_buses(replace(b, v_mag=float(sol.v_mag[pos[b.id]]),
-                                  v_ang=float(sol.v_ang[pos[b.id]]))
-                          for b in out.buses)
+    return _dispatch(case, lc.target_load_mw, lc.dispatch)[0]
 
 
 def generate_contingencies(case: GridCase, n: int, rng: np.random.Generator,
@@ -374,8 +351,7 @@ def _eval_loading_case(case: GridCase, lc: LoadingCase,
     setup_error: str | None = None
     if mode in ("locational", "simulate"):
         try:
-            dispatched = apply_loading_case(case, lc)
-            sol = solve_powerflow(dispatched)
+            dispatched, sol = _dispatch(case, lc.target_load_mw, lc.dispatch)
             model = augment_dynamic(build_ybus(dispatched), dispatched, sol)
             states = init_machines(model, dispatched, sol)
         except Exception as exc:  # noqa: BLE001 - recorded per row

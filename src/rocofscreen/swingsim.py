@@ -88,6 +88,12 @@ class SimResult:
     f_base: float = 60.0
 
 
+def _washout_step(y_prev, d_theta, opts: SimOptions):
+    """One backward-Euler step of the washout filter on an angle increment."""
+    tc = opts.frequency_filter_tc
+    return (tc * y_prev + d_theta) / (tc + opts.dt)
+
+
 def bus_frequency(angle_trace: np.ndarray, opts: SimOptions,
                   f_base: float = 60.0) -> np.ndarray:
     """Frequency estimate from a uniformly sampled angle trace, Hz.
@@ -99,10 +105,9 @@ def bus_frequency(angle_trace: np.ndarray, opts: SimOptions,
     theta = np.atleast_2d(np.asarray(angle_trace, dtype=float).T).T
     if theta.shape[0] < 2:
         raise ValueError("need at least 2 samples to estimate frequency")
-    tc, dt = opts.frequency_filter_tc, opts.dt
     y = np.zeros_like(theta)
     for k in range(1, theta.shape[0]):
-        y[k] = (tc * y[k - 1] + (theta[k] - theta[k - 1])) / (tc + dt)
+        y[k] = _washout_step(y[k - 1], theta[k] - theta[k - 1], opts)
     f = f_base + y / (2.0 * np.pi)
     return f[:, 0] if np.asarray(angle_trace).ndim == 1 else f
 
@@ -241,7 +246,7 @@ def simulate(model: NetworkModel, states: MachineStates,
     tr_theta = np.zeros((nt, nb))
     tr_freq = np.full((nt, nb), model.f_base)
     events: list[TripEvent] = []
-    tc, dt = opts.frequency_filter_tc, opts.dt
+    dt = opts.dt
     washout = np.zeros(nb)
 
     for k in range(nt):
@@ -260,7 +265,7 @@ def simulate(model: NetworkModel, states: MachineStates,
         else:  # keep traces continuous across +-pi
             tr_theta[k] = theta_raw + 2 * np.pi * np.round(
                 (tr_theta[k - 1] - theta_raw) / (2 * np.pi))
-            washout = (tc * washout + (tr_theta[k] - tr_theta[k - 1])) / (tc + dt)
+            washout = _washout_step(washout, tr_theta[k] - tr_theta[k - 1], opts)
             tr_freq[k] = model.f_base + washout / (2 * np.pi)
         tr_delta[k, active] = delta[active]
         tr_omega[k, active] = omega[active]

@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from rocofscreen import (augment_dynamic, build_ybus, electrical_torque,
                          init_machines, solve_powerflow)
 from rocofscreen.case_model import Branch, Bus, Generator, GridCase
-from rocofscreen.netdyn import (ModelBuildError, norton_injections,
-                                passive_network_power)
+from rocofscreen.netdyn import (ModelBuildError, _csc_diag_positions,
+                                norton_injections, passive_network_power)
 from conftest import tiny_case
 
 
@@ -181,3 +182,37 @@ def test_passive_power_equals_machine_output(solved9):
     te = electrical_torque(model, states, v)
     total_machine = float(np.sum(te * model.s_mach)) / case.s_base_mva
     assert passive_network_power(model, v) == pytest.approx(total_machine, abs=1e-6)
+
+
+def _diag_positions_by_scan(y):
+    pos = np.full(y.shape[0], -1, dtype=np.int64)
+    for col in range(y.shape[0]):
+        for k in range(y.indptr[col], y.indptr[col + 1]):
+            if y.indices[k] == col:
+                pos[col] = k
+                break
+    return pos
+
+
+def test_csc_diag_positions_match_scan(solved9):
+    case, sol, model, states = solved9
+    assert np.array_equal(model._diag_ptr, _diag_positions_by_scan(model.y_dyn))
+    # column 1 has no diagonal; column 2 lists its rows out of order
+    odd = sp.csc_matrix((np.array([1.0, 3.0, 4.0, 5.0]),
+                         np.array([0, 2, 2, 1]), np.array([0, 1, 2, 4])),
+                        shape=(3, 3))
+    assert np.array_equal(_csc_diag_positions(odd), [0, -1, 2])
+    assert np.array_equal(_csc_diag_positions(odd), _diag_positions_by_scan(odd))
+
+
+def test_diag_update_without_structural_diagonal_names_bus(solved9):
+    case, sol, model, states = solved9
+    k = 4
+    dense = model.y_dyn.toarray()
+    dense[k, k] = 0.0
+    y = sp.csc_matrix(dense)
+    assert _csc_diag_positions(y)[k] == -1
+    broken = dataclasses.replace(model, y_dyn=y, _diag_ptr=_csc_diag_positions(y))
+    with pytest.raises(ModelBuildError,
+                       match=rf"no structural diagonal at buses \[{model.bus_ids[k]}\]"):
+        broken.y_with_diag_update(np.array([k]), np.array([1.0 + 0j]))

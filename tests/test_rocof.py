@@ -111,8 +111,9 @@ def test_empty_contingency_is_null(solved9):
 def test_two_solves_per_contingency(solved9):
     case, sol, model, states = solved9
     before = model.solve_count
-    locational_rocof(model, states, Contingency.of("c", ["gen3"]))
+    res = locational_rocof(model, states, Contingency.of("c", ["gen3"]))
     assert model.solve_count - before == 2
+    assert res.n_solves == model.solve_count - before
 
 
 def test_gen3_outage_aggregation_consistency(solved9):

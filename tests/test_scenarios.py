@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rocofscreen import scenarios
 from rocofscreen import (Contingency, InfeasibleDispatch, dispatch_heuristic,
                          generate_contingencies, generate_loading_cases,
                          run_bank, total_inertia_gws)
@@ -182,6 +183,21 @@ def test_run_bank_worker_count_is_invisible(small_bank, tmp_path):
     run_bank(case, loading, contingencies, mode="locational", out_path=p3,
              workers=3)
     assert p1.read_bytes() == p3.read_bytes()
+
+
+def test_run_bank_solves_each_loading_case_once(small_bank, monkeypatch):
+    # the power flow that dispatches a loading case also initializes its model
+    case, loading, contingencies = small_bank
+    solved = []
+    solve = scenarios.solve_powerflow
+
+    def counting_solve(c, *args, **kwargs):
+        solved.append(c.name)
+        return solve(c, *args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "solve_powerflow", counting_solve)
+    run_bank(case, loading, contingencies, mode="locational")
+    assert len(solved) == len(loading)
 
 
 def test_run_bank_system_only_matches_inertia_line(small_bank):
