@@ -86,7 +86,7 @@ print(f"{len(loading)} loading cases, online inertia "
 
 table = out_dir / "bank_results.csv"
 records = run_bank(case, loading, contingencies, mode="locational",
-                   out_path=table, workers=4)
+                   out_path=table)
 ok = [r for r in records if r.status == "ok"]
 skipped = sum(1 for r in records if r.status == "no_online_units")
 flagged = [r for r in ok if r.concern_flag]

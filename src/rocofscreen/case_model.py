@@ -121,12 +121,6 @@ class GridCase:
                 return l
         raise KeyError(f"no load with id {load_id!r}")
 
-    def synchronous_generators(self, in_service: bool = True) -> tuple[Generator, ...]:
-        return tuple(
-            g for g in self.generators
-            if g.synchronous and (g.status or not in_service)
-        )
-
     def with_generators(self, generators: Iterable[Generator]) -> "GridCase":
         return replace(self, generators=tuple(generators))
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import case_io
 from .case_model import CaseValidationError, total_inertia_gws, validate_case
-from .netdyn import augment_dynamic, build_ybus, init_machines
+from .netdyn import augment_dynamic, init_machines
 from .powerflow import PowerFlowError, solve_powerflow
 from .rocof import (Contingency, ZeroInertiaError, locational_rocof,
                     system_rocof)
@@ -134,7 +134,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("system_only", "locational", "simulate"),
                    default="locational", help="evaluation mode")
     p.add_argument("--workers", type=int, default=1,
-                   help="worker threads; any count gives identical output")
+                   help="accepted for compatibility; loading cases are "
+                        "evaluated serially and the output is the same for "
+                        "any value")
     p.add_argument("--out", required=True, help="scenario table CSV")
 
     p = sub.add_parser("report",
@@ -187,7 +189,7 @@ def cmd_rocof_system(args) -> int:
 def cmd_rocof_local(args) -> int:
     case = _load_case(args)
     sol = solve_powerflow(case)
-    model = augment_dynamic(build_ybus(case), case, sol)
+    model = augment_dynamic(sol.ybus, case, sol)
     states = init_machines(model, case, sol)
     ctg = Contingency.of("cli", _outage_list(args.outage))
     res = locational_rocof(model, states, ctg)
@@ -202,7 +204,7 @@ def cmd_rocof_local(args) -> int:
 def cmd_simulate(args) -> int:
     case = _load_case(args)
     sol = solve_powerflow(case)
-    model = augment_dynamic(build_ybus(case), case, sol)
+    model = augment_dynamic(sol.ybus, case, sol)
     states = init_machines(model, case, sol)
     ctg = Contingency.of("cli", _outage_list(args.outage))
     opts = SimOptions(t_end=args.t_end, dt=args.dt, damping_d=args.damping)
@@ -266,7 +268,7 @@ def cmd_scenarios_run(args) -> int:
     elapsed = time.perf_counter() - t0
     n_err = sum(1 for r in records if r.status not in ("ok", "no_online_units"))
     print(f"{len(records)} scenarios in {elapsed:.1f} s "
-          f"({args.mode} mode, {args.workers} worker(s)); "
+          f"({args.mode} mode); "
           f"{n_err} recorded failure(s); wrote {args.out}")
     return 0
 

@@ -104,11 +104,6 @@ class NetworkModel:
     _diag_ptr: np.ndarray | None = field(default=None, repr=False)
 
     @property
-    def machine_index(self) -> dict[str, int]:
-        """Generator id -> bus id for every modeled machine."""
-        return {gid: self.bus_ids[b] for gid, b in zip(self.machine_ids, self.machine_bus)}
-
-    @property
     def n_bus(self) -> int:
         return len(self.bus_ids)
 

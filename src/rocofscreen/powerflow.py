@@ -8,7 +8,7 @@ derivatives and factorized with SuperLU each iteration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,13 +40,15 @@ class SingularJacobian(PowerFlowError):
 @dataclass
 class PowerFlowSolution:
     """Solved bus voltages. ``max_mismatch_pu`` is the worst remaining
-    PQ/PV complex-power mismatch component."""
+    PQ/PV complex-power mismatch component; ``ybus`` is the branch
+    admittance matrix the voltages were solved against."""
 
     bus_ids: list[int]
     v_mag: np.ndarray
     v_ang: np.ndarray  # radians
     iterations: int
     max_mismatch_pu: float
+    ybus: sp.csc_matrix = field(repr=False)
 
     @property
     def v(self) -> np.ndarray:
@@ -111,7 +113,8 @@ def solve_powerflow(case: GridCase, tol: float = 1e-8,
         v = vm * np.exp(1j * va)
         f = mismatch_vector(case, ybus, v)
         return PowerFlowSolution([b.id for b in case.buses], vm, va, 0,
-                                 float(np.max(np.abs(f))) if f.size else 0.0)
+                                 float(np.max(np.abs(f))) if f.size else 0.0,
+                                 ybus)
 
     for it in range(max_iter + 1):
         v = vm * np.exp(1j * va)
@@ -119,7 +122,8 @@ def solve_powerflow(case: GridCase, tol: float = 1e-8,
         f = np.r_[mis[pvpq].real, mis[pq].imag]
         norm = float(np.max(np.abs(f)))
         if norm <= tol:
-            return PowerFlowSolution([b.id for b in case.buses], vm, va, it, norm)
+            return PowerFlowSolution([b.id for b in case.buses], vm, va, it,
+                                     norm, ybus)
         if it == max_iter:
             raise PowerFlowDivergence(it, norm)
 
@@ -171,4 +175,4 @@ def accept_solved_voltages(case: GridCase, tol: float = 1e-4) -> PowerFlowSoluti
         raise PowerFlowError(
             f"stored voltages are inconsistent with the specified injections "
             f"(max mismatch {norm:.3e} pu > {tol:g} pu)")
-    return PowerFlowSolution([b.id for b in case.buses], vm, va, 0, norm)
+    return PowerFlowSolution([b.id for b in case.buses], vm, va, 0, norm, ybus)

@@ -10,9 +10,9 @@ larger multi-site events.
 
 The bank runner evaluates every pair in one of three modes and emits a flat
 result table; per-scenario failures are recorded in their row and never
-abort the bank. Output ordering is by (loading id, contingency id) no matter
-how many workers execute, and the table streams to disk so large banks need
-bounded memory.
+abort the bank. The locational and simulate modes solve and factorize each
+loading case once, serially. Output ordering is by (loading id, contingency
+id), and the table streams to disk so large banks need bounded memory.
 
 For a fixed loading case the tabulated system-wide ROCOF uses that case's
 total online inertia in the denominator, making it the linear-in-MW-lost
@@ -26,14 +26,13 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .case_model import GridCase
-from .netdyn import augment_dynamic, build_ybus, init_machines
-from .powerflow import PowerFlowSolution, solve_powerflow
+from .netdyn import augment_dynamic, init_machines
+from .powerflow import solve_powerflow
 from .rocof import Contingency, locational_rocof
 from .swingsim import SimOptions, simulate
 
@@ -99,8 +98,9 @@ def dispatch_heuristic(case: GridCase, target_load_mw: float,
     output; machines at slack buses are must-run; the remaining demand
     commits non-nuclear synchronous units in merit order (coal, gas, other;
     largest first) at one uniform loading factor. Uncommitted units go out
-    of service, and the power flow is re-solved with the slack absorbing
-    losses. The returned case carries the solved voltages.
+    of service. The returned case is not solved: bus voltages are those of
+    the input, and callers run solve_powerflow on it (the slack then
+    absorbs the losses).
     """
     if sum(l.p_mw for l in case.loads) <= 0:
         raise InfeasibleDispatch("case has no load to scale")
@@ -143,15 +143,14 @@ def dispatch_heuristic(case: GridCase, target_load_mw: float,
     p_mw = {g.id: g.p_max_mw * wind_factor for g in wind}
     p_mw.update((g.id, g.p_max_mw if g.fuel == "nuclear" else lam * g.p_max_mw)
                 for g in committed)
-    return _dispatch(case, target_load_mw, p_mw)[0]
+    return _dispatch(case, target_load_mw, p_mw)
 
 
 def _dispatch(case: GridCase, target_load_mw: float,
-              p_mw: dict[str, float]) -> tuple[GridCase, PowerFlowSolution]:
+              p_mw: dict[str, float]) -> GridCase:
     """Scale every load to the target total, run each in-service unit listed
-    in p_mw at its MW (non-synchronous units at zero MVAr), take the other
-    in-service units out of service and solve the power flow. The returned
-    case carries the solved voltages."""
+    in p_mw at its MW (non-synchronous units at zero MVAr) and take the
+    other in-service units out of service. Bus voltages are left as given."""
     factor = target_load_mw / sum(l.p_mw for l in case.loads)
     new_gens = []
     for g in case.generators:
@@ -164,13 +163,7 @@ def _dispatch(case: GridCase, target_load_mw: float,
             new_gens.append(replace(g, status=False))
     new_loads = [replace(l, p_mw=l.p_mw * factor, q_mvar=l.q_mvar * factor)
                  for l in case.loads]
-    out = replace(case, generators=tuple(new_gens), loads=tuple(new_loads))
-    sol = solve_powerflow(out)
-    pos = {bid: i for i, bid in enumerate(sol.bus_ids)}
-    out = out.with_buses(replace(b, v_mag=float(sol.v_mag[pos[b.id]]),
-                                 v_ang=float(sol.v_ang[pos[b.id]]))
-                         for b in out.buses)
-    return out, sol
+    return replace(case, generators=tuple(new_gens), loads=tuple(new_loads))
 
 
 def loading_case_from(case: GridCase, dispatched: GridCase, lc_id: str,
@@ -231,8 +224,9 @@ def generate_loading_cases(case: GridCase, n: int,
 
 
 def apply_loading_case(case: GridCase, lc: LoadingCase) -> GridCase:
-    """Reconstruct the dispatched, solved case recorded in a LoadingCase."""
-    return _dispatch(case, lc.target_load_mw, lc.dispatch)[0]
+    """Reconstruct the dispatched case recorded in a LoadingCase. It is not
+    solved; callers run solve_powerflow on it."""
+    return _dispatch(case, lc.target_load_mw, lc.dispatch)
 
 
 def generate_contingencies(case: GridCase, n: int, rng: np.random.Generator,
@@ -351,8 +345,9 @@ def _eval_loading_case(case: GridCase, lc: LoadingCase,
     setup_error: str | None = None
     if mode in ("locational", "simulate"):
         try:
-            dispatched, sol = _dispatch(case, lc.target_load_mw, lc.dispatch)
-            model = augment_dynamic(build_ybus(dispatched), dispatched, sol)
+            dispatched = apply_loading_case(case, lc)
+            sol = solve_powerflow(dispatched)
+            model = augment_dynamic(sol.ybus, dispatched, sol)
             states = init_machines(model, dispatched, sol)
         except Exception as exc:  # noqa: BLE001 - recorded per row
             setup_error = f"loading case failed: {exc}"
@@ -360,7 +355,8 @@ def _eval_loading_case(case: GridCase, lc: LoadingCase,
     for ctg in sorted(contingencies, key=lambda c: c.id):
         online = frozenset(g for g in ctg.outaged_generator_ids
                            if g in lc.committed)
-        mw_disp = sum(lc.dispatch.get(g, 0.0) for g in online)
+        # sorted: the float sum must not depend on set iteration order
+        mw_disp = sum(lc.dispatch.get(g, 0.0) for g in sorted(online))
         if not online:
             rows.append(base_record(ctg, 0.0, status="no_online_units"))
             continue
@@ -418,17 +414,13 @@ def run_bank(case: GridCase, loading_cases: list[LoadingCase],
     solves per scenario after per-loading-case initialization), or
     "simulate" (short time-domain run per scenario; slow, small cases only).
 
-    Rows stream to out_path as each loading case completes. Worker threads
-    share nothing across loading cases, and rows are assembled in sorted
-    (loading_id, contingency_id) order, so the output is identical for any
-    worker count.
+    Loading cases are evaluated one after another, and rows stream to
+    out_path in sorted (loading_id, contingency_id) order as each loading
+    case completes. workers has no effect on evaluation and is kept for
+    callers that pass it; the output is the same for any value.
     """
     if mode not in ("system_only", "locational", "simulate"):
         raise ValueError(f"unknown mode {mode!r}")
-    ordered = sorted(loading_cases, key=lambda lc: lc.id)
-
-    def job(lc):
-        return _eval_loading_case(case, lc, contingencies, mode, sim_opts)
 
     writer = ctx = None
     if out_path is not None:
@@ -437,21 +429,12 @@ def run_bank(case: GridCase, loading_cases: list[LoadingCase],
         writer.writerow(SCENARIO_COLUMNS)
 
     records: list[ScenarioRecord] = []
-
-    def emit(rows):
-        records.extend(rows)
-        if writer is not None:
-            for r in rows:
-                writer.writerow(r.row())
-
     try:
-        if workers <= 1:
-            for rows in map(job, ordered):
-                emit(rows)
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for rows in pool.map(job, ordered):
-                    emit(rows)
+        for lc in sorted(loading_cases, key=lambda lc: lc.id):
+            rows = _eval_loading_case(case, lc, contingencies, mode, sim_opts)
+            records.extend(rows)
+            if writer is not None:
+                writer.writerows(r.row() for r in rows)
     finally:
         if ctx is not None:
             ctx.close()

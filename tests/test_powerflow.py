@@ -66,8 +66,10 @@ def test_nine_bus_matches_published_solution(case9):
 
 def test_power_balance_at_solution(case9):
     sol = solve_powerflow(case9, tol=1e-10)
-    f = mismatch_vector(case9, build_ybus(case9), sol.v)
+    ybus = build_ybus(case9)
+    f = mismatch_vector(case9, ybus, sol.v)
     assert np.max(np.abs(f)) <= 1e-10
+    assert np.array_equal(sol.ybus.toarray(), ybus.toarray())
 
 
 def test_bus_order_permutation_invariance(case9):
@@ -102,6 +104,7 @@ def test_accept_solved_is_idempotent(case9, tmp_path):
     sol = solve_powerflow(case9)
     accepted = accept_solved_voltages(case9)  # bundle stores solved voltages
     assert np.allclose(accepted.v_mag, sol.v_mag, atol=1e-9)
+    assert np.array_equal(accepted.ybus.toarray(), build_ybus(case9).toarray())
     assert accepted.iterations == 0
     assert accepted.max_mismatch_pu <= 1e-4
 

@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rocofscreen import scenarios
+from rocofscreen import netdyn, powerflow, scenarios
 from rocofscreen import (Contingency, InfeasibleDispatch, dispatch_heuristic,
                          generate_contingencies, generate_loading_cases,
                          run_bank, total_inertia_gws)
@@ -110,6 +114,22 @@ def test_loading_cases_inertia_tracks_demand(fleet_case):
     assert by_load[0].online_inertia_gws < by_load[-1].online_inertia_gws
 
 
+def test_loading_cases_solve_no_power_flow(fleet_case, monkeypatch):
+    # generation keeps only MW and inertia figures; banks solve each case
+    solved = []
+    solve = scenarios.solve_powerflow
+
+    def counting_solve(c, *args, **kwargs):
+        solved.append(c.name)
+        return solve(c, *args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "solve_powerflow", counting_solve)
+    cases = generate_loading_cases(fleet_case, 9, STUDY_LOAD_RANGE,
+                                   STUDY_WIND_RANGE)
+    assert len(cases) == 9
+    assert solved == []
+
+
 def test_loading_cases_infeasible_wind_floor(fleet_case):
     with pytest.raises(InfeasibleDispatch, match="exceeds"):
         generate_loading_cases(fleet_case, 9, (10000.0, 20000.0),
@@ -186,18 +206,94 @@ def test_run_bank_worker_count_is_invisible(small_bank, tmp_path):
 
 
 def test_run_bank_solves_each_loading_case_once(small_bank, monkeypatch):
-    # the power flow that dispatches a loading case also initializes its model
+    # the Y-bus the power flow solved against also builds the dynamic model
     case, loading, contingencies = small_bank
     solved = []
+    built = []
     solve = scenarios.solve_powerflow
+    build = netdyn.build_ybus
 
     def counting_solve(c, *args, **kwargs):
         solved.append(c.name)
         return solve(c, *args, **kwargs)
 
+    def counting_build(c):
+        built.append(c.name)
+        return build(c)
+
     monkeypatch.setattr(scenarios, "solve_powerflow", counting_solve)
+    for module in (netdyn, scenarios):   # every module-level binding
+        if getattr(module, "build_ybus", None) is build:
+            monkeypatch.setattr(module, "build_ybus", counting_build)
     run_bank(case, loading, contingencies, mode="locational")
     assert len(solved) == len(loading)
+    assert len(built) == len(loading)
+
+
+def test_run_bank_power_flow_failure_isolated(small_bank, fleet_case,
+                                              monkeypatch):
+    # a loading case whose power flow fails yields failure rows for that
+    # case only; generation does not solve, so it cannot abort
+    case, loading, contingencies = small_bank
+    clean = run_bank(case, loading, contingencies, mode="locational")
+    bad = loading[1]
+    solve = scenarios.solve_powerflow
+
+    def failing_solve(c, *args, **kwargs):
+        load = sum(l.p_mw for l in c.loads)
+        wind = sum(g.p_mw for g in c.generators
+                   if g.status and not g.synchronous)
+        if (math.isclose(load, bad.target_load_mw)
+                and math.isclose(wind, bad.target_wind_mw)):
+            raise powerflow.PowerFlowDivergence(20, 1.0)
+        return solve(c, *args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "solve_powerflow", failing_solve)
+    regenerated = generate_loading_cases(fleet_case, 5, (30000.0, 60000.0),
+                                         (12000.0, 25000.0))
+    assert regenerated == loading
+    mixed = run_bank(case, regenerated, contingencies, mode="locational")
+    assert len(mixed) == len(clean)
+    for m, c in zip(mixed, clean):
+        if m.loading_id != bad.id:
+            assert m.row() == c.row()
+        elif c.status != "no_online_units":
+            assert m.status.startswith("loading case failed: no convergence")
+            assert math.isnan(m.bus_rocof_min)
+            assert m.mw_lost == pytest.approx(c.mw_lost, rel=1e-9)
+    assert any(m.status.startswith("loading case failed") for m in mixed)
+
+
+HASHSEED_BANK = """
+import sys
+import numpy as np
+from conftest import make_fleet_case
+from rocofscreen import (dispatch_heuristic, generate_contingencies,
+                         generate_loading_cases, run_bank)
+fleet = make_fleet_case(1)
+base = dispatch_heuristic(fleet, 50000.0, 15000.0)
+contingencies = generate_contingencies(base, 40, np.random.default_rng(1))
+loading = generate_loading_cases(fleet, 4, (15000.0, 75000.0),
+                                 (10000.0, 30000.0))
+run_bank(fleet, loading, contingencies, mode="system_only",
+         out_path=sys.argv[1])
+"""
+
+
+def test_run_bank_table_independent_of_hash_seed(tmp_path):
+    # MW lost sums over a set of unit ids; the table must not depend on
+    # the order Python happens to iterate that set in
+    root = Path(__file__).resolve().parents[1]
+    tables = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"bank-{seed}.csv"
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join([str(root / "src"),
+                                               str(root / "tests")]))
+        subprocess.run([sys.executable, "-c", HASHSEED_BANK, str(out)],
+                       env=env, check=True, timeout=120)
+        tables.append(out.read_bytes())
+    assert tables[0] == tables[1]
 
 
 def test_run_bank_system_only_matches_inertia_line(small_bank):
