@@ -23,8 +23,8 @@ from . import case_io
 from .case_model import CaseValidationError, total_inertia_gws, validate_case
 from .netdyn import augment_dynamic, init_machines
 from .powerflow import PowerFlowError, solve_powerflow
-from .rocof import (Contingency, ZeroInertiaError, locational_rocof,
-                    system_rocof)
+from .rocof import (Contingency, SingularOutageError, ZeroInertiaError,
+                    locational_rocof, system_rocof)
 from .scenarios import (InfeasibleDispatch, generate_contingencies,
                         generate_loading_cases, run_bank, SCENARIO_COLUMNS)
 from .swingsim import SimOptions, SimulationBlowup, simulate
@@ -38,7 +38,8 @@ log = logging.getLogger(__name__)
 # and lands in DATA_ERRORS via its ValueError base
 DATA_ERRORS = (CaseValidationError, case_io.CaseParseError, InfeasibleDispatch,
                FileNotFoundError, KeyError, ValueError)
-NUMERICAL_ERRORS = (PowerFlowError, SimulationBlowup, ZeroInertiaError)
+NUMERICAL_ERRORS = (PowerFlowError, SimulationBlowup, SingularOutageError,
+                    ZeroInertiaError)
 
 
 def _add_case_args(p, sidecar=True):

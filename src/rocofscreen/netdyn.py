@@ -78,9 +78,11 @@ class NetworkModel:
     """Factorized dynamic network plus the static machine table.
 
     Arrays are aligned with ``machine_ids`` (in-service synchronous machines,
-    case order). The model is read-only by convention after build; scenario
-    evaluation derives diagonal-updated copies rather than mutating
-    ``y_dyn``.
+    case order). The model is read-only by convention after build. The
+    screen solves against the base factorization; only the simulator derives
+    diagonal-updated copies of ``y_dyn``, to refactor at its events.
+    ``solve_count`` counts linear solves and ``factor_count`` sparse LU
+    factorizations made on this model.
     """
 
     case: GridCase
@@ -100,6 +102,7 @@ class NetworkModel:
     f_base: float
     s_base: float
     solve_count: int = 0
+    factor_count: int = 0
     _lu: CountingLU | None = field(default=None, repr=False)
     _diag_ptr: np.ndarray | None = field(default=None, repr=False)
 
@@ -119,12 +122,15 @@ class NetworkModel:
         return np.array(sorted(out), dtype=np.int64)
 
     def factorize(self, matrix: sp.csc_matrix | None = None) -> CountingLU:
-        """Factor a matrix (default: y_dyn) into a counting solve handle."""
-        if matrix is None:
-            if self._lu is None:
-                self._lu = CountingLU(spla.splu(self.y_dyn), self)
+        """Factor a matrix into a counting solve handle. The default, y_dyn,
+        is factored once and cached."""
+        if matrix is None and self._lu is not None:
             return self._lu
-        return CountingLU(spla.splu(matrix), self)
+        self.factor_count += 1
+        lu = CountingLU(spla.splu(self.y_dyn if matrix is None else matrix), self)
+        if matrix is None:
+            self._lu = lu
+        return lu
 
     def y_with_diag_update(self, bus_pos: np.ndarray,
                            delta_y: np.ndarray) -> sp.csc_matrix:

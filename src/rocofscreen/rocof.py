@@ -1,16 +1,20 @@
 """System-wide and per-bus theoretical ROCOF after generation-loss events.
 
 The per-bus screen runs in exactly two sparse linear solves per contingency
-once the network model is initialized:
+against the base factorization of the network model; solve 1 carries k
+extra right-hand sides, k = distinct outaged buses:
 
-1. remove the outaged machines' Norton shunts and injections, solve for the
-   post-disturbance voltages V;
+1. remove the outaged machines' injections and solve for the
+   post-disturbance voltages V. Removing their Norton shunts is a rank-k
+   change to the diagonal, applied by compensation (Alsac, Stott & Tinney,
+   IEEE Trans. PAS, 1983) from the columns Z = Y^-1 E at the outaged buses
+   rather than by refactoring;
 2. recompute each remaining machine's electrical torque and acceleration
    wdot = (T_m - T_e) / (2 H), with mechanical torque frozen (no governors);
 3. form the injection second derivative Idd = (E'/x'd) /_ delta * wdot
    (speed deviation is zero in the instant after the disturbance);
-4. solve Y Vdd = Idd and convert each bus's voltage-angle second derivative
-   to Hz/s via the system frequency base.
+4. solve Y Vdd = Idd, with the same compensation, and convert each bus's
+   voltage-angle second derivative to Hz/s via the system frequency base.
 
 Angles here follow the per-unit speed convention (delta-dot equals the
 per-unit speed deviation), so the angle second derivative emerges in
@@ -32,6 +36,10 @@ log = logging.getLogger(__name__)
 
 class ZeroInertiaError(ValueError):
     """No synchronous inertia remains after the disturbance."""
+
+
+class SingularOutageError(RuntimeError):
+    """The network matrix with the outaged Norton shunts removed is singular."""
 
 
 @dataclass(frozen=True)
@@ -128,10 +136,13 @@ def locational_rocof(model: NetworkModel, states: MachineStates,
                      contingency: Contingency) -> RocofResult:
     """Theoretical per-bus ROCOF for one machine-loss contingency.
 
-    Costs exactly two sparse linear solves on the outage-adjusted matrix
-    (one for the voltages, one for the voltage second derivative). Islands
-    that lose their last machine are reported as undefined rather than
-    diverging; see RocofResult.
+    Costs exactly two sparse linear solves against the base factorization
+    (one for the voltages, one for the voltage second derivative); solve 1
+    carries k extra right-hand sides, k = distinct outaged buses, for the
+    compensation of the removed Norton shunts. Islands that lose their last
+    machine are reported as undefined rather than diverging; see
+    RocofResult. Raises SingularOutageError when the outage leaves a
+    singular network.
     """
     solves_before = model.solve_count
     nm = len(model.machine_ids)
@@ -152,20 +163,36 @@ def locational_rocof(model: NetworkModel, states: MachineStates,
                     "ROCOF reported as undefined there",
                     contingency.id, len(undefined_islands))
 
-    if out_pos.size:
-        # adjust Y: drop the outaged Norton shunts; pin dead-island buses so
-        # the factorization stays regular (their solution is identically 0)
-        upd_bus = model.machine_bus[out_pos]
-        upd_val = -model.norton_y[out_pos]
-        if dead.any():
-            upd_bus = np.r_[upd_bus, np.flatnonzero(dead)]
-            upd_val = np.r_[upd_val, np.ones(int(dead.sum()), dtype=complex)]
-        lu = model.factorize(model.y_with_diag_update(upd_bus, upd_val))
-    else:
-        lu = model.factorize()
+    # the outage adds d to the diagonal at buses b, the rank-k update E D E^T
+    # with E the unit columns at b (live islands only: a dead island carries
+    # no injection and is decoupled, so it solves to zero). By Woodbury,
+    # (Y + E D E^T)^-1 r = x - Z C^-1 D x[b] with x = Y^-1 r, Z = Y^-1 E and
+    # C = I + D Z[b].
+    live_out = out_pos[~dead[model.machine_bus[out_pos]]]
+    bus, col = np.unique(model.machine_bus[live_out], return_inverse=True)
+    d = np.zeros(bus.size, dtype=complex)
+    np.add.at(d, col, -model.norton_y[live_out])
+    rhs = np.zeros((model.n_bus, 1 + bus.size), dtype=complex)
+    rhs[:, 0] = norton_injections(model, states, active)
+    rhs[bus, 1 + np.arange(bus.size)] = 1.0
+    lu = model.factorize()
+    x = lu.solve(rhs)                                        # solve 1
+    z = x[:, 1:]
+    try:
+        c_inv_d = np.linalg.solve(np.eye(bus.size) + d[:, None] * z[bus],
+                                  np.diag(d))
+    except np.linalg.LinAlgError as exc:
+        raise SingularOutageError(
+            f"contingency {contingency.id}: removing the outaged machines "
+            f"leaves a singular network at buses "
+            f"{[model.bus_ids[b] for b in bus]}") from exc
 
-    rhs = norton_injections(model, states, active)
-    v_post = lu.solve(rhs)                                   # solve 1
+    def outage_solution(y: np.ndarray) -> np.ndarray:
+        y = y - z @ (c_inv_d @ y[bus])
+        y[dead] = 0.0
+        return y
+
+    v_post = outage_solution(x[:, 0])
 
     te = electrical_torque(model, states, v_post, active)
     wdot = np.where(active, (states.t_m - te) / (2.0 * model.h_sec), np.nan)
@@ -173,7 +200,7 @@ def locational_rocof(model: NetworkModel, states: MachineStates,
     idd_mach = injection_derivatives(states, np.where(active, wdot, 0.0))
     idd = np.zeros(model.n_bus, dtype=complex)
     np.add.at(idd, model.machine_bus, np.where(active, idd_mach, 0.0))
-    v_ddot = lu.solve(idd)                                   # solve 2
+    v_ddot = outage_solution(lu.solve(idd))                  # solve 2
 
     ok = ~dead & (np.abs(v_post) > 1e-9)
     rocof_pu = np.full(model.n_bus, np.nan)

@@ -132,6 +132,17 @@ def test_rocof_local_geojson(tmp_path, capsys):
     assert len(doc["features"]) == 9
 
 
+def test_rocof_local_singular_outage_exits_2(tmp_path, capsys, monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    code, _, err = run(["rocof-local", "--case", str(CASE9), "--outage", "gen3",
+                        "--out", str(tmp_path / "rocof.csv")], capsys)
+    assert code == 2
+    assert "numerical failure: contingency cli:" in err
+    assert "buses [3]" in err
+
+
 def test_simulate_command(tmp_path, capsys):
     out = tmp_path / "sim.csv"
     code, text, _ = run(["simulate", "--case", str(CASE9), "--outage", "gen3",

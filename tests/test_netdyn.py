@@ -60,6 +60,16 @@ def _model(case):
     return sol, model
 
 
+def test_factor_count_counts_each_splu(case9):
+    sol, model = _model(case9)
+    assert model.factor_count == 1          # the cached base factorization
+    init_machines(model, case9, sol)
+    model.factorize()
+    assert model.factor_count == 1
+    model.factorize(model.y_with_diag_update(np.array([0]), np.array([1.0 + 0j])))
+    assert model.factor_count == 2
+
+
 def test_load_shunt_at_nominal_voltage():
     case = tiny_case(load_mw=100.0, xdp_sys=0.1)
     sol, model = _model(case)

@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from rocofscreen import (Contingency, ZeroInertiaError, angle_second_derivative,
-                         augment_dynamic, build_ybus, init_machines,
+from rocofscreen import (Contingency, SingularOutageError, ZeroInertiaError,
+                         angle_second_derivative, augment_dynamic, build_ybus,
+                         electrical_torque, init_machines,
                          injection_derivatives, locational_rocof,
                          solve_powerflow, system_rocof)
 from rocofscreen.case_model import Branch, Bus, Generator, GridCase, Load
-from rocofscreen.netdyn import MachineStates
+from rocofscreen.netdyn import MachineStates, norton_injections
+from conftest import make_fleet_case, make_grid_case
 
 
 def test_system_rocof_gen3_trip(case9):
@@ -233,3 +235,101 @@ def test_outage_of_offline_generator_rejected(case9):
     states = init_machines(model, case, sol)
     with pytest.raises(KeyError):
         locational_rocof(model, states, Contingency.of("c", ["gen3"]))
+
+
+def built_model(case):
+    sol = solve_powerflow(case)
+    model = augment_dynamic(build_ybus(case), case, sol)
+    return model, init_machines(model, case, sol)
+
+
+def refactor_reference(model, states, contingency):
+    """The screen on a refactored matrix: y_dyn with the outaged Norton
+    shunts removed and dead-island buses pinned to a unit diagonal, then the
+    two solves. Returns (bus ROCOF in Hz/s, post-disturbance voltages,
+    machine accelerations, undefined islands)."""
+    active = np.ones(len(model.machine_ids), dtype=bool)
+    out_pos = model.machine_positions(contingency.outaged_generator_ids)
+    active[out_pos] = False
+    dead = model.dead_island_mask(active)
+    upd_bus = np.r_[model.machine_bus[out_pos], np.flatnonzero(dead)]
+    upd_val = np.r_[-model.norton_y[out_pos],
+                    np.ones(int(dead.sum()), dtype=complex)]
+    lu = model.factorize(model.y_with_diag_update(upd_bus, upd_val))
+    v = lu.solve(norton_injections(model, states, active))
+    te = electrical_torque(model, states, v, active)
+    wdot = np.where(active, (states.t_m - te) / (2.0 * model.h_sec), np.nan)
+    idd = np.zeros(model.n_bus, dtype=complex)
+    np.add.at(idd, model.machine_bus, np.where(
+        active, injection_derivatives(states, np.where(active, wdot, 0.0)), 0.0))
+    vdd = lu.solve(idd)
+    ok = ~dead & (np.abs(v) > 1e-9)
+    rocof = np.full(model.n_bus, np.nan)
+    rocof[ok] = model.f_base * angle_second_derivative(v[ok], vdd[ok])
+    islands = [[model.bus_ids[i] for i in np.flatnonzero(model.islands == isl)]
+               for isl in sorted(set(model.islands[dead].tolist()))]
+    return rocof, v, wdot, islands
+
+
+def assert_matches_refactoring(model, states, contingency):
+    res = locational_rocof(model, states, contingency)
+    rocof, v, wdot, islands = refactor_reference(model, states, contingency)
+    assert np.array_equal(np.isnan(res.bus_rocof_hz_s), np.isnan(rocof))
+    np.testing.assert_allclose(res.bus_rocof_hz_s, rocof, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(res.post_disturbance_voltages, v,
+                               rtol=0, atol=1e-9)
+    assert np.array_equal(np.isnan(res.machine_accel), np.isnan(wdot))
+    np.testing.assert_allclose(res.machine_accel, wdot, rtol=0, atol=1e-12)
+    assert res.undefined_islands == islands
+    assert res.n_solves == 2
+    return res
+
+
+def test_compensation_matches_refactoring_on_grid():
+    model, states = built_model(make_grid_case(side=25))
+    units = model.machine_ids
+    plant = units[2][:-2]                       # "g<bus>" of the second plant
+    cases = [[units[5]], [plant + "u0", plant + "u1"],
+             units[10:13], [units[20], units[21], units[30]], []]
+    for k, ids in enumerate(cases):
+        assert_matches_refactoring(model, states, Contingency.of(f"c{k}", ids))
+
+
+def test_compensation_matches_refactoring_on_fleet():
+    model, states = built_model(make_fleet_case(1))
+    units = model.machine_ids
+    for k, ids in enumerate([units[:1], units[3:5], units[7:10], []]):
+        assert_matches_refactoring(model, states, Contingency.of(f"c{k}", ids))
+
+
+@pytest.mark.parametrize("load_on_island_b", [True, False])
+@pytest.mark.parametrize("outage", [["gA"], ["gB"], []])
+def test_compensation_matches_refactoring_with_dead_island(load_on_island_b,
+                                                           outage):
+    model, states = built_model(two_island_case(load_on_island_b))
+    res = assert_matches_refactoring(model, states,
+                                     Contingency.of("c", outage))
+    assert len(res.undefined_islands) == len(outage)
+
+
+def test_singular_outage_is_numerical(solved9, monkeypatch):
+    case, sol, model, states = solved9
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(SingularOutageError,
+                       match=r"contingency c3: .* at buses \[3\]"):
+        locational_rocof(model, states, Contingency.of("c3", ["gen3"]))
+    assert not issubclass(SingularOutageError, ValueError)
+
+
+def test_screens_make_no_factorization(solved9):
+    case, sol, model, states = solved9
+    before = (model.factor_count, model.solve_count)
+    ids = [[], ["gen1"], ["gen2"], ["gen3"], ["gen1", "gen2"],
+           ["gen1", "gen3"], ["gen2", "gen3"], ["gen3"], ["gen2"], ["gen1"]]
+    for k, gids in enumerate(ids):
+        locational_rocof(model, states, Contingency.of(f"c{k}", gids))
+    assert model.factor_count == before[0]
+    assert model.solve_count == before[1] + 2 * len(ids)

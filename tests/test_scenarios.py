@@ -264,6 +264,21 @@ def test_run_bank_power_flow_failure_isolated(small_bank, fleet_case,
     assert any(m.status.startswith("loading case failed") for m in mixed)
 
 
+def test_run_bank_singular_outage_is_error_row(small_bank, monkeypatch):
+    case, loading, contingencies = small_bank
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    rows = run_bank(case, loading[:2], contingencies, mode="locational")
+    screened = [r for r in rows if r.status != "no_online_units"]
+    assert screened
+    for r in screened:
+        assert r.status.startswith(f"error: contingency {r.contingency_id}: ")
+        assert "singular network at buses [" in r.status
+        assert math.isnan(r.bus_rocof_min)
+
+
 HASHSEED_BANK = """
 import sys
 import numpy as np

@@ -268,3 +268,19 @@ def test_in_run_ufls_and_replay(case9):
     # of the tripping bus up to that moment
     first = [e for e in sim.events if e.kind == "ufls"][0]
     assert first.frequency_hz < 59.3
+
+
+def test_simulate_refactors_once_per_outage_and_trip(case9):
+    case = severe_case(case9)
+    sol = solve_powerflow(case)
+    model = augment_dynamic(build_ybus(case), case, sol)
+    states = init_machines(model, case, sol)
+    before = model.factor_count
+    simulate(model, states.copy(), Contingency.of("none", []),
+             SimOptions(t_end=0.5))
+    assert model.factor_count == before     # the cached base factorization
+    sim = simulate(model, states, Contingency.of("big", ["gen2", "gen3"]),
+                   SimOptions(t_end=6.0, damping_d=2.0))
+    trip_steps = {e.time_s for e in sim.events}
+    assert trip_steps
+    assert model.factor_count - before == 1 + len(trip_steps)
