@@ -19,9 +19,10 @@ from .powerflow import (PowerFlowDivergence, PowerFlowError,
 from .netdyn import (MachineStates, ModelBuildError, NetworkModel,
                      augment_dynamic, build_ybus, electrical_torque,
                      init_machines)
-from .rocof import (Contingency, RocofResult, SingularOutageError,
+from .rocof import (Contingency, RocofBatch, RocofResult, SingularOutageError,
                     ZeroInertiaError, angle_second_derivative,
-                    injection_derivatives, locational_rocof, system_rocof)
+                    injection_derivatives, locational_rocof,
+                    locational_rocof_batch, system_rocof)
 from .swingsim import (SimOptions, SimResult, SimulationBlowup, TripEvent,
                        bus_frequency, check_ffr, check_ufls, simulate)
 from .synthdyn import (DEFAULT_FUEL_SPECS, FuelInertiaSpec, SynthConfig,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -110,8 +111,16 @@ class NetworkModel:
     def n_bus(self) -> int:
         return len(self.bus_ids)
 
+    @cached_property
+    def _machine_pos(self) -> dict[str, int]:
+        return {gid: k for k, gid in enumerate(self.machine_ids)}
+
+    @cached_property
+    def _n_islands(self) -> int:
+        return int(self.islands.max()) + 1 if self.n_bus else 0
+
     def machine_positions(self, gen_ids) -> np.ndarray:
-        pos = {gid: k for k, gid in enumerate(self.machine_ids)}
+        pos = self._machine_pos
         out = []
         for gid in gen_ids:
             if gid not in pos:
@@ -150,12 +159,29 @@ class NetworkModel:
         return sp.csc_matrix((data, self.y_dyn.indices, self.y_dyn.indptr),
                              shape=self.y_dyn.shape)
 
+    def to_buses(self, per_machine: np.ndarray) -> np.ndarray:
+        """Complex sums of per-machine values (machines on the last axis)
+        at each machine's bus (buses on the last axis), in machine order."""
+        out = np.zeros(per_machine.shape[:-1] + (self.n_bus,), dtype=complex)
+        if per_machine.ndim == 1:
+            np.add.at(out, self.machine_bus, per_machine)
+        else:                                   # flat positions, row by row
+            at = self.machine_bus + self.n_bus * np.arange(len(out))[:, None]
+            np.add.at(out.reshape(-1), at.reshape(-1), per_machine.reshape(-1))
+        return out
+
     def dead_island_mask(self, active_machines: np.ndarray | None = None) -> np.ndarray:
-        """Bus mask of islands left without any active synchronous machine."""
+        """Bus mask of islands left without any active synchronous machine.
+
+        Flags for m outages, one row each (machines on the last axis), give
+        m rows of masks."""
         if active_machines is None:
             active_machines = np.ones(len(self.machine_ids), dtype=bool)
-        alive = set(self.islands[self.machine_bus[active_machines]].tolist())
-        return ~np.isin(self.islands, list(alive) or [-1])
+        if self._n_islands == 1:
+            return np.repeat(~active_machines.any(axis=-1)[..., None], self.n_bus, axis=-1)
+        alive = active_machines @ (self.islands[self.machine_bus][:, None]
+                                   == np.arange(self._n_islands))
+        return ~alive.T[self.islands].T
 
 
 @dataclass
@@ -333,9 +359,7 @@ def init_machines(model: NetworkModel, case: GridCase,
         raise ModelBuildError(f"zero internal EMF for machines {bad}")
     i_inj = (e_prime / model.xdp_sys) * np.exp(1j * (delta - np.pi / 2))
 
-    rhs = np.zeros(model.n_bus, dtype=complex)
-    np.add.at(rhs, model.machine_bus, i_inj)
-    v_chk = model.factorize().solve(rhs)
+    v_chk = model.factorize().solve(model.to_buses(i_inj))
     live = ~model.dead_island_mask()
     resid = float(np.max(np.abs(v_chk - solution.v)[live])) if live.any() else 0.0
     if resid > 1e-8:
@@ -358,13 +382,12 @@ def init_machines(model: NetworkModel, case: GridCase,
 
 def norton_injections(model: NetworkModel, states: MachineStates,
                       active: np.ndarray | None = None) -> np.ndarray:
-    """Bus vector of Norton current injections at the machines' present angles."""
+    """Bus vector of Norton current injections at the machines' present
+    angles; m rows of active flags give m rows of injections."""
     i_mach = (states.e_prime / model.xdp_sys) * np.exp(1j * (states.delta - np.pi / 2))
     if active is not None:
         i_mach = np.where(active, i_mach, 0.0)
-    rhs = np.zeros(model.n_bus, dtype=complex)
-    np.add.at(rhs, model.machine_bus, i_mach)
-    return rhs
+    return model.to_buses(i_mach)
 
 
 def electrical_torque(model: NetworkModel, states: MachineStates,
@@ -375,9 +398,9 @@ def electrical_torque(model: NetworkModel, states: MachineStates,
     T_e equals the active power delivered at the terminal: Re[V conj(I_s)]
     with stator current I_s = I_norton - y_norton V. In the lossless
     classical model this coincides with air-gap power. Inactive machines get
-    zero.
+    zero. m rows of voltages (and of active flags) give m rows of torques.
     """
-    vb = voltages[model.machine_bus]
+    vb = voltages.T[model.machine_bus].T
     i_norton = (states.e_prime / model.xdp_sys) * np.exp(1j * (states.delta - np.pi / 2))
     i_s = i_norton - model.norton_y * vb
     te = (vb * np.conj(i_s)).real * model.s_base / model.s_mach

@@ -11,8 +11,10 @@ larger multi-site events.
 The bank runner evaluates every pair in one of three modes and emits a flat
 result table; per-scenario failures are recorded in their row and never
 abort the bank. The locational and simulate modes solve and factorize each
-loading case once, serially. Output ordering is by (loading id, contingency
-id), and the table streams to disk so large banks need bounded memory.
+loading case once, serially; locational mode then screens all of the
+loading case's contingencies in one batch, two multi-right-hand-side solves
+per loading case. Output ordering is by (loading id, contingency id), and
+the table streams to disk so large banks need bounded memory.
 
 For a fixed loading case the tabulated system-wide ROCOF uses that case's
 total online inertia in the denominator, making it the linear-in-MW-lost
@@ -33,7 +35,7 @@ import numpy as np
 from .case_model import GridCase
 from .netdyn import augment_dynamic, init_machines
 from .powerflow import solve_powerflow
-from .rocof import Contingency, locational_rocof
+from .rocof import Contingency, locational_rocof_batch
 from .swingsim import SimOptions, simulate
 
 log = logging.getLogger(__name__)
@@ -316,13 +318,20 @@ def generate_contingencies(case: GridCase, n: int, rng: np.random.Generator,
     return out
 
 
-def _bus_stats(bus_ids, values) -> tuple[float, float, float, int | None]:
-    vals = np.asarray(values, dtype=float)
-    if np.all(np.isnan(vals)):
-        return math.nan, math.nan, math.nan, None
-    worst = int(np.nanargmin(vals))
-    return (float(np.nanmin(vals)), float(np.nanmean(vals)),
-            float(np.nanmax(vals)), int(bus_ids[worst]))
+def _column_stats(rocof: np.ndarray, bus_ids) -> list[tuple]:
+    """(min, mean, max, worst bus) of each column of a bus x m ROCOF block,
+    skipping NaN buses; the worst bus has the minimum, the first one on a
+    tie. A column without a number gives NaNs and no worst bus."""
+    by_row = np.ascontiguousarray(rocof.T)      # reduce along contiguous rows
+    nan = np.isnan(by_row)
+    count = by_row.shape[1] - np.count_nonzero(nan, axis=1)
+    total = np.where(nan, 0.0, by_row).sum(axis=1)
+    mean = np.divide(total, count, out=np.full(len(count), np.nan),
+                     where=count > 0)
+    low, high = np.fmin.reduce(by_row, axis=1), np.fmax.reduce(by_row, axis=1)
+    worst = np.argmin(np.where(nan, np.inf, by_row), axis=1)
+    return [(float(lo), float(mu), float(hi), int(bus_ids[w]) if c else None)
+            for lo, mu, hi, w, c in zip(low, mean, high, worst, count)]
 
 
 def _eval_loading_case(case: GridCase, lc: LoadingCase,
@@ -352,6 +361,7 @@ def _eval_loading_case(case: GridCase, lc: LoadingCase,
         except Exception as exc:  # noqa: BLE001 - recorded per row
             setup_error = f"loading case failed: {exc}"
 
+    screened: list[tuple[int, Contingency, float]] = []   # row, online units, MW
     for ctg in sorted(contingencies, key=lambda c: c.id):
         online = frozenset(g for g in ctg.outaged_generator_ids
                            if g in lc.committed)
@@ -366,27 +376,43 @@ def _eval_loading_case(case: GridCase, lc: LoadingCase,
         if setup_error is not None:
             rows.append(base_record(ctg, mw_disp, status=setup_error))
             continue
+        screened.append((len(rows), Contingency(ctg.id, online), mw_disp))
+        rows.append(base_record(ctg, mw_disp))
+    if not screened:
+        return rows
+
+    # one bus x m ROCOF block for the loading case, one error per column
+    subs = [sub for _, sub, _ in screened]
+    rocof = np.full((model.n_bus, len(subs)), np.nan)
+    errors: list[Exception | None] = [None] * len(subs)
+    mw_lost = [mw for _, _, mw in screened]
+    islands: list[list] = [[] for _ in subs]
+    if mode == "locational":
         try:
-            sub = Contingency(ctg.id, online)
-            if mode == "locational":
-                res = locational_rocof(model, states, sub)
-                rec = base_record(ctg, res.mw_lost)
-                (rec.bus_rocof_min, rec.bus_rocof_mean, rec.bus_rocof_max,
-                 rec.worst_bus) = _bus_stats(res.bus_ids, res.bus_rocof_hz_s)
-                if res.undefined_islands:
-                    rec.status = f"{len(res.undefined_islands)} undefined island(s)"
-                rows.append(rec)
-            else:  # simulate
-                opts = sim_opts or SimOptions(t_end=0.25, enable_ufls=False,
-                                              enable_ffr=False)
-                sim = simulate(model, states.copy(), sub, opts)
-                rec = base_record(ctg, mw_disp)
-                (rec.bus_rocof_min, rec.bus_rocof_mean, rec.bus_rocof_max,
-                 rec.worst_bus) = _bus_stats(
-                    sim.bus_ids, finite_difference_rocof(sim))
-                rows.append(rec)
+            batch = locational_rocof_batch(model, states, subs)
+            rocof, errors = batch.bus_rocof_hz_s, batch.errors
+            mw_lost, islands = batch.mw_lost.tolist(), batch.undefined_islands
         except Exception as exc:  # noqa: BLE001 - fault isolation
-            rows.append(base_record(ctg, mw_disp, status=f"error: {exc}"))
+            errors = [exc] * len(subs)
+    else:  # simulate
+        opts = sim_opts or SimOptions(t_end=0.25, enable_ufls=False,
+                                      enable_ffr=False)
+        for j, sub in enumerate(subs):
+            try:
+                rocof[:, j] = finite_difference_rocof(
+                    simulate(model, states.copy(), sub, opts))
+            except Exception as exc:  # noqa: BLE001 - fault isolation
+                errors[j] = exc
+    stats = _column_stats(rocof, model.bus_ids)
+    for j, (i, sub, _) in enumerate(screened):
+        if errors[j] is not None:
+            rows[i].status = f"error: {errors[j]}"
+            continue
+        rec = rows[i] = base_record(sub, mw_lost[j])
+        (rec.bus_rocof_min, rec.bus_rocof_mean, rec.bus_rocof_max,
+         rec.worst_bus) = stats[j]
+        if islands[j]:
+            rec.status = f"{len(islands[j])} undefined island(s)"
     return rows
 
 
@@ -410,9 +436,14 @@ def run_bank(case: GridCase, loading_cases: list[LoadingCase],
              sim_opts: SimOptions | None = None) -> list[ScenarioRecord]:
     """Evaluate every (loading case, contingency) pair.
 
-    mode: "system_only" (inertia arithmetic only), "locational" (two sparse
-    solves per scenario after per-loading-case initialization), or
-    "simulate" (short time-domain run per scenario; slow, small cases only).
+    mode: "system_only" (inertia arithmetic only), "locational" (two
+    multi-right-hand-side sparse solves per loading case, for all of its
+    contingencies, after per-loading-case initialization), or "simulate"
+    (short time-domain run per scenario; slow, small cases only).
+
+    mw_lost is the lost machines' solved output on the rows a locational
+    screen produced, and the dispatched MW of the online outaged units on
+    every other row (see docs/case_schema.md).
 
     Loading cases are evaluated one after another, and rows stream to
     out_path in sorted (loading_id, contingency_id) order as each loading

@@ -3,7 +3,8 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from rocofscreen import Contingency, GridCase, locational_rocof
+from rocofscreen import (Contingency, GridCase, locational_rocof,
+                         locational_rocof_batch)
 from rocofscreen.case_model import Branch, Bus, Generator, Load
 from test_rocof import built_model, refactor_reference
 
@@ -61,3 +62,82 @@ def test_compensation_equals_refactoring_on_generated_networks(drawn):
     assert not np.isnan(rocof).any()
     np.testing.assert_allclose(res.bus_rocof_hz_s, rocof, rtol=0, atol=1e-9)
     assert res.n_solves == 2
+
+
+@st.composite
+def banks(draw):
+    """One or two islands, each a random tree with light loads and 1-4
+    machines (some sharing a bus, a slack at the first machine's bus), and
+    a bank of contingencies for it: the empty one, random machine subsets
+    that leave some machine in service, and, with two islands, the loss of
+    every machine of the second one (a dead island)."""
+    sizes = [draw(st.integers(2, 5))] + draw(st.lists(st.integers(1, 3),
+                                                      max_size=1))
+    reactance = st.floats(0.01, 0.06)
+    buses, branches, loads, gens, islands = [], [], [], [], []
+    first = 1
+    for size in sizes:
+        ids = list(range(first, first + size))
+        for b in ids[1:]:
+            x = draw(reactance)
+            branches.append(Branch(draw(st.sampled_from(ids[:b - first])), b,
+                                   x / 10, x, 0.02))
+        load_mw = draw(st.lists(st.floats(0.0, 20.0), min_size=size,
+                                max_size=size))
+        loads += [Load(id=f"ld{b}", bus_id=b, p_mw=p, q_mvar=0.3 * p)
+                  for b, p in zip(ids, load_mw) if p > 0]
+        machine_bus = draw(st.lists(st.sampled_from(ids), min_size=1,
+                                    max_size=4 if first == 1 else 2))
+        if first == 1 and len(machine_bus) < 2:
+            machine_bus.append(ids[-1])
+        share = sum(load_mw) / len(machine_bus)
+        island = []
+        for b in machine_bus:
+            gid = f"m{len(gens)}"
+            gens.append(Generator(
+                id=gid, bus_id=b, s_base_mva=draw(st.floats(100.0, 400.0)),
+                p_mw=share, p_max_mw=100.0 + share, fuel="gas",
+                h_sec=draw(st.floats(2.0, 8.0)),
+                xdp_pu=draw(st.floats(0.15, 0.35))))
+            island.append(gid)
+        islands.append(island)
+        kinds = {b: "pv" for b in machine_bus}
+        kinds[machine_bus[0]] = "slack"
+        buses += [Bus(id=b, kind=kinds.get(b, "pq"),
+                      v_mag=1.02 if b in kinds else 1.0) for b in ids]
+        first += size
+    case = GridCase(s_base_mva=100.0, name="generated", buses=tuple(buses),
+                    generators=tuple(gens), loads=tuple(loads),
+                    branches=tuple(branches))
+    everyone = [g.id for g in gens]
+    outages = [[]] + draw(st.lists(
+        st.lists(st.sampled_from(everyone), min_size=1, max_size=3,
+                 unique=True).filter(lambda ids: len(ids) < len(everyone)),
+        min_size=1, max_size=5))
+    if len(islands) > 1:
+        outages.append(islands[1])
+    return case, outages
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(banks())
+def test_batch_equals_refactoring_per_contingency(drawn):
+    # one batch over the whole bank gives each contingency's refactored
+    # screen: outages sharing a bus, dead islands and the empty contingency
+    case, outages = drawn
+    model, states = built_model(case)
+    ctgs = [Contingency.of(f"c{j}", ids) for j, ids in enumerate(outages)]
+    batch = locational_rocof_batch(model, states, ctgs)
+    assert batch.n_solves == 2
+    assert batch.bus_rocof_hz_s.shape == (model.n_bus, len(ctgs))
+    for j, ctg in enumerate(ctgs):
+        assert batch.errors[j] is None
+        rocof, v, wdot, islands = refactor_reference(model, states, ctg)
+        got = batch.bus_rocof_hz_s[:, j]
+        assert np.array_equal(np.isnan(got), np.isnan(rocof))
+        np.testing.assert_allclose(got, rocof, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(batch.post_disturbance_voltages[:, j], v,
+                                   rtol=0, atol=1e-9)
+        assert np.array_equal(np.isnan(batch.machine_accel[:, j]),
+                              np.isnan(wdot))
+        assert batch.undefined_islands[j] == islands

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from rocofscreen import netdyn, powerflow, scenarios
-from rocofscreen import (Contingency, InfeasibleDispatch, dispatch_heuristic,
+from rocofscreen import (Contingency, InfeasibleDispatch, SingularOutageError,
+                         ZeroInertiaError, augment_dynamic, dispatch_heuristic,
                          generate_contingencies, generate_loading_cases,
-                         run_bank, total_inertia_gws)
+                         init_machines, locational_rocof, run_bank,
+                         solve_powerflow, total_inertia_gws)
 from rocofscreen.scenarios import (apply_loading_case, loading_case_from,
                                    _eval_loading_case)
 
@@ -277,6 +279,121 @@ def test_run_bank_singular_outage_is_error_row(small_bank, monkeypatch):
         assert r.status.startswith(f"error: contingency {r.contingency_id}: ")
         assert "singular network at buses [" in r.status
         assert math.isnan(r.bus_rocof_min)
+
+
+def loading_case_model(case, lc):
+    dispatched = apply_loading_case(case, lc)
+    sol = solve_powerflow(dispatched)
+    model = augment_dynamic(sol.ybus, dispatched, sol)
+    return model, init_machines(model, dispatched, sol)
+
+
+def test_run_bank_batch_matches_single_screens(small_bank):
+    # one batch per loading case gives the rows a loop of single screens
+    # gives: ROCOF within 1e-9 Hz/s, status, worst bus and flag exact
+    case, loading, contingencies = small_bank
+    rows = {(r.loading_id, r.contingency_id): r
+            for r in run_bank(case, loading, contingencies, mode="locational")}
+    for lc in loading:
+        model, states = loading_case_model(case, lc)
+        for ctg in contingencies:
+            row = rows[(lc.id, ctg.id)]
+            online = frozenset(g for g in ctg.outaged_generator_ids
+                               if g in lc.committed)
+            if not online:
+                assert row.status == "no_online_units"
+                continue
+            res = locational_rocof(model, states, Contingency(ctg.id, online))
+            rocof = res.bus_rocof_hz_s
+            assert row.status == "ok"
+            assert row.worst_bus == res.bus_ids[int(np.nanargmin(rocof))]
+            assert row.mw_lost == res.mw_lost
+            line = -60.0 * res.mw_lost / (2.0 * lc.online_inertia_gws * 1000.0)
+            assert row.concern_flag == (line < -0.5)
+            for got, want in ((row.bus_rocof_min, np.nanmin(rocof)),
+                              (row.bus_rocof_mean, np.nanmean(rocof)),
+                              (row.bus_rocof_max, np.nanmax(rocof))):
+                assert abs(got - want) <= 1e-9
+
+
+def test_locational_bank_makes_two_solves_per_loading_case(small_bank,
+                                                            monkeypatch):
+    # after init_machines, every contingency of a loading case is screened
+    # by the same two solves and no factorization
+    case, loading, contingencies = small_bank
+    after_init = []
+    init = scenarios.init_machines
+
+    def recording_init(model, *args):
+        states = init(model, *args)
+        after_init.append((model, model.solve_count, model.factor_count))
+        return states
+
+    monkeypatch.setattr(scenarios, "init_machines", recording_init)
+    rows = run_bank(case, loading, contingencies, mode="locational")
+    assert sum(r.status == "ok" for r in rows) > 2 * len(loading)
+    assert len(after_init) == len(loading)
+    for model, solves, factorizations in after_init:
+        assert model.solve_count - solves == 2
+        assert model.factor_count == factorizations
+
+
+def test_run_bank_isolates_faults_within_one_batch(small_bank, monkeypatch):
+    # an unknown machine, a loss of all inertia and a singular capacitance
+    # matrix each fail only their own row, with the error a single screen
+    # raises; every other row of the loading case equals the clean batch
+    case, loading, contingencies = small_bank
+    lc = loading[0]
+    model, states = loading_case_model(case, lc)
+    online = {c.id: frozenset(g for g in c.outaged_generator_ids
+                              if g in lc.committed) for c in contingencies}
+    screened = [c for c in contingencies if online[c.id]]
+
+    def units_at(c, bus):
+        return frozenset(g for g in online[c.id]
+                         if case.generator(g).bus_id == bus)
+
+    target, bus = next(
+        (c, b) for c in screened
+        for b in sorted({case.generator(g).bus_id for g in online[c.id]})
+        if all(units_at(o, b) != units_at(c, b) for o in screened if o is not c))
+    # the capacitance solve's right-hand side carries D, the removed Norton
+    # shunts summed per bus in machine order; the target's D at this bus,
+    # which no other contingency shares, marks the target's matrix
+    marker = 0j
+    for p in model.machine_positions(units_at(target, bus)):
+        marker += -model.norton_y[p]
+    solve = np.linalg.solve
+
+    def singular_for_target(a, b):
+        if np.any(np.asarray(b) == marker):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    wind = next(g.id for g in case.generators
+                if not g.synchronous and g.id in lc.committed)
+    unknown = Contingency("ctg_unknown", frozenset({wind}), 0.0)
+    everything = Contingency("ctg_all", frozenset(
+        g for g in lc.committed if case.generator(g).synchronous), 0.0)
+    expected = {}
+    with pytest.raises(KeyError) as err:
+        locational_rocof(model, states, unknown)
+    expected[unknown.id] = f"error: {err.value}"
+    with pytest.raises(ZeroInertiaError) as err:
+        locational_rocof(model, states, everything)
+    expected[everything.id] = f"error: {err.value}"
+    clean = run_bank(case, [lc], contingencies, mode="locational")
+
+    monkeypatch.setattr(np.linalg, "solve", singular_for_target)
+    with pytest.raises(SingularOutageError) as err:
+        locational_rocof(model, states, Contingency(target.id, online[target.id]))
+    expected[target.id] = f"error: {err.value}"
+    mixed = run_bank(case, [lc], list(contingencies) + [unknown, everything],
+                     mode="locational")
+    assert {r.contingency_id: r.status for r in mixed
+            if r.status.startswith("error")} == expected
+    survivors = [r.row() for r in mixed if r.contingency_id not in expected]
+    assert survivors == [r.row() for r in clean if r.contingency_id != target.id]
 
 
 HASHSEED_BANK = """
