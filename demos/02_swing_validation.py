@@ -31,7 +31,7 @@ res = locational_rocof(model, states, ctg)
 
 opts = SimOptions(t_end=2.0, dt=1 / 200, enable_ufls=False, enable_ffr=False)
 sim = simulate(model, states.copy(), ctg, opts)
-fd = finite_difference_rocof(sim, window_s=0.02)
+fd = finite_difference_rocof(sim)
 
 print("bus   screen    simulated    error")
 for k, bid in enumerate(res.bus_ids):

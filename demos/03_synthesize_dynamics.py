@@ -13,10 +13,10 @@ from pathlib import Path
 
 import numpy as np
 
-from rocofscreen import (DEFAULT_FUEL_SPECS, SynthConfig,
-                         assign_plant_correlated, assign_ufls, case_io,
-                         load_case9, sample_h, total_inertia_gws,
-                         validate_synthesis)
+from rocofscreen import (DEFAULT_FUEL_SPECS, assign_plant_correlated,
+                         assign_ufls, case_io, load_case9, sample_h,
+                         total_inertia_gws, validate_synthesis)
+from rocofscreen.synthdyn import UFLS_FRACTIONS
 
 out_dir = Path(__file__).parent / "output"
 out_dir.mkdir(exist_ok=True)
@@ -40,9 +40,8 @@ bare = case.with_generators(
      for g in case.generators])
 print("\nstripped case: every machine now has h_sec = None")
 
-config = SynthConfig(seed=SEED)
 rng = np.random.default_rng(SEED)
-synth = assign_plant_correlated(bare, DEFAULT_FUEL_SPECS, config, rng)
+synth = assign_plant_correlated(bare, rng)
 
 for g in synth.generators:
     print(f"  {g.id}: fuel {g.fuel:5s} p_max {g.p_max_mw:6.1f} MW "
@@ -60,12 +59,12 @@ for l in synth.loads:
         share = l.p_mw / n_blk
         blocks.append(dataclasses.replace(
             l, id=f"{l.id}.{k}", p_mw=share, q_mvar=l.q_mvar / n_blk))
-synth = assign_ufls(synth.with_loads(blocks), config, rng)
+synth = assign_ufls(synth.with_loads(blocks), rng)
 
 total = sum(l.p_mw for l in synth.loads)
 print("\nshedding stages over the block-level loads "
       f"({len(blocks)} blocks, {total:.0f} MW):")
-for stage, frac in (("stage1", 0.05), ("stage2", 0.10), ("stage3", 0.10)):
+for stage, frac in zip(("stage1", "stage2", "stage3"), UFLS_FRACTIONS):
     mw = sum(l.p_mw for l in synth.loads if l.ufls_stage == stage)
     n = sum(1 for l in synth.loads if l.ufls_stage == stage)
     print(f"  {stage}: {n:2d} blocks, {mw:6.1f} MW = {mw / total:5.1%} "

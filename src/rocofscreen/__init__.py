@@ -25,7 +25,7 @@ from .rocof import (Contingency, RocofBatch, RocofResult, SingularOutageError,
                     locational_rocof_batch, system_rocof)
 from .swingsim import (SimOptions, SimResult, SimulationBlowup, TripEvent,
                        bus_frequency, check_ffr, check_ufls, simulate)
-from .synthdyn import (DEFAULT_FUEL_SPECS, FuelInertiaSpec, SynthConfig,
+from .synthdyn import (DEFAULT_FUEL_SPECS, FuelInertiaSpec,
                        assign_plant_correlated, assign_ufls, sample_h,
                        validate_synthesis)
 from .scenarios import (CONCERN_ROCOF_HZ_S, InfeasibleDispatch, LoadingCase,

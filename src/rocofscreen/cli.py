@@ -26,11 +26,9 @@ from .powerflow import PowerFlowError, solve_powerflow
 from .rocof import (Contingency, SingularOutageError, ZeroInertiaError,
                     locational_rocof, system_rocof)
 from .scenarios import (InfeasibleDispatch, generate_contingencies,
-                        generate_loading_cases, run_bank, SCENARIO_COLUMNS)
+                        generate_loading_cases, run_bank)
 from .swingsim import SimOptions, SimulationBlowup, simulate
-from .synthdyn import (DEFAULT_FUEL_SPECS, SynthConfig,
-                       assign_plant_correlated, assign_ufls,
-                       validate_synthesis)
+from .synthdyn import assign_plant_correlated, assign_ufls, validate_synthesis
 
 log = logging.getLogger(__name__)
 
@@ -225,9 +223,8 @@ def cmd_synth(args) -> int:
     case = _load_case(args)
     print(f"seed: {args.seed}")
     rng = np.random.default_rng(args.seed)
-    config = SynthConfig(seed=args.seed)
-    case = assign_plant_correlated(case, DEFAULT_FUEL_SPECS, config, rng)
-    case = assign_ufls(case, config, rng)
+    case = assign_plant_correlated(case, rng)
+    case = assign_ufls(case, rng)
     case_io.write_sidecar(case, args.out)
     report = validate_synthesis(case)
     print(report)

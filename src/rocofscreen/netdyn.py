@@ -81,7 +81,8 @@ class NetworkModel:
     Arrays are aligned with ``machine_ids`` (in-service synchronous machines,
     case order). The model is read-only by convention after build. The
     screen solves against the base factorization; only the simulator derives
-    diagonal-updated copies of ``y_dyn``, to refactor at its events.
+    diagonal-updated copies of ``y_dyn`` (``y_with_diag_update``), to
+    refactor at its events.
     ``solve_count`` counts linear solves and ``factor_count`` sparse LU
     factorizations made on this model.
     """
@@ -105,7 +106,6 @@ class NetworkModel:
     solve_count: int = 0
     factor_count: int = 0
     _lu: CountingLU | None = field(default=None, repr=False)
-    _diag_ptr: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n_bus(self) -> int:
@@ -145,19 +145,16 @@ class NetworkModel:
                            delta_y: np.ndarray) -> sp.csc_matrix:
         """Copy of y_dyn with delta_y added at the given bus diagonals.
 
-        Only the data array is copied; the sparsity pattern is shared, which
-        keeps per-scenario matrix preparation cheap on large cases.
+        The deltas are added one at a time in the given order, so a bus that
+        repeats (two lost units, or a unit and a shed load) gets them in
+        that order, and the result does not depend on how y_dyn stores its
+        diagonal.
         """
-        bus_pos = np.asarray(bus_pos, dtype=np.int64)
-        ptr = self._diag_ptr[bus_pos]
-        if (ptr < 0).any():
-            bad = [self.bus_ids[b] for b in bus_pos[ptr < 0]]
-            raise ModelBuildError(
-                f"no structural diagonal at buses {bad}; cannot update")
-        data = self.y_dyn.data.copy()
-        np.add.at(data, ptr, delta_y)  # bus_pos may repeat
-        return sp.csc_matrix((data, self.y_dyn.indices, self.y_dyn.indptr),
-                             shape=self.y_dyn.shape)
+        y = self.y_dyn.copy()
+        diag = y.diagonal()
+        np.add.at(diag, np.asarray(bus_pos, dtype=np.int64), delta_y)
+        y.setdiag(diag)
+        return y
 
     def to_buses(self, per_machine: np.ndarray) -> np.ndarray:
         """Complex sums of per-machine values (machines on the last axis)
@@ -204,18 +201,6 @@ class MachineStates:
     def copy(self) -> "MachineStates":
         return MachineStates(list(self.ids), self.e_prime.copy(), self.delta.copy(),
                              self.t_m.copy(), self.omega.copy(), self.i_inj.copy())
-
-
-def _csc_diag_positions(y: sp.csc_matrix) -> np.ndarray:
-    """Index into y.data of each structurally-present diagonal (-1 if absent).
-
-    y holds no duplicate entries, as a sum of sparse matrices does not."""
-    n = y.shape[0]
-    col = np.repeat(np.arange(n), np.diff(y.indptr))
-    on_diag = np.flatnonzero(y.indices == col)
-    pos = np.full(n, -1, dtype=np.int64)
-    pos[col[on_diag]] = on_diag
-    return pos
 
 
 def solved_generator_powers(case: GridCase, ybus: sp.csc_matrix,
@@ -329,7 +314,6 @@ def augment_dynamic(ybus: sp.csc_matrix, case: GridCase,
         f_base=case.f_base_hz,
         s_base=case.s_base_mva,
     )
-    model._diag_ptr = _csc_diag_positions(y_dyn)
     model.factorize()
     return model
 

@@ -145,21 +145,16 @@ def angle_second_derivative(v, v_ddot):
     return float(out) if out.ndim == 0 else out
 
 
-def injection_derivatives(states: MachineStates, omega_dot: np.ndarray,
-                          omega: float | np.ndarray = 0.0) -> np.ndarray:
-    """Second time derivative of each machine's Norton injection.
+def injection_derivatives(states: MachineStates, omega_dot: np.ndarray) -> np.ndarray:
+    """Second time derivative of each machine's Norton injection in the
+    instant after a disturbance.
 
-    Idd = (dI/d delta) wdot + omega^2 (d2I/d delta2), with
-    dI/d delta = (E'/x'd) /_ delta and d2I/d delta2 = (E'/x'd) /_ (delta + pi/2).
-    The instant after a disturbance has omega = 0 (the default), leaving
-    only the first term. E'/x'd is the Norton injection magnitude.
+    In general Idd = (dI/d delta) wdot + omega^2 (d2I/d delta2), with
+    dI/d delta = (E'/x'd) /_ delta. The screen is taken at zero speed
+    deviation, omega = 0, which leaves only the first term. E'/x'd is the
+    Norton injection magnitude.
     """
-    e_over_x = np.abs(states.i_inj)
-    idd = e_over_x * np.exp(1j * states.delta) * np.asarray(omega_dot)
-    if isinstance(omega, np.ndarray) or omega:
-        d2 = e_over_x * np.exp(1j * (states.delta + np.pi / 2))
-        idd = idd + np.asarray(omega)**2 * d2
-    return idd
+    return np.abs(states.i_inj) * np.exp(1j * states.delta) * np.asarray(omega_dot)
 
 
 def locational_rocof(model: NetworkModel, states: MachineStates,

@@ -42,6 +42,16 @@ log = logging.getLogger(__name__)
 
 CONCERN_ROCOF_HZ_S = -0.5
 FUEL_MERIT_ORDER = {"coal": 0, "gas": 1, "other": 2}
+# Fixed study parameters. Contingencies lose more than MIN_CONTINGENCY_MW;
+# most are design-sized (up to DESIGN_CONTINGENCY_MW), MULTI_SITE_FRACTION
+# of them combine plants into up to twice that. Simulate mode runs each
+# scenario briefly without shedding and averages the finite-difference ROCOF
+# over FD_WINDOW_S after the event.
+MIN_CONTINGENCY_MW = 800.0
+DESIGN_CONTINGENCY_MW = 2750.0
+MULTI_SITE_FRACTION = 0.10
+FD_WINDOW_S = 0.02
+SIMULATE_MODE_OPTS = SimOptions(t_end=0.25, enable_ufls=False, enable_ffr=False)
 
 SCENARIO_COLUMNS = [
     "loading_id", "contingency_id", "mw_lost", "inertia_gws",
@@ -231,18 +241,20 @@ def apply_loading_case(case: GridCase, lc: LoadingCase) -> GridCase:
     return _dispatch(case, lc.target_load_mw, lc.dispatch)
 
 
-def generate_contingencies(case: GridCase, n: int, rng: np.random.Generator,
-                           min_mw: float = 800.0, design_mw: float = 2750.0,
-                           multi_site_fraction: float = 0.10) -> list[Contingency]:
-    """n distinct generation-loss contingencies, each above min_mw.
+def generate_contingencies(case: GridCase, n: int,
+                           rng: np.random.Generator) -> list[Contingency]:
+    """n distinct generation-loss contingencies, each above
+    MIN_CONTINGENCY_MW.
 
-    About (1 - multi_site_fraction) of them are design-sized events drawn
-    log-uniformly between min_mw and the design contingency, preferring
-    multi-unit outages at a single plant (a second plant joins only when a
-    fleet is too small to keep the bank distinct); the rest combine whole
-    plants from several sites into losses of up to twice the design size.
+    About (1 - MULTI_SITE_FRACTION) of them are design-sized events drawn
+    log-uniformly between MIN_CONTINGENCY_MW and DESIGN_CONTINGENCY_MW,
+    preferring multi-unit outages at a single plant (a second plant joins
+    only when a fleet is too small to keep the bank distinct); the rest
+    combine whole plants from several sites into losses of up to twice the
+    design size.
     Plants are picked with probability proportional to dispatched MW.
     """
+    min_mw, design_mw = MIN_CONTINGENCY_MW, DESIGN_CONTINGENCY_MW
     units = [g for g in case.generators if g.synchronous and g.status and g.p_mw > 0]
     plants: dict[int, list] = {}
     for g in units:
@@ -257,7 +269,7 @@ def generate_contingencies(case: GridCase, n: int, rng: np.random.Generator,
             f"outages above {min_mw:.0f} MW")
     weights = plant_mw / plant_mw.sum()
 
-    n_multi = int(round(n * multi_site_fraction))
+    n_multi = int(round(n * MULTI_SITE_FRACTION))
     seen: set[frozenset[str]] = set()
     out: list[Contingency] = []
     attempts = 0
@@ -335,8 +347,8 @@ def _column_stats(rocof: np.ndarray, bus_ids) -> list[tuple]:
 
 
 def _eval_loading_case(case: GridCase, lc: LoadingCase,
-                       contingencies: list[Contingency], mode: str,
-                       sim_opts: SimOptions | None) -> list[ScenarioRecord]:
+                       contingencies: list[Contingency],
+                       mode: str) -> list[ScenarioRecord]:
     f_base = case.f_base_hz
     inertia_mws = lc.online_inertia_gws * 1000.0
 
@@ -395,12 +407,10 @@ def _eval_loading_case(case: GridCase, lc: LoadingCase,
         except Exception as exc:  # noqa: BLE001 - fault isolation
             errors = [exc] * len(subs)
     else:  # simulate
-        opts = sim_opts or SimOptions(t_end=0.25, enable_ufls=False,
-                                      enable_ffr=False)
         for j, sub in enumerate(subs):
             try:
                 rocof[:, j] = finite_difference_rocof(
-                    simulate(model, states.copy(), sub, opts))
+                    simulate(model, states.copy(), sub, SIMULATE_MODE_OPTS))
             except Exception as exc:  # noqa: BLE001 - fault isolation
                 errors[j] = exc
     stats = _column_stats(rocof, model.bus_ids)
@@ -416,14 +426,15 @@ def _eval_loading_case(case: GridCase, lc: LoadingCase,
     return rows
 
 
-def finite_difference_rocof(sim, window_s: float = 0.02) -> np.ndarray:
-    """Average per-bus ROCOF over the first window after the event, from a
-    central second difference of the raw (unfiltered) voltage angles."""
+def finite_difference_rocof(sim) -> np.ndarray:
+    """Average per-bus ROCOF over the first FD_WINDOW_S after the event,
+    from a central second difference of the raw (unfiltered) voltage
+    angles."""
     if len(sim.time_s) < 3:
         raise ValueError("simulation horizon too short for the FD window")
     dt = float(sim.time_s[1] - sim.time_s[0])
     k1 = int(round(sim.t_event / dt))
-    m = max(int(round(window_s / (2 * dt))), 1)
+    m = max(int(round(FD_WINDOW_S / (2 * dt))), 1)
     if k1 + 2 * m >= len(sim.time_s):
         raise ValueError("simulation horizon too short for the FD window")
     th = sim.bus_angle_rad
@@ -432,14 +443,14 @@ def finite_difference_rocof(sim, window_s: float = 0.02) -> np.ndarray:
 
 def run_bank(case: GridCase, loading_cases: list[LoadingCase],
              contingencies: list[Contingency], mode: str = "locational",
-             out_path=None, workers: int = 1,
-             sim_opts: SimOptions | None = None) -> list[ScenarioRecord]:
+             out_path=None, workers: int = 1) -> list[ScenarioRecord]:
     """Evaluate every (loading case, contingency) pair.
 
     mode: "system_only" (inertia arithmetic only), "locational" (two
     multi-right-hand-side sparse solves per loading case, for all of its
     contingencies, after per-loading-case initialization), or "simulate"
-    (short time-domain run per scenario; slow, small cases only).
+    (a SIMULATE_MODE_OPTS time-domain run per scenario; slow, small cases
+    only).
 
     mw_lost is the lost machines' solved output on the rows a locational
     screen produced, and the dispatched MW of the online outaged units on
@@ -462,7 +473,7 @@ def run_bank(case: GridCase, loading_cases: list[LoadingCase],
     records: list[ScenarioRecord] = []
     try:
         for lc in sorted(loading_cases, key=lambda lc: lc.id):
-            rows = _eval_loading_case(case, lc, contingencies, mode, sim_opts)
+            rows = _eval_loading_case(case, lc, contingencies, mode)
             records.extend(rows)
             if writer is not None:
                 writer.writerows(r.row() for r in rows)

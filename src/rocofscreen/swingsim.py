@@ -8,7 +8,9 @@ inertial response, so this serves as the validation oracle for the
 theoretical ROCOF screen and as the engine for load-shedding studies.
 
 Bus frequency is estimated from the voltage-angle derivative through a
-first-order washout filter (raw differentiation amplifies noise). Load
+first-order washout filter with a fixed 0.04 s time constant (raw
+differentiation amplifies noise). A run aborts once any machine's speed
+deviation passes 0.2 pu. Load
 shedding monitors act on the local bus frequency: UFLS stages trip at
 first crossing of 59.3 / 58.9 / 58.5 Hz, FFR loads trip after more than
 25 cycles continuously below 59.7 Hz. A tripped load's shunt leaves the
@@ -30,15 +32,16 @@ log = logging.getLogger(__name__)
 UFLS_THRESHOLDS_HZ = {"stage1": 59.3, "stage2": 58.9, "stage3": 58.5}
 FFR_THRESHOLD_HZ = 59.7
 FFR_HOLD_CYCLES = 25.0
+FREQUENCY_FILTER_TC_S = 0.04    # washout time constant of bus frequency
+ABORT_OMEGA_PU = 0.2            # |speed deviation| that aborts a run
 
 
 class SimulationBlowup(RuntimeError):
-    def __init__(self, t: float, machine_id: str, omega: float,
-                 limit: float = 0.2):
+    def __init__(self, t: float, machine_id: str, omega: float):
         super().__init__(
             f"numerical blow-up at t = {t:.4f} s: machine {machine_id!r} "
-            f"reached |omega| = {abs(omega):.3f} pu (> {limit:g}); check the "
-            "case and step size")
+            f"reached |omega| = {abs(omega):.3f} pu (> {ABORT_OMEGA_PU:g}); "
+            "check the case and step size")
 
 
 @dataclass(frozen=True)
@@ -46,9 +49,7 @@ class SimOptions:
     t_end: float = 10.0
     dt: float = 1.0 / 240.0
     damping_d: float = 0.0              # pu torque per pu speed deviation
-    frequency_filter_tc: float = 0.04   # washout time constant, s
     t_event: float = 0.1                # contingency application time
-    abort_omega_pu: float = 0.2
     enable_ufls: bool = True
     enable_ffr: bool = True
 
@@ -90,7 +91,7 @@ class SimResult:
 
 def _washout_step(y_prev, d_theta, opts: SimOptions):
     """One backward-Euler step of the washout filter on an angle increment."""
-    tc = opts.frequency_filter_tc
+    tc = FREQUENCY_FILTER_TC_S
     return (tc * y_prev + d_theta) / (tc + opts.dt)
 
 
@@ -99,7 +100,7 @@ def bus_frequency(angle_trace: np.ndarray, opts: SimOptions,
     """Frequency estimate from a uniformly sampled angle trace, Hz.
 
     f = f_base + washout(d_theta/dt) / (2 pi), first-order filter with time
-    constant opts.frequency_filter_tc (backward-Euler discretization). The
+    constant FREQUENCY_FILTER_TC_S (backward-Euler discretization). The
     first sample is f_base by definition. Accepts (nt,) or (nt, nb).
     """
     theta = np.atleast_2d(np.asarray(angle_trace, dtype=float).T).T
@@ -191,7 +192,8 @@ def simulate(model: NetworkModel, states: MachineStates,
              contingency: Contingency, opts: SimOptions = SimOptions()) -> SimResult:
     """Integrate the swing equations with the contingency applied at
     opts.t_event. Returns full traces plus UFLS/FFR events; raises
-    SimulationBlowup when any machine speed passes the abort threshold.
+    SimulationBlowup when any machine speed deviation passes
+    ABORT_OMEGA_PU.
     """
     case = model.case
     nm = len(model.machine_ids)
@@ -271,9 +273,9 @@ def simulate(model: NetworkModel, states: MachineStates,
         tr_omega[k, active] = omega[active]
 
         worst = np.argmax(np.abs(np.where(active, omega, 0.0)))
-        if abs(omega[worst]) > opts.abort_omega_pu:
+        if abs(omega[worst]) > ABORT_OMEGA_PU:
             raise SimulationBlowup(t, model.machine_ids[int(worst)],
-                                   float(omega[worst]), opts.abort_omega_pu)
+                                   float(omega[worst]))
 
         new_events = monitors.step(k, t, tr_freq[k])
         if new_events:

@@ -11,6 +11,12 @@ fuel average, clamped into the tapered bounds when that target is
 infeasible (coal and nuclear at full width; the resulting mean shift is
 about 4% and 1.6% respectively and is absorbed by the 5% validation
 tolerance).
+
+The study parameters are fixed module constants, not options: the fuel
+distributions (DEFAULT_FUEL_SPECS), the UFLS plan (UFLS_FRACTIONS of system
+load within UFLS_TOLERANCE_PP; the stage thresholds live with the monitors
+in swingsim.UFLS_THRESHOLDS_HZ), the plant grouping tolerance and the
+report's tolerances.
 """
 
 from __future__ import annotations
@@ -50,19 +56,15 @@ DEFAULT_FUEL_SPECS: dict[str, FuelInertiaSpec] = {
 }
 
 
-@dataclass(frozen=True)
-class SynthConfig:
-    seed: int = 0
-    ufls_fractions: tuple[float, float, float] = (0.05, 0.10, 0.10)
-    ufls_thresholds_hz: tuple[float, float, float] = (59.3, 58.9, 58.5)
-    ufls_tolerance_pp: float = 0.5       # percentage points of system load
-    plant_rating_similarity: float = 0.10
-
-    def __post_init__(self):
-        if not all(0 < f < 1 for f in self.ufls_fractions):
-            raise ValueError("ufls_fractions must each lie in (0, 1)")
-        if sum(self.ufls_fractions) >= 1:
-            raise ValueError("ufls_fractions must sum to less than 1")
+# Fixed study parameters: the UFLS plan's share of system load per stage,
+# met within a tolerance in percentage points of system load; the rating
+# spread within which units at one substation share a plant draw; and the
+# report's tolerance on each fuel's mean H and its count of size bins.
+UFLS_FRACTIONS = (0.05, 0.10, 0.10)
+UFLS_TOLERANCE_PP = 0.5
+PLANT_RATING_SIMILARITY = 0.10
+MEAN_TOLERANCE = 0.05
+N_SIZE_BINS = 4
 
 
 def tapered_bounds(spec: FuelInertiaSpec, unit_mw: float) -> tuple[float, float, float]:
@@ -92,24 +94,22 @@ def sample_h(spec: FuelInertiaSpec, unit_mw: float,
     return float(rng.triangular(a, c, b))
 
 
-def _spec_for(gen: Generator, specs: dict[str, FuelInertiaSpec]) -> FuelInertiaSpec:
-    if gen.fuel in specs:
-        return specs[gen.fuel]
+def _spec_for(gen: Generator) -> FuelInertiaSpec:
+    if gen.fuel in DEFAULT_FUEL_SPECS:
+        return DEFAULT_FUEL_SPECS[gen.fuel]
     log.warning("generator %s has fuel %r without a spec; using the gas "
                 "distribution", gen.id, gen.fuel)
-    return specs["gas"]
+    return DEFAULT_FUEL_SPECS["gas"]
 
 
-def assign_plant_correlated(case: GridCase, specs: dict[str, FuelInertiaSpec],
-                            config: SynthConfig,
-                            rng: np.random.Generator) -> GridCase:
+def assign_plant_correlated(case: GridCase, rng: np.random.Generator) -> GridCase:
     """Fill h_sec for every in-service synchronous machine, one draw per
     plant group.
 
     A group is the units at one substation (bus) with the same fuel and
-    ratings within ``plant_rating_similarity`` of the group's largest
-    member; all members of a group receive the same value. Deterministic
-    given the rng state.
+    ratings within PLANT_RATING_SIMILARITY of the group's largest member;
+    all members of a group receive the same value, drawn from the fuel's
+    DEFAULT_FUEL_SPECS entry. Deterministic given the rng state.
     """
     sync = [g for g in case.generators if g.synchronous and g.status]
     sync.sort(key=lambda g: (g.bus_id, g.fuel, -g.p_max_mw, g.id))
@@ -119,14 +119,14 @@ def assign_plant_correlated(case: GridCase, specs: dict[str, FuelInertiaSpec],
         grp = groups[-1] if groups else None
         if (grp and grp[0].bus_id == g.bus_id and grp[0].fuel == g.fuel
                 and grp[0].p_max_mw - g.p_max_mw
-                <= config.plant_rating_similarity * grp[0].p_max_mw):
+                <= PLANT_RATING_SIMILARITY * grp[0].p_max_mw):
             grp.append(g)
         else:
             groups.append([g])
 
     drawn: dict[str, float] = {}
     for grp in groups:
-        spec = _spec_for(grp[0], specs)
+        spec = _spec_for(grp[0])
         size = float(np.mean([g.p_max_mw for g in grp]))
         h = sample_h(spec, max(size, 1e-6), rng)
         for g in grp:
@@ -137,10 +137,9 @@ def assign_plant_correlated(case: GridCase, specs: dict[str, FuelInertiaSpec],
     return case.with_generators(new_gens)
 
 
-def assign_ufls(case: GridCase, config: SynthConfig,
-                rng: np.random.Generator) -> GridCase:
-    """Assign loads to the three shedding stages, targeting the configured
-    fractions of total system MW within the tolerance.
+def assign_ufls(case: GridCase, rng: np.random.Generator) -> GridCase:
+    """Assign loads to the three shedding stages, targeting UFLS_FRACTIONS
+    of total system MW within UFLS_TOLERANCE_PP.
 
     Loads are drawn in MW-weighted random order without replacement; each
     stage keeps taking until it is inside its band, skipping a draw when
@@ -152,14 +151,14 @@ def assign_ufls(case: GridCase, config: SynthConfig,
     if not loads:
         return case
     total = sum(l.p_mw for l in loads)
-    tol_mw = config.ufls_tolerance_pp / 100.0 * total
+    tol_mw = UFLS_TOLERANCE_PP / 100.0 * total
     weights = np.array([l.p_mw for l in loads]) / total
     order = rng.choice(len(loads), size=len(loads), replace=False, p=weights)
     remaining = [loads[i] for i in order]
 
     stage_names = ("stage1", "stage2", "stage3")
     assignment: dict[str, str] = {}
-    for stage, frac in zip(stage_names, config.ufls_fractions):
+    for stage, frac in zip(stage_names, UFLS_FRACTIONS):
         target = frac * total
         acc = 0.0
         kept: list[Load] = []
@@ -217,36 +216,33 @@ class SynthesisReport:
         return "\n".join(lines)
 
 
-def validate_synthesis(case: GridCase,
-                       specs: dict[str, FuelInertiaSpec] | None = None,
-                       mean_tolerance: float = 0.05,
-                       n_size_bins: int = 4) -> SynthesisReport:
+def validate_synthesis(case: GridCase) -> SynthesisReport:
     """Summary statistics of the assigned inertia constants.
 
-    Flags any fuel whose empirical mean deviates more than mean_tolerance
-    from the fuel's target average. Size bins are fractions of each fuel's
-    taper endpoint, tracking how the spread narrows with unit size.
+    Flags any fuel whose empirical mean deviates more than MEAN_TOLERANCE
+    from the fuel's target average. N_SIZE_BINS size bins are fractions of
+    each fuel's taper endpoint, tracking how the spread narrows with unit
+    size.
     """
-    specs = specs or DEFAULT_FUEL_SPECS
     fleet = [g for g in case.generators
              if g.synchronous and g.status and g.h_sec is not None]
-    edges = [i / n_size_bins for i in range(n_size_bins + 1)]
+    edges = [i / N_SIZE_BINS for i in range(N_SIZE_BINS + 1)]
     per_fuel: dict[str, FuelStats] = {}
     spread: dict[str, list[float]] = {}
     flags: list[str] = []
     total = sum(g.h_sec * g.s_base_mva for g in fleet) / 1000.0
 
     for fuel in sorted({g.fuel for g in fleet}):
-        spec = specs.get(fuel, specs["gas"])
+        spec = DEFAULT_FUEL_SPECS.get(fuel, DEFAULT_FUEL_SPECS["gas"])
         hs = np.array([g.h_sec for g in fleet if g.fuel == fuel])
         sizes = np.array([g.p_max_mw for g in fleet if g.fuel == fuel])
         mean = float(hs.mean())
-        flagged = abs(mean - spec.h_avg) > mean_tolerance * spec.h_avg
+        flagged = abs(mean - spec.h_avg) > MEAN_TOLERANCE * spec.h_avg
         per_fuel[fuel] = FuelStats(fuel, len(hs), float(hs.min()),
                                    float(hs.max()), mean, spec.h_avg, flagged)
         if flagged:
             flags.append(f"{fuel}: empirical mean {mean:.3f} deviates more "
-                         f"than {mean_tolerance:.0%} from {spec.h_avg}")
+                         f"than {MEAN_TOLERANCE:.0%} from {spec.h_avg}")
         s = np.minimum(sizes / spec.p_max_mw, 1.0)
         row = []
         for lo, hi in zip(edges[:-1], edges[1:]):

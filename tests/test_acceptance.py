@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from rocofscreen import (Contingency, DEFAULT_FUEL_SPECS, SimOptions,
-                         SynthConfig, augment_dynamic, build_ybus,
-                         init_machines, locational_rocof, sample_h, simulate,
+                         augment_dynamic, build_ybus, init_machines, locational_rocof, sample_h, simulate,
                          solve_powerflow, system_rocof, total_inertia_gws)
 from rocofscreen.case_model import Load
 from rocofscreen.cli import main as cli_main
@@ -62,7 +61,7 @@ def test_criterion_2_oracle_agreement(solved9, capsys):
     opts = SimOptions(t_end=0.25, dt=1 / 200, enable_ufls=False,
                       enable_ffr=False)
     sim = simulate(model, states.copy(), Contingency.of("c", ["gen3"]), opts)
-    fd = finite_difference_rocof(sim, window_s=0.02)
+    fd = finite_difference_rocof(sim)
     res = locational_rocof(model, states, Contingency.of("c", ["gen3"]))
     tol = np.maximum(0.10 * np.abs(res.bus_rocof_hz_s), 0.02)
     per_bus_ok = bool(np.all(np.abs(fd - res.bus_rocof_hz_s) <= tol))

@@ -4,13 +4,12 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from rocofscreen import (augment_dynamic, build_ybus, electrical_torque,
                          init_machines, solve_powerflow)
 from rocofscreen.case_model import Branch, Bus, Generator, GridCase
-from rocofscreen.netdyn import (ModelBuildError, _csc_diag_positions,
-                                norton_injections, passive_network_power)
+from rocofscreen.netdyn import (ModelBuildError, norton_injections,
+                                passive_network_power)
 from conftest import tiny_case
 
 
@@ -194,35 +193,24 @@ def test_passive_power_equals_machine_output(solved9):
     assert passive_network_power(model, v) == pytest.approx(total_machine, abs=1e-6)
 
 
-def _diag_positions_by_scan(y):
-    pos = np.full(y.shape[0], -1, dtype=np.int64)
-    for col in range(y.shape[0]):
-        for k in range(y.indptr[col], y.indptr[col + 1]):
-            if y.indices[k] == col:
-                pos[col] = k
-                break
-    return pos
-
-
-def test_csc_diag_positions_match_scan(solved9):
-    case, sol, model, states = solved9
-    assert np.array_equal(model._diag_ptr, _diag_positions_by_scan(model.y_dyn))
-    # column 1 has no diagonal; column 2 lists its rows out of order
-    odd = sp.csc_matrix((np.array([1.0, 3.0, 4.0, 5.0]),
-                         np.array([0, 2, 2, 1]), np.array([0, 1, 2, 4])),
-                        shape=(3, 3))
-    assert np.array_equal(_csc_diag_positions(odd), [0, -1, 2])
-    assert np.array_equal(_csc_diag_positions(odd), _diag_positions_by_scan(odd))
-
-
-def test_diag_update_without_structural_diagonal_names_bus(solved9):
-    case, sol, model, states = solved9
-    k = 4
-    dense = model.y_dyn.toarray()
-    dense[k, k] = 0.0
-    y = sp.csc_matrix(dense)
-    assert _csc_diag_positions(y)[k] == -1
-    broken = dataclasses.replace(model, y_dyn=y, _diag_ptr=_csc_diag_positions(y))
-    with pytest.raises(ModelBuildError,
-                       match=rf"no structural diagonal at buses \[{model.bus_ids[k]}\]"):
-        broken.y_with_diag_update(np.array([k]), np.array([1.0 + 0j]))
+def test_diag_update_adds_repeated_buses_in_order(solved9, fleet_case):
+    """Bit for bit what a dense matrix gets when each delta is added to its
+    diagonal in the given order: a bus that repeats (two lost units, or a
+    unit and a shed load) must not get its deltas summed first."""
+    rng = np.random.default_rng(6)
+    for model in (solved9[2], _model(fleet_case)[1]):
+        before = model.y_dyn.copy()
+        for _ in range(20):
+            k = int(rng.integers(2, 9))
+            bus_pos = rng.integers(0, model.n_bus, size=k)
+            bus_pos[-1] = bus_pos[0]                    # at least one repeat
+            delta = rng.normal(size=k) + 1j * rng.normal(size=k)
+            dense = model.y_dyn.toarray()
+            for b, d in zip(bus_pos, delta):
+                dense[b, b] += d
+            y = model.y_with_diag_update(bus_pos, delta)
+            assert np.array_equal(y.toarray(), dense)
+            # same stored pattern, so a refactor orders it as before
+            assert np.array_equal(y.indptr, model.y_dyn.indptr)
+            assert np.array_equal(y.indices, model.y_dyn.indices)
+        assert (model.y_dyn != before).nnz == 0

@@ -87,20 +87,6 @@ def test_injection_derivatives_arithmetic():
     assert idd[0] == pytest.approx(-0.1 + 0j)
 
 
-def test_injection_derivatives_general_form_reduces():
-    rng = np.random.default_rng(9)
-    st = _states(rng.uniform(2, 12, 6), rng.uniform(-np.pi, np.pi, 6))
-    wdot = rng.normal(size=6)
-    simple = injection_derivatives(st, wdot)
-    general = injection_derivatives(st, wdot, omega=0.0)
-    assert np.allclose(simple, general, rtol=0, atol=0)
-    # and the speed term rotates a quarter turn ahead of the angle
-    with_speed = injection_derivatives(st, wdot, omega=0.05)
-    extra = with_speed - simple
-    expect = 0.05**2 * np.abs(st.i_inj) * np.exp(1j * (st.delta + np.pi / 2))
-    assert np.allclose(extra, expect)
-
-
 def test_empty_contingency_is_null(solved9):
     case, sol, model, states = solved9
     res = locational_rocof(model, states, Contingency.of("null", []))

@@ -9,7 +9,7 @@ from rocofscreen import (Contingency, SimOptions, SimulationBlowup,
                          solve_powerflow, system_rocof)
 from rocofscreen.case_model import Load
 from rocofscreen.scenarios import finite_difference_rocof
-from rocofscreen.swingsim import SimResult
+from rocofscreen.swingsim import FREQUENCY_FILTER_TC_S, SimResult
 from conftest import tiny_case
 
 
@@ -80,7 +80,7 @@ def test_finite_difference_matches_locational(solved9, gid):
     opts = SimOptions(t_end=0.2, dt=1 / 200, enable_ufls=False,
                       enable_ffr=False)
     sim = simulate(model, states.copy(), Contingency.of("c", [gid]), opts)
-    fd = finite_difference_rocof(sim, window_s=0.02)
+    fd = finite_difference_rocof(sim)
     res = locational_rocof(model, states, Contingency.of("c", [gid]))
     tol = np.maximum(0.1 * np.abs(res.bus_rocof_hz_s), 0.02)
     assert np.all(np.abs(fd - res.bus_rocof_hz_s) <= tol)
@@ -125,11 +125,11 @@ def test_bus_frequency_needs_two_samples():
 
 
 def test_bus_frequency_ramp_step_response():
-    opts = SimOptions(dt=1 / 240, frequency_filter_tc=0.04)
+    opts = SimOptions(dt=1 / 240)
     t = np.arange(0, 1.0, opts.dt)
     theta = -2 * np.pi * 0.5 * t           # steady -0.5 Hz offset
     f = bus_frequency(theta, opts)
-    k5 = int(round(5 * opts.frequency_filter_tc / opts.dt))
+    k5 = int(round(5 * FREQUENCY_FILTER_TC_S / opts.dt))
     assert f[0] == 60.0
     assert abs(f[k5] - 59.5) < 0.01         # within 5 time constants
     assert f[-1] == pytest.approx(59.5, abs=1e-6)
@@ -137,7 +137,7 @@ def test_bus_frequency_ramp_step_response():
 
 def test_bus_frequency_recovers_rocof():
     a = -2 * np.pi * 0.8                    # angle curvature, rad/s^2
-    opts = SimOptions(dt=1 / 240, frequency_filter_tc=0.04)
+    opts = SimOptions(dt=1 / 240)
     t = np.arange(0, 2.0, opts.dt)
     f = bus_frequency(0.5 * a * t**2, opts)
     tail = slice(len(t) // 2, None)

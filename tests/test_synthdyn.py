@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rocofscreen import (DEFAULT_FUEL_SPECS, FuelInertiaSpec, SynthConfig,
+from rocofscreen import (DEFAULT_FUEL_SPECS, FuelInertiaSpec,
                          assign_plant_correlated, assign_ufls, sample_h,
                          validate_synthesis)
 from rocofscreen.case_model import Bus, Generator, GridCase, Load
@@ -80,16 +80,14 @@ def plant_case(units):
 
 def test_same_plant_same_fuel_shares_a_draw():
     case = plant_case([(1, "coal", 500.0), (1, "coal", 500.0)])
-    out = assign_plant_correlated(case, DEFAULT_FUEL_SPECS, SynthConfig(),
-                                  np.random.default_rng(7))
+    out = assign_plant_correlated(case, np.random.default_rng(7))
     h = [g.h_sec for g in out.generators]
     assert h[0] == h[1]
 
 
 def test_different_fuel_draws_independently():
     case = plant_case([(1, "coal", 500.0), (1, "gas", 500.0)])
-    out = assign_plant_correlated(case, DEFAULT_FUEL_SPECS, SynthConfig(),
-                                  np.random.default_rng(7))
+    out = assign_plant_correlated(case, np.random.default_rng(7))
     h = [g.h_sec for g in out.generators]
     assert h[0] != h[1]
 
@@ -97,16 +95,14 @@ def test_different_fuel_draws_independently():
 def test_dissimilar_rating_draws_independently():
     # 500 vs 600 MW is 20% apart, beyond the 10% similarity tolerance
     case = plant_case([(1, "coal", 600.0), (1, "coal", 500.0)])
-    out = assign_plant_correlated(case, DEFAULT_FUEL_SPECS, SynthConfig(),
-                                  np.random.default_rng(7))
+    out = assign_plant_correlated(case, np.random.default_rng(7))
     h = [g.h_sec for g in out.generators]
     assert h[0] != h[1]
 
 
 def test_similar_rating_within_tolerance_shares():
     case = plant_case([(1, "coal", 500.0), (1, "coal", 460.0)])  # 8% apart
-    out = assign_plant_correlated(case, DEFAULT_FUEL_SPECS, SynthConfig(),
-                                  np.random.default_rng(7))
+    out = assign_plant_correlated(case, np.random.default_rng(7))
     h = [g.h_sec for g in out.generators]
     assert h[0] == h[1]
 
@@ -114,23 +110,19 @@ def test_similar_rating_within_tolerance_shares():
 def test_unknown_fuel_falls_back_to_gas(caplog):
     case = plant_case([(1, "other", 400.0)])
     with caplog.at_level(logging.WARNING, logger="rocofscreen.synthdyn"):
-        out = assign_plant_correlated(case, DEFAULT_FUEL_SPECS, SynthConfig(),
-                                      np.random.default_rng(3))
+        out = assign_plant_correlated(case, np.random.default_rng(3))
     assert out.generators[0].h_sec is not None
     assert any("gas" in r.message for r in caplog.records)
 
 
 def test_assignment_deterministic(fleet_case):
-    outs = [assign_plant_correlated(fleet_case, DEFAULT_FUEL_SPECS,
-                                    SynthConfig(seed=5),
-                                    np.random.default_rng(5))
+    outs = [assign_plant_correlated(fleet_case, np.random.default_rng(5))
             for _ in range(2)]
     assert outs[0] == outs[1]
 
 
 def test_wind_units_left_alone(fleet_case):
-    out = assign_plant_correlated(fleet_case, DEFAULT_FUEL_SPECS,
-                                  SynthConfig(), np.random.default_rng(5))
+    out = assign_plant_correlated(fleet_case, np.random.default_rng(5))
     for g in out.generators:
         if not g.synchronous:
             assert g.h_sec is None
@@ -149,7 +141,7 @@ def hundred_load_case():
 
 def test_ufls_fractions_on_uniform_loads():
     case = hundred_load_case()
-    out = assign_ufls(case, SynthConfig(), np.random.default_rng(11))
+    out = assign_ufls(case, np.random.default_rng(11))
     counts = {s: sum(1 for l in out.loads if l.ufls_stage == s)
               for s in ("stage1", "stage2", "stage3")}
     assert abs(counts["stage1"] - 5) <= 1
@@ -166,19 +158,19 @@ def test_ufls_single_load_warns(caplog):
         generators=(Generator(id="g", bus_id=1, s_base_mva=700.0,
                               p_max_mw=600.0, h_sec=3.0, xdp_pu=0.25),))
     with caplog.at_level(logging.WARNING, logger="rocofscreen.synthdyn"):
-        out = assign_ufls(case, SynthConfig(), np.random.default_rng(0))
+        out = assign_ufls(case, np.random.default_rng(0))
     assert any("granularity" in r.message for r in caplog.records)
     assert out.loads[0].ufls_stage == "none"     # best effort keeps it out
 
 
 def test_ufls_deterministic(fleet_case):
-    a = assign_ufls(fleet_case, SynthConfig(), np.random.default_rng(21))
-    b = assign_ufls(fleet_case, SynthConfig(), np.random.default_rng(21))
+    a = assign_ufls(fleet_case, np.random.default_rng(21))
+    b = assign_ufls(fleet_case, np.random.default_rng(21))
     assert a == b
 
 
 def test_ufls_mw_weighted_fractions(fleet_case):
-    out = assign_ufls(fleet_case, SynthConfig(), np.random.default_rng(2))
+    out = assign_ufls(fleet_case, np.random.default_rng(2))
     total = sum(l.p_mw for l in out.loads)
     for stage, frac in zip(("stage1", "stage2", "stage3"), (0.05, 0.10, 0.10)):
         mw = sum(l.p_mw for l in out.loads if l.ufls_stage == stage)
@@ -206,8 +198,7 @@ def big_fleet(n_per_fuel=2000, seed=13):
 def test_validate_synthesis_statistics():
     case = big_fleet()
     rng = np.random.default_rng(99)
-    case = assign_plant_correlated(case, DEFAULT_FUEL_SPECS, SynthConfig(),
-                                   rng)
+    case = assign_plant_correlated(case, rng)
     report = validate_synthesis(case)
     assert report.flags == []
     for fuel, stats in report.per_fuel.items():
