@@ -41,6 +41,9 @@ from .swingsim import SimOptions, simulate
 log = logging.getLogger(__name__)
 
 CONCERN_ROCOF_HZ_S = -0.5
+# buses within this relative distance of a column's minimum ROCOF tie for
+# worst bus (see _column_stats)
+WORST_BUS_RTOL = 1e-12
 FUEL_MERIT_ORDER = {"coal": 0, "gas": 1, "other": 2}
 # Fixed study parameters. Contingencies lose more than MIN_CONTINGENCY_MW;
 # most are design-sized (up to DESIGN_CONTINGENCY_MW), MULTI_SITE_FRACTION
@@ -332,8 +335,10 @@ def generate_contingencies(case: GridCase, n: int,
 
 def _column_stats(rocof: np.ndarray, bus_ids) -> list[tuple]:
     """(min, mean, max, worst bus) of each column of a bus x m ROCOF block,
-    skipping NaN buses; the worst bus has the minimum, the first one on a
-    tie. A column without a number gives NaNs and no worst bus."""
+    skipping NaN buses. The worst bus is the lowest bus id among the buses
+    within WORST_BUS_RTOL * max(1, |min|) Hz/s of the column minimum, so
+    buses that tie within rounding give the same worst bus in any bus order.
+    A column without a number gives NaNs and no worst bus."""
     by_row = np.ascontiguousarray(rocof.T)      # reduce along contiguous rows
     nan = np.isnan(by_row)
     count = by_row.shape[1] - np.count_nonzero(nan, axis=1)
@@ -341,8 +346,10 @@ def _column_stats(rocof: np.ndarray, bus_ids) -> list[tuple]:
     mean = np.divide(total, count, out=np.full(len(count), np.nan),
                      where=count > 0)
     low, high = np.fmin.reduce(by_row, axis=1), np.fmax.reduce(by_row, axis=1)
-    worst = np.argmin(np.where(nan, np.inf, by_row), axis=1)
-    return [(float(lo), float(mu), float(hi), int(bus_ids[w]) if c else None)
+    tied = by_row <= (low + WORST_BUS_RTOL * np.fmax(1.0, np.abs(low)))[:, None]
+    ids = np.asarray(bus_ids, dtype=np.int64)
+    worst = np.where(tied, ids, np.iinfo(np.int64).max).min(axis=1)
+    return [(float(lo), float(mu), float(hi), int(w) if c else None)
             for lo, mu, hi, w, c in zip(low, mean, high, worst, count)]
 
 

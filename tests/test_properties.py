@@ -1,11 +1,14 @@
 """Properties checked on small generated networks rather than fixed cases."""
 
+import dataclasses
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from rocofscreen import (Contingency, GridCase, locational_rocof,
                          locational_rocof_batch)
 from rocofscreen.case_model import Branch, Bus, Generator, Load
+from rocofscreen.scenarios import _column_stats
 from test_rocof import built_model, refactor_reference
 
 
@@ -62,6 +65,39 @@ def test_compensation_equals_refactoring_on_generated_networks(drawn):
     assert not np.isnan(rocof).any()
     np.testing.assert_allclose(res.bus_rocof_hz_s, rocof, rtol=0, atol=1e-9)
     assert res.n_solves == 2
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(networks())
+def test_doubling_inertia_halves_rocof(drawn):
+    case, outaged = drawn
+    ctg = Contingency.of("c", outaged)
+    res = locational_rocof(*built_model(case), ctg)
+    heavy = case.with_generators([dataclasses.replace(g, h_sec=2.0 * g.h_sec)
+                                  for g in case.generators])
+    res2 = locational_rocof(*built_model(heavy), ctg)
+    np.testing.assert_allclose(res2.bus_rocof_hz_s, res.bus_rocof_hz_s / 2.0,
+                               rtol=1e-12, atol=0)
+    np.testing.assert_allclose(res2.system_rocof_hz_s,
+                               res.system_rocof_hz_s / 2.0, rtol=1e-12, atol=0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(networks(), st.data())
+def test_bus_relabelling_leaves_rocof_and_worst_bus(drawn, data):
+    # listing the buses in another order changes only the rounding, so
+    # every bus keeps its ROCOF and the worst bus stays the same bus
+    case, outaged = drawn
+    order = data.draw(st.permutations(case.buses))
+    ctg = Contingency.of("c", outaged)
+    results = [locational_rocof(*built_model(c), ctg)
+               for c in (case, dataclasses.replace(case, buses=tuple(order)))]
+    by_id = [dict(zip(r.bus_ids, r.bus_rocof_hz_s)) for r in results]
+    for bus in by_id[0]:
+        assert abs(by_id[1][bus] - by_id[0][bus]) <= 1e-9
+    worst = [_column_stats(r.bus_rocof_hz_s[:, None], r.bus_ids)[0][3]
+             for r in results]
+    assert worst[0] == worst[1]
 
 
 @st.composite

@@ -13,6 +13,7 @@ from rocofscreen import (Contingency, InfeasibleDispatch, SingularOutageError,
                          generate_contingencies, generate_loading_cases,
                          init_machines, locational_rocof, run_bank,
                          solve_powerflow, total_inertia_gws)
+from rocofscreen.case_model import Branch, Bus, Generator, GridCase, Load
 from rocofscreen.scenarios import (apply_loading_case, loading_case_from,
                                    _eval_loading_case)
 
@@ -306,7 +307,9 @@ def test_run_bank_batch_matches_single_screens(small_bank):
             res = locational_rocof(model, states, Contingency(ctg.id, online))
             rocof = res.bus_rocof_hz_s
             assert row.status == "ok"
-            assert row.worst_bus == res.bus_ids[int(np.nanargmin(rocof))]
+            low = np.nanmin(rocof)
+            tied = rocof <= low + 1e-12 * max(1.0, abs(low))
+            assert row.worst_bus == min(np.array(res.bus_ids)[tied])
             assert row.mw_lost == res.mw_lost
             line = -60.0 * res.mw_lost / (2.0 * lc.online_inertia_gws * 1000.0)
             assert row.concern_flag == (line < -0.5)
@@ -314,6 +317,41 @@ def test_run_bank_batch_matches_single_screens(small_bank):
                               (row.bus_rocof_mean, np.nanmean(rocof)),
                               (row.bus_rocof_max, np.nanmax(rocof))):
                 assert abs(got - want) <= 1e-9
+
+
+def mirror_case(bus_order):
+    """A five-bus chain mirrored about its middle bus 3 (the slack), with a
+    machine at every bus, equal machines and loads at mirrored buses, and
+    its buses listed in the given order."""
+    kinds = {b: "slack" if b == 3 else "pv" for b in range(1, 6)}
+    buses = {b: Bus(id=b, kind=kinds[b], v_mag=1.02) for b in range(1, 6)}
+    gens = tuple(Generator(id=f"g{b}", bus_id=b, s_base_mva=300.0,
+                           p_mw=60.0, p_max_mw=250.0, h_sec=4.0 if b % 2 else 3.0,
+                           xdp_pu=0.25) for b in (3, 1, 5, 2, 4))
+    loads = tuple(Load(id=f"ld{b}", bus_id=b, p_mw=80.0 if b in (2, 4) else 40.0,
+                       q_mvar=15.0) for b in range(1, 6))
+    branches = tuple(Branch(b, b + 1, 0.002, 0.02, 0.02) for b in range(1, 5))
+    return GridCase(s_base_mva=100.0, name="mirror",
+                    buses=tuple(buses[b] for b in bus_order),
+                    generators=gens, loads=loads, branches=branches)
+
+
+def test_worst_bus_is_lowest_id_among_ties_in_any_bus_order():
+    # losing the machines at both ends leaves buses 1, 2, 4 and 5 with the
+    # same ROCOF up to rounding, which falls differently in each bus order
+    # (the first exact minimum is bus 1, 5 and 4 in these three orders)
+    for order in ((1, 2, 3, 4, 5), (5, 4, 3, 2, 1), (3, 5, 1, 4, 2)):
+        case = mirror_case(order)
+        lc = loading_case_from(case, case, "lc", 280.0, 0.0)
+        ctg = Contingency.of("ends", ["g1", "g5"])
+        (row,) = run_bank(case, [lc], [ctg], mode="locational")
+        model, states = loading_case_model(case, lc)
+        rocof = locational_rocof(model, states, ctg).bus_rocof_hz_s
+        low = rocof.min()
+        tied = {b for b, r in zip(model.bus_ids, rocof)
+                if r <= low + 1e-12 * max(1.0, abs(low))}
+        assert tied == {1, 2, 4, 5}
+        assert row.worst_bus == 1
 
 
 def test_locational_bank_makes_two_solves_per_loading_case(small_bank,
