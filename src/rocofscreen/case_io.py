@@ -29,6 +29,7 @@ from .swingsim import SimResult, TripEvent
 
 SCHEMA_VERSION = "1.0"
 SIDECAR_COLUMNS = ["record", "id", "h_sec", "xdp_pu", "fuel", "ufls_stage", "ffr"]
+CONTINGENCY_COLUMNS = ["id", "outaged_generator_ids", "mw_lost"]
 
 
 class CaseParseError(ValueError):
@@ -451,22 +452,51 @@ def write_scenario_table(records: list[ScenarioRecord], path) -> None:
             w.writerow(r.row())
 
 
-def read_scenario_table(path) -> list[ScenarioRecord]:
-    out = []
+def _csv_rows(path, columns) -> list[tuple[str, dict]]:
+    """("<path>:<line>", row) for each row of a CSV table whose header names
+    every column and whose rows have a field for each of them."""
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append(ScenarioRecord(
-                loading_id=row["loading_id"],
-                contingency_id=row["contingency_id"],
-                mw_lost=float(row["mw_lost"]) if row["mw_lost"] else math.nan,
-                inertia_gws=float(row["inertia_gws"]) if row["inertia_gws"] else math.nan,
-                system_rocof_hz_s=float(row["system_rocof"]) if row["system_rocof"] else math.nan,
-                bus_rocof_min=float(row["bus_rocof_min"]) if row["bus_rocof_min"] else math.nan,
-                bus_rocof_mean=float(row["bus_rocof_mean"]) if row["bus_rocof_mean"] else math.nan,
-                bus_rocof_max=float(row["bus_rocof_max"]) if row["bus_rocof_max"] else math.nan,
-                worst_bus=int(row["worst_bus"]) if row["worst_bus"] else None,
-                concern_flag=row["concern_flag"] == "1",
-                status=row["status"]))
+        reader = csv.DictReader(fh)
+        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        if missing:
+            raise CaseParseError(f"{path}:1: missing column {missing[0]!r}")
+        out = []
+        for row in reader:
+            where = f"{path}:{reader.line_num}"
+            short = [c for c in columns if row[c] is None]
+            if short:
+                raise CaseParseError(f"{where}: missing field {short[0]!r}")
+            out.append((where, row))
+    return out
+
+
+def _number(raw, where: str, key: str, cast=float):
+    try:
+        return cast(raw)
+    except (TypeError, ValueError) as exc:
+        raise CaseParseError(
+            f"{where}: field {key!r} is not a number: {raw!r}") from exc
+
+
+def read_scenario_table(path) -> list[ScenarioRecord]:
+    """Read a scenario table; raises CaseParseError naming the file, line
+    and field of a missing column or field or of a malformed number."""
+    out = []
+    for where, row in _csv_rows(path, SCENARIO_COLUMNS):
+        def num(key, cast=float, blank=math.nan):
+            return _number(row[key], where, key, cast) if row[key] else blank
+        out.append(ScenarioRecord(
+            loading_id=row["loading_id"],
+            contingency_id=row["contingency_id"],
+            mw_lost=num("mw_lost"),
+            inertia_gws=num("inertia_gws"),
+            system_rocof_hz_s=num("system_rocof"),
+            bus_rocof_min=num("bus_rocof_min"),
+            bus_rocof_mean=num("bus_rocof_mean"),
+            bus_rocof_max=num("bus_rocof_max"),
+            worst_bus=num("worst_bus", int, None),
+            concern_flag=row["concern_flag"] == "1",
+            status=row["status"]))
     return out
 
 
@@ -476,21 +506,20 @@ def read_scenario_table(path) -> list[ScenarioRecord]:
 def write_contingencies(contingencies: list[Contingency], path) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["id", "outaged_generator_ids", "mw_lost"])
+        w.writerow(CONTINGENCY_COLUMNS)
         for c in contingencies:
             w.writerow([c.id, ";".join(sorted(c.outaged_generator_ids)),
                         _fmt(c.total_mw_lost)])
 
 
 def read_contingencies(path) -> list[Contingency]:
-    out = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append(Contingency(
-                row["id"],
-                frozenset(x for x in row["outaged_generator_ids"].split(";") if x),
-                float(row["mw_lost"]) if row["mw_lost"] else None))
-    return out
+    """Read a contingency bank; raises CaseParseError naming the file, line
+    and field of a missing column or field or of a malformed number."""
+    return [Contingency(
+        row["id"],
+        frozenset(x for x in row["outaged_generator_ids"].split(";") if x),
+        _number(row["mw_lost"], where, "mw_lost") if row["mw_lost"] else None)
+        for where, row in _csv_rows(path, CONTINGENCY_COLUMNS)]
 
 
 def write_loading_cases(cases: list[LoadingCase], path) -> None:
@@ -507,16 +536,42 @@ def write_loading_cases(cases: list[LoadingCase], path) -> None:
 
 
 def read_loading_cases(path) -> list[LoadingCase]:
-    doc = json.loads(Path(path).read_text())
-    return [LoadingCase(
-        id=d["id"],
-        target_load_mw=float(d["target_load_mw"]),
-        target_wind_mw=float(d["target_wind_mw"]),
-        dispatch={k: float(v) for k, v in d["dispatch"].items()},
-        committed=frozenset(d["committed"]),
-        online_inertia_gws=float(d["online_inertia_gws"]),
-        wind_fraction=float(d["wind_fraction"]),
-    ) for d in doc]
+    """Read a loading-case bank; raises CaseParseError naming the file,
+    entry and field of a missing key or malformed value, or the place of
+    invalid JSON."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise CaseParseError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(doc, list):
+        raise CaseParseError(f"{path}: expected a list of loading cases")
+    out = []
+    for i, d in enumerate(doc):
+        where = f"{path}: entry {i}"
+        if not isinstance(d, dict):
+            raise CaseParseError(f"{where}: expected an object")
+
+        def num(key):
+            return _number(_req(d, key, where), where, key)
+        dispatch, committed = _req(d, "dispatch", where), _req(d, "committed", where)
+        if not isinstance(dispatch, dict):
+            raise CaseParseError(
+                f"{where}: field 'dispatch' must map generator ids to MW")
+        if not (isinstance(committed, list)
+                and all(isinstance(g, str) for g in committed)):
+            raise CaseParseError(
+                f"{where}: field 'committed' must list generator ids")
+        out.append(LoadingCase(
+            id=_req(d, "id", where),
+            target_load_mw=num("target_load_mw"),
+            target_wind_mw=num("target_wind_mw"),
+            dispatch={k: _number(v, where, f"dispatch[{k}]")
+                      for k, v in dispatch.items()},
+            committed=frozenset(committed),
+            online_inertia_gws=num("online_inertia_gws"),
+            wind_fraction=num("wind_fraction"),
+        ))
+    return out
 
 
 def write_powerflow_csv(sol: PowerFlowSolution, path) -> None:

@@ -196,6 +196,61 @@ def test_scenarios_pipeline(tmp_path, capsys, fleet_case):
         assert (summary / name).exists()
 
 
+GOOD_CONTINGENCIES = "id,outaged_generator_ids,mw_lost\nc1,gen3,85.0\n"
+GOOD_LOADING = {"id": "lc0", "target_load_mw": 315.0, "target_wind_mw": 0.0,
+                "dispatch": {"gen1": 71.6, "gen2": 163.0, "gen3": 85.0},
+                "committed": ["gen1", "gen2", "gen3"],
+                "online_inertia_gws": 1.0, "wind_fraction": 0.0}
+
+
+@pytest.mark.parametrize("name, text, place", [
+    ("contingencies.csv", "id,outaged_generator_ids\nc1,gen3\n",
+     ":1: missing column 'mw_lost'"),
+    ("contingencies.csv",
+     "id,outaged_generator_ids,mw_lost\nc1,gen3,85\nc2,gen2,abc\n",
+     ":3: field 'mw_lost' is not a number: 'abc'"),
+    ("contingencies.csv", "id,outaged_generator_ids,mw_lost\nc1\n",
+     ":2: missing field 'outaged_generator_ids'"),
+    ("loading_cases.json", "[{", ": invalid JSON"),
+    ("loading_cases.json",
+     json.dumps([GOOD_LOADING, {k: v for k, v in GOOD_LOADING.items() if k != "committed"}]),
+     "missing required field 'committed' in {path}: entry 1"),
+    ("loading_cases.json", json.dumps([dict(GOOD_LOADING, target_wind_mw="abc")]),
+     ": entry 0: field 'target_wind_mw' is not a number: 'abc'"),
+    ("loading_cases.json", json.dumps([dict(GOOD_LOADING, dispatch={"gen1": None})]),
+     ": entry 0: field 'dispatch[gen1]' is not a number: None"),
+])
+def test_malformed_bank_file_names_the_place(tmp_path, capsys, name, text, place):
+    bank = tmp_path / "bank"
+    bank.mkdir()
+    (bank / "contingencies.csv").write_text(GOOD_CONTINGENCIES)
+    (bank / "loading_cases.json").write_text(json.dumps([GOOD_LOADING]))
+    bad = bank / name
+    bad.write_text(text)
+    code, _, err = run(["scenarios-run", "--case", str(CASE9), "--bank", str(bank),
+                        "--out", str(tmp_path / "out.csv")], capsys)
+    assert code == 1
+    assert str(bad) in err
+    assert place.format(path=bad) in err
+
+
+@pytest.mark.parametrize("row, place", [
+    ("lc0,c1,85.0,1.0,-1.0,x,-1.0,-1.0,5,1,ok",
+     ":2: field 'bus_rocof_min' is not a number: 'x'"),
+    ("lc0,c1,85.0,1.0,-1.0,-1.0,-1.0,-1.0,5.5,1,ok",
+     ":2: field 'worst_bus' is not a number: '5.5'"),
+    ("lc0,c1,85.0", ":2: missing field 'inertia_gws'"),
+])
+def test_malformed_scenario_table_names_the_place(tmp_path, capsys, row, place):
+    from rocofscreen.scenarios import SCENARIO_COLUMNS
+    results = tmp_path / "results.csv"
+    results.write_text(",".join(SCENARIO_COLUMNS) + "\n" + row + "\n")
+    code, _, err = run(["report", "--results", str(results),
+                        "--out", str(tmp_path / "summary")], capsys)
+    assert code == 1
+    assert str(results) + place in err
+
+
 def test_missing_dynamics_is_data_error(tmp_path, capsys):
     doc = json.loads(CASE9.read_text())
     for g in doc["case"]["generators"]:
