@@ -22,6 +22,9 @@ outaged bus of the batch:
 Angles here follow the per-unit speed convention (delta-dot equals the
 per-unit speed deviation), so the angle second derivative emerges in
 per-unit-speed/s and a single f_base factor yields Hz/s.
+
+The screen has no settings: zero speed deviation and frozen mechanical
+torque are the study's definition of the theoretical ROCOF, not options.
 """
 
 from __future__ import annotations

@@ -41,9 +41,6 @@ from .swingsim import SimOptions, simulate
 log = logging.getLogger(__name__)
 
 CONCERN_ROCOF_HZ_S = -0.5
-# buses within this relative distance of a column's minimum ROCOF tie for
-# worst bus (see _column_stats)
-WORST_BUS_RTOL = 1e-12
 FUEL_MERIT_ORDER = {"coal": 0, "gas": 1, "other": 2}
 # Fixed study parameters. Contingencies lose more than MIN_CONTINGENCY_MW;
 # most are design-sized (up to DESIGN_CONTINGENCY_MW), MULTI_SITE_FRACTION
@@ -55,6 +52,9 @@ DESIGN_CONTINGENCY_MW = 2750.0
 MULTI_SITE_FRACTION = 0.10
 FD_WINDOW_S = 0.02
 SIMULATE_MODE_OPTS = SimOptions(t_end=0.25, enable_ufls=False, enable_ffr=False)
+# buses within this relative distance of a column's minimum ROCOF tie for
+# worst bus (see _column_stats)
+WORST_BUS_RTOL = 1e-12
 
 SCENARIO_COLUMNS = [
     "loading_id", "contingency_id", "mw_lost", "inertia_gws",
@@ -254,10 +254,9 @@ def generate_contingencies(case: GridCase, n: int,
     preferring multi-unit outages at a single plant (a second plant joins
     only when a fleet is too small to keep the bank distinct); the rest
     combine whole plants from several sites into losses of up to twice the
-    design size.
-    Plants are picked with probability proportional to dispatched MW.
+    design size. Plants are picked with probability proportional to
+    dispatched MW.
     """
-    min_mw, design_mw = MIN_CONTINGENCY_MW, DESIGN_CONTINGENCY_MW
     units = [g for g in case.generators if g.synchronous and g.status and g.p_mw > 0]
     plants: dict[int, list] = {}
     for g in units:
@@ -266,10 +265,10 @@ def generate_contingencies(case: GridCase, n: int,
         members.sort(key=lambda g: (-g.p_mw, g.id))
     plant_ids = sorted(plants)
     plant_mw = np.array([sum(g.p_mw for g in plants[b]) for b in plant_ids])
-    if not plant_ids or plant_mw.sum() <= min_mw:
+    if not plant_ids or plant_mw.sum() <= MIN_CONTINGENCY_MW:
         raise ValueError(
             f"case dispatch ({plant_mw.sum():.0f} MW) is too small to build "
-            f"outages above {min_mw:.0f} MW")
+            f"outages above {MIN_CONTINGENCY_MW:.0f} MW")
     weights = plant_mw / plant_mw.sum()
 
     n_multi = int(round(n * MULTI_SITE_FRACTION))
@@ -283,9 +282,10 @@ def generate_contingencies(case: GridCase, n: int,
         if attempts > max_attempts:
             raise ValueError(
                 f"could not assemble {n} distinct contingencies above "
-                f"{min_mw:.0f} MW from this case (found {len(out)})")
+                f"{MIN_CONTINGENCY_MW:.0f} MW from this case "
+                f"(found {len(out)})")
         if len(out) < n_multi:
-            target = rng.uniform(design_mw, 2.0 * design_mw)
+            target = rng.uniform(DESIGN_CONTINGENCY_MW, 2.0 * DESIGN_CONTINGENCY_MW)
             chosen: list = []
             total = 0.0
             order = rng.choice(len(plant_ids), size=len(plant_ids),
@@ -295,13 +295,15 @@ def generate_contingencies(case: GridCase, n: int,
                 total += plant_mw[pi]
                 if total >= target:
                     break
-            if total <= min_mw:
+            if total <= MIN_CONTINGENCY_MW:
                 continue
         else:
-            target = math.exp(rng.uniform(math.log(min_mw), math.log(design_mw)))
+            target = math.exp(rng.uniform(math.log(MIN_CONTINGENCY_MW),
+                                          math.log(DESIGN_CONTINGENCY_MW)))
             # widen to a second site only once single-plant draws go stale
             second_site = stale > 25 and rng.random() < 0.7
-            eligible = np.flatnonzero(plant_mw > (0.0 if second_site else min_mw))
+            eligible = np.flatnonzero(
+                plant_mw > (0.0 if second_site else MIN_CONTINGENCY_MW))
             if eligible.size == 0:
                 n_multi = n  # no single plant is large enough
                 continue
@@ -315,12 +317,12 @@ def generate_contingencies(case: GridCase, n: int,
             total = 0.0
             for ui in rng.permutation(len(members)):
                 g = members[int(ui)]
-                if total > min_mw and (total >= target or
-                                       total + g.p_mw > design_mw):
+                if total > MIN_CONTINGENCY_MW and (
+                        total >= target or total + g.p_mw > DESIGN_CONTINGENCY_MW):
                     break
                 chosen.append(g)
                 total += g.p_mw
-            if not (min_mw < total <= design_mw):
+            if not (MIN_CONTINGENCY_MW < total <= DESIGN_CONTINGENCY_MW):
                 stale += 1
                 continue
         key = frozenset(g.id for g in chosen)

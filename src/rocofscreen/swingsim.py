@@ -10,11 +10,10 @@ theoretical ROCOF screen and as the engine for load-shedding studies.
 Bus frequency is estimated from the voltage-angle derivative through a
 first-order washout filter with a fixed 0.04 s time constant (raw
 differentiation amplifies noise). A run aborts once any machine's speed
-deviation passes 0.2 pu. Load
-shedding monitors act on the local bus frequency: UFLS stages trip at
-first crossing of 59.3 / 58.9 / 58.5 Hz, FFR loads trip after more than
-25 cycles continuously below 59.7 Hz. A tripped load's shunt leaves the
-network for the remainder of the run.
+deviation passes 0.2 pu. Load shedding monitors act on the local bus
+frequency: UFLS stages trip at first crossing of 59.3 / 58.9 / 58.5 Hz,
+FFR loads trip after more than 25 cycles continuously below 59.7 Hz. A
+tripped load's shunt leaves the network for the remainder of the run.
 """
 
 from __future__ import annotations
