@@ -42,9 +42,19 @@ def _req(obj: dict, key: str, where: str):
     return obj[key]
 
 
-def _opt_float(obj: dict, key: str, default=None):
-    v = obj.get(key, default)
-    return None if v is None else float(v)
+_REQUIRED = object()
+
+
+def _num(obj: dict, key: str, where: str, default=_REQUIRED, cast=float):
+    """obj[key] as a number (``default`` when the key is absent; without one
+    the key is required); CaseParseError names where and key otherwise."""
+    raw = _req(obj, key, where) if default is _REQUIRED else obj.get(key, default)
+    return _number(raw, where, key, cast)
+
+
+def _opt_float(obj: dict, key: str, where: str):
+    v = obj.get(key)
+    return None if v is None else _number(v, where, key)
 
 
 def sidecar_path_for(case_path) -> Path:
@@ -73,63 +83,64 @@ def read_case(path, sidecar=None) -> GridCase:
             f"{path}: unsupported schema_version {version!r} "
             f"(this reader handles {SCHEMA_VERSION})")
     c = _req(doc, "case", str(path))
+    at = f"{path}: case"
 
     buses = []
-    for i, b in enumerate(_req(c, "buses", "case")):
-        where = f"buses[{i}]"
+    for i, b in enumerate(_req(c, "buses", at)):
+        where = f"{path}: buses[{i}]"
         buses.append(Bus(
-            id=int(_req(b, "id", where)),
+            id=_num(b, "id", where, cast=int),
             name=str(b.get("name", "")),
-            nominal_kv=float(b.get("nominal_kv", 1.0)),
+            nominal_kv=_num(b, "nominal_kv", where, 1.0),
             kind=str(b.get("kind", "pq")),
-            v_mag=float(b.get("v_mag", 1.0)),
-            v_ang=math.radians(float(b.get("v_ang_deg", 0.0))),
-            latitude=_opt_float(b, "latitude"),
-            longitude=_opt_float(b, "longitude"),
+            v_mag=_num(b, "v_mag", where, 1.0),
+            v_ang=math.radians(_num(b, "v_ang_deg", where, 0.0)),
+            latitude=_opt_float(b, "latitude", where),
+            longitude=_opt_float(b, "longitude", where),
         ))
     generators = []
     for i, g in enumerate(c.get("generators", [])):
-        where = f"generators[{i}]"
+        where = f"{path}: generators[{i}]"
         generators.append(Generator(
             id=str(_req(g, "id", where)),
-            bus_id=int(_req(g, "bus_id", where)),
-            s_base_mva=float(_req(g, "s_base_mva", where)),
-            p_mw=float(g.get("p_mw", 0.0)),
-            q_mvar=float(g.get("q_mvar", 0.0)),
-            p_max_mw=float(g.get("p_max_mw", 0.0)),
+            bus_id=_num(g, "bus_id", where, cast=int),
+            s_base_mva=_num(g, "s_base_mva", where),
+            p_mw=_num(g, "p_mw", where, 0.0),
+            q_mvar=_num(g, "q_mvar", where, 0.0),
+            p_max_mw=_num(g, "p_max_mw", where, 0.0),
             fuel=str(g.get("fuel", "other")),
-            h_sec=_opt_float(g, "h_sec"),
-            xdp_pu=_opt_float(g, "xdp_pu"),
+            h_sec=_opt_float(g, "h_sec", where),
+            xdp_pu=_opt_float(g, "xdp_pu", where),
             status=bool(g.get("status", True)),
             synchronous=bool(g.get("synchronous", True)),
         ))
     loads = []
     for i, l in enumerate(c.get("loads", [])):
-        where = f"loads[{i}]"
+        where = f"{path}: loads[{i}]"
         loads.append(Load(
             id=str(_req(l, "id", where)),
-            bus_id=int(_req(l, "bus_id", where)),
-            p_mw=float(l.get("p_mw", 0.0)),
-            q_mvar=float(l.get("q_mvar", 0.0)),
+            bus_id=_num(l, "bus_id", where, cast=int),
+            p_mw=_num(l, "p_mw", where, 0.0),
+            q_mvar=_num(l, "q_mvar", where, 0.0),
             ufls_stage=str(l.get("ufls_stage", "none")),
             ffr=bool(l.get("ffr", False)),
         ))
     branches = []
     for i, br in enumerate(c.get("branches", [])):
-        where = f"branches[{i}]"
+        where = f"{path}: branches[{i}]"
         branches.append(Branch(
-            from_bus=int(_req(br, "from_bus", where)),
-            to_bus=int(_req(br, "to_bus", where)),
-            r_pu=float(_req(br, "r_pu", where)),
-            x_pu=float(_req(br, "x_pu", where)),
-            b_pu=float(br.get("b_pu", 0.0)),
-            tap_ratio=float(br.get("tap_ratio", 1.0)),
+            from_bus=_num(br, "from_bus", where, cast=int),
+            to_bus=_num(br, "to_bus", where, cast=int),
+            r_pu=_num(br, "r_pu", where),
+            x_pu=_num(br, "x_pu", where),
+            b_pu=_num(br, "b_pu", where, 0.0),
+            tap_ratio=_num(br, "tap_ratio", where, 1.0),
             status=bool(br.get("status", True)),
         ))
 
     case = GridCase(
-        s_base_mva=float(_req(c, "s_base_mva", "case")),
-        f_base_hz=float(c.get("f_base_hz", 60.0)),
+        s_base_mva=_num(c, "s_base_mva", at),
+        f_base_hz=_num(c, "f_base_hz", at, 60.0),
         name=str(c.get("name", path.stem)),
         buses=tuple(buses),
         generators=tuple(generators),
@@ -208,10 +219,9 @@ def apply_sidecar(case: GridCase, path) -> GridCase:
                         f"{path}:{ln}: sidecar references unknown generator {rid!r}")
                 g = gens[rid]
                 upd = {}
-                if (row.get("h_sec") or "").strip():
-                    upd["h_sec"] = float(row["h_sec"])
-                if (row.get("xdp_pu") or "").strip():
-                    upd["xdp_pu"] = float(row["xdp_pu"])
+                for key in ("h_sec", "xdp_pu"):
+                    if (row.get(key) or "").strip():
+                        upd[key] = _number(row[key], f"{path}:{ln}", key)
                 if (row.get("fuel") or "").strip():
                     if row["fuel"] not in FUELS:
                         raise CaseParseError(

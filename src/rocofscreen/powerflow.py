@@ -2,8 +2,10 @@
 
 Planning-style solve: flat start, PV buses hold their voltage setpoint with
 reactive limits ignored, one slack per island absorbs that island's
-imbalance. The Jacobian is assembled from the sparse complex power-injection
-derivatives and factorized with SuperLU each iteration.
+imbalance. The Jacobian's sparsity is fixed once per solve (the Y-bus
+pattern plus the diagonal); each iteration writes the complex
+power-injection derivatives into its values in place and factorizes it with
+SuperLU.
 """
 
 from __future__ import annotations
@@ -116,9 +118,11 @@ def solve_powerflow(case: GridCase, tol: float = 1e-8,
                                  float(np.max(np.abs(f))) if f.size else 0.0,
                                  ybus)
 
+    row, col, y, diag, jac, take = _jacobian_pattern(ybus, pvpq, pq)
     for it in range(max_iter + 1):
         v = vm * np.exp(1j * va)
-        mis = v * np.conj(ybus @ v) - sbus
+        ibus = ybus @ v
+        mis = v * np.conj(ibus) - sbus
         f = np.r_[mis[pvpq].real, mis[pq].imag]
         norm = float(np.max(np.abs(f)))
         if norm <= tol:
@@ -127,17 +131,17 @@ def solve_powerflow(case: GridCase, tol: float = 1e-8,
         if it == max_iter:
             raise PowerFlowDivergence(it, norm)
 
-        ibus = ybus @ v
-        d_v = sp.diags(v)
-        d_i = sp.diags(ibus)
-        d_vn = sp.diags(v / np.abs(v))
-        ds_dva = 1j * d_v @ (d_i - ybus @ d_v).conjugate()
-        ds_dvm = d_v @ (ybus @ d_vn).conjugate() + d_i.conjugate() @ d_vn
-        j11 = ds_dva[pvpq][:, pvpq].real
-        j12 = ds_dvm[pvpq][:, pq].real
-        j21 = ds_dva[pq][:, pvpq].imag
-        j22 = ds_dvm[pq][:, pq].imag
-        jac = sp.bmat([[j11, j12], [j21, j22]], format="csc")
+        # dSbus_dV (MATPOWER) on the pattern entries (i, k):
+        #   dS_i/dθ_k  = j V_i conj(δ_ik I_i - Y_ik V_k)
+        #   dS_i/d|V_k| = V_i conj(Y_ik V_k/|V_k|) + δ_ik conj(I_i) V_i/|V_i|
+        vn = v / np.abs(v)
+        t = -(y * v[col])
+        t[diag] += ibus
+        ds_dva = (1j * v)[row] * np.conj(t)
+        ds_dvm = v[row] * np.conj(y * vn[col])
+        ds_dvm[diag] += np.conj(ibus) * vn
+        jac.data = np.concatenate((ds_dva.real, ds_dvm.real,
+                                   ds_dva.imag, ds_dvm.imag))[take]
         try:
             dx = spla.splu(jac).solve(-f)
         except RuntimeError as exc:
@@ -148,6 +152,48 @@ def solve_powerflow(case: GridCase, tol: float = 1e-8,
         vm[pq] += dx[npvpq:]
 
     raise PowerFlowDivergence(max_iter, norm)  # pragma: no cover
+
+
+def _jacobian_pattern(ybus: sp.csc_matrix, pvpq: np.ndarray, pq: np.ndarray):
+    """Index maps of a Newton Jacobian whose sparsity is fixed for one solve.
+
+    The pattern is the Y-bus pattern plus every diagonal entry, in column
+    order. Returns its rows, columns and Y values, each bus's diagonal
+    position in it, the [pvpq|pq] Jacobian as a CSC matrix, and for each
+    stored Jacobian entry the value it reads, ``block * nnz + entry``: the
+    block (0 dP/dθ, 1 dP/d|V|, 2 dQ/dθ, 3 dQ/d|V|) and the pattern entry.
+    """
+    n = ybus.shape[0]
+    yc = ybus.tocoo()
+    ykey = yc.col.astype(np.int64) * n + yc.row
+    key = np.union1d(ykey, np.arange(n, dtype=np.int64) * (n + 1))
+    y = np.zeros(len(key), dtype=complex)
+    np.add.at(y, np.searchsorted(key, ykey), yc.data)
+    row, col = key % n, key // n
+    diag = np.searchsorted(key, np.arange(n) * (n + 1))
+
+    # a bus's P equation is the row of its θ unknown, its Q equation the
+    # row of its |V| unknown; -1 where the bus has none
+    npvpq = len(pvpq)
+    theta = np.full(n, -1)
+    theta[pvpq] = np.arange(npvpq)
+    vmag = np.full(n, -1)
+    vmag[pq] = npvpq + np.arange(len(pq))
+    rows, cols, take = [], [], []
+    for block, (eq, unknown) in enumerate(((theta, theta), (theta, vmag),
+                                           (vmag, theta), (vmag, vmag))):
+        r, c = eq[row], unknown[col]
+        entry = np.flatnonzero((r >= 0) & (c >= 0))
+        rows.append(r[entry])
+        cols.append(c[entry])
+        take.append(block * len(key) + entry)
+    rows, cols, take = (np.concatenate(a) for a in (rows, cols, take))
+    order = np.lexsort((rows, cols))
+    m = npvpq + len(pq)
+    indptr = np.r_[0, np.cumsum(np.bincount(cols, minlength=m))]
+    jac = sp.csc_matrix((np.zeros(len(order)), rows[order], indptr),
+                        shape=(m, m))
+    return row, col, y, diag, jac, take[order]
 
 
 def _suspect_bus(case: GridCase, jac: sp.csc_matrix, pvpq, pq):

@@ -203,6 +203,14 @@ GOOD_LOADING = {"id": "lc0", "target_load_mw": 315.0, "target_wind_mw": 0.0,
                 "online_inertia_gws": 1.0, "wind_fraction": 0.0}
 
 
+def case9_text(section=None, i=0, **fields):
+    """The bundled 9-bus case as JSON text, with ``fields`` set on entry
+    ``i`` of ``section`` (or on the case itself when no section is named)."""
+    doc = json.loads(CASE9.read_text())
+    (doc["case"][section][i] if section else doc["case"]).update(fields)
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("name, text, place", [
     ("contingencies.csv", "id,outaged_generator_ids\nc1,gen3\n",
      ":1: missing column 'mw_lost'"),
@@ -219,16 +227,40 @@ GOOD_LOADING = {"id": "lc0", "target_load_mw": 315.0, "target_wind_mw": 0.0,
      ": entry 0: field 'target_wind_mw' is not a number: 'abc'"),
     ("loading_cases.json", json.dumps([dict(GOOD_LOADING, dispatch={"gen1": None})]),
      ": entry 0: field 'dispatch[gen1]' is not a number: None"),
+    pytest.param("case.json", case9_text("loads", 0, p_mw="abc"),
+                 ": loads[0]: field 'p_mw' is not a number: 'abc'",
+                 id="case-load-p_mw"),
+    pytest.param("case.json", case9_text("buses", 2, id="b3"),
+                 ": buses[2]: field 'id' is not a number: 'b3'",
+                 id="case-bus-id"),
+    pytest.param("case.json", case9_text("branches", 1, x_pu=None),
+                 ": branches[1]: field 'x_pu' is not a number: None",
+                 id="case-branch-x_pu"),
+    pytest.param("case.json", case9_text("generators", 2, h_sec=[3.0]),
+                 ": generators[2]: field 'h_sec' is not a number: [3.0]",
+                 id="case-generator-h_sec"),
+    pytest.param("case.json", case9_text(s_base_mva="100 MVA"),
+                 ": case: field 's_base_mva' is not a number: '100 MVA'",
+                 id="case-s_base_mva"),
+    pytest.param("case.dyn.csv",
+                 "record,id,h_sec,xdp_pu,fuel,ufls_stage,ffr\n"
+                 "generator,gen1,3.0,,,,\ngenerator,gen2,,0.2x,,,\n",
+                 ":3: field 'xdp_pu' is not a number: '0.2x'",
+                 id="sidecar-xdp_pu"),
 ])
 def test_malformed_bank_file_names_the_place(tmp_path, capsys, name, text, place):
+    # every input file of scenarios-run: the bank, the case and the
+    # case's sidecar (read by the <case>.dyn.csv convention)
     bank = tmp_path / "bank"
     bank.mkdir()
+    (bank / "case.json").write_text(CASE9.read_text())
     (bank / "contingencies.csv").write_text(GOOD_CONTINGENCIES)
     (bank / "loading_cases.json").write_text(json.dumps([GOOD_LOADING]))
     bad = bank / name
     bad.write_text(text)
-    code, _, err = run(["scenarios-run", "--case", str(CASE9), "--bank", str(bank),
-                        "--out", str(tmp_path / "out.csv")], capsys)
+    code, _, err = run(["scenarios-run", "--case", str(bank / "case.json"),
+                        "--bank", str(bank), "--out", str(tmp_path / "out.csv")],
+                       capsys)
     assert code == 1
     assert str(bad) in err
     assert place.format(path=bad) in err

@@ -1,14 +1,20 @@
 import dataclasses
 import math
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from rocofscreen import (PowerFlowDivergence, PowerFlowError,
-                         accept_solved_voltages, solve_powerflow)
+from rocofscreen import (PowerFlowDivergence, PowerFlowError, SingularJacobian,
+                         accept_solved_voltages, generate_loading_cases,
+                         powerflow, scenarios, solve_powerflow, write_case)
 from rocofscreen.case_model import Branch, Bus, Generator, GridCase, Load
 from rocofscreen.netdyn import build_ybus
-from rocofscreen.powerflow import mismatch_vector
+from rocofscreen.powerflow import (bus_injections, effective_kinds,
+                                   mismatch_vector)
 
 # published solution of the classical 9-bus benchmark (magnitudes pu,
 # angles degrees), used as an independent cross-check
@@ -130,3 +136,115 @@ def test_accept_boundary_is_inclusive(case9):
     assert sol.max_mismatch_pu == pytest.approx(norm)
     with pytest.raises(PowerFlowError):
         accept_solved_voltages(bump, tol=norm * 0.99)
+
+
+def reference_newton(case):
+    """The Newton loop with the Jacobian rebuilt every iteration from
+    sparse dSbus_dV products, sliced per block and stacked with ``sp.bmat``:
+    the reference for the fixed-pattern fill, at solve_powerflow's default
+    tolerance and iteration limit. Returns the iteration count, the
+    Jacobian of each iteration and the solved voltages."""
+    tol, max_iter = 1e-8, 20
+    ybus = build_ybus(case)
+    kinds = effective_kinds(case)
+    pv = np.flatnonzero(kinds == "pv")
+    pq = np.flatnonzero(kinds == "pq")
+    pvpq = np.r_[pv, pq]
+    sbus = bus_injections(case)
+    vm = np.array([b.v_mag if k in ("pv", "slack") else 1.0
+                   for b, k in zip(case.buses, kinds)])
+    va = np.array([b.v_ang if k == "slack" else 0.0
+                   for b, k in zip(case.buses, kinds)])
+    jacobians = []
+    for it in range(max_iter + 1):
+        v = vm * np.exp(1j * va)
+        mis = v * np.conj(ybus @ v) - sbus
+        f = np.r_[mis[pvpq].real, mis[pq].imag]
+        if np.max(np.abs(f)) <= tol:
+            return it, jacobians, v
+        ibus = ybus @ v
+        d_v = sp.diags(v)
+        d_i = sp.diags(ibus)
+        d_vn = sp.diags(v / np.abs(v))
+        ds_dva = 1j * d_v @ (d_i - ybus @ d_v).conjugate()
+        ds_dvm = d_v @ (ybus @ d_vn).conjugate() + d_i.conjugate() @ d_vn
+        j11 = ds_dva[pvpq][:, pvpq].real
+        j12 = ds_dvm[pvpq][:, pq].real
+        j21 = ds_dva[pq][:, pvpq].imag
+        j22 = ds_dvm[pq][:, pq].imag
+        jac = sp.bmat([[j11, j12], [j21, j22]], format="csc")
+        jacobians.append(jac)
+        dx = spla.splu(jac).solve(-f)
+        va[pvpq] += dx[:len(pvpq)]
+        vm[pq] += dx[len(pvpq):]
+    raise PowerFlowDivergence(max_iter, float(np.max(np.abs(f))))
+
+
+def assert_newton_matches_reference(case):
+    """solve_powerflow against reference_newton: the same iteration count,
+    per iteration the same Jacobian pattern and entries within 1e-12 x
+    max(1, |J|), and the same voltages within 1e-12 pu."""
+    factored = []
+
+    def spy(jac):
+        factored.append(jac.copy())
+        return spla.splu(jac)
+
+    with mock.patch.object(powerflow, "spla", SimpleNamespace(splu=spy)):
+        sol = solve_powerflow(case)
+    iterations, reference, v_ref = reference_newton(case)
+    assert sol.iterations == iterations == len(factored) == len(reference)
+    for new, old in zip(factored, reference):
+        new.sort_indices()
+        old.sort_indices()
+        assert np.array_equal(new.indptr, old.indptr)
+        assert np.array_equal(new.indices, old.indices)
+        assert np.all(np.abs(new.data - old.data)
+                      <= 1e-12 * np.maximum(1.0, np.abs(old.data)))
+    assert np.max(np.abs(sol.v - v_ref)) <= 1e-12
+
+
+def test_fixed_pattern_matches_rebuilt_jacobian(case9, fleet_case):
+    assert_newton_matches_reference(case9)
+    loading = generate_loading_cases(fleet_case, 25, (15000.0, 75000.0),
+                                     (10000.0, 30000.0))
+    assert len(loading) == 25
+    for lc in loading:
+        assert_newton_matches_reference(
+            scenarios.apply_loading_case(fleet_case, lc))
+
+
+def isolated_bus_case(cancelling_branches=False):
+    """A slack-pq pair and a pq bus 7 that nothing ties electrically, so the
+    Newton Jacobian is singular. Bus 7 has no branch, or, with
+    ``cancelling_branches``, two parallel branches to bus 2 whose series
+    admittances cancel exactly: one island to the case validator, but no
+    admittance at bus 7."""
+    ties = (Branch(2, 7, 0.0, 0.1), Branch(2, 7, 0.0, -0.1)) if cancelling_branches else ()
+    return GridCase(
+        buses=(Bus(id=1, kind="slack", v_mag=1.0), Bus(id=2, kind="pq"),
+               Bus(id=7, kind="pq")),
+        generators=(Generator(id="g1", bus_id=1, s_base_mva=200.0,
+                              p_mw=55.0, p_max_mw=500.0, h_sec=3.0,
+                              xdp_pu=0.2),),
+        loads=(Load(id="l2", bus_id=2, p_mw=50.0),
+               Load(id="l7", bus_id=7, p_mw=5.0)),
+        branches=(Branch(1, 2, 0.0, 0.1),) + ties,
+    )
+
+
+@pytest.mark.parametrize("cancelling_branches", [False, True])
+def test_singular_jacobian_names_the_isolated_bus(cancelling_branches):
+    with pytest.raises(SingularJacobian) as err:
+        solve_powerflow(isolated_bus_case(cancelling_branches))
+    assert err.value.bus_id == 7
+
+
+def test_singular_jacobian_exits_2_naming_the_bus(tmp_path, capsys):
+    # a case without a branch to bus 7 fails validation (an island with no
+    # slack, exit 1), so the command runs on the cancelling-branch variant
+    from rocofscreen.cli import main
+    path = tmp_path / "isolated.json"
+    write_case(isolated_bus_case(cancelling_branches=True), path)
+    assert main(["powerflow", "--case", str(path)]) == 2
+    assert "suspect bus 7" in capsys.readouterr().err

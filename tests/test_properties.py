@@ -6,9 +6,10 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from rocofscreen import (Contingency, GridCase, locational_rocof,
-                         locational_rocof_batch)
+                         locational_rocof_batch, solve_powerflow)
 from rocofscreen.case_model import Branch, Bus, Generator, Load
 from rocofscreen.scenarios import _column_stats
+from test_powerflow import assert_newton_matches_reference
 from test_rocof import built_model, refactor_reference
 
 
@@ -98,6 +99,34 @@ def test_bus_relabelling_leaves_rocof_and_worst_bus(drawn, data):
     worst = [_column_stats(r.bus_rocof_hz_s[:, None], r.bus_ids)[0][3]
              for r in results]
     assert worst[0] == worst[1]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(networks(), st.floats(0.1, 10.0))
+def test_system_base_leaves_voltages_rocof_and_worst_bus(drawn, k):
+    # rebasing scales every per-unit power and admittance by 1/k, so the
+    # solved voltages, each bus ROCOF in Hz/s and the worst bus stay put
+    case, outaged = drawn
+    rebased = dataclasses.replace(
+        case, s_base_mva=case.s_base_mva * k,
+        branches=tuple(dataclasses.replace(br, r_pu=br.r_pu * k,
+                                           x_pu=br.x_pu * k, b_pu=br.b_pu / k)
+                       for br in case.branches))
+    voltages = [solve_powerflow(c).v for c in (case, rebased)]
+    assert np.max(np.abs(voltages[1] - voltages[0])) <= 1e-9
+    ctg = Contingency.of("c", outaged)
+    results = [locational_rocof(*built_model(c), ctg) for c in (case, rebased)]
+    np.testing.assert_allclose(results[1].bus_rocof_hz_s,
+                               results[0].bus_rocof_hz_s, rtol=0, atol=1e-9)
+    worst = [_column_stats(r.bus_rocof_hz_s[:, None], r.bus_ids)[0][3]
+             for r in results]
+    assert worst[0] == worst[1]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(networks())
+def test_fixed_pattern_newton_matches_rebuilt_jacobian(drawn):
+    assert_newton_matches_reference(drawn[0])
 
 
 @st.composite
