@@ -11,8 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from rocofscreen import (Contingency, augment_dynamic, build_ybus,
-                         case_io, init_machines, load_case9, locational_rocof,
+from rocofscreen import (Contingency, augment_dynamic, case_io,
+                         init_machines, load_case9, locational_rocof,
                          solve_powerflow, system_rocof, total_inertia_gws)
 
 out_dir = Path(__file__).parent / "output"
@@ -26,7 +26,7 @@ sol = solve_powerflow(case)
 print(f"power flow: {sol.iterations} iterations, "
       f"max mismatch {sol.max_mismatch_pu:.2e} pu")
 
-model = augment_dynamic(build_ybus(case), case, sol)
+model = augment_dynamic(sol.ybus, case, sol)
 states = init_machines(model, case, sol)
 
 # trip the 85 MW machine at bus 3

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from rocofscreen import (Contingency, SimOptions, augment_dynamic,
-                         build_ybus, case_io, init_machines, load_case9,
+                         case_io, init_machines, load_case9,
                          locational_rocof, simulate, solve_powerflow,
                          system_rocof)
 from rocofscreen.scenarios import finite_difference_rocof
@@ -23,7 +23,7 @@ out_dir.mkdir(exist_ok=True)
 
 case = load_case9()
 sol = solve_powerflow(case)
-model = augment_dynamic(build_ybus(case), case, sol)
+model = augment_dynamic(sol.ybus, case, sol)
 states = init_machines(model, case, sol)
 ctg = Contingency.of("gen3-trip", ["gen3"])
 

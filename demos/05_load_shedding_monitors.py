@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from rocofscreen import (Contingency, SimOptions, augment_dynamic,
-                         build_ybus, case_io, check_ffr, init_machines,
+                         case_io, check_ffr, init_machines,
                          load_case9, simulate, solve_powerflow)
 from rocofscreen.swingsim import SimResult
 
@@ -31,7 +31,7 @@ print("shedding plan: load5 -> stage1 (59.3 Hz), load6 -> stage2 (58.9 Hz), "
       "load8 -> fast response (59.7 Hz held 25 cycles)")
 
 sol = solve_powerflow(case)
-model = augment_dynamic(build_ybus(case), case, sol)
+model = augment_dynamic(sol.ybus, case, sol)
 states = init_machines(model, case, sol)
 
 sim = simulate(model, states, Contingency.of("gen2-trip", ["gen2"]),

@@ -15,9 +15,10 @@ Formats owned here:
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 from .case_model import (Branch, Bus, CaseValidationError, FUELS, Generator,
@@ -36,25 +37,120 @@ class CaseParseError(ValueError):
     """A document could not be parsed; the message carries the location."""
 
 
-def _req(obj: dict, key: str, where: str):
-    if key not in obj:
+# The case_model records are the case document's schema. A record's keys on
+# disk are its field names, a field without a default is required, and every
+# value converts by the field's annotation through _parse.
+_RECORD_LISTS = {f"tuple[{cls.__name__}, ...]": cls
+                 for cls in (Bus, Generator, Load, Branch)}
+
+
+def _same(value):
+    return value
+
+
+# fields stored under another key and unit: name -> (key, read, write)
+_ON_DISK = {"v_ang": ("v_ang_deg", math.radians, math.degrees)}
+# the field annotations _parse knows, each with what it expects
+_EXPECTED = {"int": "a number", "float": "a number", "float | None": "a number",
+             "str": "a string", "bool": "a boolean"}
+_BOOL_WORDS = {"true": True, "yes": True, "1": True,
+               "false": False, "no": False, "0": False}
+# the sidecar columns of each record type, and the values a column may take
+_SIDECAR_FIELDS = {"generator": ("h_sec", "xdp_pu", "fuel"),
+                   "load": ("ufls_stage", "ffr")}
+_CHOICES = {"fuel": FUELS, "ufls_stage": UFLS_STAGES}
+
+
+def _parse(raw, kind: str, where: str, key: str):
+    """``raw`` as the value of a field annotated ``kind`` (a key of
+    _EXPECTED). An int must be integral and a bool is never a number; a
+    bool field takes a JSON boolean or one of _BOOL_WORDS in any case.
+    CaseParseError names where and key of a value that does not convert."""
+    if raw is None and kind == "float | None":
+        return None
+    if kind == "int" and isinstance(raw, float) and not raw.is_integer():
+        raise CaseParseError(f"{where}: field {key!r} is not an integer: {raw!r}")
+    try:
+        if kind == "bool":
+            if isinstance(raw, bool):
+                return raw
+            if isinstance(raw, str) and raw.strip().lower() in _BOOL_WORDS:
+                return _BOOL_WORDS[raw.strip().lower()]
+        elif isinstance(raw, bool):
+            pass
+        elif kind == "str":
+            if isinstance(raw, (str, int, float)):
+                return str(raw)
+        elif kind == "int":
+            return int(raw)
+        else:
+            return float(raw)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise CaseParseError(f"{where}: field {key!r} is not {_EXPECTED[kind]}: {raw!r}")
+
+
+def _text(path) -> str:
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CaseParseError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def _json(path):
+    try:
+        return json.loads(_text(path))
+    # JSONDecodeError, an int too long to read, or nesting too deep to read
+    except (ValueError, RecursionError) as exc:
+        raise CaseParseError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def _object(obj, where: str) -> dict:
+    if not isinstance(obj, dict):
+        raise CaseParseError(f"{where}: not an object: {obj!r}")
+    return obj
+
+
+def _req(obj, key: str, where: str):
+    if key not in _object(obj, where):
         raise CaseParseError(f"missing required field {key!r} in {where}")
     return obj[key]
 
 
-_REQUIRED = object()
+def _fields(cls, obj, where: str, path) -> dict:
+    """The fields of record type ``cls`` read from the JSON object ``obj``
+    at ``where``. An absent field is left out, so it takes its default; a
+    list of records is read entry by entry, entry i of key k at
+    ``<path>: k[i]``."""
+    _object(obj, where)
+    out = {}
+    for f in fields(cls):
+        key, read, _ = _ON_DISK.get(f.name, (f.name, _same, _same))
+        if key not in obj and f.default is not MISSING:
+            continue
+        raw = _req(obj, key, where)
+        if f.type not in _RECORD_LISTS:
+            out[f.name] = read(_parse(raw, f.type, where, key))
+        elif isinstance(raw, list):
+            rec = _RECORD_LISTS[f.type]
+            out[f.name] = tuple(rec(**_fields(rec, r, f"{path}: {key}[{i}]", path))
+                                for i, r in enumerate(raw))
+        else:
+            raise CaseParseError(f"{where}: field {key!r} is not a list: {raw!r}")
+    return out
 
 
-def _num(obj: dict, key: str, where: str, default=_REQUIRED, cast=float):
-    """obj[key] as a number (``default`` when the key is absent; without one
-    the key is required); CaseParseError names where and key otherwise."""
-    raw = _req(obj, key, where) if default is _REQUIRED else obj.get(key, default)
-    return _number(raw, where, key, cast)
-
-
-def _opt_float(obj: dict, key: str, where: str):
-    v = obj.get(key)
-    return None if v is None else _number(v, where, key)
+def _doc(record) -> dict:
+    """A record as its JSON object: the fields in order, None left out."""
+    out = {}
+    for f in fields(record):
+        key, _, write = _ON_DISK.get(f.name, (f.name, _same, _same))
+        value = getattr(record, f.name)
+        if f.type in _RECORD_LISTS:
+            out[key] = [_doc(r) for r in value]
+        elif value is not None:
+            out[key] = write(value)
+    return out
 
 
 def sidecar_path_for(case_path) -> Path:
@@ -72,11 +168,7 @@ def read_case(path, sidecar=None) -> GridCase:
     parsed case breaks structural invariants.
     """
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise CaseParseError(f"{path}: invalid JSON: {exc}") from exc
-
+    doc = _json(path)
     version = _req(doc, "schema_version", str(path))
     if str(version).split(".")[0] != SCHEMA_VERSION.split(".")[0]:
         raise CaseParseError(
@@ -84,69 +176,9 @@ def read_case(path, sidecar=None) -> GridCase:
             f"(this reader handles {SCHEMA_VERSION})")
     c = _req(doc, "case", str(path))
     at = f"{path}: case"
-
-    buses = []
-    for i, b in enumerate(_req(c, "buses", at)):
-        where = f"{path}: buses[{i}]"
-        buses.append(Bus(
-            id=_num(b, "id", where, cast=int),
-            name=str(b.get("name", "")),
-            nominal_kv=_num(b, "nominal_kv", where, 1.0),
-            kind=str(b.get("kind", "pq")),
-            v_mag=_num(b, "v_mag", where, 1.0),
-            v_ang=math.radians(_num(b, "v_ang_deg", where, 0.0)),
-            latitude=_opt_float(b, "latitude", where),
-            longitude=_opt_float(b, "longitude", where),
-        ))
-    generators = []
-    for i, g in enumerate(c.get("generators", [])):
-        where = f"{path}: generators[{i}]"
-        generators.append(Generator(
-            id=str(_req(g, "id", where)),
-            bus_id=_num(g, "bus_id", where, cast=int),
-            s_base_mva=_num(g, "s_base_mva", where),
-            p_mw=_num(g, "p_mw", where, 0.0),
-            q_mvar=_num(g, "q_mvar", where, 0.0),
-            p_max_mw=_num(g, "p_max_mw", where, 0.0),
-            fuel=str(g.get("fuel", "other")),
-            h_sec=_opt_float(g, "h_sec", where),
-            xdp_pu=_opt_float(g, "xdp_pu", where),
-            status=bool(g.get("status", True)),
-            synchronous=bool(g.get("synchronous", True)),
-        ))
-    loads = []
-    for i, l in enumerate(c.get("loads", [])):
-        where = f"{path}: loads[{i}]"
-        loads.append(Load(
-            id=str(_req(l, "id", where)),
-            bus_id=_num(l, "bus_id", where, cast=int),
-            p_mw=_num(l, "p_mw", where, 0.0),
-            q_mvar=_num(l, "q_mvar", where, 0.0),
-            ufls_stage=str(l.get("ufls_stage", "none")),
-            ffr=bool(l.get("ffr", False)),
-        ))
-    branches = []
-    for i, br in enumerate(c.get("branches", [])):
-        where = f"{path}: branches[{i}]"
-        branches.append(Branch(
-            from_bus=_num(br, "from_bus", where, cast=int),
-            to_bus=_num(br, "to_bus", where, cast=int),
-            r_pu=_num(br, "r_pu", where),
-            x_pu=_num(br, "x_pu", where),
-            b_pu=_num(br, "b_pu", where, 0.0),
-            tap_ratio=_num(br, "tap_ratio", where, 1.0),
-            status=bool(br.get("status", True)),
-        ))
-
-    case = GridCase(
-        s_base_mva=_num(c, "s_base_mva", at),
-        f_base_hz=_num(c, "f_base_hz", at, 60.0),
-        name=str(c.get("name", path.stem)),
-        buses=tuple(buses),
-        generators=tuple(generators),
-        loads=tuple(loads),
-        branches=tuple(branches),
-    )
+    for key in ("s_base_mva", "buses"):  # required on disk, not in GridCase
+        _req(c, key, at)
+    case = GridCase(**{"name": path.stem, **_fields(GridCase, c, at, path)})
 
     if sidecar is None and sidecar_path_for(path).exists():
         sidecar = sidecar_path_for(path)
@@ -160,39 +192,8 @@ def read_case(path, sidecar=None) -> GridCase:
 
 
 def write_case(case: GridCase, path) -> None:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "case": {
-            "name": case.name,
-            "s_base_mva": case.s_base_mva,
-            "f_base_hz": case.f_base_hz,
-            "buses": [
-                {k: v for k, v in {
-                    "id": b.id, "name": b.name, "nominal_kv": b.nominal_kv,
-                    "kind": b.kind, "v_mag": b.v_mag,
-                    "v_ang_deg": math.degrees(b.v_ang),
-                    "latitude": b.latitude, "longitude": b.longitude,
-                }.items() if v is not None}
-                for b in case.buses],
-            "generators": [
-                {k: v for k, v in {
-                    "id": g.id, "bus_id": g.bus_id, "s_base_mva": g.s_base_mva,
-                    "p_mw": g.p_mw, "q_mvar": g.q_mvar, "p_max_mw": g.p_max_mw,
-                    "fuel": g.fuel, "h_sec": g.h_sec, "xdp_pu": g.xdp_pu,
-                    "status": g.status, "synchronous": g.synchronous,
-                }.items() if v is not None}
-                for g in case.generators],
-            "loads": [
-                {"id": l.id, "bus_id": l.bus_id, "p_mw": l.p_mw,
-                 "q_mvar": l.q_mvar, "ufls_stage": l.ufls_stage, "ffr": l.ffr}
-                for l in case.loads],
-            "branches": [
-                {"from_bus": br.from_bus, "to_bus": br.to_bus, "r_pu": br.r_pu,
-                 "x_pu": br.x_pu, "b_pu": br.b_pu, "tap_ratio": br.tap_ratio,
-                 "status": br.status}
-                for br in case.branches],
-        },
-    }
+    doc = {"schema_version": SCHEMA_VERSION,
+           "case": {"name": case.name, **_doc(case)}}
     Path(path).write_text(json.dumps(doc, indent=1) + "\n")
 
 
@@ -203,66 +204,45 @@ def apply_sidecar(case: GridCase, path) -> GridCase:
     ufls_stage and ffr. Blank cells leave the existing value. Every row must
     reference an existing record.
     """
-    gens = {g.id: g for g in case.generators}
-    loads = {l.id: l for l in case.loads}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "record" not in reader.fieldnames:
-            raise CaseParseError(f"{path}: sidecar needs a header row with "
-                                 f"columns {SIDECAR_COLUMNS}")
-        for ln, row in enumerate(reader, start=2):
-            kind = (row.get("record") or "").strip()
-            rid = (row.get("id") or "").strip()
-            if kind == "generator":
-                if rid not in gens:
-                    raise CaseParseError(
-                        f"{path}:{ln}: sidecar references unknown generator {rid!r}")
-                g = gens[rid]
-                upd = {}
-                for key in ("h_sec", "xdp_pu"):
-                    if (row.get(key) or "").strip():
-                        upd[key] = _number(row[key], f"{path}:{ln}", key)
-                if (row.get("fuel") or "").strip():
-                    if row["fuel"] not in FUELS:
-                        raise CaseParseError(
-                            f"{path}:{ln}: unknown fuel {row['fuel']!r}")
-                    upd["fuel"] = row["fuel"]
-                gens[rid] = replace(g, **upd)
-            elif kind == "load":
-                if rid not in loads:
-                    raise CaseParseError(
-                        f"{path}:{ln}: sidecar references unknown load {rid!r}")
-                l = loads[rid]
-                upd = {}
-                if (row.get("ufls_stage") or "").strip():
-                    if row["ufls_stage"] not in UFLS_STAGES:
-                        raise CaseParseError(
-                            f"{path}:{ln}: unknown ufls_stage {row['ufls_stage']!r}")
-                    upd["ufls_stage"] = row["ufls_stage"]
-                if (row.get("ffr") or "").strip():
-                    upd["ffr"] = row["ffr"].strip().lower() in ("1", "true", "yes")
-                loads[rid] = replace(l, **upd)
-            else:
-                raise CaseParseError(
-                    f"{path}:{ln}: unknown record type {kind!r}")
+    records = {"generator": {g.id: g for g in case.generators},
+               "load": {l.id: l for l in case.loads}}
+    for where, row in _csv_rows(path, ("record", "id")):
+        kind, rid = row["record"].strip(), row["id"].strip()
+        if kind not in records:
+            raise CaseParseError(f"{where}: unknown record type {kind!r}")
+        if rid not in records[kind]:
+            raise CaseParseError(
+                f"{where}: sidecar references unknown {kind} {rid!r}")
+        rec = records[kind][rid]
+        types = {f.name: f.type for f in fields(rec)}
+        upd = {}
+        for key in _SIDECAR_FIELDS[kind]:
+            cell = (row.get(key) or "").strip()
+            if cell:
+                upd[key] = _parse(cell, types[key], where, key)
+                if key in _CHOICES and upd[key] not in _CHOICES[key]:
+                    raise CaseParseError(f"{where}: unknown {key} {cell!r}")
+        records[kind][rid] = replace(rec, **upd)
     return replace(case,
-                   generators=tuple(gens[g.id] for g in case.generators),
-                   loads=tuple(loads[l.id] for l in case.loads))
+                   generators=tuple(records["generator"][g.id] for g in case.generators),
+                   loads=tuple(records["load"][l.id] for l in case.loads))
+
+
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return value if isinstance(value, str) else repr(value)
 
 
 def write_sidecar(case: GridCase, path) -> None:
     """Emit the full dynamics sidecar for a case (diffable synthesis output)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(SIDECAR_COLUMNS)
-        for g in case.generators:
-            w.writerow(["generator", g.id,
-                        "" if g.h_sec is None else repr(g.h_sec),
-                        "" if g.xdp_pu is None else repr(g.xdp_pu),
-                        g.fuel, "", ""])
-        for l in case.loads:
-            w.writerow(["load", l.id, "", "", "", l.ufls_stage,
-                        "true" if l.ffr else "false"])
+    _write_csv(path, SIDECAR_COLUMNS, (
+        [kind, rec.id] + [_cell(getattr(rec, col)) if col in _SIDECAR_FIELDS[kind]
+                          else "" for col in SIDECAR_COLUMNS[2:]]
+        for kind, recs in (("generator", case.generators), ("load", case.loads))
+        for rec in recs))
 
 
 # ---------------------------------------------------------------------------
@@ -271,16 +251,11 @@ def write_sidecar(case: GridCase, path) -> None:
 _CDF_BUS_KIND = {0: "pq", 1: "pq", 2: "pv", 3: "slack"}
 
 
-def _cdf_field(line: str, lo: int, hi: int, ln: int, name: str, cast=float):
-    raw = line[lo:hi].strip()
-    if not raw:
-        return cast(0)
-    try:
-        return cast(raw)
-    except ValueError as exc:
-        raise CaseParseError(
-            f"line {ln}: cannot parse {name} from column {lo + 1}-{hi} "
-            f"({raw!r})") from exc
+def _cdf_field(line: str, lo: int, hi: int, where: str, name: str,
+               kind: str = "float"):
+    """Columns lo+1..hi of a card as a ``kind`` field; blank reads 0."""
+    return _parse(line[lo:hi].strip() or "0", kind,
+                  f"{where}: columns {lo + 1}-{hi}", name)
 
 
 def import_cdf(path) -> GridCase:
@@ -293,10 +268,10 @@ def import_cdf(path) -> GridCase:
     ``s_base_mva`` defaults to the unit's apparent dispatch (at least 1 MVA)
     and ``p_max_mw`` to the dispatched output. A tap of 0 means none (1.0).
     """
-    lines = Path(path).read_text().splitlines()
+    lines = _text(path).splitlines()
     if not lines:
         raise CaseParseError(f"{path}: empty file")
-    s_base = _cdf_field(lines[0], 31, 37, 1, "MVA base") or 100.0
+    s_base = _cdf_field(lines[0], 31, 37, f"{path}:1", "MVA base") or 100.0
 
     buses: list[Bus] = []
     generators: list[Generator] = []
@@ -305,6 +280,7 @@ def import_cdf(path) -> GridCase:
     section = None
     seen_bus = seen_branch = False
     for ln, line in enumerate(lines[1:], start=2):
+        where = f"{path}:{ln}"
         upper = line.upper()
         if upper.startswith("BUS DATA FOLLOWS"):
             section = "bus"
@@ -320,19 +296,19 @@ def import_cdf(path) -> GridCase:
         if section is None or not line.strip():
             continue
         if section == "bus":
-            bus_id = _cdf_field(line, 0, 4, ln, "bus number", int)
-            code = _cdf_field(line, 24, 26, ln, "bus type", int)
+            bus_id = _cdf_field(line, 0, 4, where, "bus number", "int")
+            code = _cdf_field(line, 24, 26, where, "bus type", "int")
             if code not in _CDF_BUS_KIND:
-                raise CaseParseError(f"line {ln}: unknown bus type code {code}")
-            v_mag = _cdf_field(line, 27, 33, ln, "voltage") or 1.0
-            v_ang = math.radians(_cdf_field(line, 33, 40, ln, "angle"))
-            p_load = _cdf_field(line, 40, 49, ln, "load MW")
-            q_load = _cdf_field(line, 49, 59, ln, "load MVAR")
-            p_gen = _cdf_field(line, 59, 67, ln, "gen MW")
-            q_gen = _cdf_field(line, 67, 75, ln, "gen MVAR")
+                raise CaseParseError(f"{where}: unknown bus type code {code}")
+            v_mag = _cdf_field(line, 27, 33, where, "voltage") or 1.0
+            v_ang = math.radians(_cdf_field(line, 33, 40, where, "angle"))
+            p_load = _cdf_field(line, 40, 49, where, "load MW")
+            q_load = _cdf_field(line, 49, 59, where, "load MVAR")
+            p_gen = _cdf_field(line, 59, 67, where, "gen MW")
+            q_gen = _cdf_field(line, 67, 75, where, "gen MVAR")
             buses.append(Bus(
                 id=bus_id, name=line[5:17].strip(),
-                nominal_kv=_cdf_field(line, 76, 83, ln, "base kV") or 1.0,
+                nominal_kv=_cdf_field(line, 76, 83, where, "base kV") or 1.0,
                 kind=_CDF_BUS_KIND[code], v_mag=v_mag, v_ang=v_ang))
             if p_gen < 0:  # rare negative dispatch: fold into the load
                 p_load -= p_gen
@@ -346,13 +322,13 @@ def import_cdf(path) -> GridCase:
                 loads.append(Load(id=f"load{bus_id}", bus_id=bus_id,
                                   p_mw=p_load, q_mvar=q_load))
         elif section == "branch":
-            tap = _cdf_field(line, 76, 82, ln, "tap ratio")
+            tap = _cdf_field(line, 76, 82, where, "tap ratio")
             branches.append(Branch(
-                from_bus=_cdf_field(line, 0, 4, ln, "from bus", int),
-                to_bus=_cdf_field(line, 5, 9, ln, "to bus", int),
-                r_pu=_cdf_field(line, 19, 29, ln, "resistance"),
-                x_pu=_cdf_field(line, 29, 40, ln, "reactance"),
-                b_pu=_cdf_field(line, 40, 50, ln, "charging"),
+                from_bus=_cdf_field(line, 0, 4, where, "from bus", "int"),
+                to_bus=_cdf_field(line, 5, 9, where, "to bus", "int"),
+                r_pu=_cdf_field(line, 19, 29, where, "resistance"),
+                x_pu=_cdf_field(line, 29, 40, where, "reactance"),
+                b_pu=_cdf_field(line, 40, 50, where, "charging"),
                 tap_ratio=tap if tap else 1.0))
     if not seen_bus or not seen_branch:
         raise CaseParseError(
@@ -377,6 +353,13 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _write_csv(path, header, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def write_results(result, path, format: str = "csv",
                   case: GridCase | None = None) -> None:
     """Write an analysis result to disk.
@@ -392,7 +375,9 @@ def write_results(result, path, format: str = "csv",
         if format == "geojson":
             _rocof_geojson(result, path, case)
         else:
-            _rocof_csv(result, path)
+            _write_csv(path, ["bus_id", "rocof_hz_per_s"],
+                       ([bid, _fmt(val)] for bid, val
+                        in zip(result.bus_ids, result.bus_rocof_hz_s)))
     elif isinstance(result, SimResult):
         if format == "geojson":
             raise ValueError("time-series results have no geojson form")
@@ -403,14 +388,6 @@ def write_results(result, path, format: str = "csv",
         write_scenario_table(result, path)
     else:
         raise TypeError(f"cannot write result of type {type(result).__name__}")
-
-
-def _rocof_csv(res: RocofResult, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["bus_id", "rocof_hz_per_s"])
-        for bid, val in zip(res.bus_ids, res.bus_rocof_hz_s):
-            w.writerow([bid, _fmt(val)])
 
 
 def _rocof_geojson(res: RocofResult, path, case: GridCase | None) -> None:
@@ -435,66 +412,51 @@ def _rocof_geojson(res: RocofResult, path, case: GridCase | None) -> None:
 
 
 def _sim_csv(sim: SimResult, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["time_s"]
-                   + [f"freq_hz_bus{b}" for b in sim.bus_ids]
-                   + [f"omega_pu_{g}" for g in sim.machine_ids])
-        for k, t in enumerate(sim.time_s):
-            w.writerow([_fmt(t)] + [_fmt(v) for v in sim.bus_freq_hz[k]]
-                       + [_fmt(v) for v in sim.omega[k]])
+    _write_csv(path,
+               ["time_s"] + [f"freq_hz_bus{b}" for b in sim.bus_ids]
+               + [f"omega_pu_{g}" for g in sim.machine_ids],
+               ([_fmt(t)] + [_fmt(v) for v in sim.bus_freq_hz[k]]
+                + [_fmt(v) for v in sim.omega[k]]
+                for k, t in enumerate(sim.time_s)))
 
 
 def write_events(events: list[TripEvent], path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["time_s", "kind", "stage", "load_id", "bus_id", "frequency_hz"])
-        for e in events:
-            w.writerow([_fmt(e.time_s), e.kind, e.stage or "", e.load_id,
-                        e.bus_id, _fmt(e.frequency_hz)])
+    _write_csv(path, ["time_s", "kind", "stage", "load_id", "bus_id", "frequency_hz"],
+               ([_fmt(e.time_s), e.kind, e.stage or "", e.load_id, e.bus_id,
+                 _fmt(e.frequency_hz)] for e in events))
 
 
 def write_scenario_table(records: list[ScenarioRecord], path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(SCENARIO_COLUMNS)
-        for r in records:
-            w.writerow(r.row())
+    _write_csv(path, SCENARIO_COLUMNS, (r.row() for r in records))
 
 
 def _csv_rows(path, columns) -> list[tuple[str, dict]]:
     """("<path>:<line>", row) for each row of a CSV table whose header names
     every column and whose rows have a field for each of them."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+    reader = csv.DictReader(io.StringIO(_text(path), newline=""))
+    out = []
+    try:
         missing = [c for c in columns if c not in (reader.fieldnames or ())]
         if missing:
             raise CaseParseError(f"{path}:1: missing column {missing[0]!r}")
-        out = []
         for row in reader:
             where = f"{path}:{reader.line_num}"
             short = [c for c in columns if row[c] is None]
             if short:
                 raise CaseParseError(f"{where}: missing field {short[0]!r}")
             out.append((where, row))
+    except csv.Error as exc:
+        raise CaseParseError(f"{path}:{reader.line_num}: {exc}") from exc
     return out
-
-
-def _number(raw, where: str, key: str, cast=float):
-    try:
-        return cast(raw)
-    except (TypeError, ValueError) as exc:
-        raise CaseParseError(
-            f"{where}: field {key!r} is not a number: {raw!r}") from exc
 
 
 def read_scenario_table(path) -> list[ScenarioRecord]:
     """Read a scenario table; raises CaseParseError naming the file, line
-    and field of a missing column or field or of a malformed number."""
+    and field of a missing column or field or of a malformed value."""
     out = []
     for where, row in _csv_rows(path, SCENARIO_COLUMNS):
-        def num(key, cast=float, blank=math.nan):
-            return _number(row[key], where, key, cast) if row[key] else blank
+        def num(key, kind="float", blank=math.nan):
+            return _parse(row[key], kind, where, key) if row[key] else blank
         out.append(ScenarioRecord(
             loading_id=row["loading_id"],
             contingency_id=row["contingency_id"],
@@ -504,8 +466,8 @@ def read_scenario_table(path) -> list[ScenarioRecord]:
             bus_rocof_min=num("bus_rocof_min"),
             bus_rocof_mean=num("bus_rocof_mean"),
             bus_rocof_max=num("bus_rocof_max"),
-            worst_bus=num("worst_bus", int, None),
-            concern_flag=row["concern_flag"] == "1",
+            worst_bus=num("worst_bus", "int", None),
+            concern_flag=_parse(row["concern_flag"], "bool", where, "concern_flag"),
             status=row["status"]))
     return out
 
@@ -514,12 +476,9 @@ def read_scenario_table(path) -> list[ScenarioRecord]:
 # contingency / loading banks
 
 def write_contingencies(contingencies: list[Contingency], path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(CONTINGENCY_COLUMNS)
-        for c in contingencies:
-            w.writerow([c.id, ";".join(sorted(c.outaged_generator_ids)),
-                        _fmt(c.total_mw_lost)])
+    _write_csv(path, CONTINGENCY_COLUMNS,
+               ([c.id, ";".join(sorted(c.outaged_generator_ids)),
+                 _fmt(c.total_mw_lost)] for c in contingencies))
 
 
 def read_contingencies(path) -> list[Contingency]:
@@ -528,7 +487,7 @@ def read_contingencies(path) -> list[Contingency]:
     return [Contingency(
         row["id"],
         frozenset(x for x in row["outaged_generator_ids"].split(";") if x),
-        _number(row["mw_lost"], where, "mw_lost") if row["mw_lost"] else None)
+        _parse(row["mw_lost"] or None, "float | None", where, "mw_lost"))
         for where, row in _csv_rows(path, CONTINGENCY_COLUMNS)]
 
 
@@ -548,21 +507,13 @@ def write_loading_cases(cases: list[LoadingCase], path) -> None:
 def read_loading_cases(path) -> list[LoadingCase]:
     """Read a loading-case bank; raises CaseParseError naming the file,
     entry and field of a missing key or malformed value, or the place of
-    invalid JSON."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise CaseParseError(f"{path}: invalid JSON: {exc}") from exc
+    invalid JSON or text that is not UTF-8."""
+    doc = _json(path)
     if not isinstance(doc, list):
         raise CaseParseError(f"{path}: expected a list of loading cases")
     out = []
     for i, d in enumerate(doc):
         where = f"{path}: entry {i}"
-        if not isinstance(d, dict):
-            raise CaseParseError(f"{where}: expected an object")
-
-        def num(key):
-            return _number(_req(d, key, where), where, key)
         dispatch, committed = _req(d, "dispatch", where), _req(d, "committed", where)
         if not isinstance(dispatch, dict):
             raise CaseParseError(
@@ -572,21 +523,15 @@ def read_loading_cases(path) -> list[LoadingCase]:
             raise CaseParseError(
                 f"{where}: field 'committed' must list generator ids")
         out.append(LoadingCase(
-            id=_req(d, "id", where),
-            target_load_mw=num("target_load_mw"),
-            target_wind_mw=num("target_wind_mw"),
-            dispatch={k: _number(v, where, f"dispatch[{k}]")
+            **{f.name: _parse(_req(d, f.name, where), f.type, where, f.name)
+               for f in fields(LoadingCase) if f.type in _EXPECTED},
+            dispatch={k: _parse(v, "float", where, f"dispatch[{k}]")
                       for k, v in dispatch.items()},
-            committed=frozenset(committed),
-            online_inertia_gws=num("online_inertia_gws"),
-            wind_fraction=num("wind_fraction"),
-        ))
+            committed=frozenset(committed)))
     return out
 
 
 def write_powerflow_csv(sol: PowerFlowSolution, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["bus_id", "v_mag_pu", "v_ang_deg"])
-        for bid, vm, va in zip(sol.bus_ids, sol.v_mag, sol.v_ang):
-            w.writerow([bid, _fmt(vm), _fmt(math.degrees(va))])
+    _write_csv(path, ["bus_id", "v_mag_pu", "v_ang_deg"],
+               ([bid, _fmt(vm), _fmt(math.degrees(va))]
+                for bid, vm, va in zip(sol.bus_ids, sol.v_mag, sol.v_ang)))

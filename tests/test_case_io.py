@@ -1,18 +1,22 @@
 import dataclasses
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rocofscreen import (CaseValidationError, read_case, solve_powerflow,
                          write_case)
+from rocofscreen import case_io
 from rocofscreen.case_io import (CaseParseError, apply_sidecar, import_cdf,
                                  read_contingencies, read_loading_cases,
                                  read_scenario_table, write_contingencies,
                                  write_events, write_loading_cases,
                                  write_results, write_scenario_table,
                                  write_sidecar)
+from rocofscreen.case_model import Branch, Bus, Generator, Load
 from rocofscreen.rocof import Contingency, RocofResult
 from rocofscreen.scenarios import LoadingCase, ScenarioRecord
 from rocofscreen.swingsim import SimResult, TripEvent
@@ -65,6 +69,74 @@ def test_invalid_json_reports_location(tmp_path):
     p.write_text('{"schema_version": "1.0",')
     with pytest.raises(CaseParseError, match="line"):
         read_case(p)
+
+
+def test_case_records_use_only_parsed_annotations():
+    for cls in (Bus, Generator, Load, Branch):
+        for f in dataclasses.fields(cls):
+            assert f.type in case_io._EXPECTED, (cls.__name__, f.name, f.type)
+
+
+def test_absent_fields_take_the_record_defaults(tmp_path):
+    doc = {"schema_version": "1.0", "case": {
+        "s_base_mva": 100.0,
+        "buses": [{"id": 1, "kind": "slack"}, {"id": 2}],
+        "generators": [{"id": "g", "bus_id": 1, "s_base_mva": 50}],
+        "loads": [{"id": "l", "bus_id": 2}],
+        "branches": [{"from_bus": 1, "to_bus": 2, "r_pu": 0, "x_pu": 0.1}]}}
+    p = tmp_path / "minimal.json"
+    p.write_text(json.dumps(doc))
+    case = read_case(p)
+    assert case.name == "minimal" and case.f_base_hz == 60.0
+    assert case.buses == (Bus(1, kind="slack"), Bus(2))
+    assert case.generators == (Generator("g", 1, 50.0),)
+    assert case.loads == (Load("l", 2),)
+    assert case.branches == (Branch(1, 2, 0.0, 0.1),)
+
+
+@pytest.mark.parametrize("word, status", [
+    ("false", False), ("False", False), ("no", False), ("0", False),
+    (False, False), ("TRUE", True), ("yes", True), ("1", True), (True, True)])
+def test_bool_fields_read_the_sidecar_words(case9, tmp_path, word, status):
+    p = tmp_path / "case.json"
+    write_case(case9, p)
+    doc = json.loads(p.read_text())
+    doc["case"]["generators"][2]["status"] = word
+    p.write_text(json.dumps(doc))
+    assert read_case(p).generator("gen3").status is status
+
+
+def _reader_texts(case9):
+    """A valid input of each reader, keyed by the reader."""
+    row = ScenarioRecord("lc0", "c1", 85.0, 1.0, -1.0, worst_bus=5)
+    return {
+        read_case: (Path(case_io.__file__).parent / "data/wscc9.json").read_text(),
+        read_loading_cases: "[]",
+        read_contingencies: "id,outaged_generator_ids,mw_lost\nc1,gen3,85\n",
+        read_scenario_table: ",".join(case_io.SCENARIO_COLUMNS) + "\n"
+        + ",".join(row.row()) + "\n",
+        import_cdf: CDF_SAMPLE,
+        (lambda path: apply_sidecar(case9, path)):
+        "record,id,h_sec,xdp_pu,fuel,ufls_stage,ffr\ngenerator,gen1,3.0,,,,\n",
+    }
+
+
+def test_text_that_is_not_utf8_names_the_file(case9, tmp_path):
+    for k, (reader, text) in enumerate(_reader_texts(case9).items()):
+        p = tmp_path / f"file{k}"
+        p.write_text(text)
+        reader(p)  # the valid text reads
+        p.write_bytes(text.encode()[:-2] + b"\xff\n")
+        with pytest.raises(CaseParseError, match=re.escape(f"{p}: not UTF-8 text")):
+            reader(p)
+
+
+def test_json_too_deep_or_long_to_read_names_the_file(tmp_path):
+    for k, text in enumerate(["[" * 100000 + "]" * 100000, "[" + "9" * 5000 + "]"]):
+        p = tmp_path / f"bank{k}.json"
+        p.write_text(text)
+        with pytest.raises(CaseParseError, match=re.escape(f"{p}: invalid JSON")):
+            read_loading_cases(p)
 
 
 def test_validation_aborts_read(case9, tmp_path):
@@ -168,6 +240,16 @@ def test_cdf_unknown_bus_type(tmp_path):
     p.write_text(bad)
     with pytest.raises(CaseParseError, match="bus type"):
         import_cdf(p)
+
+
+def test_cdf_bad_column_names_file_line_and_columns(tmp_path):
+    bad = CDF_SAMPLE.replace("1.0450", "1.0x50")
+    p = tmp_path / "bad.cdf"
+    p.write_text(bad)
+    with pytest.raises(CaseParseError) as exc:
+        import_cdf(p)
+    assert str(exc.value) == (f"{p}:4: columns 28-33: field 'voltage' "
+                              "is not a number: '1.0x50'")
 
 
 def test_cdf_missing_section(tmp_path):

@@ -211,6 +211,17 @@ def case9_text(section=None, i=0, **fields):
     return json.dumps(doc)
 
 
+def case9_set(value, *keys):
+    """The bundled 9-bus case as JSON text with the value at
+    ``doc["case"][keys[0]][keys[1]]...`` replaced by ``value``."""
+    doc = json.loads(CASE9.read_text())
+    target = doc["case"]
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("name, text, place", [
     ("contingencies.csv", "id,outaged_generator_ids\nc1,gen3\n",
      ":1: missing column 'mw_lost'"),
@@ -247,6 +258,26 @@ def case9_text(section=None, i=0, **fields):
                  "generator,gen1,3.0,,,,\ngenerator,gen2,,0.2x,,,\n",
                  ":3: field 'xdp_pu' is not a number: '0.2x'",
                  id="sidecar-xdp_pu"),
+    pytest.param("case.json", case9_text("generators", 2, status="maybe"),
+                 ": generators[2]: field 'status' is not a boolean: 'maybe'",
+                 id="case-generator-status"),
+    pytest.param("case.json", case9_text("buses", 3, id=4.7),
+                 ": buses[3]: field 'id' is not an integer: 4.7",
+                 id="case-bus-id-fraction"),
+    pytest.param("case.json", case9_text("loads", 1, p_mw=True),
+                 ": loads[1]: field 'p_mw' is not a number: True",
+                 id="case-load-p_mw-bool"),
+    pytest.param("case.json", case9_set(5, "buses", 0),
+                 ": buses[0]: not an object: 5",
+                 id="case-bus-record"),
+    pytest.param("case.json", case9_set(None, "generators"),
+                 ": case: field 'generators' is not a list: None",
+                 id="case-generators-list"),
+    pytest.param("case.dyn.csv",
+                 "record,id,h_sec,xdp_pu,fuel,ufls_stage,ffr\n"
+                 "load,load5,,,,,ture\n",
+                 ":2: field 'ffr' is not a boolean: 'ture'",
+                 id="sidecar-ffr"),
 ])
 def test_malformed_bank_file_names_the_place(tmp_path, capsys, name, text, place):
     # every input file of scenarios-run: the bank, the case and the
@@ -264,6 +295,29 @@ def test_malformed_bank_file_names_the_place(tmp_path, capsys, name, text, place
     assert code == 1
     assert str(bad) in err
     assert place.format(path=bad) in err
+
+
+def test_unreadable_text_names_the_file(tmp_path, capsys):
+    bad = tmp_path / "case.json"
+    bad.write_bytes(CASE9.read_bytes().replace(b'"wscc9"', b'"wscc\xff"'))
+    code, _, err = run(["validate", "--case", str(bad)], capsys)
+    assert code == 1
+    assert f"{bad}: not UTF-8 text" in err
+
+
+def test_loading_case_ids_read_as_text(tmp_path, capsys):
+    # a numeric id next to a text one once reached run_bank's sort
+    bank = tmp_path / "bank"
+    bank.mkdir()
+    (bank / "contingencies.csv").write_text(GOOD_CONTINGENCIES)
+    (bank / "loading_cases.json").write_text(
+        json.dumps([dict(GOOD_LOADING, id=5), GOOD_LOADING]))
+    out = tmp_path / "out.csv"
+    code, _, _ = run(["scenarios-run", "--case", str(CASE9), "--bank", str(bank),
+                      "--out", str(out)], capsys)
+    assert code == 0
+    ids = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
+    assert sorted(ids) == ["5", "lc0"]
 
 
 @pytest.mark.parametrize("row, place", [
