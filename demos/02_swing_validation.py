@@ -29,7 +29,7 @@ ctg = Contingency.of("gen3-trip", ["gen3"])
 
 res = locational_rocof(model, states, ctg)
 
-opts = SimOptions(t_end=2.0, dt=1 / 200, enable_ufls=False, enable_ffr=False)
+opts = SimOptions(t_end=2.0, dt=1 / 200, shedding=False)
 sim = simulate(model, states.copy(), ctg, opts)
 fd = finite_difference_rocof(sim)
 
@@ -39,8 +39,8 @@ for k, bid in enumerate(res.bus_ids):
     print(f"{bid:3d}  {res.bus_rocof_hz_s[k]:+.4f}   {fd[k]:+.4f}    "
           f"{err:+.4f} Hz/s")
 
-k1 = int(round(opts.t_event / opts.dt))
-k2 = int(round((opts.t_event + 0.1) / opts.dt))
+k1 = int(round(sim.t_event / opts.dt))
+k2 = int(round((sim.t_event + 0.1) / opts.dt))
 w = 2 * model.h_sec * model.s_mach
 act = ~np.isnan(sim.omega[k2])
 coi = (sim.omega[[k1, k2]][:, act] @ w[act]) / w[act].sum()

@@ -18,7 +18,7 @@ from .powerflow import (PowerFlowDivergence, PowerFlowError,
                         accept_solved_voltages, solve_powerflow)
 from .netdyn import (MachineStates, ModelBuildError, NetworkModel,
                      augment_dynamic, build_ybus, electrical_torque,
-                     init_machines)
+                     init_machines, norton_currents)
 from .rocof import (Contingency, RocofBatch, RocofResult, SingularOutageError,
                     ZeroInertiaError, angle_second_derivative,
                     injection_derivatives, locational_rocof,

@@ -185,12 +185,16 @@ def validate_case(case: GridCase) -> list[Violation]:
         out.append(Violation("case", case.name or "-", "f_base_positive",
                              f"f_base_hz must be > 0, got {case.f_base_hz}"))
 
-    seen: set[int] = set()
+    for kind, records in (("bus", case.buses), ("generator", case.generators),
+                          ("load", case.loads)):
+        seen: set = set()
+        for r in records:
+            if r.id in seen:
+                out.append(Violation(kind, str(r.id), "unique_id",
+                                     f"duplicate {kind} id {r.id!r}"))
+            seen.add(r.id)
+
     for b in case.buses:
-        if b.id in seen:
-            out.append(Violation("bus", str(b.id), "unique_id",
-                                 f"duplicate bus id {b.id}"))
-        seen.add(b.id)
         if b.kind not in BUS_KINDS:
             out.append(Violation("bus", str(b.id), "kind",
                                  f"unknown bus kind {b.kind!r}"))
@@ -247,9 +251,10 @@ def validate_case(case: GridCase) -> list[Violation]:
         out.append(Violation("case", case.name or "-", "synchronous_fleet",
                              "no in-service synchronous generator"))
 
-    # one slack per island (only meaningful when every endpoint resolves)
-    if case.buses and not any(v.rule == "bus_exists" for v in out) \
-            and not any(v.rule == "unique_id" for v in out):
+    # one slack per island (only meaningful when every endpoint resolves to
+    # one bus)
+    if case.buses and not any(v.rule == "bus_exists" or
+                              (v.kind, v.rule) == ("bus", "unique_id") for v in out):
         labels = island_labels(case)
         n_isl = labels.max() + 1 if len(labels) else 0
         slack_count = np.zeros(n_isl, dtype=int)

@@ -20,14 +20,14 @@ from pathlib import Path
 import numpy as np
 
 from . import case_io
-from .case_model import CaseValidationError, total_inertia_gws, validate_case
+from .case_model import CaseValidationError, validate_case
 from .netdyn import augment_dynamic, init_machines
 from .powerflow import PowerFlowError, solve_powerflow
 from .rocof import (Contingency, SingularOutageError, ZeroInertiaError,
                     locational_rocof, system_rocof)
 from .scenarios import (InfeasibleDispatch, generate_contingencies,
                         generate_loading_cases, run_bank)
-from .swingsim import SimOptions, SimulationBlowup, simulate
+from .swingsim import EVENT_TIME_S, SimOptions, SimulationBlowup, simulate
 from .synthdyn import assign_plant_correlated, assign_ufls, validate_synthesis
 
 log = logging.getLogger(__name__)
@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="classical swing simulation")
     _add_case_args(p)
     p.add_argument("--outage", default="",
-                   help="comma-separated generator ids to trip at t = 0.1 s")
+                   help=f"comma-separated generator ids to trip at t = {EVENT_TIME_S:g} s")
     p.add_argument("--t-end", type=float, default=10.0,
                    help="horizon, seconds (default 10)")
     p.add_argument("--dt", type=float, default=1.0 / 240.0,
@@ -228,7 +228,6 @@ def cmd_synth(args) -> int:
     case_io.write_sidecar(case, args.out)
     report = validate_synthesis(case)
     print(report)
-    print(f"total inertia: {total_inertia_gws(case):.3f} GW-s")
     print(f"wrote {args.out}")
     return 0
 

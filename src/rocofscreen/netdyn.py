@@ -11,6 +11,11 @@ and solves are counted so screening cost claims can be asserted.
 Machine-base to system-base conversion happens exactly once, here:
     x_sys = x_mach * s_base_sys / s_base_mach      (impedance)
     t_mach = p_sys * s_base_sys / s_base_mach      (torque/power)
+
+The machine-network interface is defined once, here: ``norton_currents``
+(E'/x'd) /_ (delta - pi/2), the machine-to-bus sum ``NetworkModel.to_buses``
+and ``electrical_torque``. Their users are ``init_machines``, the screen
+(``rocof._screen``) and the simulator (``swingsim.simulate``).
 """
 
 from __future__ import annotations
@@ -187,20 +192,17 @@ class MachineStates:
 
     e_prime and delta define the internal EMF E' /_ delta; t_m is mechanical
     torque on the machine base; omega is per-unit speed deviation (zero at
-    initialization); i_inj is the Norton injection (E'/x'd) /_ (delta - pi/2)
-    on the system base at the initial angle.
+    initialization).
     """
 
-    ids: list[str]
     e_prime: np.ndarray
     delta: np.ndarray
     t_m: np.ndarray
     omega: np.ndarray
-    i_inj: np.ndarray
 
     def copy(self) -> "MachineStates":
-        return MachineStates(list(self.ids), self.e_prime.copy(), self.delta.copy(),
-                             self.t_m.copy(), self.omega.copy(), self.i_inj.copy())
+        return MachineStates(self.e_prime.copy(), self.delta.copy(),
+                             self.t_m.copy(), self.omega.copy())
 
 
 def solved_generator_powers(case: GridCase, ybus: sp.csc_matrix,
@@ -320,16 +322,16 @@ def augment_dynamic(ybus: sp.csc_matrix, case: GridCase,
 
 def init_machines(model: NetworkModel, case: GridCase,
                   solution: PowerFlowSolution) -> MachineStates:
-    """Initialize E', delta, Norton injections, and steady-state torques.
+    """Initialize E', delta and steady-state torques.
 
     For each machine, with S its solved output stored on the model by
     augment_dynamic: stator current I_t = conj(S)/conj(V); internal EMF
-    E' /_ delta = V + j x'd I_t; Norton injection (E'/x'd) /_ (delta - pi/2).
-    Mechanical torque is set equal to electrical torque at the re-solved
-    network voltages, so the initial state is an exact equilibrium of the
-    algebraic model. A reconstruction check asserts the network solve
-    reproduces the power-flow voltages (islands without any machine excluded;
-    they carry no dynamic source and solve to zero).
+    E' /_ delta = V + j x'd I_t. Mechanical torque is set equal to
+    electrical torque at the network voltages re-solved from the Norton
+    currents, so the initial state is an exact equilibrium of the algebraic
+    model. A reconstruction check asserts the network solve reproduces the
+    power-flow voltages (islands without any machine excluded; they carry no
+    dynamic source and solve to zero).
     """
     if case != model.case:
         raise ModelBuildError("model was built from a different case")
@@ -341,9 +343,9 @@ def init_machines(model: NetworkModel, case: GridCase,
     if (e_prime <= 0).any():
         bad = [model.machine_ids[k] for k in np.flatnonzero(e_prime <= 0)]
         raise ModelBuildError(f"zero internal EMF for machines {bad}")
-    i_inj = (e_prime / model.xdp_sys) * np.exp(1j * (delta - np.pi / 2))
+    currents = norton_currents(e_prime / model.xdp_sys, delta)
 
-    v_chk = model.factorize().solve(model.to_buses(i_inj))
+    v_chk = model.factorize().solve(model.to_buses(currents))
     live = ~model.dead_island_mask()
     resid = float(np.max(np.abs(v_chk - solution.v)[live])) if live.any() else 0.0
     if resid > 1e-8:
@@ -351,43 +353,31 @@ def init_machines(model: NetworkModel, case: GridCase,
             f"machine initialization is inconsistent with the power flow "
             f"(max |dV| = {resid:.3e} > 1e-8)")
 
-    states = MachineStates(
-        ids=list(model.machine_ids),
-        e_prime=e_prime,
-        delta=delta,
-        t_m=np.zeros_like(e_prime),
-        omega=np.zeros_like(e_prime),
-        i_inj=i_inj,
-    )
     # equilibrium torque from the same solve path used during analysis
-    states.t_m = electrical_torque(model, states, v_chk)
-    return states
+    return MachineStates(e_prime=e_prime, delta=delta,
+                         t_m=electrical_torque(model, currents, v_chk),
+                         omega=np.zeros_like(e_prime))
 
 
-def norton_injections(model: NetworkModel, states: MachineStates,
-                      active: np.ndarray | None = None) -> np.ndarray:
-    """Bus vector of Norton current injections at the machines' present
-    angles; m rows of active flags give m rows of injections."""
-    i_mach = (states.e_prime / model.xdp_sys) * np.exp(1j * (states.delta - np.pi / 2))
-    if active is not None:
-        i_mach = np.where(active, i_mach, 0.0)
-    return model.to_buses(i_mach)
+def norton_currents(e_over_x: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Per-machine Norton currents (E'/x'd) /_ (delta - pi/2), system base,
+    from the magnitudes E'/x'd and the rotor angles."""
+    return e_over_x * np.exp(1j * (delta - np.pi / 2))
 
 
-def electrical_torque(model: NetworkModel, states: MachineStates,
+def electrical_torque(model: NetworkModel, currents: np.ndarray,
                       voltages: np.ndarray,
                       active: np.ndarray | None = None) -> np.ndarray:
     """Per-machine electrical torque, machine base, classical assumption.
 
     T_e equals the active power delivered at the terminal: Re[V conj(I_s)]
-    with stator current I_s = I_norton - y_norton V. In the lossless
+    with stator current I_s = I_norton - y_norton V, where ``currents`` are
+    the machines' Norton currents (norton_currents). In the lossless
     classical model this coincides with air-gap power. Inactive machines get
     zero. m rows of voltages (and of active flags) give m rows of torques.
     """
     vb = voltages.T[model.machine_bus].T
-    i_norton = (states.e_prime / model.xdp_sys) * np.exp(1j * (states.delta - np.pi / 2))
-    i_s = i_norton - model.norton_y * vb
-    te = (vb * np.conj(i_s)).real * model.s_base / model.s_mach
+    te = (vb * np.conj(currents - model.norton_y * vb)).real * model.s_base / model.s_mach
     if active is not None:
         te = np.where(active, te, 0.0)
     return te

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .case_model import GridCase
-from .netdyn import MachineStates, NetworkModel, electrical_torque, norton_injections
+from .netdyn import MachineStates, NetworkModel, electrical_torque, norton_currents
 
 log = logging.getLogger(__name__)
 
@@ -148,16 +148,18 @@ def angle_second_derivative(v, v_ddot):
     return float(out) if out.ndim == 0 else out
 
 
-def injection_derivatives(states: MachineStates, omega_dot: np.ndarray) -> np.ndarray:
-    """Second time derivative of each machine's Norton injection in the
-    instant after a disturbance.
+def injection_derivatives(currents: np.ndarray, delta: np.ndarray,
+                          omega_dot: np.ndarray) -> np.ndarray:
+    """Second time derivative of each machine's Norton current in the
+    instant after a disturbance, from the currents (netdyn.norton_currents)
+    at the rotor angles delta.
 
     In general Idd = (dI/d delta) wdot + omega^2 (d2I/d delta2), with
     dI/d delta = (E'/x'd) /_ delta. The screen is taken at zero speed
     deviation, omega = 0, which leaves only the first term. E'/x'd is the
-    Norton injection magnitude.
+    Norton current's magnitude.
     """
-    return np.abs(states.i_inj) * np.exp(1j * states.delta) * np.asarray(omega_dot)
+    return np.abs(currents) * np.exp(1j * delta) * np.asarray(omega_dot)
 
 
 def locational_rocof(model: NetworkModel, states: MachineStates,
@@ -275,9 +277,11 @@ def _screen(model: NetworkModel, states: MachineStates,
     d_of[row, slot] = d_bus[row, bus]
     z_of = np.searchsorted(union, bus_of)
 
-    # rows of rhs are the right-hand sides [I_1 ... I_m | e_U]
+    # rows of rhs are the right-hand sides [I_1 ... I_m | e_U]; the currents
+    # at the initial angles also give the torque and their derivatives
+    currents = norton_currents(states.e_prime / model.xdp_sys, states.delta)
     rhs = np.zeros((m + union.size, n), dtype=complex)
-    rhs[:m] = norton_injections(model, states, active)
+    rhs[:m] = model.to_buses(np.where(active, currents, 0.0))
     rhs[m + np.arange(union.size), union] = 1.0
     lu = model.factorize()
     x = lu.solve(rhs.T).T                                    # solve 1
@@ -319,11 +323,12 @@ def _screen(model: NetworkModel, states: MachineStates,
 
     v_post = outage_solution(x[:m])
 
-    accel = (states.t_m - electrical_torque(model, states, v_post, active)) / (
+    accel = (states.t_m - electrical_torque(model, currents, v_post, active)) / (
         2.0 * model.h_sec)
     wdot = np.where(active, accel, np.nan)
     # an outaged machine has zero acceleration here, so no injection
-    idd = model.to_buses(injection_derivatives(states, np.where(active, accel, 0.0)))
+    idd = model.to_buses(injection_derivatives(currents, states.delta,
+                                               np.where(active, accel, 0.0)))
     v_ddot = outage_solution(lu.solve(idd.reshape(m, n).T).T)   # solve 2
 
     ok = np.abs(v_post) > 1e-9

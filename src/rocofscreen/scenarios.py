@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .case_model import GridCase
+from .case_model import GridCase, total_inertia_gws
 from .netdyn import augment_dynamic, init_machines
 from .powerflow import solve_powerflow
 from .rocof import Contingency, locational_rocof_batch
@@ -51,7 +51,7 @@ MIN_CONTINGENCY_MW = 800.0
 DESIGN_CONTINGENCY_MW = 2750.0
 MULTI_SITE_FRACTION = 0.10
 FD_WINDOW_S = 0.02
-SIMULATE_MODE_OPTS = SimOptions(t_end=0.25, enable_ufls=False, enable_ffr=False)
+SIMULATE_MODE_OPTS = SimOptions(t_end=0.25, shedding=False)
 # buses within this relative distance of a column's minimum ROCOF tie for
 # worst bus (see _column_stats)
 WORST_BUS_RTOL = 1e-12
@@ -185,8 +185,7 @@ def loading_case_from(case: GridCase, dispatched: GridCase, lc_id: str,
                       target_load_mw: float, target_wind_mw: float) -> LoadingCase:
     disp = {g.id: g.p_mw for g in dispatched.generators if g.status}
     committed = frozenset(disp)
-    inertia = sum(g.h_sec * g.s_base_mva for g in dispatched.generators
-                  if g.status and g.synchronous and g.h_sec is not None) / 1000.0
+    inertia = total_inertia_gws(dispatched)
     sync_mw = sum(g.p_mw for g in dispatched.generators
                   if g.status and g.synchronous)
     total = sync_mw + target_wind_mw

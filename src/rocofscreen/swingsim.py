@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netdyn import MachineStates, NetworkModel
+from .netdyn import MachineStates, NetworkModel, electrical_torque, norton_currents
 from .rocof import Contingency
 
 log = logging.getLogger(__name__)
@@ -33,6 +33,7 @@ FFR_THRESHOLD_HZ = 59.7
 FFR_HOLD_CYCLES = 25.0
 FREQUENCY_FILTER_TC_S = 0.04    # washout time constant of bus frequency
 ABORT_OMEGA_PU = 0.2            # |speed deviation| that aborts a run
+EVENT_TIME_S = 0.1              # contingency application time
 
 
 class SimulationBlowup(RuntimeError):
@@ -48,9 +49,7 @@ class SimOptions:
     t_end: float = 10.0
     dt: float = 1.0 / 240.0
     damping_d: float = 0.0              # pu torque per pu speed deviation
-    t_event: float = 0.1                # contingency application time
-    enable_ufls: bool = True
-    enable_ffr: bool = True
+    shedding: bool = True               # UFLS and FFR monitors trip loads
 
     def __post_init__(self):
         if self.dt <= 0 or self.t_end < self.dt:
@@ -190,7 +189,7 @@ def _replay(sim: SimResult, loads, ufls: bool, ffr: bool) -> list[TripEvent]:
 def simulate(model: NetworkModel, states: MachineStates,
              contingency: Contingency, opts: SimOptions = SimOptions()) -> SimResult:
     """Integrate the swing equations with the contingency applied at
-    opts.t_event. Returns full traces plus UFLS/FFR events; raises
+    EVENT_TIME_S. Returns full traces plus UFLS/FFR events; raises
     SimulationBlowup when any machine speed deviation passes
     ABORT_OMEGA_PU.
     """
@@ -204,7 +203,7 @@ def simulate(model: NetworkModel, states: MachineStates,
     active = np.ones(nm, dtype=bool)
     out_pos = (model.machine_positions(contingency.outaged_generator_ids)
                if contingency.outaged_generator_ids else np.array([], dtype=np.int64))
-    k_event = int(round(opts.t_event / opts.dt))
+    k_event = int(round(EVENT_TIME_S / opts.dt))
 
     # cumulative diagonal adjustment: machine removal at the event plus any
     # load shunts shed along the way; refactorized only when it changes
@@ -221,7 +220,7 @@ def simulate(model: NetworkModel, states: MachineStates,
     load_pos = {lid: i for i, lid in enumerate(model.load_ids)}
     bus_pos = {b: i for i, b in enumerate(model.bus_ids)}
     monitors = _ShedMonitors(case.loads, bus_pos, opts.dt,
-                             ufls=opts.enable_ufls, ffr=opts.enable_ffr)
+                             ufls=opts.shedding, ffr=opts.shedding)
 
     delta = states.delta.copy()
     omega = states.omega.copy()
@@ -230,13 +229,9 @@ def simulate(model: NetworkModel, states: MachineStates,
     t_m = states.t_m.copy()
 
     def derivs(dlt, omg):
-        i_mach = np.where(active, e_over_x * np.exp(1j * (dlt - np.pi / 2)), 0.0)
-        rhs = np.zeros(nb, dtype=complex)
-        np.add.at(rhs, model.machine_bus, i_mach)
-        v = lu.solve(rhs)
-        vb = v[model.machine_bus]
-        i_s = i_mach - model.norton_y * vb
-        te = (vb * np.conj(i_s)).real * model.s_base / model.s_mach
+        currents = norton_currents(e_over_x, dlt)      # zero once outaged
+        v = lu.solve(model.to_buses(currents))
+        te = electrical_torque(model, currents, v)      # inactive rows unused
         d_delta = np.where(active, omega_s * omg, 0.0)
         d_omega = np.where(
             active, (t_m - te - opts.damping_d * omg) * inv_2h, 0.0)
@@ -254,6 +249,7 @@ def simulate(model: NetworkModel, states: MachineStates,
         t = float(time_s[k])
         if k == k_event and out_pos.size:
             active[out_pos] = False
+            e_over_x[out_pos] = 0.0
             for p in out_pos:
                 diag_bus.append(int(model.machine_bus[p]))
                 diag_val.append(-model.norton_y[p])
@@ -304,6 +300,6 @@ def simulate(model: NetworkModel, states: MachineStates,
         bus_freq_hz=tr_freq,
         events=sorted(events, key=lambda e: (e.time_s, e.load_id)),
         contingency_id=contingency.id,
-        t_event=opts.t_event if out_pos.size else 0.0,
+        t_event=EVENT_TIME_S if out_pos.size else 0.0,
         f_base=model.f_base,
     )

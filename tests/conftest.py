@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rocofscreen import (GridCase, augment_dynamic, build_ybus, init_machines,
-                         load_case9, solve_powerflow)
+                         load_case9, norton_currents, solve_powerflow)
 from rocofscreen.case_model import Branch, Bus, Generator, Load
 
 
@@ -19,6 +19,11 @@ def solved9(case9):
     model = augment_dynamic(build_ybus(case9), case9, sol)
     states = init_machines(model, case9, sol)
     return case9, sol, model, states
+
+
+def currents(model, states):
+    """The machines' Norton currents at their present angles."""
+    return norton_currents(states.e_prime / model.xdp_sys, states.delta)
 
 
 def make_fleet_case(seed: int = 1) -> GridCase:

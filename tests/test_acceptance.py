@@ -58,16 +58,15 @@ def test_criterion_2_oracle_agreement(solved9, capsys):
     """Swing-simulation finite differences confirm the two-solve screen."""
     case, sol, model, states = solved9
     t0 = time.perf_counter()
-    opts = SimOptions(t_end=0.25, dt=1 / 200, enable_ufls=False,
-                      enable_ffr=False)
+    opts = SimOptions(t_end=0.25, dt=1 / 200, shedding=False)
     sim = simulate(model, states.copy(), Contingency.of("c", ["gen3"]), opts)
     fd = finite_difference_rocof(sim)
     res = locational_rocof(model, states, Contingency.of("c", ["gen3"]))
     tol = np.maximum(0.10 * np.abs(res.bus_rocof_hz_s), 0.02)
     per_bus_ok = bool(np.all(np.abs(fd - res.bus_rocof_hz_s) <= tol))
 
-    k1 = int(round(opts.t_event / opts.dt))
-    k2 = int(round((opts.t_event + 0.1) / opts.dt))
+    k1 = int(round(sim.t_event / opts.dt))
+    k2 = int(round((sim.t_event + 0.1) / opts.dt))
     w = 2 * model.h_sec * model.s_mach
     act = ~np.isnan(sim.omega[k2])
     coi1 = float(sim.omega[k1, act] @ w[act] / w[act].sum())

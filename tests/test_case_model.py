@@ -34,6 +34,22 @@ def test_duplicate_bus_id(case9):
     assert any(v.rule == "unique_id" for v in validate_case(case9.with_buses(buses)))
 
 
+def test_repeated_generator_and_load_ids(case9):
+    gens = list(case9.generators) + [dataclasses.replace(case9.generator("gen3"), p_mw=10.0)]
+    loads = list(case9.loads) + [case9.loads[0]]
+    violations = validate_case(case9.with_generators(gens).with_loads(loads))
+    assert {(v.kind, v.ref, v.rule) for v in violations} == {
+        ("generator", "gen3", "unique_id"), ("load", loads[0].id, "unique_id")}
+
+
+def test_island_check_runs_when_only_unit_ids_repeat(case9):
+    gens = list(case9.generators) + [case9.generator("gen3")]
+    buses = [dataclasses.replace(b, kind="slack") if b.id == 2 else b
+             for b in case9.buses]
+    violations = validate_case(case9.with_generators(gens).with_buses(buses))
+    assert {v.rule for v in violations} == {"unique_id", "one_slack_per_island"}
+
+
 def test_two_slacks_one_island(case9):
     buses = [dataclasses.replace(b, kind="slack") if b.id == 2 else b
              for b in case9.buses]

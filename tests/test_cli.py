@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -68,6 +69,17 @@ def test_validate_failure_exits_1(tmp_path, capsys):
     code, out, _ = run(["validate", "--case", str(p)], capsys)
     assert code == 1
     assert "violation" in out
+
+
+def test_validate_names_a_repeated_generator_id(tmp_path, capsys):
+    doc = json.loads(CASE9.read_text())
+    gens = doc["case"]["generators"]
+    gens.append(dict(next(g for g in gens if g["id"] == "gen3"), p_mw=10.0))
+    p = tmp_path / "twice.json"
+    p.write_text(json.dumps(doc))
+    code, out, _ = run(["validate", "--case", str(p)], capsys)
+    assert code == 1
+    assert "generator gen3: duplicate generator id 'gen3' [unique_id]" in out
 
 
 def test_missing_file_exits_1(capsys):
@@ -161,6 +173,7 @@ def test_synth_deterministic(tmp_path, capsys):
                              "--out", str(out)], capsys)
         assert code == 0
         assert "seed: 42" in text
+        assert text.count("total inertia:") == 1
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
 
@@ -194,6 +207,23 @@ def test_scenarios_pipeline(tmp_path, capsys, fleet_case):
     for name in ("summary_by_loss.csv", "summary_by_loading.csv",
                  "summary_by_contingency.csv"):
         assert (summary / name).exists()
+
+
+def test_scenarios_gen_without_inertia_names_the_unit(tmp_path, capsys, fleet_case):
+    # every loading case commits the nuclear units; one without h_sec would
+    # give each case a wrong online inertia, so the bank is refused
+    unit = next(g.id for g in fleet_case.generators if g.fuel == "nuclear")
+    case_path = tmp_path / "fleet.json"
+    write_case(fleet_case.with_generators(
+        [dataclasses.replace(g, h_sec=None) if g.id == unit else g
+         for g in fleet_case.generators]), case_path)
+    code, _, err = run([
+        "scenarios-gen", "--case", str(case_path), "--seed", "7",
+        "--n-contingencies", "6", "--n-loading", "4",
+        "--load-range", "30000:60000", "--wind-range", "12000:20000",
+        "--out", str(tmp_path / "bank")], capsys)
+    assert code == 1
+    assert f"generator {unit!r}" in err and "h_sec" in err
 
 
 GOOD_CONTINGENCIES = "id,outaged_generator_ids,mw_lost\nc1,gen3,85.0\n"

@@ -8,9 +8,8 @@ import pytest
 from rocofscreen import (augment_dynamic, build_ybus, electrical_torque,
                          init_machines, solve_powerflow)
 from rocofscreen.case_model import Branch, Bus, Generator, GridCase
-from rocofscreen.netdyn import (ModelBuildError, norton_injections,
-                                passive_network_power)
-from conftest import tiny_case
+from rocofscreen.netdyn import ModelBuildError, passive_network_power
+from conftest import currents, tiny_case
 
 
 def pair_case(**branch_kw):
@@ -132,9 +131,9 @@ def test_init_no_load_machine():
     states = init_machines(model, case, sol)
     assert states.e_prime[0] == pytest.approx(1.0)
     assert states.delta[0] == pytest.approx(0.0)
-    assert states.i_inj[0] == pytest.approx(10 * cmath.exp(-1j * math.pi / 2))
+    assert currents(model, states)[0] == pytest.approx(10 * cmath.exp(-1j * math.pi / 2))
     assert states.t_m[0] == pytest.approx(0.0, abs=1e-12)
-    te = electrical_torque(model, states, sol.v)
+    te = electrical_torque(model, currents(model, states), sol.v)
     assert te[0] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -153,14 +152,14 @@ def test_init_loaded_machine_emf():
 
 def test_reconstruction_on_nine_bus(solved9):
     case, sol, model, states = solved9
-    rhs = norton_injections(model, states)
+    rhs = model.to_buses(currents(model, states))
     v = model.factorize().solve(rhs)
     assert np.max(np.abs(v - sol.v)) < 1e-8
 
 
 def test_machine_base_torque_scaling(solved9):
     case, sol, model, states = solved9
-    te = electrical_torque(model, states, sol.v)
+    te = electrical_torque(model, currents(model, states), sol.v)
     for k, gid in enumerate(model.machine_ids):
         g = case.generator(gid)
         assert te[k] * g.s_base_mva == pytest.approx(g.p_mw, rel=1e-6)
@@ -173,8 +172,9 @@ def test_power_balance_after_outage(solved9):
     active[k_out] = False
     y_mod = model.y_with_diag_update(
         model.machine_bus[[k_out]], -model.norton_y[[k_out]])
-    v = model.factorize(y_mod).solve(norton_injections(model, states, active))
-    te = electrical_torque(model, states, v, active)
+    i_mach = currents(model, states)
+    v = model.factorize(y_mod).solve(model.to_buses(np.where(active, i_mach, 0.0)))
+    te = electrical_torque(model, i_mach, v, active)
     machine_mw = float(np.sum(te * model.s_mach))
     # passive power with the outaged Norton shunt removed from the matrix
     i_passive = y_mod @ v
@@ -186,9 +186,9 @@ def test_power_balance_after_outage(solved9):
 
 def test_passive_power_equals_machine_output(solved9):
     case, sol, model, states = solved9
-    rhs = norton_injections(model, states)
-    v = model.factorize().solve(rhs)
-    te = electrical_torque(model, states, v)
+    i_mach = currents(model, states)
+    v = model.factorize().solve(model.to_buses(i_mach))
+    te = electrical_torque(model, i_mach, v)
     total_machine = float(np.sum(te * model.s_mach)) / case.s_base_mva
     assert passive_network_power(model, v) == pytest.approx(total_machine, abs=1e-6)
 

@@ -5,10 +5,10 @@ import dataclasses
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from rocofscreen import (Contingency, GridCase, locational_rocof,
-                         locational_rocof_batch, solve_powerflow)
+from rocofscreen import (Contingency, GridCase, SimOptions, locational_rocof,
+                         locational_rocof_batch, simulate, solve_powerflow)
 from rocofscreen.case_model import Branch, Bus, Generator, Load
-from rocofscreen.scenarios import _column_stats
+from rocofscreen.scenarios import _column_stats, finite_difference_rocof
 from test_powerflow import assert_newton_matches_reference
 from test_rocof import built_model, refactor_reference
 
@@ -66,6 +66,24 @@ def test_compensation_equals_refactoring_on_generated_networks(drawn):
     assert not np.isnan(rocof).any()
     np.testing.assert_allclose(res.bus_rocof_hz_s, rocof, rtol=0, atol=1e-9)
     assert res.n_solves == 2
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(networks())
+def test_simulator_agrees_with_screen_on_generated_networks(drawn):
+    # criterion 2: the simulator's finite-difference ROCOF just after the
+    # loss matches the two-solve screen within max(10%, 0.02 Hz/s) on every
+    # bus with a defined ROCOF
+    case, outaged = drawn
+    model, states = built_model(case)
+    ctg = Contingency.of("c", outaged)
+    sim = simulate(model, states.copy(), ctg,
+                   SimOptions(t_end=0.25, dt=1 / 200, shedding=False))
+    res = locational_rocof(model, states, ctg)
+    defined = ~np.isnan(res.bus_rocof_hz_s)
+    screen = res.bus_rocof_hz_s[defined]
+    fd = finite_difference_rocof(sim)[defined]
+    assert np.all(np.abs(fd - screen) <= np.maximum(0.1 * np.abs(screen), 0.02))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -10,8 +10,8 @@ from rocofscreen import (Contingency, SingularOutageError, ZeroInertiaError,
                          injection_derivatives, locational_rocof,
                          solve_powerflow, system_rocof)
 from rocofscreen.case_model import Branch, Bus, Generator, GridCase, Load
-from rocofscreen.netdyn import MachineStates, norton_injections
-from conftest import make_fleet_case, make_grid_case
+from rocofscreen.netdyn import norton_currents
+from conftest import currents, make_fleet_case, make_grid_case
 
 
 def test_system_rocof_gen3_trip(case9):
@@ -68,22 +68,16 @@ def test_angle_second_derivative_fd_oracle():
                                                                 abs=1e-7)
 
 
-def _states(e_over_x, delta):
-    n = len(e_over_x)
-    i_inj = np.asarray(e_over_x) * np.exp(1j * (np.asarray(delta) - np.pi / 2))
-    return MachineStates(ids=[f"m{k}" for k in range(n)],
-                         e_prime=np.ones(n), delta=np.asarray(delta, float),
-                         t_m=np.zeros(n), omega=np.zeros(n), i_inj=i_inj)
-
-
 def test_injection_derivatives_zero_accel():
-    st = _states([10.0], [0.3])
-    assert injection_derivatives(st, np.array([0.0]))[0] == 0
+    delta = np.array([0.3])
+    i = norton_currents(np.array([10.0]), delta)
+    assert injection_derivatives(i, delta, np.array([0.0]))[0] == 0
 
 
 def test_injection_derivatives_arithmetic():
-    st = _states([10.0], [0.0])
-    idd = injection_derivatives(st, np.array([-0.01]))
+    delta = np.array([0.0])
+    i = norton_currents(np.array([10.0]), delta)
+    idd = injection_derivatives(i, delta, np.array([-0.01]))
     assert idd[0] == pytest.approx(-0.1 + 0j)
 
 
@@ -182,9 +176,10 @@ def test_machine_bus_identity_on_isolated_machine():
     states = init_machines(model, case, sol)
     wdot = np.array([0.0, -0.0123])  # synthetic accelerations, pu/s
     idd_rhs = np.zeros(model.n_bus, dtype=complex)
-    np.add.at(idd_rhs, model.machine_bus, injection_derivatives(states, wdot))
+    i_mach = currents(model, states)
+    np.add.at(idd_rhs, model.machine_bus, injection_derivatives(i_mach, states.delta, wdot))
     norton_rhs = np.zeros(model.n_bus, dtype=complex)
-    np.add.at(norton_rhs, model.machine_bus, states.i_inj)
+    np.add.at(norton_rhs, model.machine_bus, i_mach)
     lu = model.factorize()
     v = lu.solve(norton_rhs)
     vdd = lu.solve(idd_rhs)
@@ -242,12 +237,13 @@ def refactor_reference(model, states, contingency):
     upd_val = np.r_[-model.norton_y[out_pos],
                     np.ones(int(dead.sum()), dtype=complex)]
     lu = model.factorize(model.y_with_diag_update(upd_bus, upd_val))
-    v = lu.solve(norton_injections(model, states, active))
-    te = electrical_torque(model, states, v, active)
+    i_mach = currents(model, states)
+    v = lu.solve(model.to_buses(np.where(active, i_mach, 0.0)))
+    te = electrical_torque(model, i_mach, v, active)
     wdot = np.where(active, (states.t_m - te) / (2.0 * model.h_sec), np.nan)
     idd = np.zeros(model.n_bus, dtype=complex)
-    np.add.at(idd, model.machine_bus, np.where(
-        active, injection_derivatives(states, np.where(active, wdot, 0.0)), 0.0))
+    np.add.at(idd, model.machine_bus, np.where(active, injection_derivatives(
+        i_mach, states.delta, np.where(active, wdot, 0.0)), 0.0))
     vdd = lu.solve(idd)
     ok = ~dead & (np.abs(v) > 1e-9)
     rocof = np.full(model.n_bus, np.nan)

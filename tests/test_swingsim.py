@@ -51,7 +51,7 @@ def test_single_machine_closed_form_accel():
     states = init_machines(model, case, sol)
     states.t_m = states.t_m - 0.1
     sim = simulate(model, states, Contingency.of("none", []),
-                   SimOptions(t_end=0.5, enable_ufls=False, enable_ffr=False))
+                   SimOptions(t_end=0.5, shedding=False))
     k = 24  # 0.1 s at dt = 1/240
     slope = sim.omega[k, 0] / sim.time_s[k]
     assert slope == pytest.approx(-0.1 / 6.0, rel=1e-9)
@@ -60,11 +60,10 @@ def test_single_machine_closed_form_accel():
 
 def test_nine_bus_average_slope_matches_system_rocof(solved9):
     case, sol, model, states = solved9
-    opts = SimOptions(t_end=0.3, dt=1 / 240, enable_ufls=False,
-                      enable_ffr=False)
+    opts = SimOptions(t_end=0.3, dt=1 / 240, shedding=False)
     sim = simulate(model, states.copy(), Contingency.of("c", ["gen3"]), opts)
-    k1 = int(round(opts.t_event / opts.dt))
-    k2 = int(round((opts.t_event + 0.1) / opts.dt))
+    k1 = int(round(sim.t_event / opts.dt))
+    k2 = int(round((sim.t_event + 0.1) / opts.dt))
     w = 2 * model.h_sec * model.s_mach
     act = ~np.isnan(sim.omega[k2])
     coi = (sim.omega[[k1, k2]][:, act] @ w[act]) / w[act].sum()
@@ -77,8 +76,7 @@ def test_nine_bus_average_slope_matches_system_rocof(solved9):
 def test_finite_difference_matches_locational(solved9, gid):
     from rocofscreen import locational_rocof
     case, sol, model, states = solved9
-    opts = SimOptions(t_end=0.2, dt=1 / 200, enable_ufls=False,
-                      enable_ffr=False)
+    opts = SimOptions(t_end=0.2, dt=1 / 200, shedding=False)
     sim = simulate(model, states.copy(), Contingency.of("c", [gid]), opts)
     fd = finite_difference_rocof(sim)
     res = locational_rocof(model, states, Contingency.of("c", [gid]))
@@ -93,8 +91,7 @@ def test_halving_dt_converges(solved9):
     nadirs = []
     for dt in (1 / 240, 1 / 480):
         sim = simulate(model, states.copy(), Contingency.of("c", ["gen3"]),
-                       SimOptions(t_end=2.0, dt=dt, enable_ufls=False,
-                                  enable_ffr=False))
+                       SimOptions(t_end=2.0, dt=dt, shedding=False))
         nadirs.append(60.0 * (1.0 + float(np.nanmin(sim.omega))))
     assert abs(nadirs[0] - nadirs[1]) < 1e-4
 
@@ -147,7 +144,7 @@ def test_bus_frequency_recovers_rocof():
 
 def test_simulator_traces_match_bus_frequency(solved9):
     case, sol, model, states = solved9
-    opts = SimOptions(t_end=0.5, enable_ufls=False, enable_ffr=False)
+    opts = SimOptions(t_end=0.5, shedding=False)
     sim = simulate(model, states.copy(), Contingency.of("c", ["gen3"]), opts)
     again = bus_frequency(sim.bus_angle_rad, opts, f_base=60.0)
     assert np.allclose(again, sim.bus_freq_hz, atol=1e-12)
