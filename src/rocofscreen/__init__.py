@@ -9,8 +9,8 @@ lack them, and runs contingency/loading scenario banks at scale.
 from importlib import resources
 
 from .case_model import (Branch, Bus, CaseValidationError, Generator,
-                         GridCase, Load, Violation, total_inertia_gws,
-                         validate_case)
+                         GridCase, InputError, Load, UnknownIdError, Violation,
+                         total_inertia_gws, validate_case)
 from .case_io import (CaseParseError, apply_sidecar, import_cdf, read_case,
                       write_case, write_results, write_sidecar)
 from .powerflow import (PowerFlowDivergence, PowerFlowError,

@@ -22,7 +22,8 @@ from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 from .case_model import (Branch, Bus, CaseValidationError, FUELS, Generator,
-                         GridCase, Load, UFLS_STAGES, validate_case)
+                         GridCase, InputError, Load, UFLS_STAGES,
+                         validate_case)
 from .powerflow import PowerFlowSolution
 from .rocof import Contingency, RocofResult
 from .scenarios import LoadingCase, SCENARIO_COLUMNS, ScenarioRecord
@@ -392,13 +393,13 @@ def write_results(result, path, format: str = "csv",
 
 def _rocof_geojson(res: RocofResult, path, case: GridCase | None) -> None:
     if case is None:
-        raise ValueError("geojson output needs the case for bus coordinates")
+        raise InputError("geojson output needs the case for bus coordinates")
     coords = {b.id: (b.longitude, b.latitude) for b in case.buses}
     features = []
     for bid, val in zip(res.bus_ids, res.bus_rocof_hz_s):
         lon, lat = coords.get(bid, (None, None))
         if lon is None or lat is None:
-            raise ValueError(f"missing coordinates for bus {bid}")
+            raise InputError(f"missing coordinates for bus {bid}")
         features.append({
             "type": "Feature",
             "geometry": {"type": "Point", "coordinates": [lon, lat]},

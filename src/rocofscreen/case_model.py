@@ -107,19 +107,19 @@ class GridCase:
         for b in self.buses:
             if b.id == bus_id:
                 return b
-        raise KeyError(f"no bus with id {bus_id}")
+        raise UnknownIdError(f"no bus with id {bus_id}")
 
     def generator(self, gen_id: str) -> Generator:
         for g in self.generators:
             if g.id == gen_id:
                 return g
-        raise KeyError(f"no generator with id {gen_id!r}")
+        raise UnknownIdError(f"no generator with id {gen_id!r}")
 
     def load(self, load_id: str) -> Load:
         for l in self.loads:
             if l.id == load_id:
                 return l
-        raise KeyError(f"no load with id {load_id!r}")
+        raise UnknownIdError(f"no load with id {load_id!r}")
 
     def with_generators(self, generators: Iterable[Generator]) -> "GridCase":
         return replace(self, generators=tuple(generators))
@@ -151,6 +151,15 @@ class CaseValidationError(ValueError):
         self.violations = violations
         lines = "\n".join(str(v) for v in violations)
         super().__init__(f"{len(violations)} case violation(s):\n{lines}")
+
+
+class InputError(ValueError):
+    """An input value or request the library cannot act on, such as a unit
+    without an inertia constant or a non-positive time step."""
+
+
+class UnknownIdError(KeyError):
+    """An id that names no record of the case, or no machine of a model."""
 
 
 def island_labels(case: GridCase) -> np.ndarray:
@@ -282,7 +291,7 @@ def total_inertia_gws(case: GridCase) -> float:
         if not (g.status and g.synchronous):
             continue
         if g.h_sec is None:
-            raise ValueError(
+            raise InputError(
                 f"generator {g.id!r} is in service but has no h_sec; "
                 "apply a dynamics sidecar or synthesize parameters first")
         total_mws += g.h_sec * g.s_base_mva

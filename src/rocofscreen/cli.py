@@ -20,8 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import case_io
-from .case_model import CaseValidationError, validate_case
-from .netdyn import augment_dynamic, init_machines
+from .case_model import (CaseValidationError, InputError, UnknownIdError,
+                         validate_case)
+from .netdyn import ModelBuildError, augment_dynamic, init_machines
 from .powerflow import PowerFlowError, solve_powerflow
 from .rocof import (Contingency, SingularOutageError, ZeroInertiaError,
                     locational_rocof, system_rocof)
@@ -32,10 +33,10 @@ from .synthdyn import assign_plant_correlated, assign_ufls, validate_synthesis
 
 log = logging.getLogger(__name__)
 
-# ModelBuildError (missing dynamics, bad impedances) is input data trouble
-# and lands in DATA_ERRORS via its ValueError base
+# only the library's own classes: a KeyError or ValueError raised by a bug
+# is not a data error and must not be reported as one
 DATA_ERRORS = (CaseValidationError, case_io.CaseParseError, InfeasibleDispatch,
-               FileNotFoundError, KeyError, ValueError)
+               InputError, ModelBuildError, UnknownIdError, FileNotFoundError)
 NUMERICAL_ERRORS = (PowerFlowError, SimulationBlowup, SingularOutageError,
                     ZeroInertiaError)
 
@@ -176,7 +177,7 @@ def cmd_rocof_system(args) -> int:
     case = _load_case(args)
     outage = _outage_list(args.outage) if args.outage else []
     if args.loss_mw is None and not outage:
-        raise ValueError("give --outage and/or --loss-mw")
+        raise InputError("give --outage and/or --loss-mw")
     loss = args.loss_mw
     if loss is None:
         loss = sum(case.generator(g).p_mw for g in outage)
@@ -234,7 +235,10 @@ def cmd_synth(args) -> int:
 
 def _parse_range(raw: str) -> tuple[float, float]:
     lo, _, hi = raw.partition(":")
-    return float(lo), float(hi)
+    try:
+        return float(lo), float(hi)
+    except ValueError:
+        raise InputError(f"range {raw!r} is not lo:hi in MW") from None
 
 
 def cmd_scenarios_gen(args) -> int:

@@ -6,7 +6,9 @@ impedance shunts for loads and non-synchronous generation, plus one Norton
 shunt 1/(j x'd) per in-service synchronous machine (system base). With
 machine current injections I on the right-hand side, Y V = I recovers the
 terminal voltages; the factorization is reused for every algebraic solve,
-and solves are counted so screening cost claims can be asserted.
+and solves are counted so screening cost claims can be asserted. Its
+pattern is structurally symmetric, so SuperLU orders it by minimum degree on
+A^T + A and keeps diagonal pivots (powerflow.SUPERLU_OPTIONS).
 
 Machine-base to system-base conversion happens exactly once, here:
     x_sys = x_mach * s_base_sys / s_base_mach      (impedance)
@@ -28,8 +30,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .case_model import GridCase, island_labels
-from .powerflow import PowerFlowSolution
+from .case_model import GridCase, UnknownIdError, island_labels
+from .powerflow import SUPERLU_OPTIONS, PowerFlowSolution
 
 log = logging.getLogger(__name__)
 
@@ -129,7 +131,7 @@ class NetworkModel:
         out = []
         for gid in gen_ids:
             if gid not in pos:
-                raise KeyError(
+                raise UnknownIdError(
                     f"generator {gid!r} is not an in-service synchronous "
                     "machine of this model")
             out.append(pos[gid])
@@ -141,7 +143,8 @@ class NetworkModel:
         if matrix is None and self._lu is not None:
             return self._lu
         self.factor_count += 1
-        lu = CountingLU(spla.splu(self.y_dyn if matrix is None else matrix), self)
+        lu = CountingLU(spla.splu(self.y_dyn if matrix is None else matrix,
+                                  **SUPERLU_OPTIONS), self)
         if matrix is None:
             self._lu = lu
         return lu

@@ -11,7 +11,8 @@ outaged bus of the batch:
    change to the diagonal, applied by compensation (Alsac, Stott & Tinney,
    IEEE Trans. PAS, 1983) from the columns Z = Y^-1 E at the outaged buses
    rather than by refactoring; each contingency's k x k capacitance
-   matrix is solved in one stacked dense solve for the batch;
+   matrix is solved in one stacked dense solve for the batch, and its
+   correction reads only its own k columns of Z;
 2. recompute each remaining machine's electrical torque and acceleration
    wdot = (T_m - T_e) / (2 H), with mechanical torque frozen (no governors);
 3. form the injection second derivative Idd = (E'/x'd) /_ delta * wdot
@@ -30,11 +31,11 @@ torque are the study's definition of the theoretical ROCOF, not options.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .case_model import GridCase
+from .case_model import GridCase, total_inertia_gws
 from .netdyn import MachineStates, NetworkModel, electrical_torque, norton_currents
 
 log = logging.getLogger(__name__)
@@ -117,23 +118,21 @@ class RocofBatch:
 def system_rocof(case: GridCase, p_loss_mw: float, outaged_ids=()) -> float:
     """Zero-order system ROCOF: -f_base * P_loss / (2 sum H_g S_g), Hz/s.
 
-    The sum runs over in-service synchronous machines excluding
-    ``outaged_ids`` (a machine that has tripped no longer contributes
-    kinetic energy). Raises ZeroInertiaError when nothing remains.
+    The sum is case_model.total_inertia_gws over the case with
+    ``outaged_ids`` out of service (a machine that has tripped no longer
+    contributes kinetic energy). Raises ZeroInertiaError when nothing
+    remains.
     """
     outaged = set(outaged_ids)
-    h_mws = 0.0
-    for g in case.generators:
-        if g.status and g.synchronous and g.id not in outaged:
-            if g.h_sec is None:
-                raise ValueError(f"generator {g.id!r} has no h_sec")
-            h_mws += g.h_sec * g.s_base_mva
+    inertia_gws = total_inertia_gws(case.with_generators(
+        replace(g, status=False) if g.id in outaged else g
+        for g in case.generators))
     if p_loss_mw == 0:
         return 0.0
-    if h_mws <= 0:
+    if inertia_gws <= 0:
         raise ZeroInertiaError(
             "no synchronous inertia remains after the disturbance")
-    return -case.f_base_hz * p_loss_mw / (2.0 * h_mws)
+    return -case.f_base_hz * p_loss_mw / (2000.0 * inertia_gws)
 
 
 def angle_second_derivative(v, v_ddot):
@@ -288,10 +287,11 @@ def _screen(model: NetworkModel, states: MachineStates,
     z = x[m:]
     # a padded row of C is a unit row (d = 0), so the padding solves to
     # zero: C^-1 D vanishes outside j's k_j x k_j block, and C is singular
-    # only if that block is. one_hot[j] picks the row of Z for each slot, so
-    # z_coef[j] maps j's x[b] to the coefficients of the rows of Z.
-    cap = np.eye(k_max) + d_of[:, :, None] * z[z_of[:, None, :], bus_of[:, :, None]]
-    d_diag = d_of[:, :, None] * np.eye(k_max)
+    # only if that block is. z_j[j, s] is the column of Z at j's slot s (a
+    # padded slot reads U's first column, with a zero coefficient).
+    eye = np.eye(k_max)
+    cap = eye + d_of[:, :, None] * z[z_of[:, None, :], bus_of[:, :, None]]
+    d_diag = d_of[:, :, None] * eye
     try:
         c_inv_d = np.linalg.solve(cap, d_diag)
     except np.linalg.LinAlgError:
@@ -307,16 +307,14 @@ def _screen(model: NetworkModel, states: MachineStates,
                         f"leaves a singular network at buses "
                         f"{[model.bus_ids[b] for b in bus_of[j, :k[j]]]}")
                     errors[j].__cause__ = exc
-    if m == 1:          # one contingency: its slots are U, in order
-        z_coef = c_inv_d
-    else:
-        one_hot = np.zeros((m, union.size, k_max))
-        one_hot[row, z_of[row, slot], slot] = 1.0
-        z_coef = one_hot @ c_inv_d
+    z_j = z[z_of]
     at_bus = np.arange(m)[:, None] * n + bus_of             # flat, in m x n
 
     def outage_solution(y: np.ndarray) -> np.ndarray:
-        y = y - (z_coef @ np.take(y, at_bus)[:, :, None])[:, :, 0] @ z
+        # einsum, not a matrix product: BLAS threads its n-long products,
+        # which costs more than the k_j x n work itself
+        coef = np.einsum("jst,jt->js", c_inv_d, np.take(y, at_bus))
+        y = y - np.einsum("js,jsn->jn", coef, z_j)
         if any_dead:
             y[dead_rows] = 0.0
         return y.reshape(dead.shape)
@@ -335,7 +333,8 @@ def _screen(model: NetworkModel, states: MachineStates,
     if any_dead:
         ok &= ~dead
     rocof_pu = np.full(dead.shape, np.nan)
-    rocof_pu[ok] = angle_second_derivative(v_post[ok], v_ddot[ok])
+    v, v_dd = v_post[ok], v_ddot[ok]        # angle_second_derivative, |V| > 0
+    rocof_pu[ok] = (v.real * v_dd.imag - v.imag * v_dd.real) / (v.real**2 + v.imag**2)
     bus_rocof = model.f_base * rocof_pu
 
     # a running sum adds the outaged machines in machine order

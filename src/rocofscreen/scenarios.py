@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .case_model import GridCase, total_inertia_gws
+from .case_model import GridCase, InputError, total_inertia_gws
 from .netdyn import augment_dynamic, init_machines
 from .powerflow import solve_powerflow
 from .rocof import Contingency, locational_rocof_batch
@@ -204,7 +204,7 @@ def generate_loading_cases(case: GridCase, n: int,
     Raises when some demand level cannot accept even the minimum wind.
     """
     if n <= 0:
-        raise ValueError("n must be positive")
+        raise InputError("n must be positive")
     lo_l, hi_l = load_range_mw
     lo_w, hi_w = wind_range_mw
     sync = [g for g in case.generators if g.synchronous and g.status]
@@ -265,7 +265,7 @@ def generate_contingencies(case: GridCase, n: int,
     plant_ids = sorted(plants)
     plant_mw = np.array([sum(g.p_mw for g in plants[b]) for b in plant_ids])
     if not plant_ids or plant_mw.sum() <= MIN_CONTINGENCY_MW:
-        raise ValueError(
+        raise InputError(
             f"case dispatch ({plant_mw.sum():.0f} MW) is too small to build "
             f"outages above {MIN_CONTINGENCY_MW:.0f} MW")
     weights = plant_mw / plant_mw.sum()
@@ -279,7 +279,7 @@ def generate_contingencies(case: GridCase, n: int,
     while len(out) < n:
         attempts += 1
         if attempts > max_attempts:
-            raise ValueError(
+            raise InputError(
                 f"could not assemble {n} distinct contingencies above "
                 f"{MIN_CONTINGENCY_MW:.0f} MW from this case "
                 f"(found {len(out)})")

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .case_model import InputError
 from .netdyn import MachineStates, NetworkModel, electrical_torque, norton_currents
 from .rocof import Contingency
 
@@ -53,7 +54,7 @@ class SimOptions:
 
     def __post_init__(self):
         if self.dt <= 0 or self.t_end < self.dt:
-            raise ValueError("require dt > 0 and t_end >= dt")
+            raise InputError("require dt > 0 and t_end >= dt")
 
 
 @dataclass(frozen=True)

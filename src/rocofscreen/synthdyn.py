@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .case_model import GridCase, Generator, Load
+from .case_model import GridCase, Generator, Load, total_inertia_gws
 
 log = logging.getLogger(__name__)
 
@@ -222,15 +222,15 @@ def validate_synthesis(case: GridCase) -> SynthesisReport:
     Flags any fuel whose empirical mean deviates more than MEAN_TOLERANCE
     from the fuel's target average. N_SIZE_BINS size bins are fractions of
     each fuel's taper endpoint, tracking how the spread narrows with unit
-    size.
+    size. Raises, naming the unit, when an in-service synchronous machine
+    has no inertia constant (case_model.total_inertia_gws).
     """
-    fleet = [g for g in case.generators
-             if g.synchronous and g.status and g.h_sec is not None]
+    total = total_inertia_gws(case)
+    fleet = [g for g in case.generators if g.synchronous and g.status]
     edges = [i / N_SIZE_BINS for i in range(N_SIZE_BINS + 1)]
     per_fuel: dict[str, FuelStats] = {}
     spread: dict[str, list[float]] = {}
     flags: list[str] = []
-    total = sum(g.h_sec * g.s_base_mva for g in fleet) / 1000.0
 
     for fuel in sorted({g.fuel for g in fleet}):
         spec = DEFAULT_FUEL_SPECS.get(fuel, DEFAULT_FUEL_SPECS["gas"])

@@ -1,5 +1,7 @@
 """Shared fixtures: the bundled 9-bus case and synthetic grid builders."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,28 @@ def solved9(case9):
 def currents(model, states):
     """The machines' Norton currents at their present angles."""
     return norton_currents(states.e_prime / model.xdp_sys, states.delta)
+
+
+def case9_with_bus10(ties: str, rel: float, unit_mw: float | None = None) -> GridCase:
+    """The 9-bus case with a bus 10 on a line from bus 9 (x = 0.1 pu) and
+    one more tie, with, given unit_mw, a unit gen4 there whose Norton shunt
+    is -5j pu. The ties: "weak" adds a series capacitor from bus 9 with
+    x = -0.1 (1 + rel), so bus 10 hangs on about 10 rel pu; "capacitor"
+    adds it from bus 8, so bus 10's self-admittance cancels to about 10 rel
+    pu while both its ties stay strong; "charging" gives the
+    line 30 (1 + rel) pu of charging, which with gen4 cancels bus 10's
+    y_dyn diagonal (-10j + 15j - 5j) to about 15 rel."""
+    line = Branch(9, 10, 0.0, 0.1)
+    branches = {"weak": (line, Branch(9, 10, 0.0, -0.1 * (1 + rel))),
+                "capacitor": (line, Branch(8, 10, 0.0, -0.1 * (1 + rel))),
+                "charging": (Branch(9, 10, 0.0, 0.1, 30.0 * (1 + rel)),)}[ties]
+    units = () if unit_mw is None else (
+        Generator(id="gen4", bus_id=10, s_base_mva=100.0, p_mw=unit_mw,
+                  p_max_mw=40.0, h_sec=3.0, xdp_pu=0.2),)
+    case = load_case9()
+    return dataclasses.replace(
+        case, buses=case.buses + (Bus(id=10, kind="pv" if units else "pq"),),
+        generators=case.generators + units, branches=case.branches + branches)
 
 
 def make_fleet_case(seed: int = 1) -> GridCase:

@@ -379,6 +379,18 @@ def test_missing_dynamics_is_data_error(tmp_path, capsys):
     assert "h_sec" in err or "dynamic" in err
 
 
+@pytest.mark.parametrize("error", [KeyError("bus_ids"), ValueError("bad shape")])
+def test_bug_raised_key_or_value_error_is_not_a_data_error(monkeypatch, error):
+    # only the library's own error classes mean bad input (exit 1)
+    from rocofscreen import cli
+
+    def bug(*args, **kwargs):
+        raise error
+    monkeypatch.setattr(cli, "solve_powerflow", bug)
+    with pytest.raises(type(error)):
+        main(["powerflow", "--case", str(CASE9)])
+
+
 def test_log_level_env_var(monkeypatch, capsys):
     import logging
     monkeypatch.setenv("ROCOF_SCREEN_LOG", "DEBUG")

@@ -15,6 +15,7 @@ from rocofscreen.case_model import Branch, Bus, Generator, GridCase, Load
 from rocofscreen.netdyn import build_ybus
 from rocofscreen.powerflow import (bus_injections, effective_kinds,
                                    mismatch_vector)
+from conftest import case9_with_bus10
 
 # published solution of the classical 9-bus benchmark (magnitudes pu,
 # angles degrees), used as an independent cross-check
@@ -186,9 +187,9 @@ def assert_newton_matches_reference(case):
     max(1, |J|), and the same voltages within 1e-12 pu."""
     factored = []
 
-    def spy(jac):
+    def spy(jac, **kwargs):
         factored.append(jac.copy())
-        return spla.splu(jac)
+        return spla.splu(jac, **kwargs)
 
     with mock.patch.object(powerflow, "spla", SimpleNamespace(splu=spy)):
         sol = solve_powerflow(case)
@@ -238,6 +239,29 @@ def test_singular_jacobian_names_the_isolated_bus(cancelling_branches):
     with pytest.raises(SingularJacobian) as err:
         solve_powerflow(isolated_bus_case(cancelling_branches))
     assert err.value.bus_id == 7
+
+
+@pytest.mark.parametrize("rel", [1e-6, 1e-9, 1e-12])
+@pytest.mark.parametrize("ties", ["weak", "capacitor"])
+def test_newton_steps_solve_near_singular_jacobians(ties, rel):
+    # "weak": bus 10 hangs on about 10 rel pu, a near-singular Jacobian;
+    # "capacitor": bus 10's Jacobian diagonal starts near 10 rel pu beside
+    # strong ties, which a diagonal pivot taken at any size gets wrong
+    residuals = []
+
+    def splu(jac, **kwargs):
+        lu = spla.splu(jac, **kwargs)
+
+        def solve(rhs):
+            dx = lu.solve(rhs)
+            residuals.append(np.linalg.norm(jac @ dx - rhs) / np.linalg.norm(rhs))
+            return dx
+        return SimpleNamespace(solve=solve)
+
+    with mock.patch.object(powerflow, "spla", SimpleNamespace(splu=splu)):
+        sol = solve_powerflow(case9_with_bus10(ties, rel))
+    assert sol.iterations == len(residuals) > 0
+    assert max(residuals) <= 1e-9
 
 
 def test_singular_jacobian_exits_2_naming_the_bus(tmp_path, capsys):

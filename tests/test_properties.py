@@ -10,7 +10,7 @@ from rocofscreen import (Contingency, GridCase, SimOptions, locational_rocof,
 from rocofscreen.case_model import Branch, Bus, Generator, Load
 from rocofscreen.scenarios import _column_stats, finite_difference_rocof
 from test_powerflow import assert_newton_matches_reference
-from test_rocof import built_model, refactor_reference
+from test_rocof import assert_matches_plain_splu, built_model, refactor_reference
 
 
 @st.composite
@@ -66,6 +66,14 @@ def test_compensation_equals_refactoring_on_generated_networks(drawn):
     assert not np.isnan(rocof).any()
     np.testing.assert_allclose(res.bus_rocof_hz_s, rocof, rtol=0, atol=1e-9)
     assert res.n_solves == 2
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(networks())
+def test_symmetric_ordering_matches_plain_splu_on_generated_networks(drawn):
+    case, outaged = drawn
+    assert_matches_plain_splu(case, [Contingency.of("c", outaged),
+                                     Contingency.of("one", outaged[:1])])
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -1,17 +1,22 @@
 import dataclasses
 import math
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from rocofscreen import (Contingency, SingularOutageError, ZeroInertiaError,
                          angle_second_derivative, augment_dynamic, build_ybus,
                          electrical_torque, init_machines,
                          injection_derivatives, locational_rocof,
+                         locational_rocof_batch, netdyn, powerflow,
                          solve_powerflow, system_rocof)
-from rocofscreen.case_model import Branch, Bus, Generator, GridCase, Load
+from rocofscreen.case_model import (Branch, Bus, Generator, GridCase,
+                                    InputError, Load)
 from rocofscreen.netdyn import norton_currents
-from conftest import currents, make_fleet_case, make_grid_case
+from conftest import case9_with_bus10, currents, make_fleet_case, make_grid_case
 
 
 def test_system_rocof_gen3_trip(case9):
@@ -31,6 +36,18 @@ def test_system_rocof_inertia_floor():
                               p_max_mw=20000.0, h_sec=4.0, xdp_pu=0.3),),
     )
     assert system_rocof(case, 2750.0) == pytest.approx(-0.825, rel=1e-12)
+
+
+def test_system_rocof_names_a_unit_without_inertia(case9):
+    # the message of case_model.total_inertia_gws; a tripped unit needs none
+    bare = case9.with_generators(
+        [dataclasses.replace(g, h_sec=None) if g.id == "gen1" else g
+         for g in case9.generators])
+    with pytest.raises(InputError, match="generator 'gen1' is in service but "
+                                         "has no h_sec"):
+        system_rocof(bare, 85.0, outaged_ids=["gen3"])
+    assert system_rocof(bare, 71.6, outaged_ids=["gen1"]) == system_rocof(
+        case9, 71.6, outaged_ids=["gen1"])
 
 
 def test_system_rocof_zero_loss(case9):
@@ -292,6 +309,62 @@ def test_compensation_matches_refactoring_with_dead_island(load_on_island_b,
     res = assert_matches_refactoring(model, states,
                                      Contingency.of("c", outage))
     assert len(res.undefined_islands) == len(outage)
+
+
+def plain_splu_model(case):
+    """built_model with every factorization by plain spla.splu: COLAMD
+    column order and partial pivoting (threshold 1.0), the settings that
+    powerflow.SUPERLU_OPTIONS replaced."""
+    plain = SimpleNamespace(splu=lambda matrix, **kwargs: spla.splu(matrix))
+    with mock.patch.object(powerflow, "spla", plain), \
+            mock.patch.object(netdyn, "spla", plain):
+        return built_model(case)
+
+
+def assert_matches_plain_splu(case, contingencies):
+    """The screen on the SUPERLU_OPTIONS factorizations against the one on
+    plain_splu_model: the same undefined buses, bus ROCOF within 1e-9
+    Hz/s, one contingency at a time and as one batch."""
+    model, states = built_model(case)
+    plain, plain_states = plain_splu_model(case)
+    batch = locational_rocof_batch(model, states, contingencies)
+    plain_batch = locational_rocof_batch(plain, plain_states, contingencies)
+    singles = [locational_rocof(model, states, c).bus_rocof_hz_s
+               for c in contingencies]
+    plain_singles = [locational_rocof(plain, plain_states, c).bus_rocof_hz_s
+                     for c in contingencies]
+    for new, old in [(batch.bus_rocof_hz_s, plain_batch.bus_rocof_hz_s),
+                     (np.array(singles), np.array(plain_singles))]:
+        assert np.array_equal(np.isnan(new), np.isnan(old))
+        np.testing.assert_allclose(new, old, rtol=0, atol=1e-9)
+
+
+def test_symmetric_ordering_matches_plain_splu_on_5041_buses():
+    case = make_grid_case(side=71)
+    units = [g.id for g in case.generators]
+    rng = np.random.default_rng(3)
+    contingencies = [Contingency.of(f"c{j}", rng.choice(units, j % 4 + 1,
+                                                        replace=False))
+                     for j in range(8)]
+    assert_matches_plain_splu(case, contingencies)
+
+
+@pytest.mark.parametrize("rel", [1e-6, 1e-9, 1e-12])
+@pytest.mark.parametrize("ties, unit_mw, outage", [
+    ("weak", 0.0, "gen4"),        # gen4's loss leaves a near-singular network
+    ("charging", 5.0, "gen3"),    # y_dyn's diagonal at bus 10 nearly cancels
+])
+def test_screen_solves_near_singular_outages(ties, unit_mw, outage, rel):
+    model, states = built_model(case9_with_bus10(ties, rel, unit_mw))
+    res = locational_rocof(model, states, Contingency.of("c", [outage]))
+    lost = model.machine_positions([outage])
+    after = model.y_with_diag_update(model.machine_bus[lost],
+                                     -model.norton_y[lost])
+    active = np.ones(len(model.machine_ids), dtype=bool)
+    active[lost] = False
+    rhs = model.to_buses(np.where(active, currents(model, states), 0.0))
+    assert (np.linalg.norm(after @ res.post_disturbance_voltages - rhs)
+            <= 1e-9 * np.linalg.norm(rhs))
 
 
 def test_singular_outage_is_numerical(solved9, monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from rocofscreen import (DEFAULT_FUEL_SPECS, FuelInertiaSpec,
                          assign_plant_correlated, assign_ufls, sample_h,
                          validate_synthesis)
-from rocofscreen.case_model import Bus, Generator, GridCase, Load
+from rocofscreen.case_model import Bus, Generator, GridCase, InputError, Load
 from rocofscreen.synthdyn import tapered_bounds
 
 
@@ -223,6 +223,18 @@ def test_validate_synthesis_degenerate_fleet():
     assert stats.h_min == stats.h_max == gas.h_avg
     spreads = [s for s in report.size_bin_spread["gas"] if not math.isnan(s)]
     assert all(s == 0.0 for s in spreads)
+
+
+def test_validate_synthesis_names_a_unit_without_inertia():
+    # a partly assigned fleet once gave a total without the unassigned units
+    gens = (Generator(id="g0", bus_id=1, s_base_mva=100.0, p_max_mw=80.0,
+                      fuel="gas", h_sec=4.0, xdp_pu=0.3),
+            Generator(id="g1", bus_id=1, s_base_mva=100.0, p_max_mw=80.0,
+                      fuel="gas", xdp_pu=0.3))
+    with pytest.raises(InputError, match="generator 'g1' is in service but "
+                                         "has no h_sec"):
+        validate_synthesis(GridCase(buses=(Bus(id=1, kind="slack"),),
+                                    generators=gens))
 
 
 def test_validate_synthesis_empty_fleet():
