@@ -9,7 +9,8 @@ lack them, and runs contingency/loading scenario banks at scale.
 from importlib import resources
 
 from .case_model import (Branch, Bus, CaseValidationError, Generator,
-                         GridCase, InputError, Load, UnknownIdError, Violation,
+                         GridCase, InputError, Load, LoadingCase,
+                         ScenarioRecord, UnknownIdError, Violation,
                          total_inertia_gws, validate_case)
 from .case_io import (CaseParseError, apply_sidecar, import_cdf, read_case,
                       write_case, write_results, write_sidecar)
@@ -28,10 +29,9 @@ from .swingsim import (SimOptions, SimResult, SimulationBlowup, TripEvent,
 from .synthdyn import (DEFAULT_FUEL_SPECS, FuelInertiaSpec,
                        assign_plant_correlated, assign_ufls, sample_h,
                        validate_synthesis)
-from .scenarios import (CONCERN_ROCOF_HZ_S, InfeasibleDispatch, LoadingCase,
-                        ScenarioRecord, dispatch_heuristic,
-                        generate_contingencies, generate_loading_cases,
-                        run_bank)
+from .scenarios import (CONCERN_ROCOF_HZ_S, InfeasibleDispatch,
+                        dispatch_heuristic, generate_contingencies,
+                        generate_loading_cases, run_bank)
 
 __version__ = "0.1.0"
 

@@ -20,18 +20,23 @@ import json
 import math
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
+from typing import Iterable
 
 from .case_model import (Branch, Bus, CaseValidationError, FUELS, Generator,
-                         GridCase, InputError, Load, UFLS_STAGES,
-                         validate_case)
+                         GridCase, InputError, Load, LoadingCase,
+                         ScenarioRecord, UFLS_STAGES, validate_case)
 from .powerflow import PowerFlowSolution
 from .rocof import Contingency, RocofResult
-from .scenarios import LoadingCase, SCENARIO_COLUMNS, ScenarioRecord
 from .swingsim import SimResult, TripEvent
 
 SCHEMA_VERSION = "1.0"
 SIDECAR_COLUMNS = ["record", "id", "h_sec", "xdp_pu", "fuel", "ufls_stage", "ffr"]
 CONTINGENCY_COLUMNS = ["id", "outaged_generator_ids", "mw_lost"]
+SCENARIO_COLUMNS = [
+    "loading_id", "contingency_id", "mw_lost", "inertia_gws",
+    "system_rocof", "bus_rocof_min", "bus_rocof_mean", "bus_rocof_max",
+    "worst_bus", "concern_flag", "status",
+]
 
 
 class CaseParseError(ValueError):
@@ -367,8 +372,8 @@ def write_results(result, path, format: str = "csv",
 
     RocofResult: one row per bus (csv) or one point feature per bus
     (geojson; needs bus coordinates from the case). SimResult: one row per
-    time step with bus frequencies and machine speeds. A list of
-    ScenarioRecord rows becomes the documented scenario table.
+    time step with bus frequencies and machine speeds. Scenario tables are
+    written by write_scenario_table.
     """
     if format not in ("csv", "geojson"):
         raise ValueError(f"unknown format {format!r}")
@@ -383,10 +388,6 @@ def write_results(result, path, format: str = "csv",
         if format == "geojson":
             raise ValueError("time-series results have no geojson form")
         _sim_csv(result, path)
-    elif isinstance(result, list) and all(isinstance(r, ScenarioRecord) for r in result):
-        if format == "geojson":
-            raise ValueError("scenario tables have no geojson form")
-        write_scenario_table(result, path)
     else:
         raise TypeError(f"cannot write result of type {type(result).__name__}")
 
@@ -427,8 +428,16 @@ def write_events(events: list[TripEvent], path) -> None:
                  _fmt(e.frequency_hz)] for e in events))
 
 
-def write_scenario_table(records: list[ScenarioRecord], path) -> None:
-    _write_csv(path, SCENARIO_COLUMNS, (r.row() for r in records))
+def write_scenario_table(records: Iterable[ScenarioRecord], path) -> None:
+    """Write the scenario table, each row as ``records`` yields it; a NaN
+    number or a missing worst bus is a blank cell."""
+    _write_csv(path, SCENARIO_COLUMNS, (
+        [r.loading_id, r.contingency_id, _fmt(r.mw_lost), _fmt(r.inertia_gws),
+         _fmt(r.system_rocof_hz_s), _fmt(r.bus_rocof_min),
+         _fmt(r.bus_rocof_mean), _fmt(r.bus_rocof_max),
+         "" if r.worst_bus is None else str(r.worst_bus),
+         "1" if r.concern_flag else "0", r.status]
+        for r in records))
 
 
 def _csv_rows(path, columns) -> list[tuple[str, dict]]:

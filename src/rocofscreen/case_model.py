@@ -5,6 +5,9 @@ generator, load, and dynamic-parameter records. Cases are immutable after
 construction; analysis modules treat them as read-only and derive their own
 working structures, so one case can safely back many concurrent evaluations.
 
+A bank's records live here too: :class:`LoadingCase`, one operating point,
+and :class:`ScenarioRecord`, one row of the table whose format case_io owns.
+
 Per-unit conventions: branch impedances are on the system MVA base; machine
 inertia ``h_sec`` and transient reactance ``xdp_pu`` are on the machine MVA
 base and converted where used. Angles are radians in memory.
@@ -12,6 +15,7 @@ base and converted where used. Angles are radians in memory.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Iterable
 
@@ -129,6 +133,37 @@ class GridCase:
 
     def with_buses(self, buses: Iterable[Bus]) -> "GridCase":
         return replace(self, buses=tuple(buses))
+
+
+@dataclass(frozen=True)
+class LoadingCase:
+    """One demand/wind operating point with its committed dispatch."""
+
+    id: str
+    target_load_mw: float
+    target_wind_mw: float
+    dispatch: dict[str, float]          # gen id -> p_mw for in-service units
+    committed: frozenset[str]           # in-service unit ids (incl. wind)
+    online_inertia_gws: float
+    wind_fraction: float
+
+
+@dataclass
+class ScenarioRecord:
+    """One row of a bank's scenario table: a (loading case, contingency)
+    pair and what its evaluation found (see docs/case_schema.md)."""
+
+    loading_id: str
+    contingency_id: str
+    mw_lost: float
+    inertia_gws: float
+    system_rocof_hz_s: float
+    bus_rocof_min: float = math.nan
+    bus_rocof_mean: float = math.nan
+    bus_rocof_max: float = math.nan
+    worst_bus: int | None = None
+    concern_flag: bool = False
+    status: str = "ok"
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from .netdyn import ModelBuildError, augment_dynamic, init_machines
 from .powerflow import PowerFlowError, solve_powerflow
 from .rocof import (Contingency, SingularOutageError, ZeroInertiaError,
                     locational_rocof, system_rocof)
-from .scenarios import (InfeasibleDispatch, generate_contingencies,
+from .scenarios import (MODES, InfeasibleDispatch, generate_contingencies,
                         generate_loading_cases, run_bank)
 from .swingsim import EVENT_TIME_S, SimOptions, SimulationBlowup, simulate
 from .synthdyn import assign_plant_correlated, assign_ufls, validate_synthesis
@@ -41,15 +41,14 @@ NUMERICAL_ERRORS = (PowerFlowError, SimulationBlowup, SingularOutageError,
                     ZeroInertiaError)
 
 
-def _add_case_args(p, sidecar=True):
+def _add_case_args(p):
     p.add_argument("--case", required=True, help="case document (JSON)")
-    if sidecar:
-        p.add_argument("--sidecar", default=None,
-                       help="dynamics sidecar CSV (default: <case>.dyn.csv if present)")
+    p.add_argument("--sidecar", default=None,
+                   help="dynamics sidecar CSV (default: <case>.dyn.csv if present)")
 
 
 def _load_case(args):
-    return case_io.read_case(args.case, sidecar=getattr(args, "sidecar", None))
+    return case_io.read_case(args.case, sidecar=args.sidecar)
 
 
 def _outage_list(raw: str) -> list[str]:
@@ -131,8 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bank", required=True,
                    help="directory holding contingencies.csv and "
                         "loading_cases.json")
-    p.add_argument("--mode", choices=("system_only", "locational", "simulate"),
-                   default="locational", help="evaluation mode")
+    p.add_argument("--mode", choices=MODES, default="locational",
+                   help="evaluation mode")
     p.add_argument("--workers", type=int, default=1,
                    help="accepted for compatibility; loading cases are "
                         "evaluated serially and the output is the same for "

@@ -30,6 +30,10 @@ from .case_model import GridCase
 # offsets its ties) and loses digits.
 SUPERLU_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
                        options=dict(SymmetricMode=True))
+# Newton stops as diverged once the mismatch is not finite or exceeds
+# DIVERGENCE_GROWTH times the flat start's; converging solves in the tests
+# overshoot it by at most 34 times (a bus whose charging cancels its ties).
+DIVERGENCE_GROWTH = 1e4
 
 
 class PowerFlowError(RuntimeError):
@@ -103,9 +107,10 @@ def solve_powerflow(case: GridCase, tol: float = 1e-8,
                     max_iter: int = 20) -> PowerFlowSolution:
     """Full Newton power flow from a flat start.
 
-    Raises PowerFlowDivergence after max_iter and SingularJacobian when the
-    factorization fails (the reported bus is the first with a vanishing
-    Jacobian diagonal, the usual culprit).
+    Raises PowerFlowDivergence after max_iter or once the mismatch diverges
+    (see DIVERGENCE_GROWTH), and SingularJacobian when the factorization
+    fails (the reported bus is the first with a vanishing Jacobian diagonal,
+    the usual culprit).
     """
     from .netdyn import build_ybus  # deferred: netdyn also imports this module
 
@@ -141,7 +146,9 @@ def solve_powerflow(case: GridCase, tol: float = 1e-8,
         if norm <= tol:
             return PowerFlowSolution([b.id for b in case.buses], vm, va, it,
                                      norm, ybus)
-        if it == max_iter:
+        if it == 0:
+            limit = DIVERGENCE_GROWTH * norm
+        if it == max_iter or not np.isfinite(norm) or norm > limit:
             raise PowerFlowDivergence(it, norm)
 
         # dSbus_dV (MATPOWER) on the pattern entries (i, k):

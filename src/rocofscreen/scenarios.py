@@ -14,7 +14,8 @@ abort the bank. The locational and simulate modes solve and factorize each
 loading case once, serially; locational mode then screens all of the
 loading case's contingencies in one batch, two multi-right-hand-side solves
 per loading case. Output ordering is by (loading id, contingency id), and
-the table streams to disk so large banks need bounded memory.
+each loading case's rows reach the table file (case_io's scenario table)
+as soon as that loading case completes.
 
 For a fixed loading case the tabulated system-wide ROCOF uses that case's
 total online inertia in the denominator, making it the linear-in-MW-lost
@@ -25,14 +26,15 @@ only when the outage removes a large inertia share.)
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
-from .case_model import GridCase, InputError, total_inertia_gws
+from .case_io import write_scenario_table
+from .case_model import (GridCase, InputError, LoadingCase, ScenarioRecord,
+                         total_inertia_gws)
 from .netdyn import augment_dynamic, init_machines
 from .powerflow import solve_powerflow
 from .rocof import Contingency, locational_rocof_batch
@@ -56,53 +58,11 @@ SIMULATE_MODE_OPTS = SimOptions(t_end=0.25, shedding=False)
 # worst bus (see _column_stats)
 WORST_BUS_RTOL = 1e-12
 
-SCENARIO_COLUMNS = [
-    "loading_id", "contingency_id", "mw_lost", "inertia_gws",
-    "system_rocof", "bus_rocof_min", "bus_rocof_mean", "bus_rocof_max",
-    "worst_bus", "concern_flag", "status",
-]
+MODES = ("system_only", "locational", "simulate")
 
 
 class InfeasibleDispatch(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class LoadingCase:
-    """One demand/wind operating point with its committed dispatch."""
-
-    id: str
-    target_load_mw: float
-    target_wind_mw: float
-    dispatch: dict[str, float]          # gen id -> p_mw for in-service units
-    committed: frozenset[str]           # in-service unit ids (incl. wind)
-    online_inertia_gws: float
-    wind_fraction: float
-
-
-@dataclass
-class ScenarioRecord:
-    loading_id: str
-    contingency_id: str
-    mw_lost: float
-    inertia_gws: float
-    system_rocof_hz_s: float
-    bus_rocof_min: float = math.nan
-    bus_rocof_mean: float = math.nan
-    bus_rocof_max: float = math.nan
-    worst_bus: int | None = None
-    concern_flag: bool = False
-    status: str = "ok"
-
-    def row(self) -> list[str]:
-        def num(x):
-            return "" if x is None or (isinstance(x, float) and math.isnan(x)) else repr(float(x))
-        return [self.loading_id, self.contingency_id, num(self.mw_lost),
-                num(self.inertia_gws), num(self.system_rocof_hz_s),
-                num(self.bus_rocof_min), num(self.bus_rocof_mean),
-                num(self.bus_rocof_max),
-                "" if self.worst_bus is None else str(self.worst_bus),
-                "1" if self.concern_flag else "0", self.status]
 
 
 def dispatch_heuristic(case: GridCase, target_load_mw: float,
@@ -181,8 +141,8 @@ def _dispatch(case: GridCase, target_load_mw: float,
     return replace(case, generators=tuple(new_gens), loads=tuple(new_loads))
 
 
-def loading_case_from(case: GridCase, dispatched: GridCase, lc_id: str,
-                      target_load_mw: float, target_wind_mw: float) -> LoadingCase:
+def loading_case_from(dispatched: GridCase, lc_id: str, target_load_mw: float,
+                      target_wind_mw: float) -> LoadingCase:
     disp = {g.id: g.p_mw for g in dispatched.generators if g.status}
     committed = frozenset(disp)
     inertia = total_inertia_gws(dispatched)
@@ -232,8 +192,8 @@ def generate_loading_cases(case: GridCase, n: int,
                 break
             lc_id = f"lc{len(out):03d}"
             dispatched = dispatch_heuristic(case, float(load_mw), float(wind_mw))
-            out.append(loading_case_from(case, dispatched, lc_id,
-                                         float(load_mw), float(wind_mw)))
+            out.append(loading_case_from(dispatched, lc_id, float(load_mw),
+                                         float(wind_mw)))
     return out
 
 
@@ -335,19 +295,18 @@ def generate_contingencies(case: GridCase, n: int,
 
 
 def _column_stats(rocof: np.ndarray, bus_ids) -> list[tuple]:
-    """(min, mean, max, worst bus) of each column of a bus x m ROCOF block,
-    skipping NaN buses. The worst bus is the lowest bus id among the buses
-    within WORST_BUS_RTOL * max(1, |min|) Hz/s of the column minimum, so
+    """(min, mean, max, worst bus) of each row of a contingency x bus ROCOF
+    block, skipping NaN buses. The worst bus is the lowest bus id among the
+    buses within WORST_BUS_RTOL * max(1, |min|) Hz/s of the row minimum, so
     buses that tie within rounding give the same worst bus in any bus order.
-    A column without a number gives NaNs and no worst bus."""
-    by_row = np.ascontiguousarray(rocof.T)      # reduce along contiguous rows
-    nan = np.isnan(by_row)
-    count = by_row.shape[1] - np.count_nonzero(nan, axis=1)
-    total = np.where(nan, 0.0, by_row).sum(axis=1)
+    A row without a number gives NaNs and no worst bus."""
+    nan = np.isnan(rocof)
+    count = rocof.shape[1] - np.count_nonzero(nan, axis=1)
+    total = np.where(nan, 0.0, rocof).sum(axis=1)
     mean = np.divide(total, count, out=np.full(len(count), np.nan),
                      where=count > 0)
-    low, high = np.fmin.reduce(by_row, axis=1), np.fmax.reduce(by_row, axis=1)
-    tied = by_row <= (low + WORST_BUS_RTOL * np.fmax(1.0, np.abs(low)))[:, None]
+    low, high = np.fmin.reduce(rocof, axis=1), np.fmax.reduce(rocof, axis=1)
+    tied = rocof <= (low + WORST_BUS_RTOL * np.fmax(1.0, np.abs(low)))[:, None]
     ids = np.asarray(bus_ids, dtype=np.int64)
     worst = np.where(tied, ids, np.iinfo(np.int64).max).min(axis=1)
     return [(float(lo), float(mu), float(hi), int(w) if c else None)
@@ -357,22 +316,10 @@ def _column_stats(rocof: np.ndarray, bus_ids) -> list[tuple]:
 def _eval_loading_case(case: GridCase, lc: LoadingCase,
                        contingencies: list[Contingency],
                        mode: str) -> list[ScenarioRecord]:
-    f_base = case.f_base_hz
-    inertia_mws = lc.online_inertia_gws * 1000.0
-
-    def inertia_line(mw: float) -> float:
-        return -f_base * mw / (2.0 * inertia_mws) if inertia_mws > 0 else math.nan
-
-    def base_record(ctg, mw, status="ok"):
-        sys_r = inertia_line(mw) if mw > 0 else 0.0
-        return ScenarioRecord(lc.id, ctg.id, mw, lc.online_inertia_gws, sys_r,
-                              concern_flag=(sys_r < CONCERN_ROCOF_HZ_S),
-                              status=status)
-
-    rows: list[ScenarioRecord] = []
+    """One record per contingency, in id order, each filled in place."""
     model = states = None
     setup_error: str | None = None
-    if mode in ("locational", "simulate"):
+    if mode != "system_only":
         try:
             dispatched = apply_loading_case(case, lc)
             sol = solve_powerflow(dispatched)
@@ -381,56 +328,62 @@ def _eval_loading_case(case: GridCase, lc: LoadingCase,
         except Exception as exc:  # noqa: BLE001 - recorded per row
             setup_error = f"loading case failed: {exc}"
 
-    screened: list[tuple[int, Contingency, float]] = []   # row, online units, MW
+    rows: list[ScenarioRecord] = []
+    screened: list[tuple[ScenarioRecord, Contingency]] = []  # online units
     for ctg in sorted(contingencies, key=lambda c: c.id):
         online = frozenset(g for g in ctg.outaged_generator_ids
                            if g in lc.committed)
         # sorted: the float sum must not depend on set iteration order
-        mw_disp = sum(lc.dispatch.get(g, 0.0) for g in sorted(online))
+        mw_disp = sum((lc.dispatch.get(g, 0.0) for g in sorted(online)), 0.0)
+        rec = ScenarioRecord(lc.id, ctg.id, mw_disp, lc.online_inertia_gws, 0.0)
+        rows.append(rec)
         if not online:
-            rows.append(base_record(ctg, 0.0, status="no_online_units"))
-            continue
-        if mode == "system_only":
-            rows.append(base_record(ctg, mw_disp))
-            continue
-        if setup_error is not None:
-            rows.append(base_record(ctg, mw_disp, status=setup_error))
-            continue
-        screened.append((len(rows), Contingency(ctg.id, online), mw_disp))
-        rows.append(base_record(ctg, mw_disp))
-    if not screened:
-        return rows
+            rec.status = "no_online_units"
+        elif setup_error is not None:
+            rec.status = setup_error
+        elif mode != "system_only":
+            screened.append((rec, Contingency(ctg.id, online)))
 
-    # one bus x m ROCOF block for the loading case, one error per column
-    subs = [sub for _, sub, _ in screened]
-    rocof = np.full((model.n_bus, len(subs)), np.nan)
-    errors: list[Exception | None] = [None] * len(subs)
-    mw_lost = [mw for _, _, mw in screened]
-    islands: list[list] = [[] for _ in subs]
-    if mode == "locational":
-        try:
-            batch = locational_rocof_batch(model, states, subs)
-            rocof, errors = batch.bus_rocof_hz_s, batch.errors
-            mw_lost, islands = batch.mw_lost.tolist(), batch.undefined_islands
-        except Exception as exc:  # noqa: BLE001 - fault isolation
-            errors = [exc] * len(subs)
-    else:  # simulate
-        for j, sub in enumerate(subs):
+    if screened:
+        subs = [sub for _, sub in screened]
+        rocof = np.full((len(subs), model.n_bus), np.nan)   # contingency x bus
+        errors: list[Exception | None] = [None] * len(subs)
+        mw_lost = [rec.mw_lost for rec, _ in screened]
+        islands: list[list] = [[] for _ in subs]
+        if mode == "locational":
             try:
-                rocof[:, j] = finite_difference_rocof(
-                    simulate(model, states.copy(), sub, SIMULATE_MODE_OPTS))
+                batch = locational_rocof_batch(model, states, subs)
+                rocof, errors = batch.bus_rocof_hz_s.T, batch.errors
+                mw_lost, islands = batch.mw_lost.tolist(), batch.undefined_islands
             except Exception as exc:  # noqa: BLE001 - fault isolation
-                errors[j] = exc
-    stats = _column_stats(rocof, model.bus_ids)
-    for j, (i, sub, _) in enumerate(screened):
-        if errors[j] is not None:
-            rows[i].status = f"error: {errors[j]}"
-            continue
-        rec = rows[i] = base_record(sub, mw_lost[j])
-        (rec.bus_rocof_min, rec.bus_rocof_mean, rec.bus_rocof_max,
-         rec.worst_bus) = stats[j]
-        if islands[j]:
-            rec.status = f"{len(islands[j])} undefined island(s)"
+                errors = [exc] * len(subs)
+        else:  # simulate
+            for j, sub in enumerate(subs):
+                try:
+                    rocof[j] = finite_difference_rocof(
+                        simulate(model, states.copy(), sub, SIMULATE_MODE_OPTS))
+                except Exception as exc:  # noqa: BLE001 - fault isolation
+                    errors[j] = exc
+        stats = _column_stats(rocof, model.bus_ids)
+        for (rec, _), error, mw, isl, stat in zip(screened, errors, mw_lost,
+                                                  islands, stats):
+            if error is not None:
+                rec.status = f"error: {error}"
+                continue
+            rec.mw_lost = mw
+            (rec.bus_rocof_min, rec.bus_rocof_mean, rec.bus_rocof_max,
+             rec.worst_bus) = stat
+            if isl:
+                rec.status = f"{len(isl)} undefined island(s)"
+
+    # the loading case's inertia line at each row's final MW lost
+    inertia_mws = lc.online_inertia_gws * 1000.0
+    for rec in rows:
+        if rec.mw_lost > 0:
+            rec.system_rocof_hz_s = (
+                -case.f_base_hz * rec.mw_lost / (2.0 * inertia_mws)
+                if inertia_mws > 0 else math.nan)
+        rec.concern_flag = rec.system_rocof_hz_s < CONCERN_ROCOF_HZ_S
     return rows
 
 
@@ -458,34 +411,30 @@ def run_bank(case: GridCase, loading_cases: list[LoadingCase],
     multi-right-hand-side sparse solves per loading case, for all of its
     contingencies, after per-loading-case initialization), or "simulate"
     (a SIMULATE_MODE_OPTS time-domain run per scenario; slow, small cases
-    only).
+    only). Any other mode raises InputError.
 
     mw_lost is the lost machines' solved output on the rows a locational
     screen produced, and the dispatched MW of the online outaged units on
     every other row (see docs/case_schema.md).
 
     Loading cases are evaluated one after another, and rows stream to
-    out_path in sorted (loading_id, contingency_id) order as each loading
-    case completes. workers has no effect on evaluation and is kept for
-    callers that pass it; the output is the same for any value.
+    out_path through case_io.write_scenario_table in sorted (loading_id,
+    contingency_id) order as each loading case completes. workers has no
+    effect on evaluation and is kept for callers that pass it; the output
+    is the same for any value.
     """
-    if mode not in ("system_only", "locational", "simulate"):
-        raise ValueError(f"unknown mode {mode!r}")
-
-    writer = ctx = None
-    if out_path is not None:
-        ctx = open(out_path, "w", newline="")
-        writer = csv.writer(ctx)
-        writer.writerow(SCENARIO_COLUMNS)
-
+    if mode not in MODES:
+        raise InputError(f"unknown mode {mode!r}; expected one of "
+                         f"{', '.join(MODES)}")
     records: list[ScenarioRecord] = []
-    try:
+
+    def rows():
         for lc in sorted(loading_cases, key=lambda lc: lc.id):
-            rows = _eval_loading_case(case, lc, contingencies, mode)
-            records.extend(rows)
-            if writer is not None:
-                writer.writerows(r.row() for r in rows)
-    finally:
-        if ctx is not None:
-            ctx.close()
+            batch = _eval_loading_case(case, lc, contingencies, mode)
+            records.extend(batch)
+            yield from batch
+
+    if out_path is None:
+        return list(rows())
+    write_scenario_table(rows(), out_path)
     return records

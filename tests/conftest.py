@@ -23,6 +23,14 @@ def solved9(case9):
     return case9, sol, model, states
 
 
+def record_fields(record):
+    """A dataclass record's fields with each float as its repr, so two
+    records compare as their table rows do: NaN equals NaN, and -0.0 is not
+    0.0."""
+    return [repr(float(v)) if isinstance(v, float) else v
+            for v in dataclasses.astuple(record)]
+
+
 def currents(model, states):
     """The machines' Norton currents at their present angles."""
     return norton_currents(states.e_prime / model.xdp_sys, states.delta)

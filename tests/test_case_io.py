@@ -16,9 +16,9 @@ from rocofscreen.case_io import (CaseParseError, apply_sidecar, import_cdf,
                                  write_events, write_loading_cases,
                                  write_results, write_scenario_table,
                                  write_sidecar)
-from rocofscreen.case_model import Branch, Bus, Generator, Load
+from rocofscreen.case_model import (Branch, Bus, Generator, Load, LoadingCase,
+                                    ScenarioRecord)
 from rocofscreen.rocof import Contingency, RocofResult
-from rocofscreen.scenarios import LoadingCase, ScenarioRecord
 from rocofscreen.swingsim import SimResult, TripEvent
 
 
@@ -108,13 +108,12 @@ def test_bool_fields_read_the_sidecar_words(case9, tmp_path, word, status):
 
 def _reader_texts(case9):
     """A valid input of each reader, keyed by the reader."""
-    row = ScenarioRecord("lc0", "c1", 85.0, 1.0, -1.0, worst_bus=5)
     return {
         read_case: (Path(case_io.__file__).parent / "data/wscc9.json").read_text(),
         read_loading_cases: "[]",
         read_contingencies: "id,outaged_generator_ids,mw_lost\nc1,gen3,85\n",
         read_scenario_table: ",".join(case_io.SCENARIO_COLUMNS) + "\n"
-        + ",".join(row.row()) + "\n",
+        + "lc0,c1,85.0,1.0,-1.0,,,,5,0,ok\n",
         import_cdf: CDF_SAMPLE,
         (lambda path: apply_sidecar(case9, path)):
         "record,id,h_sec,xdp_pu,fuel,ufls_stage,ffr\ngenerator,gen1,3.0,,,,\n",

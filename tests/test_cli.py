@@ -358,7 +358,7 @@ def test_loading_case_ids_read_as_text(tmp_path, capsys):
     ("lc0,c1,85.0", ":2: missing field 'inertia_gws'"),
 ])
 def test_malformed_scenario_table_names_the_place(tmp_path, capsys, row, place):
-    from rocofscreen.scenarios import SCENARIO_COLUMNS
+    from rocofscreen.case_io import SCENARIO_COLUMNS
     results = tmp_path / "results.csv"
     results.write_text(",".join(SCENARIO_COLUMNS) + "\n" + row + "\n")
     code, _, err = run(["report", "--results", str(results),

@@ -12,10 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rocofscreen import CaseValidationError, load_case9, read_case
-from rocofscreen.case_io import (CaseParseError, import_cdf, read_contingencies,
-                                 read_loading_cases, read_scenario_table,
-                                 write_sidecar)
-from rocofscreen.scenarios import SCENARIO_COLUMNS, ScenarioRecord
+from rocofscreen.case_io import (SCENARIO_COLUMNS, CaseParseError, import_cdf,
+                                 read_contingencies, read_loading_cases,
+                                 read_scenario_table, write_sidecar)
 from test_case_io import CDF_SAMPLE
 from test_cli import CASE9, GOOD_CONTINGENCIES, GOOD_LOADING
 
@@ -88,8 +87,8 @@ CASE9_DOC = json.loads(CASE9.read_text())
 CASE9_PATHS = list(_paths(CASE9_DOC))
 BANK_DOC = [GOOD_LOADING]
 BANK_PATHS = list(_paths(BANK_DOC))
-TABLE = (",".join(SCENARIO_COLUMNS) + "\n" + ",".join(
-    ScenarioRecord("lc0", "c1", 85.0, 1.0, -1.0, -1.2, -1.0, -0.9, 5).row()) + "\n")
+TABLE = (",".join(SCENARIO_COLUMNS) + "\n"
+         + "lc0,c1,85.0,1.0,-1.0,-1.2,-1.0,-0.9,5,0,ok\n")
 CDF_FIELDS = [(31, 37), (0, 4), (5, 9), (19, 29), (24, 26), (27, 33), (29, 40),
               (33, 40), (40, 49), (40, 50), (49, 59), (59, 67), (67, 75),
               (76, 82), (76, 83)]

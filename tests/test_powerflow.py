@@ -100,6 +100,33 @@ def test_divergence_reports_iterations():
     assert err.value.iterations == 15
 
 
+def test_divergence_stops_once_the_mismatch_outgrows_the_flat_start():
+    # past its capability the two-bus case grows its mismatch beyond
+    # DIVERGENCE_GROWTH times the flat start's before the 20-iteration
+    # limit, and Newton stops at the first iteration that does
+    case = two_bus_case(p_load=6000.0)
+    flat = np.ones(2, dtype=complex)
+    limit = powerflow.DIVERGENCE_GROWTH * float(
+        np.max(np.abs(mismatch_vector(case, build_ybus(case), flat))))
+    with pytest.raises(PowerFlowDivergence) as err:
+        solve_powerflow(case)
+    stop = err.value.iterations
+    assert 0 < stop < 20
+    assert err.value.mismatch > limit
+    assert str(err.value).startswith(f"no convergence after {stop} iterations")
+    with pytest.raises(PowerFlowDivergence) as err:
+        solve_powerflow(case, max_iter=stop - 1)
+    assert err.value.iterations == stop - 1
+    assert err.value.mismatch <= limit
+
+
+def test_divergence_stops_at_a_mismatch_that_is_not_finite():
+    case = two_bus_case().with_loads([Load(id="l2", bus_id=2, p_mw=math.nan)])
+    with pytest.raises(PowerFlowDivergence, match="after 0 iterations") as err:
+        solve_powerflow(case)
+    assert math.isnan(err.value.mismatch)
+
+
 def test_fleet_case_converges(fleet_case):
     sol = solve_powerflow(fleet_case)
     assert sol.max_mismatch_pu <= 1e-8

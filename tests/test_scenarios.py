@@ -13,9 +13,13 @@ from rocofscreen import (Contingency, InfeasibleDispatch, SingularOutageError,
                          generate_contingencies, generate_loading_cases,
                          init_machines, locational_rocof, run_bank,
                          solve_powerflow, total_inertia_gws)
-from rocofscreen.case_model import Branch, Bus, Generator, GridCase, Load
+from rocofscreen.case_io import read_scenario_table, write_scenario_table
+from rocofscreen.case_model import (Branch, Bus, Generator, GridCase, InputError,
+                                    Load, LoadingCase)
 from rocofscreen.scenarios import (apply_loading_case, loading_case_from,
                                    _eval_loading_case)
+
+from conftest import record_fields
 
 STUDY_LOAD_RANGE = (15000.0, 75000.0)
 STUDY_WIND_RANGE = (10000.0, 30000.0)
@@ -169,7 +173,7 @@ def test_contingency_bank_small_case_fails(case9):
 
 def test_apply_loading_case_reproduces_dispatch(fleet_case):
     lc_src = dispatch_heuristic(fleet_case, 35000.0, 14000.0)
-    lc = loading_case_from(fleet_case, lc_src, "lc000", 35000.0, 14000.0)
+    lc = loading_case_from(lc_src, "lc000", 35000.0, 14000.0)
     rebuilt = apply_loading_case(fleet_case, lc)
     for g in rebuilt.generators:
         if g.status:
@@ -259,7 +263,7 @@ def test_run_bank_power_flow_failure_isolated(small_bank, fleet_case,
     assert len(mixed) == len(clean)
     for m, c in zip(mixed, clean):
         if m.loading_id != bad.id:
-            assert m.row() == c.row()
+            assert record_fields(m) == record_fields(c)
         elif c.status != "no_online_units":
             assert m.status.startswith("loading case failed: no convergence")
             assert math.isnan(m.bus_rocof_min)
@@ -342,7 +346,7 @@ def test_worst_bus_is_lowest_id_among_ties_in_any_bus_order():
     # (the first exact minimum is bus 1, 5 and 4 in these three orders)
     for order in ((1, 2, 3, 4, 5), (5, 4, 3, 2, 1), (3, 5, 1, 4, 2)):
         case = mirror_case(order)
-        lc = loading_case_from(case, case, "lc", 280.0, 0.0)
+        lc = loading_case_from(case, "lc", 280.0, 0.0)
         ctg = Contingency.of("ends", ["g1", "g5"])
         (row,) = run_bank(case, [lc], [ctg], mode="locational")
         model, states = loading_case_model(case, lc)
@@ -430,8 +434,9 @@ def test_run_bank_isolates_faults_within_one_batch(small_bank, monkeypatch):
                      mode="locational")
     assert {r.contingency_id: r.status for r in mixed
             if r.status.startswith("error")} == expected
-    survivors = [r.row() for r in mixed if r.contingency_id not in expected]
-    assert survivors == [r.row() for r in clean if r.contingency_id != target.id]
+    survivors = [record_fields(r) for r in mixed if r.contingency_id not in expected]
+    assert survivors == [record_fields(r) for r in clean
+                         if r.contingency_id != target.id]
 
 
 HASHSEED_BANK = """
@@ -533,13 +538,12 @@ def test_run_bank_fault_isolation(small_bank, tmp_path):
     bad = [r for r in mixed if r.contingency_id == "ctg_poison"]
     assert len(bad) == 1 and bad[0].status.startswith("error")
     survivors = [r for r in mixed if r.contingency_id != "ctg_poison"]
-    assert [r.row() for r in survivors] == [r.row() for r in clean]
+    assert [record_fields(r) for r in survivors] == [record_fields(r) for r in clean]
 
 
 def test_run_bank_simulate_mode(case9):
     lc_case = case9  # tiny case: simulate mode is affordable
     disp = {g.id: g.p_mw for g in case9.generators}
-    from rocofscreen.scenarios import LoadingCase
     lc = LoadingCase("lc000", sum(l.p_mw for l in case9.loads), 0.0, disp,
                      frozenset(disp), total_inertia_gws(case9), 0.0)
     ctg = Contingency("ctg000", frozenset({"gen3"}), 85.0)
@@ -550,6 +554,52 @@ def test_run_bank_simulate_mode(case9):
     assert r.bus_rocof_min <= r.bus_rocof_mean <= r.bus_rocof_max
     # the finite-difference screen lands near the theoretical figure
     assert r.bus_rocof_mean == pytest.approx(-1.03, abs=0.15)
+
+
+def case9_bank_with_failures(case9):
+    """A 9-bus bank whose rows take every status: a normal loading case, one
+    at eight times the load whose power flow fails, and contingencies that
+    screen, lose all inertia, trip a committed unit the case lacks, or name
+    no online unit."""
+    disp = {g.id: g.p_mw for g in case9.generators}
+    committed = frozenset(disp) | {"ghost"}
+    load = sum(l.p_mw for l in case9.loads)
+    inertia = total_inertia_gws(case9)
+    loading = [LoadingCase("lc000", load, 0.0, disp, committed, inertia, 0.0),
+               LoadingCase("lc001", 8 * load, 0.0,
+                           {g: 8 * p for g, p in disp.items()}, committed,
+                           inertia, 0.0)]
+    contingencies = [Contingency.of("ctg000", ["gen2"]),
+                     Contingency.of("ctg001", ["gen2", "gen3"]),
+                     Contingency.of("ctg002", ["gen1", "gen2", "gen3"]),
+                     Contingency.of("ctg003", ["ghost"]),
+                     Contingency.of("ctg004", ["not_a_unit"])]
+    return loading, contingencies
+
+
+@pytest.mark.parametrize("mode", ["locational", "system_only", "simulate"])
+def test_run_bank_table_is_the_table_of_its_records(case9, tmp_path, mode):
+    # the rows run_bank streams to out_path are case_io's scenario table of
+    # the records it returns, and read back to those records
+    loading, contingencies = case9_bank_with_failures(case9)
+    streamed, written = tmp_path / "streamed.csv", tmp_path / "written.csv"
+    records = run_bank(case9, loading, contingencies, mode=mode,
+                       out_path=streamed)
+    write_scenario_table(records, written)
+    assert streamed.read_bytes() == written.read_bytes()
+    assert ([record_fields(r) for r in read_scenario_table(streamed)]
+            == [record_fields(r) for r in records])
+    statuses = {r.status.partition(":")[0] for r in records}
+    expected = {"ok", "no_online_units"}
+    if mode != "system_only":
+        expected |= {"error", "loading case failed"}
+    assert statuses == expected
+
+
+def test_run_bank_unknown_mode_is_input_error(case9):
+    loading, contingencies = case9_bank_with_failures(case9)
+    with pytest.raises(InputError, match="unknown mode 'fast'"):
+        run_bank(case9, loading, contingencies, mode="fast")
 
 
 def test_full_scale_bank_shape(fleet_case):
