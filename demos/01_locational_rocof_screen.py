@@ -50,8 +50,7 @@ print(f"\nworst bus: {worst} "
       "the system-wide value")
 print(f"cost: {res.n_solves} sparse solves for the whole screen")
 
-case_io.write_results(res, out_dir / "rocof_gen3.csv")
-case_io.write_results(res, out_dir / "rocof_gen3.geojson", format="geojson",
-                      case=case)
+case_io.write_rocof_csv(res, out_dir / "rocof_gen3.csv")
+case_io.write_rocof_geojson(res, out_dir / "rocof_gen3.geojson", case)
 print(f"\nwrote {out_dir / 'rocof_gen3.csv'} and .geojson "
       "(point layer for any GIS viewer)")

@@ -53,6 +53,6 @@ print("\nthe gap is physical: constant-impedance load consumes less as the "
       "voltage sags,\nso the true imbalance is a little smaller than the "
       "tripped dispatch")
 
-case_io.write_results(sim, out_dir / "swing_gen3.csv")
+case_io.write_sim_csv(sim, out_dir / "swing_gen3.csv")
 print(f"\nwrote {out_dir / 'swing_gen3.csv'} (bus frequencies and machine "
       "speeds per step)")

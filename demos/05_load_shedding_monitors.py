@@ -45,7 +45,7 @@ for e in sim.events:
           f"({e.frequency_hz:.3f} Hz locally)")
 
 case_io.write_events(sim.events, out_dir / "shedding_events.csv")
-case_io.write_results(sim, out_dir / "shedding_sim.csv")
+case_io.write_sim_csv(sim, out_dir / "shedding_sim.csv")
 
 # the 25-cycle rule on constructed traces: exactly 25 cycles is not enough
 print("\nfast-frequency-response boundary check (constructed traces):")

@@ -13,7 +13,8 @@ from .case_model import (Branch, Bus, CaseValidationError, Generator,
                          ScenarioRecord, UnknownIdError, Violation,
                          total_inertia_gws, validate_case)
 from .case_io import (CaseParseError, apply_sidecar, import_cdf, read_case,
-                      write_case, write_results, write_sidecar)
+                      write_case, write_rocof_csv, write_rocof_geojson,
+                      write_sidecar, write_sim_csv)
 from .powerflow import (PowerFlowDivergence, PowerFlowError,
                         PowerFlowSolution, SingularJacobian,
                         accept_solved_voltages, solve_powerflow)

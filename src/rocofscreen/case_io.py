@@ -244,7 +244,7 @@ def _cell(value) -> str:
 
 def write_sidecar(case: GridCase, path) -> None:
     """Emit the full dynamics sidecar for a case (diffable synthesis output)."""
-    _write_csv(path, SIDECAR_COLUMNS, (
+    write_table(path, SIDECAR_COLUMNS, (
         [kind, rec.id] + [_cell(getattr(rec, col)) if col in _SIDECAR_FIELDS[kind]
                           else "" for col in SIDECAR_COLUMNS[2:]]
         for kind, recs in (("generator", case.generators), ("load", case.loads))
@@ -359,42 +359,24 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _write_csv(path, header, rows) -> None:
+def write_table(path, header, rows) -> None:
+    """Write a CSV file: the header row, then each of rows."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
 
 
-def write_results(result, path, format: str = "csv",
-                  case: GridCase | None = None) -> None:
-    """Write an analysis result to disk.
-
-    RocofResult: one row per bus (csv) or one point feature per bus
-    (geojson; needs bus coordinates from the case). SimResult: one row per
-    time step with bus frequencies and machine speeds. Scenario tables are
-    written by write_scenario_table.
-    """
-    if format not in ("csv", "geojson"):
-        raise ValueError(f"unknown format {format!r}")
-    if isinstance(result, RocofResult):
-        if format == "geojson":
-            _rocof_geojson(result, path, case)
-        else:
-            _write_csv(path, ["bus_id", "rocof_hz_per_s"],
-                       ([bid, _fmt(val)] for bid, val
-                        in zip(result.bus_ids, result.bus_rocof_hz_s)))
-    elif isinstance(result, SimResult):
-        if format == "geojson":
-            raise ValueError("time-series results have no geojson form")
-        _sim_csv(result, path)
-    else:
-        raise TypeError(f"cannot write result of type {type(result).__name__}")
+def write_rocof_csv(res: RocofResult, path) -> None:
+    """One row per bus: its id and ROCOF, blank where undefined."""
+    write_table(path, ["bus_id", "rocof_hz_per_s"],
+                ([bid, _fmt(val)] for bid, val
+                 in zip(res.bus_ids, res.bus_rocof_hz_s)))
 
 
-def _rocof_geojson(res: RocofResult, path, case: GridCase | None) -> None:
-    if case is None:
-        raise InputError("geojson output needs the case for bus coordinates")
+def write_rocof_geojson(res: RocofResult, path, case: GridCase) -> None:
+    """One point feature per bus at the case's bus coordinates; raises
+    InputError naming a bus without them."""
     coords = {b.id: (b.longitude, b.latitude) for b in case.buses}
     features = []
     for bid, val in zip(res.bus_ids, res.bus_rocof_hz_s):
@@ -413,25 +395,26 @@ def _rocof_geojson(res: RocofResult, path, case: GridCase | None) -> None:
     Path(path).write_text(json.dumps(doc, indent=1) + "\n")
 
 
-def _sim_csv(sim: SimResult, path) -> None:
-    _write_csv(path,
-               ["time_s"] + [f"freq_hz_bus{b}" for b in sim.bus_ids]
-               + [f"omega_pu_{g}" for g in sim.machine_ids],
-               ([_fmt(t)] + [_fmt(v) for v in sim.bus_freq_hz[k]]
-                + [_fmt(v) for v in sim.omega[k]]
-                for k, t in enumerate(sim.time_s)))
+def write_sim_csv(sim: SimResult, path) -> None:
+    """One row per time step: bus frequencies, then machine speeds."""
+    write_table(path,
+                ["time_s"] + [f"freq_hz_bus{b}" for b in sim.bus_ids]
+                + [f"omega_pu_{g}" for g in sim.machine_ids],
+                ([_fmt(t)] + [_fmt(v) for v in sim.bus_freq_hz[k]]
+                 + [_fmt(v) for v in sim.omega[k]]
+                 for k, t in enumerate(sim.time_s)))
 
 
 def write_events(events: list[TripEvent], path) -> None:
-    _write_csv(path, ["time_s", "kind", "stage", "load_id", "bus_id", "frequency_hz"],
-               ([_fmt(e.time_s), e.kind, e.stage or "", e.load_id, e.bus_id,
-                 _fmt(e.frequency_hz)] for e in events))
+    write_table(path, ["time_s", "kind", "stage", "load_id", "bus_id", "frequency_hz"],
+                ([_fmt(e.time_s), e.kind, e.stage or "", e.load_id, e.bus_id,
+                  _fmt(e.frequency_hz)] for e in events))
 
 
 def write_scenario_table(records: Iterable[ScenarioRecord], path) -> None:
     """Write the scenario table, each row as ``records`` yields it; a NaN
     number or a missing worst bus is a blank cell."""
-    _write_csv(path, SCENARIO_COLUMNS, (
+    write_table(path, SCENARIO_COLUMNS, (
         [r.loading_id, r.contingency_id, _fmt(r.mw_lost), _fmt(r.inertia_gws),
          _fmt(r.system_rocof_hz_s), _fmt(r.bus_rocof_min),
          _fmt(r.bus_rocof_mean), _fmt(r.bus_rocof_max),
@@ -486,9 +469,9 @@ def read_scenario_table(path) -> list[ScenarioRecord]:
 # contingency / loading banks
 
 def write_contingencies(contingencies: list[Contingency], path) -> None:
-    _write_csv(path, CONTINGENCY_COLUMNS,
-               ([c.id, ";".join(sorted(c.outaged_generator_ids)),
-                 _fmt(c.total_mw_lost)] for c in contingencies))
+    write_table(path, CONTINGENCY_COLUMNS,
+                ([c.id, ";".join(sorted(c.outaged_generator_ids)),
+                  _fmt(c.total_mw_lost)] for c in contingencies))
 
 
 def read_contingencies(path) -> list[Contingency]:
@@ -542,6 +525,6 @@ def read_loading_cases(path) -> list[LoadingCase]:
 
 
 def write_powerflow_csv(sol: PowerFlowSolution, path) -> None:
-    _write_csv(path, ["bus_id", "v_mag_pu", "v_ang_deg"],
-               ([bid, _fmt(vm), _fmt(math.degrees(va))]
-                for bid, vm, va in zip(sol.bus_ids, sol.v_mag, sol.v_ang)))
+    write_table(path, ["bus_id", "v_mag_pu", "v_ang_deg"],
+                ([bid, _fmt(vm), _fmt(math.degrees(va))]
+                 for bid, vm, va in zip(sol.bus_ids, sol.v_mag, sol.v_ang)))

@@ -9,19 +9,19 @@ the ROCOF_SCREEN_LOG environment variable (default WARNING).
 from __future__ import annotations
 
 import argparse
-import csv
 import logging
 import math
 import os
 import sys
 import time
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
 from . import case_io
-from .case_model import (CaseValidationError, InputError, UnknownIdError,
-                         validate_case)
+from .case_model import CaseValidationError, InputError, UnknownIdError
 from .netdyn import ModelBuildError, augment_dynamic, init_machines
 from .powerflow import PowerFlowError, solve_powerflow
 from .rocof import (Contingency, SingularOutageError, ZeroInertiaError,
@@ -45,10 +45,6 @@ def _add_case_args(p):
     p.add_argument("--case", required=True, help="case document (JSON)")
     p.add_argument("--sidecar", default=None,
                    help="dynamics sidecar CSV (default: <case>.dyn.csv if present)")
-
-
-def _load_case(args):
-    return case_io.read_case(args.case, sidecar=args.sidecar)
 
 
 def _outage_list(raw: str) -> list[str]:
@@ -77,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rocof-system",
                        help="system-wide ROCOF for a generation loss")
     _add_case_args(p)
-    p.add_argument("--outage", default=None,
+    p.add_argument("--outage", default="",
                    help="comma-separated generator ids to trip "
                         "(loss defaults to their dispatch)")
     p.add_argument("--loss-mw", type=float, default=None,
@@ -132,10 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "loading_cases.json")
     p.add_argument("--mode", choices=MODES, default="locational",
                    help="evaluation mode")
-    p.add_argument("--workers", type=int, default=1,
-                   help="accepted for compatibility; loading cases are "
-                        "evaluated serially and the output is the same for "
-                        "any value")
     p.add_argument("--out", required=True, help="scenario table CSV")
 
     p = sub.add_parser("report",
@@ -148,21 +140,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_validate(args) -> int:
     try:
-        case = _load_case(args)
+        case = case_io.read_case(args.case, sidecar=args.sidecar)
     except CaseValidationError as exc:
         for v in exc.violations:
             print(v)
         print(f"{len(exc.violations)} violation(s)")
         return 1
-    violations = validate_case(case)
     print(f"{case.name}: {len(case.buses)} buses, {len(case.generators)} "
           f"generators, {len(case.loads)} loads, {len(case.branches)} branches")
-    print("ok" if not violations else f"{len(violations)} violation(s)")
-    return 0 if not violations else 1
+    print("ok")
+    return 0
 
 
 def cmd_powerflow(args) -> int:
-    case = _load_case(args)
+    case = case_io.read_case(args.case, sidecar=args.sidecar)
     sol = solve_powerflow(case, tol=args.tol, max_iter=args.max_iter)
     print(f"converged in {sol.iterations} iterations, "
           f"max mismatch {sol.max_mismatch_pu:.3e} pu")
@@ -173,26 +164,28 @@ def cmd_powerflow(args) -> int:
 
 
 def cmd_rocof_system(args) -> int:
-    case = _load_case(args)
-    outage = _outage_list(args.outage) if args.outage else []
+    case = case_io.read_case(args.case, sidecar=args.sidecar)
+    outage = _outage_list(args.outage)
     if args.loss_mw is None and not outage:
         raise InputError("give --outage and/or --loss-mw")
-    loss = args.loss_mw
-    if loss is None:
-        loss = sum(case.generator(g).p_mw for g in outage)
+    loss = (sum(case.generator(g).p_mw for g in outage)
+            if args.loss_mw is None else args.loss_mw)
     value = system_rocof(case, loss, outaged_ids=outage)
     print(f"{value:.4f} Hz/s  (loss {loss:.1f} MW)")
     return 0
 
 
 def cmd_rocof_local(args) -> int:
-    case = _load_case(args)
+    case = case_io.read_case(args.case, sidecar=args.sidecar)
     sol = solve_powerflow(case)
     model = augment_dynamic(sol.ybus, case, sol)
     states = init_machines(model, case, sol)
     ctg = Contingency.of("cli", _outage_list(args.outage))
     res = locational_rocof(model, states, ctg)
-    case_io.write_results(res, args.out, format=args.format, case=case)
+    if args.format == "geojson":
+        case_io.write_rocof_geojson(res, args.out, case)
+    else:
+        case_io.write_rocof_csv(res, args.out)
     finite = res.bus_rocof_hz_s[~np.isnan(res.bus_rocof_hz_s)]
     print(f"system {res.system_rocof_hz_s:.4f} Hz/s; bus range "
           f"[{finite.min():.4f}, {finite.max():.4f}] Hz/s over "
@@ -201,7 +194,7 @@ def cmd_rocof_local(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    case = _load_case(args)
+    case = case_io.read_case(args.case, sidecar=args.sidecar)
     sol = solve_powerflow(case)
     model = augment_dynamic(sol.ybus, case, sol)
     states = init_machines(model, case, sol)
@@ -210,9 +203,8 @@ def cmd_simulate(args) -> int:
     t0 = time.perf_counter()
     sim = simulate(model, states, ctg, opts)
     elapsed = time.perf_counter() - t0
-    case_io.write_results(sim, args.out)
-    events_path = str(args.out) + ".events.csv"
-    case_io.write_events(sim.events, events_path)
+    case_io.write_sim_csv(sim, args.out)
+    case_io.write_events(sim.events, str(args.out) + ".events.csv")
     nadir = float(np.nanmin(sim.bus_freq_hz))
     print(f"simulated {args.t_end:.2f} s in {elapsed:.2f} s; frequency nadir "
           f"{nadir:.3f} Hz; {len(sim.events)} trip event(s); wrote {args.out}")
@@ -220,14 +212,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    case = _load_case(args)
+    case = case_io.read_case(args.case, sidecar=args.sidecar)
     print(f"seed: {args.seed}")
     rng = np.random.default_rng(args.seed)
     case = assign_plant_correlated(case, rng)
     case = assign_ufls(case, rng)
     case_io.write_sidecar(case, args.out)
-    report = validate_synthesis(case)
-    print(report)
+    print(validate_synthesis(case))
     print(f"wrote {args.out}")
     return 0
 
@@ -241,7 +232,7 @@ def _parse_range(raw: str) -> tuple[float, float]:
 
 
 def cmd_scenarios_gen(args) -> int:
-    case = _load_case(args)
+    case = case_io.read_case(args.case, sidecar=args.sidecar)
     print(f"seed: {args.seed}")
     rng = np.random.default_rng(args.seed)
     outdir = Path(args.out)
@@ -258,76 +249,67 @@ def cmd_scenarios_gen(args) -> int:
 
 
 def cmd_scenarios_run(args) -> int:
-    case = _load_case(args)
+    case = case_io.read_case(args.case, sidecar=args.sidecar)
     bank = Path(args.bank)
     contingencies = case_io.read_contingencies(bank / "contingencies.csv")
     loading = case_io.read_loading_cases(bank / "loading_cases.json")
     t0 = time.perf_counter()
-    records = run_bank(case, loading, contingencies, mode=args.mode,
-                       out_path=args.out, workers=args.workers)
+    records = run_bank(case, loading, contingencies, mode=args.mode, out_path=args.out)
     elapsed = time.perf_counter() - t0
     n_err = sum(1 for r in records if r.status not in ("ok", "no_online_units"))
-    print(f"{len(records)} scenarios in {elapsed:.1f} s "
-          f"({args.mode} mode); "
+    print(f"{len(records)} scenarios in {elapsed:.1f} s ({args.mode} mode); "
           f"{n_err} recorded failure(s); wrote {args.out}")
     return 0
+
+
+def _stat(fn, values) -> str:
+    """repr of fn over the values that are numbers; blank when none is."""
+    numbers = [v for v in values if not math.isnan(v)]
+    return repr(float(fn(numbers))) if numbers else ""
 
 
 def cmd_report(args) -> int:
     records = case_io.read_scenario_table(args.results)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
+    by_loss, by_loading, by_ctg = (outdir / f"summary_by_{name}.csv"
+                                   for name in ("loss", "loading", "contingency"))
 
-    # loss-vs-ROCOF scatter summary (system screen)
-    by_loss = outdir / "summary_by_loss.csv"
-    with open(by_loss, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["mw_lost_bin_lo", "mw_lost_bin_hi", "n", "system_rocof_mean",
-                    "system_rocof_min", "worst_bus_rocof_min"])
-        vals = [r for r in records if not math.isnan(r.mw_lost) and r.mw_lost > 0]
-        if vals:
-            hi = max(r.mw_lost for r in vals)
-            edges = np.linspace(0, hi, 12)
-            for lo, up in zip(edges[:-1], edges[1:]):
-                sel = [r for r in vals if lo < r.mw_lost <= up]
-                if not sel:
-                    continue
-                sysr = [r.system_rocof_hz_s for r in sel]
-                busmin = [r.bus_rocof_min for r in sel
-                          if not math.isnan(r.bus_rocof_min)]
-                w.writerow([f"{lo:.1f}", f"{up:.1f}", len(sel),
-                            repr(float(np.mean(sysr))), repr(float(np.min(sysr))),
-                            repr(float(np.min(busmin))) if busmin else ""])
+    def groups(field):  # (value, its records in table order) by sorted value
+        key = attrgetter(field)
+        return [(k, list(sel)) for k, sel in groupby(sorted(records, key=key), key)]
+
+    # loss-vs-ROCOF scatter summary (system screen); a NaN loss is not > 0,
+    # and a NaN system ROCOF (no online inertia) is kept: its bin reads nan
+    lossy = [r for r in records if r.mw_lost > 0]
+    edges = np.linspace(0, max((r.mw_lost for r in lossy), default=0.0), 12)
+    bins = [(lo, up, [r for r in lossy if lo < r.mw_lost <= up])
+            for lo, up in zip(edges[:-1], edges[1:])]
+    case_io.write_table(by_loss, [
+        "mw_lost_bin_lo", "mw_lost_bin_hi", "n", "system_rocof_mean",
+        "system_rocof_min", "worst_bus_rocof_min"], (
+        [f"{lo:.1f}", f"{up:.1f}", len(sel),
+         repr(float(np.mean([r.system_rocof_hz_s for r in sel]))),
+         repr(float(np.min([r.system_rocof_hz_s for r in sel]))),
+         _stat(np.min, (r.bus_rocof_min for r in sel))]
+        for lo, up, sel in bins if sel))
 
     # per loading case: inertia level and concern counts
-    by_loading = outdir / "summary_by_loading.csv"
-    with open(by_loading, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["loading_id", "inertia_gws", "n_scenarios", "n_concern",
-                    "bus_rocof_min"])
-        ids = sorted({r.loading_id for r in records})
-        for lid in ids:
-            sel = [r for r in records if r.loading_id == lid]
-            busmin = [r.bus_rocof_min for r in sel if not math.isnan(r.bus_rocof_min)]
-            w.writerow([lid, repr(sel[0].inertia_gws), len(sel),
-                        sum(1 for r in sel if r.concern_flag),
-                        repr(float(np.min(busmin))) if busmin else ""])
+    case_io.write_table(by_loading, [
+        "loading_id", "inertia_gws", "n_scenarios", "n_concern", "bus_rocof_min"], (
+        [lid, repr(sel[0].inertia_gws), len(sel), sum(r.concern_flag for r in sel),
+         _stat(np.min, (r.bus_rocof_min for r in sel))]
+        for lid, sel in groups("loading_id")))
 
     # per contingency across loading cases (range chart input)
-    by_ctg = outdir / "summary_by_contingency.csv"
-    with open(by_ctg, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["contingency_id", "mw_lost_max", "n", "bus_rocof_min",
-                    "bus_rocof_mean", "bus_rocof_max"])
-        for cid in sorted({r.contingency_id for r in records}):
-            sel = [r for r in records if r.contingency_id == cid]
-            mins = [r.bus_rocof_min for r in sel if not math.isnan(r.bus_rocof_min)]
-            means = [r.bus_rocof_mean for r in sel if not math.isnan(r.bus_rocof_mean)]
-            maxs = [r.bus_rocof_max for r in sel if not math.isnan(r.bus_rocof_max)]
-            w.writerow([cid, repr(max(r.mw_lost for r in sel)), len(sel),
-                        repr(float(np.min(mins))) if mins else "",
-                        repr(float(np.mean(means))) if means else "",
-                        repr(float(np.max(maxs))) if maxs else ""])
+    case_io.write_table(by_ctg, [
+        "contingency_id", "mw_lost_max", "n", "bus_rocof_min", "bus_rocof_mean",
+        "bus_rocof_max"], (
+        [cid, repr(max(r.mw_lost for r in sel)), len(sel),
+         _stat(np.min, (r.bus_rocof_min for r in sel)),
+         _stat(np.mean, (r.bus_rocof_mean for r in sel)),
+         _stat(np.max, (r.bus_rocof_max for r in sel))]
+        for cid, sel in groups("contingency_id")))
 
     print(f"wrote {by_loss}, {by_loading}, {by_ctg}")
     return 0

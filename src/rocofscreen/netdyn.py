@@ -297,6 +297,9 @@ def augment_dynamic(ybus: sp.csc_matrix, case: GridCase,
         h_sec.append(g.h_sec)
         s_mach.append(g.s_base_mva)
         diag[b] += 1.0 / (1j * x_sys)
+    if not mach_ids:
+        raise ModelBuildError(
+            f"case {case.name!r} has no in-service synchronous machine")
 
     y_dyn = (ybus + sp.diags(diag, format="csc", dtype=complex)).tocsc()
     y_dyn.sort_indices()

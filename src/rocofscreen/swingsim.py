@@ -25,7 +25,7 @@ import numpy as np
 
 from .case_model import InputError
 from .netdyn import MachineStates, NetworkModel, electrical_torque, norton_currents
-from .rocof import Contingency
+from .rocof import Contingency, ZeroInertiaError
 
 log = logging.getLogger(__name__)
 
@@ -191,8 +191,9 @@ def simulate(model: NetworkModel, states: MachineStates,
              contingency: Contingency, opts: SimOptions = SimOptions()) -> SimResult:
     """Integrate the swing equations with the contingency applied at
     EVENT_TIME_S. Returns full traces plus UFLS/FFR events; raises
-    SimulationBlowup when any machine speed deviation passes
-    ABORT_OMEGA_PU.
+    ZeroInertiaError, as the screen does, when the contingency loses power
+    and leaves no inertia, and SimulationBlowup when any machine speed
+    deviation passes ABORT_OMEGA_PU.
     """
     case = model.case
     nm = len(model.machine_ids)
@@ -205,6 +206,13 @@ def simulate(model: NetworkModel, states: MachineStates,
     out_pos = (model.machine_positions(contingency.outaged_generator_ids)
                if contingency.outaged_generator_ids else np.array([], dtype=np.int64))
     k_event = int(round(EVENT_TIME_S / opts.dt))
+    # the screen's rule: a loss that leaves no inertia has no frequency trace
+    kept = np.ones(nm, dtype=bool)
+    kept[out_pos] = False
+    if (np.sum(states.t_m * model.s_mach, where=~kept) != 0.0
+            and not np.sum(model.h_sec * model.s_mach, where=kept) > 0):
+        raise ZeroInertiaError(
+            f"contingency {contingency.id} removes all synchronous inertia")
 
     # cumulative diagonal adjustment: machine removal at the event plus any
     # load shunts shed along the way; refactorized only when it changes

@@ -14,8 +14,9 @@ from rocofscreen.case_io import (CaseParseError, apply_sidecar, import_cdf,
                                  read_contingencies, read_loading_cases,
                                  read_scenario_table, write_contingencies,
                                  write_events, write_loading_cases,
-                                 write_results, write_scenario_table,
-                                 write_sidecar)
+                                 write_rocof_csv, write_rocof_geojson,
+                                 write_scenario_table, write_sidecar,
+                                 write_sim_csv)
 from rocofscreen.case_model import (Branch, Bus, Generator, Load, LoadingCase,
                                     ScenarioRecord)
 from rocofscreen.rocof import Contingency, RocofResult
@@ -271,7 +272,7 @@ def _fake_rocof(case9):
 def test_rocof_csv(case9, tmp_path):
     res = _fake_rocof(case9)
     out = tmp_path / "r.csv"
-    write_results(res, out)
+    write_rocof_csv(res, out)
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "bus_id,rocof_hz_per_s"
     assert len(lines) == 1 + 9
@@ -280,7 +281,7 @@ def test_rocof_csv(case9, tmp_path):
 def test_rocof_geojson(case9, tmp_path):
     res = _fake_rocof(case9)
     out = tmp_path / "r.geojson"
-    write_results(res, out, format="geojson", case=case9)
+    write_rocof_geojson(res, out, case9)
     doc = json.loads(out.read_text())
     assert doc["type"] == "FeatureCollection"
     assert len(doc["features"]) == 9
@@ -295,8 +296,7 @@ def test_geojson_requires_coordinates(case9, tmp_path):
          for b in case9.buses])
     res = _fake_rocof(case9)
     with pytest.raises(ValueError, match="missing coordinates"):
-        write_results(res, tmp_path / "x.geojson", format="geojson",
-                      case=stripped)
+        write_rocof_geojson(res, tmp_path / "x.geojson", stripped)
 
 
 def test_sim_csv_and_events(tmp_path):
@@ -307,7 +307,7 @@ def test_sim_csv_and_events(tmp_path):
         bus_freq_hz=np.full((2, 2), 60.0),
         events=[TripEvent(0.1, "ufls", "stage1", "ld1", 1, 59.2)])
     out = tmp_path / "sim.csv"
-    write_results(sim, out)
+    write_sim_csv(sim, out)
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "time_s,freq_hz_bus1,freq_hz_bus2,omega_pu_g1"
     assert len(lines) == 3

@@ -20,8 +20,7 @@ REQUIRED_FLAGS = {
     "synth": ["--case", "--sidecar", "--seed", "--out"],
     "scenarios-gen": ["--case", "--sidecar", "--seed", "--n-contingencies",
                       "--n-loading", "--load-range", "--wind-range", "--out"],
-    "scenarios-run": ["--case", "--sidecar", "--bank", "--mode", "--workers",
-                      "--out"],
+    "scenarios-run": ["--case", "--sidecar", "--bank", "--mode", "--out"],
     "report": ["--results", "--out"],
 }
 
@@ -165,6 +164,14 @@ def test_simulate_command(tmp_path, capsys):
     assert "nadir" in text
 
 
+def test_simulate_zero_inertia_exits_2(tmp_path, capsys):
+    code, _, err = run(["simulate", "--case", str(CASE9), "--outage",
+                        "gen1,gen2,gen3", "--out", str(tmp_path / "sim.csv")],
+                       capsys)
+    assert code == 2
+    assert "numerical failure: contingency cli removes all synchronous inertia" in err
+
+
 def test_synth_deterministic(tmp_path, capsys):
     outs = []
     for name in ("a.csv", "b.csv"):
@@ -195,7 +202,7 @@ def test_scenarios_pipeline(tmp_path, capsys, fleet_case):
     results = tmp_path / "results.csv"
     code, text, _ = run([
         "scenarios-run", "--case", str(case_path), "--bank", str(bank),
-        "--mode", "locational", "--workers", "2", "--out", str(results)],
+        "--mode", "locational", "--out", str(results)],
         capsys)
     assert code == 0
     assert len(results.read_text().strip().splitlines()) == 1 + 4 * 6
@@ -207,6 +214,59 @@ def test_scenarios_pipeline(tmp_path, capsys, fleet_case):
     for name in ("summary_by_loss.csv", "summary_by_loading.csv",
                  "summary_by_contingency.csv"):
         assert (summary / name).exists()
+
+
+REPORT_TABLE = """\
+loading_id,contingency_id,mw_lost,inertia_gws,system_rocof,bus_rocof_min,bus_rocof_mean,bus_rocof_max,worst_bus,concern_flag,status
+lc000,c1,85.0,3.779,-0.6748,-1.2,-0.8,-0.5,7,1,ok
+lc000,c2,163.0,3.779,-1.2941,-2.5,-1.7,-1.1,3,1,ok
+lc000,c3,0.0,3.779,0.0,,,,,0,no_online_units
+lc000,c4,319.6,3.779,-2.5375,,,,,1,error: contingency c4 removes all synchronous inertia
+lc001,c1,85.0,2.5,-1.02,-1.5,-1.1,-0.9,5,1,1 undefined island(s)
+lc001,c2,163.0,2.5,-1.956,,,,,1,ok
+lc001,c3,0.0,2.5,0.0,,,,,0,no_online_units
+lc001,c4,319.6,2.5,-3.8352,,,,,1,error: contingency c4 removes all synchronous inertia
+lc002,c1,85.0,0.0,,,,,,0,ok
+lc002,c2,90.5,0.0,,,,,,0,ok
+lc003,c1,85.0,4.1,-0.622,,,,,1,loading case failed: no convergence after 3 iterations
+lc003,c2,163.0,4.1,-1.1929,-1.4,-1.3,-1.2,2,1,ok
+"""
+
+REPORT_SUMMARIES = {
+    "summary_by_loss.csv": [
+        "mw_lost_bin_lo,mw_lost_bin_hi,n,system_rocof_mean,system_rocof_min,"
+        "worst_bus_rocof_min",
+        "58.1,87.2,4,nan,nan,-1.5",
+        "87.2,116.2,1,nan,nan,",
+        "145.3,174.3,3,-1.4809999999999999,-1.956,-2.5",
+        "290.5,319.6,2,-3.18635,-3.8352,"],
+    "summary_by_loading.csv": [
+        "loading_id,inertia_gws,n_scenarios,n_concern,bus_rocof_min",
+        "lc000,3.779,4,3,-2.5",
+        "lc001,2.5,4,3,-1.5",
+        "lc002,0.0,2,0,",
+        "lc003,4.1,2,2,-1.4"],
+    "summary_by_contingency.csv": [
+        "contingency_id,mw_lost_max,n,bus_rocof_min,bus_rocof_mean,bus_rocof_max",
+        "c1,85.0,4,-1.5,-0.9500000000000001,-0.5",
+        "c2,163.0,4,-2.5,-1.5,-1.1",
+        "c3,0.0,2,,,",
+        "c4,319.6,2,,,"],
+}
+
+
+def test_report_summaries_byte_for_byte(tmp_path, capsys):
+    # blank bus statistics (failed, no-unit and NaN-ROCOF rows) are skipped
+    # and a group without any is blank; a blank system ROCOF (zero online
+    # inertia) is not skipped, so its loss bins read nan
+    results = tmp_path / "results.csv"
+    results.write_text(REPORT_TABLE)
+    code, _, _ = run(["report", "--results", str(results),
+                      "--out", str(tmp_path / "summary")], capsys)
+    assert code == 0
+    for name, lines in REPORT_SUMMARIES.items():
+        expected = "".join(line + "\r\n" for line in lines).encode()
+        assert (tmp_path / "summary" / name).read_bytes() == expected, name
 
 
 def test_scenarios_gen_without_inertia_names_the_unit(tmp_path, capsys, fleet_case):

@@ -596,6 +596,33 @@ def test_run_bank_table_is_the_table_of_its_records(case9, tmp_path, mode):
     assert statuses == expected
 
 
+def test_loss_of_every_machine_is_the_same_error_in_both_screens(case9):
+    # the simulator refuses, as the screen does, a loss that leaves no
+    # inertia, so its row is not an ok row with a flat frequency
+    loading, contingencies = case9_bank_with_failures(case9)
+    lost_all = [c for c in contingencies if c.id == "ctg002"]
+    rows = {mode: [record_fields(r) for r in run_bank(case9, loading[:1], lost_all,
+                                                      mode=mode)]
+            for mode in ("locational", "simulate")}
+    assert rows["simulate"] == rows["locational"]
+    assert rows["simulate"][0][-1] == ("error: contingency ctg002 removes all "
+                                       "synchronous inertia")
+
+
+@pytest.mark.parametrize("mode", ["locational", "simulate"])
+def test_loading_case_without_a_machine_fails_naming_the_cause(case9, mode):
+    # a dispatch that leaves every synchronous unit off, while the committed
+    # set still names units, gives a model with no machine
+    lc = LoadingCase("lc003", 315.0, 0.0, {}, frozenset({"gen2", "gen3"}),
+                     1.0, 0.0)
+    contingencies = [Contingency.of("ctg000", ["gen2"]),
+                     Contingency.of("ctg001", ["gen2", "gen3"])]
+    records = run_bank(case9, [lc], contingencies, mode=mode)
+    assert [r.status for r in records] == [
+        "loading case failed: case 'wscc9' has no in-service synchronous "
+        "machine"] * 2
+
+
 def test_run_bank_unknown_mode_is_input_error(case9):
     loading, contingencies = case9_bank_with_failures(case9)
     with pytest.raises(InputError, match="unknown mode 'fast'"):
