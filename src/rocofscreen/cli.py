@@ -206,8 +206,9 @@ def cmd_simulate(args) -> int:
     case_io.write_sim_csv(sim, args.out)
     case_io.write_events(sim.events, str(args.out) + ".events.csv")
     nadir = float(np.nanmin(sim.bus_freq_hz))
-    print(f"simulated {args.t_end:.2f} s in {elapsed:.2f} s; frequency nadir "
-          f"{nadir:.3f} Hz; {len(sim.events)} trip event(s); wrote {args.out}")
+    print(f"simulated {args.t_end:.2f} s in {elapsed:.2f} s ({sim.n_solves} "
+          f"sparse solves, {sim.n_factorizations} factorization(s)); frequency "
+          f"nadir {nadir:.3f} Hz; {len(sim.events)} trip event(s); wrote {args.out}")
     return 0
 
 
@@ -280,7 +281,7 @@ def cmd_report(args) -> int:
         return [(k, list(sel)) for k, sel in groupby(sorted(records, key=key), key)]
 
     # loss-vs-ROCOF scatter summary (system screen); a NaN loss is not > 0,
-    # and a NaN system ROCOF (no online inertia) is kept: its bin reads nan
+    # and a NaN system ROCOF (no online inertia) is skipped like a bus one
     lossy = [r for r in records if r.mw_lost > 0]
     edges = np.linspace(0, max((r.mw_lost for r in lossy), default=0.0), 12)
     bins = [(lo, up, [r for r in lossy if lo < r.mw_lost <= up])
@@ -289,8 +290,8 @@ def cmd_report(args) -> int:
         "mw_lost_bin_lo", "mw_lost_bin_hi", "n", "system_rocof_mean",
         "system_rocof_min", "worst_bus_rocof_min"], (
         [f"{lo:.1f}", f"{up:.1f}", len(sel),
-         repr(float(np.mean([r.system_rocof_hz_s for r in sel]))),
-         repr(float(np.min([r.system_rocof_hz_s for r in sel]))),
+         _stat(np.mean, (r.system_rocof_hz_s for r in sel)),
+         _stat(np.min, (r.system_rocof_hz_s for r in sel)),
          _stat(np.min, (r.bus_rocof_min for r in sel))]
         for lo, up, sel in bins if sel))
 
@@ -305,7 +306,7 @@ def cmd_report(args) -> int:
     case_io.write_table(by_ctg, [
         "contingency_id", "mw_lost_max", "n", "bus_rocof_min", "bus_rocof_mean",
         "bus_rocof_max"], (
-        [cid, repr(max(r.mw_lost for r in sel)), len(sel),
+        [cid, _stat(max, (r.mw_lost for r in sel)), len(sel),
          _stat(np.min, (r.bus_rocof_min for r in sel)),
          _stat(np.mean, (r.bus_rocof_mean for r in sel)),
          _stat(np.max, (r.bus_rocof_max for r in sel))]

@@ -361,7 +361,8 @@ def init_machines(model: NetworkModel, case: GridCase,
 
     # equilibrium torque from the same solve path used during analysis
     return MachineStates(e_prime=e_prime, delta=delta,
-                         t_m=electrical_torque(model, currents, v_chk),
+                         t_m=electrical_torque(model, currents,
+                                               v_chk[model.machine_bus]),
                          omega=np.zeros_like(e_prime))
 
 
@@ -372,17 +373,18 @@ def norton_currents(e_over_x: np.ndarray, delta: np.ndarray) -> np.ndarray:
 
 
 def electrical_torque(model: NetworkModel, currents: np.ndarray,
-                      voltages: np.ndarray,
+                      vb: np.ndarray,
                       active: np.ndarray | None = None) -> np.ndarray:
     """Per-machine electrical torque, machine base, classical assumption.
 
     T_e equals the active power delivered at the terminal: Re[V conj(I_s)]
     with stator current I_s = I_norton - y_norton V, where ``currents`` are
-    the machines' Norton currents (norton_currents). In the lossless
-    classical model this coincides with air-gap power. Inactive machines get
-    zero. m rows of voltages (and of active flags) give m rows of torques.
+    the machines' Norton currents (norton_currents) and ``vb`` their
+    terminal voltages (bus voltages taken at ``model.machine_bus``). In the
+    lossless classical model this coincides with air-gap power. Inactive
+    machines get zero. m rows of terminal voltages (and of active flags)
+    give m rows of torques.
     """
-    vb = voltages.T[model.machine_bus].T
     te = (vb * np.conj(currents - model.norton_y * vb)).real * model.s_base / model.s_mach
     if active is not None:
         te = np.where(active, te, 0.0)

@@ -321,7 +321,8 @@ def _screen(model: NetworkModel, states: MachineStates,
 
     v_post = outage_solution(x[:m])
 
-    accel = (states.t_m - electrical_torque(model, currents, v_post, active)) / (
+    vb_post = v_post.T[model.machine_bus].T
+    accel = (states.t_m - electrical_torque(model, currents, vb_post, active)) / (
         2.0 * model.h_sec)
     wdot = np.where(active, accel, np.nan)
     # an outaged machine has zero acceleration here, so no injection

@@ -2,9 +2,14 @@
 
 Each machine integrates d(delta)/dt = Omega_s * omega and
 d(omega)/dt = (T_m - T_e - D*omega) / (2H) with fixed-step fourth-order
-Runge-Kutta; electrical torque comes from the algebraic network solve at
-every stage. Governors and exciters are absent by design, isolating the
-inertial response, so this serves as the validation oracle for the
+Runge-Kutta; electrical torque comes from the machine terminal voltages of
+the algebraic network. Only those voltages enter the derivatives, so a step
+makes one sparse solve: the first stage solves the whole network (the bus
+traces and the monitors need every bus), and the later stages add the
+change in machine currents through the machine-bus block of Y^-1, solved
+once per factorization (the classical model reduced to its machine buses,
+in increment form). Governors and exciters are absent by design, isolating
+the inertial response, so this serves as the validation oracle for the
 theoretical ROCOF screen and as the engine for load-shedding studies.
 
 Bus frequency is estimated from the voltage-angle derivative through a
@@ -86,6 +91,8 @@ class SimResult:
     contingency_id: str = ""
     t_event: float = 0.0
     f_base: float = 60.0
+    n_solves: int = 0           # linear solves made by the run
+    n_factorizations: int = 0   # sparse LU factorizations made by the run
 
 
 def _washout_step(y_prev, d_theta, opts: SimOptions):
@@ -194,8 +201,14 @@ def simulate(model: NetworkModel, states: MachineStates,
     ZeroInertiaError, as the screen does, when the contingency loses power
     and leaves no inertia, and SimulationBlowup when any machine speed
     deviation passes ABORT_OMEGA_PU.
+
+    A run solves the network once per step, once more per factorization
+    (the base one and each refactor at the outage or a trip) for its
+    machine-bus block, and once more at each trip step, whose later stages
+    see the refactored network.
     """
     case = model.case
+    solves_before, factors_before = model.solve_count, model.factor_count
     nm = len(model.machine_ids)
     nb = model.n_bus
     nt = int(round(opts.t_end / opts.dt)) + 1
@@ -218,14 +231,22 @@ def simulate(model: NetworkModel, states: MachineStates,
     # load shunts shed along the way; refactorized only when it changes
     diag_bus: list[int] = []
     diag_val: list[complex] = []
+    # each machine's slot among the distinct machine buses
+    m_bus, m_slot = np.unique(model.machine_bus, return_inverse=True)
+    unit_cols = np.zeros((nb, m_bus.size), dtype=complex)
+    unit_cols[m_bus, np.arange(m_bus.size)] = 1.0
 
     def refactor():
+        """The factorization and its machine-bus block: row i, column p is
+        the voltage at machine bus i per unit current of machine p."""
         if diag_bus:
-            return model.factorize(model.y_with_diag_update(
+            lu = model.factorize(model.y_with_diag_update(
                 np.array(diag_bus), np.array(diag_val, dtype=complex)))
-        return model.factorize()
+        else:
+            lu = model.factorize()
+        return lu, lu.solve(unit_cols)[m_bus][:, m_slot]
 
-    lu = refactor()
+    lu, z_block = refactor()
     load_pos = {lid: i for i, lid in enumerate(model.load_ids)}
     bus_pos = {b: i for i, b in enumerate(model.bus_ids)}
     monitors = _ShedMonitors(case.loads, bus_pos, opts.dt,
@@ -237,14 +258,19 @@ def simulate(model: NetworkModel, states: MachineStates,
     inv_2h = 1.0 / (2.0 * model.h_sec)
     t_m = states.t_m.copy()
 
-    def derivs(dlt, omg):
-        currents = norton_currents(e_over_x, dlt)      # zero once outaged
-        v = lu.solve(model.to_buses(currents))
-        te = electrical_torque(model, currents, v)      # inactive rows unused
+    def derivs(omg, currents, vb):
+        te = electrical_torque(model, currents, vb)     # inactive rows unused
         d_delta = np.where(active, omega_s * omg, 0.0)
         d_omega = np.where(
             active, (t_m - te - opts.damping_d * omg) * inv_2h, 0.0)
-        return d_delta, d_omega, v
+        return d_delta, d_omega
+
+    def stage(dlt, omg):
+        # the first stage's terminal voltages plus the response to the
+        # change in current: exact when the currents have not changed
+        currents = norton_currents(e_over_x, dlt)      # zero once outaged
+        vb = vb1 + (z_block @ (currents - c1))[m_slot]
+        return derivs(omg, currents, vb)
 
     tr_delta = np.full((nt, nm), np.nan)
     tr_omega = np.full((nt, nm), np.nan)
@@ -262,9 +288,12 @@ def simulate(model: NetworkModel, states: MachineStates,
             for p in out_pos:
                 diag_bus.append(int(model.machine_bus[p]))
                 diag_val.append(-model.norton_y[p])
-            lu = refactor()
+            lu, z_block = refactor()
 
-        d1, o1, v_now = derivs(delta, omega)
+        c1 = norton_currents(e_over_x, delta)
+        v_now = lu.solve(model.to_buses(c1))
+        vb1 = v_now[model.machine_bus]
+        d1, o1 = derivs(omega, c1, vb1)
         theta_raw = np.angle(v_now)
         if k == 0:
             tr_theta[k] = theta_raw
@@ -289,13 +318,15 @@ def simulate(model: NetworkModel, states: MachineStates,
                 if p is not None and model.load_shunt[p] != 0:
                     diag_bus.append(int(model.load_bus[p]))
                     diag_val.append(-model.load_shunt[p])
-            lu = refactor()
+            lu, z_block = refactor()
+            # the later stages see the network without the shed loads
+            vb1 = lu.solve(model.to_buses(c1))[model.machine_bus]
 
         if k == nt - 1:
             break
-        d2, o2, _ = derivs(delta + 0.5 * dt * d1, omega + 0.5 * dt * o1)
-        d3, o3, _ = derivs(delta + 0.5 * dt * d2, omega + 0.5 * dt * o2)
-        d4, o4, _ = derivs(delta + dt * d3, omega + dt * o3)
+        d2, o2 = stage(delta + 0.5 * dt * d1, omega + 0.5 * dt * o1)
+        d3, o3 = stage(delta + 0.5 * dt * d2, omega + 0.5 * dt * o2)
+        d4, o4 = stage(delta + dt * d3, omega + dt * o3)
         delta = delta + (dt / 6.0) * (d1 + 2 * d2 + 2 * d3 + d4)
         omega = omega + (dt / 6.0) * (o1 + 2 * o2 + 2 * o3 + o4)
 
@@ -311,4 +342,6 @@ def simulate(model: NetworkModel, states: MachineStates,
         contingency_id=contingency.id,
         t_event=EVENT_TIME_S if out_pos.size else 0.0,
         f_base=model.f_base,
+        n_solves=model.solve_count - solves_before,
+        n_factorizations=model.factor_count - factors_before,
     )

@@ -162,6 +162,9 @@ def test_simulate_command(tmp_path, capsys):
     assert out.exists()
     assert (tmp_path / "sim.csv.events.csv").exists()
     assert "nadir" in text
+    # 121 steps, and one machine-bus block for the base and the outage
+    # factorizations; the base one is cached, so the run factors once
+    assert "(123 sparse solves, 1 factorization(s))" in text
 
 
 def test_simulate_zero_inertia_exits_2(tmp_path, capsys):
@@ -236,8 +239,8 @@ REPORT_SUMMARIES = {
     "summary_by_loss.csv": [
         "mw_lost_bin_lo,mw_lost_bin_hi,n,system_rocof_mean,system_rocof_min,"
         "worst_bus_rocof_min",
-        "58.1,87.2,4,nan,nan,-1.5",
-        "87.2,116.2,1,nan,nan,",
+        "58.1,87.2,4,-0.7722666666666665,-1.02,-1.5",
+        "87.2,116.2,1,,,",
         "145.3,174.3,3,-1.4809999999999999,-1.956,-2.5",
         "290.5,319.6,2,-3.18635,-3.8352,"],
     "summary_by_loading.csv": [
@@ -256,9 +259,9 @@ REPORT_SUMMARIES = {
 
 
 def test_report_summaries_byte_for_byte(tmp_path, capsys):
-    # blank bus statistics (failed, no-unit and NaN-ROCOF rows) are skipped
-    # and a group without any is blank; a blank system ROCOF (zero online
-    # inertia) is not skipped, so its loss bins read nan
+    # blank statistics (failed, no-unit and NaN-ROCOF rows, and a system
+    # ROCOF left blank by zero online inertia) are skipped, and a group
+    # without any number is blank
     results = tmp_path / "results.csv"
     results.write_text(REPORT_TABLE)
     code, _, _ = run(["report", "--results", str(results),
@@ -267,6 +270,21 @@ def test_report_summaries_byte_for_byte(tmp_path, capsys):
     for name, lines in REPORT_SUMMARIES.items():
         expected = "".join(line + "\r\n" for line in lines).encode()
         assert (tmp_path / "summary" / name).read_bytes() == expected, name
+
+
+def test_report_summaries_do_not_depend_on_row_order(tmp_path, capsys):
+    # a blank mw_lost first or last in its group gives the same maximum
+    header, *rows = REPORT_TABLE.splitlines()
+    rows.append("lc004,c1,,2.0,,,,,,0,loading case failed: no convergence")
+    summaries = []
+    for name, order in (("forward", rows), ("reversed", rows[::-1])):
+        (tmp_path / f"{name}.csv").write_text("\n".join([header, *order]) + "\n")
+        code, _, _ = run(["report", "--results", str(tmp_path / f"{name}.csv"),
+                          "--out", str(tmp_path / name)], capsys)
+        assert code == 0
+        summaries.append((tmp_path / name / "summary_by_contingency.csv").read_text())
+    assert summaries[0] == summaries[1]
+    assert summaries[0].splitlines()[1].startswith("c1,85.0,5,")
 
 
 def test_scenarios_gen_without_inertia_names_the_unit(tmp_path, capsys, fleet_case):

@@ -11,6 +11,7 @@ from rocofscreen.case_model import Branch, Bus, Generator, Load
 from rocofscreen.scenarios import _column_stats, finite_difference_rocof
 from test_powerflow import assert_newton_matches_reference
 from test_rocof import assert_matches_plain_splu, built_model, refactor_reference
+from test_swingsim import assert_matches_four_solve_step
 
 
 @st.composite
@@ -92,6 +93,17 @@ def test_simulator_agrees_with_screen_on_generated_networks(drawn):
     screen = res.bus_rocof_hz_s[defined]
     fd = finite_difference_rocof(sim)[defined]
     assert np.all(np.abs(fd - screen) <= np.maximum(0.1 * np.abs(screen), 0.02))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(networks())
+def test_machine_bus_block_matches_four_solve_step_on_generated_networks(drawn):
+    # the base factorization before the event, the outage's after it
+    case, outaged = drawn
+    model, states = built_model(case)
+    used = assert_matches_four_solve_step(
+        model, states, Contingency.of("c", outaged), SimOptions(t_end=0.5))
+    assert used == 2
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

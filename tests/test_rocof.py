@@ -256,7 +256,7 @@ def refactor_reference(model, states, contingency):
     lu = model.factorize(model.y_with_diag_update(upd_bus, upd_val))
     i_mach = currents(model, states)
     v = lu.solve(model.to_buses(np.where(active, i_mach, 0.0)))
-    te = electrical_torque(model, i_mach, v, active)
+    te = electrical_torque(model, i_mach, v[model.machine_bus], active)
     wdot = np.where(active, (states.t_m - te) / (2.0 * model.h_sec), np.nan)
     idd = np.zeros(model.n_bus, dtype=complex)
     np.add.at(idd, model.machine_bus, np.where(active, injection_derivatives(

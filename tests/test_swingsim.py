@@ -1,12 +1,14 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from rocofscreen import (Contingency, SimOptions, SimulationBlowup,
                          augment_dynamic, build_ybus, bus_frequency,
-                         check_ffr, check_ufls, init_machines, simulate,
-                         solve_powerflow, system_rocof)
+                         check_ffr, check_ufls, init_machines, netdyn,
+                         norton_currents, simulate, solve_powerflow,
+                         swingsim, system_rocof)
 from rocofscreen.case_model import Load
 from rocofscreen.scenarios import finite_difference_rocof
 from rocofscreen.swingsim import FREQUENCY_FILTER_TC_S, SimResult
@@ -272,12 +274,146 @@ def test_simulate_refactors_once_per_outage_and_trip(case9):
     sol = solve_powerflow(case)
     model = augment_dynamic(build_ybus(case), case, sol)
     states = init_machines(model, case, sol)
-    before = model.factor_count
-    simulate(model, states.copy(), Contingency.of("none", []),
-             SimOptions(t_end=0.5))
+    before, solves = model.factor_count, model.solve_count
+    sim = simulate(model, states.copy(), Contingency.of("none", []),
+                   SimOptions(t_end=0.5))
     assert model.factor_count == before     # the cached base factorization
+    # one full solve per step and one machine-bus block per factorization
+    steps = len(sim.time_s)
+    assert model.solve_count - solves == sim.n_solves == steps + 1
+    assert sim.n_factorizations == 0
+    solves = model.solve_count
     sim = simulate(model, states, Contingency.of("big", ["gen2", "gen3"]),
                    SimOptions(t_end=6.0, damping_d=2.0))
     trip_steps = {e.time_s for e in sim.events}
     assert trip_steps
-    assert model.factor_count - before == 1 + len(trip_steps)
+    assert model.factor_count - before == sim.n_factorizations == 1 + len(trip_steps)
+    # plus, at a trip step, the first stage's voltages re-solved on the
+    # network without the shed loads
+    steps = len(sim.time_s)
+    assert model.solve_count - solves == sim.n_solves == (
+        steps + (1 + sim.n_factorizations) + len(trip_steps))
+
+
+# --- the machine-bus block against the four-solve step it replaced ----------
+
+def four_solve_simulate(model, states, contingency, opts):
+    """The simulator's loop with a full network solve at each of the four
+    RK4 stages, as it was before the machine-bus block. Returns the
+    (delta, omega, bus angle, bus frequency) traces and the trip log."""
+    nm, nb = len(model.machine_ids), model.n_bus
+    nt = int(round(opts.t_end / opts.dt)) + 1
+    omega_s = 2.0 * np.pi * model.f_base
+    active = np.ones(nm, dtype=bool)
+    out_pos = model.machine_positions(contingency.outaged_generator_ids)
+    k_event = int(round(swingsim.EVENT_TIME_S / opts.dt))
+    diag_bus, diag_val = [], []
+
+    def refactor():
+        if diag_bus:
+            return model.factorize(model.y_with_diag_update(
+                np.array(diag_bus), np.array(diag_val, dtype=complex)))
+        return model.factorize()
+
+    lu = refactor()
+    load_pos = {lid: i for i, lid in enumerate(model.load_ids)}
+    monitors = swingsim._ShedMonitors(
+        model.case.loads, {b: i for i, b in enumerate(model.bus_ids)}, opts.dt,
+        ufls=opts.shedding, ffr=opts.shedding)
+    delta, omega, t_m = states.delta.copy(), states.omega.copy(), states.t_m
+    e_over_x = states.e_prime / model.xdp_sys
+    inv_2h = 1.0 / (2.0 * model.h_sec)
+
+    def derivs(dlt, omg):
+        currents = norton_currents(e_over_x, dlt)
+        v = lu.solve(model.to_buses(currents))
+        te = netdyn.electrical_torque(model, currents, v[model.machine_bus])
+        return (np.where(active, omega_s * omg, 0.0),
+                np.where(active, (t_m - te - opts.damping_d * omg) * inv_2h, 0.0), v)
+
+    tr_delta, tr_omega = np.full((nt, nm), np.nan), np.full((nt, nm), np.nan)
+    tr_theta, tr_freq = np.zeros((nt, nb)), np.full((nt, nb), model.f_base)
+    events, washout, dt = [], np.zeros(nb), opts.dt
+    for k in range(nt):
+        if k == k_event and out_pos.size:
+            active[out_pos] = False
+            e_over_x[out_pos] = 0.0
+            diag_bus += [int(model.machine_bus[p]) for p in out_pos]
+            diag_val += [-model.norton_y[p] for p in out_pos]
+            lu = refactor()
+        d1, o1, v_now = derivs(delta, omega)
+        theta_raw = np.angle(v_now)
+        if k == 0:
+            tr_theta[k] = theta_raw
+        else:
+            tr_theta[k] = theta_raw + 2 * np.pi * np.round(
+                (tr_theta[k - 1] - theta_raw) / (2 * np.pi))
+            washout = swingsim._washout_step(washout, tr_theta[k] - tr_theta[k - 1], opts)
+            tr_freq[k] = model.f_base + washout / (2 * np.pi)
+        tr_delta[k, active] = delta[active]
+        tr_omega[k, active] = omega[active]
+        new_events = monitors.step(k, k * dt, tr_freq[k])
+        if new_events:
+            events += new_events
+            for ev in new_events:
+                p = load_pos[ev.load_id]
+                if model.load_shunt[p] != 0:
+                    diag_bus.append(int(model.load_bus[p]))
+                    diag_val.append(-model.load_shunt[p])
+            lu = refactor()
+        if k == nt - 1:
+            break
+        d2, o2, _ = derivs(delta + 0.5 * dt * d1, omega + 0.5 * dt * o1)
+        d3, o3, _ = derivs(delta + 0.5 * dt * d2, omega + 0.5 * dt * o2)
+        d4, o4, _ = derivs(delta + dt * d3, omega + dt * o3)
+        delta = delta + (dt / 6.0) * (d1 + 2 * d2 + 2 * d3 + d4)
+        omega = omega + (dt / 6.0) * (o1 + 2 * o2 + 2 * o3 + o4)
+    return (tr_delta, tr_omega, tr_theta, tr_freq), sorted(
+        events, key=lambda e: (e.time_s, e.load_id))
+
+
+def assert_matches_four_solve_step(model, states, contingency, opts):
+    """simulate against four_solve_simulate: traces within 1e-12 and the
+    same trip log. Every stage's terminal voltages must equal a full solve
+    of its currents on the factorization in use, within 1e-12 pu. Returns
+    the number of factorizations the run used."""
+    handles, stages = [], []
+    factorize = model.factorize
+
+    def tracking_factorize(*args):
+        handles.append(factorize(*args))
+        return handles[-1]
+
+    def recording_torque(model_, currents, vb, active=None):
+        stages.append((currents.copy(), vb.copy(), handles[-1]))
+        return netdyn.electrical_torque(model_, currents, vb, active)
+
+    model.factorize = tracking_factorize
+    try:
+        with mock.patch.object(swingsim, "electrical_torque", recording_torque):
+            sim = simulate(model, states.copy(), contingency, opts)
+    finally:
+        del model.factorize
+    assert len(stages) == 4 * len(sim.time_s) - 3
+    for currents, vb, lu in stages:
+        full = lu.solve(model.to_buses(currents))[model.machine_bus]
+        assert np.max(np.abs(vb - full)) <= 1e-12
+
+    traces, events = four_solve_simulate(model, states, contingency, opts)
+    for new, old in zip((sim.delta, sim.omega, sim.bus_angle_rad, sim.bus_freq_hz),
+                        traces):
+        np.testing.assert_allclose(new, old, rtol=0, atol=1e-12)
+    assert sim.events == events
+    return len({id(lu) for lu in handles})
+
+
+def test_machine_bus_block_matches_four_solve_step_with_shedding(case9):
+    # factorizations before the event, after the outage and after each trip
+    case = severe_case(case9)
+    sol = solve_powerflow(case)
+    model = augment_dynamic(build_ybus(case), case, sol)
+    states = init_machines(model, case, sol)
+    used = assert_matches_four_solve_step(
+        model, states, Contingency.of("big", ["gen2", "gen3"]),
+        SimOptions(t_end=6.0, damping_d=2.0))
+    assert used >= 3
