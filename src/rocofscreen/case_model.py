@@ -16,7 +16,9 @@ base and converted where used. Angles are radians in memory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
+from operator import attrgetter
 from typing import Iterable
 
 import numpy as np
@@ -106,6 +108,34 @@ class GridCase:
     def bus_index(self) -> dict[int, int]:
         """Map bus id -> position in ``buses``."""
         return {b.id: i for i, b in enumerate(self.buses)}
+
+    @cached_property
+    def _bus_lookup(self) -> tuple[np.ndarray, np.ndarray]:
+        """Bus ids in ascending order and each one's position in ``buses``;
+        the buses of a repeated id in order, so its last bus comes last."""
+        ids = np.array([b.id for b in self.buses], dtype=np.int64)
+        order = np.argsort(ids, kind="stable")
+        return ids[order], order
+
+    def _find_buses(self, bus_ids) -> np.ndarray:
+        """Positions in ``buses`` of the given bus ids, as ``bus_index`` maps
+        them (a repeated id to its last bus); -1 for an id no bus has."""
+        ids, order = self._bus_lookup
+        want = np.asarray(bus_ids, dtype=np.int64)
+        at = np.searchsorted(ids, want, side="right") - 1
+        known = at >= 0
+        known[known] = ids[at[known]] == want[known]
+        return np.where(known, order[at], -1)
+
+    def bus_positions(self, bus_ids) -> np.ndarray:
+        """Positions in ``buses`` of the given bus ids, as ``bus_index`` maps
+        them (a repeated id to its last bus). Raises UnknownIdError for an
+        id that no bus has."""
+        pos = self._find_buses(bus_ids)
+        if (pos < 0).any():
+            missing = np.asarray(bus_ids, dtype=np.int64)[pos < 0]
+            raise UnknownIdError(f"no bus with id {missing.flat[0]}")
+        return pos
 
     def bus(self, bus_id: int) -> Bus:
         for b in self.buses:
@@ -197,31 +227,55 @@ class UnknownIdError(KeyError):
     """An id that names no record of the case, or no machine of a model."""
 
 
+def record_array(records, name: str, dtype=float) -> np.ndarray:
+    """Field ``name`` of each record of a sequence, as an array."""
+    return np.fromiter(map(attrgetter(name), records), dtype, len(records))
+
+
+def complex_powers(records) -> np.ndarray:
+    """complex(p_mw, q_mvar) of each record of a sequence, MVA."""
+    s = np.empty(len(records), dtype=complex)
+    s.real = record_array(records, "p_mw")
+    s.imag = record_array(records, "q_mvar")
+    return s
+
+
 def island_labels(case: GridCase) -> np.ndarray:
-    """Connected-component label per bus, using in-service branches only."""
-    idx = case.bus_index()
+    """Connected-component label per bus, using in-service branches only
+    (and only those whose ends both name a bus)."""
     n = len(case.buses)
-    rows, cols = [], []
-    for br in case.branches:
-        if not br.status:
-            continue
-        if br.from_bus in idx and br.to_bus in idx:
-            rows.append(idx[br.from_bus])
-            cols.append(idx[br.to_bus])
-    adj = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    live = [br for br in case.branches if br.status]
+    i, j = (case._find_buses(record_array(live, end, np.int64))
+            for end in ("from_bus", "to_bus"))
+    keep = (i >= 0) & (j >= 0)
+    adj = sp.coo_matrix((np.ones(keep.sum()), (i[keep], j[keep])), shape=(n, n))
     _, labels = connected_components(adj, directed=False)
     return labels
+
+
+def _non_finite(record, kind: str, ref: str) -> list[Violation]:
+    """One ``finite`` violation per numeric field of the record that is set
+    but is NaN or infinite."""
+    out = []
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if f.type in ("float", "float | None") and value is not None \
+                and not math.isfinite(value):
+            out.append(Violation(kind, ref, "finite",
+                                 f"{f.name} must be finite, got {value}"))
+    return out
 
 
 def validate_case(case: GridCase) -> list[Violation]:
     """Check every structural invariant; return one Violation per breach.
 
     Violations are data, not exceptions: an empty list means the case is
-    sound. Unset dynamic parameters (``h_sec``/``xdp_pu`` of ``None``) are not
-    violations here -- they only block dynamic analysis, which checks for
-    them at model-build time.
+    sound. Every numeric field that is set must be finite. Unset dynamic
+    parameters (``h_sec``/``xdp_pu`` of ``None``) are not violations here --
+    they only block dynamic analysis, which checks for them at model-build
+    time.
     """
-    out: list[Violation] = []
+    out: list[Violation] = _non_finite(case, "case", case.name or "-")
     if case.s_base_mva <= 0:
         out.append(Violation("case", case.name or "-", "s_base_positive",
                              f"s_base_mva must be > 0, got {case.s_base_mva}"))
@@ -239,6 +293,7 @@ def validate_case(case: GridCase) -> list[Violation]:
             seen.add(r.id)
 
     for b in case.buses:
+        out += _non_finite(b, "bus", str(b.id))
         if b.kind not in BUS_KINDS:
             out.append(Violation("bus", str(b.id), "kind",
                                  f"unknown bus kind {b.kind!r}"))
@@ -248,6 +303,7 @@ def validate_case(case: GridCase) -> list[Violation]:
 
     idx = case.bus_index()
     for g in case.generators:
+        out += _non_finite(g, "generator", g.id)
         if g.bus_id not in idx:
             out.append(Violation("generator", g.id, "bus_exists",
                                  f"references missing bus {g.bus_id}"))
@@ -269,6 +325,7 @@ def validate_case(case: GridCase) -> list[Violation]:
                                  f"p_mw {g.p_mw} outside [0, {g.p_max_mw}]"))
 
     for l in case.loads:
+        out += _non_finite(l, "load", l.id)
         if l.bus_id not in idx:
             out.append(Violation("load", l.id, "bus_exists",
                                  f"references missing bus {l.bus_id}"))
@@ -281,6 +338,10 @@ def validate_case(case: GridCase) -> list[Violation]:
 
     for k, br in enumerate(case.branches):
         ref = f"{br.from_bus}-{br.to_bus}"
+        out += _non_finite(br, "branch", ref)
+        if br.tap_ratio < 0:
+            out.append(Violation("branch", ref, "tap_nonnegative",
+                                 f"tap_ratio must be >= 0 (0 for none), got {br.tap_ratio}"))
         if br.from_bus == br.to_bus:
             out.append(Violation("branch", ref, "distinct_ends",
                                  "from_bus equals to_bus"))

@@ -30,7 +30,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .case_model import GridCase, UnknownIdError, island_labels
+from .case_model import (GridCase, UnknownIdError, complex_powers, island_labels,
+                         record_array)
 from .powerflow import SUPERLU_OPTIONS, PowerFlowSolution
 
 log = logging.getLogger(__name__)
@@ -48,25 +49,65 @@ def build_ybus(case: GridCase) -> sp.csc_matrix:
     the from diagonal by 1/t**2 and both off-diagonals by 1/t. Loads and
     machines are not included; see augment_dynamic.
     """
-    idx = case.bus_index()
+    live = [br for br in case.branches if br.status]
+    z = np.empty(len(live), dtype=complex)
+    z.real, z.imag = record_array(live, "r_pu"), record_array(live, "x_pu")
+    if (z == 0).any():
+        br = live[int(np.argmax(z == 0))]
+        raise ModelBuildError(
+            f"branch {br.from_bus}-{br.to_bus} has zero impedance")
+    i, j = case.bus_positions(np.concatenate(
+        [record_array(live, end, np.int64) for end in ("from_bus", "to_bus")])
+    ).reshape(2, -1)
+    tap = record_array(live, "tap_ratio")
+    tap = np.where(tap == 0, 1.0, tap)
+    ys = _quotient(1.0, z)
+    shunt = ys + 0.5j * record_array(live, "b_pu")
+    tapped, off = _quotient(np.concatenate((shunt, -ys)),
+                            np.concatenate((_square(tap), tap))).reshape(2, -1)
+    # four entries per branch, branch by branch: the order in which
+    # tocsc() sums a bus's entries
+    rows, cols, data = (np.array(e).T.reshape(-1) for e in (
+        (i, j, i, j), (i, j, j, i), (tapped, shunt, off, off)))
     n = len(case.buses)
-    rows, cols, data = [], [], []
-    for br in case.branches:
-        if not br.status:
-            continue
-        z = complex(br.r_pu, br.x_pu)
-        if z == 0:
-            raise ModelBuildError(
-                f"branch {br.from_bus}-{br.to_bus} has zero impedance")
-        ys = 1.0 / z
-        bc = 0.5j * br.b_pu
-        t = br.tap_ratio if br.tap_ratio else 1.0
-        i, j = idx[br.from_bus], idx[br.to_bus]
-        rows += [i, j, i, j]
-        cols += [i, j, j, i]
-        data += [(ys + bc) / t**2, ys + bc, -ys / t, -ys / t]
-    y = sp.coo_matrix((data, (rows, cols)), shape=(n, n), dtype=complex)
-    return y.tocsc()
+    return sp.coo_matrix((data, (rows, cols)), shape=(n, n), dtype=complex).tocsc()
+
+
+def _quotient(a, b) -> np.ndarray:
+    """Elementwise a / b, rounded as Python divides complex numbers: Smith's
+    method, both parts divided by a denominator scaled by the divisor's
+    larger part. numpy's complex division multiplies by that denominator's
+    reciprocal instead, which rounds differently. Real arguments are the
+    complex numbers with zero imaginary part, as in Python."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    by_real = np.abs(br) >= np.abs(bi)
+    big, small = np.where(by_real, br, bi), np.where(by_real, bi, br)
+    ratio = small / big
+    denom = big + small * ratio
+    re = np.where(by_real, ar + ai * ratio, ar * ratio + ai) / denom
+    out = np.empty(re.shape, dtype=complex)
+    out.real = re
+    out.imag = np.where(by_real, ai - ar * ratio, ai * ratio - ar) / denom
+    return out
+
+
+def _square(x: np.ndarray) -> np.ndarray:
+    """x ** 2 elementwise through the C library's pow, as Python and numpy
+    scalars square a float; x * x, which numpy's array power computes,
+    rounds differently in about one draw in a thousand."""
+    return np.array([xi ** 2 for xi in x.tolist()], dtype=float)
+
+
+def _group_sums(values: np.ndarray, group: np.ndarray, n: int) -> np.ndarray:
+    """Sum of the values in each of n groups, rounded as ``ndarray.sum()``
+    rounds the group's values in record order: numpy adds fewer than eight
+    values one after another, as ``np.add.at`` does, and more pairwise."""
+    out = np.zeros(n)
+    np.add.at(out, group, values)
+    for g in np.flatnonzero(np.bincount(group, minlength=n) >= 8):
+        out[g] = values[group == g].sum()
+    return out
 
 
 class CountingLU:
@@ -91,7 +132,8 @@ class NetworkModel:
     diagonal-updated copies of ``y_dyn`` (``y_with_diag_update``), to
     refactor at its events.
     ``solve_count`` counts linear solves and ``factor_count`` sparse LU
-    factorizations made on this model.
+    factorizations made on this model; the cached base factorization and
+    machine-bus block count once, when made.
     """
 
     case: GridCase
@@ -113,6 +155,7 @@ class NetworkModel:
     solve_count: int = 0
     factor_count: int = 0
     _lu: CountingLU | None = field(default=None, repr=False)
+    _block: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n_bus(self) -> int:
@@ -148,6 +191,28 @@ class NetworkModel:
         if matrix is None:
             self._lu = lu
         return lu
+
+    @cached_property
+    def machine_bus_slots(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct machine buses (ascending), and each machine's slot
+        among them."""
+        return np.unique(self.machine_bus, return_inverse=True)
+
+    def machine_bus_block(self, lu: CountingLU | None = None) -> np.ndarray:
+        """The machine-bus block of the inverse of a factored matrix: row i,
+        column p is the voltage at the i-th distinct machine bus per unit
+        current of machine p. The default, on the base factorization, is
+        solved once and cached (read-only)."""
+        if lu is None and self._block is not None:
+            return self._block
+        m_bus, m_slot = self.machine_bus_slots
+        unit_cols = np.zeros((self.n_bus, m_bus.size), dtype=complex)
+        unit_cols[m_bus, np.arange(m_bus.size)] = 1.0
+        block = (lu or self.factorize()).solve(unit_cols)[m_bus][:, m_slot]
+        if lu is None:
+            block.flags.writeable = False
+            self._block = block
+        return block
 
     def y_with_diag_update(self, bus_pos: np.ndarray,
                            delta_y: np.ndarray) -> sp.csc_matrix:
@@ -209,9 +274,9 @@ class MachineStates:
 
 
 def solved_generator_powers(case: GridCase, ybus: sp.csc_matrix,
-                            solution: PowerFlowSolution) -> dict[str, complex]:
-    """Complex power produced by each in-service generator at the solved
-    operating point, system-base pu.
+                            solution: PowerFlowSolution) -> np.ndarray:
+    """Complex power produced by each in-service generator (case order) at
+    the solved operating point, system-base pu.
 
     The power-flow bus injection plus local load is what the units at a bus
     produce together. Active power follows the dispatch records, with any
@@ -220,30 +285,24 @@ def solved_generator_powers(case: GridCase, ybus: sp.csc_matrix,
     a record, so it is shared by all units at the bus in proportion to
     machine base.
     """
-    idx = case.bus_index()
+    n = len(case.buses)
     v = solution.v
     s_bus = v * np.conj(ybus @ v)
-    for l in case.loads:
-        s_bus[idx[l.bus_id]] += complex(l.p_mw, l.q_mvar) / case.s_base_mva
+    np.add.at(s_bus, case.bus_positions(record_array(case.loads, "bus_id", np.int64)),
+              _quotient(complex_powers(case.loads), case.s_base_mva))
 
-    by_bus: dict[int, list] = {}
-    for g in case.generators:
-        if g.status:
-            by_bus.setdefault(idx[g.bus_id], []).append(g)
-
-    out: dict[str, complex] = {}
-    for b, members in by_bus.items():
-        base = np.array([g.s_base_mva for g in members])
-        w_all = base / base.sum()
-        sync = np.array([g.synchronous for g in members])
-        w_sync = np.where(sync, base, 0.0)
-        w_sync = w_sync / w_sync.sum() if w_sync.sum() > 0 else w_all
-        disp = np.array([g.p_mw for g in members]) / case.s_base_mva
-        surplus = s_bus[b].real - disp.sum()
-        p = disp + surplus * w_sync
-        q = s_bus[b].imag * w_all
-        for j, g in enumerate(members):
-            out[g.id] = complex(p[j], q[j])
+    gens = [g for g in case.generators if g.status]
+    bus = case.bus_positions(record_array(gens, "bus_id", np.int64))
+    base = record_array(gens, "s_base_mva")
+    disp = record_array(gens, "p_mw") / case.s_base_mva
+    w_all = base / _group_sums(base, bus, n)[bus]
+    w_sync = np.where(record_array(gens, "synchronous", bool), base, 0.0)
+    sync_sum = _group_sums(w_sync, bus, n)[bus]
+    w_sync = np.divide(w_sync, sync_sum, out=w_all.copy(), where=sync_sum > 0)
+    surplus = s_bus.real[bus] - _group_sums(disp, bus, n)[bus]
+    out = np.empty(len(gens), dtype=complex)
+    out.real = disp + surplus * w_sync
+    out.imag = s_bus.imag[bus] * w_all
     return out
 
 
@@ -255,69 +314,71 @@ def augment_dynamic(ybus: sp.csc_matrix, case: GridCase,
     non-synchronous generator contributes the negative-load equivalent
     y = -conj(S_pu) / |V|^2 at its solved output (its reactive share at a
     regulated bus is a power-flow result); each in-service synchronous
-    machine contributes 1/(j xdp) on the system base. The result is
-    factorized once for reuse.
+    machine contributes 1/(j xdp) on the system base. A bus adds its loads'
+    shunts, then its generators', in record order. The result is factorized
+    once for reuse.
     """
-    idx = case.bus_index()
-    n = len(case.buses)
     v = solution.v
-    diag = np.zeros(n, dtype=complex)
-    solved_s = solved_generator_powers(case, ybus, solution)
+    v_abs = np.hypot(v.real, v.imag)     # |v| as abs() rounds one number
+    v_sq = _square(v_abs)
+    diag = np.zeros(len(case.buses), dtype=complex)
+    s_gen = solved_generator_powers(case, ybus, solution)
 
-    load_ids, load_bus, load_shunt = [], [], []
-    for l in case.loads:
-        b = idx[l.bus_id]
-        if abs(v[b]) == 0:
-            raise ModelBuildError(f"load {l.id!r} at bus {l.bus_id} with |V| = 0")
-        s_pu = complex(l.p_mw, l.q_mvar) / case.s_base_mva
-        y = np.conj(s_pu) / abs(v[b]) ** 2
-        diag[b] += y
-        load_ids.append(l.id)
-        load_bus.append(b)
-        load_shunt.append(y)
+    load_bus = case.bus_positions(record_array(case.loads, "bus_id", np.int64))
+    dead = v_abs[load_bus] == 0
+    if dead.any():
+        l = case.loads[int(np.argmax(dead))]
+        raise ModelBuildError(f"load {l.id!r} at bus {l.bus_id} with |V| = 0")
+    s_load = _quotient(complex_powers(case.loads), case.s_base_mva)
+    load_shunt = np.conj(s_load) / v_sq[load_bus]
+    np.add.at(diag, load_bus, load_shunt)
 
-    mach_ids, mach_bus, xdp_sys, h_sec, s_mach = [], [], [], [], []
-    for g in case.generators:
-        if not g.status:
-            continue
-        b = idx[g.bus_id]
-        if abs(v[b]) == 0:
+    gens = [g for g in case.generators if g.status]
+    gen_bus = case.bus_positions(record_array(gens, "bus_id", np.int64))
+    sync = record_array(gens, "synchronous", bool)
+    undefined = sync & np.array([g.h_sec is None or g.xdp_pu is None
+                                 for g in gens], dtype=bool)
+    bad = (v_abs[gen_bus] == 0) | undefined
+    if bad.any():
+        k = int(np.argmax(bad))
+        g = gens[k]
+        if v_abs[gen_bus[k]] == 0:
             raise ModelBuildError(f"generator {g.id!r} at bus {g.bus_id} with |V| = 0")
-        if not g.synchronous:
-            diag[b] += -np.conj(solved_s[g.id]) / abs(v[b]) ** 2
-            continue
-        if g.h_sec is None or g.xdp_pu is None:
-            raise ModelBuildError(
-                f"generator {g.id!r} lacks dynamic parameters (h_sec/xdp_pu); "
-                "apply a sidecar or synthesize them first")
-        x_sys = g.xdp_pu * case.s_base_mva / g.s_base_mva
-        mach_ids.append(g.id)
-        mach_bus.append(b)
-        xdp_sys.append(x_sys)
-        h_sec.append(g.h_sec)
-        s_mach.append(g.s_base_mva)
-        diag[b] += 1.0 / (1j * x_sys)
-    if not mach_ids:
+        raise ModelBuildError(
+            f"generator {g.id!r} lacks dynamic parameters (h_sec/xdp_pu); "
+            "apply a sidecar or synthesize them first")
+    machines = [g for g in gens if g.synchronous]
+    if not machines:
         raise ModelBuildError(
             f"case {case.name!r} has no in-service synchronous machine")
+    h_sec, s_mach = record_array(machines, "h_sec"), record_array(machines, "s_base_mva")
+    xdp_sys = record_array(machines, "xdp_pu") * case.s_base_mva / s_mach
+    norton_y = 1.0 / (1j * xdp_sys)
+    gen_shunt = -np.conj(s_gen) / v_sq[gen_bus]
+    gen_shunt[sync] = norton_y
+    np.add.at(diag, gen_bus, gen_shunt)
 
-    y_dyn = (ybus + sp.diags(diag, format="csc", dtype=complex)).tocsc()
+    # the sum drops the zeros of the diagonal, as with sp.diags, which costs
+    # more than the rest of this function on a small case
+    n = len(diag)
+    y_dyn = (ybus + sp.csc_matrix((diag, np.arange(n), np.arange(n + 1)),
+                                  shape=(n, n))).tocsc()
     y_dyn.sort_indices()
 
     model = NetworkModel(
         case=case,
         bus_ids=[b.id for b in case.buses],
         y_dyn=y_dyn,
-        machine_ids=mach_ids,
-        machine_bus=np.array(mach_bus, dtype=np.int64),
-        xdp_sys=np.array(xdp_sys),
-        norton_y=1.0 / (1j * np.array(xdp_sys)),
-        h_sec=np.array(h_sec),
-        s_mach=np.array(s_mach),
-        s_solved=np.array([solved_s[gid] for gid in mach_ids], dtype=complex),
-        load_ids=load_ids,
-        load_bus=np.array(load_bus, dtype=np.int64),
-        load_shunt=np.array(load_shunt, dtype=complex),
+        machine_ids=[g.id for g in machines],
+        machine_bus=gen_bus[sync],
+        xdp_sys=xdp_sys,
+        norton_y=norton_y,
+        h_sec=h_sec,
+        s_mach=s_mach,
+        s_solved=s_gen[sync],
+        load_ids=[l.id for l in case.loads],
+        load_bus=load_bus,
+        load_shunt=load_shunt,
         islands=island_labels(case),
         f_base=case.f_base_hz,
         s_base=case.s_base_mva,

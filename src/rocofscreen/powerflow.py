@@ -7,7 +7,11 @@ pattern plus the diagonal); each iteration writes the complex
 power-injection derivatives into its values in place and factorizes it with
 SuperLU. The pattern is structurally symmetric, so SuperLU orders it by
 minimum degree on A^T + A and keeps diagonal pivots (SUPERLU_OPTIONS, which
-netdyn uses for the dynamic admittance matrix too).
+netdyn uses for the dynamic admittance matrix too). An ordering depends only
+on the pattern, so it is computed once per solve: the first iteration's
+factorization orders the Jacobian, the pattern is relabelled by that
+ordering, and the later iterations factor the relabelled matrix in its
+natural order.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .case_model import GridCase
+from .case_model import GridCase, complex_powers, record_array
 
 # SuperLU settings for the power-flow Jacobian and the dynamic admittance
 # matrix (netdyn), whose patterns are both structurally symmetric. Columns
@@ -30,6 +34,8 @@ from .case_model import GridCase
 # offsets its ties) and loses digits.
 SUPERLU_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
                        options=dict(SymmetricMode=True))
+# the same, for a matrix already relabelled by an ordering of its pattern
+PREORDERED_OPTIONS = dict(SUPERLU_OPTIONS, permc_spec="NATURAL")
 # Newton stops as diverged once the mismatch is not finite or exceeds
 # DIVERGENCE_GROWTH times the flat start's; converging solves in the tests
 # overshoot it by at most 34 times (a bus whose charging cancels its ties).
@@ -75,14 +81,14 @@ class PowerFlowSolution:
 
 
 def bus_injections(case: GridCase) -> np.ndarray:
-    """Specified complex injections per bus, system-base pu (gen - load)."""
-    idx = case.bus_index()
+    """Specified complex injections per bus, system-base pu (gen - load).
+    Each bus adds its in-service generators, then subtracts its loads, in
+    record order."""
+    gens = [g for g in case.generators if g.status]
     s = np.zeros(len(case.buses), dtype=complex)
-    for g in case.generators:
-        if g.status:
-            s[idx[g.bus_id]] += complex(g.p_mw, g.q_mvar)
-    for l in case.loads:
-        s[idx[l.bus_id]] -= complex(l.p_mw, l.q_mvar)
+    np.add.at(s, case.bus_positions(np.concatenate(
+        [record_array(r, "bus_id", np.int64) for r in (gens, case.loads)])),
+        np.concatenate((complex_powers(gens), -complex_powers(case.loads))))
     return s / case.s_base_mva
 
 
@@ -100,7 +106,7 @@ def mismatch_vector(case: GridCase, ybus: sp.csc_matrix, v: np.ndarray) -> np.nd
     pvpq = np.flatnonzero(kinds != "slack")
     pq = np.flatnonzero(kinds == "pq")
     mis = v * np.conj(ybus @ v) - bus_injections(case)
-    return np.r_[mis[pvpq].real, mis[pq].imag]
+    return np.concatenate((mis[pvpq].real, mis[pq].imag))
 
 
 def solve_powerflow(case: GridCase, tol: float = 1e-8,
@@ -119,14 +125,13 @@ def solve_powerflow(case: GridCase, tol: float = 1e-8,
     kinds = effective_kinds(case)
     pv = np.flatnonzero(kinds == "pv")
     pq = np.flatnonzero(kinds == "pq")
-    pvpq = np.r_[pv, pq]
+    pvpq = np.concatenate((pv, pq))
     sbus = bus_injections(case)
 
     # flat start: setpoint magnitude at PV/slack, 1.0 at PQ, zero angles
-    vm = np.array([b.v_mag if k in ("pv", "slack") else 1.0
-                   for b, k in zip(case.buses, kinds)])
-    va = np.array([b.v_ang if k == "slack" else 0.0
-                   for b, k in zip(case.buses, kinds)])
+    vm = np.where((kinds == "pv") | (kinds == "slack"),
+                  record_array(case.buses, "v_mag"), 1.0)
+    va = np.where(kinds == "slack", record_array(case.buses, "v_ang"), 0.0)
 
     npvpq, npq = len(pvpq), len(pq)
     if npvpq == 0:
@@ -136,12 +141,14 @@ def solve_powerflow(case: GridCase, tol: float = 1e-8,
                                  float(np.max(np.abs(f))) if f.size else 0.0,
                                  ybus)
 
-    row, col, y, diag, jac, take = _jacobian_pattern(ybus, pvpq, pq)
+    m = npvpq + npq
+    row, col, y, diag, jrows, jcols, jvals = _jacobian_pattern(ybus, pvpq, pq)
+    jac, take = _csc_pattern(jrows, jcols, jvals, m)
     for it in range(max_iter + 1):
         v = vm * np.exp(1j * va)
         ibus = ybus @ v
         mis = v * np.conj(ibus) - sbus
-        f = np.r_[mis[pvpq].real, mis[pq].imag]
+        f = np.concatenate((mis[pvpq].real, mis[pq].imag))
         norm = float(np.max(np.abs(f)))
         if norm <= tol:
             return PowerFlowSolution([b.id for b in case.buses], vm, va, it,
@@ -160,12 +167,25 @@ def solve_powerflow(case: GridCase, tol: float = 1e-8,
         ds_dva = (1j * v)[row] * np.conj(t)
         ds_dvm = v[row] * np.conj(y * vn[col])
         ds_dvm[diag] += np.conj(ibus) * vn
-        jac.data = np.concatenate((ds_dva.real, ds_dvm.real,
-                                   ds_dva.imag, ds_dvm.imag))[take]
+        values = np.concatenate((ds_dva.real, ds_dvm.real,
+                                 ds_dva.imag, ds_dvm.imag))
         try:
-            dx = spla.splu(jac, **SUPERLU_OPTIONS).solve(-f)
+            if it == 0:
+                jac.data = values[take]
+                lu = spla.splu(jac, **SUPERLU_OPTIONS)
+                # the ordering relabels unknown k (and equation k) perm[k]
+                perm = lu.perm_c
+                dx = lu.solve(-f)
+            else:
+                if it == 1:
+                    pjac, ptake = _csc_pattern(perm[jrows], perm[jcols], jvals, m)
+                pjac.data = values[ptake]
+                rhs = np.empty(m)
+                rhs[perm] = -f
+                dx = spla.splu(pjac, **PREORDERED_OPTIONS).solve(rhs)[perm]
         except RuntimeError as exc:
             if "singular" in str(exc).lower():
+                jac.data = values[take]
                 raise SingularJacobian(_suspect_bus(case, jac, pvpq, pq)) from exc
             raise
         va[pvpq] += dx[:npvpq]
@@ -179,16 +199,18 @@ def _jacobian_pattern(ybus: sp.csc_matrix, pvpq: np.ndarray, pq: np.ndarray):
 
     The pattern is the Y-bus pattern plus every diagonal entry, in column
     order. Returns its rows, columns and Y values, each bus's diagonal
-    position in it, the [pvpq|pq] Jacobian as a CSC matrix, and for each
-    stored Jacobian entry the value it reads, ``block * nnz + entry``: the
+    position in it, and the [pvpq|pq] Jacobian's entries as three arrays:
+    row, column and the value each reads, ``block * nnz + entry``: the
     block (0 dP/dθ, 1 dP/d|V|, 2 dQ/dθ, 3 dQ/d|V|) and the pattern entry.
     """
     n = ybus.shape[0]
-    yc = ybus.tocoo()
-    ykey = yc.col.astype(np.int64) * n + yc.row
-    key = np.union1d(ykey, np.arange(n, dtype=np.int64) * (n + 1))
+    ycol = np.repeat(np.arange(n, dtype=np.int64), np.diff(ybus.indptr))
+    ykey = ycol * n + ybus.indices
+    key = np.concatenate((ykey, np.arange(n, dtype=np.int64) * (n + 1)))
+    key.sort(kind="stable")
+    key = key[np.concatenate(([True], key[1:] != key[:-1]))]
     y = np.zeros(len(key), dtype=complex)
-    np.add.at(y, np.searchsorted(key, ykey), yc.data)
+    np.add.at(y, np.searchsorted(key, ykey), ybus.data)
     row, col = key % n, key // n
     diag = np.searchsorted(key, np.arange(n) * (n + 1))
 
@@ -207,13 +229,18 @@ def _jacobian_pattern(ybus: sp.csc_matrix, pvpq: np.ndarray, pq: np.ndarray):
         rows.append(r[entry])
         cols.append(c[entry])
         take.append(block * len(key) + entry)
-    rows, cols, take = (np.concatenate(a) for a in (rows, cols, take))
-    order = np.lexsort((rows, cols))
-    m = npvpq + len(pq)
-    indptr = np.r_[0, np.cumsum(np.bincount(cols, minlength=m))]
+    return (row, col, y, diag) + tuple(np.concatenate(a) for a in (rows, cols, take))
+
+
+def _csc_pattern(rows: np.ndarray, cols: np.ndarray, take: np.ndarray, m: int):
+    """An m x m CSC matrix with zero values on the entries (rows, cols),
+    which must be distinct, with sorted row indices, and ``take`` in its
+    storage order."""
+    order = np.argsort(cols.astype(np.int64) * m + rows)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=m))))
     jac = sp.csc_matrix((np.zeros(len(order)), rows[order], indptr),
                         shape=(m, m))
-    return row, col, y, diag, jac, take[order]
+    return jac, take[order]
 
 
 def _suspect_bus(case: GridCase, jac: sp.csc_matrix, pvpq, pq):

@@ -7,10 +7,11 @@ the algebraic network. Only those voltages enter the derivatives, so a step
 makes one sparse solve: the first stage solves the whole network (the bus
 traces and the monitors need every bus), and the later stages add the
 change in machine currents through the machine-bus block of Y^-1, solved
-once per factorization (the classical model reduced to its machine buses,
-in increment form). Governors and exciters are absent by design, isolating
-the inertial response, so this serves as the validation oracle for the
-theoretical ROCOF screen and as the engine for load-shedding studies.
+once per factorization, and once per model for the base factorization (the
+classical model reduced to its machine buses, in increment form). Governors
+and exciters are absent by design, isolating the inertial response, so this
+serves as the validation oracle for the theoretical ROCOF screen and as the
+engine for load-shedding studies.
 
 Bus frequency is estimated from the voltage-angle derivative through a
 first-order washout filter with a fixed 0.04 s time constant (raw
@@ -202,10 +203,11 @@ def simulate(model: NetworkModel, states: MachineStates,
     and leaves no inertia, and SimulationBlowup when any machine speed
     deviation passes ABORT_OMEGA_PU.
 
-    A run solves the network once per step, once more per factorization
-    (the base one and each refactor at the outage or a trip) for its
-    machine-bus block, and once more at each trip step, whose later stages
-    see the refactored network.
+    A run solves the network once per step, once more per refactor at the
+    outage or a trip for its machine-bus block, and once more at each trip
+    step, whose later stages see the refactored network. The base
+    factorization's block is solved once per model and cached, as the base
+    factorization is.
     """
     case = model.case
     solves_before, factors_before = model.solve_count, model.factor_count
@@ -232,19 +234,16 @@ def simulate(model: NetworkModel, states: MachineStates,
     diag_bus: list[int] = []
     diag_val: list[complex] = []
     # each machine's slot among the distinct machine buses
-    m_bus, m_slot = np.unique(model.machine_bus, return_inverse=True)
-    unit_cols = np.zeros((nb, m_bus.size), dtype=complex)
-    unit_cols[m_bus, np.arange(m_bus.size)] = 1.0
+    m_slot = model.machine_bus_slots[1]
 
     def refactor():
-        """The factorization and its machine-bus block: row i, column p is
-        the voltage at machine bus i per unit current of machine p."""
-        if diag_bus:
-            lu = model.factorize(model.y_with_diag_update(
-                np.array(diag_bus), np.array(diag_val, dtype=complex)))
-        else:
-            lu = model.factorize()
-        return lu, lu.solve(unit_cols)[m_bus][:, m_slot]
+        """The factorization and its machine-bus block (the base ones are
+        cached on the model)."""
+        if not diag_bus:
+            return model.factorize(), model.machine_bus_block()
+        lu = model.factorize(model.y_with_diag_update(
+            np.array(diag_bus), np.array(diag_val, dtype=complex)))
+        return lu, model.machine_bus_block(lu)
 
     lu, z_block = refactor()
     load_pos = {lid: i for i, lid in enumerate(model.load_ids)}

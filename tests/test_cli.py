@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +80,45 @@ def test_validate_names_a_repeated_generator_id(tmp_path, capsys):
     code, out, _ = run(["validate", "--case", str(p)], capsys)
     assert code == 1
     assert "generator gen3: duplicate generator id 'gen3' [unique_id]" in out
+
+
+@pytest.mark.parametrize("section, field, value, line", [
+    ("branches", "r_pu", math.nan, "branch 1-4: r_pu must be finite, got nan [finite]"),
+    ("branches", "x_pu", math.nan, "branch 1-4: x_pu must be finite, got nan [finite]"),
+    ("branches", "b_pu", math.inf, "branch 1-4: b_pu must be finite, got inf [finite]"),
+    ("branches", "tap_ratio", math.nan,
+     "branch 1-4: tap_ratio must be finite, got nan [finite]"),
+    ("branches", "tap_ratio", -1.0,
+     "branch 1-4: tap_ratio must be >= 0 (0 for none), got -1.0 [tap_nonnegative]"),
+    ("loads", "p_mw", math.nan, "load load5: p_mw must be finite, got nan [finite]"),
+    ("buses", "v_mag", math.nan, "bus 1: v_mag must be finite, got nan [finite]"),
+    ("generators", "s_base_mva", math.nan,
+     "generator gen1: s_base_mva must be finite, got nan [finite]"),
+])
+def test_non_finite_or_negative_tap_exits_1_naming_the_field(
+        tmp_path, capsys, section, field, value, line):
+    # the first record of the section; powerflow used to run on it and fail
+    # to converge (exit 2) or, for a NaN machine base, write a file
+    doc = json.loads(CASE9.read_text())
+    doc["case"][section][0][field] = value
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    code, out, _ = run(["validate", "--case", str(p)], capsys)
+    assert code == 1
+    assert line in out.splitlines()
+    out_csv = tmp_path / "pf.csv"
+    code, _, err = run(["powerflow", "--case", str(p), "--out", str(out_csv)], capsys)
+    assert code == 1
+    assert line in err
+    assert not out_csv.exists()
+
+
+def test_zero_tap_means_none(tmp_path, capsys):
+    doc = json.loads(CASE9.read_text())
+    doc["case"]["branches"][0]["tap_ratio"] = 0.0
+    p = tmp_path / "untapped.json"
+    p.write_text(json.dumps(doc))
+    assert run(["validate", "--case", str(p)], capsys)[0] == 0
 
 
 def test_missing_file_exits_1(capsys):

@@ -5,10 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from rocofscreen import (augment_dynamic, build_ybus, electrical_torque,
-                         init_machines, solve_powerflow)
-from rocofscreen.case_model import Branch, Bus, Generator, GridCase
+import scipy.sparse as sp
+
+from rocofscreen import (PowerFlowSolution, augment_dynamic, build_ybus,
+                         electrical_torque, init_machines, solve_powerflow)
+from rocofscreen.case_model import (Branch, Bus, Generator, GridCase, Load,
+                                    UnknownIdError, island_labels)
 from rocofscreen.netdyn import ModelBuildError, passive_network_power
+from rocofscreen.powerflow import bus_injections
 from conftest import currents, tiny_case
 
 
@@ -50,6 +54,16 @@ def test_ybus_off_nominal_tap():
 def test_ybus_zero_impedance_branch():
     with pytest.raises(ModelBuildError, match="zero impedance"):
         build_ybus(pair_case(r_pu=0.0, x_pu=0.0))
+
+
+def test_ybus_names_a_missing_bus():
+    case = pair_case()
+    case = dataclasses.replace(case, branches=case.branches + (Branch(2, 99, 0.0, 0.1),))
+    with pytest.raises(UnknownIdError, match="no bus with id 99"):
+        build_ybus(case)
+    # an out-of-service branch is not read
+    off = dataclasses.replace(case.branches[-1], status=False)
+    build_ybus(dataclasses.replace(case, branches=case.branches[:1] + (off,)))
 
 
 def _model(case):
@@ -214,3 +228,177 @@ def test_diag_update_adds_repeated_buses_in_order(solved9, fleet_case):
             assert np.array_equal(y.indptr, model.y_dyn.indptr)
             assert np.array_equal(y.indices, model.y_dyn.indices)
         assert (model.y_dyn != before).nnz == 0
+
+
+# The per-record loops that build_ybus, island_labels, bus_injections and
+# augment_dynamic replaced, kept as the reference their arrays must equal
+# bit for bit.
+
+def loop_ybus(case):
+    idx = case.bus_index()
+    n = len(case.buses)
+    rows, cols, data = [], [], []
+    for br in case.branches:
+        if not br.status:
+            continue
+        z = complex(br.r_pu, br.x_pu)
+        ys = 1.0 / z
+        bc = 0.5j * br.b_pu
+        t = br.tap_ratio if br.tap_ratio else 1.0
+        i, j = idx[br.from_bus], idx[br.to_bus]
+        rows += [i, j, i, j]
+        cols += [i, j, j, i]
+        data += [(ys + bc) / t**2, ys + bc, -ys / t, -ys / t]
+    return sp.coo_matrix((data, (rows, cols)), shape=(n, n), dtype=complex).tocsc()
+
+
+def loop_island_labels(case):
+    from scipy.sparse.csgraph import connected_components
+    idx = case.bus_index()
+    n = len(case.buses)
+    rows, cols = [], []
+    for br in case.branches:
+        if br.status and br.from_bus in idx and br.to_bus in idx:
+            rows.append(idx[br.from_bus])
+            cols.append(idx[br.to_bus])
+    adj = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    return connected_components(adj, directed=False)[1]
+
+
+def loop_bus_injections(case):
+    idx = case.bus_index()
+    s = np.zeros(len(case.buses), dtype=complex)
+    for g in case.generators:
+        if g.status:
+            s[idx[g.bus_id]] += complex(g.p_mw, g.q_mvar)
+    for l in case.loads:
+        s[idx[l.bus_id]] -= complex(l.p_mw, l.q_mvar)
+    return s / case.s_base_mva
+
+
+def loop_solved_generator_powers(case, ybus, solution):
+    idx = case.bus_index()
+    v = solution.v
+    s_bus = v * np.conj(ybus @ v)
+    for l in case.loads:
+        s_bus[idx[l.bus_id]] += complex(l.p_mw, l.q_mvar) / case.s_base_mva
+    by_bus = {}
+    for g in case.generators:
+        if g.status:
+            by_bus.setdefault(idx[g.bus_id], []).append(g)
+    out = {}
+    for b, members in by_bus.items():
+        base = np.array([g.s_base_mva for g in members])
+        w_all = base / base.sum()
+        sync = np.array([g.synchronous for g in members])
+        w_sync = np.where(sync, base, 0.0)
+        w_sync = w_sync / w_sync.sum() if w_sync.sum() > 0 else w_all
+        disp = np.array([g.p_mw for g in members]) / case.s_base_mva
+        surplus = s_bus[b].real - disp.sum()
+        p = disp + surplus * w_sync
+        q = s_bus[b].imag * w_all
+        for j, g in enumerate(members):
+            out[g.id] = complex(p[j], q[j])
+    return out
+
+
+def loop_model_products(ybus, case, solution):
+    """augment_dynamic's loops: the load shunts, the machines' solved
+    outputs and y_dyn."""
+    idx = case.bus_index()
+    v = solution.v
+    diag = np.zeros(len(case.buses), dtype=complex)
+    solved_s = loop_solved_generator_powers(case, ybus, solution)
+    load_shunt = []
+    for l in case.loads:
+        b = idx[l.bus_id]
+        s_pu = complex(l.p_mw, l.q_mvar) / case.s_base_mva
+        y = np.conj(s_pu) / abs(v[b]) ** 2
+        diag[b] += y
+        load_shunt.append(y)
+    s_solved = []
+    for g in case.generators:
+        if not g.status:
+            continue
+        b = idx[g.bus_id]
+        if not g.synchronous:
+            diag[b] += -np.conj(solved_s[g.id]) / abs(v[b]) ** 2
+            continue
+        x_sys = g.xdp_pu * case.s_base_mva / g.s_base_mva
+        s_solved.append(solved_s[g.id])
+        diag[b] += 1.0 / (1j * x_sys)
+    y_dyn = (ybus + sp.diags(diag, format="csc", dtype=complex)).tocsc()
+    y_dyn.sort_indices()
+    return (np.array(load_shunt, dtype=complex), np.array(s_solved, dtype=complex),
+            y_dyn)
+
+
+def assert_same_bits(new, old):
+    new, old = np.asarray(new), np.asarray(old)
+    assert new.dtype == old.dtype and new.shape == old.shape
+    assert new.tobytes() == old.tobytes()
+
+
+def assert_builders_match_loops(case, v_mag, v_ang):
+    """The Y-bus, island labels and injections of the case, and the load
+    shunts, machine outputs and y_dyn of the solution with the given
+    voltages, equal their record loops' bit for bit."""
+    ybus, ref = build_ybus(case), loop_ybus(case)
+    for part in ("indptr", "indices", "data"):
+        assert_same_bits(getattr(ybus, part), getattr(ref, part))
+    assert_same_bits(island_labels(case), loop_island_labels(case))
+    assert_same_bits(bus_injections(case), loop_bus_injections(case))
+
+    solution = PowerFlowSolution([b.id for b in case.buses], np.asarray(v_mag),
+                                 np.asarray(v_ang), 0, 0.0, ybus)
+    model = augment_dynamic(ybus, case, solution)
+    load_shunt, s_solved, y_dyn = loop_model_products(ref, case, solution)
+    assert_same_bits(model.load_shunt, load_shunt)
+    assert_same_bits(model.s_solved, s_solved)
+    for part in ("indptr", "indices", "data"):
+        assert_same_bits(getattr(model.y_dyn, part), getattr(y_dyn, part))
+
+
+def test_vectorized_builders_match_record_loops(case9):
+    # taps off 1 (one whose square rounds differently through pow than as
+    # t * t), charging, a parallel and an out-of-service branch, a bus with
+    # nine units (numpy sums eight or more pairwise) and one with a wind
+    # unit, an out-of-service unit, loads at generator buses and a bus with
+    # three loads whose shunts sum differently in another order
+    branches = [dataclasses.replace(br, tap_ratio=0.978)
+                if (br.from_bus, br.to_bus) == (1, 4) else
+                dataclasses.replace(br, tap_ratio=0.9500000402331352)
+                if (br.from_bus, br.to_bus) == (2, 7) else br
+                for br in case9.branches]
+    assert any(br.b_pu for br in branches)
+    branches += [dataclasses.replace(branches[-1], r_pu=0.013),
+                 Branch(5, 9, 0.01, 0.08, 0.1, status=False)]
+    # nine units at bus 3 whose bases and dispatch sum differently pairwise
+    # than one after another
+    extra = [Generator(id=f"g3x{k}", bus_id=3, s_base_mva=s, p_mw=p,
+                       p_max_mw=200.0, h_sec=3.0, xdp_pu=0.21)
+             for k, (s, p) in enumerate(zip(
+                 (369.1, 763.2, 36.2, 452.3, 378.1, 482.3, 136.3, 230.3),
+                 (56.2, 38.8, 79.2, 60.5, 86.1, 73.2, 60.2, 28.8)))]
+    extra += [Generator(id="w2", bus_id=2, s_base_mva=60.0, p_mw=20.0,
+                        p_max_mw=60.0, fuel="wind", synchronous=False),
+              Generator(id="g2b", bus_id=2, s_base_mva=80.0, p_mw=15.0,
+                        p_max_mw=60.0, h_sec=4.0, xdp_pu=0.3),
+              Generator(id="off", bus_id=5, s_base_mva=80.0, status=False)]
+    loads = list(case9.loads) + [Load(id="l2", bus_id=2, p_mw=12.5, q_mvar=-3.1),
+                                 Load(id="l3", bus_id=3, p_mw=7.0, q_mvar=0.3),
+                                 Load(id="l5b", bus_id=5, p_mw=30.0, q_mvar=9.8),
+                                 Load(id="l5c", bus_id=5, p_mw=-2.7, q_mvar=-4.1)]
+    case = dataclasses.replace(case9, branches=tuple(branches),
+                               generators=case9.generators + tuple(extra),
+                               loads=tuple(loads))
+    rng = np.random.default_rng(5)
+    n = len(case.buses)
+    v_mag = rng.uniform(0.9, 1.1, n)
+    v_ang = rng.uniform(-0.5, 0.5, n)
+    # at zero angle |V| is v_mag, whose square rounds differently through pow
+    v_mag[4], v_ang[4] = 0.95000009983778, 0.0
+    assert v_mag[4] ** 2 != v_mag[4] * v_mag[4]
+    assert_builders_match_loops(case, v_mag, v_ang)
+    sol = solve_powerflow(case9)
+    assert_builders_match_loops(case9, sol.v_mag, sol.v_ang)

@@ -15,7 +15,7 @@ from rocofscreen.case_model import Branch, Bus, Generator, GridCase, Load
 from rocofscreen.netdyn import build_ybus
 from rocofscreen.powerflow import (bus_injections, effective_kinds,
                                    mismatch_vector)
-from conftest import case9_with_bus10
+from conftest import case9_with_bus10, make_grid_case
 
 # published solution of the classical 9-bus benchmark (magnitudes pu,
 # angles degrees), used as an independent cross-check
@@ -211,29 +211,45 @@ def reference_newton(case):
 def assert_newton_matches_reference(case):
     """solve_powerflow against reference_newton: the same iteration count,
     per iteration the same Jacobian pattern and entries within 1e-12 x
-    max(1, |J|), and the same voltages within 1e-12 pu."""
+    max(1, |J|), and the same voltages within 1e-12 pu. The first
+    factorization orders the Jacobian; the later ones factor it relabelled
+    by that ordering, in natural order, and are mapped back here."""
     factored = []
+    perm = []
 
     def spy(jac, **kwargs):
-        factored.append(jac.copy())
-        return spla.splu(jac, **kwargs)
+        lu = spla.splu(jac, **kwargs)
+        if not perm:
+            assert kwargs["permc_spec"] == "MMD_AT_PLUS_A"
+            perm.append(lu.perm_c)
+            factored.append(jac.copy())
+        else:   # entry (r, c) of the Jacobian sits at (perm[r], perm[c])
+            assert kwargs["permc_spec"] == "NATURAL"
+            factored.append(jac[perm[0]][:, perm[0]])
+        return lu
 
     with mock.patch.object(powerflow, "spla", SimpleNamespace(splu=spy)):
         sol = solve_powerflow(case)
     iterations, reference, v_ref = reference_newton(case)
     assert sol.iterations == iterations == len(factored) == len(reference)
     for new, old in zip(factored, reference):
-        new.sort_indices()
-        old.sort_indices()
-        assert np.array_equal(new.indptr, old.indptr)
-        assert np.array_equal(new.indices, old.indices)
-        assert np.all(np.abs(new.data - old.data)
-                      <= 1e-12 * np.maximum(1.0, np.abs(old.data)))
+        assert_same_jacobian(new, old)
     assert np.max(np.abs(sol.v - v_ref)) <= 1e-12
+
+
+def assert_same_jacobian(new, old):
+    """The same pattern, and entries within 1e-12 x max(1, |J|)."""
+    new.sort_indices()
+    old.sort_indices()
+    assert np.array_equal(new.indptr, old.indptr)
+    assert np.array_equal(new.indices, old.indices)
+    assert np.all(np.abs(new.data - old.data)
+                  <= 1e-12 * np.maximum(1.0, np.abs(old.data)))
 
 
 def test_fixed_pattern_matches_rebuilt_jacobian(case9, fleet_case):
     assert_newton_matches_reference(case9)
+    assert_newton_matches_reference(make_grid_case(25))
     loading = generate_loading_cases(fleet_case, 25, (15000.0, 75000.0),
                                      (10000.0, 30000.0))
     assert len(loading) == 25
@@ -283,12 +299,36 @@ def test_newton_steps_solve_near_singular_jacobians(ties, rel):
             dx = lu.solve(rhs)
             residuals.append(np.linalg.norm(jac @ dx - rhs) / np.linalg.norm(rhs))
             return dx
-        return SimpleNamespace(solve=solve)
+        return SimpleNamespace(solve=solve, perm_c=lu.perm_c)
 
     with mock.patch.object(powerflow, "spla", SimpleNamespace(splu=splu)):
         sol = solve_powerflow(case9_with_bus10(ties, rel))
     assert sol.iterations == len(residuals) > 0
     assert max(residuals) <= 1e-9
+
+
+def test_singular_jacobian_after_the_first_iteration_reads_its_jacobian(case9):
+    # a factorization that fails at iteration 1 reports the suspect bus from
+    # that iteration's Jacobian, in the unknowns' own order, not from the
+    # relabelled matrix or iteration 0's values
+    calls, seen = [], []
+
+    def splu(jac, **kwargs):
+        calls.append(kwargs["permc_spec"])
+        if len(calls) == 2:
+            raise RuntimeError("Factor is exactly singular")
+        return spla.splu(jac, **kwargs)
+
+    def suspect(case, jac, pvpq, pq):
+        seen.append(jac.copy())
+        return 7
+
+    with mock.patch.object(powerflow, "spla", SimpleNamespace(splu=splu)), \
+            mock.patch.object(powerflow, "_suspect_bus", suspect):
+        with pytest.raises(SingularJacobian, match="suspect bus 7"):
+            solve_powerflow(case9)
+    assert calls == ["MMD_AT_PLUS_A", "NATURAL"]
+    assert_same_jacobian(seen[0], reference_newton(case9)[1][1])
 
 
 def test_singular_jacobian_exits_2_naming_the_bus(tmp_path, capsys):

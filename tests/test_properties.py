@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from rocofscreen import (Contingency, GridCase, SimOptions, locational_rocof,
                          locational_rocof_batch, simulate, solve_powerflow)
-from rocofscreen.case_model import Branch, Bus, Generator, Load
+from rocofscreen.case_model import Branch, Bus, Generator, Load, island_labels
 from rocofscreen.scenarios import _column_stats, finite_difference_rocof
+from test_netdyn import assert_builders_match_loops, loop_island_labels
 from test_powerflow import assert_newton_matches_reference
 from test_rocof import assert_matches_plain_splu, built_model, refactor_reference
 from test_swingsim import assert_matches_four_solve_step
@@ -165,6 +166,34 @@ def test_system_base_leaves_voltages_rocof_and_worst_bus(drawn, k):
 @given(networks())
 def test_fixed_pattern_newton_matches_rebuilt_jacobian(drawn):
     assert_newton_matches_reference(drawn[0])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(networks(), st.data())
+def test_vectorized_builders_match_record_loops_on_generated_networks(drawn, data):
+    # taps off 1 (0 for none), chords out of service, units other than the
+    # slack's made non-synchronous, and voltages drawn per bus; island
+    # labels also with tree branches out of service
+    case, _ = drawn
+    n, m = len(case.buses), len(case.branches)
+    tree = n - 1                  # networks() lists the tree's branches first
+    taps = data.draw(st.lists(st.one_of(st.just(1.0), st.just(0.0),
+                                        st.floats(0.9, 1.1)), min_size=m, max_size=m))
+    live = data.draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    sync = [True] + data.draw(st.lists(st.booleans(), min_size=len(case.generators) - 1,
+                                       max_size=len(case.generators) - 1))
+    v_mag = data.draw(st.lists(st.floats(0.9, 1.1), min_size=n, max_size=n))
+    v_ang = data.draw(st.lists(st.floats(-0.5, 0.5), min_size=n, max_size=n))
+    cut = dataclasses.replace(case, branches=tuple(
+        dataclasses.replace(br, status=on) for br, on in zip(case.branches, live)))
+    assert np.array_equal(island_labels(cut), loop_island_labels(cut))
+    case = dataclasses.replace(
+        case,
+        branches=tuple(dataclasses.replace(br, tap_ratio=t, status=k < tree or on)
+                       for k, (br, t, on) in enumerate(zip(case.branches, taps, live))),
+        generators=tuple(dataclasses.replace(g, synchronous=s)
+                         for g, s in zip(case.generators, sync)))
+    assert_builders_match_loops(case, v_mag, v_ang)
 
 
 @st.composite

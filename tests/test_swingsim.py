@@ -278,21 +278,27 @@ def test_simulate_refactors_once_per_outage_and_trip(case9):
     sim = simulate(model, states.copy(), Contingency.of("none", []),
                    SimOptions(t_end=0.5))
     assert model.factor_count == before     # the cached base factorization
-    # one full solve per step and one machine-bus block per factorization
+    # one full solve per step and the base factorization's machine-bus
+    # block, solved on the model's first run and cached
     steps = len(sim.time_s)
     assert model.solve_count - solves == sim.n_solves == steps + 1
     assert sim.n_factorizations == 0
+    solves = model.solve_count
+    again = simulate(model, states.copy(), Contingency.of("none", []),
+                     SimOptions(t_end=0.5))
+    assert model.solve_count - solves == again.n_solves == steps
+    assert np.array_equal(again.bus_freq_hz, sim.bus_freq_hz)
     solves = model.solve_count
     sim = simulate(model, states, Contingency.of("big", ["gen2", "gen3"]),
                    SimOptions(t_end=6.0, damping_d=2.0))
     trip_steps = {e.time_s for e in sim.events}
     assert trip_steps
     assert model.factor_count - before == sim.n_factorizations == 1 + len(trip_steps)
-    # plus, at a trip step, the first stage's voltages re-solved on the
-    # network without the shed loads
+    # one block per refactor and, at a trip step, the first stage's
+    # voltages re-solved on the network without the shed loads
     steps = len(sim.time_s)
     assert model.solve_count - solves == sim.n_solves == (
-        steps + (1 + sim.n_factorizations) + len(trip_steps))
+        steps + sim.n_factorizations + len(trip_steps))
 
 
 # --- the machine-bus block against the four-solve step it replaced ----------
