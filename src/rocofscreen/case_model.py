@@ -226,6 +226,10 @@ class InputError(ValueError):
 class UnknownIdError(KeyError):
     """An id that names no record of the case, or no machine of a model."""
 
+    def __str__(self) -> str:
+        # the message itself, where KeyError's str() is the message's repr
+        return BaseException.__str__(self)
+
 
 def record_array(records, name: str, dtype=float) -> np.ndarray:
     """Field ``name`` of each record of a sequence, as an array."""

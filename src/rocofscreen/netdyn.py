@@ -260,17 +260,23 @@ class MachineStates:
 
     e_prime and delta define the internal EMF E' /_ delta; t_m is mechanical
     torque on the machine base; omega is per-unit speed deviation (zero at
-    initialization).
+    initialization). v_bus holds the bus voltages Y^-1 I that the machines'
+    Norton currents at these angles drive through the model's base
+    factorization (zero in islands without a machine); the screen starts
+    from them. The states are a read-only snapshot by convention, as the
+    model is: a run that moves the rotors works on a copy.
     """
 
     e_prime: np.ndarray
     delta: np.ndarray
     t_m: np.ndarray
     omega: np.ndarray
+    v_bus: np.ndarray
 
     def copy(self) -> "MachineStates":
         return MachineStates(self.e_prime.copy(), self.delta.copy(),
-                             self.t_m.copy(), self.omega.copy())
+                             self.t_m.copy(), self.omega.copy(),
+                             self.v_bus.copy())
 
 
 def solved_generator_powers(case: GridCase, ybus: sp.csc_matrix,
@@ -398,7 +404,8 @@ def init_machines(model: NetworkModel, case: GridCase,
     currents, so the initial state is an exact equilibrium of the algebraic
     model. A reconstruction check asserts the network solve reproduces the
     power-flow voltages (islands without any machine excluded; they carry no
-    dynamic source and solve to zero).
+    dynamic source and solve to zero). The re-solved voltages are kept on
+    the states as v_bus.
     """
     if case != model.case:
         raise ModelBuildError("model was built from a different case")
@@ -424,7 +431,7 @@ def init_machines(model: NetworkModel, case: GridCase,
     return MachineStates(e_prime=e_prime, delta=delta,
                          t_m=electrical_torque(model, currents,
                                                v_chk[model.machine_bus]),
-                         omega=np.zeros_like(e_prime))
+                         omega=np.zeros_like(e_prime), v_bus=v_chk)
 
 
 def norton_currents(e_over_x: np.ndarray, delta: np.ndarray) -> np.ndarray:

@@ -16,13 +16,14 @@ natural order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .case_model import GridCase, complex_powers, record_array
+from .case_model import GridCase, InputError, complex_powers, record_array
 
 # SuperLU settings for the power-flow Jacobian and the dynamic admittance
 # matrix (netdyn), whose patterns are both structurally symmetric. Columns
@@ -116,9 +117,15 @@ def solve_powerflow(case: GridCase, tol: float = 1e-8,
     Raises PowerFlowDivergence after max_iter or once the mismatch diverges
     (see DIVERGENCE_GROWTH), and SingularJacobian when the factorization
     fails (the reported bus is the first with a vanishing Jacobian diagonal,
-    the usual culprit).
+    the usual culprit). Raises InputError for a negative max_iter or a tol
+    that is not positive and finite.
     """
     from .netdyn import build_ybus  # deferred: netdyn also imports this module
+
+    if max_iter < 0:
+        raise InputError(f"max_iter must be >= 0, got {max_iter}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise InputError(f"tol must be positive and finite, got {tol}")
 
     ybus = build_ybus(case)
     n = len(case.buses)

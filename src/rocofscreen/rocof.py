@@ -3,16 +3,19 @@
 The per-bus screen takes a batch of contingencies (a single screen is a
 batch of one) and runs in exactly two multi-right-hand-side sparse solves
 per batch against the base factorization of the network model, whatever
-the batch size; solve 1 carries one extra right-hand side per distinct
-outaged bus of the batch:
+the batch size; solve 1 has one right-hand side per distinct outaged bus
+of the batch, and solve 2 one per contingency:
 
-1. remove the outaged machines' injections and solve for the
-   post-disturbance voltages V. Removing their Norton shunts is a rank-k
-   change to the diagonal, applied by compensation (Alsac, Stott & Tinney,
-   IEEE Trans. PAS, 1983) from the columns Z = Y^-1 E at the outaged buses
-   rather than by refactoring; each contingency's k x k capacitance
-   matrix is solved in one stacked dense solve for the batch, and its
-   correction reads only its own k columns of Z;
+1. solve 1 gives the columns Z = Y^-1 E at the outaged buses. The
+   post-disturbance voltages V follow from the pre-disturbance ones,
+   v_bus = Y^-1 I, which the machine states carry (netdyn.init_machines):
+   the outaged machines' currents enter only at their own buses, so
+   removing them subtracts Z times those currents, and removing their
+   Norton shunts is a rank-k change to the diagonal, applied by
+   compensation (Alsac, Stott & Tinney, IEEE Trans. PAS, 1983) rather than
+   by refactoring. Each contingency's k x k capacitance matrix is solved in
+   one stacked dense solve for the batch, and its correction reads only its
+   own k columns of Z;
 2. recompute each remaining machine's electrical torque and acceleration
    wdot = (T_m - T_e) / (2 H), with mechanical torque frozen (no governors);
 3. form the injection second derivative Idd = (E'/x'd) /_ delta * wdot
@@ -31,11 +34,12 @@ torque are the study's definition of the theoretical ROCOF, not options.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .case_model import GridCase, total_inertia_gws
+from .case_model import GridCase, InputError, total_inertia_gws
 from .netdyn import MachineStates, NetworkModel, electrical_torque, norton_currents
 
 log = logging.getLogger(__name__)
@@ -121,8 +125,10 @@ def system_rocof(case: GridCase, p_loss_mw: float, outaged_ids=()) -> float:
     The sum is case_model.total_inertia_gws over the case with
     ``outaged_ids`` out of service (a machine that has tripped no longer
     contributes kinetic energy). Raises ZeroInertiaError when nothing
-    remains.
+    remains, and InputError for a loss that is not finite.
     """
+    if not math.isfinite(p_loss_mw):
+        raise InputError(f"p_loss_mw must be finite, got {p_loss_mw}")
     outaged = set(outaged_ids)
     inertia_gws = total_inertia_gws(case.with_generators(
         replace(g, status=False) if g.id in outaged else g
@@ -167,11 +173,12 @@ def locational_rocof(model: NetworkModel, states: MachineStates,
 
     Costs exactly two sparse linear solves against the base factorization
     (one for the voltages, one for the voltage second derivative); solve 1
-    carries k extra right-hand sides, k = distinct outaged buses, for the
-    compensation of the removed Norton shunts. Islands that lose their last
-    machine are reported as undefined rather than diverging; see
-    RocofResult. Raises SingularOutageError when the outage leaves a
-    singular network. This is the batch screen with one contingency.
+    has k right-hand sides, the unit columns at the k distinct outaged
+    buses, and no current: the voltages start from the states' own
+    (MachineStates.v_bus). Islands that lose their last machine are
+    reported as undefined rather than diverging; see RocofResult. Raises
+    SingularOutageError when the outage leaves a singular network. This is
+    the batch screen with one contingency.
     """
     (mw_lost, sys_rocof, bus_rocof, wdot, v_post, islands, errors,
      n_solves) = _screen(model, states, [contingency], single=True)
@@ -196,13 +203,13 @@ def locational_rocof_batch(model: NetworkModel, states: MachineStates,
     """Theoretical per-bus ROCOF for m contingencies screened together.
 
     Two multi-right-hand-side solves against the base factorization for the
-    whole batch. Solve 1 is [I_1 ... I_m | e_U], U the union of the outaged
-    buses in live islands; each contingency's capacitance matrix, padded to
-    the largest one, is solved in one stacked dense solve; solve 2 has the
-    m injection second derivatives. A contingency that cannot be screened
-    (an unknown machine, a singular network, no inertia left) gets its
-    exception in RocofBatch.errors and NaN columns; the other columns are
-    unaffected.
+    whole batch. Solve 1 is [e_U], U the union of the outaged buses in live
+    islands (no columns when there are none); each contingency's
+    capacitance matrix, padded to the largest one, is solved in one stacked
+    dense solve; solve 2 has the m injection second derivatives. A
+    contingency that cannot be screened (an unknown machine, a singular
+    network, no inertia left) gets its exception in RocofBatch.errors and
+    NaN columns; the other columns are unaffected.
     """
     (mw_lost, sys_rocof, bus_rocof, wdot, v_post, islands, errors,
      n_solves) = _screen(model, states, contingencies)
@@ -261,10 +268,18 @@ def _screen(model: NetworkModel, states: MachineStates,
     # Z = Y^-1 E and C = I + D Z[b]. Z has one column per bus of U, the
     # union of all b. Pairs (j, b) run by contingency, then bus; slot is b's
     # place among the k_j buses of j, and blocks are padded to the largest k.
+    # Solve 1's right-hand side would be I_all - E i, with i the outaged
+    # machines' Norton currents at b (summed in the same pass as d). Its x
+    # is v_bus - Z i, v_bus = Y^-1 I_all being kept on the states, so
+    # V = v_bus - Z w with w = i + C^-1 D x[b] = C^-1 (i + D v_bus[b]), and
+    # solve 1 is [e_U] alone.
+    currents = norton_currents(states.e_prime / model.xdp_sys, states.delta)
     lost = ~active
     if any_dead:
         lost &= ~dead.T[model.machine_bus].T
-    d_bus = model.to_buses(np.where(lost, -model.norton_y, 0.0)).reshape(m, n)
+    d_bus, i_bus = model.to_buses(np.where(
+        lost.reshape(m, nm), np.array((-model.norton_y, currents))[:, None],
+        0.0).reshape(2 * m, nm)).reshape(2, m, n)
     row, bus = np.nonzero(d_bus)
     k = np.bincount(row, minlength=m)
     k_max = max(k.tolist(), default=0)
@@ -272,34 +287,32 @@ def _screen(model: NetworkModel, states: MachineStates,
     union = np.flatnonzero(np.bincount(bus, minlength=n))
     bus_of = np.zeros((m, k_max), dtype=np.int64)        # padded with bus 0
     bus_of[row, slot] = bus
+    d = d_bus[row, bus]
     d_of = np.zeros((m, k_max), dtype=complex)            # padded with 0
-    d_of[row, slot] = d_bus[row, bus]
+    d_of[row, slot] = d
+    # the right-hand sides [D | i + D v_bus[b]] of the capacitance solve
+    d_rhs = np.zeros((m, k_max, k_max + 1), dtype=complex)
+    d_rhs[row, slot, slot] = d
+    d_rhs[row, slot, k_max] = i_bus[row, bus] + d * states.v_bus[bus]
     z_of = np.searchsorted(union, bus_of)
 
-    # rows of rhs are the right-hand sides [I_1 ... I_m | e_U]; the currents
-    # at the initial angles also give the torque and their derivatives
-    currents = norton_currents(states.e_prime / model.xdp_sys, states.delta)
-    rhs = np.zeros((m + union.size, n), dtype=complex)
-    rhs[:m] = model.to_buses(np.where(active, currents, 0.0))
-    rhs[m + np.arange(union.size), union] = 1.0
+    rhs = np.zeros((union.size, n), dtype=complex)
+    rhs[np.arange(union.size), union] = 1.0
     lu = model.factorize()
-    x = lu.solve(rhs.T).T                                    # solve 1
-    z = x[m:]
+    z = lu.solve(rhs.T).T                                    # solve 1
     # a padded row of C is a unit row (d = 0), so the padding solves to
     # zero: C^-1 D vanishes outside j's k_j x k_j block, and C is singular
     # only if that block is. z_j[j, s] is the column of Z at j's slot s (a
     # padded slot reads U's first column, with a zero coefficient).
-    eye = np.eye(k_max)
-    cap = eye + d_of[:, :, None] * z[z_of[:, None, :], bus_of[:, :, None]]
-    d_diag = d_of[:, :, None] * eye
+    cap = np.eye(k_max) + d_of[:, :, None] * z[z_of[:, None, :], bus_of[:, :, None]]
     try:
-        c_inv_d = np.linalg.solve(cap, d_diag)
+        c_inv = np.linalg.solve(cap, d_rhs)
     except np.linalg.LinAlgError:
         # find the singular ones; the others solve exactly as in the stack
-        c_inv_d = np.zeros_like(cap)
+        c_inv = np.zeros_like(d_rhs)
         for j in range(m):
             try:
-                c_inv_d[j] = np.linalg.solve(cap[j], d_diag[j])
+                c_inv[j] = np.linalg.solve(cap[j], d_rhs[j])
             except np.linalg.LinAlgError as exc:
                 if errors[j] is None:
                     errors[j] = SingularOutageError(
@@ -307,19 +320,15 @@ def _screen(model: NetworkModel, states: MachineStates,
                         f"leaves a singular network at buses "
                         f"{[model.bus_ids[b] for b in bus_of[j, :k[j]]]}")
                     errors[j].__cause__ = exc
+    c_inv_d, w = c_inv[:, :, :k_max], c_inv[:, :, k_max]
     z_j = z[z_of]
-    at_bus = np.arange(m)[:, None] * n + bus_of             # flat, in m x n
 
-    def outage_solution(y: np.ndarray) -> np.ndarray:
-        # einsum, not a matrix product: BLAS threads its n-long products,
-        # which costs more than the k_j x n work itself
-        coef = np.einsum("jst,jt->js", c_inv_d, np.take(y, at_bus))
-        y = y - np.einsum("js,jsn->jn", coef, z_j)
-        if any_dead:
-            y[dead_rows] = 0.0
-        return y.reshape(dead.shape)
-
-    v_post = outage_solution(x[:m])
+    # einsum, not a matrix product: BLAS threads its n-long products, which
+    # costs more than the k_j x n work itself
+    v_post = states.v_bus - np.einsum("js,jsn->jn", w, z_j)
+    if any_dead:
+        v_post[dead_rows] = 0.0
+    v_post = v_post.reshape(dead.shape)
 
     vb_post = v_post.T[model.machine_bus].T
     accel = (states.t_m - electrical_torque(model, currents, vb_post, active)) / (
@@ -328,7 +337,12 @@ def _screen(model: NetworkModel, states: MachineStates,
     # an outaged machine has zero acceleration here, so no injection
     idd = model.to_buses(injection_derivatives(currents, states.delta,
                                                np.where(active, accel, 0.0)))
-    v_ddot = outage_solution(lu.solve(idd.reshape(m, n).T).T)   # solve 2
+    v_ddot = lu.solve(idd.reshape(m, n).T).T                   # solve 2
+    coef = np.einsum("jst,jt->js", c_inv_d, v_ddot[np.arange(m)[:, None], bus_of])
+    v_ddot = v_ddot - np.einsum("js,jsn->jn", coef, z_j)
+    if any_dead:
+        v_ddot[dead_rows] = 0.0
+    v_ddot = v_ddot.reshape(dead.shape)
 
     ok = np.abs(v_post) > 1e-9
     if any_dead:

@@ -25,6 +25,7 @@ tripped load's shunt leaves the network for the remainder of the run.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,10 +46,11 @@ EVENT_TIME_S = 0.1              # contingency application time
 
 class SimulationBlowup(RuntimeError):
     def __init__(self, t: float, machine_id: str, omega: float):
+        speed = ("a speed that is not a number" if math.isnan(omega) else
+                 f"|omega| = {abs(omega):.3f} pu (> {ABORT_OMEGA_PU:g})")
         super().__init__(
             f"numerical blow-up at t = {t:.4f} s: machine {machine_id!r} "
-            f"reached |omega| = {abs(omega):.3f} pu (> {ABORT_OMEGA_PU:g}); "
-            "check the case and step size")
+            f"reached {speed}; check the case and step size")
 
 
 @dataclass(frozen=True)
@@ -59,6 +61,9 @@ class SimOptions:
     shedding: bool = True               # UFLS and FFR monitors trip loads
 
     def __post_init__(self):
+        for name in ("t_end", "dt", "damping_d"):
+            if not math.isfinite(getattr(self, name)):
+                raise InputError(f"{name} must be finite, got {getattr(self, name)}")
         if self.dt <= 0 or self.t_end < self.dt:
             raise InputError("require dt > 0 and t_end >= dt")
 
@@ -201,7 +206,7 @@ def simulate(model: NetworkModel, states: MachineStates,
     EVENT_TIME_S. Returns full traces plus UFLS/FFR events; raises
     ZeroInertiaError, as the screen does, when the contingency loses power
     and leaves no inertia, and SimulationBlowup when any machine speed
-    deviation passes ABORT_OMEGA_PU.
+    deviation passes ABORT_OMEGA_PU or is not a number.
 
     A run solves the network once per step, once more per refactor at the
     outage or a trip for its machine-bus block, and once more at each trip
@@ -304,8 +309,9 @@ def simulate(model: NetworkModel, states: MachineStates,
         tr_delta[k, active] = delta[active]
         tr_omega[k, active] = omega[active]
 
+        # argmax finds a NaN first, and a NaN speed fails the test
         worst = np.argmax(np.abs(np.where(active, omega, 0.0)))
-        if abs(omega[worst]) > ABORT_OMEGA_PU:
+        if not abs(omega[worst]) <= ABORT_OMEGA_PU:
             raise SimulationBlowup(t, model.machine_ids[int(worst)],
                                    float(omega[worst]))
 

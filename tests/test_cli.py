@@ -158,6 +158,25 @@ def test_rocof_system_needs_input(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("args, line", [
+    (["powerflow", "--max-iter", "-3"], "error: max_iter must be >= 0, got -3"),
+    (["powerflow", "--tol", "-1"], "error: tol must be positive and finite, got -1.0"),
+    (["powerflow", "--tol", "nan"], "error: tol must be positive and finite, got nan"),
+    (["simulate", "--t-end", "nan"], "error: t_end must be finite, got nan"),
+    (["simulate", "--outage", "gen3", "--damping", "nan", "--t-end", "0.5"],
+     "error: damping_d must be finite, got nan"),
+    (["rocof-system", "--loss-mw", "nan"], "error: p_loss_mw must be finite, got nan"),
+    (["rocof-system", "--outage", "gen9"], "error: no generator with id 'gen9'"),
+])
+def test_malformed_option_exits_1_naming_it(tmp_path, capsys, args, line):
+    out = tmp_path / "out.csv"
+    extra = ["--out", str(out)] if args[0] == "simulate" else []
+    code, text, err = run(args + ["--case", str(CASE9)] + extra, capsys)
+    assert code == 1
+    assert err.splitlines() == [line]
+    assert text == "" and not out.exists()
+
+
 def test_rocof_system_zero_inertia_exits_2(capsys):
     code, _, err = run(["rocof-system", "--case", str(CASE9),
                         "--outage", "gen1,gen2,gen3"], capsys)

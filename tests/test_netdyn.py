@@ -171,6 +171,27 @@ def test_reconstruction_on_nine_bus(solved9):
     assert np.max(np.abs(v - sol.v)) < 1e-8
 
 
+def test_states_keep_the_reconstruction_voltages(solved9, fleet_case):
+    # the voltages init_machines solves for its check, kept bit for bit
+    case, sol, model, states = solved9
+    v = model.factorize().solve(model.to_buses(currents(model, states)))
+    assert np.array_equal(states.v_bus, v)
+    fleet_sol = solve_powerflow(fleet_case)
+    fleet = augment_dynamic(fleet_sol.ybus, fleet_case, fleet_sol)
+    fleet_states = init_machines(fleet, fleet_case, fleet_sol)
+    assert np.array_equal(fleet_states.v_bus, fleet.factorize().solve(
+        fleet.to_buses(currents(fleet, fleet_states))))
+
+
+def test_states_copy_has_its_own_voltages(solved9):
+    case, sol, model, states = solved9
+    twin = states.copy()
+    assert np.array_equal(twin.v_bus, states.v_bus)
+    twin.v_bus[:] = 0.0
+    assert np.array_equal(states.v_bus, model.factorize().solve(
+        model.to_buses(currents(model, states))))
+
+
 def test_machine_base_torque_scaling(solved9):
     case, sol, model, states = solved9
     te = electrical_torque(model, currents(model, states), sol.v[model.machine_bus])

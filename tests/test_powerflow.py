@@ -11,7 +11,7 @@ import scipy.sparse.linalg as spla
 from rocofscreen import (PowerFlowDivergence, PowerFlowError, SingularJacobian,
                          accept_solved_voltages, generate_loading_cases,
                          powerflow, scenarios, solve_powerflow, write_case)
-from rocofscreen.case_model import Branch, Bus, Generator, GridCase, Load
+from rocofscreen.case_model import Branch, Bus, Generator, GridCase, InputError, Load
 from rocofscreen.netdyn import build_ybus
 from rocofscreen.powerflow import (bus_injections, effective_kinds,
                                    mismatch_vector)
@@ -98,6 +98,28 @@ def test_divergence_reports_iterations():
     with pytest.raises(PowerFlowDivergence) as err:
         solve_powerflow(case, max_iter=15)
     assert err.value.iterations == 15
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(max_iter=-3), "max_iter must be >= 0, got -3"),
+    (dict(tol=-1.0), "tol must be positive and finite, got -1.0"),
+    (dict(tol=0.0), "tol must be positive and finite, got 0.0"),
+    (dict(tol=math.nan), "tol must be positive and finite, got nan"),
+    (dict(tol=math.inf), "tol must be positive and finite, got inf"),
+])
+def test_newton_parameters_are_validated(case9, kwargs, message):
+    # a negative limit ran no iteration and failed on an unset mismatch; a
+    # tolerance no mismatch can meet ran every iteration and called the
+    # converged case divergent
+    with pytest.raises(InputError) as err:
+        solve_powerflow(case9, **kwargs)
+    assert str(err.value) == message
+
+
+def test_zero_iterations_checks_the_flat_start(case9):
+    with pytest.raises(PowerFlowDivergence) as err:
+        solve_powerflow(case9, max_iter=0)
+    assert err.value.iterations == 0
 
 
 def test_divergence_stops_once_the_mismatch_outgrows_the_flat_start():

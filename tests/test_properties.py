@@ -11,7 +11,8 @@ from rocofscreen.case_model import Branch, Bus, Generator, Load, island_labels
 from rocofscreen.scenarios import _column_stats, finite_difference_rocof
 from test_netdyn import assert_builders_match_loops, loop_island_labels
 from test_powerflow import assert_newton_matches_reference
-from test_rocof import assert_matches_plain_splu, built_model, refactor_reference
+from test_rocof import (assert_matches_current_columns, assert_matches_plain_splu,
+                        built_model, refactor_reference)
 from test_swingsim import assert_matches_four_solve_step
 
 
@@ -68,6 +69,18 @@ def test_compensation_equals_refactoring_on_generated_networks(drawn):
     assert not np.isnan(rocof).any()
     np.testing.assert_allclose(res.bus_rocof_hz_s, rocof, rtol=0, atol=1e-9)
     assert res.n_solves == 2
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(networks())
+def test_voltage_start_matches_current_columns_on_generated_networks(drawn):
+    # solve 1 from the states' voltages against the path with one current
+    # column per contingency, singly and as a batch with an unknown machine
+    case, outaged = drawn
+    model, states = built_model(case)
+    assert_matches_current_columns(model, states, [
+        Contingency.of("c", outaged), Contingency.of("one", outaged[:1]),
+        Contingency.of("unknown", ["nope"]), Contingency.of("null", [])])
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -388,3 +388,157 @@ def test_screens_make_no_factorization(solved9):
         locational_rocof(model, states, Contingency.of(f"c{k}", gids))
     assert model.factor_count == before[0]
     assert model.solve_count == before[1] + 2 * len(ids)
+
+
+def current_column_screen(model, states, contingencies):
+    """The screen as it was before solve 1 dropped its current columns:
+    solve 1 is [I_1 ... I_m | e_U], with I_j the currents of contingency j's
+    remaining machines and U the outaged buses in live islands, and the
+    compensation corrects each of V's columns from its own. Returns bus
+    ROCOF, machine accelerations and post-disturbance voltages, one row per
+    contingency; a contingency naming an unknown machine gets NaN rows."""
+    n, nm, m = model.n_bus, len(model.machine_ids), len(contingencies)
+    active = np.ones((m, nm), dtype=bool)
+    known = np.ones(m, dtype=bool)
+    for j, c in enumerate(contingencies):
+        try:
+            active[j, model.machine_positions(c.outaged_generator_ids)] = False
+        except KeyError:
+            known[j] = False
+    dead = model.dead_island_mask(active)
+    lost = ~active & ~dead.T[model.machine_bus].T
+    i_mach = currents(model, states)
+    d_bus = model.to_buses(np.where(lost, -model.norton_y, 0.0))
+    union = np.flatnonzero(d_bus.any(axis=0))
+    rhs = np.zeros((n, m + union.size), dtype=complex)
+    rhs[:, :m] = model.to_buses(np.where(active, i_mach, 0.0)).T
+    rhs[union, m + np.arange(union.size)] = 1.0
+    lu = model.factorize()
+    x = lu.solve(rhs)
+
+    def outage_solution(j, y):
+        b = np.flatnonzero(d_bus[j])
+        zb = x[:, m + np.searchsorted(union, b)]
+        cap = np.eye(b.size) + d_bus[j, b][:, None] * zb[b]
+        y = y - zb @ np.linalg.solve(cap, d_bus[j, b] * y[b])
+        y[dead[j]] = 0.0
+        return y
+
+    rocof = np.full((m, n), np.nan)
+    wdot = np.full((m, nm), np.nan)
+    v_post = np.full((m, n), np.nan, dtype=complex)
+    for j in np.flatnonzero(known):
+        v = outage_solution(j, x[:, j])
+        te = electrical_torque(model, i_mach, v[model.machine_bus], active[j])
+        wdot[j] = np.where(active[j], (states.t_m - te) / (2.0 * model.h_sec),
+                           np.nan)
+        idd = model.to_buses(injection_derivatives(
+            i_mach, states.delta, np.where(active[j], wdot[j], 0.0)))
+        vdd = outage_solution(j, lu.solve(idd))
+        ok = ~dead[j] & (np.abs(v) > 1e-9)
+        rocof[j, ok] = model.f_base * angle_second_derivative(v[ok], vdd[ok])
+        v_post[j] = v
+    return rocof, wdot, v_post
+
+
+def assert_matches_current_columns(model, states, contingencies):
+    """The batch and each single screen against current_column_screen: bus
+    ROCOF within 1e-9 Hz/s, the same undefined buses, and the machine
+    accelerations and voltages, on every row that screens."""
+    rocof, wdot, v_post = current_column_screen(model, states, contingencies)
+    batch = locational_rocof_batch(model, states, contingencies)
+    assert batch.n_solves == 2
+    rows = [j for j, e in enumerate(batch.errors) if e is None]
+    singles = [locational_rocof(model, states, contingencies[j]) for j in rows]
+    for got in ((batch.bus_rocof_hz_s.T[rows], batch.machine_accel.T[rows],
+                 batch.post_disturbance_voltages.T[rows]),
+                tuple(np.array([getattr(r, name) for r in singles]) for name in
+                      ("bus_rocof_hz_s", "machine_accel",
+                       "post_disturbance_voltages"))):
+        for new, old, atol in zip(got, (rocof[rows], wdot[rows], v_post[rows]),
+                                  (1e-9, 1e-12, 1e-9)):
+            assert np.array_equal(np.isnan(new), np.isnan(old))
+            np.testing.assert_allclose(new, old, rtol=0, atol=atol)
+    return batch
+
+
+def test_voltage_start_matches_current_columns_on_nine_bus(solved9):
+    case, sol, model, states = solved9
+    ids = [[], ["gen1"], ["gen2"], ["gen3"], ["gen1", "gen2"],
+           ["gen1", "gen3"], ["gen2", "gen3"], ["gen1", "gen2", "gen3"],
+           ["gen9"]]
+    batch = assert_matches_current_columns(
+        model, states, [Contingency.of(f"c{k}", g) for k, g in enumerate(ids)])
+    assert [type(e) for e in batch.errors] == [type(None)] * 7 + [
+        ZeroInertiaError, netdyn.UnknownIdError]
+
+
+@pytest.mark.parametrize("load_on_island_b", [True, False])
+def test_voltage_start_matches_current_columns_with_dead_islands(
+        load_on_island_b):
+    model, states = built_model(two_island_case(load_on_island_b))
+    batch = assert_matches_current_columns(model, states, [
+        Contingency.of("a", ["gA"]), Contingency.of("b", ["gB"]),
+        Contingency.of("none", []), Contingency.of("x", ["gX"])])
+    assert [len(i) for i in batch.undefined_islands] == [1, 1, 0, 0]
+
+
+def test_voltage_start_matches_current_columns_on_5041_buses():
+    # plants of two units on one bus, so a bus of U can carry two currents
+    model, states = built_model(make_grid_case(side=71))
+    units = model.machine_ids
+    rng = np.random.default_rng(5)
+    contingencies = [Contingency.of(f"c{j}", rng.choice(units, j % 4 + 1,
+                                                        replace=False))
+                     for j in range(6)]
+    contingencies += [Contingency.of("plant", units[8:10]),
+                      Contingency.of("unknown", ["nope"])]
+    batch = assert_matches_current_columns(model, states, contingencies)
+    assert [e is None for e in batch.errors] == [True] * 7 + [False]
+
+
+def solve_shapes(monkeypatch) -> list:
+    """The shapes of the right-hand sides of every CountingLU.solve from
+    here on, in call order."""
+    shapes = []
+    solve = netdyn.CountingLU.solve
+
+    def spy(self, rhs):
+        shapes.append(rhs.shape)
+        return solve(self, rhs)
+    monkeypatch.setattr(netdyn.CountingLU, "solve", spy)
+    return shapes
+
+
+def test_solve_1_has_a_column_per_outaged_bus(solved9, monkeypatch):
+    # solve 1 carries the unit columns of the live outaged buses and no
+    # current; solve 2 one column per contingency
+    case, sol, model, states = solved9
+    widths = solve_shapes(monkeypatch)
+    batch = locational_rocof_batch(model, states, [
+        Contingency.of("a", ["gen1"]), Contingency.of("b", ["gen2"]),
+        Contingency.of("ab", ["gen1", "gen2"]), Contingency.of("x", ["gen9"])])
+    assert widths == [(9, 2), (9, 4)] and batch.n_solves == 2
+    widths.clear()
+    assert locational_rocof(model, states, Contingency.of("c", ["gen3"])).n_solves == 2
+    assert widths == [(9, 1), (9, 1)]
+    # no live outaged bus: solve 1 is empty, and still counts
+    widths.clear()
+    batch = locational_rocof_batch(model, states, [
+        Contingency.of("none", []), Contingency.of("x", ["gen9"])])
+    assert widths == [(9, 0), (9, 2)] and batch.n_solves == 2
+    assert np.all(np.abs(batch.bus_rocof_hz_s[:, 0]) < 1e-9)
+
+
+def test_solve_1_is_empty_when_the_outage_kills_its_island(monkeypatch):
+    model, states = built_model(two_island_case(True))
+    widths = solve_shapes(monkeypatch)
+    res = locational_rocof(model, states, Contingency.of("b", ["gB"]))
+    assert widths == [(3, 0), (3, 1)] and res.n_solves == 2
+    assert res.undefined_islands == [[3]]
+
+
+@pytest.mark.parametrize("loss", [math.nan, math.inf, -math.inf])
+def test_system_rocof_rejects_a_loss_that_is_not_finite(case9, loss):
+    with pytest.raises(InputError, match="p_loss_mw must be finite"):
+        system_rocof(case9, loss)

@@ -524,6 +524,21 @@ def test_run_bank_offline_units_recorded(small_bank):
     assert row[0].mw_lost == 0.0
 
 
+def test_unknown_machine_status_is_the_bare_message(small_bank, tmp_path):
+    # KeyError's str() is its message's repr, which put quotes, CSV-escaped,
+    # around the status cell's message
+    case, loading, _ = small_bank
+    lc = loading[0]
+    wind = next(g.id for g in case.generators
+                if not g.synchronous and g.id in lc.committed)
+    out = tmp_path / "bank.csv"
+    (row,) = run_bank(case, [lc], [Contingency("ctg_w", frozenset({wind}), 0.0)],
+                      mode="locational", out_path=out)
+    assert row.status == (f"error: generator {wind!r} is not an in-service "
+                          "synchronous machine of this model")
+    assert out.read_text().splitlines()[1].endswith("," + row.status)
+
+
 def test_run_bank_fault_isolation(small_bank, tmp_path):
     case, loading, contingencies = small_bank
     # a contingency tripping every committed machine leaves zero inertia:

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from unittest import mock
 
 import numpy as np
@@ -9,7 +10,7 @@ from rocofscreen import (Contingency, SimOptions, SimulationBlowup,
                          check_ffr, check_ufls, init_machines, netdyn,
                          norton_currents, simulate, solve_powerflow,
                          swingsim, system_rocof)
-from rocofscreen.case_model import Load
+from rocofscreen.case_model import InputError, Load
 from rocofscreen.scenarios import finite_difference_rocof
 from rocofscreen.swingsim import FREQUENCY_FILTER_TC_S, SimResult
 from conftest import tiny_case
@@ -107,6 +108,26 @@ def test_blowup_aborts_with_diagnostic():
     with pytest.raises(SimulationBlowup, match="g1"):
         simulate(model, states, Contingency.of("none", []),
                  SimOptions(t_end=2.0))
+
+
+@pytest.mark.parametrize("field", ["t_end", "dt", "damping_d"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_options_must_be_finite(field, value):
+    with pytest.raises(InputError, match=f"^{field} must be finite, got "):
+        SimOptions(**{field: value})
+
+
+def test_nan_speed_aborts_as_a_blowup(solved9):
+    # every comparison with NaN is false, so a NaN speed used to pass the
+    # abort test and fill the traces with NaN. The network couples the RK4
+    # stages, so after one step every speed is NaN, and the first is named.
+    case, sol, model, states = solved9
+    poisoned = states.copy()
+    poisoned.t_m[1] = math.nan
+    with pytest.raises(SimulationBlowup, match=r"at t = 0\.0042 s: machine 'gen1' "
+                                               r"reached a speed that is not a number;"):
+        simulate(model, poisoned, Contingency.of("none", []),
+                 SimOptions(t_end=0.5))
 
 
 # --- frequency estimation -------------------------------------------------
