@@ -458,13 +458,3 @@ def electrical_torque(model: NetworkModel, currents: np.ndarray,
         te = np.where(active, te, 0.0)
     return te
 
-
-def passive_network_power(model: NetworkModel, voltages: np.ndarray) -> float:
-    """Active power absorbed by branches plus load/non-synchronous shunts,
-    system-base pu. Machine Norton shunts (lossless) are netted out, so this
-    equals total machine electrical output at any consistent (I, V) pair."""
-    i_all = model.y_dyn @ voltages
-    p_total = float(np.sum(voltages * np.conj(i_all)).real)
-    vb = voltages[model.machine_bus]
-    p_norton = float(np.sum((vb * np.conj(model.norton_y * vb)).real))
-    return p_total - p_norton

@@ -13,6 +13,12 @@ and exciters are absent by design, isolating the inertial response, so this
 serves as the validation oracle for the theoretical ROCOF screen and as the
 engine for load-shedding studies.
 
+The integrator advances one stacked state [delta; omega], whose two
+right-hand sides are scaled by per-machine rates Omega_s and 1/(2H). At
+the event an outaged machine's rates are zeroed, so its finite angle and
+speed gain only +-0 and stay as they were (its trace columns read NaN from
+the event on); the run matches a masked integration bit for bit.
+
 Bus frequency is estimated from the voltage-angle derivative through a
 first-order washout filter with a fixed 0.04 s time constant (raw
 differentiation amplifies noise). A run aborts once any machine's speed
@@ -208,9 +214,10 @@ def simulate(model: NetworkModel, states: MachineStates,
     and leaves no inertia, and SimulationBlowup when any machine speed
     deviation passes ABORT_OMEGA_PU or is not a number.
 
-    A run solves the network once per step, once more per refactor at the
-    outage or a trip for its machine-bus block, and once more at each trip
-    step, whose later stages see the refactored network. The base
+    A run solves the network once per step, once more per refactor for its
+    machine-bus block, and once more at each refactoring trip step, whose
+    later stages see the refactored network. It refactors at the outage and
+    at each trip step that sheds a nonzero load shunt. The base
     factorization's block is solved once per model and cached, as the base
     factorization is.
     """
@@ -256,28 +263,29 @@ def simulate(model: NetworkModel, states: MachineStates,
     monitors = _ShedMonitors(case.loads, bus_pos, opts.dt,
                              ufls=opts.shedding, ffr=opts.shedding)
 
-    delta = states.delta.copy()
-    omega = states.omega.copy()
+    # the stacked state [delta; omega]; an outaged machine's rates are zeroed
+    y = np.concatenate((states.delta, states.omega))
     e_over_x = states.e_prime / model.xdp_sys
-    inv_2h = 1.0 / (2.0 * model.h_sec)
+    rate_delta = np.full(nm, omega_s)
+    rate_omega = 1.0 / (2.0 * model.h_sec)
     t_m = states.t_m.copy()
 
-    def derivs(omg, currents, vb):
-        te = electrical_torque(model, currents, vb)     # inactive rows unused
-        d_delta = np.where(active, omega_s * omg, 0.0)
-        d_omega = np.where(
-            active, (t_m - te - opts.damping_d * omg) * inv_2h, 0.0)
-        return d_delta, d_omega
+    def derivs(y_in, currents, vb):
+        te = electrical_torque(model, currents, vb)     # outaged rows meet a zero rate
+        omg = y_in[nm:]
+        dy = np.empty(2 * nm)
+        np.multiply(rate_delta, omg, out=dy[:nm])
+        np.multiply(t_m - te - opts.damping_d * omg, rate_omega, out=dy[nm:])
+        return dy
 
-    def stage(dlt, omg):
+    def stage(y_in):
         # the first stage's terminal voltages plus the response to the
         # change in current: exact when the currents have not changed
-        currents = norton_currents(e_over_x, dlt)      # zero once outaged
+        currents = norton_currents(e_over_x, y_in[:nm])     # zero once outaged
         vb = vb1 + (z_block @ (currents - c1))[m_slot]
-        return derivs(omg, currents, vb)
+        return derivs(y_in, currents, vb)
 
-    tr_delta = np.full((nt, nm), np.nan)
-    tr_omega = np.full((nt, nm), np.nan)
+    tr_y = np.empty((nt, 2 * nm))
     tr_theta = np.zeros((nt, nb))
     tr_freq = np.full((nt, nb), model.f_base)
     events: list[TripEvent] = []
@@ -289,15 +297,17 @@ def simulate(model: NetworkModel, states: MachineStates,
         if k == k_event and out_pos.size:
             active[out_pos] = False
             e_over_x[out_pos] = 0.0
+            rate_delta[out_pos] = 0.0
+            rate_omega[out_pos] = 0.0
             for p in out_pos:
                 diag_bus.append(int(model.machine_bus[p]))
                 diag_val.append(-model.norton_y[p])
             lu, z_block = refactor()
 
-        c1 = norton_currents(e_over_x, delta)
+        c1 = norton_currents(e_over_x, y[:nm])
         v_now = lu.solve(model.to_buses(c1))
         vb1 = v_now[model.machine_bus]
-        d1, o1 = derivs(omega, c1, vb1)
+        k1 = derivs(y, c1, vb1)
         theta_raw = np.angle(v_now)
         if k == 0:
             tr_theta[k] = theta_raw
@@ -306,40 +316,42 @@ def simulate(model: NetworkModel, states: MachineStates,
                 (tr_theta[k - 1] - theta_raw) / (2 * np.pi))
             washout = _washout_step(washout, tr_theta[k] - tr_theta[k - 1], opts)
             tr_freq[k] = model.f_base + washout / (2 * np.pi)
-        tr_delta[k, active] = delta[active]
-        tr_omega[k, active] = omega[active]
+        tr_y[k] = y      # outaged columns become NaN after the loop
 
-        # argmax finds a NaN first, and a NaN speed fails the test
-        worst = np.argmax(np.abs(np.where(active, omega, 0.0)))
-        if not abs(omega[worst]) <= ABORT_OMEGA_PU:
+        # a NaN speed fails the test; the worst machine is named only then
+        omega = y[nm:]
+        if not np.abs(omega).max(initial=0.0, where=active) <= ABORT_OMEGA_PU:
+            worst = np.argmax(np.abs(np.where(active, omega, 0.0)))
             raise SimulationBlowup(t, model.machine_ids[int(worst)],
                                    float(omega[worst]))
 
         new_events = monitors.step(k, t, tr_freq[k])
         if new_events:
             events.extend(new_events)
+            n_diag = len(diag_bus)
             for ev in new_events:
                 p = load_pos.get(ev.load_id)
                 if p is not None and model.load_shunt[p] != 0:
                     diag_bus.append(int(model.load_bus[p]))
                     diag_val.append(-model.load_shunt[p])
-            lu, z_block = refactor()
-            # the later stages see the network without the shed loads
-            vb1 = lu.solve(model.to_buses(c1))[model.machine_bus]
+            if len(diag_bus) > n_diag:
+                lu, z_block = refactor()
+                # the later stages see the network without the shed loads
+                vb1 = lu.solve(model.to_buses(c1))[model.machine_bus]
 
         if k == nt - 1:
             break
-        d2, o2 = stage(delta + 0.5 * dt * d1, omega + 0.5 * dt * o1)
-        d3, o3 = stage(delta + 0.5 * dt * d2, omega + 0.5 * dt * o2)
-        d4, o4 = stage(delta + dt * d3, omega + dt * o3)
-        delta = delta + (dt / 6.0) * (d1 + 2 * d2 + 2 * d3 + d4)
-        omega = omega + (dt / 6.0) * (o1 + 2 * o2 + 2 * o3 + o4)
+        k2 = stage(y + 0.5 * dt * k1)
+        k3 = stage(y + 0.5 * dt * k2)
+        k4 = stage(y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
+    tr_y[k_event:, np.concatenate((out_pos, nm + out_pos))] = np.nan
     return SimResult(
         time_s=time_s,
         machine_ids=list(model.machine_ids),
-        delta=tr_delta,
-        omega=tr_omega,
+        delta=tr_y[:, :nm].copy(),
+        omega=tr_y[:, nm:].copy(),
         bus_ids=list(model.bus_ids),
         bus_angle_rad=tr_theta,
         bus_freq_hz=tr_freq,

@@ -11,7 +11,7 @@ from rocofscreen import (PowerFlowSolution, augment_dynamic, build_ybus,
                          electrical_torque, init_machines, solve_powerflow)
 from rocofscreen.case_model import (Branch, Bus, Generator, GridCase, Load,
                                     UnknownIdError, island_labels)
-from rocofscreen.netdyn import ModelBuildError, passive_network_power
+from rocofscreen.netdyn import ModelBuildError
 from rocofscreen.powerflow import bus_injections
 from conftest import currents, tiny_case
 
@@ -217,6 +217,17 @@ def test_power_balance_after_outage(solved9):
     vb = v[model.machine_bus[active]]
     p -= float(np.sum((vb * np.conj(model.norton_y[active] * vb)).real))
     assert machine_mw / case.s_base_mva == pytest.approx(p, abs=1e-6)
+
+
+def passive_network_power(model, voltages):
+    """Active power absorbed by branches plus load/non-synchronous shunts,
+    system-base pu. Machine Norton shunts (lossless) are netted out, so this
+    equals total machine electrical output at any consistent (I, V) pair."""
+    i_all = model.y_dyn @ voltages
+    p_total = float(np.sum(voltages * np.conj(i_all)).real)
+    vb = voltages[model.machine_bus]
+    p_norton = float(np.sum((vb * np.conj(model.norton_y * vb)).real))
+    return p_total - p_norton
 
 
 def test_passive_power_equals_machine_output(solved9):

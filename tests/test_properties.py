@@ -13,7 +13,7 @@ from test_netdyn import assert_builders_match_loops, loop_island_labels
 from test_powerflow import assert_newton_matches_reference
 from test_rocof import (assert_matches_current_columns, assert_matches_plain_splu,
                         built_model, refactor_reference)
-from test_swingsim import assert_matches_four_solve_step
+from test_swingsim import assert_matches_four_solve_step, assert_matches_two_array_loop
 
 
 @st.composite
@@ -118,6 +118,16 @@ def test_machine_bus_block_matches_four_solve_step_on_generated_networks(drawn):
     used = assert_matches_four_solve_step(
         model, states, Contingency.of("c", outaged), SimOptions(t_end=0.5))
     assert used == 2
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(networks())
+def test_stacked_state_matches_two_array_loop_on_generated_networks(drawn):
+    # the outaged machines' zeroed rates leave their columns as np.where did
+    case, outaged = drawn
+    model, states = built_model(case)
+    assert_matches_two_array_loop(model, states, Contingency.of("c", outaged),
+                                  SimOptions(t_end=0.5))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

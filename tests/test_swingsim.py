@@ -444,3 +444,142 @@ def test_machine_bus_block_matches_four_solve_step_with_shedding(case9):
         model, states, Contingency.of("big", ["gen2", "gen3"]),
         SimOptions(t_end=6.0, damping_d=2.0))
     assert used >= 3
+
+
+# --- the stacked-state step against the two-array loop it replaced -----------
+
+def two_array_simulate(model, states, contingency, opts):
+    """The simulator's loop before the stacked state: delta and omega as two
+    arrays, rates masked by np.where, trace rows written through the active
+    mask, and a refactor at every trip step. Returns a SimResult."""
+    solves_before, factors_before = model.solve_count, model.factor_count
+    nm, nb = len(model.machine_ids), model.n_bus
+    nt = int(round(opts.t_end / opts.dt)) + 1
+    time_s = np.arange(nt) * opts.dt
+    omega_s = 2.0 * np.pi * model.f_base
+    active = np.ones(nm, dtype=bool)
+    out_pos = model.machine_positions(contingency.outaged_generator_ids)
+    k_event = int(round(swingsim.EVENT_TIME_S / opts.dt))
+    diag_bus, diag_val = [], []
+    m_slot = model.machine_bus_slots[1]
+
+    def refactor():
+        if not diag_bus:
+            return model.factorize(), model.machine_bus_block()
+        lu = model.factorize(model.y_with_diag_update(
+            np.array(diag_bus), np.array(diag_val, dtype=complex)))
+        return lu, model.machine_bus_block(lu)
+
+    lu, z_block = refactor()
+    load_pos = {lid: i for i, lid in enumerate(model.load_ids)}
+    monitors = swingsim._ShedMonitors(
+        model.case.loads, {b: i for i, b in enumerate(model.bus_ids)}, opts.dt,
+        ufls=opts.shedding, ffr=opts.shedding)
+    delta, omega, t_m = states.delta.copy(), states.omega.copy(), states.t_m
+    e_over_x = states.e_prime / model.xdp_sys
+    inv_2h = 1.0 / (2.0 * model.h_sec)
+
+    def derivs(omg, currents, vb):
+        te = netdyn.electrical_torque(model, currents, vb)
+        return (np.where(active, omega_s * omg, 0.0),
+                np.where(active, (t_m - te - opts.damping_d * omg) * inv_2h, 0.0))
+
+    def stage(dlt, omg):
+        currents = norton_currents(e_over_x, dlt)
+        return derivs(omg, currents, vb1 + (z_block @ (currents - c1))[m_slot])
+
+    tr_delta, tr_omega = np.full((nt, nm), np.nan), np.full((nt, nm), np.nan)
+    tr_theta, tr_freq = np.zeros((nt, nb)), np.full((nt, nb), model.f_base)
+    events, washout, dt = [], np.zeros(nb), opts.dt
+    for k in range(nt):
+        t = float(time_s[k])
+        if k == k_event and out_pos.size:
+            active[out_pos] = False
+            e_over_x[out_pos] = 0.0
+            diag_bus += [int(model.machine_bus[p]) for p in out_pos]
+            diag_val += [-model.norton_y[p] for p in out_pos]
+            lu, z_block = refactor()
+        c1 = norton_currents(e_over_x, delta)
+        v_now = lu.solve(model.to_buses(c1))
+        vb1 = v_now[model.machine_bus]
+        d1, o1 = derivs(omega, c1, vb1)
+        theta_raw = np.angle(v_now)
+        if k == 0:
+            tr_theta[k] = theta_raw
+        else:
+            tr_theta[k] = theta_raw + 2 * np.pi * np.round(
+                (tr_theta[k - 1] - theta_raw) / (2 * np.pi))
+            washout = swingsim._washout_step(washout, tr_theta[k] - tr_theta[k - 1], opts)
+            tr_freq[k] = model.f_base + washout / (2 * np.pi)
+        tr_delta[k, active] = delta[active]
+        tr_omega[k, active] = omega[active]
+        new_events = monitors.step(k, t, tr_freq[k])
+        if new_events:
+            events += new_events
+            for ev in new_events:
+                p = load_pos.get(ev.load_id)
+                if p is not None and model.load_shunt[p] != 0:
+                    diag_bus.append(int(model.load_bus[p]))
+                    diag_val.append(-model.load_shunt[p])
+            lu, z_block = refactor()
+            vb1 = lu.solve(model.to_buses(c1))[model.machine_bus]
+        if k == nt - 1:
+            break
+        d2, o2 = stage(delta + 0.5 * dt * d1, omega + 0.5 * dt * o1)
+        d3, o3 = stage(delta + 0.5 * dt * d2, omega + 0.5 * dt * o2)
+        d4, o4 = stage(delta + dt * d3, omega + dt * o3)
+        delta = delta + (dt / 6.0) * (d1 + 2 * d2 + 2 * d3 + d4)
+        omega = omega + (dt / 6.0) * (o1 + 2 * o2 + 2 * o3 + o4)
+    return SimResult(
+        time_s=time_s, machine_ids=list(model.machine_ids), delta=tr_delta,
+        omega=tr_omega, bus_ids=list(model.bus_ids), bus_angle_rad=tr_theta,
+        bus_freq_hz=tr_freq, events=sorted(events, key=lambda e: (e.time_s, e.load_id)),
+        n_solves=model.solve_count - solves_before,
+        n_factorizations=model.factor_count - factors_before)
+
+
+def assert_matches_two_array_loop(model, states, contingency, opts, extra_refactors=0):
+    """simulate against two_array_simulate: the four traces bit for bit (NaN
+    where the other has NaN), the same trip log, and the same solve and
+    factorization counts, less the extra refactors the old loop made at
+    trips that shed no shunt (each one a factorization, its block solve and
+    the re-solve of the first stage). Returns the new run."""
+    model.machine_bus_block()               # both runs take the cached block
+    sim = simulate(model, states.copy(), contingency, opts)
+    old = two_array_simulate(model, states, contingency, opts)
+    for name in ("delta", "omega", "bus_angle_rad", "bus_freq_hz"):
+        assert np.array_equal(getattr(sim, name), getattr(old, name),
+                              equal_nan=True), name
+    assert sim.events == old.events
+    assert sim.n_factorizations + extra_refactors == old.n_factorizations
+    assert sim.n_solves + 2 * extra_refactors == old.n_solves
+    return sim
+
+
+@pytest.mark.parametrize("outage,t_end", [(["gen2"], 10.0), (["gen2", "gen3"], 6.0)])
+def test_stacked_state_matches_two_array_loop_with_shedding(case9, outage, t_end):
+    # gen2 alone for 10 s is the benchmark's shedding run
+    case = severe_case(case9)
+    sol = solve_powerflow(case)
+    model = augment_dynamic(build_ybus(case), case, sol)
+    sim = assert_matches_two_array_loop(
+        model, init_machines(model, case, sol), Contingency.of("c", outage),
+        SimOptions(t_end=t_end, damping_d=2.0))
+    assert sim.events and np.isnan(sim.omega[-1]).sum() == len(outage)
+
+
+def test_trip_without_a_shunt_does_not_refactor(case9):
+    # a 0 MW stage-1 load at bus 7 trips at the outage step; its shunt is
+    # zero, so the network and the factorization in use stay as they are
+    case = severe_case(case9)
+    case = case.with_loads(list(case.loads) + [
+        Load(id="zero7", bus_id=7, p_mw=0.0, ufls_stage="stage1")])
+    sol = solve_powerflow(case)
+    model = augment_dynamic(build_ybus(case), case, sol)
+    sim = assert_matches_two_array_loop(
+        model, init_machines(model, case, sol), Contingency.of("c", ["gen2"]),
+        SimOptions(t_end=1.0, damping_d=2.0), extra_refactors=1)
+    assert [(e.load_id, e.time_s) for e in sim.events][0] == ("zero7", swingsim.EVENT_TIME_S)
+    shunt_trips = {e.time_s for e in sim.events if e.load_id != "zero7"}
+    assert len(shunt_trips) == 2
+    assert sim.n_factorizations == 1 + len(shunt_trips)
