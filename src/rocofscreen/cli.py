@@ -31,8 +31,6 @@ from .scenarios import (MODES, InfeasibleDispatch, generate_contingencies,
 from .swingsim import EVENT_TIME_S, SimOptions, SimulationBlowup, simulate
 from .synthdyn import assign_plant_correlated, assign_ufls, validate_synthesis
 
-log = logging.getLogger(__name__)
-
 # only the library's own classes: a KeyError or ValueError raised by a bug
 # is not a data error and must not be reported as one
 DATA_ERRORS = (CaseValidationError, case_io.CaseParseError, InfeasibleDispatch,
@@ -207,8 +205,8 @@ def cmd_simulate(args) -> int:
     case_io.write_events(sim.events, str(args.out) + ".events.csv")
     nadir = float(np.nanmin(sim.bus_freq_hz))
     print(f"simulated {args.t_end:.2f} s in {elapsed:.2f} s ({sim.n_solves} "
-          f"sparse solves, {sim.n_factorizations} factorization(s)); frequency "
-          f"nadir {nadir:.3f} Hz; {len(sim.events)} trip event(s); wrote {args.out}")
+          f"sparse solves); frequency nadir {nadir:.3f} Hz; "
+          f"{len(sim.events)} trip event(s); wrote {args.out}")
     return 0
 
 

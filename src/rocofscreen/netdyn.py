@@ -22,7 +22,6 @@ and ``electrical_torque``. Their users are ``init_machines``, the screen
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -33,8 +32,6 @@ import scipy.sparse.linalg as spla
 from .case_model import (GridCase, UnknownIdError, complex_powers, island_labels,
                          record_array)
 from .powerflow import SUPERLU_OPTIONS, PowerFlowSolution
-
-log = logging.getLogger(__name__)
 
 
 class ModelBuildError(ValueError):
@@ -127,13 +124,12 @@ class NetworkModel:
     """Factorized dynamic network plus the static machine table.
 
     Arrays are aligned with ``machine_ids`` (in-service synchronous machines,
-    case order). The model is read-only by convention after build. The
-    screen solves against the base factorization; only the simulator derives
-    diagonal-updated copies of ``y_dyn`` (``y_with_diag_update``), to
-    refactor at its events.
-    ``solve_count`` counts linear solves and ``factor_count`` sparse LU
-    factorizations made on this model; the cached base factorization and
-    machine-bus block count once, when made.
+    case order). The model is read-only by convention after build. It has
+    one factorization, of y_dyn, made at build: the screen and the simulator
+    apply outages and load trips to it by compensation, never by
+    refactoring. ``solve_count`` counts linear solves and ``factor_count``
+    sparse LU factorizations made on this model; the cached factorization
+    and machine-bus block count once, when made.
     """
 
     case: GridCase
@@ -180,17 +176,12 @@ class NetworkModel:
             out.append(pos[gid])
         return np.array(sorted(out), dtype=np.int64)
 
-    def factorize(self, matrix: sp.csc_matrix | None = None) -> CountingLU:
-        """Factor a matrix into a counting solve handle. The default, y_dyn,
-        is factored once and cached."""
-        if matrix is None and self._lu is not None:
-            return self._lu
-        self.factor_count += 1
-        lu = CountingLU(spla.splu(self.y_dyn if matrix is None else matrix,
-                                  **SUPERLU_OPTIONS), self)
-        if matrix is None:
-            self._lu = lu
-        return lu
+    def factorize(self) -> CountingLU:
+        """The factorization of y_dyn, made once and cached."""
+        if self._lu is None:
+            self.factor_count += 1
+            self._lu = CountingLU(spla.splu(self.y_dyn, **SUPERLU_OPTIONS), self)
+        return self._lu
 
     @cached_property
     def machine_bus_slots(self) -> tuple[np.ndarray, np.ndarray]:
@@ -198,21 +189,17 @@ class NetworkModel:
         among them."""
         return np.unique(self.machine_bus, return_inverse=True)
 
-    def machine_bus_block(self, lu: CountingLU | None = None) -> np.ndarray:
-        """The machine-bus block of the inverse of a factored matrix: row i,
-        column p is the voltage at the i-th distinct machine bus per unit
-        current of machine p. The default, on the base factorization, is
-        solved once and cached (read-only)."""
-        if lu is None and self._block is not None:
-            return self._block
-        m_bus, m_slot = self.machine_bus_slots
-        unit_cols = np.zeros((self.n_bus, m_bus.size), dtype=complex)
-        unit_cols[m_bus, np.arange(m_bus.size)] = 1.0
-        block = (lu or self.factorize()).solve(unit_cols)[m_bus][:, m_slot]
-        if lu is None:
-            block.flags.writeable = False
-            self._block = block
-        return block
+    def machine_bus_block(self) -> np.ndarray:
+        """The machine-bus block of Y^-1: row i, column p is the voltage at
+        the i-th distinct machine bus per unit current of machine p. Solved
+        once on the factorization and cached (read-only)."""
+        if self._block is None:
+            m_bus, m_slot = self.machine_bus_slots
+            unit_cols = np.zeros((self.n_bus, m_bus.size), dtype=complex)
+            unit_cols[m_bus, np.arange(m_bus.size)] = 1.0
+            self._block = self.factorize().solve(unit_cols)[m_bus][:, m_slot]
+            self._block.flags.writeable = False
+        return self._block
 
     def y_with_diag_update(self, bus_pos: np.ndarray,
                            delta_y: np.ndarray) -> sp.csc_matrix:
@@ -221,7 +208,9 @@ class NetworkModel:
         The deltas are added one at a time in the given order, so a bus that
         repeats (two lost units, or a unit and a shed load) gets them in
         that order, and the result does not depend on how y_dyn stores its
-        diagonal.
+        diagonal. The library never factors it: this is the refactoring
+        reference that the tests compare the compensations with, and
+        perfbench/spans.py wraps it by name.
         """
         y = self.y_dyn.copy()
         diag = y.diagonal()

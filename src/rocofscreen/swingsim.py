@@ -6,9 +6,10 @@ Runge-Kutta; electrical torque comes from the machine terminal voltages of
 the algebraic network. Only those voltages enter the derivatives, so a step
 makes one sparse solve: the first stage solves the whole network (the bus
 traces and the monitors need every bus), and the later stages add the
-change in machine currents through the machine-bus block of Y^-1, solved
-once per factorization, and once per model for the base factorization (the
-classical model reduced to its machine buses, in increment form). Governors
+change in machine currents through the machine-bus block of Y^-1 (the
+classical model reduced to its machine buses, in increment form). The
+outage and each load trip change bus diagonals, applied by compensation of
+the model's one factorization, as the screen applies an outage. Governors
 and exciters are absent by design, isolating the inertial response, so this
 serves as the validation oracle for the theoretical ROCOF screen and as the
 engine for load-shedding studies.
@@ -30,7 +31,6 @@ tripped load's shunt leaves the network for the remainder of the run.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -38,9 +38,7 @@ import numpy as np
 
 from .case_model import InputError
 from .netdyn import MachineStates, NetworkModel, electrical_torque, norton_currents
-from .rocof import Contingency, ZeroInertiaError
-
-log = logging.getLogger(__name__)
+from .rocof import Contingency, SingularOutageError, ZeroInertiaError
 
 UFLS_THRESHOLDS_HZ = {"stage1": 59.3, "stage2": 58.9, "stage3": 58.5}
 FFR_THRESHOLD_HZ = 59.7
@@ -104,7 +102,6 @@ class SimResult:
     t_event: float = 0.0
     f_base: float = 60.0
     n_solves: int = 0           # linear solves made by the run
-    n_factorizations: int = 0   # sparse LU factorizations made by the run
 
 
 def _washout_step(y_prev, d_theta, opts: SimOptions):
@@ -206,33 +203,80 @@ def _replay(sim: SimResult, loads, ufls: bool, ffr: bool) -> list[TripEvent]:
     return sorted(events, key=lambda e: (e.time_s, e.load_id))
 
 
+class _CompensatedNetwork:
+    """The network after diagonal changes D at distinct buses U, solved on
+    the model's factorization by compensation (Alsac, Stott & Tinney, IEEE
+    Trans. PAS, 1983): with Z = Y^-1 E_U, C = I + D Z[U] and G = Z C^-1 D,
+    it solves r as x - G x[U], x = Y^-1 r, and (Y being complex symmetric)
+    its machine-bus block is the base one less G Z^T there. Changes in
+    ``dead`` islands, left without an active machine, are skipped: such an
+    island carries no current, and its buses read exactly zero."""
+
+    def __init__(self, model: NetworkModel, contingency_id: str):
+        self.model, self.id = model, contingency_id
+        self.lu, self.block = model.factorize(), model.machine_bus_block()
+        self.dead = model.dead_island_mask()
+        self.bus, self.d = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=complex)
+        self.z = self.g = np.zeros((model.n_bus, 0), dtype=complex)
+
+    def add(self, bus: np.ndarray, change: np.ndarray) -> bool:
+        """Add changes at bus positions, with one solve for the columns of
+        new buses; says whether the network changed."""
+        keep = (change != 0) & ~self.dead[bus]
+        if not keep.any():
+            return False
+        bus, change = bus[keep], change[keep]
+        new = np.setdiff1d(bus, self.bus)
+        if new.size:
+            cols = np.zeros((self.model.n_bus, new.size), dtype=complex)
+            cols[new, np.arange(new.size)] = 1.0
+            self.z = np.hstack((self.z, self.lu.solve(cols)))
+            self.bus, self.d = np.r_[self.bus, new], np.r_[self.d, np.zeros(new.size)]
+        np.add.at(self.d, np.argmax(bus[:, None] == self.bus, axis=1), change)
+        cap = np.eye(self.bus.size) + self.d[:, None] * self.z[self.bus]
+        try:
+            self.g = self.z @ np.linalg.solve(cap, np.diag(self.d))
+        except np.linalg.LinAlgError as exc:
+            raise SingularOutageError(
+                f"contingency {self.id}: the outage and shed loads leave a singular "
+                f"network at buses {[self.model.bus_ids[b] for b in self.bus]}") from exc
+        m_bus, m_slot = self.model.machine_bus_slots
+        self.block = self.model.machine_bus_block() - (
+            self.g[m_bus] @ self.z[m_bus].T)[:, m_slot]
+        return True
+
+    def correct(self, x: np.ndarray) -> np.ndarray:
+        """The changed network's bus voltages, from the base solution x."""
+        v = x - self.g @ x[self.bus]
+        v[self.dead] = 0.0
+        return v
+
+
 def simulate(model: NetworkModel, states: MachineStates,
              contingency: Contingency, opts: SimOptions = SimOptions()) -> SimResult:
     """Integrate the swing equations with the contingency applied at
-    EVENT_TIME_S. Returns full traces plus UFLS/FFR events; raises
-    ZeroInertiaError, as the screen does, when the contingency loses power
-    and leaves no inertia, and SimulationBlowup when any machine speed
-    deviation passes ABORT_OMEGA_PU or is not a number.
+    EVENT_TIME_S. Returns full traces plus UFLS/FFR events. Raises, as the
+    screen does, ZeroInertiaError for a loss that leaves no inertia and
+    SingularOutageError for a singular network; SimulationBlowup when a
+    speed deviation passes ABORT_OMEGA_PU or is not a number; InputError
+    when a run with an outage ends before EVENT_TIME_S.
 
-    A run solves the network once per step, once more per refactor for its
-    machine-bus block, and once more at each refactoring trip step, whose
-    later stages see the refactored network. It refactors at the outage and
-    at each trip step that sheds a nonzero load shunt. The base
-    factorization's block is solved once per model and cached, as the base
-    factorization is.
+    Each step makes one solve on the model's factorization, which is never
+    refactored: the outage and each trip that sheds a load shunt are
+    compensations (_CompensatedNetwork), one solve each for their new buses.
     """
-    case = model.case
-    solves_before, factors_before = model.solve_count, model.factor_count
-    nm = len(model.machine_ids)
-    nb = model.n_bus
+    solves_before = model.solve_count
+    nm, nb = len(model.machine_ids), model.n_bus
     nt = int(round(opts.t_end / opts.dt)) + 1
     time_s = np.arange(nt) * opts.dt
     omega_s = 2.0 * np.pi * model.f_base
 
     active = np.ones(nm, dtype=bool)
-    out_pos = (model.machine_positions(contingency.outaged_generator_ids)
-               if contingency.outaged_generator_ids else np.array([], dtype=np.int64))
+    out_pos = model.machine_positions(contingency.outaged_generator_ids)
     k_event = int(round(EVENT_TIME_S / opts.dt))
+    if out_pos.size and k_event > nt - 1:
+        raise InputError(f"t_end = {opts.t_end:g} s ends before the contingency "
+                         f"at {EVENT_TIME_S:g} s")
     # the screen's rule: a loss that leaves no inertia has no frequency trace
     kept = np.ones(nm, dtype=bool)
     kept[out_pos] = False
@@ -241,26 +285,12 @@ def simulate(model: NetworkModel, states: MachineStates,
         raise ZeroInertiaError(
             f"contingency {contingency.id} removes all synchronous inertia")
 
-    # cumulative diagonal adjustment: machine removal at the event plus any
-    # load shunts shed along the way; refactorized only when it changes
-    diag_bus: list[int] = []
-    diag_val: list[complex] = []
-    # each machine's slot among the distinct machine buses
-    m_slot = model.machine_bus_slots[1]
-
-    def refactor():
-        """The factorization and its machine-bus block (the base ones are
-        cached on the model)."""
-        if not diag_bus:
-            return model.factorize(), model.machine_bus_block()
-        lu = model.factorize(model.y_with_diag_update(
-            np.array(diag_bus), np.array(diag_val, dtype=complex)))
-        return lu, model.machine_bus_block(lu)
-
-    lu, z_block = refactor()
+    # the network less the outaged machines and the shed loads, and each
+    # machine's slot among the distinct machine buses
+    net, m_slot = _CompensatedNetwork(model, contingency.id), model.machine_bus_slots[1]
     load_pos = {lid: i for i, lid in enumerate(model.load_ids)}
     bus_pos = {b: i for i, b in enumerate(model.bus_ids)}
-    monitors = _ShedMonitors(case.loads, bus_pos, opts.dt,
+    monitors = _ShedMonitors(model.case.loads, bus_pos, opts.dt,
                              ufls=opts.shedding, ffr=opts.shedding)
 
     # the stacked state [delta; omega]; an outaged machine's rates are zeroed
@@ -282,15 +312,13 @@ def simulate(model: NetworkModel, states: MachineStates,
         # the first stage's terminal voltages plus the response to the
         # change in current: exact when the currents have not changed
         currents = norton_currents(e_over_x, y_in[:nm])     # zero once outaged
-        vb = vb1 + (z_block @ (currents - c1))[m_slot]
+        vb = vb1 + (net.block @ (currents - c1))[m_slot]
         return derivs(y_in, currents, vb)
 
     tr_y = np.empty((nt, 2 * nm))
-    tr_theta = np.zeros((nt, nb))
-    tr_freq = np.full((nt, nb), model.f_base)
+    tr_theta, tr_freq = np.zeros((nt, nb)), np.full((nt, nb), model.f_base)
     events: list[TripEvent] = []
-    dt = opts.dt
-    washout = np.zeros(nb)
+    washout, dt = np.zeros(nb), opts.dt
 
     for k in range(nt):
         t = float(time_s[k])
@@ -299,13 +327,12 @@ def simulate(model: NetworkModel, states: MachineStates,
             e_over_x[out_pos] = 0.0
             rate_delta[out_pos] = 0.0
             rate_omega[out_pos] = 0.0
-            for p in out_pos:
-                diag_bus.append(int(model.machine_bus[p]))
-                diag_val.append(-model.norton_y[p])
-            lu, z_block = refactor()
+            net.dead = model.dead_island_mask(active)
+            net.add(model.machine_bus[out_pos], -model.norton_y[out_pos])
 
         c1 = norton_currents(e_over_x, y[:nm])
-        v_now = lu.solve(model.to_buses(c1))
+        x = net.lu.solve(model.to_buses(c1))
+        v_now = net.correct(x)
         vb1 = v_now[model.machine_bus]
         k1 = derivs(y, c1, vb1)
         theta_raw = np.angle(v_now)
@@ -328,16 +355,10 @@ def simulate(model: NetworkModel, states: MachineStates,
         new_events = monitors.step(k, t, tr_freq[k])
         if new_events:
             events.extend(new_events)
-            n_diag = len(diag_bus)
-            for ev in new_events:
-                p = load_pos.get(ev.load_id)
-                if p is not None and model.load_shunt[p] != 0:
-                    diag_bus.append(int(model.load_bus[p]))
-                    diag_val.append(-model.load_shunt[p])
-            if len(diag_bus) > n_diag:
-                lu, z_block = refactor()
+            shed = [load_pos[ev.load_id] for ev in new_events]
+            if net.add(model.load_bus[shed], -model.load_shunt[shed]):
                 # the later stages see the network without the shed loads
-                vb1 = lu.solve(model.to_buses(c1))[model.machine_bus]
+                vb1 = net.correct(x)[model.machine_bus]
 
         if k == nt - 1:
             break
@@ -348,17 +369,9 @@ def simulate(model: NetworkModel, states: MachineStates,
 
     tr_y[k_event:, np.concatenate((out_pos, nm + out_pos))] = np.nan
     return SimResult(
-        time_s=time_s,
-        machine_ids=list(model.machine_ids),
-        delta=tr_y[:, :nm].copy(),
-        omega=tr_y[:, nm:].copy(),
-        bus_ids=list(model.bus_ids),
-        bus_angle_rad=tr_theta,
-        bus_freq_hz=tr_freq,
+        time_s=time_s, machine_ids=list(model.machine_ids),
+        delta=tr_y[:, :nm].copy(), omega=tr_y[:, nm:].copy(),
+        bus_ids=list(model.bus_ids), bus_angle_rad=tr_theta, bus_freq_hz=tr_freq,
         events=sorted(events, key=lambda e: (e.time_s, e.load_id)),
-        contingency_id=contingency.id,
-        t_event=EVENT_TIME_S if out_pos.size else 0.0,
-        f_base=model.f_base,
-        n_solves=model.solve_count - solves_before,
-        n_factorizations=model.factor_count - factors_before,
-    )
+        contingency_id=contingency.id, t_event=EVENT_TIME_S if out_pos.size else 0.0,
+        f_base=model.f_base, n_solves=model.solve_count - solves_before)

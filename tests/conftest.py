@@ -181,6 +181,15 @@ def make_grid_case(side: int = 71, seed: int = 7) -> GridCase:
 
 
 @pytest.fixture(scope="session")
+def grid71():
+    """The 5041-bus grid, its dynamic model and its machine states."""
+    case = make_grid_case(71)
+    sol = solve_powerflow(case)
+    model = augment_dynamic(sol.ybus, case, sol)
+    return case, model, init_machines(model, case, sol)
+
+
+@pytest.fixture(scope="session")
 def fleet_case() -> GridCase:
     case = make_fleet_case()
     return case

@@ -167,6 +167,8 @@ def test_rocof_system_needs_input(capsys):
      "error: damping_d must be finite, got nan"),
     (["rocof-system", "--loss-mw", "nan"], "error: p_loss_mw must be finite, got nan"),
     (["rocof-system", "--outage", "gen9"], "error: no generator with id 'gen9'"),
+    (["simulate", "--outage", "gen3", "--t-end", "0.05"],
+     "error: t_end = 0.05 s ends before the contingency at 0.1 s"),
 ])
 def test_malformed_option_exits_1_naming_it(tmp_path, capsys, args, line):
     out = tmp_path / "out.csv"
@@ -221,9 +223,9 @@ def test_simulate_command(tmp_path, capsys):
     assert out.exists()
     assert (tmp_path / "sim.csv.events.csv").exists()
     assert "nadir" in text
-    # 121 steps, and one machine-bus block for the base and the outage
-    # factorizations; the base one is cached, so the run factors once
-    assert "(123 sparse solves, 1 factorization(s))" in text
+    # 121 steps, the machine-bus block, and the outaged bus's column for
+    # the compensation; the model's one factorization is made before the run
+    assert "(123 sparse solves);" in text
 
 
 def test_simulate_zero_inertia_exits_2(tmp_path, capsys):

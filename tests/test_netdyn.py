@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from rocofscreen import (PowerFlowSolution, augment_dynamic, build_ybus,
                          electrical_torque, init_machines, solve_powerflow)
 from rocofscreen.case_model import (Branch, Bus, Generator, GridCase, Load,
                                     UnknownIdError, island_labels)
 from rocofscreen.netdyn import ModelBuildError
-from rocofscreen.powerflow import bus_injections
+from rocofscreen.powerflow import SUPERLU_OPTIONS, bus_injections
 from conftest import currents, tiny_case
 
 
@@ -73,13 +74,15 @@ def _model(case):
 
 
 def test_factor_count_counts_each_splu(case9):
+    # a model is factored once, at build; initialization and the
+    # machine-bus block reuse that factorization (the screen and the
+    # simulator count theirs in test_rocof and test_swingsim)
     sol, model = _model(case9)
-    assert model.factor_count == 1          # the cached base factorization
-    init_machines(model, case9, sol)
-    model.factorize()
     assert model.factor_count == 1
-    model.factorize(model.y_with_diag_update(np.array([0]), np.array([1.0 + 0j])))
-    assert model.factor_count == 2
+    init_machines(model, case9, sol)
+    assert model.factorize() is model.factorize()
+    model.machine_bus_block()
+    assert model.factor_count == 1
 
 
 def test_load_shunt_at_nominal_voltage():
@@ -208,7 +211,8 @@ def test_power_balance_after_outage(solved9):
     y_mod = model.y_with_diag_update(
         model.machine_bus[[k_out]], -model.norton_y[[k_out]])
     i_mach = currents(model, states)
-    v = model.factorize(y_mod).solve(model.to_buses(np.where(active, i_mach, 0.0)))
+    v = spla.splu(y_mod, **SUPERLU_OPTIONS).solve(
+        model.to_buses(np.where(active, i_mach, 0.0)))
     te = electrical_torque(model, i_mach, v[model.machine_bus], active)
     machine_mw = float(np.sum(te * model.s_mach))
     # passive power with the outaged Norton shunt removed from the matrix

@@ -13,7 +13,8 @@ from test_netdyn import assert_builders_match_loops, loop_island_labels
 from test_powerflow import assert_newton_matches_reference
 from test_rocof import (assert_matches_current_columns, assert_matches_plain_splu,
                         built_model, refactor_reference)
-from test_swingsim import assert_matches_four_solve_step, assert_matches_two_array_loop
+from test_swingsim import (assert_matches_four_solve_step, assert_matches_refactoring,
+                           assert_matches_two_array_loop)
 
 
 @st.composite
@@ -112,12 +113,23 @@ def test_simulator_agrees_with_screen_on_generated_networks(drawn):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(networks())
 def test_machine_bus_block_matches_four_solve_step_on_generated_networks(drawn):
-    # the base factorization before the event, the outage's after it
+    # the base network before the event, the outage's after it
     case, outaged = drawn
     model, states = built_model(case)
     used = assert_matches_four_solve_step(
         model, states, Contingency.of("c", outaged), SimOptions(t_end=0.5))
     assert used == 2
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(networks())
+def test_simulator_compensation_matches_refactoring_on_generated_networks(drawn):
+    # the outage applied to the base factorization against the outage
+    # network factored, machines sharing a bus included
+    case, outaged = drawn
+    model, states = built_model(case)
+    assert_matches_refactoring(model, states, Contingency.of("c", outaged),
+                               SimOptions(t_end=0.5))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -253,7 +253,8 @@ def refactor_reference(model, states, contingency):
     upd_bus = np.r_[model.machine_bus[out_pos], np.flatnonzero(dead)]
     upd_val = np.r_[-model.norton_y[out_pos],
                     np.ones(int(dead.sum()), dtype=complex)]
-    lu = model.factorize(model.y_with_diag_update(upd_bus, upd_val))
+    lu = spla.splu(model.y_with_diag_update(upd_bus, upd_val),
+                   **powerflow.SUPERLU_OPTIONS)
     i_mach = currents(model, states)
     v = lu.solve(model.to_buses(np.where(active, i_mach, 0.0)))
     te = electrical_torque(model, i_mach, v[model.machine_bus], active)

@@ -571,6 +571,30 @@ def test_run_bank_simulate_mode(case9):
     assert r.bus_rocof_mean == pytest.approx(-1.03, abs=0.15)
 
 
+def test_simulate_mode_agrees_with_locational_mode_on_the_fleet(fleet_case):
+    # criterion 2 row by row, over the full contingency bank at the first
+    # and the last loading case of the study sweep: the same statuses, and
+    # the simulated bus ROCOF statistics within max(10%, 0.02 Hz/s) of the
+    # screen's. Worst buses can differ where two buses nearly tie.
+    rng = np.random.default_rng(3)
+    contingencies = generate_contingencies(
+        dispatch_heuristic(fleet_case, 50000.0, 15000.0), 163, rng)
+    loading = generate_loading_cases(fleet_case, 25, STUDY_LOAD_RANGE,
+                                     STUDY_WIND_RANGE)
+    rows = {mode: run_bank(fleet_case, [loading[0], loading[-1]], contingencies,
+                           mode=mode)
+            for mode in ("locational", "simulate")}
+    assert [r.status for r in rows["simulate"]] == [r.status for r in rows["locational"]]
+    ok = [(sim, loc) for sim, loc in zip(rows["simulate"], rows["locational"])
+          if loc.status == "ok"]
+    assert len(ok) > 150
+    for sim, loc in ok:
+        for name in ("bus_rocof_min", "bus_rocof_mean", "bus_rocof_max"):
+            screen = getattr(loc, name)
+            assert abs(getattr(sim, name) - screen) <= max(0.1 * abs(screen), 0.02), (
+                loc.loading_id, loc.contingency_id, name)
+
+
 def case9_bank_with_failures(case9):
     """A 9-bus bank whose rows take every status: a normal loading case, one
     at eight times the load whose power flow fails, and contingencies that

@@ -5,15 +5,19 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import scipy.sparse.linalg as spla
+
 from rocofscreen import (Contingency, SimOptions, SimulationBlowup,
-                         augment_dynamic, build_ybus, bus_frequency,
-                         check_ffr, check_ufls, init_machines, netdyn,
-                         norton_currents, simulate, solve_powerflow,
-                         swingsim, system_rocof)
+                         SingularOutageError, augment_dynamic, build_ybus,
+                         bus_frequency, check_ffr, check_ufls, init_machines,
+                         locational_rocof, netdyn, norton_currents, simulate,
+                         solve_powerflow, swingsim, system_rocof)
 from rocofscreen.case_model import InputError, Load
-from rocofscreen.scenarios import finite_difference_rocof
+from rocofscreen.powerflow import SUPERLU_OPTIONS
+from rocofscreen.scenarios import SIMULATE_MODE_OPTS, finite_difference_rocof
 from rocofscreen.swingsim import FREQUENCY_FILTER_TC_S, SimResult
 from conftest import tiny_case
+from test_rocof import built_model, two_island_case
 
 
 def make_trace_result(freq_rows, dt=1.0 / 240.0, bus_ids=(1, 2)):
@@ -290,20 +294,18 @@ def test_in_run_ufls_and_replay(case9):
     assert first.frequency_hz < 59.3
 
 
-def test_simulate_refactors_once_per_outage_and_trip(case9):
+def test_simulate_compensates_once_per_outage_and_trip(case9):
     case = severe_case(case9)
     sol = solve_powerflow(case)
     model = augment_dynamic(build_ybus(case), case, sol)
     states = init_machines(model, case, sol)
-    before, solves = model.factor_count, model.solve_count
+    solves = model.solve_count
     sim = simulate(model, states.copy(), Contingency.of("none", []),
                    SimOptions(t_end=0.5))
-    assert model.factor_count == before     # the cached base factorization
-    # one full solve per step and the base factorization's machine-bus
-    # block, solved on the model's first run and cached
+    # one full solve per step and the machine-bus block, solved on the
+    # model's first run and cached
     steps = len(sim.time_s)
     assert model.solve_count - solves == sim.n_solves == steps + 1
-    assert sim.n_factorizations == 0
     solves = model.solve_count
     again = simulate(model, states.copy(), Contingency.of("none", []),
                      SimOptions(t_end=0.5))
@@ -314,35 +316,247 @@ def test_simulate_refactors_once_per_outage_and_trip(case9):
                    SimOptions(t_end=6.0, damping_d=2.0))
     trip_steps = {e.time_s for e in sim.events}
     assert trip_steps
-    assert model.factor_count - before == sim.n_factorizations == 1 + len(trip_steps)
-    # one block per refactor and, at a trip step, the first stage's
-    # voltages re-solved on the network without the shed loads
+    # one solve for the outaged buses' columns and one per trip step, each
+    # of which sheds a load at a bus not changed before; the one
+    # factorization is the model's own
     steps = len(sim.time_s)
-    assert model.solve_count - solves == sim.n_solves == (
-        steps + sim.n_factorizations + len(trip_steps))
+    assert model.solve_count - solves == sim.n_solves == steps + 1 + len(trip_steps)
+    assert model.factor_count == 1
 
 
-# --- the machine-bus block against the four-solve step it replaced ----------
+def test_outage_after_the_run_ends_is_an_input_error(solved9):
+    # such a run never applied its outage and returned flat traces with
+    # t_event = 0.1 s, as if nothing had been lost
+    case, sol, model, states = solved9
+    with pytest.raises(InputError, match=r"^t_end = 0\.05 s ends before the "
+                                         r"contingency at 0\.1 s$"):
+        simulate(model, states.copy(), Contingency.of("c", ["gen3"]),
+                 SimOptions(t_end=0.05))
+    sim = simulate(model, states.copy(), Contingency.of("none", []),
+                   SimOptions(t_end=0.05))
+    assert sim.t_event == 0.0 and len(sim.time_s) == 13
 
-def four_solve_simulate(model, states, contingency, opts):
-    """The simulator's loop with a full network solve at each of the four
-    RK4 stages, as it was before the machine-bus block. Returns the
-    (delta, omega, bus angle, bus frequency) traces and the trip log."""
+
+def test_singular_compensation_names_the_buses(solved9, monkeypatch):
+    case, sol, model, states = solved9
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(SingularOutageError, match=r"^contingency c: the outage and "
+                       r"shed loads leave a singular network at buses \[2, 3\]$"):
+        simulate(model, states.copy(), Contingency.of("c", ["gen2", "gen3"]),
+                 SimOptions(t_end=0.5))
+
+
+# --- compensation against the refactoring it replaced ------------------------
+
+def refactor_simulate(model, states, contingency, opts):
+    """The simulator's loop as it was before compensation: at the outage and
+    at each trip step that sheds a nonzero load shunt, y_dyn with every
+    diagonal change so far is factored and its machine-bus block solved.
+    Returns the (delta, omega, bus angle, bus frequency) traces, the trip
+    log and the number of factorizations, made outside the model."""
     nm, nb = len(model.machine_ids), model.n_bus
     nt = int(round(opts.t_end / opts.dt)) + 1
     omega_s = 2.0 * np.pi * model.f_base
     active = np.ones(nm, dtype=bool)
     out_pos = model.machine_positions(contingency.outaged_generator_ids)
     k_event = int(round(swingsim.EVENT_TIME_S / opts.dt))
-    diag_bus, diag_val = [], []
+    diag_bus, diag_val, factors = [], [], []
+    m_bus, m_slot = model.machine_bus_slots
 
     def refactor():
-        if diag_bus:
-            return model.factorize(model.y_with_diag_update(
-                np.array(diag_bus), np.array(diag_val, dtype=complex)))
-        return model.factorize()
+        lu = spla.splu(model.y_with_diag_update(
+            np.array(diag_bus, dtype=np.int64), np.array(diag_val, dtype=complex)),
+            **SUPERLU_OPTIONS)
+        factors.append(lu)
+        unit_cols = np.zeros((nb, m_bus.size), dtype=complex)
+        unit_cols[m_bus, np.arange(m_bus.size)] = 1.0
+        return lu, lu.solve(unit_cols)[m_bus][:, m_slot]
 
-    lu = refactor()
+    lu, z_block = refactor()
+    load_pos = {lid: i for i, lid in enumerate(model.load_ids)}
+    monitors = swingsim._ShedMonitors(
+        model.case.loads, {b: i for i, b in enumerate(model.bus_ids)}, opts.dt,
+        ufls=opts.shedding, ffr=opts.shedding)
+    y = np.concatenate((states.delta, states.omega))
+    e_over_x = states.e_prime / model.xdp_sys
+    rate_delta, rate_omega = np.full(nm, omega_s), 1.0 / (2.0 * model.h_sec)
+
+    def derivs(y_in, currents, vb):
+        te = netdyn.electrical_torque(model, currents, vb)
+        return np.concatenate((rate_delta * y_in[nm:], (
+            states.t_m - te - opts.damping_d * y_in[nm:]) * rate_omega))
+
+    def stage(y_in):
+        currents = norton_currents(e_over_x, y_in[:nm])
+        return derivs(y_in, currents, vb1 + (z_block @ (currents - c1))[m_slot])
+
+    tr_y = np.empty((nt, 2 * nm))
+    tr_theta, tr_freq = np.zeros((nt, nb)), np.full((nt, nb), model.f_base)
+    events, washout, dt = [], np.zeros(nb), opts.dt
+    for k in range(nt):
+        if k == k_event and out_pos.size:
+            active[out_pos] = False
+            e_over_x[out_pos] = rate_delta[out_pos] = rate_omega[out_pos] = 0.0
+            diag_bus += [int(model.machine_bus[p]) for p in out_pos]
+            diag_val += [-model.norton_y[p] for p in out_pos]
+            lu, z_block = refactor()
+        c1 = norton_currents(e_over_x, y[:nm])
+        v_now = lu.solve(model.to_buses(c1))
+        vb1 = v_now[model.machine_bus]
+        k1 = derivs(y, c1, vb1)
+        theta_raw = np.angle(v_now)
+        if k == 0:
+            tr_theta[k] = theta_raw
+        else:
+            tr_theta[k] = theta_raw + 2 * np.pi * np.round(
+                (tr_theta[k - 1] - theta_raw) / (2 * np.pi))
+            washout = swingsim._washout_step(washout, tr_theta[k] - tr_theta[k - 1], opts)
+            tr_freq[k] = model.f_base + washout / (2 * np.pi)
+        tr_y[k] = y
+        new_events = monitors.step(k, k * dt, tr_freq[k])
+        events += new_events
+        shed = [load_pos[ev.load_id] for ev in new_events
+                if model.load_shunt[load_pos[ev.load_id]] != 0]
+        if shed:
+            diag_bus += [int(model.load_bus[p]) for p in shed]
+            diag_val += [-model.load_shunt[p] for p in shed]
+            lu, z_block = refactor()
+            vb1 = lu.solve(model.to_buses(c1))[model.machine_bus]
+        if k == nt - 1:
+            break
+        k2 = stage(y + 0.5 * dt * k1)
+        k3 = stage(y + 0.5 * dt * k2)
+        k4 = stage(y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    tr_y[k_event:, np.concatenate((out_pos, nm + out_pos))] = np.nan
+    return ((tr_y[:, :nm], tr_y[:, nm:], tr_theta, tr_freq),
+            sorted(events, key=lambda e: (e.time_s, e.load_id)), len(factors))
+
+
+def assert_matches_refactoring(model, states, contingency, opts):
+    """simulate against refactor_simulate: delta, omega, bus angle and bus
+    frequency within 1e-9 with the same NaN pattern, and the same trip
+    log; simulate factors nothing. Returns the run and the number of
+    factorizations the refactoring made."""
+    factors = model.factor_count
+    sim = simulate(model, states.copy(), contingency, opts)
+    assert model.factor_count == factors
+    traces, events, refactors = refactor_simulate(model, states, contingency, opts)
+    for name, old in zip(("delta", "omega", "bus_angle_rad", "bus_freq_hz"), traces):
+        new = getattr(sim, name)
+        assert np.array_equal(np.isnan(new), np.isnan(old)), name
+        np.testing.assert_allclose(new, old, rtol=0, atol=1e-9, err_msg=name)
+    assert sim.events == events
+    return sim, refactors
+
+
+@pytest.mark.parametrize("outage,t_end", [(["gen2"], 10.0), (["gen2", "gen3"], 6.0)])
+def test_compensation_matches_refactoring_with_shedding(case9, outage, t_end):
+    # gen2 alone for 10 s is the benchmark's shedding run
+    case = severe_case(case9)
+    sol = solve_powerflow(case)
+    model = augment_dynamic(build_ybus(case), case, sol)
+    sim, refactors = assert_matches_refactoring(
+        model, init_machines(model, case, sol), Contingency.of("c", outage),
+        SimOptions(t_end=t_end, damping_d=2.0))
+    assert len({e.time_s for e in sim.events}) == refactors - 2 >= 2
+
+
+def test_compensation_matches_refactoring_on_the_fleet(fleet_case):
+    # a two-unit plant lost on the 40-bus fleet, with its base dispatch
+    model, states = built_model(fleet_case)
+    plant = [g.id for g in fleet_case.generators if g.id.startswith("g05")]
+    assert len(plant) >= 2
+    assert_matches_refactoring(model, states, Contingency.of("c", plant[:2]),
+                               SimOptions(t_end=1.0))
+
+
+def test_compensation_matches_refactoring_on_two_islands():
+    # losing gB leaves bus 3's island without a machine; the refactoring
+    # keeps its load shunt and solves it to 0 V, and the compensation skips
+    # the island's change and sets its voltage to zero: angle 0, 60 Hz
+    model, states = built_model(two_island_case(True))
+    sim, _ = assert_matches_refactoring(model, states, Contingency.of("c", ["gB"]),
+                                        SimOptions(t_end=1.0))
+    k_event = int(round(swingsim.EVENT_TIME_S / SimOptions().dt))
+    k3 = model.bus_ids.index(3)
+    assert np.all(sim.bus_angle_rad[k_event:, k3] == 0.0)
+    assert sim.bus_freq_hz[-1, k3] == pytest.approx(60.0, abs=1e-9)
+
+
+def test_island_left_with_no_shunt_reads_zero():
+    # without its load, bus 3's diagonal is gB's Norton shunt alone, so the
+    # refactored matrix was exactly singular (SuperLU raised RuntimeError).
+    # The compensation skips that island: its voltage reads zero, as the
+    # screen reports it undefined, and island A runs as with the load
+    runs = []
+    for with_load in (False, True):
+        model, states = built_model(two_island_case(with_load))
+        runs.append(simulate(model, states.copy(), Contingency.of("c", ["gB"]),
+                             SimOptions(t_end=1.0)))
+        assert model.factor_count == 1
+    bare, loaded = runs
+    k_event = int(round(swingsim.EVENT_TIME_S / SimOptions().dt))
+    assert np.all(bare.bus_angle_rad[k_event:, 2] == 0.0)      # bus 3
+    assert np.isnan(bare.omega[k_event:, 1]).all()             # gB
+    island_a = {"delta": [0], "omega": [0], "bus_angle_rad": [0, 1],
+                "bus_freq_hz": [0, 1]}
+    for name, cols in island_a.items():
+        np.testing.assert_allclose(getattr(bare, name)[:, cols],
+                                   getattr(loaded, name)[:, cols],
+                                   rtol=0, atol=1e-9, err_msg=name)
+
+
+def grid_losses(case, n, seed):
+    """n distinct two-unit losses among the dispatched units, drawn with a
+    fixed seed."""
+    rng = np.random.default_rng(seed)
+    units = sorted(g.id for g in case.generators if g.p_mw > 0)
+    return [Contingency.of(f"g{k}", [str(u) for u in rng.choice(units, 2, replace=False)])
+            for k in range(n)]
+
+
+def test_compensation_matches_refactoring_on_the_grid(grid71):
+    case, model, states = grid71
+    for ctg in grid_losses(case, 2, seed=11):
+        assert_matches_refactoring(model, states, ctg, SIMULATE_MODE_OPTS)
+
+
+def test_simulator_agrees_with_screen_on_the_grid(grid71):
+    # criterion 2 on the 5041-bus grid: the bank's finite-difference ROCOF
+    # within max(10%, 0.02 Hz/s) of the screen on every defined bus, and
+    # the worst buses agree, or are within that bound of each other
+    case, model, states = grid71
+    for ctg in grid_losses(case, 5, seed=12):
+        fd = finite_difference_rocof(simulate(model, states.copy(), ctg,
+                                              SIMULATE_MODE_OPTS))
+        screen = locational_rocof(model, states, ctg).bus_rocof_hz_s
+        defined = ~np.isnan(screen)
+        fd, screen = fd[defined], screen[defined]
+        bound = np.maximum(0.1 * np.abs(screen), 0.02)
+        assert np.all(np.abs(fd - screen) <= bound), ctg.id
+        worst, fd_worst = np.argmin(screen), np.argmin(fd)
+        assert (worst == fd_worst
+                or screen[fd_worst] - screen[worst] <= bound[worst]), ctg.id
+
+
+# --- the machine-bus block against the four-solve step it replaced ----------
+
+def four_solve_simulate(model, states, contingency, opts):
+    """The simulator's loop with a full network solve at each of the four
+    RK4 stages, as it was before the machine-bus block, on the same
+    compensated network. Returns the (delta, omega, bus angle, bus
+    frequency) traces and the trip log."""
+    nm, nb = len(model.machine_ids), model.n_bus
+    nt = int(round(opts.t_end / opts.dt)) + 1
+    omega_s = 2.0 * np.pi * model.f_base
+    active = np.ones(nm, dtype=bool)
+    out_pos = model.machine_positions(contingency.outaged_generator_ids)
+    k_event = int(round(swingsim.EVENT_TIME_S / opts.dt))
+    net = swingsim._CompensatedNetwork(model, contingency.id)
     load_pos = {lid: i for i, lid in enumerate(model.load_ids)}
     monitors = swingsim._ShedMonitors(
         model.case.loads, {b: i for i, b in enumerate(model.bus_ids)}, opts.dt,
@@ -353,7 +567,7 @@ def four_solve_simulate(model, states, contingency, opts):
 
     def derivs(dlt, omg):
         currents = norton_currents(e_over_x, dlt)
-        v = lu.solve(model.to_buses(currents))
+        v = net.correct(net.lu.solve(model.to_buses(currents)))
         te = netdyn.electrical_torque(model, currents, v[model.machine_bus])
         return (np.where(active, omega_s * omg, 0.0),
                 np.where(active, (t_m - te - opts.damping_d * omg) * inv_2h, 0.0), v)
@@ -365,9 +579,8 @@ def four_solve_simulate(model, states, contingency, opts):
         if k == k_event and out_pos.size:
             active[out_pos] = False
             e_over_x[out_pos] = 0.0
-            diag_bus += [int(model.machine_bus[p]) for p in out_pos]
-            diag_val += [-model.norton_y[p] for p in out_pos]
-            lu = refactor()
+            net.dead = model.dead_island_mask(active)
+            net.add(model.machine_bus[out_pos], -model.norton_y[out_pos])
         d1, o1, v_now = derivs(delta, omega)
         theta_raw = np.angle(v_now)
         if k == 0:
@@ -382,12 +595,8 @@ def four_solve_simulate(model, states, contingency, opts):
         new_events = monitors.step(k, k * dt, tr_freq[k])
         if new_events:
             events += new_events
-            for ev in new_events:
-                p = load_pos[ev.load_id]
-                if model.load_shunt[p] != 0:
-                    diag_bus.append(int(model.load_bus[p]))
-                    diag_val.append(-model.load_shunt[p])
-            lu = refactor()
+            shed = [load_pos[ev.load_id] for ev in new_events]
+            net.add(model.load_bus[shed], -model.load_shunt[shed])
         if k == nt - 1:
             break
         d2, o2, _ = derivs(delta + 0.5 * dt * d1, omega + 0.5 * dt * o1)
@@ -402,25 +611,26 @@ def four_solve_simulate(model, states, contingency, opts):
 def assert_matches_four_solve_step(model, states, contingency, opts):
     """simulate against four_solve_simulate: traces within 1e-12 and the
     same trip log. Every stage's terminal voltages must equal a full solve
-    of its currents on the factorization in use, within 1e-12 pu. Returns
-    the number of factorizations the run used."""
-    handles, stages = [], []
-    factorize = model.factorize
+    of its currents on the network in use, y_dyn with the compensated
+    diagonal changes so far, factored here, within 1e-12 pu. Returns the
+    number of networks the run used."""
+    handles, stages = [spla.splu(model.y_dyn, **SUPERLU_OPTIONS)], []
+    add = swingsim._CompensatedNetwork.add
 
-    def tracking_factorize(*args):
-        handles.append(factorize(*args))
-        return handles[-1]
+    def refactoring_add(net, bus, change):
+        changed = add(net, bus, change)
+        if changed:
+            handles.append(spla.splu(model.y_with_diag_update(net.bus, net.d),
+                                     **SUPERLU_OPTIONS))
+        return changed
 
     def recording_torque(model_, currents, vb, active=None):
         stages.append((currents.copy(), vb.copy(), handles[-1]))
         return netdyn.electrical_torque(model_, currents, vb, active)
 
-    model.factorize = tracking_factorize
-    try:
-        with mock.patch.object(swingsim, "electrical_torque", recording_torque):
-            sim = simulate(model, states.copy(), contingency, opts)
-    finally:
-        del model.factorize
+    with mock.patch.object(swingsim, "electrical_torque", recording_torque), \
+            mock.patch.object(swingsim._CompensatedNetwork, "add", refactoring_add):
+        sim = simulate(model, states.copy(), contingency, opts)
     assert len(stages) == 4 * len(sim.time_s) - 3
     for currents, vb, lu in stages:
         full = lu.solve(model.to_buses(currents))[model.machine_bus]
@@ -431,11 +641,11 @@ def assert_matches_four_solve_step(model, states, contingency, opts):
                         traces):
         np.testing.assert_allclose(new, old, rtol=0, atol=1e-12)
     assert sim.events == events
-    return len({id(lu) for lu in handles})
+    return len(handles)
 
 
 def test_machine_bus_block_matches_four_solve_step_with_shedding(case9):
-    # factorizations before the event, after the outage and after each trip
+    # networks before the event, after the outage and after each trip
     case = severe_case(case9)
     sol = solve_powerflow(case)
     model = augment_dynamic(build_ybus(case), case, sol)
@@ -451,8 +661,9 @@ def test_machine_bus_block_matches_four_solve_step_with_shedding(case9):
 def two_array_simulate(model, states, contingency, opts):
     """The simulator's loop before the stacked state: delta and omega as two
     arrays, rates masked by np.where, trace rows written through the active
-    mask, and a refactor at every trip step. Returns a SimResult."""
-    solves_before, factors_before = model.solve_count, model.factor_count
+    mask, and the first stage re-corrected at every trip step, on the same
+    compensated network. Returns a SimResult."""
+    solves_before = model.solve_count
     nm, nb = len(model.machine_ids), model.n_bus
     nt = int(round(opts.t_end / opts.dt)) + 1
     time_s = np.arange(nt) * opts.dt
@@ -460,17 +671,8 @@ def two_array_simulate(model, states, contingency, opts):
     active = np.ones(nm, dtype=bool)
     out_pos = model.machine_positions(contingency.outaged_generator_ids)
     k_event = int(round(swingsim.EVENT_TIME_S / opts.dt))
-    diag_bus, diag_val = [], []
+    net = swingsim._CompensatedNetwork(model, contingency.id)
     m_slot = model.machine_bus_slots[1]
-
-    def refactor():
-        if not diag_bus:
-            return model.factorize(), model.machine_bus_block()
-        lu = model.factorize(model.y_with_diag_update(
-            np.array(diag_bus), np.array(diag_val, dtype=complex)))
-        return lu, model.machine_bus_block(lu)
-
-    lu, z_block = refactor()
     load_pos = {lid: i for i, lid in enumerate(model.load_ids)}
     monitors = swingsim._ShedMonitors(
         model.case.loads, {b: i for i, b in enumerate(model.bus_ids)}, opts.dt,
@@ -486,7 +688,7 @@ def two_array_simulate(model, states, contingency, opts):
 
     def stage(dlt, omg):
         currents = norton_currents(e_over_x, dlt)
-        return derivs(omg, currents, vb1 + (z_block @ (currents - c1))[m_slot])
+        return derivs(omg, currents, vb1 + (net.block @ (currents - c1))[m_slot])
 
     tr_delta, tr_omega = np.full((nt, nm), np.nan), np.full((nt, nm), np.nan)
     tr_theta, tr_freq = np.zeros((nt, nb)), np.full((nt, nb), model.f_base)
@@ -496,11 +698,11 @@ def two_array_simulate(model, states, contingency, opts):
         if k == k_event and out_pos.size:
             active[out_pos] = False
             e_over_x[out_pos] = 0.0
-            diag_bus += [int(model.machine_bus[p]) for p in out_pos]
-            diag_val += [-model.norton_y[p] for p in out_pos]
-            lu, z_block = refactor()
+            net.dead = model.dead_island_mask(active)
+            net.add(model.machine_bus[out_pos], -model.norton_y[out_pos])
         c1 = norton_currents(e_over_x, delta)
-        v_now = lu.solve(model.to_buses(c1))
+        x = net.lu.solve(model.to_buses(c1))
+        v_now = net.correct(x)
         vb1 = v_now[model.machine_bus]
         d1, o1 = derivs(omega, c1, vb1)
         theta_raw = np.angle(v_now)
@@ -516,13 +718,9 @@ def two_array_simulate(model, states, contingency, opts):
         new_events = monitors.step(k, t, tr_freq[k])
         if new_events:
             events += new_events
-            for ev in new_events:
-                p = load_pos.get(ev.load_id)
-                if p is not None and model.load_shunt[p] != 0:
-                    diag_bus.append(int(model.load_bus[p]))
-                    diag_val.append(-model.load_shunt[p])
-            lu, z_block = refactor()
-            vb1 = lu.solve(model.to_buses(c1))[model.machine_bus]
+            shed = [load_pos[ev.load_id] for ev in new_events]
+            net.add(model.load_bus[shed], -model.load_shunt[shed])
+            vb1 = net.correct(x)[model.machine_bus]
         if k == nt - 1:
             break
         d2, o2 = stage(delta + 0.5 * dt * d1, omega + 0.5 * dt * o1)
@@ -534,25 +732,23 @@ def two_array_simulate(model, states, contingency, opts):
         time_s=time_s, machine_ids=list(model.machine_ids), delta=tr_delta,
         omega=tr_omega, bus_ids=list(model.bus_ids), bus_angle_rad=tr_theta,
         bus_freq_hz=tr_freq, events=sorted(events, key=lambda e: (e.time_s, e.load_id)),
-        n_solves=model.solve_count - solves_before,
-        n_factorizations=model.factor_count - factors_before)
+        n_solves=model.solve_count - solves_before)
 
 
-def assert_matches_two_array_loop(model, states, contingency, opts, extra_refactors=0):
+def assert_matches_two_array_loop(model, states, contingency, opts):
     """simulate against two_array_simulate: the four traces bit for bit (NaN
-    where the other has NaN), the same trip log, and the same solve and
-    factorization counts, less the extra refactors the old loop made at
-    trips that shed no shunt (each one a factorization, its block solve and
-    the re-solve of the first stage). Returns the new run."""
+    where the other has NaN), the same trip log and the same solve count,
+    with no factorization in either. Returns the new run."""
     model.machine_bus_block()               # both runs take the cached block
+    factors = model.factor_count
     sim = simulate(model, states.copy(), contingency, opts)
     old = two_array_simulate(model, states, contingency, opts)
     for name in ("delta", "omega", "bus_angle_rad", "bus_freq_hz"):
         assert np.array_equal(getattr(sim, name), getattr(old, name),
                               equal_nan=True), name
     assert sim.events == old.events
-    assert sim.n_factorizations + extra_refactors == old.n_factorizations
-    assert sim.n_solves + 2 * extra_refactors == old.n_solves
+    assert sim.n_solves == old.n_solves
+    assert model.factor_count == factors
     return sim
 
 
@@ -570,7 +766,7 @@ def test_stacked_state_matches_two_array_loop_with_shedding(case9, outage, t_end
 
 def test_trip_without_a_shunt_does_not_refactor(case9):
     # a 0 MW stage-1 load at bus 7 trips at the outage step; its shunt is
-    # zero, so the network and the factorization in use stay as they are
+    # zero, so the network stays as it is and the trip costs no solve
     case = severe_case(case9)
     case = case.with_loads(list(case.loads) + [
         Load(id="zero7", bus_id=7, p_mw=0.0, ufls_stage="stage1")])
@@ -578,8 +774,8 @@ def test_trip_without_a_shunt_does_not_refactor(case9):
     model = augment_dynamic(build_ybus(case), case, sol)
     sim = assert_matches_two_array_loop(
         model, init_machines(model, case, sol), Contingency.of("c", ["gen2"]),
-        SimOptions(t_end=1.0, damping_d=2.0), extra_refactors=1)
+        SimOptions(t_end=1.0, damping_d=2.0))
     assert [(e.load_id, e.time_s) for e in sim.events][0] == ("zero7", swingsim.EVENT_TIME_S)
     shunt_trips = {e.time_s for e in sim.events if e.load_id != "zero7"}
     assert len(shunt_trips) == 2
-    assert sim.n_factorizations == 1 + len(shunt_trips)
+    assert sim.n_solves == len(sim.time_s) + 1 + len(shunt_trips)
