@@ -22,7 +22,8 @@ import numpy as np
 
 from . import case_io
 from .case_model import CaseValidationError, InputError, UnknownIdError
-from .netdyn import ModelBuildError, augment_dynamic, init_machines
+from .netdyn import (ModelBuildError, SingularNetworkError, augment_dynamic,
+                     init_machines)
 from .powerflow import PowerFlowError, solve_powerflow
 from .rocof import (Contingency, SingularOutageError, ZeroInertiaError,
                     locational_rocof, system_rocof)
@@ -35,8 +36,8 @@ from .synthdyn import assign_plant_correlated, assign_ufls, validate_synthesis
 # is not a data error and must not be reported as one
 DATA_ERRORS = (CaseValidationError, case_io.CaseParseError, InfeasibleDispatch,
                InputError, ModelBuildError, UnknownIdError, FileNotFoundError)
-NUMERICAL_ERRORS = (PowerFlowError, SimulationBlowup, SingularOutageError,
-                    ZeroInertiaError)
+NUMERICAL_ERRORS = (PowerFlowError, SimulationBlowup, SingularNetworkError,
+                    SingularOutageError, ZeroInertiaError)
 
 
 def _add_case_args(p):

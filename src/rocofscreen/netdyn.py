@@ -38,6 +38,11 @@ class ModelBuildError(ValueError):
     """Case cannot be turned into a dynamic model (missing data, bad values)."""
 
 
+class SingularNetworkError(RuntimeError):
+    """The dynamic admittance matrix is singular, as an island with no
+    machine and no shunt to ground makes it."""
+
+
 def build_ybus(case: GridCase) -> sp.csc_matrix:
     """Branch-network bus admittance matrix (pi model with off-nominal taps).
 
@@ -311,7 +316,9 @@ def augment_dynamic(ybus: sp.csc_matrix, case: GridCase,
     regulated bus is a power-flow result); each in-service synchronous
     machine contributes 1/(j xdp) on the system base. A bus adds its loads'
     shunts, then its generators', in record order. The result is factorized
-    once for reuse.
+    once for reuse; when SuperLU finds it exactly singular, which an island
+    with no machine and no shunt to ground makes it, SingularNetworkError
+    names that island's buses.
     """
     v = solution.v
     v_abs = np.hypot(v.real, v.imag)     # |v| as abs() rounds one number
@@ -378,8 +385,28 @@ def augment_dynamic(ybus: sp.csc_matrix, case: GridCase,
         f_base=case.f_base_hz,
         s_base=case.s_base_mva,
     )
-    model.factorize()
+    try:
+        model.factorize()
+    except RuntimeError as exc:     # SuperLU: "Factor is exactly singular"
+        islands = "; ".join(f"buses {ids} form an island with no machine and "
+                            "no shunt" for ids in _groundless_islands(model, diag))
+        raise SingularNetworkError(
+            f"dynamic admittance matrix is singular: {islands or exc}") from exc
     return model
+
+
+def _groundless_islands(model: NetworkModel, shunts: np.ndarray) -> list[list[int]]:
+    """Bus ids of each island that has no active machine and no path to
+    ground: no load, converter or line-charging shunt at any of its buses."""
+    case = model.case
+    grounded = shunts != 0
+    charged = [br for br in case.branches if br.status and br.b_pu != 0]
+    grounded[case.bus_positions(np.concatenate(
+        [record_array(charged, end, np.int64) for end in ("from_bus", "to_bus")]))] = True
+    dead = model.dead_island_mask()
+    return [[model.bus_ids[i] for i in np.flatnonzero(model.islands == isl)]
+            for isl in np.unique(model.islands[dead])
+            if not grounded[model.islands == isl].any()]
 
 
 def init_machines(model: NetworkModel, case: GridCase,

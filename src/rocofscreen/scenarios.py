@@ -98,8 +98,11 @@ def dispatch_heuristic(case: GridCase, target_load_mw: float,
             f"{target_load_mw:.0f} MW minus the {nuclear_mw:.0f} MW "
             "must-run nuclear floor")
 
-    must_run = [g for g in sync if g.fuel == "nuclear" or g.bus_id in slack_buses]
-    merit = sorted((g for g in sync if g not in must_run),
+    # a unit equal to a must-run unit is must-run itself, so the flags are
+    # the membership test, without comparing records
+    must = [g.fuel == "nuclear" or g.bus_id in slack_buses for g in sync]
+    must_run = [g for g, m in zip(sync, must) if m]
+    merit = sorted((g for g, m in zip(sync, must) if not m),
                    key=lambda g: (FUEL_MERIT_ORDER.get(g.fuel, 9),
                                   -g.p_max_mw, g.id))
     committed = list(must_run)
@@ -132,13 +135,25 @@ def _dispatch(case: GridCase, target_load_mw: float,
         if not g.status:
             new_gens.append(g)
         elif g.id in p_mw:
-            new_gens.append(replace(g, p_mw=p_mw[g.id],
-                                    q_mvar=g.q_mvar if g.synchronous else 0.0))
+            new_gens.append(_copy_record(g, p_mw=p_mw[g.id],
+                                         q_mvar=g.q_mvar if g.synchronous else 0.0))
         else:
-            new_gens.append(replace(g, status=False))
-    new_loads = [replace(l, p_mw=l.p_mw * factor, q_mvar=l.q_mvar * factor)
+            new_gens.append(_copy_record(g, status=False))
+    new_loads = [_copy_record(l, p_mw=l.p_mw * factor, q_mvar=l.q_mvar * factor)
                  for l in case.loads]
+    # replace, not a copy: a copy would carry the case's cached bus lookup
     return replace(case, generators=tuple(new_gens), loads=tuple(new_loads))
+
+
+def _copy_record(record, **changes):
+    """dataclasses.replace(record, **changes) for a Generator or a Load
+    (neither has a __post_init__), without the frozen __init__ whose
+    per-field setattr calls cost most of a fleet dispatch."""
+    new = object.__new__(type(record))
+    fields = new.__dict__
+    fields.update(record.__dict__)
+    fields.update(changes)
+    return new
 
 
 def loading_case_from(dispatched: GridCase, lc_id: str, target_load_mw: float,
@@ -215,6 +230,12 @@ def generate_contingencies(case: GridCase, n: int,
     combine whole plants from several sites into losses of up to twice the
     design size. Plants are picked with probability proportional to
     dispatched MW.
+
+    The sequence of draws from rng is part of this contract: for a given
+    case, n and generator state the bank is the same, and so is the state
+    rng is left in. A weighted pick of one plant is a search of its CDF at
+    one rng.random(), the draw Generator.choice(k, p=w) makes (a test pins
+    the two together).
     """
     units = [g for g in case.generators if g.synchronous and g.status and g.p_mw > 0]
     plants: dict[int, list] = {}
@@ -229,6 +250,12 @@ def generate_contingencies(case: GridCase, n: int,
             f"case dispatch ({plant_mw.sum():.0f} MW) is too small to build "
             f"outages above {MIN_CONTINGENCY_MW:.0f} MW")
     weights = plant_mw / plant_mw.sum()
+    plant_cdf = _cdf(weights)
+    # a single-site draw picks among the plants above MIN_CONTINGENCY_MW; a
+    # second-site draw among all plants, since each has dispatched MW
+    large = np.flatnonzero(plant_mw > MIN_CONTINGENCY_MW)
+    large_cdf = _cdf(plant_mw[large] / plant_mw[large].sum()) if large.size else None
+    log_lo, log_hi = math.log(MIN_CONTINGENCY_MW), math.log(DESIGN_CONTINGENCY_MW)
 
     n_multi = int(round(n * MULTI_SITE_FRACTION))
     seen: set[frozenset[str]] = set()
@@ -257,19 +284,18 @@ def generate_contingencies(case: GridCase, n: int,
             if total <= MIN_CONTINGENCY_MW:
                 continue
         else:
-            target = math.exp(rng.uniform(math.log(MIN_CONTINGENCY_MW),
-                                          math.log(DESIGN_CONTINGENCY_MW)))
+            target = math.exp(rng.uniform(log_lo, log_hi))
             # widen to a second site only once single-plant draws go stale
             second_site = stale > 25 and rng.random() < 0.7
-            eligible = np.flatnonzero(
-                plant_mw > (0.0 if second_site else MIN_CONTINGENCY_MW))
-            if eligible.size == 0:
+            if second_site:
+                picks = [_draw(plant_cdf, rng)]
+                if len(plant_ids) > 1:
+                    picks.append(_draw(plant_cdf, rng))
+            elif large.size:
+                picks = [int(large[_draw(large_cdf, rng)])]
+            else:
                 n_multi = n  # no single plant is large enough
                 continue
-            w = plant_mw[eligible] / plant_mw[eligible].sum()
-            picks = [int(eligible[rng.choice(eligible.size, p=w)])]
-            if second_site and len(plant_ids) > 1:
-                picks.append(int(rng.choice(len(plant_ids), p=weights)))
             members = [g for pi in dict.fromkeys(picks)
                        for g in plants[plant_ids[pi]]]
             chosen = []
@@ -292,6 +318,20 @@ def generate_contingencies(case: GridCase, n: int,
         stale = 0
         out.append(Contingency(f"ctg{len(out):03d}", key, float(total)))
     return out
+
+
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """The CDF Generator.choice searches for a draw with probabilities p:
+    the cumulative sum, divided by its last entry."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
+    """rng.choice(len(p), p=p) for the p whose _cdf is cdf: the same index
+    from the same one rng.random(), without choice's checks of p."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def _column_stats(rocof: np.ndarray, bus_ids) -> list[tuple]:

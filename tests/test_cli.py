@@ -8,6 +8,7 @@ import pytest
 
 from rocofscreen import load_case9, write_case
 from rocofscreen.cli import build_parser, main
+from test_rocof import groundless_island_case
 
 CASE9 = Path(__file__).resolve().parents[1] / "src/rocofscreen/data/wscc9.json"
 
@@ -213,6 +214,19 @@ def test_rocof_local_singular_outage_exits_2(tmp_path, capsys, monkeypatch):
     assert code == 2
     assert "numerical failure: contingency cli:" in err
     assert "buses [3]" in err
+
+
+def test_rocof_local_singular_network_exits_2(tmp_path, capsys):
+    # an island with no machine and no shunt makes the dynamic admittance
+    # matrix exactly singular: a numerical failure naming the island, not a
+    # SuperLU traceback
+    path = tmp_path / "groundless.json"
+    write_case(groundless_island_case(), path)
+    code, _, err = run(["rocof-local", "--case", str(path), "--outage", "gB",
+                        "--out", str(tmp_path / "rocof.csv")], capsys)
+    assert code == 2
+    assert err == ("numerical failure: dynamic admittance matrix is singular: "
+                   "buses [4] form an island with no machine and no shunt\n")
 
 
 def test_simulate_command(tmp_path, capsys):

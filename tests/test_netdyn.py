@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,9 +13,10 @@ from rocofscreen import (PowerFlowSolution, augment_dynamic, build_ybus,
                          electrical_torque, init_machines, solve_powerflow)
 from rocofscreen.case_model import (Branch, Bus, Generator, GridCase, Load,
                                     UnknownIdError, island_labels)
-from rocofscreen.netdyn import ModelBuildError
+from rocofscreen.netdyn import ModelBuildError, SingularNetworkError
 from rocofscreen.powerflow import SUPERLU_OPTIONS, bus_injections
 from conftest import currents, tiny_case
+from test_rocof import groundless_island_case
 
 
 def pair_case(**branch_kw):
@@ -393,6 +395,17 @@ def assert_builders_match_loops(case, v_mag, v_ang):
     assert_same_bits(model.s_solved, s_solved)
     for part in ("indptr", "indices", "data"):
         assert_same_bits(getattr(model.y_dyn, part), getattr(y_dyn, part))
+
+
+def test_singular_network_names_the_island_with_no_machine_and_no_shunt():
+    # SuperLU's "Factor is exactly singular" used to escape as a bare
+    # RuntimeError; the power flow of the case converges
+    case = groundless_island_case()
+    sol = solve_powerflow(case)
+    with pytest.raises(SingularNetworkError, match=re.escape(
+            "dynamic admittance matrix is singular: buses [4] form an "
+            "island with no machine and no shunt")):
+        augment_dynamic(sol.ybus, case, sol)
 
 
 def test_vectorized_builders_match_record_loops(case9):

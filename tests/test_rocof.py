@@ -184,6 +184,16 @@ def two_island_case(load_on_island_b=True):
     )
 
 
+def groundless_island_case():
+    """two_island_case(True) plus an island with no machine and no shunt, a
+    slack bus 4 with a 0 MW load: its dynamic admittance matrix is exactly
+    singular."""
+    case = two_island_case(True)
+    return dataclasses.replace(
+        case, buses=case.buses + (Bus(id=4, kind="slack"),),
+        loads=case.loads + (Load(id="l4", bus_id=4, p_mw=0.0),))
+
+
 def test_machine_bus_identity_on_isolated_machine():
     # a bus holding only its machine's Norton shunt must report exactly the
     # machine's acceleration: V tracks E' there, so Vdd_angle == wdot

@@ -20,6 +20,7 @@ from rocofscreen.scenarios import (apply_loading_case, loading_case_from,
                                    _eval_loading_case)
 
 from conftest import record_fields
+from test_rocof import groundless_island_case
 
 STUDY_LOAD_RANGE = (15000.0, 75000.0)
 STUDY_WIND_RANGE = (10000.0, 30000.0)
@@ -660,6 +661,16 @@ def test_loading_case_without_a_machine_fails_naming_the_cause(case9, mode):
     assert [r.status for r in records] == [
         "loading case failed: case 'wscc9' has no in-service synchronous "
         "machine"] * 2
+
+
+@pytest.mark.parametrize("mode", ["locational", "simulate"])
+def test_loading_case_with_a_singular_network_fails_naming_the_island(mode):
+    case = groundless_island_case()
+    lc = loading_case_from(case, "lc000", 130.0, 0.0)
+    records = run_bank(case, [lc], [Contingency.of("ctg000", ["gB"])], mode=mode)
+    assert [r.status for r in records] == [
+        "loading case failed: dynamic admittance matrix is singular: buses "
+        "[4] form an island with no machine and no shunt"]
 
 
 def test_run_bank_unknown_mode_is_input_error(case9):
