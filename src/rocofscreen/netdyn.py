@@ -8,7 +8,9 @@ machine current injections I on the right-hand side, Y V = I recovers the
 terminal voltages; the factorization is reused for every algebraic solve,
 and solves are counted so screening cost claims can be asserted. Its
 pattern is structurally symmetric, so SuperLU orders it by minimum degree on
-A^T + A and keeps diagonal pivots (powerflow.SUPERLU_OPTIONS).
+A^T + A and keeps diagonal pivots, with panel size 1: on the 5041-bus grid
+that factors y_dyn in 7.4 ms instead of 9.8 at SuperLU's default panel of
+10, with the same fill of 164,392 entries (powerflow.SUPERLU_OPTIONS).
 
 Machine-base to system-base conversion happens exactly once, here:
     x_sys = x_mach * s_base_sys / s_base_mach      (impedance)

@@ -6,8 +6,10 @@ imbalance. The Jacobian's sparsity is fixed once per solve (the Y-bus
 pattern plus the diagonal); each iteration writes the complex
 power-injection derivatives into its values in place and factorizes it with
 SuperLU. The pattern is structurally symmetric, so SuperLU orders it by
-minimum degree on A^T + A and keeps diagonal pivots (SUPERLU_OPTIONS, which
-netdyn uses for the dynamic admittance matrix too). An ordering depends only
+minimum degree on A^T + A, keeps diagonal pivots and updates one column at
+a time (panel size 1, which factors the 5041-bus grid's Jacobian about a
+fifth faster than the default panel of 10; SUPERLU_OPTIONS, which netdyn
+uses for the dynamic admittance matrix too). An ordering depends only
 on the pattern, so it is computed once per solve: the first iteration's
 factorization orders the Jacobian, the pattern is relabelled by that
 ordering, and the later iterations factor the relabelled matrix in its
@@ -32,9 +34,17 @@ from .case_model import GridCase, InputError, complex_powers, record_array
 # while it is at least 0.1 of its column's largest. Threshold 1.0 (partial
 # pivoting) factors the 5041-bus grid's y_dyn about half as fast; threshold
 # 0 pivots on a diagonal that cancels to nearly zero (a bus whose charging
-# offsets its ties) and loses digits.
+# offsets its ties) and loses digits. Panel size 1 (SuperLU's default is 10)
+# updates one column at a time: on a 2-core VM the 5041-bus grid's
+# relabelled Jacobian factors in 22 ms instead of 27 and its y_dyn in 7.4 ms
+# instead of 9.8 (medians of 7 alternating rounds), with the same fill
+# (611,566 and 164,392 entries); the 9-bus and 40-bus factorizations are
+# about 10% faster too. The panel width only groups columns for the updates
+# (Demmel et al., SIAM J. Matrix Anal. Appl. 20(3), 1999), so the factors
+# agree to rounding. No relax (supernode relaxation) from 1 to 60 factored
+# faster than its default, so it is left unset.
 SUPERLU_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
-                       options=dict(SymmetricMode=True))
+                       panel_size=1, options=dict(SymmetricMode=True))
 # the same, for a matrix already relabelled by an ordering of its pattern
 PREORDERED_OPTIONS = dict(SUPERLU_OPTIONS, permc_spec="NATURAL")
 # Newton stops as diverged once the mismatch is not finite or exceeds

@@ -147,7 +147,7 @@ def angle_second_derivative(v, v_ddot):
     v = np.asarray(v, dtype=complex)
     v_ddot = np.asarray(v_ddot, dtype=complex)
     mag2 = v.real**2 + v.imag**2
-    if np.any(mag2 == 0):
+    if not mag2.all():      # np.any(mag2 == 0) costs the screen ~4 us more
         raise ZeroDivisionError("voltage magnitude is zero")
     out = (v.real * v_ddot.imag - v.imag * v_ddot.real) / mag2
     return float(out) if out.ndim == 0 else out
@@ -348,8 +348,7 @@ def _screen(model: NetworkModel, states: MachineStates,
     if any_dead:
         ok &= ~dead
     rocof_pu = np.full(dead.shape, np.nan)
-    v, v_dd = v_post[ok], v_ddot[ok]        # angle_second_derivative, |V| > 0
-    rocof_pu[ok] = (v.real * v_dd.imag - v.imag * v_dd.real) / (v.real**2 + v.imag**2)
+    rocof_pu[ok] = angle_second_derivative(v_post[ok], v_ddot[ok])
     bus_rocof = model.f_base * rocof_pu
 
     # a running sum adds the outaged machines in machine order

@@ -11,8 +11,8 @@ from rocofscreen.case_model import Branch, Bus, Generator, Load, island_labels
 from rocofscreen.scenarios import _column_stats, finite_difference_rocof
 from test_netdyn import assert_builders_match_loops, loop_island_labels
 from test_powerflow import assert_newton_matches_reference
-from test_rocof import (assert_matches_current_columns, assert_matches_plain_splu,
-                        built_model, refactor_reference)
+from test_rocof import (assert_matches_current_columns, assert_matches_default_panel,
+                        assert_matches_plain_splu, built_model, refactor_reference)
 from test_swingsim import (assert_matches_four_solve_step, assert_matches_refactoring,
                            assert_matches_two_array_loop)
 
@@ -90,6 +90,14 @@ def test_symmetric_ordering_matches_plain_splu_on_generated_networks(drawn):
     case, outaged = drawn
     assert_matches_plain_splu(case, [Contingency.of("c", outaged),
                                      Contingency.of("one", outaged[:1])])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(networks())
+def test_panel_size_1_matches_default_panel_on_generated_networks(drawn):
+    case, outaged = drawn
+    assert_matches_default_panel(case, [Contingency.of("c", outaged),
+                                        Contingency.of("one", outaged[:1])])
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -16,6 +16,7 @@ from rocofscreen import (Contingency, SingularOutageError, ZeroInertiaError,
 from rocofscreen.case_model import (Branch, Bus, Generator, GridCase,
                                     InputError, Load)
 from rocofscreen.netdyn import norton_currents
+from rocofscreen.scenarios import apply_loading_case, generate_loading_cases
 from conftest import case9_with_bus10, currents, make_fleet_case, make_grid_case
 
 
@@ -358,6 +359,104 @@ def test_symmetric_ordering_matches_plain_splu_on_5041_buses():
                                                         replace=False))
                      for j in range(8)]
     assert_matches_plain_splu(case, contingencies)
+
+
+def screened_with_fill(case, contingencies):
+    """solve_powerflow, augment_dynamic, init_machines and the batch screen
+    of the contingencies. Returns the power-flow solution, the fill (L + U
+    entries) of every SuperLU factorization made, the Newton Jacobians'
+    in order and then y_dyn's, and the batch."""
+    fill = []
+
+    def splu(matrix, **kwargs):
+        lu = spla.splu(matrix, **kwargs)
+        fill.append(lu.nnz)
+        return lu
+
+    spy = SimpleNamespace(splu=splu)
+    with mock.patch.object(powerflow, "spla", spy), \
+            mock.patch.object(netdyn, "spla", spy):
+        sol = solve_powerflow(case)
+        model = augment_dynamic(sol.ybus, case, sol)
+        states = init_machines(model, case, sol)
+    return sol, fill, locational_rocof_batch(model, states, contingencies)
+
+
+def assert_matches_default_panel(case, contingencies) -> float:
+    """The map and batch screen on the SUPERLU_OPTIONS factorizations (panel
+    size 1) against the ones on the options that panel size 1 replaced: the
+    same dicts without panel_size, so SuperLU's default panel of 10. netdyn
+    binds SUPERLU_OPTIONS at import, so it is patched there too. Asserts the
+    same Newton iterations, both final mismatches within the default
+    tolerance, voltages within 1e-10 pu, the same fill of every
+    factorization, the same undefined buses and bus ROCOF within 1e-9 Hz/s.
+    Returns the largest bus ROCOF gap, Hz/s."""
+    def replaced(options):
+        return {k: v for k, v in options.items() if k != "panel_size"}
+
+    sol, fill, batch = screened_with_fill(case, contingencies)
+    with mock.patch.object(powerflow, "SUPERLU_OPTIONS",
+                           replaced(powerflow.SUPERLU_OPTIONS)), \
+            mock.patch.object(powerflow, "PREORDERED_OPTIONS",
+                              replaced(powerflow.PREORDERED_OPTIONS)), \
+            mock.patch.object(netdyn, "SUPERLU_OPTIONS",
+                              replaced(netdyn.SUPERLU_OPTIONS)):
+        old_sol, old_fill, old_batch = screened_with_fill(case, contingencies)
+    assert sol.iterations == old_sol.iterations
+    assert max(sol.max_mismatch_pu, old_sol.max_mismatch_pu) <= 1e-8
+    assert np.max(np.abs(sol.v - old_sol.v)) <= 1e-10
+    assert fill == old_fill and len(fill) == sol.iterations + 1
+    new, old = batch.bus_rocof_hz_s, old_batch.bus_rocof_hz_s
+    assert np.array_equal(np.isnan(new), np.isnan(old))
+    gap = float(np.max(np.abs(new - old), initial=0.0, where=~np.isnan(new)))
+    assert gap <= 1e-9
+    return gap
+
+
+def drawn_contingencies(case, m, seed):
+    """m seeded losses of 1-4 of the case's in-service synchronous units,
+    each leaving at least one."""
+    units = [g.id for g in case.generators if g.status and g.synchronous]
+    rng = np.random.default_rng(seed)
+    return [Contingency.of(f"c{j}", rng.choice(units, min(j % 4 + 1, len(units) - 1),
+                                               replace=False))
+            for j in range(m)]
+
+
+def test_panel_size_1_matches_default_panel_on_5041_buses(grid71):
+    case = grid71[0]
+    assert_matches_default_panel(case, drawn_contingencies(case, 100, 4))
+
+
+def test_panel_size_1_matches_default_panel_on_fleet_loading_cases(fleet_case):
+    loading = generate_loading_cases(fleet_case, 25, (15000.0, 75000.0),
+                                     (10000.0, 30000.0))
+    for lc in (loading[0], loading[12], loading[24]):
+        case = apply_loading_case(fleet_case, lc)
+        assert_matches_default_panel(case, drawn_contingencies(case, 40, 5))
+
+
+def test_every_factorization_passes_panel_size_1(case9, fleet_case):
+    # the Newton Jacobian's ordering factorization, its relabelled ones and
+    # y_dyn's: each splu site must take SUPERLU_OPTIONS' panel size
+    calls = []
+
+    def spy(module):
+        def splu(matrix, **kwargs):
+            calls.append((module, kwargs.get("permc_spec"),
+                          kwargs.get("panel_size")))
+            return spla.splu(matrix, **kwargs)
+        return SimpleNamespace(splu=splu)
+
+    with mock.patch.object(powerflow, "spla", spy("powerflow")), \
+            mock.patch.object(netdyn, "spla", spy("netdyn")):
+        for case in (case9, fleet_case):
+            sol = solve_powerflow(case)
+            augment_dynamic(sol.ybus, case, sol)
+    assert {call[:2] for call in calls} >= {("powerflow", "MMD_AT_PLUS_A"),
+                                            ("powerflow", "NATURAL"),
+                                            ("netdyn", "MMD_AT_PLUS_A")}
+    assert [call[2] for call in calls] == [1] * len(calls)
 
 
 @pytest.mark.parametrize("rel", [1e-6, 1e-9, 1e-12])
