@@ -136,7 +136,8 @@ class NetworkModel:
     apply outages and load trips to it by compensation, never by
     refactoring. ``solve_count`` counts linear solves and ``factor_count``
     sparse LU factorizations made on this model; the cached factorization
-    and machine-bus block count once, when made.
+    counts once, when made, and a cached unit column (``unit_columns``)
+    once, when it is solved.
     """
 
     case: GridCase
@@ -159,6 +160,11 @@ class NetworkModel:
     factor_count: int = 0
     _lu: CountingLU | None = field(default=None, repr=False)
     _block: np.ndarray | None = field(default=None, repr=False)
+    # the unit columns solved so far: each bus's row in the buffer (n_bus
+    # when not solved), the buffer, filled in order of first request, and
+    # the number of rows in use
+    _unit: tuple[np.ndarray, np.ndarray, int] | None = field(
+        default=None, compare=False, repr=False)
 
     @property
     def n_bus(self) -> int:
@@ -196,15 +202,47 @@ class NetworkModel:
         among them."""
         return np.unique(self.machine_bus, return_inverse=True)
 
+    def unit_columns(self, buses: np.ndarray) -> np.ndarray:
+        """Y^-1 e_b for each of the distinct bus positions b, one row per b:
+        the voltages per unit current injected at b (Y is complex symmetric,
+        so this column of Y^-1 is also its row). The buses not requested
+        before are solved together, in one solve on the factorization, and
+        kept for the model's life: one row per distinct bus ever requested,
+        so repeated screens of the same units solve nothing here. Read-only.
+        """
+        n = self.n_bus
+        if self._unit is None:      # room for a row per machine to start
+            self._unit = (np.full(n, n), np.empty(
+                (min(self.machine_bus.size, n), n), dtype=complex), 0)
+        row_of, rows, count = self._unit
+        try:
+            out = rows[row_of[buses]]
+        except IndexError:  # an unsolved bus's row, n, is past the buffer's end
+            new = buses[row_of[buses] == n]
+            rhs = np.zeros((new.size, n), dtype=complex)
+            rhs[np.arange(new.size), new] = 1.0
+            if count + new.size > len(rows):    # grow by doubling, to n rows
+                kept = rows[:count]
+                rows = np.empty((min(max(2 * len(rows), count + new.size), n), n),
+                                dtype=complex)
+                rows[:count] = kept
+            rows[count:count + new.size] = self.factorize().solve(rhs.T).T
+            row_of[new] = np.arange(count, count + new.size)
+            self._unit = row_of, rows, count + new.size
+            out = rows[row_of[buses]]
+        out.flags.writeable = False
+        return out
+
     def machine_bus_block(self) -> np.ndarray:
         """The machine-bus block of Y^-1: row i, column p is the voltage at
-        the i-th distinct machine bus per unit current of machine p. Solved
-        once on the factorization and cached (read-only)."""
+        the i-th distinct machine bus per unit current of machine p. Read
+        from ``unit_columns`` once and cached (read-only)."""
         if self._block is None:
             m_bus, m_slot = self.machine_bus_slots
-            unit_cols = np.zeros((self.n_bus, m_bus.size), dtype=complex)
-            unit_cols[m_bus, np.arange(m_bus.size)] = 1.0
-            self._block = self.factorize().solve(unit_cols)[m_bus][:, m_slot]
+            # column-major, as SuperLU returns solved columns: a product
+            # with the block rounds by its layout
+            self._block = np.asfortranarray(
+                self.unit_columns(m_bus)[m_slot][:, m_bus].T)
             self._block.flags.writeable = False
         return self._block
 

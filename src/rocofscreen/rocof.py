@@ -1,14 +1,19 @@
 """System-wide and per-bus theoretical ROCOF after generation-loss events.
 
 The per-bus screen takes a batch of contingencies (a single screen is a
-batch of one) and runs in exactly two multi-right-hand-side sparse solves
+batch of one) and runs in at most two multi-right-hand-side sparse solves
 per batch against the base factorization of the network model, whatever
 the batch size; solve 1 has one right-hand side per distinct outaged bus
-of the batch, and solve 2 one per contingency:
+of the batch that the model has not solved before, and solve 2 one per
+contingency:
 
-1. solve 1 gives the columns Z = Y^-1 E at the outaged buses. The
-   post-disturbance voltages V follow from the pre-disturbance ones,
-   v_bus = Y^-1 I, which the machine states carry (netdyn.init_machines):
+1. solve 1 gives the columns Z = Y^-1 E at the outaged buses. They depend
+   on the buses alone, not on the contingency, so the model keeps them
+   (NetworkModel.unit_columns): a bus's column is solved once per model,
+   and a batch whose outaged buses were all screened before makes no
+   solve 1. The post-disturbance voltages V follow from the
+   pre-disturbance ones, v_bus = Y^-1 I, which the machine states carry
+   (netdyn.init_machines):
    the outaged machines' currents enter only at their own buses, so
    removing them subtracts Z times those currents, and removing their
    Norton shunts is a rank-k change to the diagonal, applied by
@@ -171,14 +176,15 @@ def locational_rocof(model: NetworkModel, states: MachineStates,
                      contingency: Contingency) -> RocofResult:
     """Theoretical per-bus ROCOF for one machine-loss contingency.
 
-    Costs exactly two sparse linear solves against the base factorization
+    Costs at most two sparse linear solves against the base factorization
     (one for the voltages, one for the voltage second derivative); solve 1
-    has k right-hand sides, the unit columns at the k distinct outaged
-    buses, and no current: the voltages start from the states' own
-    (MachineStates.v_bus). Islands that lose their last machine are
-    reported as undefined rather than diverging; see RocofResult. Raises
-    SingularOutageError when the outage leaves a singular network. This is
-    the batch screen with one contingency.
+    has a right-hand side per distinct outaged bus whose unit column the
+    model has not solved yet (none on a repeat), and no current: the
+    voltages start from the states' own (MachineStates.v_bus). Islands that
+    lose their last machine are reported as undefined rather than
+    diverging; see RocofResult. Raises SingularOutageError when the outage
+    leaves a singular network. This is the batch screen with one
+    contingency.
     """
     (mw_lost, sys_rocof, bus_rocof, wdot, v_post, islands, errors,
      n_solves) = _screen(model, states, [contingency], single=True)
@@ -202,14 +208,15 @@ def locational_rocof_batch(model: NetworkModel, states: MachineStates,
                            contingencies: list[Contingency]) -> RocofBatch:
     """Theoretical per-bus ROCOF for m contingencies screened together.
 
-    Two multi-right-hand-side solves against the base factorization for the
-    whole batch. Solve 1 is [e_U], U the union of the outaged buses in live
-    islands (no columns when there are none); each contingency's
-    capacitance matrix, padded to the largest one, is solved in one stacked
-    dense solve; solve 2 has the m injection second derivatives. A
-    contingency that cannot be screened (an unknown machine, a singular
-    network, no inertia left) gets its exception in RocofBatch.errors and
-    NaN columns; the other columns are unaffected.
+    At most two multi-right-hand-side solves against the base factorization
+    for the whole batch. Solve 1 is [e_U], U the union of the outaged buses
+    in live islands, less the buses whose columns the model keeps from
+    earlier screens and runs (no solve when that leaves none); each
+    contingency's capacitance matrix, padded to the largest one, is solved
+    in one stacked dense solve; solve 2 has the m injection second
+    derivatives. A contingency that cannot be screened (an unknown machine,
+    a singular network, no inertia left) gets its exception in
+    RocofBatch.errors and NaN columns; the other columns are unaffected.
     """
     (mw_lost, sys_rocof, bus_rocof, wdot, v_post, islands, errors,
      n_solves) = _screen(model, states, contingencies)
@@ -296,10 +303,7 @@ def _screen(model: NetworkModel, states: MachineStates,
     d_rhs[row, slot, k_max] = i_bus[row, bus] + d * states.v_bus[bus]
     z_of = np.searchsorted(union, bus_of)
 
-    rhs = np.zeros((union.size, n), dtype=complex)
-    rhs[np.arange(union.size), union] = 1.0
-    lu = model.factorize()
-    z = lu.solve(rhs.T).T                                    # solve 1
+    z = model.unit_columns(union)           # solve 1, for buses not yet cached
     # a padded row of C is a unit row (d = 0), so the padding solves to
     # zero: C^-1 D vanishes outside j's k_j x k_j block, and C is singular
     # only if that block is. z_j[j, s] is the column of Z at j's slot s (a
@@ -337,7 +341,7 @@ def _screen(model: NetworkModel, states: MachineStates,
     # an outaged machine has zero acceleration here, so no injection
     idd = model.to_buses(injection_derivatives(currents, states.delta,
                                                np.where(active, accel, 0.0)))
-    v_ddot = lu.solve(idd.reshape(m, n).T).T                   # solve 2
+    v_ddot = model.factorize().solve(idd.reshape(m, n).T).T    # solve 2
     coef = np.einsum("jst,jt->js", c_inv_d, v_ddot[np.arange(m)[:, None], bus_of])
     v_ddot = v_ddot - np.einsum("js,jsn->jn", coef, z_j)
     if any_dead:

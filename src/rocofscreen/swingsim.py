@@ -9,10 +9,11 @@ traces and the monitors need every bus), and the later stages add the
 change in machine currents through the machine-bus block of Y^-1 (the
 classical model reduced to its machine buses, in increment form). The
 outage and each load trip change bus diagonals, applied by compensation of
-the model's one factorization, as the screen applies an outage. Governors
-and exciters are absent by design, isolating the inertial response, so this
-serves as the validation oracle for the theoretical ROCOF screen and as the
-engine for load-shedding studies.
+the model's one factorization, as the screen applies an outage, with the
+unit columns the model keeps for the screen (NetworkModel.unit_columns).
+Governors and exciters are absent by design, isolating the inertial
+response, so this serves as the validation oracle for the theoretical ROCOF
+screen and as the engine for load-shedding studies.
 
 The integrator advances one stacked state [delta; omega], whose two
 right-hand sides are scaled by per-machine rates Omega_s and 1/(2H). At
@@ -220,17 +221,15 @@ class _CompensatedNetwork:
         self.z = self.g = np.zeros((model.n_bus, 0), dtype=complex)
 
     def add(self, bus: np.ndarray, change: np.ndarray) -> bool:
-        """Add changes at bus positions, with one solve for the columns of
-        new buses; says whether the network changed."""
+        """Add changes at bus positions, reading the columns of new buses
+        from the model's unit columns; says whether the network changed."""
         keep = (change != 0) & ~self.dead[bus]
         if not keep.any():
             return False
         bus, change = bus[keep], change[keep]
         new = np.setdiff1d(bus, self.bus)
         if new.size:
-            cols = np.zeros((self.model.n_bus, new.size), dtype=complex)
-            cols[new, np.arange(new.size)] = 1.0
-            self.z = np.hstack((self.z, self.lu.solve(cols)))
+            self.z = np.hstack((self.z, self.model.unit_columns(new).T))
             self.bus, self.d = np.r_[self.bus, new], np.r_[self.d, np.zeros(new.size)]
         np.add.at(self.d, np.argmax(bus[:, None] == self.bus, axis=1), change)
         cap = np.eye(self.bus.size) + self.d[:, None] * self.z[self.bus]
@@ -263,7 +262,9 @@ def simulate(model: NetworkModel, states: MachineStates,
 
     Each step makes one solve on the model's factorization, which is never
     refactored: the outage and each trip that sheds a load shunt are
-    compensations (_CompensatedNetwork), one solve each for their new buses.
+    compensations (_CompensatedNetwork). Their columns are the model's unit
+    columns, solved once per model: the outaged buses' with the machine-bus
+    block, and a shed load's bus at its first trip.
     """
     solves_before = model.solve_count
     nm, nb = len(model.machine_ids), model.n_bus

@@ -124,8 +124,10 @@ def test_criterion_4_linearity_in_inertia(case9, capsys):
 
 
 def test_criterion_5_two_solves_and_speed(capsys):
-    """Exactly two counted solves and no factorization per scenario; at
-    least 10x faster than one Newton power flow on a >=5000-bus case."""
+    """Exactly two counted solves and no factorization per scenario whose
+    outaged buses are new to the model, one for a repeat; at least 10x
+    faster than one Newton power flow on a >=5000-bus case, timed on the
+    new scenarios."""
     case = make_grid_case(side=71)
     assert len(case.buses) >= 5000
 
@@ -138,8 +140,9 @@ def test_criterion_5_two_solves_and_speed(capsys):
     units = [g.id for g in case.generators]
     # warm-up then measure
     locational_rocof(model, states, Contingency.of("w", units[0:2]))
+    # ten scenarios on buses not screened before, then each again
     counts, factors, times = [], [], []
-    for k in range(10):
+    for k in list(range(10)) * 2:
         ctg = Contingency.of(f"c{k}", units[4 * k + 2:4 * k + 5])
         before = model.solve_count
         factors_before = model.factor_count
@@ -148,15 +151,17 @@ def test_criterion_5_two_solves_and_speed(capsys):
         times.append(time.perf_counter() - t0)
         counts.append(model.solve_count - before)
         factors.append(model.factor_count - factors_before)
-    t_scenario = float(np.median(times))
+    t_scenario = float(np.median(times[:10]))
     ratio = t_pf / t_scenario
-    ok = all(c == 2 for c in counts) and ratio >= 10.0
+    ok = counts == [2] * 10 + [1] * 10 and ratio >= 10.0
     ok = ok and all(f == 0 for f in factors)
     with capsys.disabled():
         report(5, ok, f"{len(case.buses)} buses: solve count per scenario "
-                      f"{sorted(set(counts))}, factorizations "
-                      f"{sorted(set(factors))}; scenario {t_scenario*1e3:.1f} ms "
-                      f"vs power flow {t_pf*1e3:.0f} ms ({ratio:.1f}x)")
+                      f"{sorted(set(counts[:10]))} new, {sorted(set(counts[10:]))} "
+                      f"repeated, factorizations {sorted(set(factors))}; new "
+                      f"scenario {t_scenario*1e3:.1f} ms, repeated "
+                      f"{np.median(times[10:])*1e3:.1f} ms vs power flow "
+                      f"{t_pf*1e3:.0f} ms ({ratio:.1f}x)")
 
 
 def test_criterion_6_synthesis_statistics(capsys):

@@ -237,9 +237,10 @@ def test_simulate_command(tmp_path, capsys):
     assert out.exists()
     assert (tmp_path / "sim.csv.events.csv").exists()
     assert "nadir" in text
-    # 121 steps, the machine-bus block, and the outaged bus's column for
-    # the compensation; the model's one factorization is made before the run
-    assert "(123 sparse solves);" in text
+    # 121 steps and the machine-bus block, whose solve gives the outaged
+    # bus's column for the compensation too; the model's one factorization
+    # is made before the run
+    assert "(122 sparse solves);" in text
 
 
 def test_simulate_zero_inertia_exits_2(tmp_path, capsys):

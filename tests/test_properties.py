@@ -11,8 +11,9 @@ from rocofscreen.case_model import Branch, Bus, Generator, Load, island_labels
 from rocofscreen.scenarios import _column_stats, finite_difference_rocof
 from test_netdyn import assert_builders_match_loops, loop_island_labels
 from test_powerflow import assert_newton_matches_reference
-from test_rocof import (assert_matches_current_columns, assert_matches_default_panel,
-                        assert_matches_plain_splu, built_model, refactor_reference)
+from test_rocof import (assert_cache_changes_no_bit, assert_matches_current_columns,
+                        assert_matches_default_panel, assert_matches_plain_splu,
+                        built_model, refactor_reference)
 from test_swingsim import (assert_matches_four_solve_step, assert_matches_refactoring,
                            assert_matches_two_array_loop)
 
@@ -86,6 +87,17 @@ def test_voltage_start_matches_current_columns_on_generated_networks(drawn):
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(networks())
+def test_cached_unit_columns_change_no_bit_on_generated_networks(drawn):
+    # losses that share buses, so later screens read columns that earlier
+    # ones solved, and the empty loss
+    case, outaged = drawn
+    assert_cache_changes_no_bit(case, [
+        Contingency.of("one", outaged[:1]), Contingency.of("c", outaged),
+        Contingency.of("rest", outaged[1:]), Contingency.of("null", [])])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(networks())
 def test_symmetric_ordering_matches_plain_splu_on_generated_networks(drawn):
     case, outaged = drawn
     assert_matches_plain_splu(case, [Contingency.of("c", outaged),
@@ -145,8 +157,7 @@ def test_simulator_compensation_matches_refactoring_on_generated_networks(drawn)
 def test_stacked_state_matches_two_array_loop_on_generated_networks(drawn):
     # the outaged machines' zeroed rates leave their columns as np.where did
     case, outaged = drawn
-    model, states = built_model(case)
-    assert_matches_two_array_loop(model, states, Contingency.of("c", outaged),
+    assert_matches_two_array_loop(case, Contingency.of("c", outaged),
                                   SimOptions(t_end=0.5))
 
 

@@ -108,12 +108,14 @@ def test_empty_contingency_is_null(solved9):
     assert res.mw_lost == 0.0
 
 
-def test_two_solves_per_contingency(solved9):
-    case, sol, model, states = solved9
-    before = model.solve_count
-    res = locational_rocof(model, states, Contingency.of("c", ["gen3"]))
-    assert model.solve_count - before == 2
-    assert res.n_solves == model.solve_count - before
+def test_two_solves_per_contingency(case9):
+    # a fresh model: solve 1 solves gen3's bus column once, and a repeat
+    # reads it from the model's unit columns
+    model, states = built_model(case9)
+    for solves in (2, 1):
+        before = model.solve_count
+        res = locational_rocof(model, states, Contingency.of("c", ["gen3"]))
+        assert model.solve_count - before == res.n_solves == solves
 
 
 def test_gen3_outage_aggregation_consistency(solved9):
@@ -282,7 +284,10 @@ def refactor_reference(model, states, contingency):
     return rocof, v, wdot, islands
 
 
-def assert_matches_refactoring(model, states, contingency):
+def assert_matches_refactoring(model, states, contingency, solves):
+    """The screen against refactor_reference, and its solve count: 2 when
+    the contingency has a live outaged bus whose unit column the model has
+    not solved yet, else 1."""
     res = locational_rocof(model, states, contingency)
     rocof, v, wdot, islands = refactor_reference(model, states, contingency)
     assert np.array_equal(np.isnan(res.bus_rocof_hz_s), np.isnan(rocof))
@@ -292,7 +297,7 @@ def assert_matches_refactoring(model, states, contingency):
     assert np.array_equal(np.isnan(res.machine_accel), np.isnan(wdot))
     np.testing.assert_allclose(res.machine_accel, wdot, rtol=0, atol=1e-12)
     assert res.undefined_islands == islands
-    assert res.n_solves == 2
+    assert res.n_solves == solves
     return res
 
 
@@ -302,24 +307,30 @@ def test_compensation_matches_refactoring_on_grid():
     plant = units[2][:-2]                       # "g<bus>" of the second plant
     cases = [[units[5]], [plant + "u0", plant + "u1"],
              units[10:13], [units[20], units[21], units[30]], []]
-    for k, ids in enumerate(cases):
-        assert_matches_refactoring(model, states, Contingency.of(f"c{k}", ids))
+    # each loss reaches a bus not screened before; the empty one makes
+    # solve 2 alone
+    for k, (ids, solves) in enumerate(zip(cases, [2, 2, 2, 2, 1])):
+        assert_matches_refactoring(model, states, Contingency.of(f"c{k}", ids),
+                                   solves)
 
 
 def test_compensation_matches_refactoring_on_fleet():
     model, states = built_model(make_fleet_case(1))
     units = model.machine_ids
-    for k, ids in enumerate([units[:1], units[3:5], units[7:10], []]):
-        assert_matches_refactoring(model, states, Contingency.of(f"c{k}", ids))
+    for k, (ids, solves) in enumerate(zip([units[:1], units[3:5], units[7:10], []],
+                                          [2, 2, 2, 1])):
+        assert_matches_refactoring(model, states, Contingency.of(f"c{k}", ids),
+                                   solves)
 
 
 @pytest.mark.parametrize("load_on_island_b", [True, False])
 @pytest.mark.parametrize("outage", [["gA"], ["gB"], []])
 def test_compensation_matches_refactoring_with_dead_island(load_on_island_b,
                                                            outage):
+    # each loss kills its island, so solve 1 has no live outaged bus
     model, states = built_model(two_island_case(load_on_island_b))
     res = assert_matches_refactoring(model, states,
-                                     Contingency.of("c", outage))
+                                     Contingency.of("c", outage), 1)
     assert len(res.undefined_islands) == len(outage)
 
 
@@ -489,15 +500,17 @@ def test_singular_outage_is_numerical(solved9, monkeypatch):
     assert not issubclass(SingularOutageError, ValueError)
 
 
-def test_screens_make_no_factorization(solved9):
-    case, sol, model, states = solved9
-    before = (model.factor_count, model.solve_count)
+def test_screens_make_no_factorization(case9):
+    # on a fresh model, solve 1 is made only by the first screen of each
+    # machine bus; solve 2 by every screen
+    model, states = built_model(case9)
+    factors = model.factor_count
     ids = [[], ["gen1"], ["gen2"], ["gen3"], ["gen1", "gen2"],
            ["gen1", "gen3"], ["gen2", "gen3"], ["gen3"], ["gen2"], ["gen1"]]
-    for k, gids in enumerate(ids):
-        locational_rocof(model, states, Contingency.of(f"c{k}", gids))
-    assert model.factor_count == before[0]
-    assert model.solve_count == before[1] + 2 * len(ids)
+    solves = [locational_rocof(model, states, Contingency.of(f"c{k}", gids)).n_solves
+              for k, gids in enumerate(ids)]
+    assert solves == [1, 2, 2, 2, 1, 1, 1, 1, 1, 1]
+    assert model.factor_count == factors
 
 
 def current_column_screen(model, states, contingencies):
@@ -551,13 +564,14 @@ def current_column_screen(model, states, contingencies):
     return rocof, wdot, v_post
 
 
-def assert_matches_current_columns(model, states, contingencies):
+def assert_matches_current_columns(model, states, contingencies, solves=2):
     """The batch and each single screen against current_column_screen: bus
     ROCOF within 1e-9 Hz/s, the same undefined buses, and the machine
-    accelerations and voltages, on every row that screens."""
+    accelerations and voltages, on every row that screens. The batch comes
+    first on the model, and makes the given number of solves."""
     rocof, wdot, v_post = current_column_screen(model, states, contingencies)
     batch = locational_rocof_batch(model, states, contingencies)
-    assert batch.n_solves == 2
+    assert batch.n_solves == solves
     rows = [j for j, e in enumerate(batch.errors) if e is None]
     singles = [locational_rocof(model, states, contingencies[j]) for j in rows]
     for got in ((batch.bus_rocof_hz_s.T[rows], batch.machine_accel.T[rows],
@@ -572,8 +586,8 @@ def assert_matches_current_columns(model, states, contingencies):
     return batch
 
 
-def test_voltage_start_matches_current_columns_on_nine_bus(solved9):
-    case, sol, model, states = solved9
+def test_voltage_start_matches_current_columns_on_nine_bus(case9):
+    model, states = built_model(case9)
     ids = [[], ["gen1"], ["gen2"], ["gen3"], ["gen1", "gen2"],
            ["gen1", "gen3"], ["gen2", "gen3"], ["gen1", "gen2", "gen3"],
            ["gen9"]]
@@ -586,10 +600,11 @@ def test_voltage_start_matches_current_columns_on_nine_bus(solved9):
 @pytest.mark.parametrize("load_on_island_b", [True, False])
 def test_voltage_start_matches_current_columns_with_dead_islands(
         load_on_island_b):
+    # no loss leaves its bus in a live island: solve 2 alone
     model, states = built_model(two_island_case(load_on_island_b))
     batch = assert_matches_current_columns(model, states, [
         Contingency.of("a", ["gA"]), Contingency.of("b", ["gB"]),
-        Contingency.of("none", []), Contingency.of("x", ["gX"])])
+        Contingency.of("none", []), Contingency.of("x", ["gX"])], solves=1)
     assert [len(i) for i in batch.undefined_islands] == [1, 1, 0, 0]
 
 
@@ -620,10 +635,11 @@ def solve_shapes(monkeypatch) -> list:
     return shapes
 
 
-def test_solve_1_has_a_column_per_outaged_bus(solved9, monkeypatch):
-    # solve 1 carries the unit columns of the live outaged buses and no
-    # current; solve 2 one column per contingency
-    case, sol, model, states = solved9
+def test_solve_1_has_a_column_per_outaged_bus(case9, monkeypatch):
+    # solve 1 carries the unit columns of the live outaged buses that the
+    # model has not solved before, and no current; solve 2 one column per
+    # contingency
+    model, states = built_model(case9)
     widths = solve_shapes(monkeypatch)
     batch = locational_rocof_batch(model, states, [
         Contingency.of("a", ["gen1"]), Contingency.of("b", ["gen2"]),
@@ -632,11 +648,16 @@ def test_solve_1_has_a_column_per_outaged_bus(solved9, monkeypatch):
     widths.clear()
     assert locational_rocof(model, states, Contingency.of("c", ["gen3"])).n_solves == 2
     assert widths == [(9, 1), (9, 1)]
-    # no live outaged bus: solve 1 is empty, and still counts
+    # every outaged bus solved before: no solve 1
+    widths.clear()
+    batch = locational_rocof_batch(model, states, [
+        Contingency.of("a", ["gen1"]), Contingency.of("bc", ["gen2", "gen3"])])
+    assert widths == [(9, 2)] and batch.n_solves == 1
+    # no live outaged bus: no solve 1 either
     widths.clear()
     batch = locational_rocof_batch(model, states, [
         Contingency.of("none", []), Contingency.of("x", ["gen9"])])
-    assert widths == [(9, 0), (9, 2)] and batch.n_solves == 2
+    assert widths == [(9, 2)] and batch.n_solves == 1
     assert np.all(np.abs(batch.bus_rocof_hz_s[:, 0]) < 1e-9)
 
 
@@ -644,7 +665,7 @@ def test_solve_1_is_empty_when_the_outage_kills_its_island(monkeypatch):
     model, states = built_model(two_island_case(True))
     widths = solve_shapes(monkeypatch)
     res = locational_rocof(model, states, Contingency.of("b", ["gB"]))
-    assert widths == [(3, 0), (3, 1)] and res.n_solves == 2
+    assert widths == [(3, 1)] and res.n_solves == 1
     assert res.undefined_islands == [[3]]
 
 
@@ -652,3 +673,101 @@ def test_solve_1_is_empty_when_the_outage_kills_its_island(monkeypatch):
 def test_system_rocof_rejects_a_loss_that_is_not_finite(case9, loss):
     with pytest.raises(InputError, match="p_loss_mw must be finite"):
         system_rocof(case9, loss)
+
+
+# --- the model's cached unit columns against the solve they replaced ---------
+
+def uncached_unit_columns(model, buses):
+    """NetworkModel.unit_columns without its cache, as solve 1 was before
+    the model kept its unit columns: every call solves every bus given."""
+    rhs = np.zeros((len(buses), model.n_bus), dtype=complex)
+    rhs[np.arange(len(buses)), buses] = 1.0
+    return model.factorize().solve(rhs.T).T
+
+
+def fresh_model(case, sol):
+    model = augment_dynamic(sol.ybus, case, sol)
+    return model, init_machines(model, case, sol)
+
+
+def screened_bytes(model, states, contingencies, cycles):
+    """The contingencies screened singly, cycles times over, then as one
+    batch: (bus ROCOF, machine accelerations, post-disturbance voltages),
+    one row per contingency, for each cycle and the batch."""
+    out = []
+    for _ in range(cycles):
+        singles = [locational_rocof(model, states, c) for c in contingencies]
+        out.append(tuple(np.array([getattr(r, name) for r in singles]) for name in
+                         ("bus_rocof_hz_s", "machine_accel",
+                          "post_disturbance_voltages")))
+    batch = locational_rocof_batch(model, states, contingencies)
+    out.append((batch.bus_rocof_hz_s.T, batch.machine_accel.T,
+                batch.post_disturbance_voltages.T))
+    return out
+
+
+def assert_cache_changes_no_bit(case, contingencies, model=None, states=None):
+    """Screens through the model's unit columns against the uncached path on
+    a fresh model, bit for bit: each contingency singly in two cycles (the
+    first solves the buses new to the model, the second reads them all),
+    then the batch (warm), on the given model or a fresh one; and the batch
+    alone on a fresh model (cold)."""
+    sol = solve_powerflow(case)
+    if model is None:
+        model, states = fresh_model(case, sol)
+    with mock.patch.object(netdyn.NetworkModel, "unit_columns",
+                           uncached_unit_columns):
+        ref = screened_bytes(*fresh_model(case, sol), contingencies, cycles=1)
+    cold_batch = screened_bytes(*fresh_model(case, sol), contingencies, cycles=0)
+    for got, want in zip(screened_bytes(model, states, contingencies, 2) + cold_batch,
+                         [ref[0], ref[0], ref[1], ref[1]]):
+        for new, old in zip(got, want):
+            assert np.array_equal(new, old, equal_nan=True)
+
+
+def test_cached_unit_columns_change_no_bit_on_5041_buses(grid71):
+    # the shared grid71 model, with whatever unit columns earlier tests
+    # left on it
+    case, model, states = grid71
+    assert_cache_changes_no_bit(case, drawn_contingencies(case, 100, 6),
+                                model, states)
+
+
+def test_cached_unit_columns_change_no_bit_on_fleet_loading_cases(fleet_case):
+    loading = generate_loading_cases(fleet_case, 25, (15000.0, 75000.0),
+                                     (10000.0, 30000.0))
+    for lc in (loading[0], loading[24]):
+        assert lc.id in ("lc000", "lc024")
+        case = apply_loading_case(fleet_case, lc)
+        assert_cache_changes_no_bit(case, drawn_contingencies(case, 60, 7))
+
+
+def test_unit_columns_hold_the_union_of_live_outaged_buses(fleet_case):
+    model, states = built_model(fleet_case)
+    cache = next(f for f in dataclasses.fields(model) if f.name == "_unit")
+    assert not (cache.compare or cache.repr)
+    contingencies = drawn_contingencies(fleet_case, 12, 8)
+    expected = set()
+    for k, c in enumerate(contingencies):
+        solves = model.solve_count
+        locational_rocof(model, states, c)
+        buses = set(model.machine_bus[model.machine_positions(
+            c.outaged_generator_ids)].tolist())
+        assert model.solve_count - solves == (2 if buses - expected else 1)
+        expected |= buses
+        row_of, _, count = model._unit
+        solved = row_of < model.n_bus
+        assert set(np.flatnonzero(solved).tolist()) == expected
+        # one row per bus, in the order first requested
+        assert count == len(expected)
+        assert sorted(row_of[solved].tolist()) == list(range(count))
+    solves = model.solve_count
+    rows = model.unit_columns(np.array(sorted(expected)))
+    assert model.solve_count == solves and not rows.flags.writeable
+    inverse = np.linalg.inv(model.y_dyn.toarray())
+    np.testing.assert_allclose(rows, inverse[sorted(expected)], rtol=0, atol=1e-10)
+    # a loss that kills its island adds no bus
+    model, states = built_model(two_island_case(True))
+    for c in (["gB"], ["gA"]):
+        locational_rocof(model, states, Contingency.of("c", c))
+    assert model._unit is None or model._unit[2] == 0

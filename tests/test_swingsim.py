@@ -316,12 +316,58 @@ def test_simulate_compensates_once_per_outage_and_trip(case9):
                    SimOptions(t_end=6.0, damping_d=2.0))
     trip_steps = {e.time_s for e in sim.events}
     assert trip_steps
-    # one solve for the outaged buses' columns and one per trip step, each
-    # of which sheds a load at a bus not changed before; the one
-    # factorization is the model's own
+    # the outaged buses' columns are the block's, solved already; one solve
+    # per trip step, each of which sheds a load at a bus not changed before
+    # and not a machine bus; the one factorization is the model's own
     steps = len(sim.time_s)
-    assert model.solve_count - solves == sim.n_solves == steps + 1 + len(trip_steps)
+    assert model.solve_count - solves == sim.n_solves == steps + len(trip_steps)
     assert model.factor_count == 1
+    # a repeat reads the shed buses' columns from the model too
+    solves = model.solve_count
+    again = simulate(model, states, Contingency.of("big", ["gen2", "gen3"]),
+                     SimOptions(t_end=6.0, damping_d=2.0))
+    assert model.solve_count - solves == again.n_solves == steps
+    assert np.array_equal(again.bus_freq_hz, sim.bus_freq_hz)
+
+
+def assert_order_changes_no_bit(case, contingency, opts):
+    """A screen and a run of the contingency on one model, in either order,
+    against each on a fresh model, bit for bit, with the same trip log: the
+    unit columns that one of them solves and the other reads are the ones
+    it would have solved itself."""
+    def screen(model, states):
+        res = locational_rocof(model, states, contingency)
+        return [res.bus_rocof_hz_s, res.machine_accel,
+                res.post_disturbance_voltages], []
+
+    def run(model, states):
+        sim = simulate(model, states.copy(), contingency, opts)
+        return [sim.delta, sim.omega, sim.bus_angle_rad, sim.bus_freq_hz], sim.events
+
+    fresh = [screen(*built_model(case)), run(*built_model(case))]
+    model, states = built_model(case)
+    screen_first = [screen(model, states), run(model, states)]
+    model, states = built_model(case)
+    sim_first = run(model, states)
+    for got in (screen_first, [screen(model, states), sim_first]):
+        for (arrays, events), (old_arrays, old_events) in zip(got, fresh):
+            assert events == old_events
+            for new, old in zip(arrays, old_arrays):
+                assert np.array_equal(new, old, equal_nan=True)
+    return fresh[1][1]
+
+
+def test_screen_and_simulate_in_either_order_on_nine_bus(case9):
+    events = assert_order_changes_no_bit(
+        severe_case(case9), Contingency.of("big", ["gen2", "gen3"]),
+        SimOptions(t_end=6.0, damping_d=2.0))
+    assert events
+
+
+def test_screen_and_simulate_in_either_order_on_the_fleet(fleet_case):
+    plant = [g.id for g in fleet_case.generators if g.id.startswith("g05")]
+    assert_order_changes_no_bit(fleet_case, Contingency.of("c", plant[:2]),
+                                SimOptions(t_end=1.0))
 
 
 def test_outage_after_the_run_ends_is_an_input_error(solved9):
@@ -735,31 +781,30 @@ def two_array_simulate(model, states, contingency, opts):
         n_solves=model.solve_count - solves_before)
 
 
-def assert_matches_two_array_loop(model, states, contingency, opts):
-    """simulate against two_array_simulate: the four traces bit for bit (NaN
-    where the other has NaN), the same trip log and the same solve count,
-    with no factorization in either. Returns the new run."""
-    model.machine_bus_block()               # both runs take the cached block
-    factors = model.factor_count
-    sim = simulate(model, states.copy(), contingency, opts)
-    old = two_array_simulate(model, states, contingency, opts)
+def assert_matches_two_array_loop(case, contingency, opts):
+    """simulate against two_array_simulate, each on a fresh model of the
+    case: the four traces bit for bit (NaN where the other has NaN), the
+    same trip log and the same solve count, with no factorization in
+    either. Returns the new run."""
+    runs = []
+    for run in (simulate, two_array_simulate):
+        model, states = built_model(case)
+        runs.append(run(model, states, contingency, opts))
+        assert model.factor_count == 1
+    sim, old = runs
     for name in ("delta", "omega", "bus_angle_rad", "bus_freq_hz"):
         assert np.array_equal(getattr(sim, name), getattr(old, name),
                               equal_nan=True), name
     assert sim.events == old.events
     assert sim.n_solves == old.n_solves
-    assert model.factor_count == factors
     return sim
 
 
 @pytest.mark.parametrize("outage,t_end", [(["gen2"], 10.0), (["gen2", "gen3"], 6.0)])
 def test_stacked_state_matches_two_array_loop_with_shedding(case9, outage, t_end):
     # gen2 alone for 10 s is the benchmark's shedding run
-    case = severe_case(case9)
-    sol = solve_powerflow(case)
-    model = augment_dynamic(build_ybus(case), case, sol)
     sim = assert_matches_two_array_loop(
-        model, init_machines(model, case, sol), Contingency.of("c", outage),
+        severe_case(case9), Contingency.of("c", outage),
         SimOptions(t_end=t_end, damping_d=2.0))
     assert sim.events and np.isnan(sim.omega[-1]).sum() == len(outage)
 
@@ -770,12 +815,11 @@ def test_trip_without_a_shunt_does_not_refactor(case9):
     case = severe_case(case9)
     case = case.with_loads(list(case.loads) + [
         Load(id="zero7", bus_id=7, p_mw=0.0, ufls_stage="stage1")])
-    sol = solve_powerflow(case)
-    model = augment_dynamic(build_ybus(case), case, sol)
     sim = assert_matches_two_array_loop(
-        model, init_machines(model, case, sol), Contingency.of("c", ["gen2"]),
-        SimOptions(t_end=1.0, damping_d=2.0))
+        case, Contingency.of("c", ["gen2"]), SimOptions(t_end=1.0, damping_d=2.0))
     assert [(e.load_id, e.time_s) for e in sim.events][0] == ("zero7", swingsim.EVENT_TIME_S)
     shunt_trips = {e.time_s for e in sim.events if e.load_id != "zero7"}
     assert len(shunt_trips) == 2
+    # one solve per step, the machine-bus block (which holds the outaged
+    # bus's column) and one per trip that sheds a shunt at a new bus
     assert sim.n_solves == len(sim.time_s) + 1 + len(shunt_trips)
