@@ -10,7 +10,10 @@ and solves are counted so screening cost claims can be asserted. Its
 pattern is structurally symmetric, so SuperLU orders it by minimum degree on
 A^T + A and keeps diagonal pivots, with panel size 1: on the 5041-bus grid
 that factors y_dyn in 7.4 ms instead of 9.8 at SuperLU's default panel of
-10, with the same fill of 164,392 entries (powerflow.SUPERLU_OPTIONS).
+10, with the same fill of 164,392 entries (powerflow.SUPERLU_OPTIONS). The
+unit columns Y^-1 e_b that the screen's and the simulator's compensations
+need are solved once per model and kept in one store, their only copy
+(NetworkModel.unit_columns).
 
 Machine-base to system-base conversion happens exactly once, here:
     x_sys = x_mach * s_base_sys / s_base_mach      (impedance)
@@ -126,18 +129,19 @@ class CountingLU:
         return self._lu.solve(rhs)
 
 
-@dataclass
+@dataclass(eq=False)
 class NetworkModel:
     """Factorized dynamic network plus the static machine table.
 
     Arrays are aligned with ``machine_ids`` (in-service synchronous machines,
-    case order). The model is read-only by convention after build. It has
-    one factorization, of y_dyn, made at build: the screen and the simulator
-    apply outages and load trips to it by compensation, never by
-    refactoring. ``solve_count`` counts linear solves and ``factor_count``
-    sparse LU factorizations made on this model; the cached factorization
-    counts once, when made, and a cached unit column (``unit_columns``)
-    once, when it is solved.
+    case order). The model is read-only by convention after build, and
+    equal only to itself. It has one factorization, of y_dyn, made at
+    build: the screen and the simulator apply outages and load trips to it
+    by compensation, never by refactoring, with the unit columns of Y^-1
+    in the model's store (``unit_columns``), their only copy.
+    ``solve_count`` counts linear solves and ``factor_count`` sparse LU
+    factorizations made on this model; the cached factorization counts
+    once, when made, and a stored unit column once, when solved.
     """
 
     case: GridCase
@@ -159,12 +163,9 @@ class NetworkModel:
     solve_count: int = 0
     factor_count: int = 0
     _lu: CountingLU | None = field(default=None, repr=False)
-    _block: np.ndarray | None = field(default=None, repr=False)
-    # the unit columns solved so far: each bus's row in the buffer (n_bus
-    # when not solved), the buffer, filled in order of first request, and
-    # the number of rows in use
-    _unit: tuple[np.ndarray, np.ndarray, int] | None = field(
-        default=None, compare=False, repr=False)
+    # the store of unit columns: each bus position requested so far and its
+    # solved row, the only copy of those rows
+    _unit: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
 
     @property
     def n_bus(self) -> int:
@@ -202,49 +203,44 @@ class NetworkModel:
         among them."""
         return np.unique(self.machine_bus, return_inverse=True)
 
+    def _unit_rows(self, buses: np.ndarray) -> list[np.ndarray]:
+        """The stored rows of the given bus positions; those not stored yet
+        are solved together, in one solve on the factorization."""
+        keys, store = np.asarray(buses).tolist(), self._unit
+        new = [b for b in keys if b not in store]
+        if new:
+            rhs = np.zeros((len(new), self.n_bus), dtype=complex)
+            rhs[np.arange(len(new)), new] = 1.0
+            solved = self.factorize().solve(rhs.T)
+            solved.flags.writeable = False
+            store.update(zip(new, solved.T))
+        return [store[b] for b in keys]
+
     def unit_columns(self, buses: np.ndarray) -> np.ndarray:
         """Y^-1 e_b for each of the distinct bus positions b, one row per b:
         the voltages per unit current injected at b (Y is complex symmetric,
         so this column of Y^-1 is also its row). The buses not requested
         before are solved together, in one solve on the factorization, and
-        kept for the model's life: one row per distinct bus ever requested,
-        so repeated screens of the same units solve nothing here. Read-only.
+        their rows stored for the model's life, so repeated screens of the
+        same units solve nothing here. Returns a read-only copy of the rows.
         """
-        n = self.n_bus
-        if self._unit is None:      # room for a row per machine to start
-            self._unit = (np.full(n, n), np.empty(
-                (min(self.machine_bus.size, n), n), dtype=complex), 0)
-        row_of, rows, count = self._unit
-        try:
-            out = rows[row_of[buses]]
-        except IndexError:  # an unsolved bus's row, n, is past the buffer's end
-            new = buses[row_of[buses] == n]
-            rhs = np.zeros((new.size, n), dtype=complex)
-            rhs[np.arange(new.size), new] = 1.0
-            if count + new.size > len(rows):    # grow by doubling, to n rows
-                kept = rows[:count]
-                rows = np.empty((min(max(2 * len(rows), count + new.size), n), n),
-                                dtype=complex)
-                rows[:count] = kept
-            rows[count:count + new.size] = self.factorize().solve(rhs.T).T
-            row_of[new] = np.arange(count, count + new.size)
-            self._unit = row_of, rows, count + new.size
-            out = rows[row_of[buses]]
+        out = np.array(self._unit_rows(buses), dtype=complex).reshape(
+            len(buses), self.n_bus)
         out.flags.writeable = False
         return out
 
     def machine_bus_block(self) -> np.ndarray:
         """The machine-bus block of Y^-1: row i, column p is the voltage at
-        the i-th distinct machine bus per unit current of machine p. Read
-        from ``unit_columns`` once and cached (read-only)."""
-        if self._block is None:
-            m_bus, m_slot = self.machine_bus_slots
-            # column-major, as SuperLU returns solved columns: a product
-            # with the block rounds by its layout
-            self._block = np.asfortranarray(
-                self.unit_columns(m_bus)[m_slot][:, m_bus].T)
-            self._block.flags.writeable = False
-        return self._block
+        the i-th distinct machine bus per unit current of machine p.
+        Gathered from the stored unit columns (``unit_columns``) at each
+        call, so the store stays their only copy (read-only)."""
+        m_bus, m_slot = self.machine_bus_slots
+        rows = np.array([row[m_bus] for row in self._unit_rows(m_bus)])
+        # column-major, as SuperLU returns solved columns: a product with
+        # the block rounds by its layout
+        block = np.asfortranarray(rows[m_slot].T)
+        block.flags.writeable = False
+        return block
 
     def y_with_diag_update(self, bus_pos: np.ndarray,
                            delta_y: np.ndarray) -> sp.csc_matrix:
@@ -288,7 +284,7 @@ class NetworkModel:
         return ~alive.T[self.islands].T
 
 
-@dataclass
+@dataclass(eq=False)
 class MachineStates:
     """Classical-model machine states, aligned with NetworkModel.machine_ids.
 
@@ -298,7 +294,8 @@ class MachineStates:
     Norton currents at these angles drive through the model's base
     factorization (zero in islands without a machine); the screen starts
     from them. The states are a read-only snapshot by convention, as the
-    model is: a run that moves the rotors works on a copy.
+    model is: the screen and the simulator never write them, so a run needs
+    no copy. Two states compare equal only when they are the same object.
     """
 
     e_prime: np.ndarray

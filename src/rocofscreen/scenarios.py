@@ -52,6 +52,9 @@ FUEL_MERIT_ORDER = {"coal": 0, "gas": 1, "other": 2}
 MIN_CONTINGENCY_MW = 800.0
 DESIGN_CONTINGENCY_MW = 2750.0
 MULTI_SITE_FRACTION = 0.10
+# the sampler gives up once this many attempts in a row add no contingency;
+# the longest such run in a draw that succeeds was 235 (fleet and grid draws)
+MAX_IDLE_ATTEMPTS = 2000
 FD_WINDOW_S = 0.02
 SIMULATE_MODE_OPTS = SimOptions(t_end=0.25, shedding=False)
 # buses within this relative distance of a column's minimum ROCOF tie for
@@ -229,7 +232,8 @@ def generate_contingencies(case: GridCase, n: int,
     only when a fleet is too small to keep the bank distinct); the rest
     combine whole plants from several sites into losses of up to twice the
     design size. Plants are picked with probability proportional to
-    dispatched MW.
+    dispatched MW. InputError ends a draw in which MAX_IDLE_ATTEMPTS
+    attempts in a row add no contingency.
 
     The sequence of draws from rng is part of this contract: for a given
     case, n and generator state the bank is the same, and so is the state
@@ -260,12 +264,11 @@ def generate_contingencies(case: GridCase, n: int,
     n_multi = int(round(n * MULTI_SITE_FRACTION))
     seen: set[frozenset[str]] = set()
     out: list[Contingency] = []
-    attempts = 0
-    stale = 0            # consecutive attempts that added nothing
-    max_attempts = 200 * n
+    idle = 0             # attempts since the last contingency was added
+    stale = 0            # the same, counting only stale single-site draws
     while len(out) < n:
-        attempts += 1
-        if attempts > max_attempts:
+        idle += 1
+        if idle > MAX_IDLE_ATTEMPTS:
             raise InputError(
                 f"could not assemble {n} distinct contingencies above "
                 f"{MIN_CONTINGENCY_MW:.0f} MW from this case "
@@ -315,7 +318,7 @@ def generate_contingencies(case: GridCase, n: int,
             stale += 1
             continue
         seen.add(key)
-        stale = 0
+        stale = idle = 0
         out.append(Contingency(f"ctg{len(out):03d}", key, float(total)))
     return out
 
@@ -401,7 +404,7 @@ def _eval_loading_case(case: GridCase, lc: LoadingCase,
             for j, sub in enumerate(subs):
                 try:
                     rocof[j] = finite_difference_rocof(
-                        simulate(model, states.copy(), sub, SIMULATE_MODE_OPTS))
+                        simulate(model, states, sub, SIMULATE_MODE_OPTS))
                 except Exception as exc:  # noqa: BLE001 - fault isolation
                     errors[j] = exc
         stats = _column_stats(rocof, model.bus_ids)

@@ -9,8 +9,8 @@ traces and the monitors need every bus), and the later stages add the
 change in machine currents through the machine-bus block of Y^-1 (the
 classical model reduced to its machine buses, in increment form). The
 outage and each load trip change bus diagonals, applied by compensation of
-the model's one factorization, as the screen applies an outage, with the
-unit columns the model keeps for the screen (NetworkModel.unit_columns).
+the model's one factorization, as the screen applies an outage. Both read
+the model's store of unit columns, their only copy (NetworkModel.unit_columns).
 Governors and exciters are absent by design, isolating the inertial
 response, so this serves as the validation oracle for the theoretical ROCOF
 screen and as the engine for load-shedding studies.
@@ -209,39 +209,38 @@ class _CompensatedNetwork:
     the model's factorization by compensation (Alsac, Stott & Tinney, IEEE
     Trans. PAS, 1983): with Z = Y^-1 E_U, C = I + D Z[U] and G = Z C^-1 D,
     it solves r as x - G x[U], x = Y^-1 r, and (Y being complex symmetric)
-    its machine-bus block is the base one less G Z^T there. Changes in
+    its machine-bus block is the run's base block less G Z^T there. Z is
+    read from the model's store at each change, not kept. Changes in
     ``dead`` islands, left without an active machine, are skipped: such an
     island carries no current, and its buses read exactly zero."""
 
     def __init__(self, model: NetworkModel, contingency_id: str):
         self.model, self.id = model, contingency_id
-        self.lu, self.block = model.factorize(), model.machine_bus_block()
-        self.dead = model.dead_island_mask()
+        self.lu, self.base = model.factorize(), model.machine_bus_block()
+        self.block, self.dead = self.base, model.dead_island_mask()
         self.bus, self.d = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=complex)
-        self.z = self.g = np.zeros((model.n_bus, 0), dtype=complex)
+        self.g = np.zeros((model.n_bus, 0), dtype=complex)
 
     def add(self, bus: np.ndarray, change: np.ndarray) -> bool:
-        """Add changes at bus positions, reading the columns of new buses
-        from the model's unit columns; says whether the network changed."""
+        """Add changes at bus positions; says whether the network changed."""
         keep = (change != 0) & ~self.dead[bus]
         if not keep.any():
             return False
         bus, change = bus[keep], change[keep]
         new = np.setdiff1d(bus, self.bus)
-        if new.size:
-            self.z = np.hstack((self.z, self.model.unit_columns(new).T))
-            self.bus, self.d = np.r_[self.bus, new], np.r_[self.d, np.zeros(new.size)]
+        self.bus, self.d = np.r_[self.bus, new], np.r_[self.d, np.zeros(new.size)]
         np.add.at(self.d, np.argmax(bus[:, None] == self.bus, axis=1), change)
-        cap = np.eye(self.bus.size) + self.d[:, None] * self.z[self.bus]
+        # Z row-major, n x |U|: its products round by its layout
+        z = np.ascontiguousarray(self.model.unit_columns(self.bus).T)
+        cap = np.eye(self.bus.size) + self.d[:, None] * z[self.bus]
         try:
-            self.g = self.z @ np.linalg.solve(cap, np.diag(self.d))
+            self.g = z @ np.linalg.solve(cap, np.diag(self.d))
         except np.linalg.LinAlgError as exc:
             raise SingularOutageError(
                 f"contingency {self.id}: the outage and shed loads leave a singular "
                 f"network at buses {[self.model.bus_ids[b] for b in self.bus]}") from exc
         m_bus, m_slot = self.model.machine_bus_slots
-        self.block = self.model.machine_bus_block() - (
-            self.g[m_bus] @ self.z[m_bus].T)[:, m_slot]
+        self.block = self.base - (self.g[m_bus] @ z[m_bus].T)[:, m_slot]
         return True
 
     def correct(self, x: np.ndarray) -> np.ndarray:
@@ -264,7 +263,8 @@ def simulate(model: NetworkModel, states: MachineStates,
     refactored: the outage and each trip that sheds a load shunt are
     compensations (_CompensatedNetwork). Their columns are the model's unit
     columns, solved once per model: the outaged buses' with the machine-bus
-    block, and a shed load's bus at its first trip.
+    block, and a shed load's bus at its first trip. The states are read,
+    never written.
     """
     solves_before = model.solve_count
     nm, nb = len(model.machine_ids), model.n_bus
@@ -299,14 +299,13 @@ def simulate(model: NetworkModel, states: MachineStates,
     e_over_x = states.e_prime / model.xdp_sys
     rate_delta = np.full(nm, omega_s)
     rate_omega = 1.0 / (2.0 * model.h_sec)
-    t_m = states.t_m.copy()
 
     def derivs(y_in, currents, vb):
         te = electrical_torque(model, currents, vb)     # outaged rows meet a zero rate
         omg = y_in[nm:]
         dy = np.empty(2 * nm)
         np.multiply(rate_delta, omg, out=dy[:nm])
-        np.multiply(t_m - te - opts.damping_d * omg, rate_omega, out=dy[nm:])
+        np.multiply(states.t_m - te - opts.damping_d * omg, rate_omega, out=dy[nm:])
         return dy
 
     def stage(y_in):

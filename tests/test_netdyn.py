@@ -87,6 +87,35 @@ def test_factor_count_counts_each_splu(case9):
     assert model.factor_count == 1
 
 
+def test_machine_bus_block_is_gathered_from_the_store(fleet_case):
+    # the block's columns are the stored rows of the machine buses, read
+    # at each call: one solve for the first, none after
+    sol, model = _model(fleet_case)
+    solves = model.solve_count
+    block = model.machine_bus_block()
+    m_bus = np.unique(model.machine_bus)
+    assert model.solve_count - solves == 1 and set(model._unit) == set(m_bus.tolist())
+    assert "_block" not in {f.name for f in dataclasses.fields(model)}
+    inverse = np.linalg.inv(model.y_dyn.toarray())
+    np.testing.assert_allclose(block, inverse[np.ix_(m_bus, model.machine_bus)],
+                               rtol=0, atol=1e-10)
+    again = model.machine_bus_block()
+    assert model.solve_count - solves == 1 and again is not block
+    assert np.array_equal(again, block)
+    for b in (block, again):
+        assert b.flags.f_contiguous and not b.flags.writeable
+
+
+def test_models_and_states_compare_by_identity(case9):
+    # their array fields have no single truth value, so equality is identity
+    sol, model = _model(case9)
+    twin = augment_dynamic(build_ybus(case9), case9, sol)
+    assert model == model and model != twin
+    states = init_machines(model, case9, sol)
+    assert states == states and states != states.copy()
+    assert len({model, twin, states}) == 3
+
+
 def test_load_shunt_at_nominal_voltage():
     case = tiny_case(load_mw=100.0, xdp_sys=0.1)
     sol, model = _model(case)

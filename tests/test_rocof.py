@@ -744,30 +744,28 @@ def test_cached_unit_columns_change_no_bit_on_fleet_loading_cases(fleet_case):
 
 def test_unit_columns_hold_the_union_of_live_outaged_buses(fleet_case):
     model, states = built_model(fleet_case)
-    cache = next(f for f in dataclasses.fields(model) if f.name == "_unit")
-    assert not (cache.compare or cache.repr)
     contingencies = drawn_contingencies(fleet_case, 12, 8)
     expected = set()
-    for k, c in enumerate(contingencies):
+    for c in contingencies:
         solves = model.solve_count
         locational_rocof(model, states, c)
         buses = set(model.machine_bus[model.machine_positions(
             c.outaged_generator_ids)].tolist())
         assert model.solve_count - solves == (2 if buses - expected else 1)
         expected |= buses
-        row_of, _, count = model._unit
-        solved = row_of < model.n_bus
-        assert set(np.flatnonzero(solved).tolist()) == expected
-        # one row per bus, in the order first requested
-        assert count == len(expected)
-        assert sorted(row_of[solved].tolist()) == list(range(count))
-    solves = model.solve_count
-    rows = model.unit_columns(np.array(sorted(expected)))
-    assert model.solve_count == solves and not rows.flags.writeable
+        # the store keeps a row for each bus screened so far, and no other
+        assert set(model._unit) == expected
+    buses = sorted(expected)
     inverse = np.linalg.inv(model.y_dyn.toarray())
-    np.testing.assert_allclose(rows, inverse[sorted(expected)], rtol=0, atol=1e-10)
+    stored = [model._unit[b] for b in buses]
+    assert not any(row.flags.writeable for row in stored)
+    np.testing.assert_allclose(stored, inverse[buses], rtol=0, atol=1e-10)
+    solves = model.solve_count
+    rows = model.unit_columns(np.array(buses))
+    assert model.solve_count == solves and not rows.flags.writeable
+    assert np.array_equal(rows, stored)
     # a loss that kills its island adds no bus
     model, states = built_model(two_island_case(True))
     for c in (["gB"], ["gA"]):
         locational_rocof(model, states, Contingency.of("c", c))
-    assert model._unit is None or model._unit[2] == 0
+    assert model._unit == {}

@@ -172,6 +172,40 @@ def test_contingency_bank_small_case_fails(case9):
         generate_contingencies(case9, 5, np.random.default_rng(1))
 
 
+class CountingGenerator:
+    """A generator that counts the sampler's attempts: each one starts with
+    one uniform draw."""
+
+    def __init__(self, rng):
+        self.rng, self.attempts = rng, 0
+
+    def uniform(self, *args):
+        self.attempts += 1
+        return self.rng.uniform(*args)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def test_contingency_bank_gives_up_after_a_run_of_idle_attempts(fleet_case,
+                                                                 monkeypatch):
+    # the low-demand dispatch has too few distinct losses for 163; the
+    # sampler stops once MAX_IDLE_ATTEMPTS attempts in a row add none
+    low = dispatch_heuristic(fleet_case, 15000.0, 10000.0)
+    rng, found_at = CountingGenerator(np.random.default_rng(1)), []
+
+    def recording(*args):
+        found_at.append(rng.attempts)
+        return Contingency(*args)
+
+    monkeypatch.setattr(scenarios, "Contingency", recording)
+    with pytest.raises(InputError) as err:
+        generate_contingencies(low, 163, rng)
+    assert str(err.value).startswith("could not assemble 163 distinct contingencies")
+    assert str(err.value).endswith(f"(found {len(found_at)})")
+    assert rng.attempts - found_at[-1] == scenarios.MAX_IDLE_ATTEMPTS
+
+
 def test_apply_loading_case_reproduces_dispatch(fleet_case):
     lc_src = dispatch_heuristic(fleet_case, 35000.0, 14000.0)
     lc = loading_case_from(lc_src, "lc000", 35000.0, 14000.0)

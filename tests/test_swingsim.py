@@ -10,8 +10,9 @@ import scipy.sparse.linalg as spla
 from rocofscreen import (Contingency, SimOptions, SimulationBlowup,
                          SingularOutageError, augment_dynamic, build_ybus,
                          bus_frequency, check_ffr, check_ufls, init_machines,
-                         locational_rocof, netdyn, norton_currents, simulate,
-                         solve_powerflow, swingsim, system_rocof)
+                         locational_rocof, locational_rocof_batch, netdyn,
+                         norton_currents, simulate, solve_powerflow, swingsim,
+                         system_rocof)
 from rocofscreen.case_model import InputError, Load
 from rocofscreen.powerflow import SUPERLU_OPTIONS
 from rocofscreen.scenarios import SIMULATE_MODE_OPTS, finite_difference_rocof
@@ -328,6 +329,30 @@ def test_simulate_compensates_once_per_outage_and_trip(case9):
                      SimOptions(t_end=6.0, damping_d=2.0))
     assert model.solve_count - solves == again.n_solves == steps
     assert np.array_equal(again.bus_freq_hz, sim.bus_freq_hz)
+
+
+def test_screen_and_simulate_never_write_the_states(case9):
+    # every states array read-only: the screen, the batch and a run with
+    # shedding give the bits they give on writable states
+    case = severe_case(case9)
+    model, states = built_model(case)
+    frozen = states.copy()
+    for f in dataclasses.fields(frozen):
+        getattr(frozen, f.name).flags.writeable = False
+    names = ("bus_rocof_hz_s", "machine_accel", "post_disturbance_voltages")
+    losses = [Contingency.of("c3", ["gen3"]), Contingency.of("big", ["gen2", "gen3"])]
+    for c in losses:
+        got, want = (locational_rocof(model, s, c) for s in (frozen, states))
+        for name in names:
+            assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True)
+    got, want = (locational_rocof_batch(model, s, losses) for s in (frozen, states))
+    for name in names:
+        assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True)
+    opts = SimOptions(t_end=6.0, damping_d=2.0)
+    got, want = (simulate(model, s, losses[1], opts) for s in (frozen, states))
+    assert got.events and got.events == want.events
+    for name in ("delta", "omega", "bus_angle_rad", "bus_freq_hz"):
+        assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True)
 
 
 def assert_order_changes_no_bit(case, contingency, opts):
