@@ -58,7 +58,9 @@ def _same(value):
 _ON_DISK = {"v_ang": ("v_ang_deg", math.radians, math.degrees)}
 # the field annotations _parse knows, each with what it expects
 _EXPECTED = {"int": "a number", "float": "a number", "float | None": "a number",
-             "str": "a string", "bool": "a boolean"}
+             "str": "a string", "bool": "a boolean",
+             "dict[str, float]": "an object of numbers",
+             "frozenset[str]": "a list of strings"}
 _BOOL_WORDS = {"true": True, "yes": True, "1": True,
                "false": False, "no": False, "0": False}
 # the sidecar columns of each record type, and the values a column may take
@@ -70,12 +72,18 @@ _CHOICES = {"fuel": FUELS, "ufls_stage": UFLS_STAGES}
 def _parse(raw, kind: str, where: str, key: str):
     """``raw`` as the value of a field annotated ``kind`` (a key of
     _EXPECTED). An int must be integral and a bool is never a number; a
-    bool field takes a JSON boolean or one of _BOOL_WORDS in any case.
+    bool field takes a JSON boolean or one of _BOOL_WORDS in any case. The
+    value at k of a dict[str, float] is the float field ``<key>[k]``.
     CaseParseError names where and key of a value that does not convert."""
     if raw is None and kind == "float | None":
         return None
     if kind == "int" and isinstance(raw, float) and not raw.is_integer():
         raise CaseParseError(f"{where}: field {key!r} is not an integer: {raw!r}")
+    if kind == "dict[str, float]" and isinstance(raw, dict):
+        return {k: _parse(v, "float", where, f"{key}[{k}]") for k, v in raw.items()}
+    if (kind == "frozenset[str]" and isinstance(raw, list)
+            and all(isinstance(x, str) for x in raw)):
+        return frozenset(raw)
     try:
         if kind == "bool":
             if isinstance(raw, bool):
@@ -89,7 +97,7 @@ def _parse(raw, kind: str, where: str, key: str):
                 return str(raw)
         elif kind == "int":
             return int(raw)
-        else:
+        elif kind in ("float", "float | None"):
             return float(raw)
     except (TypeError, ValueError, OverflowError):
         pass
@@ -147,13 +155,17 @@ def _fields(cls, obj, where: str, path) -> dict:
 
 
 def _doc(record) -> dict:
-    """A record as its JSON object: the fields in order, None left out."""
+    """A record's JSON object: fields in order, None left out, dicts and sets sorted."""
     out = {}
     for f in fields(record):
         key, _, write = _ON_DISK.get(f.name, (f.name, _same, _same))
         value = getattr(record, f.name)
         if f.type in _RECORD_LISTS:
             out[key] = [_doc(r) for r in value]
+        elif f.type == "dict[str, float]":
+            out[key] = dict(sorted(value.items()))
+        elif f.type == "frozenset[str]":
+            out[key] = sorted(value)
         elif value is not None:
             out[key] = write(value)
     return out
@@ -485,42 +497,25 @@ def read_contingencies(path) -> list[Contingency]:
 
 
 def write_loading_cases(cases: list[LoadingCase], path) -> None:
-    doc = [{
-        "id": lc.id,
-        "target_load_mw": lc.target_load_mw,
-        "target_wind_mw": lc.target_wind_mw,
-        "dispatch": dict(sorted(lc.dispatch.items())),
-        "committed": sorted(lc.committed),
-        "online_inertia_gws": lc.online_inertia_gws,
-        "wind_fraction": lc.wind_fraction,
-    } for lc in cases]
-    Path(path).write_text(json.dumps(doc, indent=1) + "\n")
+    Path(path).write_text(json.dumps([_doc(lc) for lc in cases], indent=1) + "\n")
 
 
 def read_loading_cases(path) -> list[LoadingCase]:
-    """Read a loading-case bank; raises CaseParseError naming the file,
-    entry and field of a missing key or malformed value, or the place of
-    invalid JSON or text that is not UTF-8."""
+    """Read a loading-case bank, a list of LoadingCase documents; raises
+    CaseParseError naming the file, entry and field of a missing key, a
+    malformed value or a ``committed`` that is not ``dispatch``'s units, or
+    the place of invalid JSON or text that is not UTF-8."""
     doc = _json(path)
     if not isinstance(doc, list):
         raise CaseParseError(f"{path}: expected a list of loading cases")
     out = []
-    for i, d in enumerate(doc):
+    for i, entry in enumerate(doc):
         where = f"{path}: entry {i}"
-        dispatch, committed = _req(d, "dispatch", where), _req(d, "committed", where)
-        if not isinstance(dispatch, dict):
-            raise CaseParseError(
-                f"{where}: field 'dispatch' must map generator ids to MW")
-        if not (isinstance(committed, list)
-                and all(isinstance(g, str) for g in committed)):
-            raise CaseParseError(
-                f"{where}: field 'committed' must list generator ids")
-        out.append(LoadingCase(
-            **{f.name: _parse(_req(d, f.name, where), f.type, where, f.name)
-               for f in fields(LoadingCase) if f.type in _EXPECTED},
-            dispatch={k: _parse(v, "float", where, f"dispatch[{k}]")
-                      for k, v in dispatch.items()},
-            committed=frozenset(committed)))
+        lc = LoadingCase(**_fields(LoadingCase, entry, where, path))
+        if lc.committed != lc.dispatch.keys():
+            raise CaseParseError(f"{where}: field 'committed' does not list "
+                                 "exactly the units in 'dispatch'")
+        out.append(lc)
     return out
 
 

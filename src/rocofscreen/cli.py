@@ -174,12 +174,17 @@ def cmd_rocof_system(args) -> int:
     return 0
 
 
-def cmd_rocof_local(args) -> int:
+def _model_and_outage(args):
+    """The case read, its model and machine states, and the --outage trip."""
     case = case_io.read_case(args.case, sidecar=args.sidecar)
     sol = solve_powerflow(case)
     model = augment_dynamic(sol.ybus, case, sol)
     states = init_machines(model, case, sol)
-    ctg = Contingency.of("cli", _outage_list(args.outage))
+    return case, model, states, Contingency.of("cli", _outage_list(args.outage))
+
+
+def cmd_rocof_local(args) -> int:
+    case, model, states, ctg = _model_and_outage(args)
     res = locational_rocof(model, states, ctg)
     if args.format == "geojson":
         case_io.write_rocof_geojson(res, args.out, case)
@@ -193,11 +198,7 @@ def cmd_rocof_local(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    case = case_io.read_case(args.case, sidecar=args.sidecar)
-    sol = solve_powerflow(case)
-    model = augment_dynamic(sol.ybus, case, sol)
-    states = init_machines(model, case, sol)
-    ctg = Contingency.of("cli", _outage_list(args.outage))
+    _, model, states, ctg = _model_and_outage(args)
     opts = SimOptions(t_end=args.t_end, dt=args.dt, damping_d=args.damping)
     t0 = time.perf_counter()
     sim = simulate(model, states, ctg, opts)

@@ -122,7 +122,8 @@ def mismatch_vector(case: GridCase, ybus: sp.csc_matrix, v: np.ndarray) -> np.nd
 
 def solve_powerflow(case: GridCase, tol: float = 1e-8,
                     max_iter: int = 20) -> PowerFlowSolution:
-    """Full Newton power flow from a flat start.
+    """Full Newton power flow from a flat start; a case with no pv or pq
+    bus has no unknowns, so it returns at iteration 0 with mismatch 0.0.
 
     Raises PowerFlowDivergence after max_iter or once the mismatch diverges
     (see DIVERGENCE_GROWTH), and SingularJacobian when the factorization
@@ -138,7 +139,6 @@ def solve_powerflow(case: GridCase, tol: float = 1e-8,
         raise InputError(f"tol must be positive and finite, got {tol}")
 
     ybus = build_ybus(case)
-    n = len(case.buses)
     kinds = effective_kinds(case)
     pv = np.flatnonzero(kinds == "pv")
     pq = np.flatnonzero(kinds == "pq")
@@ -150,15 +150,8 @@ def solve_powerflow(case: GridCase, tol: float = 1e-8,
                   record_array(case.buses, "v_mag"), 1.0)
     va = np.where(kinds == "slack", record_array(case.buses, "v_ang"), 0.0)
 
-    npvpq, npq = len(pvpq), len(pq)
-    if npvpq == 0:
-        v = vm * np.exp(1j * va)
-        f = mismatch_vector(case, ybus, v)
-        return PowerFlowSolution([b.id for b in case.buses], vm, va, 0,
-                                 float(np.max(np.abs(f))) if f.size else 0.0,
-                                 ybus)
-
-    m = npvpq + npq
+    npvpq = len(pvpq)
+    m = npvpq + len(pq)
     row, col, y, diag, jrows, jcols, jvals = _jacobian_pattern(ybus, pvpq, pq)
     jac, take = _csc_pattern(jrows, jcols, jvals, m)
     for it in range(max_iter + 1):
@@ -166,7 +159,7 @@ def solve_powerflow(case: GridCase, tol: float = 1e-8,
         ibus = ybus @ v
         mis = v * np.conj(ibus) - sbus
         f = np.concatenate((mis[pvpq].real, mis[pq].imag))
-        norm = float(np.max(np.abs(f)))
+        norm = float(np.max(np.abs(f), initial=0.0))
         if norm <= tol:
             return PowerFlowSolution([b.id for b in case.buses], vm, va, it,
                                      norm, ybus)
@@ -207,8 +200,6 @@ def solve_powerflow(case: GridCase, tol: float = 1e-8,
             raise
         va[pvpq] += dx[:npvpq]
         vm[pq] += dx[npvpq:]
-
-    raise PowerFlowDivergence(max_iter, norm)  # pragma: no cover
 
 
 def _jacobian_pattern(ybus: sp.csc_matrix, pvpq: np.ndarray, pq: np.ndarray):
@@ -280,7 +271,7 @@ def accept_solved_voltages(case: GridCase, tol: float = 1e-4) -> PowerFlowSoluti
     va = np.array([b.v_ang for b in case.buses])
     v = vm * np.exp(1j * va)
     f = mismatch_vector(case, ybus, v)
-    norm = float(np.max(np.abs(f))) if f.size else 0.0
+    norm = float(np.max(np.abs(f), initial=0.0))
     if norm > tol:
         raise PowerFlowError(
             f"stored voltages are inconsistent with the specified injections "

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -127,17 +127,16 @@ class RocofBatch:
 def system_rocof(case: GridCase, p_loss_mw: float, outaged_ids=()) -> float:
     """Zero-order system ROCOF: -f_base * P_loss / (2 sum H_g S_g), Hz/s.
 
-    The sum is case_model.total_inertia_gws over the case with
-    ``outaged_ids`` out of service (a machine that has tripped no longer
-    contributes kinetic energy). Raises ZeroInertiaError when nothing
-    remains, and InputError for a loss that is not finite.
+    The sum is case_model.total_inertia_gws over the case without
+    ``outaged_ids`` (a machine that has tripped no longer contributes
+    kinetic energy). Raises ZeroInertiaError when nothing remains, and
+    InputError for a loss that is not finite.
     """
     if not math.isfinite(p_loss_mw):
         raise InputError(f"p_loss_mw must be finite, got {p_loss_mw}")
     outaged = set(outaged_ids)
     inertia_gws = total_inertia_gws(case.with_generators(
-        replace(g, status=False) if g.id in outaged else g
-        for g in case.generators))
+        g for g in case.generators if g.id not in outaged))
     if p_loss_mw == 0:
         return 0.0
     if inertia_gws <= 0:

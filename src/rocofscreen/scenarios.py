@@ -162,12 +162,11 @@ def _copy_record(record, **changes):
 def loading_case_from(dispatched: GridCase, lc_id: str, target_load_mw: float,
                       target_wind_mw: float) -> LoadingCase:
     disp = {g.id: g.p_mw for g in dispatched.generators if g.status}
-    committed = frozenset(disp)
     inertia = total_inertia_gws(dispatched)
     sync_mw = sum(g.p_mw for g in dispatched.generators
                   if g.status and g.synchronous)
     total = sync_mw + target_wind_mw
-    return LoadingCase(lc_id, target_load_mw, target_wind_mw, disp, committed,
+    return LoadingCase(lc_id, target_load_mw, target_wind_mw, disp, frozenset(disp),
                        inertia, target_wind_mw / total if total > 0 else 0.0)
 
 
@@ -179,10 +178,13 @@ def generate_loading_cases(case: GridCase, n: int,
     Demand levels form the outer axis; within each demand level the wind
     levels span from the range minimum up to the feasible maximum (demand
     minus the nuclear must-run floor), so every generated case dispatches.
-    Raises when some demand level cannot accept even the minimum wind.
+    Raises when some demand level cannot accept even the minimum wind, and
+    InputError for an n below 1 or a range end that is not finite.
     """
     if n <= 0:
         raise InputError("n must be positive")
+    if not np.isfinite([*load_range_mw, *wind_range_mw]).all():
+        raise InputError(f"ranges must be finite: {load_range_mw} {wind_range_mw}")
     lo_l, hi_l = load_range_mw
     lo_w, hi_w = wind_range_mw
     sync = [g for g in case.generators if g.synchronous and g.status]
@@ -192,7 +194,7 @@ def generate_loading_cases(case: GridCase, n: int,
 
     n_load = max(int(round(math.sqrt(n))), 1)
     n_wind = math.ceil(n / n_load)
-    load_levels = np.linspace(lo_l, hi_l, n_load) if n_load > 1 else [lo_l]
+    load_levels = np.linspace(lo_l, hi_l, n_load)
     out: list[LoadingCase] = []
     for load_mw in load_levels:
         w_max = min(hi_w, wind_cap, load_mw - nuclear_mw)
@@ -204,7 +206,7 @@ def generate_loading_cases(case: GridCase, n: int,
         if w_max < hi_w:
             log.info("demand level %.0f MW caps wind at %.0f MW "
                      "(requested up to %.0f)", load_mw, w_max, hi_w)
-        wind_levels = np.linspace(lo_w, w_max, n_wind) if n_wind > 1 else [lo_w]
+        wind_levels = np.linspace(lo_w, w_max, n_wind)
         for wind_mw in wind_levels:
             if len(out) >= n:
                 break

@@ -20,6 +20,7 @@ from rocofscreen.case_io import (CaseParseError, apply_sidecar, import_cdf,
 from rocofscreen.case_model import (Branch, Bus, Generator, Load, LoadingCase,
                                     ScenarioRecord)
 from rocofscreen.rocof import Contingency, RocofResult
+from rocofscreen.scenarios import generate_loading_cases
 from rocofscreen.swingsim import SimResult, TripEvent
 
 
@@ -343,3 +344,59 @@ def test_bank_round_trip(tmp_path):
     assert c[0].total_mw_lost == pytest.approx(950.0)
     assert l[0].dispatch == {"g1": 500.0}
     assert l[0].committed == frozenset({"g1"})
+
+
+def reference_write_loading_cases(cases: list[LoadingCase], path) -> None:
+    """write_loading_cases as first written, field by field."""
+    doc = [{
+        "id": lc.id,
+        "target_load_mw": lc.target_load_mw,
+        "target_wind_mw": lc.target_wind_mw,
+        "dispatch": dict(sorted(lc.dispatch.items())),
+        "committed": sorted(lc.committed),
+        "online_inertia_gws": lc.online_inertia_gws,
+        "wind_fraction": lc.wind_fraction,
+    } for lc in cases]
+    Path(path).write_text(json.dumps(doc, indent=1) + "\n")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 25])
+def test_loading_bank_bytes_match_reference_writer(tmp_path, fleet_case, n):
+    # the record codec writes the same file, and reads it back unchanged;
+    # the last case holds its units out of order
+    cases = generate_loading_cases(fleet_case, n, (15000.0, 75000.0),
+                                   (10000.0, 30000.0))
+    cases.append(LoadingCase("lc_x", 100.0, 0.0, {"gb": 60.0, "ga": 40.0},
+                             frozenset({"gb", "ga"}), 1.5, 0.0))
+    write_loading_cases(cases, tmp_path / "new.json")
+    reference_write_loading_cases(cases, tmp_path / "ref.json")
+    assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+    assert read_loading_cases(tmp_path / "new.json") == cases
+
+
+GOOD_ENTRY = {"id": "lc0", "target_load_mw": 315.0, "target_wind_mw": 0.0,
+              "dispatch": {"g1": 200.0, "g2": 115.0}, "committed": ["g1", "g2"],
+              "online_inertia_gws": 1.0, "wind_fraction": 0.0}
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("dispatch", 5, "field 'dispatch' is not an object of numbers: 5"),
+    ("dispatch", "x", "field 'dispatch' is not an object of numbers: 'x'"),
+    ("dispatch", [], "field 'dispatch' is not an object of numbers: []"),
+    ("dispatch", None, "field 'dispatch' is not an object of numbers: None"),
+    ("dispatch", True, "field 'dispatch' is not an object of numbers: True"),
+    ("dispatch", {"g1": 200.0, "g2": True},
+     "field 'dispatch[g2]' is not a number: True"),
+    ("committed", "g1", "field 'committed' is not a list of strings: 'g1'"),
+    ("committed", [1], "field 'committed' is not a list of strings: [1]"),
+    ("committed", ["g1"],
+     "field 'committed' does not list exactly the units in 'dispatch'"),
+    ("committed", ["g1", "g2", "g3"],
+     "field 'committed' does not list exactly the units in 'dispatch'"),
+])
+def test_loading_bank_rejects_a_malformed_unit_field(tmp_path, key, value, message):
+    p = tmp_path / "l.json"
+    p.write_text(json.dumps([GOOD_ENTRY, dict(GOOD_ENTRY, **{key: value})]))
+    with pytest.raises(CaseParseError) as exc:
+        read_loading_cases(p)
+    assert str(exc.value) == f"{p}: entry 1: {message}"

@@ -422,6 +422,11 @@ def case9_set(value, *keys):
      ": entry 0: field 'target_wind_mw' is not a number: 'abc'"),
     ("loading_cases.json", json.dumps([dict(GOOD_LOADING, dispatch={"gen1": None})]),
      ": entry 0: field 'dispatch[gen1]' is not a number: None"),
+    # gen3 runs but is not committed: its loss once read no_online_units,
+    # and a loss of {gen2, gen3} screened as the loss of gen2 alone
+    ("loading_cases.json",
+     json.dumps([dict(GOOD_LOADING, committed=["gen1", "gen2"])]),
+     ": entry 0: field 'committed' does not list exactly the units in 'dispatch'"),
     pytest.param("case.json", case9_text("loads", 0, p_mw="abc"),
                  ": loads[0]: field 'p_mw' is not a number: 'abc'",
                  id="case-load-p_mw"),

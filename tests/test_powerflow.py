@@ -49,6 +49,25 @@ def test_single_slack_bus_case():
     assert sol.v_ang[0] == 0.0
 
 
+def test_all_slack_islands_solve_in_no_iteration():
+    # two islands, each a slack bus: nothing is unknown, so the Newton loop
+    # returns at its first mismatch check with an empty mismatch
+    case = GridCase(
+        buses=(Bus(id=1, kind="slack", v_mag=1.02),
+               Bus(id=2, kind="slack", v_mag=0.98, v_ang=0.1)),
+        generators=(Generator(id="g1", bus_id=1, s_base_mva=100.0, p_mw=40.0,
+                              p_max_mw=100.0, h_sec=3.0, xdp_pu=0.2),
+                    Generator(id="g2", bus_id=2, s_base_mva=100.0, p_mw=20.0,
+                              p_max_mw=100.0, h_sec=3.0, xdp_pu=0.2)),
+        loads=(Load(id="l1", bus_id=1, p_mw=40.0),),
+    )
+    sol = solve_powerflow(case, max_iter=0)
+    assert sol.iterations == 0
+    assert sol.max_mismatch_pu == 0.0
+    assert list(sol.v_mag) == [1.02, 0.98]
+    assert list(sol.v_ang) == [0.0, 0.1]
+
+
 def test_two_bus_analytic():
     # lossless line, pure-P load: V2 = a + jb with b = -P*x and
     # a the high root of a**2 - a + (P*x)**2 = 0

@@ -14,7 +14,7 @@ from rocofscreen import (Contingency, SingularOutageError, ZeroInertiaError,
                          locational_rocof_batch, netdyn, powerflow,
                          solve_powerflow, system_rocof)
 from rocofscreen.case_model import (Branch, Bus, Generator, GridCase,
-                                    InputError, Load)
+                                    InputError, Load, total_inertia_gws)
 from rocofscreen.netdyn import norton_currents
 from rocofscreen.scenarios import apply_loading_case, generate_loading_cases
 from conftest import case9_with_bus10, currents, make_fleet_case, make_grid_case
@@ -58,6 +58,55 @@ def test_system_rocof_zero_loss(case9):
 def test_system_rocof_zero_inertia(case9):
     with pytest.raises(ZeroInertiaError):
         system_rocof(case9, 100.0, outaged_ids=["gen1", "gen2", "gen3"])
+
+
+def reference_system_rocof(case: GridCase, p_loss_mw: float, outaged_ids=()) -> float:
+    """system_rocof as first written: it summed over a copy of the case
+    whose outaged records were rebuilt out of service."""
+    if not math.isfinite(p_loss_mw):
+        raise InputError(f"p_loss_mw must be finite, got {p_loss_mw}")
+    outaged = set(outaged_ids)
+    inertia_gws = total_inertia_gws(case.with_generators(
+        dataclasses.replace(g, status=False) if g.id in outaged else g
+        for g in case.generators))
+    if p_loss_mw == 0:
+        return 0.0
+    if inertia_gws <= 0:
+        raise ZeroInertiaError(
+            "no synchronous inertia remains after the disturbance")
+    return -case.f_base_hz * p_loss_mw / (2000.0 * inertia_gws)
+
+
+def _outage_sets(case: GridCase) -> list[list[str]]:
+    """Every single loss, the loss of each run of two and of three
+    consecutive units, and every unit but the first."""
+    ids = [g.id for g in case.generators]
+    return ([[i] for i in ids] + [ids[k:k + 2] for k in range(len(ids) - 1)]
+            + [ids[k:k + 3] for k in range(len(ids) - 2)] + [ids[1:]])
+
+
+@pytest.mark.parametrize("name", ["case9", "fleet"])
+def test_system_rocof_matches_record_rebuilding_reference(case9, fleet_case, name):
+    # leaving the outaged units out sums the same terms in the same order,
+    # also for an outaged id that is already out of service
+    base = case9 if name == "case9" else fleet_case
+    off = base.generators[1].id
+    idle = base.with_generators(dataclasses.replace(g, status=False) if g.id == off
+                                else g for g in base.generators)
+    checked = 0
+    for case in (base, idle):
+        for outage in _outage_sets(case) + [[off], [off, "nope"]]:
+            loss = sum(case.generator(g).p_mw for g in outage if g != "nope")
+            for mw in (loss, 0.0):
+                try:
+                    want = reference_system_rocof(case, mw, outage)
+                except ZeroInertiaError:
+                    with pytest.raises(ZeroInertiaError):
+                        system_rocof(case, mw, outage)
+                    continue
+                assert system_rocof(case, mw, outage).hex() == want.hex()
+                checked += 1
+    assert checked > 4 * len(base.generators)
 
 
 def test_angle_second_derivative_axis_cases():

@@ -144,6 +144,20 @@ def test_loading_cases_infeasible_wind_floor(fleet_case):
                                (40000.0, 50000.0))
 
 
+@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("load_range, wind_range", [
+    ((30000.0, math.inf), (12000.0, 20000.0)),
+    ((30000.0, math.nan), (12000.0, 20000.0)),
+    ((30000.0, 60000.0), (-math.inf, 20000.0)),
+])
+def test_loading_cases_reject_a_range_that_is_not_finite(fleet_case, n,
+                                                          load_range, wind_range):
+    # np.linspace(lo, hi, 1) is [lo] only for finite ends; an infinite or
+    # NaN end once made a NaN demand level or an unrelated dispatch error
+    with pytest.raises(InputError, match="ranges must be finite"):
+        generate_loading_cases(fleet_case, n, load_range, wind_range)
+
+
 def test_contingency_bank_rules(dispatched_fleet):
     rng = np.random.default_rng(23)
     bank = generate_contingencies(dispatched_fleet, 40, rng)
