@@ -104,6 +104,15 @@ def _parse(raw, kind: str, where: str, key: str):
     raise CaseParseError(f"{where}: field {key!r} is not {_EXPECTED[kind]}: {raw!r}")
 
 
+def _finite(value, where: str, key: str):
+    """``value`` when it is None or a finite number; otherwise
+    CaseParseError names where and key. Bank files check their numbers
+    here; a case document's go through validate_case's ``finite`` rule."""
+    if value is not None and not math.isfinite(value):
+        raise CaseParseError(f"{where}: field {key!r} is not finite: {value!r}")
+    return value
+
+
 def _text(path) -> str:
     try:
         return Path(path).read_bytes().decode("utf-8")
@@ -488,11 +497,13 @@ def write_contingencies(contingencies: list[Contingency], path) -> None:
 
 def read_contingencies(path) -> list[Contingency]:
     """Read a contingency bank; raises CaseParseError naming the file, line
-    and field of a missing column or field or of a malformed number."""
+    and field of a missing column or field or of a malformed, NaN or
+    infinite number."""
     return [Contingency(
         row["id"],
         frozenset(x for x in row["outaged_generator_ids"].split(";") if x),
-        _parse(row["mw_lost"] or None, "float | None", where, "mw_lost"))
+        _finite(_parse(row["mw_lost"] or None, "float | None", where, "mw_lost"),
+                where, "mw_lost"))
         for where, row in _csv_rows(path, CONTINGENCY_COLUMNS)]
 
 
@@ -503,8 +514,9 @@ def write_loading_cases(cases: list[LoadingCase], path) -> None:
 def read_loading_cases(path) -> list[LoadingCase]:
     """Read a loading-case bank, a list of LoadingCase documents; raises
     CaseParseError naming the file, entry and field of a missing key, a
-    malformed value or a ``committed`` that is not ``dispatch``'s units, or
-    the place of invalid JSON or text that is not UTF-8."""
+    malformed value, a NaN or infinite number or a ``committed`` that is not
+    ``dispatch``'s units, or the place of invalid JSON or text that is not
+    UTF-8."""
     doc = _json(path)
     if not isinstance(doc, list):
         raise CaseParseError(f"{path}: expected a list of loading cases")
@@ -512,6 +524,11 @@ def read_loading_cases(path) -> list[LoadingCase]:
     for i, entry in enumerate(doc):
         where = f"{path}: entry {i}"
         lc = LoadingCase(**_fields(LoadingCase, entry, where, path))
+        for key in ("target_load_mw", "target_wind_mw", "online_inertia_gws",
+                    "wind_fraction"):
+            _finite(getattr(lc, key), where, key)
+        for gid, mw in lc.dispatch.items():
+            _finite(mw, where, f"dispatch[{gid}]")
         if lc.committed != lc.dispatch.keys():
             raise CaseParseError(f"{where}: field 'committed' does not list "
                                  "exactly the units in 'dispatch'")

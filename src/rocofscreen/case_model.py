@@ -167,7 +167,11 @@ class GridCase:
 
 @dataclass(frozen=True)
 class LoadingCase:
-    """One demand/wind operating point with its committed dispatch."""
+    """One demand/wind operating point with its committed dispatch.
+
+    online_inertia_gws and wind_fraction are the generator's record of the
+    dispatch it made; the bank runner re-derives the inertia from dispatch
+    and reads neither."""
 
     id: str
     target_load_mw: float

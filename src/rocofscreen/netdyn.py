@@ -310,71 +310,58 @@ class MachineStates:
                              self.v_bus.copy())
 
 
-def solved_generator_powers(case: GridCase, ybus: sp.csc_matrix,
-                            solution: PowerFlowSolution) -> np.ndarray:
-    """Complex power produced by each in-service generator (case order) at
-    the solved operating point, system-base pu.
-
-    The power-flow bus injection plus local load is what the units at a bus
-    produce together. Active power follows the dispatch records, with any
-    surplus (slack losses) shared by the bus's synchronous units in
-    proportion to machine base. Reactive power is a power-flow outcome, not
-    a record, so it is shared by all units at the bus in proportion to
-    machine base.
-    """
-    n = len(case.buses)
-    v = solution.v
-    s_bus = v * np.conj(ybus @ v)
-    np.add.at(s_bus, case.bus_positions(record_array(case.loads, "bus_id", np.int64)),
-              _quotient(complex_powers(case.loads), case.s_base_mva))
-
-    gens = [g for g in case.generators if g.status]
-    bus = case.bus_positions(record_array(gens, "bus_id", np.int64))
-    base = record_array(gens, "s_base_mva")
-    disp = record_array(gens, "p_mw") / case.s_base_mva
-    w_all = base / _group_sums(base, bus, n)[bus]
-    w_sync = np.where(record_array(gens, "synchronous", bool), base, 0.0)
-    sync_sum = _group_sums(w_sync, bus, n)[bus]
-    w_sync = np.divide(w_sync, sync_sum, out=w_all.copy(), where=sync_sum > 0)
-    surplus = s_bus.real[bus] - _group_sums(disp, bus, n)[bus]
-    out = np.empty(len(gens), dtype=complex)
-    out.real = disp + surplus * w_sync
-    out.imag = s_bus.imag[bus] * w_all
-    return out
-
-
 def augment_dynamic(ybus: sp.csc_matrix, case: GridCase,
                     solution: PowerFlowSolution) -> NetworkModel:
     """Attach load/non-synchronous shunts and machine Norton shunts to ybus.
 
+    Each in-service generator's solved output S (system-base pu) is its
+    share of what the units at its bus produce together, the power-flow bus
+    injection plus local load. Active power follows the dispatch records,
+    with any surplus (slack losses) shared by the bus's synchronous units in
+    proportion to machine base. Reactive power is a power-flow outcome, not
+    a record, so it is shared by all units at the bus in proportion to
+    machine base. The machines' S is kept on the model (s_solved).
+
     Each load contributes y = conj(S_pu) / |V|^2 at its bus; each in-service
     non-synchronous generator contributes the negative-load equivalent
-    y = -conj(S_pu) / |V|^2 at its solved output (its reactive share at a
-    regulated bus is a power-flow result); each in-service synchronous
-    machine contributes 1/(j xdp) on the system base. A bus adds its loads'
-    shunts, then its generators', in record order. The result is factorized
-    once for reuse; when SuperLU finds it exactly singular, which an island
-    with no machine and no shunt to ground makes it, SingularNetworkError
-    names that island's buses.
+    y = -conj(S) / |V|^2; each in-service synchronous machine contributes
+    1/(j xdp) on the system base. A bus adds its loads' shunts, then its
+    generators', in record order. The result is factorized once for reuse;
+    when SuperLU finds it exactly singular, which an island with no machine
+    and no shunt to ground makes it, SingularNetworkError names that
+    island's buses.
     """
+    n = len(case.buses)
     v = solution.v
     v_abs = np.hypot(v.real, v.imag)     # |v| as abs() rounds one number
     v_sq = _square(v_abs)
-    diag = np.zeros(len(case.buses), dtype=complex)
-    s_gen = solved_generator_powers(case, ybus, solution)
-
     load_bus = case.bus_positions(record_array(case.loads, "bus_id", np.int64))
+    s_load = _quotient(complex_powers(case.loads), case.s_base_mva)
+    gens = [g for g in case.generators if g.status]
+    gen_bus = case.bus_positions(record_array(gens, "bus_id", np.int64))
+    sync = record_array(gens, "synchronous", bool)
+    base = record_array(gens, "s_base_mva")
+
+    s_bus = v * np.conj(ybus @ v)
+    np.add.at(s_bus, load_bus, s_load)
+    disp = record_array(gens, "p_mw") / case.s_base_mva
+    w_all = base / _group_sums(base, gen_bus, n)[gen_bus]
+    w_sync = np.where(sync, base, 0.0)
+    sync_sum = _group_sums(w_sync, gen_bus, n)[gen_bus]
+    w_sync = np.divide(w_sync, sync_sum, out=w_all.copy(), where=sync_sum > 0)
+    surplus = s_bus.real[gen_bus] - _group_sums(disp, gen_bus, n)[gen_bus]
+    s_gen = np.empty(len(gens), dtype=complex)
+    s_gen.real = disp + surplus * w_sync
+    s_gen.imag = s_bus.imag[gen_bus] * w_all
+
     dead = v_abs[load_bus] == 0
     if dead.any():
         l = case.loads[int(np.argmax(dead))]
         raise ModelBuildError(f"load {l.id!r} at bus {l.bus_id} with |V| = 0")
-    s_load = _quotient(complex_powers(case.loads), case.s_base_mva)
+    diag = np.zeros(n, dtype=complex)
     load_shunt = np.conj(s_load) / v_sq[load_bus]
     np.add.at(diag, load_bus, load_shunt)
 
-    gens = [g for g in case.generators if g.status]
-    gen_bus = case.bus_positions(record_array(gens, "bus_id", np.int64))
-    sync = record_array(gens, "synchronous", bool)
     undefined = sync & np.array([g.h_sec is None or g.xdp_pu is None
                                  for g in gens], dtype=bool)
     bad = (v_abs[gen_bus] == 0) | undefined
@@ -390,7 +377,7 @@ def augment_dynamic(ybus: sp.csc_matrix, case: GridCase,
     if not machines:
         raise ModelBuildError(
             f"case {case.name!r} has no in-service synchronous machine")
-    h_sec, s_mach = record_array(machines, "h_sec"), record_array(machines, "s_base_mva")
+    h_sec, s_mach = record_array(machines, "h_sec"), base[sync]
     xdp_sys = record_array(machines, "xdp_pu") * case.s_base_mva / s_mach
     norton_y = 1.0 / (1j * xdp_sys)
     gen_shunt = -np.conj(s_gen) / v_sq[gen_bus]
@@ -399,7 +386,6 @@ def augment_dynamic(ybus: sp.csc_matrix, case: GridCase,
 
     # the sum drops the zeros of the diagonal, as with sp.diags, which costs
     # more than the rest of this function on a small case
-    n = len(diag)
     y_dyn = (ybus + sp.csc_matrix((diag, np.arange(n), np.arange(n + 1)),
                                   shape=(n, n))).tocsc()
     y_dyn.sort_indices()
@@ -494,20 +480,14 @@ def norton_currents(e_over_x: np.ndarray, delta: np.ndarray) -> np.ndarray:
 
 
 def electrical_torque(model: NetworkModel, currents: np.ndarray,
-                      vb: np.ndarray,
-                      active: np.ndarray | None = None) -> np.ndarray:
+                      vb: np.ndarray) -> np.ndarray:
     """Per-machine electrical torque, machine base, classical assumption.
 
     T_e equals the active power delivered at the terminal: Re[V conj(I_s)]
     with stator current I_s = I_norton - y_norton V, where ``currents`` are
     the machines' Norton currents (norton_currents) and ``vb`` their
     terminal voltages (bus voltages taken at ``model.machine_bus``). In the
-    lossless classical model this coincides with air-gap power. Inactive
-    machines get zero. m rows of terminal voltages (and of active flags)
-    give m rows of torques.
+    lossless classical model this coincides with air-gap power. m rows of
+    terminal voltages give m rows of torques; callers mask outaged machines.
     """
-    te = (vb * np.conj(currents - model.norton_y * vb)).real * model.s_base / model.s_mach
-    if active is not None:
-        te = np.where(active, te, 0.0)
-    return te
-
+    return (vb * np.conj(currents - model.norton_y * vb)).real * model.s_base / model.s_mach

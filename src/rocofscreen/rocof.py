@@ -334,7 +334,7 @@ def _screen(model: NetworkModel, states: MachineStates,
     v_post = v_post.reshape(dead.shape)
 
     vb_post = v_post.T[model.machine_bus].T
-    accel = (states.t_m - electrical_torque(model, currents, vb_post, active)) / (
+    accel = (states.t_m - electrical_torque(model, currents, vb_post)) / (
         2.0 * model.h_sec)
     wdot = np.where(active, accel, np.nan)
     # an outaged machine has zero acceleration here, so no injection

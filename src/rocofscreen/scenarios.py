@@ -19,9 +19,10 @@ as soon as that loading case completes.
 
 For a fixed loading case the tabulated system-wide ROCOF uses that case's
 total online inertia in the denominator, making it the linear-in-MW-lost
-screening line the per-bus results are compared against. (The per-bus
-evaluation itself excludes the outaged machines' inertia, which matters
-only when the outage removes a large inertia share.)
+screening line the per-bus results are compared against, summed over the
+units named in the loading case's dispatch. (The per-bus evaluation
+itself excludes the outaged machines' inertia, which matters only when
+the outage removes a large inertia share.)
 """
 
 from __future__ import annotations
@@ -361,17 +362,22 @@ def _column_stats(rocof: np.ndarray, bus_ids) -> list[tuple]:
 def _eval_loading_case(case: GridCase, lc: LoadingCase,
                        contingencies: list[Contingency],
                        mode: str) -> list[ScenarioRecord]:
-    """One record per contingency, in id order, each filled in place."""
+    """One record per contingency, in id order, each filled in place. The
+    inertia line is summed over the case's units in lc.dispatch, never read
+    from the bank; if that sum or the model build fails, every row fails."""
     model = states = None
     setup_error: str | None = None
-    if mode != "system_only":
-        try:
+    inertia_gws = math.nan
+    try:
+        inertia_gws = total_inertia_gws(case.with_generators(
+            g for g in case.generators if g.id in lc.dispatch))
+        if mode != "system_only":
             dispatched = apply_loading_case(case, lc)
             sol = solve_powerflow(dispatched)
             model = augment_dynamic(sol.ybus, dispatched, sol)
             states = init_machines(model, dispatched, sol)
-        except Exception as exc:  # noqa: BLE001 - recorded per row
-            setup_error = f"loading case failed: {exc}"
+    except Exception as exc:  # noqa: BLE001 - recorded per row
+        setup_error = f"loading case failed: {exc}"
 
     rows: list[ScenarioRecord] = []
     screened: list[tuple[ScenarioRecord, Contingency]] = []  # online units
@@ -380,7 +386,7 @@ def _eval_loading_case(case: GridCase, lc: LoadingCase,
                            if g in lc.committed)
         # sorted: the float sum must not depend on set iteration order
         mw_disp = sum((lc.dispatch.get(g, 0.0) for g in sorted(online)), 0.0)
-        rec = ScenarioRecord(lc.id, ctg.id, mw_disp, lc.online_inertia_gws, 0.0)
+        rec = ScenarioRecord(lc.id, ctg.id, mw_disp, inertia_gws, 0.0)
         rows.append(rec)
         if not online:
             rec.status = "no_online_units"
@@ -422,7 +428,7 @@ def _eval_loading_case(case: GridCase, lc: LoadingCase,
                 rec.status = f"{len(isl)} undefined island(s)"
 
     # the loading case's inertia line at each row's final MW lost
-    inertia_mws = lc.online_inertia_gws * 1000.0
+    inertia_mws = inertia_gws * 1000.0
     for rec in rows:
         if rec.mw_lost > 0:
             rec.system_rocof_hz_s = (

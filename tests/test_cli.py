@@ -427,6 +427,38 @@ def case9_set(value, *keys):
     ("loading_cases.json",
      json.dumps([dict(GOOD_LOADING, committed=["gen1", "gen2"])]),
      ": entry 0: field 'committed' does not list exactly the units in 'dispatch'"),
+    # NaN and Infinity are JSON to Python's reader, but no bank number: a
+    # NaN load once ran to a power-flow failure row, an infinite dispatch
+    # to an infinite mw_lost
+    pytest.param("loading_cases.json",
+                 json.dumps([dict(GOOD_LOADING, target_load_mw=math.nan)]),
+                 ": entry 0: field 'target_load_mw' is not finite: nan",
+                 id="loading-target_load_mw-nan"),
+    pytest.param("loading_cases.json",
+                 json.dumps([GOOD_LOADING, dict(GOOD_LOADING, target_wind_mw=math.inf)]),
+                 ": entry 1: field 'target_wind_mw' is not finite: inf",
+                 id="loading-target_wind_mw-inf"),
+    pytest.param("loading_cases.json",
+                 json.dumps([dict(GOOD_LOADING, online_inertia_gws=math.nan)]),
+                 ": entry 0: field 'online_inertia_gws' is not finite: nan",
+                 id="loading-online_inertia_gws-nan"),
+    pytest.param("loading_cases.json",
+                 json.dumps([dict(GOOD_LOADING, wind_fraction=-math.inf)]),
+                 ": entry 0: field 'wind_fraction' is not finite: -inf",
+                 id="loading-wind_fraction-inf"),
+    pytest.param("loading_cases.json",
+                 json.dumps([dict(GOOD_LOADING, dispatch=dict(
+                     GOOD_LOADING["dispatch"], gen3=math.inf))]),
+                 ": entry 0: field 'dispatch[gen3]' is not finite: inf",
+                 id="loading-dispatch-inf"),
+    pytest.param("contingencies.csv",
+                 "id,outaged_generator_ids,mw_lost\nc1,gen3,85\nc2,gen2,nan\n",
+                 ":3: field 'mw_lost' is not finite: nan",
+                 id="contingency-mw_lost-nan"),
+    pytest.param("contingencies.csv",
+                 "id,outaged_generator_ids,mw_lost\nc1,gen3,inf\n",
+                 ":2: field 'mw_lost' is not finite: inf",
+                 id="contingency-mw_lost-inf"),
     pytest.param("case.json", case9_text("loads", 0, p_mw="abc"),
                  ": loads[0]: field 'p_mw' is not a number: 'abc'",
                  id="case-load-p_mw"),
@@ -484,6 +516,26 @@ def test_malformed_bank_file_names_the_place(tmp_path, capsys, name, text, place
     assert code == 1
     assert str(bad) in err
     assert place.format(path=bad) in err
+
+
+@pytest.mark.parametrize("mode, system_rocof", [
+    ("locational", -0.6747816882773218),    # the solved loss, 84.99999999999997 MW
+    ("system_only", -0.674781688277322)])   # the dispatched 85.0 MW
+def test_bank_inertia_line_comes_from_the_dispatch(tmp_path, capsys, mode,
+                                                    system_rocof):
+    # GOOD_LOADING states 1.0 GW-s, but its dispatch runs all three 9-bus
+    # units, 3.779 GW-s; the line once used the stated figure (-2.55 Hz/s)
+    bank = tmp_path / "bank"
+    bank.mkdir()
+    (bank / "contingencies.csv").write_text(GOOD_CONTINGENCIES)
+    (bank / "loading_cases.json").write_text(json.dumps([GOOD_LOADING]))
+    out = tmp_path / "out.csv"
+    code, _, _ = run(["scenarios-run", "--case", str(CASE9), "--bank", str(bank),
+                      "--mode", mode, "--out", str(out)], capsys)
+    assert code == 0
+    [row] = out.read_text().splitlines()[1:]
+    contingency, inertia, rocof = (row.split(",")[k] for k in (1, 3, 4))
+    assert (contingency, inertia, float(rocof)) == ("c1", "3.779", system_rocof)
 
 
 def test_unreadable_text_names_the_file(tmp_path, capsys):

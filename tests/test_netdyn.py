@@ -244,7 +244,7 @@ def test_power_balance_after_outage(solved9):
     i_mach = currents(model, states)
     v = spla.splu(y_mod, **SUPERLU_OPTIONS).solve(
         model.to_buses(np.where(active, i_mach, 0.0)))
-    te = electrical_torque(model, i_mach, v[model.machine_bus], active)
+    te = np.where(active, electrical_torque(model, i_mach, v[model.machine_bus]), 0.0)
     machine_mw = float(np.sum(te * model.s_mach))
     # passive power with the outaged Norton shunt removed from the matrix
     i_passive = y_mod @ v

@@ -319,7 +319,7 @@ def refactor_reference(model, states, contingency):
                    **powerflow.SUPERLU_OPTIONS)
     i_mach = currents(model, states)
     v = lu.solve(model.to_buses(np.where(active, i_mach, 0.0)))
-    te = electrical_torque(model, i_mach, v[model.machine_bus], active)
+    te = np.where(active, electrical_torque(model, i_mach, v[model.machine_bus]), 0.0)
     wdot = np.where(active, (states.t_m - te) / (2.0 * model.h_sec), np.nan)
     idd = np.zeros(model.n_bus, dtype=complex)
     np.add.at(idd, model.machine_bus, np.where(active, injection_derivatives(
@@ -601,7 +601,8 @@ def current_column_screen(model, states, contingencies):
     v_post = np.full((m, n), np.nan, dtype=complex)
     for j in np.flatnonzero(known):
         v = outage_solution(j, x[:, j])
-        te = electrical_torque(model, i_mach, v[model.machine_bus], active[j])
+        te = np.where(active[j],
+                      electrical_torque(model, i_mach, v[model.machine_bus]), 0.0)
         wdot[j] = np.where(active[j], (states.t_m - te) / (2.0 * model.h_sec),
                            np.nan)
         idd = model.to_buses(injection_derivatives(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -642,6 +643,46 @@ def test_simulate_mode_agrees_with_locational_mode_on_the_fleet(fleet_case):
             screen = getattr(loc, name)
             assert abs(getattr(sim, name) - screen) <= max(0.1 * abs(screen), 0.02), (
                 loc.loading_id, loc.contingency_id, name)
+
+
+@pytest.mark.parametrize("n", [25, 125])
+def test_inertia_line_is_the_generated_record(fleet_case, n):
+    # the runner sums the dispatched units' inertia itself; on a generated
+    # bank that is, to the bit, the sum the generator stored
+    loading = generate_loading_cases(fleet_case, n, STUDY_LOAD_RANGE,
+                                     STUDY_WIND_RANGE)
+    lose_one = Contingency.of("ctg000", [fleet_case.generators[0].id])
+    records = run_bank(fleet_case, loading, [lose_one], mode="system_only")
+    stored = {lc.id: lc.online_inertia_gws for lc in loading}
+    assert len(records) == n
+    assert all(r.inertia_gws == stored[r.loading_id] for r in records)
+
+
+@pytest.mark.parametrize("mode", ["system_only", "locational"])
+def test_dispatched_machine_without_h_sec_fails_its_loading_case(case9, mode):
+    # the inertia line needs the h_sec of every dispatched machine, also in
+    # system_only mode, which builds no model; a loading case that leaves
+    # the unit out still runs
+    case = case9.with_generators(dataclasses.replace(g, h_sec=None) if g.id == "gen2"
+                                 else g for g in case9.generators)
+    disp = {g.id: g.p_mw for g in case9.generators}
+    without = {"gen1": disp["gen1"] + disp["gen2"], "gen3": disp["gen3"]}
+    load = sum(l.p_mw for l in case9.loads)
+    loading = [LoadingCase("lc000", load, 0.0, disp, frozenset(disp), 3.779, 0.0),
+               LoadingCase("lc001", load, 0.0, without, frozenset(without), 1.0, 0.0)]
+    contingencies = [Contingency.of("ctg000", ["gen3"]),
+                     Contingency.of("ctg001", ["gen1"])]
+    records = run_bank(case, loading, contingencies, mode=mode)
+    failed = [r for r in records if r.loading_id == "lc000"]
+    assert [r.status for r in failed] == [
+        "loading case failed: generator 'gen2' is in service but has no h_sec; "
+        "apply a dynamics sidecar or synthesize parameters first"] * 2
+    assert all(math.isnan(r.inertia_gws) and math.isnan(r.system_rocof_hz_s)
+               and not r.concern_flag for r in failed)
+    ran = [r for r in records if r.loading_id == "lc001"]
+    inertia = total_inertia_gws(case9.with_generators(
+        g for g in case9.generators if g.id != "gen2"))
+    assert [(r.status, r.inertia_gws) for r in ran] == [("ok", inertia)] * 2
 
 
 def case9_bank_with_failures(case9):

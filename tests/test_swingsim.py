@@ -695,9 +695,9 @@ def assert_matches_four_solve_step(model, states, contingency, opts):
                                      **SUPERLU_OPTIONS))
         return changed
 
-    def recording_torque(model_, currents, vb, active=None):
+    def recording_torque(model_, currents, vb):
         stages.append((currents.copy(), vb.copy(), handles[-1]))
-        return netdyn.electrical_torque(model_, currents, vb, active)
+        return netdyn.electrical_torque(model_, currents, vb)
 
     with mock.patch.object(swingsim, "electrical_torque", recording_torque), \
             mock.patch.object(swingsim._CompensatedNetwork, "add", refactoring_add):
