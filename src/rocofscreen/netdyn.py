@@ -270,18 +270,28 @@ class NetworkModel:
             np.add.at(out.reshape(-1), at.reshape(-1), per_machine.reshape(-1))
         return out
 
-    def dead_island_mask(self, active_machines: np.ndarray | None = None) -> np.ndarray:
-        """Bus mask of islands left without any active synchronous machine.
+    @cached_property
+    def machine_islands(self) -> np.ndarray:
+        """The island label of each machine's bus."""
+        return self.islands[self.machine_bus]
+
+    def dead_islands(self, active_machines: np.ndarray | None = None) -> np.ndarray:
+        """Flags, by island label (islands on the last axis), of the islands
+        left without any active synchronous machine.
 
         Flags for m outages, one row each (machines on the last axis), give
-        m rows of masks."""
+        m rows."""
         if active_machines is None:
             active_machines = np.ones(len(self.machine_ids), dtype=bool)
         if self._n_islands == 1:
-            return np.repeat(~active_machines.any(axis=-1)[..., None], self.n_bus, axis=-1)
-        alive = active_machines @ (self.islands[self.machine_bus][:, None]
-                                   == np.arange(self._n_islands))
-        return ~alive.T[self.islands].T
+            return ~active_machines.any(axis=-1)[..., None]
+        return ~(active_machines @ (self.machine_islands[:, None]
+                                    == np.arange(self._n_islands)))
+
+    def dead_island_mask(self, active_machines: np.ndarray | None = None) -> np.ndarray:
+        """Bus mask of islands left without any active synchronous machine
+        (``dead_islands`` at each bus's island)."""
+        return self.dead_islands(active_machines)[..., self.islands]
 
 
 @dataclass(eq=False)

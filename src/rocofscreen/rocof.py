@@ -18,9 +18,12 @@ contingency:
    removing them subtracts Z times those currents, and removing their
    Norton shunts is a rank-k change to the diagonal, applied by
    compensation (Alsac, Stott & Tinney, IEEE Trans. PAS, 1983) rather than
-   by refactoring. Each contingency's k x k capacitance matrix is solved in
-   one stacked dense solve for the batch, and its correction reads only its
-   own k columns of Z;
+   by refactoring. The (contingency, bus) pairs of the update and their
+   sums come from the lost machines themselves, so finding the k outaged
+   buses costs work in k, not in the number of buses. Each contingency's
+   k x k capacitance matrix is solved in one stacked dense solve for the
+   batch, and its correction reads only its own k columns of Z (a single
+   contingency reads Z in place);
 2. recompute each remaining machine's electrical torque and acceleration
    wdot = (T_m - T_e) / (2 H), with mechanical torque frozen (no governors);
 3. form the injection second derivative Idd = (E'/x'd) /_ delta * wdot
@@ -234,6 +237,29 @@ def locational_rocof_batch(model: NetworkModel, states: MachineStates,
     )
 
 
+def _outage_pairs(model: NetworkModel, lost: np.ndarray,
+                  currents: np.ndarray) -> tuple:
+    """The (contingency, bus) pairs of m outages, from their lost machines
+    (an m x machines mask): the rows and bus positions, ascending by
+    contingency, then bus, and at each pair d, the sum of the lost machines'
+    -y_norton, and their Norton currents (``currents``), both summed in
+    machine order as NetworkModel.to_buses sums. Pairs whose d is 0 are
+    dropped."""
+    n = model.n_bus
+    row, mach = np.nonzero(lost)
+    key = row * n + model.machine_bus[mach]
+    pairs = np.unique(key)
+    # np.unique's inverse, at about a third of return_inverse's cost
+    at = np.searchsorted(pairs, key)
+    d = np.zeros(pairs.size, dtype=complex)
+    np.add.at(d, at, -model.norton_y[mach])
+    i_lost = np.zeros(pairs.size, dtype=complex)
+    np.add.at(i_lost, at, currents[mach])
+    keep = d != 0
+    row, bus = np.divmod(pairs[keep], n)
+    return row, bus, d[keep], i_lost[keep]
+
+
 def _screen(model: NetworkModel, states: MachineStates,
             contingencies: list[Contingency], single: bool = False) -> tuple:
     """The batch screen: (MW lost, system ROCOF, bus ROCOF, machine
@@ -254,17 +280,24 @@ def _screen(model: NetworkModel, states: MachineStates,
         except KeyError as exc:
             errors[j] = exc
 
-    dead = model.dead_island_mask(active)
-    dead_rows = dead.reshape(m, n)
-    any_dead = dead.any()
+    shape = active.shape[:-1] + (n,)
+    # islands die only through their machines: the bus-wide mask is built
+    # only for a batch in which some island does
+    dead_isl = model.dead_islands(active)
+    any_dead = dead_isl.any()
+    lost = ~active
     undefined_islands: list[list[list[int]]] = [[] for _ in range(m)]
-    for j in np.flatnonzero(dead_rows.any(axis=1)) if any_dead else ():
-        undefined_islands[j] = [
-            [model.bus_ids[i] for i in np.flatnonzero(model.islands == isl)]
-            for isl in sorted(set(model.islands[dead_rows[j]].tolist()))]
-        log.warning("contingency %s leaves %d island(s) without a machine; "
-                    "ROCOF reported as undefined there",
-                    ids[j], len(undefined_islands[j]))
+    if any_dead:
+        dead_isl_rows = dead_isl.reshape(m, -1)
+        dead_rows = dead_isl_rows[:, model.islands]
+        lost &= ~dead_isl[..., model.machine_islands]
+        for j in np.flatnonzero(dead_isl_rows.any(axis=1)):
+            undefined_islands[j] = [
+                [model.bus_ids[i] for i in np.flatnonzero(model.islands == isl)]
+                for isl in np.flatnonzero(dead_isl_rows[j])]
+            log.warning("contingency %s leaves %d island(s) without a machine; "
+                        "ROCOF reported as undefined there",
+                        ids[j], len(undefined_islands[j]))
 
     # contingency j adds d to the diagonal at its buses b, the sum of the
     # -y_norton of its outaged machines there (live islands only: a dead
@@ -272,42 +305,45 @@ def _screen(model: NetworkModel, states: MachineStates,
     # That is the rank-k update E D E^T with E the unit columns at b. By
     # Woodbury, (Y + E D E^T)^-1 r = x - Z C^-1 D x[b] with x = Y^-1 r,
     # Z = Y^-1 E and C = I + D Z[b]. Z has one column per bus of U, the
-    # union of all b. Pairs (j, b) run by contingency, then bus; slot is b's
-    # place among the k_j buses of j, and blocks are padded to the largest k.
+    # union of all b, kept as a row of z. The pairs (j, b) come from the
+    # lost machines themselves (_outage_pairs), by contingency, then bus;
+    # slot is b's place among the k_j buses of j, and blocks are padded to
+    # the largest k.
     # Solve 1's right-hand side would be I_all - E i, with i the outaged
     # machines' Norton currents at b (summed in the same pass as d). Its x
     # is v_bus - Z i, v_bus = Y^-1 I_all being kept on the states, so
     # V = v_bus - Z w with w = i + C^-1 D x[b] = C^-1 (i + D v_bus[b]), and
     # solve 1 is [e_U] alone.
     currents = norton_currents(states.e_prime / model.xdp_sys, states.delta)
-    lost = ~active
-    if any_dead:
-        lost &= ~dead.T[model.machine_bus].T
-    d_bus, i_bus = model.to_buses(np.where(
-        lost.reshape(m, nm), np.array((-model.norton_y, currents))[:, None],
-        0.0).reshape(2 * m, nm)).reshape(2, m, n)
-    row, bus = np.nonzero(d_bus)
+    row, bus, d, i_lost = _outage_pairs(model, lost.reshape(m, nm), currents)
     k = np.bincount(row, minlength=m)
     k_max = max(k.tolist(), default=0)
     slot = np.arange(row.size) - np.searchsorted(row, row)
-    union = np.flatnonzero(np.bincount(bus, minlength=n))
+    union = bus if single else np.unique(bus)
     bus_of = np.zeros((m, k_max), dtype=np.int64)        # padded with bus 0
     bus_of[row, slot] = bus
-    d = d_bus[row, bus]
-    d_of = np.zeros((m, k_max), dtype=complex)            # padded with 0
-    d_of[row, slot] = d
     # the right-hand sides [D | i + D v_bus[b]] of the capacitance solve
     d_rhs = np.zeros((m, k_max, k_max + 1), dtype=complex)
     d_rhs[row, slot, slot] = d
-    d_rhs[row, slot, k_max] = i_bus[row, bus] + d * states.v_bus[bus]
-    z_of = np.searchsorted(union, bus_of)
+    d_rhs[row, slot, k_max] = i_lost + d * states.v_bus[bus]
 
     z = model.unit_columns(union)           # solve 1, for buses not yet cached
-    # a padded row of C is a unit row (d = 0), so the padding solves to
-    # zero: C^-1 D vanishes outside j's k_j x k_j block, and C is singular
-    # only if that block is. z_j[j, s] is the column of Z at j's slot s (a
-    # padded slot reads U's first column, with a zero coefficient).
-    cap = np.eye(k_max) + d_of[:, :, None] * z[z_of[:, None, :], bus_of[:, :, None]]
+    # C[j, s, t] is delta_st + d_js times the column of Z at j's slot t,
+    # read at b_js. A padded row of C is a unit row (d = 0), so the padding
+    # solves to zero: C^-1 D vanishes outside j's k_j x k_j block, and C is
+    # singular only if that block is. z_j[j, s] is the row of z at j's slot
+    # s (a padded slot reads U's first, with a zero coefficient). A single
+    # contingency's buses are U itself, in order, so its z_j is z, read in
+    # place.
+    if single:
+        cap = (np.eye(k_max) + d[:, None] * z[:, bus].T)[None]
+        z_j = z[None]
+    else:
+        d_of = np.zeros((m, k_max), dtype=complex)        # padded with 0
+        d_of[row, slot] = d
+        z_of = np.searchsorted(union, bus_of)
+        cap = np.eye(k_max) + d_of[:, :, None] * z[z_of[:, None, :], bus_of[:, :, None]]
+        z_j = z[z_of]
     try:
         c_inv = np.linalg.solve(cap, d_rhs)
     except np.linalg.LinAlgError:
@@ -324,14 +360,13 @@ def _screen(model: NetworkModel, states: MachineStates,
                         f"{[model.bus_ids[b] for b in bus_of[j, :k[j]]]}")
                     errors[j].__cause__ = exc
     c_inv_d, w = c_inv[:, :, :k_max], c_inv[:, :, k_max]
-    z_j = z[z_of]
 
     # einsum, not a matrix product: BLAS threads its n-long products, which
     # costs more than the k_j x n work itself
     v_post = states.v_bus - np.einsum("js,jsn->jn", w, z_j)
     if any_dead:
         v_post[dead_rows] = 0.0
-    v_post = v_post.reshape(dead.shape)
+    v_post = v_post.reshape(shape)
 
     vb_post = v_post.T[model.machine_bus].T
     accel = (states.t_m - electrical_torque(model, currents, vb_post)) / (
@@ -345,13 +380,15 @@ def _screen(model: NetworkModel, states: MachineStates,
     v_ddot = v_ddot - np.einsum("js,jsn->jn", coef, z_j)
     if any_dead:
         v_ddot[dead_rows] = 0.0
-    v_ddot = v_ddot.reshape(dead.shape)
+    v_ddot = v_ddot.reshape(shape)
 
+    # a dead island's buses read 0 V, so they fail the test too
     ok = np.abs(v_post) > 1e-9
-    if any_dead:
-        ok &= ~dead
-    rocof_pu = np.full(dead.shape, np.nan)
-    rocof_pu[ok] = angle_second_derivative(v_post[ok], v_ddot[ok])
+    if ok.all():
+        rocof_pu = angle_second_derivative(v_post, v_ddot)
+    else:
+        rocof_pu = np.full(shape, np.nan)
+        rocof_pu[ok] = angle_second_derivative(v_post[ok], v_ddot[ok])
     bus_rocof = model.f_base * rocof_pu
 
     # a running sum adds the outaged machines in machine order

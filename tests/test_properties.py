@@ -11,6 +11,7 @@ from rocofscreen.case_model import Branch, Bus, Generator, Load, island_labels
 from rocofscreen.scenarios import _column_stats, finite_difference_rocof
 from test_netdyn import assert_builders_match_loops, loop_island_labels
 from test_powerflow import assert_newton_matches_reference
+from test_screen_reference import assert_same_screens
 from test_rocof import (assert_cache_changes_no_bit, assert_matches_current_columns,
                         assert_matches_default_panel, assert_matches_plain_splu,
                         built_model, refactor_reference)
@@ -83,6 +84,21 @@ def test_voltage_start_matches_current_columns_on_generated_networks(drawn):
     assert_matches_current_columns(model, states, [
         Contingency.of("c", outaged), Contingency.of("one", outaged[:1]),
         Contingency.of("unknown", ["nope"]), Contingency.of("null", [])])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(networks())
+def test_screen_matches_frozen_reference_on_generated_networks(drawn):
+    # machines share buses here, so a bus can sum several lost machines, up
+    # to four when all but one are lost; losing every machine leaves no
+    # inertia and a dead island
+    case, outaged = drawn
+    model, states = built_model(case)
+    units = model.machine_ids
+    assert_same_screens(model, states, [
+        Contingency.of("c", outaged), Contingency.of("one", outaged[:1]),
+        Contingency.of("rest", units[1:]), Contingency.of("all", units),
+        Contingency.of("null", []), Contingency.of("unknown", ["nope"])])
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
