@@ -495,15 +495,26 @@ def write_contingencies(contingencies: list[Contingency], path) -> None:
                   _fmt(c.total_mw_lost)] for c in contingencies))
 
 
+def _new_id(seen: set, record, where: str):
+    """``record`` once its id is not in ``seen``, the ids read before it
+    (which it joins); otherwise CaseParseError names where and the id."""
+    if record.id in seen:
+        raise CaseParseError(
+            f"{where}: field 'id' repeats an earlier entry: {record.id!r}")
+    seen.add(record.id)
+    return record
+
+
 def read_contingencies(path) -> list[Contingency]:
     """Read a contingency bank; raises CaseParseError naming the file, line
-    and field of a missing column or field or of a malformed, NaN or
-    infinite number."""
-    return [Contingency(
+    and field of a missing column or field, of a malformed, NaN or infinite
+    number or of an id that an earlier row has."""
+    seen: set[str] = set()
+    return [_new_id(seen, Contingency(
         row["id"],
         frozenset(x for x in row["outaged_generator_ids"].split(";") if x),
         _finite(_parse(row["mw_lost"] or None, "float | None", where, "mw_lost"),
-                where, "mw_lost"))
+                where, "mw_lost")), where)
         for where, row in _csv_rows(path, CONTINGENCY_COLUMNS)]
 
 
@@ -514,13 +525,15 @@ def write_loading_cases(cases: list[LoadingCase], path) -> None:
 def read_loading_cases(path) -> list[LoadingCase]:
     """Read a loading-case bank, a list of LoadingCase documents; raises
     CaseParseError naming the file, entry and field of a missing key, a
-    malformed value, a NaN or infinite number or a ``committed`` that is not
-    ``dispatch``'s units, or the place of invalid JSON or text that is not
-    UTF-8."""
+    malformed value, a NaN or infinite number, a ``committed`` that is not
+    ``dispatch``'s units or an id that an earlier entry has (ids compare as
+    read, so 5 and "5" are one id), or the place of invalid JSON or text
+    that is not UTF-8."""
     doc = _json(path)
     if not isinstance(doc, list):
         raise CaseParseError(f"{path}: expected a list of loading cases")
     out = []
+    seen: set[str] = set()
     for i, entry in enumerate(doc):
         where = f"{path}: entry {i}"
         lc = LoadingCase(**_fields(LoadingCase, entry, where, path))
@@ -532,7 +545,7 @@ def read_loading_cases(path) -> list[LoadingCase]:
         if lc.committed != lc.dispatch.keys():
             raise CaseParseError(f"{where}: field 'committed' does not list "
                                  "exactly the units in 'dispatch'")
-        out.append(lc)
+        out.append(_new_id(seen, lc, where))
     return out
 
 

@@ -22,7 +22,7 @@ Machine-base to system-base conversion happens exactly once, here:
 The machine-network interface is defined once, here: ``norton_currents``
 (E'/x'd) /_ (delta - pi/2), the machine-to-bus sum ``NetworkModel.to_buses``
 and ``electrical_torque``. Their users are ``init_machines``, the screen
-(``rocof._screen``) and the simulator (``swingsim.simulate``).
+(``rocof.locational_rocof_batch``) and the simulator (``swingsim.simulate``).
 """
 
 from __future__ import annotations

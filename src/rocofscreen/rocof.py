@@ -1,11 +1,11 @@
 """System-wide and per-bus theoretical ROCOF after generation-loss events.
 
-The per-bus screen takes a batch of contingencies (a single screen is a
-batch of one) and runs in at most two multi-right-hand-side sparse solves
-per batch against the base factorization of the network model, whatever
-the batch size; solve 1 has one right-hand side per distinct outaged bus
-of the batch that the model has not solved before, and solve 2 one per
-contingency:
+The per-bus screen, locational_rocof_batch, takes a batch of contingencies
+(locational_rocof screens a batch of one) and runs in at most two
+multi-right-hand-side sparse solves per batch against the base
+factorization of the network model, whatever the batch size; solve 1 has
+one right-hand side per distinct outaged bus of the batch that the model
+has not solved before, and solve 2 one per contingency:
 
 1. solve 1 gives the columns Z = Y^-1 E at the outaged buses. They depend
    on the buses alone, not on the contingency, so the model keeps them
@@ -22,8 +22,8 @@ contingency:
    sums come from the lost machines themselves, so finding the k outaged
    buses costs work in k, not in the number of buses. Each contingency's
    k x k capacitance matrix is solved in one stacked dense solve for the
-   batch, and its correction reads only its own k columns of Z (a single
-   contingency reads Z in place);
+   batch, and its correction reads only its own k columns of Z (a batch
+   of one, screened on vectors without a row axis, reads Z in place);
 2. recompute each remaining machine's electrical torque and acceleration
    wdot = (T_m - T_e) / (2 H), with mechanical torque frozen (no governors);
 3. form the injection second derivative Idd = (E'/x'd) /_ delta * wdot
@@ -176,7 +176,8 @@ def injection_derivatives(currents: np.ndarray, delta: np.ndarray,
 
 def locational_rocof(model: NetworkModel, states: MachineStates,
                      contingency: Contingency) -> RocofResult:
-    """Theoretical per-bus ROCOF for one machine-loss contingency.
+    """Theoretical per-bus ROCOF for one machine-loss contingency: column 0
+    of locational_rocof_batch on the batch of one.
 
     Costs at most two sparse linear solves against the base factorization
     (one for the voltages, one for the voltage second derivative); solve 1
@@ -184,25 +185,23 @@ def locational_rocof(model: NetworkModel, states: MachineStates,
     model has not solved yet (none on a repeat), and no current: the
     voltages start from the states' own (MachineStates.v_bus). Islands that
     lose their last machine are reported as undefined rather than
-    diverging; see RocofResult. Raises SingularOutageError when the outage
-    leaves a singular network. This is the batch screen with one
-    contingency.
+    diverging; see RocofResult. Raises the contingency's batch error, e.g.
+    SingularOutageError when the outage leaves a singular network.
     """
-    (mw_lost, sys_rocof, bus_rocof, wdot, v_post, islands, errors,
-     n_solves) = _screen(model, states, [contingency], single=True)
-    if errors[0] is not None:
-        raise errors[0]
+    batch = locational_rocof_batch(model, states, [contingency])
+    if batch.errors[0] is not None:
+        raise batch.errors[0]
     return RocofResult(
         contingency_id=contingency.id,
-        mw_lost=float(mw_lost),
-        system_rocof_hz_s=float(sys_rocof),
-        bus_ids=list(model.bus_ids),
-        bus_rocof_hz_s=bus_rocof,
-        machine_ids=list(model.machine_ids),
-        machine_accel=wdot,
-        post_disturbance_voltages=v_post,
-        undefined_islands=islands[0],
-        n_solves=n_solves,
+        mw_lost=float(batch.mw_lost[0]),
+        system_rocof_hz_s=float(batch.system_rocof_hz_s[0]),
+        bus_ids=batch.bus_ids,
+        bus_rocof_hz_s=batch.bus_rocof_hz_s[:, 0],
+        machine_ids=batch.machine_ids,
+        machine_accel=batch.machine_accel[:, 0],
+        post_disturbance_voltages=batch.post_disturbance_voltages[:, 0],
+        undefined_islands=batch.undefined_islands[0],
+        n_solves=batch.n_solves,
     )
 
 
@@ -219,57 +218,15 @@ def locational_rocof_batch(model: NetworkModel, states: MachineStates,
     derivatives. A contingency that cannot be screened (an unknown machine,
     a singular network, no inertia left) gets its exception in
     RocofBatch.errors and NaN columns; the other columns are unaffected.
+
+    The arithmetic holds one row per contingency, machines or buses on the
+    last axis. The path is chosen by the batch size: a batch of one leaves
+    the row axis out of the per-machine and per-bus arithmetic, which is
+    then done on vectors, and the stacked parts see one row.
     """
-    (mw_lost, sys_rocof, bus_rocof, wdot, v_post, islands, errors,
-     n_solves) = _screen(model, states, contingencies)
-    return RocofBatch(
-        contingency_ids=[c.id for c in contingencies],
-        bus_ids=list(model.bus_ids),
-        machine_ids=list(model.machine_ids),
-        mw_lost=mw_lost,
-        system_rocof_hz_s=sys_rocof,
-        bus_rocof_hz_s=bus_rocof.T,
-        machine_accel=wdot.T,
-        post_disturbance_voltages=v_post.T,
-        undefined_islands=islands,
-        errors=errors,
-        n_solves=n_solves,
-    )
-
-
-def _outage_pairs(model: NetworkModel, lost: np.ndarray,
-                  currents: np.ndarray) -> tuple:
-    """The (contingency, bus) pairs of m outages, from their lost machines
-    (an m x machines mask): the rows and bus positions, ascending by
-    contingency, then bus, and at each pair d, the sum of the lost machines'
-    -y_norton, and their Norton currents (``currents``), both summed in
-    machine order as NetworkModel.to_buses sums. Pairs whose d is 0 are
-    dropped."""
-    n = model.n_bus
-    row, mach = np.nonzero(lost)
-    key = row * n + model.machine_bus[mach]
-    pairs = np.unique(key)
-    # np.unique's inverse, at about a third of return_inverse's cost
-    at = np.searchsorted(pairs, key)
-    d = np.zeros(pairs.size, dtype=complex)
-    np.add.at(d, at, -model.norton_y[mach])
-    i_lost = np.zeros(pairs.size, dtype=complex)
-    np.add.at(i_lost, at, currents[mach])
-    keep = d != 0
-    row, bus = np.divmod(pairs[keep], n)
-    return row, bus, d[keep], i_lost[keep]
-
-
-def _screen(model: NetworkModel, states: MachineStates,
-            contingencies: list[Contingency], single: bool = False) -> tuple:
-    """The batch screen: (MW lost, system ROCOF, bus ROCOF, machine
-    accelerations, post-disturbance voltages, undefined islands, errors,
-    solves). Arrays hold one row per contingency, machines or buses on the
-    last axis; with single=True (one contingency) the row axis is left out
-    of the per-machine and per-bus arithmetic, which is then done on
-    vectors, and the stacked parts see one row."""
     solves_before = model.solve_count
     n, m, nm = model.n_bus, len(contingencies), len(model.machine_ids)
+    single = m == 1
     ids = [c.id for c in contingencies]
     errors: list[Exception | None] = [None] * m
     active = np.ones((nm,) if single else (m, nm), dtype=bool)
@@ -332,9 +289,8 @@ def _screen(model: NetworkModel, states: MachineStates,
     # read at b_js. A padded row of C is a unit row (d = 0), so the padding
     # solves to zero: C^-1 D vanishes outside j's k_j x k_j block, and C is
     # singular only if that block is. z_j[j, s] is the row of z at j's slot
-    # s (a padded slot reads U's first, with a zero coefficient). A single
-    # contingency's buses are U itself, in order, so its z_j is z, read in
-    # place.
+    # s (a padded slot reads U's first, with a zero coefficient). A batch of
+    # one's buses are U itself, in order, so its z_j is z, read in place.
     if single:
         cap = (np.eye(k_max) + d[:, None] * z[:, bus].T)[None]
         z_j = z[None]
@@ -404,5 +360,39 @@ def _screen(model: NetworkModel, states: MachineStates,
     failed = [j for j, e in enumerate(errors) if e is not None]
     for block in (mw_lost, sys_rocof, bus_rocof, wdot, v_post) if failed else ():
         block.reshape(m, -1)[failed] = np.nan
-    return (mw_lost, sys_rocof, bus_rocof, wdot, v_post, undefined_islands,
-            errors, model.solve_count - solves_before)
+    return RocofBatch(
+        contingency_ids=ids,
+        bus_ids=list(model.bus_ids),
+        machine_ids=list(model.machine_ids),
+        mw_lost=mw_lost.reshape(m),
+        system_rocof_hz_s=sys_rocof.reshape(m),
+        bus_rocof_hz_s=bus_rocof.reshape(m, n).T,
+        machine_accel=wdot.reshape(m, nm).T,
+        post_disturbance_voltages=v_post.reshape(m, n).T,
+        undefined_islands=undefined_islands,
+        errors=errors,
+        n_solves=model.solve_count - solves_before,
+    )
+
+
+def _outage_pairs(model: NetworkModel, lost: np.ndarray,
+                  currents: np.ndarray) -> tuple:
+    """The (contingency, bus) pairs of m outages, from their lost machines
+    (an m x machines mask): the rows and bus positions, ascending by
+    contingency, then bus, and at each pair d, the sum of the lost machines'
+    -y_norton, and their Norton currents (``currents``), both summed in
+    machine order as NetworkModel.to_buses sums. Pairs whose d is 0 are
+    dropped."""
+    n = model.n_bus
+    row, mach = np.nonzero(lost)
+    key = row * n + model.machine_bus[mach]
+    pairs = np.unique(key)
+    # np.unique's inverse, at about a third of return_inverse's cost
+    at = np.searchsorted(pairs, key)
+    d = np.zeros(pairs.size, dtype=complex)
+    np.add.at(d, at, -model.norton_y[mach])
+    i_lost = np.zeros(pairs.size, dtype=complex)
+    np.add.at(i_lost, at, currents[mach])
+    keep = d != 0
+    row, bus = np.divmod(pairs[keep], n)
+    return row, bus, d[keep], i_lost[keep]

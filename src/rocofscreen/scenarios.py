@@ -236,7 +236,8 @@ def generate_contingencies(case: GridCase, n: int,
     combine whole plants from several sites into losses of up to twice the
     design size. Plants are picked with probability proportional to
     dispatched MW. InputError ends a draw in which MAX_IDLE_ATTEMPTS
-    attempts in a row add no contingency.
+    attempts in a row add no contingency, and rejects an n below 1 before
+    any other check.
 
     The sequence of draws from rng is part of this contract: for a given
     case, n and generator state the bank is the same, and so is the state
@@ -244,6 +245,8 @@ def generate_contingencies(case: GridCase, n: int,
     one rng.random(), the draw Generator.choice(k, p=w) makes (a test pins
     the two together).
     """
+    if n <= 0:
+        raise InputError("n must be positive")
     units = [g for g in case.generators if g.synchronous and g.status and g.p_mw > 0]
     plants: dict[int, list] = {}
     for g in units:

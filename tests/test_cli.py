@@ -363,6 +363,25 @@ def test_report_summaries_do_not_depend_on_row_order(tmp_path, capsys):
     assert summaries[0].splitlines()[1].startswith("c1,85.0,5,")
 
 
+@pytest.mark.parametrize("option, count", [
+    ("--n-contingencies", "0"), ("--n-contingencies", "-3"), ("--n-loading", "0")])
+def test_scenarios_gen_count_below_one_exits_1(tmp_path, capsys, fleet_case,
+                                               option, count):
+    # a contingency count below 1 once wrote a header-only bank and exited 0
+    case_path = tmp_path / "fleet.json"
+    write_case(fleet_case, case_path)
+    counts = {"--n-contingencies": "6", "--n-loading": "4", option: count}
+    bank = tmp_path / "bank"
+    code, _, err = run([
+        "scenarios-gen", "--case", str(case_path), "--seed", "7",
+        *(x for pair in counts.items() for x in pair),
+        "--load-range", "30000:60000", "--wind-range", "12000:20000",
+        "--out", str(bank)], capsys)
+    assert code == 1
+    assert err.splitlines() == ["error: n must be positive"]
+    assert not (bank / "contingencies.csv").exists()
+
+
 def test_scenarios_gen_without_inertia_names_the_unit(tmp_path, capsys, fleet_case):
     # every loading case commits the nuclear units; one without h_sec would
     # give each case a wrong online inertia, so the bank is refused
@@ -459,6 +478,23 @@ def case9_set(value, *keys):
                  "id,outaged_generator_ids,mw_lost\nc1,gen3,inf\n",
                  ":2: field 'mw_lost' is not finite: inf",
                  id="contingency-mw_lost-inf"),
+    # a repeated id once ran as two rows under one (loading_id,
+    # contingency_id) key, which report counted twice
+    pytest.param("contingencies.csv", GOOD_CONTINGENCIES + "c1,gen3,85.0\n",
+                 ":3: field 'id' repeats an earlier entry: 'c1'",
+                 id="contingency-id-repeated-row"),
+    pytest.param("contingencies.csv",
+                 GOOD_CONTINGENCIES + "c2,gen2,163\nc1,gen2,163\n",
+                 ":4: field 'id' repeats an earlier entry: 'c1'",
+                 id="contingency-id-repeated"),
+    pytest.param("loading_cases.json",
+                 json.dumps([GOOD_LOADING, dict(GOOD_LOADING, target_load_mw=300.0)]),
+                 ": entry 1: field 'id' repeats an earlier entry: 'lc0'",
+                 id="loading-id-repeated"),
+    pytest.param("loading_cases.json",
+                 json.dumps([dict(GOOD_LOADING, id=5), dict(GOOD_LOADING, id="5")]),
+                 ": entry 1: field 'id' repeats an earlier entry: '5'",
+                 id="loading-id-repeated-as-number"),
     pytest.param("case.json", case9_text("loads", 0, p_mw="abc"),
                  ": loads[0]: field 'p_mw' is not a number: 'abc'",
                  id="case-load-p_mw"),

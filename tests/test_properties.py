@@ -3,7 +3,7 @@
 import dataclasses
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rocofscreen import (Contingency, GridCase, SimOptions, locational_rocof,
                          locational_rocof_batch, simulate, solve_powerflow)
@@ -19,11 +19,30 @@ from test_swingsim import (assert_matches_four_solve_step, assert_matches_refact
                            assert_matches_two_array_loop)
 
 
+def network_case(n, branches, load_mw, machines) -> GridCase:
+    """The case of n buses with these branches, load_mw[b - 1] at bus b and
+    one machine (bus, s_base_mva, h_sec, xdp_pu) per entry of ``machines``,
+    which share the load equally. The first machine's bus is the slack."""
+    loads = [Load(id=f"ld{b}", bus_id=b, p_mw=p, q_mvar=0.3 * p)
+             for b, p in enumerate(load_mw, start=1) if p > 0]
+    share = sum(load_mw) / len(machines)
+    gens = [Generator(id=f"m{k}", bus_id=b, s_base_mva=s, p_mw=share,
+                      p_max_mw=100.0 + share, fuel="gas", h_sec=h, xdp_pu=x)
+            for k, (b, s, h, x) in enumerate(machines)]
+    kinds = {b: "pv" for b, *_ in machines}
+    kinds[machines[0][0]] = "slack"
+    buses = [Bus(id=b, kind=kinds.get(b, "pq"),
+                 v_mag=1.02 if b in kinds else 1.0) for b in range(1, n + 1)]
+    return GridCase(s_base_mva=100.0, name="generated", buses=tuple(buses),
+                    generators=tuple(gens), loads=tuple(loads),
+                    branches=tuple(branches))
+
+
 @st.composite
 def networks(draw):
     """A connected network of 3-8 buses (a random tree plus up to three
     chords) with 2-5 machines, some sharing a bus, and light loads, so the
-    power flow is benign. The first machine's bus is the slack."""
+    power flow is benign (network_case)."""
     n = draw(st.integers(3, 8))
     reactance = st.floats(0.01, 0.06)
     branches = []
@@ -37,24 +56,12 @@ def networks(draw):
             branches.append(Branch(f, t, x / 10, x, 0.02))
 
     load_mw = draw(st.lists(st.floats(0.0, 20.0), min_size=n, max_size=n))
-    loads = [Load(id=f"ld{b}", bus_id=b, p_mw=p, q_mvar=0.3 * p)
-             for b, p in enumerate(load_mw, start=1) if p > 0]
     machine_bus = draw(st.lists(st.integers(1, n), min_size=2, max_size=5))
-    share = sum(load_mw) / len(machine_bus)
-    gens = [Generator(id=f"m{k}", bus_id=b, s_base_mva=draw(st.floats(100.0, 400.0)),
-                      p_mw=share, p_max_mw=100.0 + share, fuel="gas",
-                      h_sec=draw(st.floats(2.0, 8.0)),
-                      xdp_pu=draw(st.floats(0.15, 0.35)))
-            for k, b in enumerate(machine_bus)]
-    kinds = {b: "pv" for b in machine_bus}
-    kinds[machine_bus[0]] = "slack"
-    buses = [Bus(id=b, kind=kinds.get(b, "pq"),
-                 v_mag=1.02 if b in kinds else 1.0) for b in range(1, n + 1)]
-    case = GridCase(s_base_mva=100.0, name="generated", buses=tuple(buses),
-                    generators=tuple(gens), loads=tuple(loads),
-                    branches=tuple(branches))
-    outaged = draw(st.permutations([g.id for g in gens]))
-    k_out = draw(st.integers(1, min(3, len(gens) - 1)))
+    case = network_case(n, branches, load_mw, [
+        (b, draw(st.floats(100.0, 400.0)), draw(st.floats(2.0, 8.0)),
+         draw(st.floats(0.15, 0.35))) for b in machine_bus])
+    outaged = draw(st.permutations([g.id for g in case.generators]))
+    k_out = draw(st.integers(1, min(3, len(machine_bus) - 1)))
     return case, outaged[:k_out]
 
 
@@ -86,8 +93,18 @@ def test_voltage_start_matches_current_columns_on_generated_networks(drawn):
         Contingency.of("unknown", ["nope"]), Contingency.of("null", [])])
 
 
+# the draws seldom put three machines on one bus; here three, lost
+# together, sum their Norton currents at bus 2
+THREE_ON_ONE_BUS = (network_case(
+    3, [Branch(1, 2, 0.0023, 0.023, 0.02), Branch(2, 3, 0.0041, 0.041, 0.02),
+        Branch(1, 3, 0.0017, 0.017, 0.02)], [0.0, 13.7, 6.1],
+    [(1, 250.0, 5.0, 0.3), (2, 117.3, 2.9, 0.171), (2, 389.1, 7.3, 0.327),
+     (2, 203.9, 4.1, 0.243)]), ("m1", "m2", "m3"))
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(networks())
+@example(THREE_ON_ONE_BUS)
 def test_screen_matches_frozen_reference_on_generated_networks(drawn):
     # machines share buses here, so a bus can sum several lost machines, up
     # to four when all but one are lost; losing every machine leaves no

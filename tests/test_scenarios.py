@@ -187,6 +187,18 @@ def test_contingency_bank_small_case_fails(case9):
         generate_contingencies(case9, 5, np.random.default_rng(1))
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_contingency_bank_rejects_n_below_one(dispatched_fleet, case9, n):
+    # the fleet once returned an empty bank, and the 9-bus case reported its
+    # dispatch as too small; the count is checked first, drawing nothing
+    for case in (dispatched_fleet, case9):
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        with pytest.raises(InputError, match="^n must be positive$"):
+            generate_contingencies(case, n, rng)
+        assert rng.bit_generator.state == state
+
+
 class CountingGenerator:
     """A generator that counts the sampler's attempts: each one starts with
     one uniform draw."""

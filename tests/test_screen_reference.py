@@ -1,11 +1,11 @@
 """The screen against a frozen copy of its n-wide implementation.
 
-``reference_screen`` is ``rocof._screen`` as it was before the screen
-built its outaged (contingency, bus) pairs from the lost machines: it
-scatters the outaged machines' -y_norton and Norton currents into a
-2m x n array with ``NetworkModel.to_buses``, scans that with ``np.nonzero``
-and gathers Z's rows for every contingency, also a single one. The
-library must give the same bytes, singly and as a batch: bus ROCOF, machine
+``reference_screen`` is the screen as it was before it built its outaged
+(contingency, bus) pairs from the lost machines: it scatters the outaged
+machines' -y_norton and Norton currents into a 2m x n array with
+``NetworkModel.to_buses``, scans that with ``np.nonzero`` and gathers Z's
+rows for every contingency, also a single one. The library must give the
+same bytes, singly, as a batch of one and as a batch: bus ROCOF, machine
 accelerations, post-disturbance voltages, MW lost and system ROCOF, and
 the same undefined islands, errors and solve counts.
 """
@@ -182,11 +182,15 @@ def same_error(got, expected):
 
 
 def assert_same_screens(model, states, contingencies):
-    """Each contingency singly, in order, then all of them as one batch, by
-    the library and by reference_screen, each on its own cold copy of the
-    model: the same bytes, islands, errors and solve counts."""
+    """Each contingency singly and as a batch of one, in order, then all of
+    them as one batch, by the library and by reference_screen, each on its
+    own cold copy of the model: the same bytes, islands, errors and solve
+    counts."""
     lib, ref = cold_copy(model), cold_copy(model)
+    lib_one, ref_one = cold_copy(model), cold_copy(model)
     for ctg in contingencies:
+        assert_same_batch(locational_rocof_batch(lib_one, states, [ctg]),
+                          reference_screen(ref_one, states, [ctg]))
         (mw_lost, sys_rocof, bus_rocof, wdot, v_post, islands, errors,
          n_solves) = reference_screen(ref, states, [ctg], single=True)
         try:
