@@ -464,14 +464,30 @@ def _csv_rows(path, columns) -> list[tuple[str, dict]]:
     return out
 
 
+def _new_id(seen: set, record, where: str, fields: tuple[str, ...] = ("id",)):
+    """``record`` once its id, the value of its one field in ``fields`` or
+    the tuple of the values of several, is not in ``seen``, the ids read
+    before it (which it joins); otherwise CaseParseError names where, the
+    fields and the id."""
+    values = tuple(getattr(record, f) for f in fields)
+    key = values[0] if len(values) == 1 else values
+    if key in seen:
+        raise CaseParseError(f"{where}: field {', '.join(map(repr, fields))} "
+                             f"repeats an earlier entry: {key!r}")
+    seen.add(key)
+    return record
+
+
 def read_scenario_table(path) -> list[ScenarioRecord]:
     """Read a scenario table; raises CaseParseError naming the file, line
-    and field of a missing column or field or of a malformed value."""
+    and field of a missing column or field, of a malformed value or of a
+    (loading_id, contingency_id) key that an earlier row has."""
     out = []
+    seen: set[tuple[str, str]] = set()
     for where, row in _csv_rows(path, SCENARIO_COLUMNS):
         def num(key, kind="float", blank=math.nan):
             return _parse(row[key], kind, where, key) if row[key] else blank
-        out.append(ScenarioRecord(
+        out.append(_new_id(seen, ScenarioRecord(
             loading_id=row["loading_id"],
             contingency_id=row["contingency_id"],
             mw_lost=num("mw_lost"),
@@ -482,7 +498,7 @@ def read_scenario_table(path) -> list[ScenarioRecord]:
             bus_rocof_max=num("bus_rocof_max"),
             worst_bus=num("worst_bus", "int", None),
             concern_flag=_parse(row["concern_flag"], "bool", where, "concern_flag"),
-            status=row["status"]))
+            status=row["status"]), where, ("loading_id", "contingency_id")))
     return out
 
 
@@ -493,16 +509,6 @@ def write_contingencies(contingencies: list[Contingency], path) -> None:
     write_table(path, CONTINGENCY_COLUMNS,
                 ([c.id, ";".join(sorted(c.outaged_generator_ids)),
                   _fmt(c.total_mw_lost)] for c in contingencies))
-
-
-def _new_id(seen: set, record, where: str):
-    """``record`` once its id is not in ``seen``, the ids read before it
-    (which it joins); otherwise CaseParseError names where and the id."""
-    if record.id in seen:
-        raise CaseParseError(
-            f"{where}: field 'id' repeats an earlier entry: {record.id!r}")
-    seen.add(record.id)
-    return record
 
 
 def read_contingencies(path) -> list[Contingency]:

@@ -236,12 +236,13 @@ def cmd_scenarios_gen(args) -> int:
     case = case_io.read_case(args.case, sidecar=args.sidecar)
     print(f"seed: {args.seed}")
     rng = np.random.default_rng(args.seed)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     contingencies = generate_contingencies(case, args.n_contingencies, rng)
     loading = generate_loading_cases(case, args.n_loading,
                                      _parse_range(args.load_range),
                                      _parse_range(args.wind_range))
+    # created only now: a generation error leaves no empty directory behind
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
     case_io.write_contingencies(contingencies, outdir / "contingencies.csv")
     case_io.write_loading_cases(loading, outdir / "loading_cases.json")
     print(f"wrote {len(contingencies)} contingencies and {len(loading)} "

@@ -303,9 +303,12 @@ class MachineStates:
     initialization). v_bus holds the bus voltages Y^-1 I that the machines'
     Norton currents at these angles drive through the model's base
     factorization (zero in islands without a machine); the screen starts
-    from them. The states are a read-only snapshot by convention, as the
-    model is: the screen and the simulator never write them, so a run needs
-    no copy. Two states compare equal only when they are the same object.
+    from them, as from the machines' Norton currents at these angles
+    (``currents``, norton_currents) and their derivative by the angle,
+    |I| /_ delta (``di_ddelta``), both computed once, at initialization.
+    The states are a read-only snapshot by convention, as the model is: the
+    screen and the simulator never write them, so a run needs no copy. Two
+    states compare equal only when they are the same object.
     """
 
     e_prime: np.ndarray
@@ -313,11 +316,14 @@ class MachineStates:
     t_m: np.ndarray
     omega: np.ndarray
     v_bus: np.ndarray
+    currents: np.ndarray
+    di_ddelta: np.ndarray
 
     def copy(self) -> "MachineStates":
         return MachineStates(self.e_prime.copy(), self.delta.copy(),
                              self.t_m.copy(), self.omega.copy(),
-                             self.v_bus.copy())
+                             self.v_bus.copy(), self.currents.copy(),
+                             self.di_ddelta.copy())
 
 
 def augment_dynamic(ybus: sp.csc_matrix, case: GridCase,
@@ -341,6 +347,15 @@ def augment_dynamic(ybus: sp.csc_matrix, case: GridCase,
     and no shunt to ground makes it, SingularNetworkError names that
     island's buses.
     """
+    return _augment_dynamic(ybus, case, solution, island_labels(case))
+
+
+def _augment_dynamic(ybus: sp.csc_matrix, case: GridCase,
+                     solution: PowerFlowSolution,
+                     islands: np.ndarray) -> NetworkModel:
+    """augment_dynamic with the case's island labels (island_labels) given:
+    they depend on the buses and branches alone, as ybus does, so a bank's
+    loading cases share them."""
     n = len(case.buses)
     v = solution.v
     v_abs = np.hypot(v.real, v.imag)     # |v| as abs() rounds one number
@@ -414,7 +429,7 @@ def augment_dynamic(ybus: sp.csc_matrix, case: GridCase,
         load_ids=[l.id for l in case.loads],
         load_bus=load_bus,
         load_shunt=load_shunt,
-        islands=island_labels(case),
+        islands=islands,
         f_base=case.f_base_hz,
         s_base=case.s_base_mva,
     )
@@ -454,7 +469,8 @@ def init_machines(model: NetworkModel, case: GridCase,
     model. A reconstruction check asserts the network solve reproduces the
     power-flow voltages (islands without any machine excluded; they carry no
     dynamic source and solve to zero). The re-solved voltages are kept on
-    the states as v_bus.
+    the states as v_bus, and the Norton currents and |I| /_ delta as
+    currents and di_ddelta.
     """
     if case != model.case:
         raise ModelBuildError("model was built from a different case")
@@ -480,7 +496,9 @@ def init_machines(model: NetworkModel, case: GridCase,
     return MachineStates(e_prime=e_prime, delta=delta,
                          t_m=electrical_torque(model, currents,
                                                v_chk[model.machine_bus]),
-                         omega=np.zeros_like(e_prime), v_bus=v_chk)
+                         omega=np.zeros_like(e_prime), v_bus=v_chk,
+                         currents=currents,
+                         di_ddelta=np.abs(currents) * np.exp(1j * delta))
 
 
 def norton_currents(e_over_x: np.ndarray, delta: np.ndarray) -> np.ndarray:

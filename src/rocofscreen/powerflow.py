@@ -13,7 +13,9 @@ uses for the dynamic admittance matrix too). An ordering depends only
 on the pattern, so it is computed once per solve: the first iteration's
 factorization orders the Jacobian, the pattern is relabelled by that
 ordering, and the later iterations factor the relabelled matrix in its
-natural order.
+natural order. The Newton iteration takes the branch Y-bus as an input, so
+a bank's loading cases, which share their buses and branches, solve
+against one (scenarios.run_bank).
 """
 
 from __future__ import annotations
@@ -137,8 +139,14 @@ def solve_powerflow(case: GridCase, tol: float = 1e-8,
         raise InputError(f"max_iter must be >= 0, got {max_iter}")
     if not (math.isfinite(tol) and tol > 0):
         raise InputError(f"tol must be positive and finite, got {tol}")
+    return _newton(case, build_ybus(case), tol, max_iter)
 
-    ybus = build_ybus(case)
+
+def _newton(case: GridCase, ybus: sp.csc_matrix, tol: float = 1e-8,
+            max_iter: int = 20) -> PowerFlowSolution:
+    """solve_powerflow against a given branch Y-bus (netdyn.build_ybus of
+    the case, or of any case with the same buses and branches, as a bank's
+    loading cases share), with tol and max_iter already checked."""
     kinds = effective_kinds(case)
     pv = np.flatnonzero(kinds == "pv")
     pq = np.flatnonzero(kinds == "pq")

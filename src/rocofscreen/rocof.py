@@ -27,7 +27,9 @@ has not solved before, and solve 2 one per contingency:
 2. recompute each remaining machine's electrical torque and acceleration
    wdot = (T_m - T_e) / (2 H), with mechanical torque frozen (no governors);
 3. form the injection second derivative Idd = (E'/x'd) /_ delta * wdot
-   (speed deviation is zero in the instant after the disturbance);
+   (speed deviation is zero in the instant after the disturbance); the
+   Norton currents and (E'/x'd) /_ delta come from the machine states,
+   which keep them from initialization;
 4. solve Y Vdd = Idd, with the same compensation, and convert each bus's
    voltage-angle second derivative to Hz/s via the system frequency base.
 
@@ -48,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .case_model import GridCase, InputError, total_inertia_gws
-from .netdyn import MachineStates, NetworkModel, electrical_torque, norton_currents
+from .netdyn import MachineStates, NetworkModel, electrical_torque
 
 log = logging.getLogger(__name__)
 
@@ -271,8 +273,7 @@ def locational_rocof_batch(model: NetworkModel, states: MachineStates,
     # is v_bus - Z i, v_bus = Y^-1 I_all being kept on the states, so
     # V = v_bus - Z w with w = i + C^-1 D x[b] = C^-1 (i + D v_bus[b]), and
     # solve 1 is [e_U] alone.
-    currents = norton_currents(states.e_prime / model.xdp_sys, states.delta)
-    row, bus, d, i_lost = _outage_pairs(model, lost.reshape(m, nm), currents)
+    row, bus, d, i_lost = _outage_pairs(model, lost.reshape(m, nm), states.currents)
     k = np.bincount(row, minlength=m)
     k_max = max(k.tolist(), default=0)
     slot = np.arange(row.size) - np.searchsorted(row, row)
@@ -325,12 +326,12 @@ def locational_rocof_batch(model: NetworkModel, states: MachineStates,
     v_post = v_post.reshape(shape)
 
     vb_post = v_post.T[model.machine_bus].T
-    accel = (states.t_m - electrical_torque(model, currents, vb_post)) / (
+    accel = (states.t_m - electrical_torque(model, states.currents, vb_post)) / (
         2.0 * model.h_sec)
     wdot = np.where(active, accel, np.nan)
-    # an outaged machine has zero acceleration here, so no injection
-    idd = model.to_buses(injection_derivatives(currents, states.delta,
-                                               np.where(active, accel, 0.0)))
+    # an outaged machine has zero acceleration here, so no injection; the
+    # states keep |I| /_ delta, the first factor of injection_derivatives
+    idd = model.to_buses(states.di_ddelta * np.where(active, accel, 0.0))
     v_ddot = model.factorize().solve(idd.reshape(m, n).T).T    # solve 2
     coef = np.einsum("jst,jt->js", c_inv_d, v_ddot[np.arange(m)[:, None], bus_of])
     v_ddot = v_ddot - np.einsum("js,jsn->jn", coef, z_j)

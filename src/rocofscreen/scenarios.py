@@ -10,10 +10,12 @@ larger multi-site events.
 
 The bank runner evaluates every pair in one of three modes and emits a flat
 result table; per-scenario failures are recorded in their row and never
-abort the bank. The locational and simulate modes solve and factorize each
-loading case once, serially; locational mode then screens all of the
-loading case's contingencies in one batch, two multi-right-hand-side solves
-per loading case. Output ordering is by (loading id, contingency id), and
+abort the bank. The locational and simulate modes build the bank's branch
+network (Y-bus and island labels) once, since a loading case changes only
+generators and loads, then solve and factorize each loading case once,
+serially; locational mode then screens all of the loading case's
+contingencies in one batch, two multi-right-hand-side solves per loading
+case. Output ordering is by (loading id, contingency id), and
 each loading case's rows reach the table file (case_io's scenario table)
 as soon as that loading case completes.
 
@@ -35,9 +37,9 @@ import numpy as np
 
 from .case_io import write_scenario_table
 from .case_model import (GridCase, InputError, LoadingCase, ScenarioRecord,
-                         total_inertia_gws)
-from .netdyn import augment_dynamic, init_machines
-from .powerflow import solve_powerflow
+                         island_labels, total_inertia_gws)
+from .netdyn import _augment_dynamic, build_ybus, init_machines
+from .powerflow import _newton
 from .rocof import Contingency, locational_rocof_batch
 from .swingsim import SimOptions, simulate
 
@@ -362,12 +364,24 @@ def _column_stats(rocof: np.ndarray, bus_ids) -> list[tuple]:
             for lo, mu, hi, w, c in zip(low, mean, high, worst, count)]
 
 
+def _branch_network(case: GridCase):
+    """The case's branch Y-bus and island labels (build_ybus, island_labels),
+    or the exception that building them raised."""
+    try:
+        return build_ybus(case), island_labels(case)
+    except Exception as exc:  # noqa: BLE001 - recorded on every loading case
+        return exc
+
+
 def _eval_loading_case(case: GridCase, lc: LoadingCase,
-                       contingencies: list[Contingency],
-                       mode: str) -> list[ScenarioRecord]:
+                       contingencies: list[Contingency], mode: str,
+                       network) -> list[ScenarioRecord]:
     """One record per contingency, in id order, each filled in place. The
     inertia line is summed over the case's units in lc.dispatch, never read
-    from the bank; if that sum or the model build fails, every row fails."""
+    from the bank; if that sum or the model build fails, every row fails.
+    network is the case's _branch_network, which the model build (not made
+    in system_only mode) uses; its exception fails the rows where the
+    build would have raised it, after the dispatch."""
     model = states = None
     setup_error: str | None = None
     inertia_gws = math.nan
@@ -376,8 +390,13 @@ def _eval_loading_case(case: GridCase, lc: LoadingCase,
             g for g in case.generators if g.id in lc.dispatch))
         if mode != "system_only":
             dispatched = apply_loading_case(case, lc)
-            sol = solve_powerflow(dispatched)
-            model = augment_dynamic(sol.ybus, dispatched, sol)
+            if isinstance(network, Exception):
+                # a fresh traceback: re-raising the one object must not
+                # chain every loading case's frames onto it
+                raise network.with_traceback(None)
+            ybus, islands = network
+            sol = _newton(dispatched, ybus)
+            model = _augment_dynamic(ybus, dispatched, sol, islands)
             states = init_machines(model, dispatched, sol)
     except Exception as exc:  # noqa: BLE001 - recorded per row
         setup_error = f"loading case failed: {exc}"
@@ -471,11 +490,17 @@ def run_bank(case: GridCase, loading_cases: list[LoadingCase],
     screen produced, and the dispatched MW of the online outaged units on
     every other row (see docs/case_schema.md).
 
-    Loading cases are evaluated one after another, and rows stream to
-    out_path through case_io.write_scenario_table in sorted (loading_id,
-    contingency_id) order as each loading case completes. workers has no
-    effect on evaluation and is kept for callers that pass it; the output
-    is the same for any value.
+    A loading case changes only generators and loads, so the locational and
+    simulate modes build the branch network (the Y-bus and the island
+    labels) once per bank, from case, and every loading case's power flow
+    and model build use it; system_only mode builds none. A network that
+    cannot be built fails every loading case's rows with its error, as
+    each loading case's own build would. Loading cases are evaluated one
+    after another, and rows stream to out_path through
+    case_io.write_scenario_table in sorted (loading_id, contingency_id)
+    order as each loading case completes. workers has no effect on
+    evaluation and is kept for callers that pass it; the output is the
+    same for any value.
     """
     if mode not in MODES:
         raise InputError(f"unknown mode {mode!r}; expected one of "
@@ -483,8 +508,9 @@ def run_bank(case: GridCase, loading_cases: list[LoadingCase],
     records: list[ScenarioRecord] = []
 
     def rows():
+        network = None if mode == "system_only" else _branch_network(case)
         for lc in sorted(loading_cases, key=lambda lc: lc.id):
-            batch = _eval_loading_case(case, lc, contingencies, mode)
+            batch = _eval_loading_case(case, lc, contingencies, mode, network)
             records.extend(batch)
             yield from batch
 

@@ -382,6 +382,26 @@ def test_scenarios_gen_count_below_one_exits_1(tmp_path, capsys, fleet_case,
     assert not (bank / "contingencies.csv").exists()
 
 
+@pytest.mark.parametrize("which, options, message", [
+    ("fleet", ["--n-contingencies", "0"], "error: n must be positive"),
+    ("case9", [], "error: case dispatch (320 MW) is too small to build outages "
+                  "above 800 MW")], ids=["fleet-no-contingency", "case9-default"])
+def test_scenarios_gen_error_leaves_no_out_directory(tmp_path, capsys, fleet_case,
+                                                     which, options, message):
+    # --out is created only once the bank is generated
+    if which == "fleet":
+        case_path = tmp_path / "fleet.json"
+        write_case(fleet_case, case_path)
+    else:
+        case_path = CASE9
+    bank = tmp_path / "bank"
+    code, _, err = run(["scenarios-gen", "--case", str(case_path), "--seed", "7",
+                        *options, "--out", str(bank)], capsys)
+    assert code == 1
+    assert err.splitlines() == [message]
+    assert not bank.exists()
+
+
 def test_scenarios_gen_without_inertia_names_the_unit(tmp_path, capsys, fleet_case):
     # every loading case commits the nuclear units; one without h_sec would
     # give each case a wrong online inertia, so the bank is refused
@@ -603,6 +623,12 @@ def test_loading_case_ids_read_as_text(tmp_path, capsys):
     ("lc0,c1,85.0,1.0,-1.0,-1.0,-1.0,-1.0,5.5,1,ok",
      ":2: field 'worst_bus' is not a number: '5.5'"),
     ("lc0,c1,85.0", ":2: missing field 'inertia_gws'"),
+    # one scenario twice would count twice in every summary
+    ("lc0,c1,85.0,1.0,-1.0,-1.0,-1.0,-1.0,5,1,ok\n"
+     "lc0,c2,85.0,1.0,-1.0,-1.0,-1.0,-1.0,5,1,ok\n"
+     "lc0,c1,85.0,1.0,-1.0,-1.0,-1.0,-1.0,5,1,ok",
+     ":4: field 'loading_id', 'contingency_id' repeats an earlier entry: "
+     "('lc0', 'c1')"),
 ])
 def test_malformed_scenario_table_names_the_place(tmp_path, capsys, row, place):
     from rocofscreen.case_io import SCENARIO_COLUMNS

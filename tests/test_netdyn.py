@@ -15,6 +15,7 @@ from rocofscreen.case_model import (Branch, Bus, Generator, GridCase, Load,
                                     UnknownIdError, island_labels)
 from rocofscreen.netdyn import ModelBuildError, SingularNetworkError
 from rocofscreen.powerflow import SUPERLU_OPTIONS, bus_injections
+from rocofscreen.rocof import injection_derivatives
 from conftest import currents, tiny_case
 from test_rocof import groundless_island_case
 
@@ -215,6 +216,22 @@ def test_states_keep_the_reconstruction_voltages(solved9, fleet_case):
     fleet_states = init_machines(fleet, fleet_case, fleet_sol)
     assert np.array_equal(fleet_states.v_bus, fleet.factorize().solve(
         fleet.to_buses(currents(fleet, fleet_states))))
+
+
+def test_states_keep_the_norton_currents(solved9):
+    # computed once, at initialization, with the bits the screen used to
+    # recompute on every call, and copied with the states
+    case, sol, model, states = solved9
+    assert np.array_equal(states.currents, currents(model, states))
+    wdot = np.array([0.3, -1.7, 0.0])
+    assert np.array_equal(states.di_ddelta * wdot,
+                          injection_derivatives(states.currents, states.delta, wdot))
+    twin = states.copy()
+    twin.currents[:] = 0.0
+    twin.di_ddelta[:] = 0.0
+    assert np.array_equal(states.currents, currents(model, states))
+    assert np.array_equal(states.di_ddelta * wdot,
+                          injection_derivatives(states.currents, states.delta, wdot))
 
 
 def test_states_copy_has_its_own_voltages(solved9):

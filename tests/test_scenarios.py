@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rocofscreen import netdyn, powerflow, scenarios
+from rocofscreen import case_model, netdyn, powerflow, scenarios
 from rocofscreen import (Contingency, InfeasibleDispatch, SingularOutageError,
                          ZeroInertiaError, augment_dynamic, dispatch_heuristic,
                          generate_contingencies, generate_loading_cases,
@@ -126,13 +126,13 @@ def test_loading_cases_inertia_tracks_demand(fleet_case):
 def test_loading_cases_solve_no_power_flow(fleet_case, monkeypatch):
     # generation keeps only MW and inertia figures; banks solve each case
     solved = []
-    solve = scenarios.solve_powerflow
+    solve = scenarios._newton
 
     def counting_solve(c, *args, **kwargs):
         solved.append(c.name)
         return solve(c, *args, **kwargs)
 
-    monkeypatch.setattr(scenarios, "solve_powerflow", counting_solve)
+    monkeypatch.setattr(scenarios, "_newton", counting_solve)
     cases = generate_loading_cases(fleet_case, 9, STUDY_LOAD_RANGE,
                                    STUDY_WIND_RANGE)
     assert len(cases) == 9
@@ -274,29 +274,127 @@ def test_run_bank_worker_count_is_invisible(small_bank, tmp_path):
     assert p1.read_bytes() == p3.read_bytes()
 
 
+def counting_builders(monkeypatch):
+    """Lists that the bank's power flows, Y-bus builds, island labellings
+    and model builds append their case's name to, patched into every
+    module-level binding."""
+    calls = {}
+    for name, owners in (("_newton", (powerflow, scenarios)),
+                         ("build_ybus", (netdyn, scenarios)),
+                         ("island_labels", (case_model, netdyn, scenarios)),
+                         ("_augment_dynamic", (netdyn, scenarios))):
+        fn, seen = getattr(owners[0], name), calls.setdefault(name, [])
+
+        def counting(*args, fn=fn, seen=seen):
+            seen.append(next(a.name for a in args if isinstance(a, GridCase)))
+            return fn(*args)
+
+        for module in owners:
+            if getattr(module, name) is fn:
+                monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 def test_run_bank_solves_each_loading_case_once(small_bank, monkeypatch):
-    # the Y-bus the power flow solved against also builds the dynamic model
+    # one Y-bus and one island labelling per bank, from the bank's case: a
+    # loading case changes only generators and loads. Each loading case
+    # solves one power flow and builds one model against them.
     case, loading, contingencies = small_bank
-    solved = []
-    built = []
-    solve = scenarios.solve_powerflow
-    build = netdyn.build_ybus
+    calls = counting_builders(monkeypatch)
+    for mode in ("locational", "simulate"):
+        for seen in calls.values():
+            seen.clear()
+        run_bank(case, loading, contingencies[:2], mode=mode)
+        assert calls["build_ybus"] == [case.name]
+        assert calls["island_labels"] == [case.name]
+        assert (len(calls["_newton"]) == len(calls["_augment_dynamic"])
+                == len(loading))
 
-    def counting_solve(c, *args, **kwargs):
-        solved.append(c.name)
-        return solve(c, *args, **kwargs)
 
-    def counting_build(c):
-        built.append(c.name)
-        return build(c)
+def test_system_only_bank_builds_no_network(small_bank, monkeypatch):
+    case, loading, contingencies = small_bank
+    calls = counting_builders(monkeypatch)
+    rows = run_bank(case, loading, contingencies, mode="system_only")
+    assert len(rows) == len(loading) * len(contingencies)
+    assert calls == {name: [] for name in calls}
 
-    monkeypatch.setattr(scenarios, "solve_powerflow", counting_solve)
-    for module in (netdyn, scenarios):   # every module-level binding
-        if getattr(module, "build_ybus", None) is build:
-            monkeypatch.setattr(module, "build_ybus", counting_build)
-    run_bank(case, loading, contingencies, mode="locational")
-    assert len(solved) == len(loading)
-    assert len(built) == len(loading)
+
+@pytest.fixture(scope="module")
+def fleet_study_bank(fleet_case):
+    """The fleet's 25 study loading cases and 163 contingencies drawn from
+    its base dispatch."""
+    base = dispatch_heuristic(fleet_case, 50000.0, 15000.0)
+    contingencies = generate_contingencies(base, 163, np.random.default_rng(1))
+    loading = generate_loading_cases(fleet_case, 25, STUDY_LOAD_RANGE,
+                                     STUDY_WIND_RANGE)
+    return fleet_case, loading, contingencies
+
+
+@pytest.mark.parametrize("mode", ["locational", "simulate"])
+@pytest.mark.parametrize("bank", ["fleet", "case9"])
+def test_shared_network_keeps_the_tables_of_per_case_builds(
+        fleet_study_bank, case9, tmp_path, monkeypatch, mode, bank):
+    # the bank's one branch network gives the table that building every
+    # loading case with the public calls gives (solve_powerflow, then
+    # augment_dynamic on its own build_ybus), byte for byte
+    if bank == "fleet":
+        case, loading, contingencies = fleet_study_bank
+        if mode == "simulate":
+            contingencies = contingencies[:3]
+    else:
+        case = case9
+        loading, contingencies = case9_bank_with_failures(case9)
+    shared, per_case = tmp_path / "shared.csv", tmp_path / "per_case.csv"
+    run_bank(case, loading, contingencies, mode=mode, out_path=shared)
+
+    monkeypatch.setattr(scenarios, "_newton",
+                        lambda c, ybus: powerflow.solve_powerflow(c))
+    monkeypatch.setattr(scenarios, "_augment_dynamic",
+                        lambda ybus, c, sol, islands: netdyn.augment_dynamic(
+                            netdyn.build_ybus(c), c, sol))
+    run_bank(case, loading, contingencies, mode=mode, out_path=per_case)
+    assert len(loading) == (25 if bank == "fleet" else 2)
+    assert shared.read_bytes() == per_case.read_bytes()
+
+
+@pytest.mark.parametrize("mode", ["locational", "simulate", "system_only"])
+def test_zero_impedance_branch_fails_each_loading_case_after_its_dispatch(case9, mode):
+    # a zero-impedance branch fails each loading case's rows with the Y-bus
+    # build's error, after the errors that come before the build (the
+    # dispatched units' inertia, the dispatch itself); system_only mode
+    # builds no network, so its rows run. No bank aborts.
+    branches = tuple(dataclasses.replace(b, r_pu=0.0, x_pu=0.0)
+                     if (b.from_bus, b.to_bus) == (4, 5) else b
+                     for b in case9.branches)
+    case = dataclasses.replace(case9, branches=branches).with_generators(
+        dataclasses.replace(g, h_sec=None) if g.id == "gen3" else g
+        for g in case9.generators)
+    disp = {g.id: g.p_mw for g in case9.generators}
+    two = {"gen1": disp["gen1"] + disp["gen3"], "gen2": disp["gen2"]}
+    load = sum(l.p_mw for l in case9.loads)
+    loading = [LoadingCase("lc000", load, 0.0, two, frozenset(two), 1.0, 0.0),
+               LoadingCase("lc001", load, 0.0, disp, frozenset(disp), 1.0, 0.0),
+               LoadingCase("lc002", 0.8 * load, 0.0, two, frozenset(two), 1.0, 0.0)]
+    contingencies = [Contingency.of("ctg000", ["gen2"]),
+                     Contingency.of("ctg001", ["gen1", "gen2"]),
+                     Contingency.of("ctg002", ["gen3"])]
+    h_sec = ("loading case failed: generator 'gen3' is in service but has no "
+             "h_sec; apply a dynamics sidecar or synthesize parameters first")
+    branch = "loading case failed: branch 4-5 has zero impedance"
+    built = "ok" if mode == "system_only" else branch
+    statuses = [(r.loading_id, r.status)
+                for r in run_bank(case, loading, contingencies, mode=mode)]
+    assert statuses == [("lc000", built), ("lc000", built),
+                        ("lc000", "no_online_units"),
+                        ("lc001", h_sec), ("lc001", h_sec), ("lc001", h_sec),
+                        ("lc002", built), ("lc002", built),
+                        ("lc002", "no_online_units")]
+
+    # with no load to scale, the dispatch fails before the build
+    unloaded = case.with_loads(dataclasses.replace(l, p_mw=0.0) for l in case.loads)
+    rows = run_bank(unloaded, loading[:1], contingencies[:1], mode=mode)
+    assert [r.status for r in rows] == [
+        "ok" if mode == "system_only" else "loading case failed: float division by zero"]
 
 
 def test_run_bank_power_flow_failure_isolated(small_bank, fleet_case,
@@ -306,7 +404,7 @@ def test_run_bank_power_flow_failure_isolated(small_bank, fleet_case,
     case, loading, contingencies = small_bank
     clean = run_bank(case, loading, contingencies, mode="locational")
     bad = loading[1]
-    solve = scenarios.solve_powerflow
+    solve = scenarios._newton
 
     def failing_solve(c, *args, **kwargs):
         load = sum(l.p_mw for l in c.loads)
@@ -317,7 +415,7 @@ def test_run_bank_power_flow_failure_isolated(small_bank, fleet_case,
             raise powerflow.PowerFlowDivergence(20, 1.0)
         return solve(c, *args, **kwargs)
 
-    monkeypatch.setattr(scenarios, "solve_powerflow", failing_solve)
+    monkeypatch.setattr(scenarios, "_newton", failing_solve)
     regenerated = generate_loading_cases(fleet_case, 5, (30000.0, 60000.0),
                                          (12000.0, 25000.0))
     assert regenerated == loading
