@@ -11,9 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from rocofscreen import (Contingency, augment_dynamic, case_io,
-                         init_machines, load_case9, locational_rocof,
-                         solve_powerflow, system_rocof, total_inertia_gws)
+from rocofscreen import (Contingency, build_model, case_io, load_case9,
+                         locational_rocof, system_rocof, total_inertia_gws)
 
 out_dir = Path(__file__).parent / "output"
 out_dir.mkdir(exist_ok=True)
@@ -22,12 +21,9 @@ case = load_case9()
 print(f"case: {case.name}, {len(case.buses)} buses, "
       f"{total_inertia_gws(case):.3f} GW-s of synchronous inertia")
 
-sol = solve_powerflow(case)
+sol, model, states = build_model(case)
 print(f"power flow: {sol.iterations} iterations, "
       f"max mismatch {sol.max_mismatch_pu:.2e} pu")
-
-model = augment_dynamic(sol.ybus, case, sol)
-states = init_machines(model, case, sol)
 
 # trip the 85 MW machine at bus 3
 contingency = Contingency.of("gen3-trip", ["gen3"])

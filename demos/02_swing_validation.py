@@ -12,19 +12,15 @@ from pathlib import Path
 
 import numpy as np
 
-from rocofscreen import (Contingency, SimOptions, augment_dynamic,
-                         case_io, init_machines, load_case9,
-                         locational_rocof, simulate, solve_powerflow,
-                         system_rocof)
+from rocofscreen import (Contingency, SimOptions, build_model, case_io,
+                         load_case9, locational_rocof, simulate, system_rocof)
 from rocofscreen.scenarios import finite_difference_rocof
 
 out_dir = Path(__file__).parent / "output"
 out_dir.mkdir(exist_ok=True)
 
 case = load_case9()
-sol = solve_powerflow(case)
-model = augment_dynamic(sol.ybus, case, sol)
-states = init_machines(model, case, sol)
+_, model, states = build_model(case)
 ctg = Contingency.of("gen3-trip", ["gen3"])
 
 res = locational_rocof(model, states, ctg)

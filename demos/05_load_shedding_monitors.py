@@ -13,9 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from rocofscreen import (Contingency, SimOptions, augment_dynamic,
-                         case_io, check_ffr, init_machines,
-                         load_case9, simulate, solve_powerflow)
+from rocofscreen import (Contingency, SimOptions, build_model, case_io,
+                         check_ffr, load_case9, simulate)
 from rocofscreen.swingsim import SimResult
 
 out_dir = Path(__file__).parent / "output"
@@ -30,9 +29,7 @@ case = case.with_loads([
 print("shedding plan: load5 -> stage1 (59.3 Hz), load6 -> stage2 (58.9 Hz), "
       "load8 -> fast response (59.7 Hz held 25 cycles)")
 
-sol = solve_powerflow(case)
-model = augment_dynamic(sol.ybus, case, sol)
-states = init_machines(model, case, sol)
+_, model, states = build_model(case)
 
 sim = simulate(model, states, Contingency.of("gen2-trip", ["gen2"]),
                SimOptions(t_end=6.0, damping_d=2.0))

@@ -19,8 +19,9 @@ from .powerflow import (PowerFlowDivergence, PowerFlowError,
                         PowerFlowSolution, SingularJacobian,
                         accept_solved_voltages, solve_powerflow)
 from .netdyn import (MachineStates, ModelBuildError, NetworkModel,
-                     SingularNetworkError, augment_dynamic, build_ybus,
-                     electrical_torque, init_machines, norton_currents)
+                     SingularNetworkError, augment_dynamic, build_model,
+                     build_ybus, electrical_torque, init_machines,
+                     norton_currents)
 from .rocof import (Contingency, RocofBatch, RocofResult, SingularOutageError,
                     ZeroInertiaError, angle_second_derivative,
                     injection_derivatives, locational_rocof,

@@ -22,8 +22,7 @@ import numpy as np
 
 from . import case_io
 from .case_model import CaseValidationError, InputError, UnknownIdError
-from .netdyn import (ModelBuildError, SingularNetworkError, augment_dynamic,
-                     init_machines)
+from .netdyn import ModelBuildError, SingularNetworkError, build_model
 from .powerflow import PowerFlowError, solve_powerflow
 from .rocof import (Contingency, SingularOutageError, ZeroInertiaError,
                     locational_rocof, system_rocof)
@@ -47,7 +46,11 @@ def _add_case_args(p):
 
 
 def _outage_list(raw: str) -> list[str]:
-    return [x.strip() for x in raw.split(",") if x.strip()]
+    ids = [x.strip() for x in raw.split(",") if x.strip()]
+    for k, gid in enumerate(ids):
+        if gid in ids[:k]:
+            raise InputError(f"--outage names generator {gid!r} twice")
+    return ids
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -177,10 +180,8 @@ def cmd_rocof_system(args) -> int:
 def _model_and_outage(args):
     """The case read, its model and machine states, and the --outage trip."""
     case = case_io.read_case(args.case, sidecar=args.sidecar)
-    sol = solve_powerflow(case)
-    model = augment_dynamic(sol.ybus, case, sol)
-    states = init_machines(model, case, sol)
-    return case, model, states, Contingency.of("cli", _outage_list(args.outage))
+    ctg = Contingency.of("cli", _outage_list(args.outage))
+    return (case, *build_model(case)[1:], ctg)
 
 
 def cmd_rocof_local(args) -> int:
@@ -191,9 +192,9 @@ def cmd_rocof_local(args) -> int:
     else:
         case_io.write_rocof_csv(res, args.out)
     finite = res.bus_rocof_hz_s[~np.isnan(res.bus_rocof_hz_s)]
-    print(f"system {res.system_rocof_hz_s:.4f} Hz/s; bus range "
-          f"[{finite.min():.4f}, {finite.max():.4f}] Hz/s over "
-          f"{finite.size} buses; wrote {args.out}")
+    buses = (f"bus range [{finite.min():.4f}, {finite.max():.4f}] Hz/s over "
+             f"{finite.size} buses" if finite.size else "no bus has a defined ROCOF")
+    print(f"system {res.system_rocof_hz_s:.4f} Hz/s; {buses}; wrote {args.out}")
     return 0
 
 

@@ -1,5 +1,6 @@
 """Dynamic network model: admittance matrix, Norton machine equivalents,
-and classical machine initialization.
+and classical machine initialization, joined by ``build_model``, the one
+entry point from a case to its power flow, model and machine states.
 
 The dynamic admittance matrix extends the branch network with constant
 impedance shunts for loads and non-synchronous generation, plus one Norton
@@ -36,7 +37,7 @@ import scipy.sparse.linalg as spla
 
 from .case_model import (GridCase, UnknownIdError, complex_powers, island_labels,
                          record_array)
-from .powerflow import SUPERLU_OPTIONS, PowerFlowSolution
+from .powerflow import SUPERLU_OPTIONS, PowerFlowSolution, _newton
 
 
 class ModelBuildError(ValueError):
@@ -324,6 +325,18 @@ class MachineStates:
                              self.t_m.copy(), self.omega.copy(),
                              self.v_bus.copy(), self.currents.copy(),
                              self.di_ddelta.copy())
+
+
+def build_model(case: GridCase, network: tuple[sp.csc_matrix, np.ndarray] | None = None
+                ) -> tuple[PowerFlowSolution, NetworkModel, MachineStates]:
+    """solve_powerflow (at its defaults), augment_dynamic and init_machines
+    of the case. network is the (build_ybus, island_labels) pair of a case
+    with the same buses and branches, as a bank's loading cases share one;
+    None builds the case's own."""
+    ybus, islands = network or (build_ybus(case), island_labels(case))
+    solution = _newton(case, ybus)
+    model = _augment_dynamic(ybus, case, solution, islands)
+    return solution, model, init_machines(model, case, solution)
 
 
 def augment_dynamic(ybus: sp.csc_matrix, case: GridCase,

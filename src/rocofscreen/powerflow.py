@@ -15,7 +15,8 @@ factorization orders the Jacobian, the pattern is relabelled by that
 ordering, and the later iterations factor the relabelled matrix in its
 natural order. The Newton iteration takes the branch Y-bus as an input, so
 a bank's loading cases, which share their buses and branches, solve
-against one (scenarios.run_bank).
+against one through netdyn.build_model, the one entry point from a case to
+its solution and model (scenarios.run_bank).
 """
 
 from __future__ import annotations

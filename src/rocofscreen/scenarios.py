@@ -12,12 +12,13 @@ The bank runner evaluates every pair in one of three modes and emits a flat
 result table; per-scenario failures are recorded in their row and never
 abort the bank. The locational and simulate modes build the bank's branch
 network (Y-bus and island labels) once, since a loading case changes only
-generators and loads, then solve and factorize each loading case once,
-serially; locational mode then screens all of the loading case's
-contingencies in one batch, two multi-right-hand-side solves per loading
-case. Output ordering is by (loading id, contingency id), and
-each loading case's rows reach the table file (case_io's scenario table)
-as soon as that loading case completes.
+generators and loads, then build each loading case's model once, serially,
+with netdyn.build_model on that shared network; locational mode then
+screens all of the loading case's contingencies in one batch, two
+multi-right-hand-side solves per loading case. Output ordering is by
+(loading id, contingency id), and each loading case's rows reach the
+table file (case_io's scenario table) as soon as that loading case
+completes.
 
 For a fixed loading case the tabulated system-wide ROCOF uses that case's
 total online inertia in the denominator, making it the linear-in-MW-lost
@@ -38,8 +39,7 @@ import numpy as np
 from .case_io import write_scenario_table
 from .case_model import (GridCase, InputError, LoadingCase, ScenarioRecord,
                          island_labels, total_inertia_gws)
-from .netdyn import _augment_dynamic, build_ybus, init_machines
-from .powerflow import _newton
+from .netdyn import build_model, build_ybus
 from .rocof import Contingency, locational_rocof_batch
 from .swingsim import SimOptions, simulate
 
@@ -80,8 +80,8 @@ def dispatch_heuristic(case: GridCase, target_load_mw: float,
     commits non-nuclear synchronous units in merit order (coal, gas, other;
     largest first) at one uniform loading factor. Uncommitted units go out
     of service. The returned case is not solved: bus voltages are those of
-    the input, and callers run solve_powerflow on it (the slack then
-    absorbs the losses).
+    the input, and callers solve it, with solve_powerflow or
+    netdyn.build_model (the slack then absorbs the losses).
     """
     if sum(l.p_mw for l in case.loads) <= 0:
         raise InfeasibleDispatch("case has no load to scale")
@@ -222,7 +222,7 @@ def generate_loading_cases(case: GridCase, n: int,
 
 def apply_loading_case(case: GridCase, lc: LoadingCase) -> GridCase:
     """Reconstruct the dispatched case recorded in a LoadingCase. It is not
-    solved; callers run solve_powerflow on it."""
+    solved; callers build its model with netdyn.build_model."""
     return _dispatch(case, lc.target_load_mw, lc.dispatch)
 
 
@@ -394,10 +394,7 @@ def _eval_loading_case(case: GridCase, lc: LoadingCase,
                 # a fresh traceback: re-raising the one object must not
                 # chain every loading case's frames onto it
                 raise network.with_traceback(None)
-            ybus, islands = network
-            sol = _newton(dispatched, ybus)
-            model = _augment_dynamic(ybus, dispatched, sol, islands)
-            states = init_machines(model, dispatched, sol)
+            _, model, states = build_model(dispatched, network)
     except Exception as exc:  # noqa: BLE001 - recorded per row
         setup_error = f"loading case failed: {exc}"
 

@@ -5,8 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from rocofscreen import (GridCase, augment_dynamic, build_ybus, init_machines,
-                         load_case9, norton_currents, solve_powerflow)
+from rocofscreen import GridCase, build_model, load_case9, norton_currents
 from rocofscreen.case_model import Branch, Bus, Generator, Load
 
 
@@ -17,10 +16,7 @@ def case9() -> GridCase:
 
 @pytest.fixture(scope="session")
 def solved9(case9):
-    sol = solve_powerflow(case9)
-    model = augment_dynamic(build_ybus(case9), case9, sol)
-    states = init_machines(model, case9, sol)
-    return case9, sol, model, states
+    return (case9, *build_model(case9))
 
 
 def record_fields(record):
@@ -184,9 +180,7 @@ def make_grid_case(side: int = 71, seed: int = 7) -> GridCase:
 def grid71():
     """The 5041-bus grid, its dynamic model and its machine states."""
     case = make_grid_case(71)
-    sol = solve_powerflow(case)
-    model = augment_dynamic(sol.ybus, case, sol)
-    return case, model, init_machines(model, case, sol)
+    return (case, *build_model(case)[1:])
 
 
 @pytest.fixture(scope="session")

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from rocofscreen import (Contingency, DEFAULT_FUEL_SPECS, SimOptions,
-                         augment_dynamic, build_ybus, init_machines, locational_rocof, sample_h, simulate,
-                         solve_powerflow, system_rocof, total_inertia_gws)
+                         build_model, locational_rocof, sample_h, simulate,
+                         solve_powerflow, system_rocof)
 from rocofscreen.case_model import Load
 from rocofscreen.cli import main as cli_main
 from rocofscreen.scenarios import (dispatch_heuristic, finite_difference_rocof,
@@ -103,10 +103,7 @@ def test_criterion_3_steady_state_null(solved9, capsys):
 def test_criterion_4_linearity_in_inertia(case9, capsys):
     """Doubling every H halves every acceleration and every bus ROCOF."""
     def screen(c):
-        s = solve_powerflow(c)
-        m = augment_dynamic(build_ybus(c), c, s)
-        st = init_machines(m, c, s)
-        return locational_rocof(m, st, Contingency.of("c", ["gen3"]))
+        return locational_rocof(*build_model(c)[1:], Contingency.of("c", ["gen3"]))
 
     res1 = screen(case9)
     res2 = screen(case9.with_generators(
@@ -132,11 +129,10 @@ def test_criterion_5_two_solves_and_speed(capsys):
     assert len(case.buses) >= 5000
 
     t0 = time.perf_counter()
-    sol = solve_powerflow(case)
+    solve_powerflow(case)
     t_pf = time.perf_counter() - t0
 
-    model = augment_dynamic(build_ybus(case), case, sol)
-    states = init_machines(model, case, sol)
+    _, model, states = build_model(case)
     units = [g.id for g in case.generators]
     # warm-up then measure
     locational_rocof(model, states, Contingency.of("w", units[0:2]))

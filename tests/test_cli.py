@@ -8,6 +8,7 @@ import pytest
 
 from rocofscreen import load_case9, write_case
 from rocofscreen.cli import build_parser, main
+from conftest import tiny_case
 from test_rocof import groundless_island_case
 
 CASE9 = Path(__file__).resolve().parents[1] / "src/rocofscreen/data/wscc9.json"
@@ -170,10 +171,17 @@ def test_rocof_system_needs_input(capsys):
     (["rocof-system", "--outage", "gen9"], "error: no generator with id 'gen9'"),
     (["simulate", "--outage", "gen3", "--t-end", "0.05"],
      "error: t_end = 0.05 s ends before the contingency at 0.1 s"),
+    # a unit trips once: named twice, rocof-system counted its loss twice
+    (["rocof-system", "--outage", "gen3,gen3"],
+     "error: --outage names generator 'gen3' twice"),
+    (["rocof-local", "--outage", "gen1, gen3,gen1"],
+     "error: --outage names generator 'gen1' twice"),
+    (["simulate", "--outage", "gen3,gen3"],
+     "error: --outage names generator 'gen3' twice"),
 ])
 def test_malformed_option_exits_1_naming_it(tmp_path, capsys, args, line):
     out = tmp_path / "out.csv"
-    extra = ["--out", str(out)] if args[0] == "simulate" else []
+    extra = ["--out", str(out)] if args[0] in ("simulate", "rocof-local") else []
     code, text, err = run(args + ["--case", str(CASE9)] + extra, capsys)
     assert code == 1
     assert err.splitlines() == [line]
@@ -203,6 +211,18 @@ def test_rocof_local_geojson(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out.read_text())
     assert len(doc["features"]) == 9
+
+
+def test_rocof_local_without_a_defined_bus_rocof_exits_0(tmp_path, capsys):
+    # the only machine, dispatched at 0 MW, trips: every bus is NaN, so the
+    # summary has no range to print
+    case, out = tmp_path / "tiny.json", tmp_path / "rocof.csv"
+    write_case(tiny_case(load_mw=0.0), case)
+    code, text, _ = run(["rocof-local", "--case", str(case), "--outage", "g1",
+                         "--out", str(out)], capsys)
+    assert code == 0
+    assert text == f"system 0.0000 Hz/s; no bus has a defined ROCOF; wrote {out}\n"
+    assert out.read_text().splitlines() == ["bus_id,rocof_hz_per_s", "1,"]
 
 
 def test_rocof_local_singular_outage_exits_2(tmp_path, capsys, monkeypatch):

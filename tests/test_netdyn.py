@@ -9,8 +9,9 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from rocofscreen import (PowerFlowSolution, augment_dynamic, build_ybus,
-                         electrical_torque, init_machines, solve_powerflow)
+from rocofscreen import (PowerFlowSolution, augment_dynamic, build_model,
+                         build_ybus, electrical_torque, init_machines,
+                         solve_powerflow)
 from rocofscreen.case_model import (Branch, Bus, Generator, GridCase, Load,
                                     UnknownIdError, island_labels)
 from rocofscreen.netdyn import ModelBuildError, SingularNetworkError
@@ -70,19 +71,12 @@ def test_ybus_names_a_missing_bus():
     build_ybus(dataclasses.replace(case, branches=case.branches[:1] + (off,)))
 
 
-def _model(case):
-    sol = solve_powerflow(case)
-    model = augment_dynamic(build_ybus(case), case, sol)
-    return sol, model
-
-
 def test_factor_count_counts_each_splu(case9):
     # a model is factored once, at build; initialization and the
     # machine-bus block reuse that factorization (the screen and the
     # simulator count theirs in test_rocof and test_swingsim)
-    sol, model = _model(case9)
+    model = build_model(case9)[1]
     assert model.factor_count == 1
-    init_machines(model, case9, sol)
     assert model.factorize() is model.factorize()
     model.machine_bus_block()
     assert model.factor_count == 1
@@ -91,7 +85,7 @@ def test_factor_count_counts_each_splu(case9):
 def test_machine_bus_block_is_gathered_from_the_store(fleet_case):
     # the block's columns are the stored rows of the machine buses, read
     # at each call: one solve for the first, none after
-    sol, model = _model(fleet_case)
+    model = build_model(fleet_case)[1]
     solves = model.solve_count
     block = model.machine_bus_block()
     m_bus = np.unique(model.machine_bus)
@@ -109,17 +103,16 @@ def test_machine_bus_block_is_gathered_from_the_store(fleet_case):
 
 def test_models_and_states_compare_by_identity(case9):
     # their array fields have no single truth value, so equality is identity
-    sol, model = _model(case9)
-    twin = augment_dynamic(build_ybus(case9), case9, sol)
+    sol, model, states = build_model(case9)
+    twin = augment_dynamic(sol.ybus, case9, sol)
     assert model == model and model != twin
-    states = init_machines(model, case9, sol)
     assert states == states and states != states.copy()
     assert len({model, twin, states}) == 3
 
 
 def test_load_shunt_at_nominal_voltage():
     case = tiny_case(load_mw=100.0, xdp_sys=0.1)
-    sol, model = _model(case)
+    model = build_model(case)[1]
     # y_dyn diagonal = load shunt (1.0) + machine Norton (1/(j 0.1))
     assert model.y_dyn[0, 0] == pytest.approx(1.0 - 10j)
     assert model.load_shunt[0] == pytest.approx(1.0 + 0j)
@@ -128,7 +121,7 @@ def test_load_shunt_at_nominal_voltage():
 def test_load_shunt_scales_with_voltage():
     case = tiny_case(load_mw=90.25, xdp_sys=0.1)
     case = case.with_buses([dataclasses.replace(case.buses[0], v_mag=0.95)])
-    sol, model = _model(case)
+    model = build_model(case)[1]
     assert model.load_shunt[0] == pytest.approx(1.0 + 0j)  # 0.9025/0.95^2
 
 
@@ -137,7 +130,7 @@ def test_norton_shunt_base_conversion(case9):
     gens = [dataclasses.replace(g, s_base_mva=500.0, xdp_pu=0.25)
             if g.id == "gen1" else g for g in case9.generators]
     case = case9.with_generators(gens)
-    sol, model = _model(case)
+    model = build_model(case)[1]
     k = model.machine_ids.index("gen1")
     assert model.xdp_sys[k] == pytest.approx(0.05)
     assert model.norton_y[k] == pytest.approx(-20j)
@@ -145,7 +138,7 @@ def test_norton_shunt_base_conversion(case9):
 
 def test_norton_count_matches_fleet(case9, fleet_case):
     for case in (case9, fleet_case):
-        sol, model = _model(case)
+        model = build_model(case)[1]
         expect = sum(1 for g in case.generators if g.status and g.synchronous)
         assert len(model.machine_ids) == expect
 
@@ -159,7 +152,7 @@ def test_wind_is_negative_load_shunt():
     case = case.with_generators(
         [dataclasses.replace(case.generators[0], p_mw=80.0)]
         + list(case.generators[1:]))
-    sol, model = _model(case)
+    model = build_model(case)[1]
     # diagonal: load 1.0, wind -0.2, Norton -10j
     assert model.y_dyn[0, 0] == pytest.approx(0.8 - 10j)
     assert model.machine_ids == ["g1"]  # wind contributes no machine
@@ -171,12 +164,12 @@ def test_missing_dynamics_blocks_model(case9):
     case = case9.with_generators(gens)
     sol = solve_powerflow(case)
     with pytest.raises(ModelBuildError, match="gen2"):
-        augment_dynamic(build_ybus(case), case, sol)
+        augment_dynamic(sol.ybus, case, sol)
 
 
 def test_init_no_load_machine():
     case = tiny_case(load_mw=0.0, xdp_sys=0.1)
-    sol, model = _model(case)
+    sol, model, _ = build_model(case)
     states = init_machines(model, case, sol)
     assert states.e_prime[0] == pytest.approx(1.0)
     assert states.delta[0] == pytest.approx(0.0)
@@ -189,7 +182,7 @@ def test_init_no_load_machine():
 def test_init_loaded_machine_emf():
     # S = 1.0 pu at V = 1.0 /_0 with x'd = 0.1: E' = 1 + 0.1j
     case = tiny_case(load_mw=100.0, xdp_sys=0.1)
-    sol, model = _model(case)
+    sol, model, _ = build_model(case)
     states = init_machines(model, case, sol)
     e = cmath.rect(states.e_prime[0], states.delta[0])
     assert e == pytest.approx(1.0 + 0.1j, rel=1e-9)
@@ -211,9 +204,7 @@ def test_states_keep_the_reconstruction_voltages(solved9, fleet_case):
     case, sol, model, states = solved9
     v = model.factorize().solve(model.to_buses(currents(model, states)))
     assert np.array_equal(states.v_bus, v)
-    fleet_sol = solve_powerflow(fleet_case)
-    fleet = augment_dynamic(fleet_sol.ybus, fleet_case, fleet_sol)
-    fleet_states = init_machines(fleet, fleet_case, fleet_sol)
+    _, fleet, fleet_states = build_model(fleet_case)
     assert np.array_equal(fleet_states.v_bus, fleet.factorize().solve(
         fleet.to_buses(currents(fleet, fleet_states))))
 
@@ -296,7 +287,7 @@ def test_diag_update_adds_repeated_buses_in_order(solved9, fleet_case):
     diagonal in the given order: a bus that repeats (two lost units, or a
     unit and a shed load) must not get its deltas summed first."""
     rng = np.random.default_rng(6)
-    for model in (solved9[2], _model(fleet_case)[1]):
+    for model in (solved9[2], build_model(fleet_case)[1]):
         before = model.y_dyn.copy()
         for _ in range(20):
             k = int(rng.integers(2, 9))
@@ -421,6 +412,27 @@ def assert_same_bits(new, old):
     new, old = np.asarray(new), np.asarray(old)
     assert new.dtype == old.dtype and new.shape == old.shape
     assert new.tobytes() == old.tobytes()
+
+
+def staged_build(case):
+    """The public stages that build_model joins, on the case's own Y-bus."""
+    sol = solve_powerflow(case)
+    model = augment_dynamic(build_ybus(case), case, sol)
+    return sol, model, init_machines(model, case, sol)
+
+
+def assert_builds_match_stages(case, network=None):
+    """build_model of the case on the given branch network has the bits of
+    staged_build: solution, y_dyn, solved machine outputs, state arrays."""
+    sol, model, states = build_model(case, network)
+    ref_sol, ref_model, ref_states = staged_build(case)
+    for name in ("v_mag", "v_ang", "iterations", "max_mismatch_pu"):
+        assert_same_bits(getattr(sol, name), getattr(ref_sol, name))
+    for part in ("data", "indices", "indptr"):
+        assert_same_bits(getattr(model.y_dyn, part), getattr(ref_model.y_dyn, part))
+    assert_same_bits(model.s_solved, ref_model.s_solved)
+    for f in dataclasses.fields(states):
+        assert_same_bits(getattr(states, f.name), getattr(ref_states, f.name))
 
 
 def assert_builders_match_loops(case, v_mag, v_ang):

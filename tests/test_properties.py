@@ -5,16 +5,18 @@ import dataclasses
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from rocofscreen import (Contingency, GridCase, SimOptions, locational_rocof,
-                         locational_rocof_batch, simulate, solve_powerflow)
+from rocofscreen import (Contingency, GridCase, SimOptions, build_model,
+                         locational_rocof, locational_rocof_batch, simulate,
+                         solve_powerflow)
 from rocofscreen.case_model import Branch, Bus, Generator, Load, island_labels
 from rocofscreen.scenarios import _column_stats, finite_difference_rocof
-from test_netdyn import assert_builders_match_loops, loop_island_labels
+from test_netdyn import (assert_builders_match_loops, assert_builds_match_stages,
+                         loop_island_labels)
 from test_powerflow import assert_newton_matches_reference
 from test_screen_reference import assert_same_screens
 from test_rocof import (assert_cache_changes_no_bit, assert_matches_current_columns,
                         assert_matches_default_panel, assert_matches_plain_splu,
-                        built_model, refactor_reference)
+                        refactor_reference)
 from test_swingsim import (assert_matches_four_solve_step, assert_matches_refactoring,
                            assert_matches_two_array_loop)
 
@@ -67,9 +69,15 @@ def networks(draw):
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(networks())
+def test_build_model_matches_the_stages_on_generated_networks(drawn):
+    assert_builds_match_stages(drawn[0])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(networks())
 def test_compensation_equals_refactoring_on_generated_networks(drawn):
     case, outaged = drawn
-    model, states = built_model(case)
+    _, model, states = build_model(case)
     null = locational_rocof(model, states, Contingency.of("null", []))
     assert np.all(np.abs(null.bus_rocof_hz_s) < 1e-9)
 
@@ -87,7 +95,7 @@ def test_voltage_start_matches_current_columns_on_generated_networks(drawn):
     # solve 1 from the states' voltages against the path with one current
     # column per contingency, singly and as a batch with an unknown machine
     case, outaged = drawn
-    model, states = built_model(case)
+    _, model, states = build_model(case)
     assert_matches_current_columns(model, states, [
         Contingency.of("c", outaged), Contingency.of("one", outaged[:1]),
         Contingency.of("unknown", ["nope"]), Contingency.of("null", [])])
@@ -110,7 +118,7 @@ def test_screen_matches_frozen_reference_on_generated_networks(drawn):
     # to four when all but one are lost; losing every machine leaves no
     # inertia and a dead island
     case, outaged = drawn
-    model, states = built_model(case)
+    _, model, states = build_model(case)
     units = model.machine_ids
     assert_same_screens(model, states, [
         Contingency.of("c", outaged), Contingency.of("one", outaged[:1]),
@@ -152,7 +160,7 @@ def test_simulator_agrees_with_screen_on_generated_networks(drawn):
     # loss matches the two-solve screen within max(10%, 0.02 Hz/s) on every
     # bus with a defined ROCOF
     case, outaged = drawn
-    model, states = built_model(case)
+    _, model, states = build_model(case)
     ctg = Contingency.of("c", outaged)
     sim = simulate(model, states.copy(), ctg,
                    SimOptions(t_end=0.25, dt=1 / 200, shedding=False))
@@ -168,7 +176,7 @@ def test_simulator_agrees_with_screen_on_generated_networks(drawn):
 def test_machine_bus_block_matches_four_solve_step_on_generated_networks(drawn):
     # the base network before the event, the outage's after it
     case, outaged = drawn
-    model, states = built_model(case)
+    _, model, states = build_model(case)
     used = assert_matches_four_solve_step(
         model, states, Contingency.of("c", outaged), SimOptions(t_end=0.5))
     assert used == 2
@@ -180,7 +188,7 @@ def test_simulator_compensation_matches_refactoring_on_generated_networks(drawn)
     # the outage applied to the base factorization against the outage
     # network factored, machines sharing a bus included
     case, outaged = drawn
-    model, states = built_model(case)
+    _, model, states = build_model(case)
     assert_matches_refactoring(model, states, Contingency.of("c", outaged),
                                SimOptions(t_end=0.5))
 
@@ -199,10 +207,10 @@ def test_stacked_state_matches_two_array_loop_on_generated_networks(drawn):
 def test_doubling_inertia_halves_rocof(drawn):
     case, outaged = drawn
     ctg = Contingency.of("c", outaged)
-    res = locational_rocof(*built_model(case), ctg)
+    res = locational_rocof(*build_model(case)[1:], ctg)
     heavy = case.with_generators([dataclasses.replace(g, h_sec=2.0 * g.h_sec)
                                   for g in case.generators])
-    res2 = locational_rocof(*built_model(heavy), ctg)
+    res2 = locational_rocof(*build_model(heavy)[1:], ctg)
     np.testing.assert_allclose(res2.bus_rocof_hz_s, res.bus_rocof_hz_s / 2.0,
                                rtol=1e-12, atol=0)
     np.testing.assert_allclose(res2.system_rocof_hz_s,
@@ -217,7 +225,7 @@ def test_bus_relabelling_leaves_rocof_and_worst_bus(drawn, data):
     case, outaged = drawn
     order = data.draw(st.permutations(case.buses))
     ctg = Contingency.of("c", outaged)
-    results = [locational_rocof(*built_model(c), ctg)
+    results = [locational_rocof(*build_model(c)[1:], ctg)
                for c in (case, dataclasses.replace(case, buses=tuple(order)))]
     by_id = [dict(zip(r.bus_ids, r.bus_rocof_hz_s)) for r in results]
     for bus in by_id[0]:
@@ -241,7 +249,7 @@ def test_system_base_leaves_voltages_rocof_and_worst_bus(drawn, k):
     voltages = [solve_powerflow(c).v for c in (case, rebased)]
     assert np.max(np.abs(voltages[1] - voltages[0])) <= 1e-9
     ctg = Contingency.of("c", outaged)
-    results = [locational_rocof(*built_model(c), ctg) for c in (case, rebased)]
+    results = [locational_rocof(*build_model(c)[1:], ctg) for c in (case, rebased)]
     np.testing.assert_allclose(results[1].bus_rocof_hz_s,
                                results[0].bus_rocof_hz_s, rtol=0, atol=1e-9)
     worst = [_column_stats(r.bus_rocof_hz_s[None, :], r.bus_ids)[0][3]
@@ -344,10 +352,15 @@ def test_batch_equals_refactoring_per_contingency(drawn):
     # one batch over the whole bank gives each contingency's refactored
     # screen: outages sharing a bus, dead islands and the empty contingency
     case, outages = drawn
-    model, states = built_model(case)
+    _, model, states = build_model(case)
     ctgs = [Contingency.of(f"c{j}", ids) for j, ids in enumerate(outages)]
     batch = locational_rocof_batch(model, states, ctgs)
-    assert batch.n_solves == 2
+    # solve 1 is for the lost machines' buses in islands that keep a
+    # machine, so a bank whose every loss kills its island makes none
+    island = dict(zip(model.machine_ids, model.machine_islands))
+    live_loss = any(island[g] == island[h] for ids in outages for g in ids
+                    for h in model.machine_ids if h not in ids)
+    assert batch.n_solves == 1 + live_loss
     assert batch.bus_rocof_hz_s.shape == (model.n_bus, len(ctgs))
     for j, ctg in enumerate(ctgs):
         assert batch.errors[j] is None

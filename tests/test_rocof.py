@@ -8,11 +8,10 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from rocofscreen import (Contingency, SingularOutageError, ZeroInertiaError,
-                         angle_second_derivative, augment_dynamic, build_ybus,
-                         electrical_torque, init_machines,
-                         injection_derivatives, locational_rocof,
-                         locational_rocof_batch, netdyn, powerflow,
-                         solve_powerflow, system_rocof)
+                         angle_second_derivative, build_model,
+                         electrical_torque, injection_derivatives,
+                         locational_rocof, locational_rocof_batch, netdyn,
+                         powerflow, system_rocof)
 from rocofscreen.case_model import (Branch, Bus, Generator, GridCase,
                                     InputError, Load, total_inertia_gws)
 from rocofscreen.netdyn import norton_currents
@@ -160,7 +159,7 @@ def test_empty_contingency_is_null(solved9):
 def test_two_solves_per_contingency(case9):
     # a fresh model: solve 1 solves gen3's bus column once, and a repeat
     # reads it from the model's unit columns
-    model, states = built_model(case9)
+    _, model, states = build_model(case9)
     for solves in (2, 1):
         before = model.solve_count
         res = locational_rocof(model, states, Contingency.of("c", ["gen3"]))
@@ -195,17 +194,11 @@ def test_all_bus_rocofs_negative_for_generation_loss(solved9):
 
 
 def test_doubling_h_halves_everything(case9):
-    sol = solve_powerflow(case9)
-    model = augment_dynamic(build_ybus(case9), case9, sol)
-    states = init_machines(model, case9, sol)
-    res1 = locational_rocof(model, states, Contingency.of("c", ["gen3"]))
+    res1 = locational_rocof(*build_model(case9)[1:], Contingency.of("c", ["gen3"]))
 
     doubled = case9.with_generators(
         [dataclasses.replace(g, h_sec=2 * g.h_sec) for g in case9.generators])
-    sol2 = solve_powerflow(doubled)
-    model2 = augment_dynamic(build_ybus(doubled), doubled, sol2)
-    states2 = init_machines(model2, doubled, sol2)
-    res2 = locational_rocof(model2, states2, Contingency.of("c", ["gen3"]))
+    res2 = locational_rocof(*build_model(doubled)[1:], Contingency.of("c", ["gen3"]))
 
     act = ~np.isnan(res1.machine_accel)
     assert np.allclose(res2.machine_accel[act], 0.5 * res1.machine_accel[act],
@@ -250,9 +243,7 @@ def test_machine_bus_identity_on_isolated_machine():
     # a bus holding only its machine's Norton shunt must report exactly the
     # machine's acceleration: V tracks E' there, so Vdd_angle == wdot
     case = two_island_case(load_on_island_b=False)
-    sol = solve_powerflow(case)
-    model = augment_dynamic(build_ybus(case), case, sol)
-    states = init_machines(model, case, sol)
+    _, model, states = build_model(case)
     wdot = np.array([0.0, -0.0123])  # synthetic accelerations, pu/s
     idd_rhs = np.zeros(model.n_bus, dtype=complex)
     i_mach = currents(model, states)
@@ -269,9 +260,7 @@ def test_machine_bus_identity_on_isolated_machine():
 
 def test_islanded_group_reported_undefined():
     case = two_island_case(load_on_island_b=True)
-    sol = solve_powerflow(case)
-    model = augment_dynamic(build_ybus(case), case, sol)
-    states = init_machines(model, case, sol)
+    _, model, states = build_model(case)
     res = locational_rocof(model, states, Contingency.of("c", ["gB"]))
     k3 = res.bus_ids.index(3)
     assert math.isnan(res.bus_rocof_hz_s[k3])
@@ -290,17 +279,9 @@ def test_outage_of_offline_generator_rejected(case9):
     gens = [dataclasses.replace(g, status=False) if g.id == "gen3" else g
             for g in case9.generators]
     case = case9.with_generators(gens)
-    sol = solve_powerflow(case)
-    model = augment_dynamic(build_ybus(case), case, sol)
-    states = init_machines(model, case, sol)
+    _, model, states = build_model(case)
     with pytest.raises(KeyError):
         locational_rocof(model, states, Contingency.of("c", ["gen3"]))
-
-
-def built_model(case):
-    sol = solve_powerflow(case)
-    model = augment_dynamic(build_ybus(case), case, sol)
-    return model, init_machines(model, case, sol)
 
 
 def refactor_reference(model, states, contingency):
@@ -351,7 +332,7 @@ def assert_matches_refactoring(model, states, contingency, solves):
 
 
 def test_compensation_matches_refactoring_on_grid():
-    model, states = built_model(make_grid_case(side=25))
+    _, model, states = build_model(make_grid_case(side=25))
     units = model.machine_ids
     plant = units[2][:-2]                       # "g<bus>" of the second plant
     cases = [[units[5]], [plant + "u0", plant + "u1"],
@@ -364,7 +345,7 @@ def test_compensation_matches_refactoring_on_grid():
 
 
 def test_compensation_matches_refactoring_on_fleet():
-    model, states = built_model(make_fleet_case(1))
+    _, model, states = build_model(make_fleet_case(1))
     units = model.machine_ids
     for k, (ids, solves) in enumerate(zip([units[:1], units[3:5], units[7:10], []],
                                           [2, 2, 2, 1])):
@@ -377,27 +358,27 @@ def test_compensation_matches_refactoring_on_fleet():
 def test_compensation_matches_refactoring_with_dead_island(load_on_island_b,
                                                            outage):
     # each loss kills its island, so solve 1 has no live outaged bus
-    model, states = built_model(two_island_case(load_on_island_b))
+    _, model, states = build_model(two_island_case(load_on_island_b))
     res = assert_matches_refactoring(model, states,
                                      Contingency.of("c", outage), 1)
     assert len(res.undefined_islands) == len(outage)
 
 
 def plain_splu_model(case):
-    """built_model with every factorization by plain spla.splu: COLAMD
-    column order and partial pivoting (threshold 1.0), the settings that
-    powerflow.SUPERLU_OPTIONS replaced."""
+    """build_model's model and states with every factorization by plain
+    spla.splu: COLAMD column order and partial pivoting (threshold 1.0),
+    the settings that powerflow.SUPERLU_OPTIONS replaced."""
     plain = SimpleNamespace(splu=lambda matrix, **kwargs: spla.splu(matrix))
     with mock.patch.object(powerflow, "spla", plain), \
             mock.patch.object(netdyn, "spla", plain):
-        return built_model(case)
+        return build_model(case)[1:]
 
 
 def assert_matches_plain_splu(case, contingencies):
     """The screen on the SUPERLU_OPTIONS factorizations against the one on
     plain_splu_model: the same undefined buses, bus ROCOF within 1e-9
     Hz/s, one contingency at a time and as one batch."""
-    model, states = built_model(case)
+    _, model, states = build_model(case)
     plain, plain_states = plain_splu_model(case)
     batch = locational_rocof_batch(model, states, contingencies)
     plain_batch = locational_rocof_batch(plain, plain_states, contingencies)
@@ -422,10 +403,10 @@ def test_symmetric_ordering_matches_plain_splu_on_5041_buses():
 
 
 def screened_with_fill(case, contingencies):
-    """solve_powerflow, augment_dynamic, init_machines and the batch screen
-    of the contingencies. Returns the power-flow solution, the fill (L + U
-    entries) of every SuperLU factorization made, the Newton Jacobians'
-    in order and then y_dyn's, and the batch."""
+    """build_model and the batch screen of the contingencies. Returns the
+    power-flow solution, the fill (L + U entries) of every SuperLU
+    factorization made, the Newton Jacobians' in order and then y_dyn's,
+    and the batch."""
     fill = []
 
     def splu(matrix, **kwargs):
@@ -436,9 +417,7 @@ def screened_with_fill(case, contingencies):
     spy = SimpleNamespace(splu=splu)
     with mock.patch.object(powerflow, "spla", spy), \
             mock.patch.object(netdyn, "spla", spy):
-        sol = solve_powerflow(case)
-        model = augment_dynamic(sol.ybus, case, sol)
-        states = init_machines(model, case, sol)
+        sol, model, states = build_model(case)
     return sol, fill, locational_rocof_batch(model, states, contingencies)
 
 
@@ -511,8 +490,7 @@ def test_every_factorization_passes_panel_size_1(case9, fleet_case):
     with mock.patch.object(powerflow, "spla", spy("powerflow")), \
             mock.patch.object(netdyn, "spla", spy("netdyn")):
         for case in (case9, fleet_case):
-            sol = solve_powerflow(case)
-            augment_dynamic(sol.ybus, case, sol)
+            build_model(case)
     assert {call[:2] for call in calls} >= {("powerflow", "MMD_AT_PLUS_A"),
                                             ("powerflow", "NATURAL"),
                                             ("netdyn", "MMD_AT_PLUS_A")}
@@ -525,7 +503,7 @@ def test_every_factorization_passes_panel_size_1(case9, fleet_case):
     ("charging", 5.0, "gen3"),    # y_dyn's diagonal at bus 10 nearly cancels
 ])
 def test_screen_solves_near_singular_outages(ties, unit_mw, outage, rel):
-    model, states = built_model(case9_with_bus10(ties, rel, unit_mw))
+    _, model, states = build_model(case9_with_bus10(ties, rel, unit_mw))
     res = locational_rocof(model, states, Contingency.of("c", [outage]))
     lost = model.machine_positions([outage])
     after = model.y_with_diag_update(model.machine_bus[lost],
@@ -552,7 +530,7 @@ def test_singular_outage_is_numerical(solved9, monkeypatch):
 def test_screens_make_no_factorization(case9):
     # on a fresh model, solve 1 is made only by the first screen of each
     # machine bus; solve 2 by every screen
-    model, states = built_model(case9)
+    _, model, states = build_model(case9)
     factors = model.factor_count
     ids = [[], ["gen1"], ["gen2"], ["gen3"], ["gen1", "gen2"],
            ["gen1", "gen3"], ["gen2", "gen3"], ["gen3"], ["gen2"], ["gen1"]]
@@ -637,7 +615,7 @@ def assert_matches_current_columns(model, states, contingencies, solves=2):
 
 
 def test_voltage_start_matches_current_columns_on_nine_bus(case9):
-    model, states = built_model(case9)
+    _, model, states = build_model(case9)
     ids = [[], ["gen1"], ["gen2"], ["gen3"], ["gen1", "gen2"],
            ["gen1", "gen3"], ["gen2", "gen3"], ["gen1", "gen2", "gen3"],
            ["gen9"]]
@@ -651,7 +629,7 @@ def test_voltage_start_matches_current_columns_on_nine_bus(case9):
 def test_voltage_start_matches_current_columns_with_dead_islands(
         load_on_island_b):
     # no loss leaves its bus in a live island: solve 2 alone
-    model, states = built_model(two_island_case(load_on_island_b))
+    _, model, states = build_model(two_island_case(load_on_island_b))
     batch = assert_matches_current_columns(model, states, [
         Contingency.of("a", ["gA"]), Contingency.of("b", ["gB"]),
         Contingency.of("none", []), Contingency.of("x", ["gX"])], solves=1)
@@ -660,7 +638,7 @@ def test_voltage_start_matches_current_columns_with_dead_islands(
 
 def test_voltage_start_matches_current_columns_on_5041_buses():
     # plants of two units on one bus, so a bus of U can carry two currents
-    model, states = built_model(make_grid_case(side=71))
+    _, model, states = build_model(make_grid_case(side=71))
     units = model.machine_ids
     rng = np.random.default_rng(5)
     contingencies = [Contingency.of(f"c{j}", rng.choice(units, j % 4 + 1,
@@ -689,7 +667,7 @@ def test_solve_1_has_a_column_per_outaged_bus(case9, monkeypatch):
     # solve 1 carries the unit columns of the live outaged buses that the
     # model has not solved before, and no current; solve 2 one column per
     # contingency
-    model, states = built_model(case9)
+    _, model, states = build_model(case9)
     widths = solve_shapes(monkeypatch)
     batch = locational_rocof_batch(model, states, [
         Contingency.of("a", ["gen1"]), Contingency.of("b", ["gen2"]),
@@ -712,7 +690,7 @@ def test_solve_1_has_a_column_per_outaged_bus(case9, monkeypatch):
 
 
 def test_solve_1_is_empty_when_the_outage_kills_its_island(monkeypatch):
-    model, states = built_model(two_island_case(True))
+    _, model, states = build_model(two_island_case(True))
     widths = solve_shapes(monkeypatch)
     res = locational_rocof(model, states, Contingency.of("b", ["gB"]))
     assert widths == [(3, 1)] and res.n_solves == 1
@@ -733,11 +711,6 @@ def uncached_unit_columns(model, buses):
     rhs = np.zeros((len(buses), model.n_bus), dtype=complex)
     rhs[np.arange(len(buses)), buses] = 1.0
     return model.factorize().solve(rhs.T).T
-
-
-def fresh_model(case, sol):
-    model = augment_dynamic(sol.ybus, case, sol)
-    return model, init_machines(model, case, sol)
 
 
 def screened_bytes(model, states, contingencies, cycles):
@@ -762,13 +735,12 @@ def assert_cache_changes_no_bit(case, contingencies, model=None, states=None):
     first solves the buses new to the model, the second reads them all),
     then the batch (warm), on the given model or a fresh one; and the batch
     alone on a fresh model (cold)."""
-    sol = solve_powerflow(case)
     if model is None:
-        model, states = fresh_model(case, sol)
+        _, model, states = build_model(case)
     with mock.patch.object(netdyn.NetworkModel, "unit_columns",
                            uncached_unit_columns):
-        ref = screened_bytes(*fresh_model(case, sol), contingencies, cycles=1)
-    cold_batch = screened_bytes(*fresh_model(case, sol), contingencies, cycles=0)
+        ref = screened_bytes(*build_model(case)[1:], contingencies, cycles=1)
+    cold_batch = screened_bytes(*build_model(case)[1:], contingencies, cycles=0)
     for got, want in zip(screened_bytes(model, states, contingencies, 2) + cold_batch,
                          [ref[0], ref[0], ref[1], ref[1]]):
         for new, old in zip(got, want):
@@ -793,7 +765,7 @@ def test_cached_unit_columns_change_no_bit_on_fleet_loading_cases(fleet_case):
 
 
 def test_unit_columns_hold_the_union_of_live_outaged_buses(fleet_case):
-    model, states = built_model(fleet_case)
+    _, model, states = build_model(fleet_case)
     contingencies = drawn_contingencies(fleet_case, 12, 8)
     expected = set()
     for c in contingencies:
@@ -815,7 +787,7 @@ def test_unit_columns_hold_the_union_of_live_outaged_buses(fleet_case):
     assert model.solve_count == solves and not rows.flags.writeable
     assert np.array_equal(rows, stored)
     # a loss that kills its island adds no bus
-    model, states = built_model(two_island_case(True))
+    _, model, states = build_model(two_island_case(True))
     for c in (["gB"], ["gA"]):
         locational_rocof(model, states, Contingency.of("c", c))
     assert model._unit == {}

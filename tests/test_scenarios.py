@@ -10,17 +10,17 @@ import pytest
 
 from rocofscreen import case_model, netdyn, powerflow, scenarios
 from rocofscreen import (Contingency, InfeasibleDispatch, SingularOutageError,
-                         ZeroInertiaError, augment_dynamic, dispatch_heuristic,
+                         ZeroInertiaError, build_model, dispatch_heuristic,
                          generate_contingencies, generate_loading_cases,
-                         init_machines, locational_rocof, run_bank,
-                         solve_powerflow, total_inertia_gws)
+                         locational_rocof, run_bank, total_inertia_gws)
 from rocofscreen.case_io import read_scenario_table, write_scenario_table
 from rocofscreen.case_model import (Branch, Bus, Generator, GridCase, InputError,
                                     Load, LoadingCase)
-from rocofscreen.scenarios import (apply_loading_case, loading_case_from,
-                                   _eval_loading_case)
+from rocofscreen.scenarios import (_branch_network, apply_loading_case,
+                                   loading_case_from)
 
 from conftest import record_fields
+from test_netdyn import assert_builds_match_stages, staged_build
 from test_rocof import groundless_island_case
 
 STUDY_LOAD_RANGE = (15000.0, 75000.0)
@@ -126,13 +126,13 @@ def test_loading_cases_inertia_tracks_demand(fleet_case):
 def test_loading_cases_solve_no_power_flow(fleet_case, monkeypatch):
     # generation keeps only MW and inertia figures; banks solve each case
     solved = []
-    solve = scenarios._newton
+    solve = netdyn._newton
 
     def counting_solve(c, *args, **kwargs):
         solved.append(c.name)
         return solve(c, *args, **kwargs)
 
-    monkeypatch.setattr(scenarios, "_newton", counting_solve)
+    monkeypatch.setattr(netdyn, "_newton", counting_solve)
     cases = generate_loading_cases(fleet_case, 9, STUDY_LOAD_RANGE,
                                    STUDY_WIND_RANGE)
     assert len(cases) == 9
@@ -279,10 +279,10 @@ def counting_builders(monkeypatch):
     and model builds append their case's name to, patched into every
     module-level binding."""
     calls = {}
-    for name, owners in (("_newton", (powerflow, scenarios)),
+    for name, owners in (("_newton", (powerflow, netdyn)),
                          ("build_ybus", (netdyn, scenarios)),
                          ("island_labels", (case_model, netdyn, scenarios)),
-                         ("_augment_dynamic", (netdyn, scenarios))):
+                         ("_augment_dynamic", (netdyn,))):
         fn, seen = getattr(owners[0], name), calls.setdefault(name, [])
 
         def counting(*args, fn=fn, seen=seen):
@@ -330,13 +330,24 @@ def fleet_study_bank(fleet_case):
     return fleet_case, loading, contingencies
 
 
+def test_build_model_matches_the_stages(case9, fleet_study_bank):
+    # the 9-bus case on its own branch network, built or given, and every
+    # study loading case on the bank's one network
+    assert_builds_match_stages(case9)
+    assert_builds_match_stages(case9, _branch_network(case9))
+    case, loading, _ = fleet_study_bank
+    network = _branch_network(case)
+    assert len(loading) == 25
+    for lc in loading:
+        assert_builds_match_stages(apply_loading_case(case, lc), network)
+
+
 @pytest.mark.parametrize("mode", ["locational", "simulate"])
 @pytest.mark.parametrize("bank", ["fleet", "case9"])
 def test_shared_network_keeps_the_tables_of_per_case_builds(
         fleet_study_bank, case9, tmp_path, monkeypatch, mode, bank):
-    # the bank's one branch network gives the table that building every
-    # loading case with the public calls gives (solve_powerflow, then
-    # augment_dynamic on its own build_ybus), byte for byte
+    # the bank's one branch network gives, byte for byte, the table that
+    # building every loading case with the public calls gives (staged_build)
     if bank == "fleet":
         case, loading, contingencies = fleet_study_bank
         if mode == "simulate":
@@ -347,11 +358,8 @@ def test_shared_network_keeps_the_tables_of_per_case_builds(
     shared, per_case = tmp_path / "shared.csv", tmp_path / "per_case.csv"
     run_bank(case, loading, contingencies, mode=mode, out_path=shared)
 
-    monkeypatch.setattr(scenarios, "_newton",
-                        lambda c, ybus: powerflow.solve_powerflow(c))
-    monkeypatch.setattr(scenarios, "_augment_dynamic",
-                        lambda ybus, c, sol, islands: netdyn.augment_dynamic(
-                            netdyn.build_ybus(c), c, sol))
+    monkeypatch.setattr(scenarios, "build_model",
+                        lambda c, network: staged_build(c))
     run_bank(case, loading, contingencies, mode=mode, out_path=per_case)
     assert len(loading) == (25 if bank == "fleet" else 2)
     assert shared.read_bytes() == per_case.read_bytes()
@@ -404,7 +412,7 @@ def test_run_bank_power_flow_failure_isolated(small_bank, fleet_case,
     case, loading, contingencies = small_bank
     clean = run_bank(case, loading, contingencies, mode="locational")
     bad = loading[1]
-    solve = scenarios._newton
+    solve = netdyn._newton
 
     def failing_solve(c, *args, **kwargs):
         load = sum(l.p_mw for l in c.loads)
@@ -415,7 +423,7 @@ def test_run_bank_power_flow_failure_isolated(small_bank, fleet_case,
             raise powerflow.PowerFlowDivergence(20, 1.0)
         return solve(c, *args, **kwargs)
 
-    monkeypatch.setattr(scenarios, "_newton", failing_solve)
+    monkeypatch.setattr(netdyn, "_newton", failing_solve)
     regenerated = generate_loading_cases(fleet_case, 5, (30000.0, 60000.0),
                                          (12000.0, 25000.0))
     assert regenerated == loading
@@ -446,13 +454,6 @@ def test_run_bank_singular_outage_is_error_row(small_bank, monkeypatch):
         assert math.isnan(r.bus_rocof_min)
 
 
-def loading_case_model(case, lc):
-    dispatched = apply_loading_case(case, lc)
-    sol = solve_powerflow(dispatched)
-    model = augment_dynamic(sol.ybus, dispatched, sol)
-    return model, init_machines(model, dispatched, sol)
-
-
 def test_run_bank_batch_matches_single_screens(small_bank):
     # one batch per loading case gives the rows a loop of single screens
     # gives: ROCOF within 1e-9 Hz/s, status, worst bus and flag exact
@@ -460,7 +461,7 @@ def test_run_bank_batch_matches_single_screens(small_bank):
     rows = {(r.loading_id, r.contingency_id): r
             for r in run_bank(case, loading, contingencies, mode="locational")}
     for lc in loading:
-        model, states = loading_case_model(case, lc)
+        _, model, states = build_model(apply_loading_case(case, lc))
         for ctg in contingencies:
             row = rows[(lc.id, ctg.id)]
             online = frozenset(g for g in ctg.outaged_generator_ids
@@ -509,7 +510,7 @@ def test_worst_bus_is_lowest_id_among_ties_in_any_bus_order():
         lc = loading_case_from(case, "lc", 280.0, 0.0)
         ctg = Contingency.of("ends", ["g1", "g5"])
         (row,) = run_bank(case, [lc], [ctg], mode="locational")
-        model, states = loading_case_model(case, lc)
+        _, model, states = build_model(apply_loading_case(case, lc))
         rocof = locational_rocof(model, states, ctg).bus_rocof_hz_s
         low = rocof.min()
         tied = {b for b, r in zip(model.bus_ids, rocof)
@@ -524,14 +525,14 @@ def test_locational_bank_makes_two_solves_per_loading_case(small_bank,
     # by the same two solves and no factorization
     case, loading, contingencies = small_bank
     after_init = []
-    init = scenarios.init_machines
+    init = netdyn.init_machines
 
     def recording_init(model, *args):
         states = init(model, *args)
         after_init.append((model, model.solve_count, model.factor_count))
         return states
 
-    monkeypatch.setattr(scenarios, "init_machines", recording_init)
+    monkeypatch.setattr(netdyn, "init_machines", recording_init)
     rows = run_bank(case, loading, contingencies, mode="locational")
     assert sum(r.status == "ok" for r in rows) > 2 * len(loading)
     assert len(after_init) == len(loading)
@@ -546,7 +547,7 @@ def test_run_bank_isolates_faults_within_one_batch(small_bank, monkeypatch):
     # raises; every other row of the loading case equals the clean batch
     case, loading, contingencies = small_bank
     lc = loading[0]
-    model, states = loading_case_model(case, lc)
+    _, model, states = build_model(apply_loading_case(case, lc))
     online = {c.id: frozenset(g for g in c.outaged_generator_ids
                               if g in lc.committed) for c in contingencies}
     screened = [c for c in contingencies if online[c.id]]

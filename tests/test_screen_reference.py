@@ -17,13 +17,13 @@ import numpy as np
 import pytest
 
 from rocofscreen import (Contingency, SingularOutageError, ZeroInertiaError,
-                         locational_rocof, locational_rocof_batch)
+                         build_model, locational_rocof, locational_rocof_batch)
 from rocofscreen.netdyn import UnknownIdError, electrical_torque, norton_currents
 from rocofscreen.rocof import angle_second_derivative, injection_derivatives
 from rocofscreen.scenarios import dispatch_heuristic, generate_contingencies
 
 from conftest import case9_with_bus10
-from test_rocof import built_model, two_island_case
+from test_rocof import two_island_case
 
 log = logging.getLogger("rocofscreen.rocof")
 
@@ -236,7 +236,7 @@ NINE_BUS_LOSSES = [[], ["gen1"], ["gen2"], ["gen3"], ["gen1", "gen2"],
 
 
 def test_nine_bus_losses_match_reference(case9):
-    model, states = built_model(case9)
+    _, model, states = build_model(case9)
     batch = assert_same_screens(model, states, [
         Contingency.of(f"c{k}", g) for k, g in enumerate(NINE_BUS_LOSSES)])
     assert [type(e) for e in batch.errors[-2:]] == [ZeroInertiaError,
@@ -245,7 +245,7 @@ def test_nine_bus_losses_match_reference(case9):
 
 @pytest.mark.parametrize("load_on_island_b", [True, False])
 def test_dead_islands_match_reference(load_on_island_b):
-    model, states = built_model(two_island_case(load_on_island_b))
+    _, model, states = build_model(two_island_case(load_on_island_b))
     batch = assert_same_screens(model, states, [
         Contingency.of("a", ["gA"]), Contingency.of("b", ["gB"]),
         Contingency.of("none", []), Contingency.of("x", ["gX"]),
@@ -256,7 +256,7 @@ def test_dead_islands_match_reference(load_on_island_b):
 @pytest.mark.parametrize("ties, unit_mw, outage", [
     ("weak", 0.0, "gen4"), ("charging", 5.0, "gen3")])
 def test_near_singular_outages_match_reference(ties, unit_mw, outage):
-    model, states = built_model(case9_with_bus10(ties, 1e-12, unit_mw))
+    _, model, states = build_model(case9_with_bus10(ties, 1e-12, unit_mw))
     assert_same_screens(model, states, [
         Contingency.of("c", [outage]), Contingency.of("pair", [outage, "gen1"])])
 
@@ -264,7 +264,7 @@ def test_near_singular_outages_match_reference(ties, unit_mw, outage):
 def test_singular_capacitance_matches_reference(case9, monkeypatch):
     # the stacked solve fails, and then the solves of rows 1 and 4, which
     # both screens make one row at a time, in row order
-    model, states = built_model(case9)
+    _, model, states = build_model(case9)
     ctgs = [Contingency.of(f"c{k}", g) for k, g in enumerate(NINE_BUS_LOSSES)]
     solve, rows = np.linalg.solve, []
 
@@ -307,6 +307,6 @@ def test_fleet_bank_batch_matches_reference(fleet_case):
     # four machines at one bus
     base = dispatch_heuristic(fleet_case, 50000.0, 15000.0)
     contingencies = generate_contingencies(base, 163, np.random.default_rng(1))
-    model, states = built_model(base)
+    _, model, states = build_model(base)
     batch = assert_same_screens(model, states, contingencies)
     assert all(e is None for e in batch.errors)

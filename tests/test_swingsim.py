@@ -8,17 +8,16 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from rocofscreen import (Contingency, SimOptions, SimulationBlowup,
-                         SingularOutageError, augment_dynamic, build_ybus,
-                         bus_frequency, check_ffr, check_ufls, init_machines,
-                         locational_rocof, locational_rocof_batch, netdyn,
-                         norton_currents, simulate, solve_powerflow, swingsim,
-                         system_rocof)
+                         SingularOutageError, build_model, bus_frequency,
+                         check_ffr, check_ufls, locational_rocof,
+                         locational_rocof_batch, netdyn, norton_currents,
+                         simulate, swingsim, system_rocof)
 from rocofscreen.case_model import InputError, Load
 from rocofscreen.powerflow import SUPERLU_OPTIONS
 from rocofscreen.scenarios import SIMULATE_MODE_OPTS, finite_difference_rocof
 from rocofscreen.swingsim import FREQUENCY_FILTER_TC_S, SimResult
 from conftest import tiny_case
-from test_rocof import built_model, two_island_case
+from test_rocof import two_island_case
 
 
 def make_trace_result(freq_rows, dt=1.0 / 240.0, bus_ids=(1, 2)):
@@ -54,9 +53,7 @@ def test_single_machine_closed_form_accel():
     # wdot = -0.1/6 pu/s, i.e. -1 Hz/s. With a matched constant-impedance
     # load T_e is independent of the angle, so omega falls exactly linearly.
     case = tiny_case(load_mw=100.0, xdp_sys=0.2, h_sec=3.0)
-    sol = solve_powerflow(case)
-    model = augment_dynamic(build_ybus(case), case, sol)
-    states = init_machines(model, case, sol)
+    _, model, states = build_model(case)
     states.t_m = states.t_m - 0.1
     sim = simulate(model, states, Contingency.of("none", []),
                    SimOptions(t_end=0.5, shedding=False))
@@ -106,9 +103,7 @@ def test_halving_dt_converges(solved9):
 
 def test_blowup_aborts_with_diagnostic():
     case = tiny_case(load_mw=100.0, xdp_sys=0.2, h_sec=2.0)
-    sol = solve_powerflow(case)
-    model = augment_dynamic(build_ybus(case), case, sol)
-    states = init_machines(model, case, sol)
+    _, model, states = build_model(case)
     states.t_m = states.t_m + 5.0
     with pytest.raises(SimulationBlowup, match="g1"):
         simulate(model, states, Contingency.of("none", []),
@@ -276,9 +271,7 @@ def severe_case(case9):
 
 def test_in_run_ufls_and_replay(case9):
     case = severe_case(case9)
-    sol = solve_powerflow(case)
-    model = augment_dynamic(build_ybus(case), case, sol)
-    states = init_machines(model, case, sol)
+    _, model, states = build_model(case)
     opts = SimOptions(t_end=6.0, damping_d=2.0)
     sim = simulate(model, states, Contingency.of("big", ["gen2", "gen3"]), opts)
     kinds = {e.kind for e in sim.events}
@@ -297,9 +290,7 @@ def test_in_run_ufls_and_replay(case9):
 
 def test_simulate_compensates_once_per_outage_and_trip(case9):
     case = severe_case(case9)
-    sol = solve_powerflow(case)
-    model = augment_dynamic(build_ybus(case), case, sol)
-    states = init_machines(model, case, sol)
+    _, model, states = build_model(case)
     solves = model.solve_count
     sim = simulate(model, states.copy(), Contingency.of("none", []),
                    SimOptions(t_end=0.5))
@@ -335,7 +326,7 @@ def test_screen_and_simulate_never_write_the_states(case9):
     # every states array read-only: the screen, the batch and a run with
     # shedding give the bits they give on writable states
     case = severe_case(case9)
-    model, states = built_model(case)
+    _, model, states = build_model(case)
     frozen = states.copy()
     for f in dataclasses.fields(frozen):
         getattr(frozen, f.name).flags.writeable = False
@@ -369,10 +360,10 @@ def assert_order_changes_no_bit(case, contingency, opts):
         sim = simulate(model, states.copy(), contingency, opts)
         return [sim.delta, sim.omega, sim.bus_angle_rad, sim.bus_freq_hz], sim.events
 
-    fresh = [screen(*built_model(case)), run(*built_model(case))]
-    model, states = built_model(case)
+    fresh = [screen(*build_model(case)[1:]), run(*build_model(case)[1:])]
+    _, model, states = build_model(case)
     screen_first = [screen(model, states), run(model, states)]
-    model, states = built_model(case)
+    _, model, states = build_model(case)
     sim_first = run(model, states)
     for got in (screen_first, [screen(model, states), sim_first]):
         for (arrays, events), (old_arrays, old_events) in zip(got, fresh):
@@ -528,17 +519,15 @@ def assert_matches_refactoring(model, states, contingency, opts):
 def test_compensation_matches_refactoring_with_shedding(case9, outage, t_end):
     # gen2 alone for 10 s is the benchmark's shedding run
     case = severe_case(case9)
-    sol = solve_powerflow(case)
-    model = augment_dynamic(build_ybus(case), case, sol)
     sim, refactors = assert_matches_refactoring(
-        model, init_machines(model, case, sol), Contingency.of("c", outage),
+        *build_model(case)[1:], Contingency.of("c", outage),
         SimOptions(t_end=t_end, damping_d=2.0))
     assert len({e.time_s for e in sim.events}) == refactors - 2 >= 2
 
 
 def test_compensation_matches_refactoring_on_the_fleet(fleet_case):
     # a two-unit plant lost on the 40-bus fleet, with its base dispatch
-    model, states = built_model(fleet_case)
+    _, model, states = build_model(fleet_case)
     plant = [g.id for g in fleet_case.generators if g.id.startswith("g05")]
     assert len(plant) >= 2
     assert_matches_refactoring(model, states, Contingency.of("c", plant[:2]),
@@ -549,7 +538,7 @@ def test_compensation_matches_refactoring_on_two_islands():
     # losing gB leaves bus 3's island without a machine; the refactoring
     # keeps its load shunt and solves it to 0 V, and the compensation skips
     # the island's change and sets its voltage to zero: angle 0, 60 Hz
-    model, states = built_model(two_island_case(True))
+    _, model, states = build_model(two_island_case(True))
     sim, _ = assert_matches_refactoring(model, states, Contingency.of("c", ["gB"]),
                                         SimOptions(t_end=1.0))
     k_event = int(round(swingsim.EVENT_TIME_S / SimOptions().dt))
@@ -565,7 +554,7 @@ def test_island_left_with_no_shunt_reads_zero():
     # screen reports it undefined, and island A runs as with the load
     runs = []
     for with_load in (False, True):
-        model, states = built_model(two_island_case(with_load))
+        _, model, states = build_model(two_island_case(with_load))
         runs.append(simulate(model, states.copy(), Contingency.of("c", ["gB"]),
                              SimOptions(t_end=1.0)))
         assert model.factor_count == 1
@@ -718,9 +707,7 @@ def assert_matches_four_solve_step(model, states, contingency, opts):
 def test_machine_bus_block_matches_four_solve_step_with_shedding(case9):
     # networks before the event, after the outage and after each trip
     case = severe_case(case9)
-    sol = solve_powerflow(case)
-    model = augment_dynamic(build_ybus(case), case, sol)
-    states = init_machines(model, case, sol)
+    _, model, states = build_model(case)
     used = assert_matches_four_solve_step(
         model, states, Contingency.of("big", ["gen2", "gen3"]),
         SimOptions(t_end=6.0, damping_d=2.0))
@@ -813,7 +800,7 @@ def assert_matches_two_array_loop(case, contingency, opts):
     either. Returns the new run."""
     runs = []
     for run in (simulate, two_array_simulate):
-        model, states = built_model(case)
+        _, model, states = build_model(case)
         runs.append(run(model, states, contingency, opts))
         assert model.factor_count == 1
     sim, old = runs
