@@ -19,8 +19,12 @@ import io
 import json
 import math
 from dataclasses import MISSING, fields, replace
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable
+
+import numpy as np
 
 from .case_model import (Branch, Bus, CaseValidationError, FUELS, Generator,
                          GridCase, InputError, Load, LoadingCase,
@@ -434,14 +438,49 @@ def write_events(events: list[TripEvent], path) -> None:
 
 def write_scenario_table(records: Iterable[ScenarioRecord], path) -> None:
     """Write the scenario table, each row as ``records`` yields it; a NaN
-    number or a missing worst bus is a blank cell."""
-    write_table(path, SCENARIO_COLUMNS, (
-        [r.loading_id, r.contingency_id, _fmt(r.mw_lost), _fmt(r.inertia_gws),
-         _fmt(r.system_rocof_hz_s), _fmt(r.bus_rocof_min),
-         _fmt(r.bus_rocof_mean), _fmt(r.bus_rocof_max),
-         "" if r.worst_bus is None else str(r.worst_bus),
-         "1" if r.concern_flag else "0", r.status]
-        for r in records))
+    number or a missing worst bus is a blank cell, and the lines are those
+    write_table writes. The rows go out a loading case at a time: each run
+    of records with one loading id, once the run ends
+    (_write_scenario_runs)."""
+    _write_scenario_runs((list(run) for _, run in
+                          groupby(records, attrgetter("loading_id"))), path)
+
+
+def _write_scenario_runs(runs: Iterable[list[ScenarioRecord]], path) -> None:
+    """write_scenario_table with the records given in runs, as a bank gives
+    them a loading case at a time: each run is formatted (_scenario_lines)
+    and reaches the file in one write as soon as ``runs`` yields it."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(_csv_lines([SCENARIO_COLUMNS]))
+        for run in runs:
+            fh.write(_scenario_lines(run))
+
+
+def _scenario_lines(records: list[ScenarioRecord]) -> str:
+    """The scenario table's lines for the records, as csv.writer writes
+    them, their cells formatted a column at a time: a number is the repr of
+    its value as a float, as _fmt writes it, and blank for NaN or None."""
+    def column(name):
+        return list(map(attrgetter(name), records))
+
+    def numbers(name):
+        return ["" if x != x else repr(x)
+                for x in np.array(column(name), dtype=float).tolist()]
+
+    return _csv_lines(zip(
+        column("loading_id"), column("contingency_id"), numbers("mw_lost"),
+        numbers("inertia_gws"), numbers("system_rocof_hz_s"),
+        numbers("bus_rocof_min"), numbers("bus_rocof_mean"),
+        numbers("bus_rocof_max"),
+        ["" if w is None else str(w) for w in column("worst_bus")],
+        ["1" if c else "0" for c in column("concern_flag")], column("status")))
+
+
+def _csv_lines(rows) -> str:
+    """The rows as csv.writer writes them, in one string."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
 
 
 def _csv_rows(path, columns) -> list[tuple[str, dict]]:

@@ -181,15 +181,17 @@ class NetworkModel:
         return int(self.islands.max()) + 1 if self.n_bus else 0
 
     def machine_positions(self, gen_ids) -> np.ndarray:
-        pos = self._machine_pos
-        out = []
-        for gid in gen_ids:
-            if gid not in pos:
-                raise UnknownIdError(
-                    f"generator {gid!r} is not an in-service synchronous "
-                    "machine of this model")
-            out.append(pos[gid])
-        return np.array(sorted(out), dtype=np.int64)
+        """The positions of the machines gen_ids names, ascending. An id
+        with no machine here raises UnknownIdError naming the first such id
+        in sorted order, so a set of ids gives the same error in any
+        iteration order (and under any PYTHONHASHSEED)."""
+        pos, ids = self._machine_pos, tuple(gen_ids)
+        unknown = [gid for gid in ids if gid not in pos]
+        if unknown:
+            raise UnknownIdError(
+                f"generator {min(unknown)!r} is not an in-service synchronous "
+                "machine of this model")
+        return np.array(sorted(pos[gid] for gid in ids), dtype=np.int64)
 
     def factorize(self) -> CountingLU:
         """The factorization of y_dyn, made once and cached."""
@@ -327,14 +329,17 @@ class MachineStates:
                              self.di_ddelta.copy())
 
 
-def build_model(case: GridCase, network: tuple[sp.csc_matrix, np.ndarray] | None = None
+def build_model(case: GridCase, network: tuple | None = None
                 ) -> tuple[PowerFlowSolution, NetworkModel, MachineStates]:
     """solve_powerflow (at its defaults), augment_dynamic and init_machines
     of the case. network is the (build_ybus, island_labels) pair of a case
     with the same buses and branches, as a bank's loading cases share one;
-    None builds the case's own."""
-    ybus, islands = network or (build_ybus(case), island_labels(case))
-    solution = _newton(case, ybus)
+    None builds the case's own. A third item, a dict, keeps the power
+    flow's Jacobian patterns for the cases that share the network (a bank
+    keeps one, scenarios.run_bank): a case whose pv and pq buses a case
+    before it had reuses that case's pattern, to the same bits."""
+    ybus, islands, *patterns = network or (build_ybus(case), island_labels(case))
+    solution = _newton(case, ybus, patterns=patterns[0] if patterns else None)
     model = _augment_dynamic(ybus, case, solution, islands)
     return solution, model, init_machines(model, case, solution)
 

@@ -16,7 +16,14 @@ ordering, and the later iterations factor the relabelled matrix in its
 natural order. The Newton iteration takes the branch Y-bus as an input, so
 a bank's loading cases, which share their buses and branches, solve
 against one through netdyn.build_model, the one entry point from a case to
-its solution and model (scenarios.run_bank).
+its solution and model (scenarios.run_bank). The Jacobian's pattern
+depends only on that Y-bus and on which buses are pv and pq, so the bank
+also keeps one store of patterns (_JacobianPattern: the index maps and the
+plain and relabelled CSC patterns), keyed by the pv and pq bus positions:
+a loading case whose pv and pq buses an earlier one had reuses its
+pattern instead of building it. Its first iteration still orders the
+Jacobian by minimum degree, which gives the same ordering on the same
+pattern, so a reused pattern solves to the same bits.
 """
 
 from __future__ import annotations
@@ -144,10 +151,14 @@ def solve_powerflow(case: GridCase, tol: float = 1e-8,
 
 
 def _newton(case: GridCase, ybus: sp.csc_matrix, tol: float = 1e-8,
-            max_iter: int = 20) -> PowerFlowSolution:
+            max_iter: int = 20, patterns: dict | None = None) -> PowerFlowSolution:
     """solve_powerflow against a given branch Y-bus (netdyn.build_ybus of
     the case, or of any case with the same buses and branches, as a bank's
-    loading cases share), with tol and max_iter already checked."""
+    loading cases share), with tol and max_iter already checked.
+
+    patterns, when given, keeps the Jacobian patterns (_JacobianPattern) of
+    solves against this ybus, keyed by their pv and pq bus positions; a
+    solve with the same ones reuses its pattern, and a new one is added."""
     kinds = effective_kinds(case)
     pv = np.flatnonzero(kinds == "pv")
     pq = np.flatnonzero(kinds == "pq")
@@ -161,8 +172,14 @@ def _newton(case: GridCase, ybus: sp.csc_matrix, tol: float = 1e-8,
 
     npvpq = len(pvpq)
     m = npvpq + len(pq)
-    row, col, y, diag, jrows, jcols, jvals = _jacobian_pattern(ybus, pvpq, pq)
-    jac, take = _csc_pattern(jrows, jcols, jvals, m)
+    key = (pv.tobytes(), pq.tobytes())
+    pattern = patterns.get(key) if patterns is not None else None
+    if pattern is None:
+        pattern = _JacobianPattern(ybus, pvpq, pq)
+        if patterns is not None:
+            patterns[key] = pattern
+    row, col, y, diag = pattern.row, pattern.col, pattern.y, pattern.diag
+    jac, take = pattern.jac, pattern.take
     for it in range(max_iter + 1):
         v = vm * np.exp(1j * va)
         ibus = ybus @ v
@@ -197,7 +214,7 @@ def _newton(case: GridCase, ybus: sp.csc_matrix, tol: float = 1e-8,
                 dx = lu.solve(-f)
             else:
                 if it == 1:
-                    pjac, ptake = _csc_pattern(perm[jrows], perm[jcols], jvals, m)
+                    pjac, ptake = pattern.relabelled(perm)
                 pjac.data = values[ptake]
                 rhs = np.empty(m)
                 rhs[perm] = -f
@@ -209,6 +226,34 @@ def _newton(case: GridCase, ybus: sp.csc_matrix, tol: float = 1e-8,
             raise
         va[pvpq] += dx[:npvpq]
         vm[pq] += dx[npvpq:]
+
+
+class _JacobianPattern:
+    """What a Newton Jacobian's sparsity fixes, for one ybus and one set of
+    pv and pq buses: the index maps of _jacobian_pattern (row, col, y,
+    diag), the [pvpq|pq] Jacobian's CSC pattern and the value each of its
+    entries takes (jac, take), and the pattern relabelled by an ordering of
+    it (relabelled). Each solve writes its values into the one jac and
+    relabelled matrix, so a pattern serves one solve at a time."""
+
+    def __init__(self, ybus: sp.csc_matrix, pvpq: np.ndarray, pq: np.ndarray):
+        (self.row, self.col, self.y, self.diag, self._rows, self._cols,
+         self._take) = _jacobian_pattern(ybus, pvpq, pq)
+        self._m = len(pvpq) + len(pq)
+        self.jac, self.take = _csc_pattern(self._rows, self._cols, self._take,
+                                           self._m)
+        self._perm = None
+
+    def relabelled(self, perm: np.ndarray):
+        """The CSC pattern with unknown and equation k relabelled perm[k],
+        and the value each entry takes; made again only for an ordering
+        other than the last one's. An ordering depends on the pattern
+        alone, so every solve on it asks for the same one."""
+        if self._perm is None or not np.array_equal(perm, self._perm):
+            self._relabelled = _csc_pattern(perm[self._rows], perm[self._cols],
+                                            self._take, self._m)
+            self._perm = perm.copy()    # not a view that keeps the LU alive
+        return self._relabelled
 
 
 def _jacobian_pattern(ybus: sp.csc_matrix, pvpq: np.ndarray, pq: np.ndarray):

@@ -1,11 +1,15 @@
 """System-wide and per-bus theoretical ROCOF after generation-loss events.
 
 The per-bus screen, locational_rocof_batch, takes a batch of contingencies
-(locational_rocof screens a batch of one) and runs in at most two
-multi-right-hand-side sparse solves per batch against the base
-factorization of the network model, whatever the batch size; solve 1 has
-one right-hand side per distinct outaged bus of the batch that the model
-has not solved before, and solve 2 one per contingency:
+(locational_rocof screens a batch of one), lists the units each loses as
+(contingency, unit) pairs and hands them to one screen core, _screen_lost,
+which turns them into the machines each contingency loses (a bank takes
+its pairs from the incidence it builds once, and calls the core directly
+for each loading case, scenarios.run_bank). A batch runs in at most two
+multi-right-hand-side sparse solves against the base factorization of the
+network model, whatever the batch size; solve 1 has one right-hand side
+per distinct outaged bus of the batch that the model has not solved
+before, and solve 2 one per contingency:
 
 1. solve 1 gives the columns Z = Y^-1 E at the outaged buses. They depend
    on the buses alone, not on the contingency, so the model keeps them
@@ -134,7 +138,9 @@ def system_rocof(case: GridCase, p_loss_mw: float, outaged_ids=()) -> float:
 
     The sum is case_model.total_inertia_gws over the case without
     ``outaged_ids`` (a machine that has tripped no longer contributes
-    kinetic energy). Raises ZeroInertiaError when nothing remains, and
+    kinetic energy). A zero loss gives 0.0, whatever inertia remains;
+    ZeroInertiaError is raised only when a nonzero loss leaves no inertia,
+    the rule the per-bus screen and the simulator follow too. Raises
     InputError for a loss that is not finite.
     """
     if not math.isfinite(p_loss_mw):
@@ -220,6 +226,51 @@ def locational_rocof_batch(model: NetworkModel, states: MachineStates,
     derivatives. A contingency that cannot be screened (an unknown machine,
     a singular network, no inertia left) gets its exception in
     RocofBatch.errors and NaN columns; the other columns are unaffected.
+    An unknown machine's error names the contingency's first unknown id in
+    sorted order (NetworkModel.machine_positions).
+
+    This front end lists the units each contingency loses as (contingency,
+    unit) pairs and hands them to the screen core, _screen_lost, which the
+    bank runner calls with the pairs of its incidence (scenarios.run_bank).
+    """
+    rows = [j for j, c in enumerate(contingencies) for _ in c.outaged_generator_ids]
+    units = [u for c in contingencies for u in c.outaged_generator_ids]
+    return _screen_lost(model, states, [c.id for c in contingencies], rows, units)
+
+
+def _lost_machines(model: NetworkModel, m: int, rows: list[int],
+                   units: list[str]) -> tuple[np.ndarray, list]:
+    """The m x machines mask of the model's machines that m contingencies
+    lose, given as pairs (contingency rows[i] loses unit units[i]), and each
+    contingency's error or None. A contingency with a unit the model has no
+    machine for loses none, and its error is the UnknownIdError
+    NetworkModel.machine_positions raises for its units, which names the
+    first such unit in sorted order; the mask does not depend on the order
+    of the pairs."""
+    pos = model._machine_pos
+    machine = [pos.get(u, -1) for u in units]
+    lost = np.zeros((m, len(model.machine_ids)), dtype=bool)
+    errors: list[Exception | None] = [None] * m
+    if -1 in machine:
+        for j in sorted({r for r, p in zip(rows, machine) if p < 0}):
+            try:
+                model.machine_positions([u for r, u in zip(rows, units) if r == j])
+            except KeyError as exc:
+                errors[j] = exc
+        known = [i for i, r in enumerate(rows) if errors[r] is None]
+        rows, machine = [rows[i] for i in known], [machine[i] for i in known]
+    lost[rows, machine] = True
+    return lost, errors
+
+
+def _screen_lost(model: NetworkModel, states: MachineStates, ids: list[str],
+                 rows: list[int], units: list[str]) -> RocofBatch:
+    """The screen core of locational_rocof_batch, for m contingencies given
+    as their ids and the (contingency, unit) pairs of the units each loses:
+    contingency rows[i] loses unit units[i]. The pairs become the machines
+    each loses (_lost_machines); a contingency with a unit the model lacks
+    loses no machine and gets the unknown-unit error, and the columns of
+    every contingency with an error are NaN.
 
     The arithmetic holds one row per contingency, machines or buses on the
     last axis. The path is chosen by the batch size: a batch of one leaves
@@ -227,24 +278,18 @@ def locational_rocof_batch(model: NetworkModel, states: MachineStates,
     then done on vectors, and the stacked parts see one row.
     """
     solves_before = model.solve_count
-    n, m, nm = model.n_bus, len(contingencies), len(model.machine_ids)
+    n, m, nm = model.n_bus, len(ids), len(model.machine_ids)
     single = m == 1
-    ids = [c.id for c in contingencies]
-    errors: list[Exception | None] = [None] * m
-    active = np.ones((nm,) if single else (m, nm), dtype=bool)
-    active_rows = active.reshape(m, nm)
-    for j, ctg in enumerate(contingencies):
-        try:
-            active_rows[j, model.machine_positions(ctg.outaged_generator_ids)] = False
-        except KeyError as exc:
-            errors[j] = exc
+    lost, errors = _lost_machines(model, m, rows, units)
+    if single:
+        lost = lost[0]
+    active = ~lost
 
     shape = active.shape[:-1] + (n,)
     # islands die only through their machines: the bus-wide mask is built
     # only for a batch in which some island does
     dead_isl = model.dead_islands(active)
     any_dead = dead_isl.any()
-    lost = ~active
     undefined_islands: list[list[list[int]]] = [[] for _ in range(m)]
     if any_dead:
         dead_isl_rows = dead_isl.reshape(m, -1)

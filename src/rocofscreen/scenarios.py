@@ -10,12 +10,18 @@ larger multi-site events.
 
 The bank runner evaluates every pair in one of three modes and emits a flat
 result table; per-scenario failures are recorded in their row and never
-abort the bank. The locational and simulate modes build the bank's branch
-network (Y-bus and island labels) once, since a loading case changes only
-generators and loads, then build each loading case's model once, serially,
-with netdyn.build_model on that shared network; locational mode then
-screens all of the loading case's contingencies in one batch, two
-multi-right-hand-side solves per loading case. Output ordering is by
+abort the bank. It builds once per bank what does not depend on the
+loading case: the contingencies in id order, their contingency x unit
+incidence, and in the locational and simulate modes the branch network
+(Y-bus and island labels, since a loading case changes only generators
+and loads) with a store of the power flow's Jacobian patterns. Each
+loading case then builds its model once, serially, with
+netdyn.build_model on that shared network, and works on arrays: its
+online units and dispatched MW come off the incidence, locational mode
+hands the screen core the (contingency, unit) pairs of the online outaged
+units in one batch (rocof._screen_lost, two multi-right-hand-side solves
+per loading case),
+and its rows are filled a column at a time. Output ordering is by
 (loading id, contingency id), and each loading case's rows reach the
 table file (case_io's scenario table) as soon as that loading case
 completes.
@@ -32,15 +38,16 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
-from .case_io import write_scenario_table
+from .case_io import _write_scenario_runs
 from .case_model import (GridCase, InputError, LoadingCase, ScenarioRecord,
                          island_labels, total_inertia_gws)
 from .netdyn import build_model, build_ybus
-from .rocof import Contingency, locational_rocof_batch
+from .rocof import Contingency, _screen_lost
 from .swingsim import SimOptions, simulate
 
 log = logging.getLogger(__name__)
@@ -345,12 +352,13 @@ def _draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
-def _column_stats(rocof: np.ndarray, bus_ids) -> list[tuple]:
-    """(min, mean, max, worst bus) of each row of a contingency x bus ROCOF
-    block, skipping NaN buses. The worst bus is the lowest bus id among the
-    buses within WORST_BUS_RTOL * max(1, |min|) Hz/s of the row minimum, so
-    buses that tie within rounding give the same worst bus in any bus order.
-    A row without a number gives NaNs and no worst bus."""
+def _column_stats(rocof: np.ndarray, bus_ids) -> tuple:
+    """The min, mean and max (arrays) and the worst bus (a list) of each row
+    of a contingency x bus ROCOF block, skipping NaN buses. The worst bus is
+    the lowest bus id among the buses within WORST_BUS_RTOL * max(1, |min|)
+    Hz/s of the row minimum, so buses that tie within rounding give the
+    same worst bus in any bus order. A row without a number gives NaNs and
+    no worst bus (None)."""
     nan = np.isnan(rocof)
     count = rocof.shape[1] - np.count_nonzero(nan, axis=1)
     total = np.where(nan, 0.0, rocof).sum(axis=1)
@@ -360,28 +368,63 @@ def _column_stats(rocof: np.ndarray, bus_ids) -> list[tuple]:
     tied = rocof <= (low + WORST_BUS_RTOL * np.fmax(1.0, np.abs(low)))[:, None]
     ids = np.asarray(bus_ids, dtype=np.int64)
     worst = np.where(tied, ids, np.iinfo(np.int64).max).min(axis=1)
-    return [(float(lo), float(mu), float(hi), int(w) if c else None)
-            for lo, mu, hi, w, c in zip(low, mean, high, worst, count)]
+    return low, mean, high, [w if c else None
+                             for w, c in zip(worst.tolist(), count.tolist())]
+
+
+@dataclass
+class _Bank:
+    """What every loading case of a bank shares, built once per bank by
+    _bank: the contingency ids in sorted order, the ids of the units the
+    contingencies name, in sorted order, the contingency x unit incidence
+    (True where the contingency loses the unit), and in the locational and
+    simulate modes the branch network as build_model takes it, the Y-bus,
+    the island labels and the power flow's Jacobian patterns, or the
+    exception that building it raised (_branch_network)."""
+
+    ids: list[str]
+    unit_ids: list[str]
+    incidence: np.ndarray
+    network: tuple | Exception | None
+
+
+def _bank(case: GridCase, contingencies: list[Contingency], mode: str) -> _Bank:
+    ctgs = sorted(contingencies, key=lambda c: c.id)
+    unit_ids = sorted({u for c in ctgs for u in c.outaged_generator_ids})
+    column = {u: k for k, u in enumerate(unit_ids)}
+    incidence = np.zeros((len(ctgs), len(unit_ids)), dtype=bool)
+    incidence[[j for j, c in enumerate(ctgs) for _ in c.outaged_generator_ids],
+              [column[u] for c in ctgs for u in c.outaged_generator_ids]] = True
+    network = None if mode == "system_only" else _branch_network(case)
+    return _Bank([c.id for c in ctgs], unit_ids, incidence, network)
 
 
 def _branch_network(case: GridCase):
-    """The case's branch Y-bus and island labels (build_ybus, island_labels),
-    or the exception that building them raised."""
+    """The case's branch network as build_model takes it: the Y-bus, the
+    island labels (build_ybus, island_labels) and an empty store for the
+    power flow's Jacobian patterns, which the loading cases solved on it
+    fill; or the exception that building it raised."""
     try:
-        return build_ybus(case), island_labels(case)
+        return build_ybus(case), island_labels(case), {}
     except Exception as exc:  # noqa: BLE001 - recorded on every loading case
         return exc
 
 
-def _eval_loading_case(case: GridCase, lc: LoadingCase,
-                       contingencies: list[Contingency], mode: str,
-                       network) -> list[ScenarioRecord]:
-    """One record per contingency, in id order, each filled in place. The
-    inertia line is summed over the case's units in lc.dispatch, never read
-    from the bank; if that sum or the model build fails, every row fails.
-    network is the case's _branch_network, which the model build (not made
-    in system_only mode) uses; its exception fails the rows where the
-    build would have raised it, after the dispatch."""
+def _eval_loading_case(case: GridCase, lc: LoadingCase, bank: _Bank,
+                       mode: str) -> list[ScenarioRecord]:
+    """One record per contingency of the bank, in id order, filled column
+    by column. The inertia line is summed over the case's units in
+    lc.dispatch, never read from the bank; if that sum or the model build
+    fails, every row fails. The model build (not made in system_only mode)
+    uses the bank's network; its exception fails the rows where the build
+    would have raised it, after the dispatch.
+
+    A contingency's online units are its units in lc.committed, read off
+    the bank's incidence, and its dispatched MW is their lc.dispatch MW, a
+    plain running sum in unit id order on every Python. Locational mode
+    screens the rows with online units in one batch, handing the screen
+    core (rocof._screen_lost) the (contingency, unit) pairs of those rows'
+    online units; simulate mode simulates each."""
     model = states = None
     setup_error: str | None = None
     inertia_gws = math.nan
@@ -390,71 +433,82 @@ def _eval_loading_case(case: GridCase, lc: LoadingCase,
             g for g in case.generators if g.id in lc.dispatch))
         if mode != "system_only":
             dispatched = apply_loading_case(case, lc)
-            if isinstance(network, Exception):
+            if isinstance(bank.network, Exception):
                 # a fresh traceback: re-raising the one object must not
                 # chain every loading case's frames onto it
-                raise network.with_traceback(None)
-            _, model, states = build_model(dispatched, network)
+                raise bank.network.with_traceback(None)
+            _, model, states = build_model(dispatched, bank.network)
     except Exception as exc:  # noqa: BLE001 - recorded per row
         setup_error = f"loading case failed: {exc}"
 
-    rows: list[ScenarioRecord] = []
-    screened: list[tuple[ScenarioRecord, Contingency]] = []  # online units
-    for ctg in sorted(contingencies, key=lambda c: c.id):
-        online = frozenset(g for g in ctg.outaged_generator_ids
-                           if g in lc.committed)
-        # sorted: the float sum must not depend on set iteration order
-        mw_disp = sum((lc.dispatch.get(g, 0.0) for g in sorted(online)), 0.0)
-        rec = ScenarioRecord(lc.id, ctg.id, mw_disp, inertia_gws, 0.0)
-        rows.append(rec)
-        if not online:
-            rec.status = "no_online_units"
-        elif setup_error is not None:
-            rec.status = setup_error
-        elif mode != "system_only":
-            screened.append((rec, Contingency(ctg.id, online)))
+    units, m = bank.unit_ids, len(bank.ids)
+    online = bank.incidence & np.array([u in lc.committed for u in units],
+                                       dtype=bool)
+    has_online = online.any(axis=1)
+    # a plain running sum from 0.0 over the online units in sorted id order,
+    # as Python 3.11's sum(..., 0.0) adds (later versions compensate): the
+    # other units add 0.0, and the last + 0.0 turns a sum of signed zeros
+    # into 0.0
+    dispatch_mw = np.array([lc.dispatch.get(u, 0.0) for u in units], dtype=float)
+    mw_lost = (np.where(online, dispatch_mw, 0.0).cumsum(axis=1)[:, -1] + 0.0
+               if units else np.zeros(m))
+    status = ["ok" if has else "no_online_units" for has in has_online.tolist()]
+    low, mean, high = (np.full(m, np.nan) for _ in range(3))
+    worst: list[int | None] = [None] * m
 
-    if screened:
-        subs = [sub for _, sub in screened]
-        rocof = np.full((len(subs), model.n_bus), np.nan)   # contingency x bus
-        errors: list[Exception | None] = [None] * len(subs)
-        mw_lost = [rec.mw_lost for rec, _ in screened]
-        islands: list[list] = [[] for _ in subs]
+    screened = np.flatnonzero(has_online)
+    if setup_error is not None:
+        for j in screened.tolist():
+            status[j] = setup_error
+    elif mode != "system_only" and screened.size:
+        sub, s = online[screened], len(screened)
+        ids = [bank.ids[j] for j in screened.tolist()]
+        rocof = np.full((s, model.n_bus), np.nan)          # contingency x bus
+        screen_mw = mw_lost[screened]
+        islands: list[list] = [[] for _ in range(s)]
         if mode == "locational":
+            row, col = np.nonzero(sub)
             try:
-                batch = locational_rocof_batch(model, states, subs)
+                batch = _screen_lost(model, states, ids, row.tolist(),
+                                     [units[k] for k in col.tolist()])
                 rocof, errors = batch.bus_rocof_hz_s.T, batch.errors
-                mw_lost, islands = batch.mw_lost.tolist(), batch.undefined_islands
+                screen_mw, islands = batch.mw_lost, batch.undefined_islands
             except Exception as exc:  # noqa: BLE001 - fault isolation
-                errors = [exc] * len(subs)
+                errors = [exc] * s
         else:  # simulate
-            for j, sub in enumerate(subs):
+            errors = [None] * s
+            for j in range(s):
+                lost_units = frozenset(units[k] for k in np.flatnonzero(sub[j]))
                 try:
-                    rocof[j] = finite_difference_rocof(
-                        simulate(model, states, sub, SIMULATE_MODE_OPTS))
+                    rocof[j] = finite_difference_rocof(simulate(
+                        model, states, Contingency(ids[j], lost_units),
+                        SIMULATE_MODE_OPTS))
                 except Exception as exc:  # noqa: BLE001 - fault isolation
                     errors[j] = exc
-        stats = _column_stats(rocof, model.bus_ids)
-        for (rec, _), error, mw, isl, stat in zip(screened, errors, mw_lost,
-                                                  islands, stats):
+        s_low, s_mean, s_high, s_worst = _column_stats(rocof, model.bus_ids)
+        ok = np.array([e is None for e in errors], dtype=bool)
+        rows = screened[ok]
+        mw_lost[rows] = screen_mw[ok]
+        low[rows], mean[rows], high[rows] = s_low[ok], s_mean[ok], s_high[ok]
+        for j, error, isl, w in zip(screened.tolist(), errors, islands, s_worst):
             if error is not None:
-                rec.status = f"error: {error}"
-                continue
-            rec.mw_lost = mw
-            (rec.bus_rocof_min, rec.bus_rocof_mean, rec.bus_rocof_max,
-             rec.worst_bus) = stat
-            if isl:
-                rec.status = f"{len(isl)} undefined island(s)"
+                status[j] = f"error: {error}"
+            else:
+                worst[j] = w
+                if isl:
+                    status[j] = f"{len(isl)} undefined island(s)"
 
     # the loading case's inertia line at each row's final MW lost
     inertia_mws = inertia_gws * 1000.0
-    for rec in rows:
-        if rec.mw_lost > 0:
-            rec.system_rocof_hz_s = (
-                -case.f_base_hz * rec.mw_lost / (2.0 * inertia_mws)
-                if inertia_mws > 0 else math.nan)
-        rec.concern_flag = rec.system_rocof_hz_s < CONCERN_ROCOF_HZ_S
-    return rows
+    system_rocof = np.zeros(m)
+    lossy = mw_lost > 0
+    system_rocof[lossy] = (-case.f_base_hz * mw_lost[lossy] / (2.0 * inertia_mws)
+                           if inertia_mws > 0 else math.nan)
+    concern = system_rocof < CONCERN_ROCOF_HZ_S
+    return list(map(ScenarioRecord, repeat(lc.id), bank.ids, mw_lost.tolist(),
+                    repeat(inertia_gws), system_rocof.tolist(), low.tolist(),
+                    mean.tolist(), high.tolist(), worst, concern.tolist(),
+                    status))
 
 
 def finite_difference_rocof(sim) -> np.ndarray:
@@ -487,31 +541,39 @@ def run_bank(case: GridCase, loading_cases: list[LoadingCase],
     screen produced, and the dispatched MW of the online outaged units on
     every other row (see docs/case_schema.md).
 
-    A loading case changes only generators and loads, so the locational and
-    simulate modes build the branch network (the Y-bus and the island
-    labels) once per bank, from case, and every loading case's power flow
-    and model build use it; system_only mode builds none. A network that
-    cannot be built fails every loading case's rows with its error, as
-    each loading case's own build would. Loading cases are evaluated one
-    after another, and rows stream to out_path through
-    case_io.write_scenario_table in sorted (loading_id, contingency_id)
-    order as each loading case completes. workers has no effect on
-    evaluation and is kept for callers that pass it; the output is the
-    same for any value.
+    What does not depend on the loading case is built once per bank: the
+    contingencies in id order and their contingency x unit incidence over
+    the units they name, in sorted id order; and, in the locational and
+    simulate modes, the branch network (the Y-bus and the island labels),
+    from case, since a loading case changes only generators and loads,
+    with a store of the power flow's Jacobian patterns, which the loading
+    cases with the same pv and pq buses share. system_only mode builds no
+    network. A network that cannot be built fails every loading case's
+    rows with its error, as each loading case's own build would. Each
+    loading case reads its online units and dispatched MW off the
+    incidence, hands the (contingency, unit) pairs of its online outaged
+    units to the screen core in one batch and fills its rows a column at a
+    time. Loading cases are evaluated one after another, and rows stream
+    to out_path as case_io's scenario table (write_scenario_table) in
+    sorted (loading_id, contingency_id) order, each loading case's rows in
+    one write as it completes. workers has no effect on evaluation and is
+    kept for callers that pass it; the output is the same for any value.
     """
     if mode not in MODES:
         raise InputError(f"unknown mode {mode!r}; expected one of "
                          f"{', '.join(MODES)}")
     records: list[ScenarioRecord] = []
 
-    def rows():
-        network = None if mode == "system_only" else _branch_network(case)
+    def batches():
+        bank = _bank(case, contingencies, mode)
         for lc in sorted(loading_cases, key=lambda lc: lc.id):
-            batch = _eval_loading_case(case, lc, contingencies, mode, network)
+            batch = _eval_loading_case(case, lc, bank, mode)
             records.extend(batch)
-            yield from batch
+            yield batch
 
     if out_path is None:
-        return list(rows())
-    write_scenario_table(rows(), out_path)
+        for _ in batches():
+            pass
+    else:
+        _write_scenario_runs(batches(), out_path)
     return records

@@ -1,4 +1,5 @@
-"""Bank generation against a frozen copy of its first implementation.
+"""Bank generation and the bank runner against frozen copies of earlier
+implementations.
 
 ``reference_generate_contingencies`` draws each weighted plant with
 ``Generator.choice`` and rebuilds the eligible plants and their weights on
@@ -9,23 +10,44 @@ A seed's bank is part of ``generate_contingencies``'s contract, so the
 library must give the same contingencies, the same MW, the same errors,
 the same generator state after a draw that succeeds, and the same
 dispatched records.
+
+``reference_run_bank`` evaluates a loading case row by row: a frozenset of
+online units, a running sum of their MW in sorted id order and a
+``Contingency`` per row, a screen through ``locational_rocof_batch``'s
+front end, and each cell formatted on its own through ``csv.writer``; it
+solves every power flow without the bank's Jacobian patterns. The library builds a bank's contingency x unit
+incidence once, screens from lost-machine masks, fills its rows column by
+column and formats its cells a column at a time. Its tables must keep
+their bytes.
 """
 
+import csv
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rocofscreen.case_model import GridCase, InputError
-from rocofscreen.rocof import Contingency
-from rocofscreen.scenarios import (DESIGN_CONTINGENCY_MW, FUEL_MERIT_ORDER,
-                                   MIN_CONTINGENCY_MW, MULTI_SITE_FRACTION,
-                                   InfeasibleDispatch, _cdf, _draw,
-                                   apply_loading_case, dispatch_heuristic,
-                                   generate_contingencies, generate_loading_cases)
+from rocofscreen import build_model, build_ybus
+from rocofscreen.case_io import SCENARIO_COLUMNS, write_scenario_table
+from rocofscreen.case_model import (GridCase, InputError, ScenarioRecord,
+                                    island_labels, total_inertia_gws)
+from rocofscreen.powerflow import _newton
+from rocofscreen.rocof import Contingency, locational_rocof_batch
+from rocofscreen.scenarios import (CONCERN_ROCOF_HZ_S, DESIGN_CONTINGENCY_MW,
+                                   FUEL_MERIT_ORDER, MIN_CONTINGENCY_MW,
+                                   MULTI_SITE_FRACTION, SIMULATE_MODE_OPTS,
+                                   WORST_BUS_RTOL, InfeasibleDispatch, _cdf,
+                                   _draw, apply_loading_case, dispatch_heuristic,
+                                   finite_difference_rocof,
+                                   generate_contingencies,
+                                   generate_loading_cases, run_bank)
+from rocofscreen.swingsim import simulate
 
 from conftest import record_fields
+from test_netdyn import assert_same_bits
+from test_scenarios import case9_bank_with_failures
 
 STUDY_LOAD_RANGE = (15000.0, 75000.0)
 STUDY_WIND_RANGE = (10000.0, 30000.0)
@@ -281,3 +303,198 @@ def test_dispatch_does_not_copy_the_cached_bus_lookup(fleet_case):
     assert "_bus_lookup" in fleet_case.__dict__
     out = dispatch_heuristic(fleet_case, 40000.0, 20000.0)
     assert "_bus_lookup" not in out.__dict__
+
+
+def reference_column_stats(rocof: np.ndarray, bus_ids) -> list[tuple]:
+    nan = np.isnan(rocof)
+    count = rocof.shape[1] - np.count_nonzero(nan, axis=1)
+    total = np.where(nan, 0.0, rocof).sum(axis=1)
+    mean = np.divide(total, count, out=np.full(len(count), np.nan),
+                     where=count > 0)
+    low, high = np.fmin.reduce(rocof, axis=1), np.fmax.reduce(rocof, axis=1)
+    tied = rocof <= (low + WORST_BUS_RTOL * np.fmax(1.0, np.abs(low)))[:, None]
+    ids = np.asarray(bus_ids, dtype=np.int64)
+    worst = np.where(tied, ids, np.iinfo(np.int64).max).min(axis=1)
+    return [(float(lo), float(mu), float(hi), int(w) if c else None)
+            for lo, mu, hi, w, c in zip(low, mean, high, worst, count)]
+
+
+def reference_branch_network(case: GridCase):
+    try:
+        return build_ybus(case), island_labels(case)
+    except Exception as exc:  # noqa: BLE001 - recorded on every loading case
+        return exc
+
+
+def reference_eval_loading_case(case, lc, contingencies, mode, network):
+    model = states = None
+    setup_error = None
+    inertia_gws = math.nan
+    try:
+        inertia_gws = total_inertia_gws(case.with_generators(
+            g for g in case.generators if g.id in lc.dispatch))
+        if mode != "system_only":
+            dispatched = apply_loading_case(case, lc)
+            if isinstance(network, Exception):
+                raise network.with_traceback(None)
+            _, model, states = build_model(dispatched, network)
+    except Exception as exc:  # noqa: BLE001 - recorded per row
+        setup_error = f"loading case failed: {exc}"
+
+    rows = []
+    screened = []
+    for ctg in sorted(contingencies, key=lambda c: c.id):
+        online = frozenset(g for g in ctg.outaged_generator_ids
+                           if g in lc.committed)
+        # the running sum Python 3.11's sum(..., 0.0) makes, on any Python
+        mw_disp = 0.0
+        for g in sorted(online):
+            mw_disp += lc.dispatch.get(g, 0.0)
+        rec = ScenarioRecord(lc.id, ctg.id, mw_disp, inertia_gws, 0.0)
+        rows.append(rec)
+        if not online:
+            rec.status = "no_online_units"
+        elif setup_error is not None:
+            rec.status = setup_error
+        elif mode != "system_only":
+            screened.append((rec, Contingency(ctg.id, online)))
+
+    if screened:
+        subs = [sub for _, sub in screened]
+        rocof = np.full((len(subs), model.n_bus), np.nan)
+        errors = [None] * len(subs)
+        mw_lost = [rec.mw_lost for rec, _ in screened]
+        islands = [[] for _ in subs]
+        if mode == "locational":
+            try:
+                batch = locational_rocof_batch(model, states, subs)
+                rocof, errors = batch.bus_rocof_hz_s.T, batch.errors
+                mw_lost, islands = batch.mw_lost.tolist(), batch.undefined_islands
+            except Exception as exc:  # noqa: BLE001 - fault isolation
+                errors = [exc] * len(subs)
+        else:
+            for j, sub in enumerate(subs):
+                try:
+                    rocof[j] = finite_difference_rocof(
+                        simulate(model, states, sub, SIMULATE_MODE_OPTS))
+                except Exception as exc:  # noqa: BLE001 - fault isolation
+                    errors[j] = exc
+        stats = reference_column_stats(rocof, model.bus_ids)
+        for (rec, _), error, mw, isl, stat in zip(screened, errors, mw_lost,
+                                                  islands, stats):
+            if error is not None:
+                rec.status = f"error: {error}"
+                continue
+            rec.mw_lost = mw
+            (rec.bus_rocof_min, rec.bus_rocof_mean, rec.bus_rocof_max,
+             rec.worst_bus) = stat
+            if isl:
+                rec.status = f"{len(isl)} undefined island(s)"
+
+    inertia_mws = inertia_gws * 1000.0
+    for rec in rows:
+        if rec.mw_lost > 0:
+            rec.system_rocof_hz_s = (
+                -case.f_base_hz * rec.mw_lost / (2.0 * inertia_mws)
+                if inertia_mws > 0 else math.nan)
+        rec.concern_flag = rec.system_rocof_hz_s < CONCERN_ROCOF_HZ_S
+    return rows
+
+
+def reference_fmt(x) -> str:
+    if x is None or (isinstance(x, float) and math.isnan(x)):
+        return ""
+    return repr(float(x))
+
+
+def reference_write_scenario_table(records, path) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(SCENARIO_COLUMNS)
+        w.writerows(
+            [r.loading_id, r.contingency_id, reference_fmt(r.mw_lost),
+             reference_fmt(r.inertia_gws), reference_fmt(r.system_rocof_hz_s),
+             reference_fmt(r.bus_rocof_min), reference_fmt(r.bus_rocof_mean),
+             reference_fmt(r.bus_rocof_max),
+             "" if r.worst_bus is None else str(r.worst_bus),
+             "1" if r.concern_flag else "0", r.status]
+            for r in records)
+
+
+def reference_run_bank(case, loading_cases, contingencies, mode, out_path):
+    network = None if mode == "system_only" else reference_branch_network(case)
+    records = [rec for lc in sorted(loading_cases, key=lambda lc: lc.id)
+               for rec in reference_eval_loading_case(case, lc, contingencies,
+                                                      mode, network)]
+    reference_write_scenario_table(records, out_path)
+    return records
+
+
+def assert_same_tables(case, loading, contingencies, mode, tmp_path):
+    """run_bank's table and records are reference_run_bank's, byte for byte
+    and field for field."""
+    got, want = tmp_path / f"{mode}.csv", tmp_path / f"{mode}-ref.csv"
+    records = run_bank(case, loading, contingencies, mode=mode, out_path=got)
+    ref = reference_run_bank(case, loading, contingencies, mode, want)
+    assert got.read_bytes() == want.read_bytes()
+    assert [record_fields(r) for r in records] == [record_fields(r) for r in ref]
+    return records
+
+
+@pytest.fixture(scope="module")
+def fleet_study_bank(fleet_case, study_cases):
+    base = dispatch_heuristic(fleet_case, 50000.0, 15000.0)
+    return study_cases, generate_contingencies(base, 163, np.random.default_rng(1))
+
+
+def test_fleet_study_bank_matches_reference(fleet_case, fleet_study_bank, tmp_path):
+    loading, contingencies = fleet_study_bank
+    records = assert_same_tables(fleet_case, loading, contingencies,
+                                 "locational", tmp_path)
+    assert len(records) == 25 * 163
+    assert {r.status for r in records} == {"ok", "no_online_units"}
+
+
+@pytest.mark.parametrize("mode", ["locational", "system_only", "simulate"])
+def test_case9_bank_with_failures_matches_reference(case9, tmp_path, mode):
+    loading, contingencies = case9_bank_with_failures(case9)
+    records = assert_same_tables(case9, loading, contingencies, mode, tmp_path)
+    statuses = {r.status.partition(":")[0] for r in records}
+    assert statuses == ({"ok", "no_online_units"} if mode == "system_only" else
+                        {"ok", "no_online_units", "error", "loading case failed"})
+
+
+def test_jacobian_pattern_reuse_keeps_the_solution_bits(fleet_case, study_cases):
+    # the bank keeps one Jacobian pattern per set of pv and pq buses; a
+    # loading case that reuses one solves to the bits of a fresh solve
+    ybus = build_ybus(fleet_case)
+    patterns: dict = {}
+    for _ in range(2):                  # the second pass reuses every one
+        for lc in study_cases:
+            case = apply_loading_case(fleet_case, lc)
+            got, want = _newton(case, ybus, patterns=patterns), _newton(case, ybus)
+            for name in ("v_mag", "v_ang", "iterations", "max_mismatch_pu"):
+                assert_same_bits(getattr(got, name), getattr(want, name))
+    assert len(patterns) < len(study_cases)
+
+
+TEXT = st.text(st.sampled_from(['a', '1', ' ', ',', '"', "'", '\r', '\n', 'é', ':']),
+               max_size=6)
+NUMBER = st.one_of(st.none(), st.integers(-10**6, 10**6),
+                   st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.sampled_from(["lc0", "lc,1", 'lc"2', "lc3"]),
+                          st.one_of(TEXT, st.integers(0, 9)),
+                          *[NUMBER] * 6, st.one_of(st.none(), st.integers(-9, 99)),
+                          st.booleans(), st.one_of(TEXT, st.none())),
+                max_size=12))
+def test_scenario_table_cells_match_the_reference_writer(tmp_path_factory, rows):
+    # the column-wise cells, and the lines joined without csv.writer when no
+    # id or status cell needs quoting, against a cell-by-cell csv.writer
+    records = [ScenarioRecord(*row) for row in rows]
+    path = tmp_path_factory.mktemp("table")
+    write_scenario_table(records, path / "got.csv")
+    reference_write_scenario_table(records, path / "want.csv")
+    assert (path / "got.csv").read_bytes() == (path / "want.csv").read_bytes()

@@ -230,7 +230,7 @@ def test_bus_relabelling_leaves_rocof_and_worst_bus(drawn, data):
     by_id = [dict(zip(r.bus_ids, r.bus_rocof_hz_s)) for r in results]
     for bus in by_id[0]:
         assert abs(by_id[1][bus] - by_id[0][bus]) <= 1e-9
-    worst = [_column_stats(r.bus_rocof_hz_s[None, :], r.bus_ids)[0][3]
+    worst = [_column_stats(r.bus_rocof_hz_s[None, :], r.bus_ids)[3][0]
              for r in results]
     assert worst[0] == worst[1]
 
@@ -252,7 +252,7 @@ def test_system_base_leaves_voltages_rocof_and_worst_bus(drawn, k):
     results = [locational_rocof(*build_model(c)[1:], ctg) for c in (case, rebased)]
     np.testing.assert_allclose(results[1].bus_rocof_hz_s,
                                results[0].bus_rocof_hz_s, rtol=0, atol=1e-9)
-    worst = [_column_stats(r.bus_rocof_hz_s[None, :], r.bus_ids)[0][3]
+    worst = [_column_stats(r.bus_rocof_hz_s[None, :], r.bus_ids)[3][0]
              for r in results]
     assert worst[0] == worst[1]
 

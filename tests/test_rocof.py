@@ -11,12 +11,14 @@ from rocofscreen import (Contingency, SingularOutageError, ZeroInertiaError,
                          angle_second_derivative, build_model,
                          electrical_torque, injection_derivatives,
                          locational_rocof, locational_rocof_batch, netdyn,
-                         powerflow, system_rocof)
+                         powerflow, simulate, system_rocof)
 from rocofscreen.case_model import (Branch, Bus, Generator, GridCase,
                                     InputError, Load, total_inertia_gws)
 from rocofscreen.netdyn import norton_currents
 from rocofscreen.scenarios import apply_loading_case, generate_loading_cases
-from conftest import case9_with_bus10, currents, make_fleet_case, make_grid_case
+from rocofscreen.swingsim import SimOptions
+from conftest import (case9_with_bus10, currents, make_fleet_case, make_grid_case,
+                      tiny_case)
 
 
 def test_system_rocof_gen3_trip(case9):
@@ -57,6 +59,32 @@ def test_system_rocof_zero_loss(case9):
 def test_system_rocof_zero_inertia(case9):
     with pytest.raises(ZeroInertiaError):
         system_rocof(case9, 100.0, outaged_ids=["gen1", "gen2", "gen3"])
+
+
+def test_zero_loss_leaving_no_inertia_is_zero_and_a_loss_raises():
+    # one rule in all three: a zero loss gives 0.0 whatever inertia is left,
+    # and ZeroInertiaError needs a nonzero loss that leaves none. The only
+    # machine, dispatched at 0 MW, trips on an unloaded case; at 100 MW the
+    # same trip raises
+    lose_g1 = Contingency.of("c", ["g1"])
+    opts = SimOptions(t_end=0.25, shedding=False)
+    unloaded = tiny_case(load_mw=0.0)
+    _, model, states = build_model(unloaded)
+    assert system_rocof(unloaded, 0.0, outaged_ids=["g1"]) == 0.0
+    res = locational_rocof(model, states, lose_g1)
+    assert (res.mw_lost, res.system_rocof_hz_s) == (0.0, 0.0)
+    assert np.isnan(res.bus_rocof_hz_s).all() and res.undefined_islands == [[1]]
+    sim = simulate(model, states, lose_g1, opts)
+    assert (sim.bus_freq_hz == unloaded.f_base_hz).all() and not sim.events
+
+    loaded = tiny_case()
+    _, model, states = build_model(loaded)
+    with pytest.raises(ZeroInertiaError):
+        system_rocof(loaded, 100.0, outaged_ids=["g1"])
+    with pytest.raises(ZeroInertiaError):
+        locational_rocof(model, states, lose_g1)
+    with pytest.raises(ZeroInertiaError):
+        simulate(model, states, lose_g1, opts)
 
 
 def reference_system_rocof(case: GridCase, p_loss_mw: float, outaged_ids=()) -> float:
@@ -623,6 +651,19 @@ def test_voltage_start_matches_current_columns_on_nine_bus(case9):
         model, states, [Contingency.of(f"c{k}", g) for k, g in enumerate(ids)])
     assert [type(e) for e in batch.errors] == [type(None)] * 7 + [
         ZeroInertiaError, netdyn.UnknownIdError]
+
+
+def test_unknown_unit_error_names_the_first_unknown_id_in_sorted_order(case9):
+    _, model, states = build_model(case9)
+    units = ["zeta", "gen1", "alpha", "mid"]
+    with pytest.raises(netdyn.UnknownIdError, match="'alpha'"):
+        model.machine_positions(units)
+    batch = locational_rocof_batch(model, states, [
+        Contingency.of("a", units), Contingency.of("b", ["gen3"])])
+    assert isinstance(batch.errors[0], netdyn.UnknownIdError)
+    assert "'alpha'" in str(batch.errors[0]) and batch.errors[1] is None
+    assert np.isnan(batch.bus_rocof_hz_s[:, 0]).all()
+    assert np.isfinite(batch.bus_rocof_hz_s[:, 1]).all()
 
 
 @pytest.mark.parametrize("load_on_island_b", [True, False])

@@ -285,9 +285,9 @@ def counting_builders(monkeypatch):
                          ("_augment_dynamic", (netdyn,))):
         fn, seen = getattr(owners[0], name), calls.setdefault(name, [])
 
-        def counting(*args, fn=fn, seen=seen):
+        def counting(*args, fn=fn, seen=seen, **kwargs):
             seen.append(next(a.name for a in args if isinstance(a, GridCase)))
-            return fn(*args)
+            return fn(*args, **kwargs)
 
         for module in owners:
             if getattr(module, name) is fn:
@@ -604,8 +604,9 @@ HASHSEED_BANK = """
 import sys
 import numpy as np
 from conftest import make_fleet_case
-from rocofscreen import (dispatch_heuristic, generate_contingencies,
-                         generate_loading_cases, run_bank)
+from rocofscreen import (Contingency, LoadingCase, dispatch_heuristic,
+                         generate_contingencies, generate_loading_cases,
+                         load_case9, run_bank, total_inertia_gws)
 fleet = make_fleet_case(1)
 base = dispatch_heuristic(fleet, 50000.0, 15000.0)
 contingencies = generate_contingencies(base, 40, np.random.default_rng(1))
@@ -613,23 +614,37 @@ loading = generate_loading_cases(fleet, 4, (15000.0, 75000.0),
                                  (10000.0, 30000.0))
 run_bank(fleet, loading, contingencies, mode="system_only",
          out_path=sys.argv[1])
+# a 9-bus loading case that commits three units the case lacks, and a
+# contingency that loses all three: its error row names one of them
+case = load_case9()
+disp = {g.id: g.p_mw for g in case.generators}
+disp.update(ghost=10.0, phantom=10.0, spare=10.0)
+lc = LoadingCase("lc000", 315.0, 0.0, disp, frozenset(disp),
+                 total_inertia_gws(case), 0.0)
+run_bank(case, [lc], [Contingency.of("ctg000", ["gen2"]),
+                      Contingency.of("ctg001", ["ghost", "phantom", "spare"])],
+         mode="locational", out_path=sys.argv[2])
 """
 
 
 def test_run_bank_table_independent_of_hash_seed(tmp_path):
-    # MW lost sums over a set of unit ids; the table must not depend on
-    # the order Python happens to iterate that set in
+    # MW lost sums over a set of unit ids, and an unknown-unit error names
+    # one unit of a set; the tables must not depend on the order Python
+    # happens to iterate those sets in
     root = Path(__file__).resolve().parents[1]
     tables = []
     for seed in ("1", "2"):
-        out = tmp_path / f"bank-{seed}.csv"
+        out = [tmp_path / f"{name}-{seed}.csv" for name in ("fleet", "case9")]
         env = dict(os.environ, PYTHONHASHSEED=seed,
                    PYTHONPATH=os.pathsep.join([str(root / "src"),
                                                str(root / "tests")]))
-        subprocess.run([sys.executable, "-c", HASHSEED_BANK, str(out)],
+        subprocess.run([sys.executable, "-c", HASHSEED_BANK, *map(str, out)],
                        env=env, check=True, timeout=120)
-        tables.append(out.read_bytes())
+        tables.append([path.read_bytes() for path in out])
     assert tables[0] == tables[1]
+    assert tables[0][1].decode().splitlines()[2].endswith(
+        ",error: generator 'ghost' is not an in-service synchronous machine "
+        "of this model")
 
 
 def test_run_bank_system_only_matches_inertia_line(small_bank):
