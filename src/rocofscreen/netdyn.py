@@ -14,7 +14,9 @@ that factors y_dyn in 7.4 ms instead of 9.8 at SuperLU's default panel of
 10, with the same fill of 164,392 entries (powerflow.SUPERLU_OPTIONS). The
 unit columns Y^-1 e_b that the screen's and the simulator's compensations
 need are solved once per model and kept in one store, their only copy
-(NetworkModel.unit_columns).
+(NetworkModel.unit_columns); beside a single screen's columns the model
+keeps their acceleration responses for one machine states object, so a
+repeat single screen makes no solve (NetworkModel.responses).
 
 Machine-base to system-base conversion happens exactly once, here:
     x_sys = x_mach * s_base_sys / s_base_mach      (impedance)
@@ -139,10 +141,12 @@ class NetworkModel:
     equal only to itself. It has one factorization, of y_dyn, made at
     build: the screen and the simulator apply outages and load trips to it
     by compensation, never by refactoring, with the unit columns of Y^-1
-    in the model's store (``unit_columns``), their only copy.
+    in the model's store (``unit_columns``), their only copy, and a single
+    screen's acceleration responses beside them (``responses``).
     ``solve_count`` counts linear solves and ``factor_count`` sparse LU
     factorizations made on this model; the cached factorization counts
-    once, when made, and a stored unit column once, when solved.
+    once, when made, and a stored unit column or response once, when
+    solved.
     """
 
     case: GridCase
@@ -167,6 +171,14 @@ class NetworkModel:
     # the store of unit columns: each bus position requested so far and its
     # solved row, the only copy of those rows
     _unit: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
+    # the store of acceleration responses (``responses``), valid for the
+    # one states object _response_states: each bus position's [Z; P; Q]
+    # block, whose row Z is the bus's row in _unit, and R0 (None for zero)
+    _response: dict[int, np.ndarray] = field(default_factory=dict, init=False,
+                                             repr=False)
+    _response_states: MachineStates | None = field(default=None, init=False,
+                                                   repr=False)
+    _r0: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @property
     def n_bus(self) -> int:
@@ -244,6 +256,73 @@ class NetworkModel:
         block = np.asfortranarray(rows[m_slot].T)
         block.flags.writeable = False
         return block
+
+    def responses(self, states: MachineStates, buses: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray | None]:
+        """The acceleration responses of the k distinct bus positions given,
+        at these machine states: one block [Z_b; P_b; Q_b] per bus b, k x 3
+        x n, and R0, or None where R0 is zero.
+
+        Z_b is the unit column Y^-1 e_b (``unit_columns``). The Norton
+        admittances are purely imaginary, so electrical_torque is
+        real-linear in the terminal voltages: a current w drawn at b moves
+        the machines' accelerations by Re(w g_b), with g_b = Z_b[machine_bus]
+        conj(I) s_base / (s_mach 2H). P_b and Q_b are Y^-1 of the injection
+        second derivatives, |I| /_ delta times those accelerations, of a
+        unit real and a unit imaginary current (w = 1 and w = j); R0 is Y^-1
+        of those the states' own torque residual r = t_m - T_e(v_bus)
+        drives, which is 0 for states from init_machines (the same function
+        of the same inputs). The buses not requested before for these states
+        get their P and Q (and R0 its column, on the first request) in one
+        solve, after the solve of any unit column not stored yet, and are
+        kept for the model's life with their unit column as the block's
+        first row, its only copy: two n-vectors per bus beyond that column.
+        Another states object starts the store afresh. Each column solves to
+        the same bits alone or stacked, so the rows do not depend on the
+        order of requests. Returns a copy of the blocks.
+        """
+        keys = np.asarray(buses).tolist()
+        store = self._response
+        if self._response_states is not states or not all(b in store for b in keys):
+            self._solve_responses(states, keys)
+            store = self._response
+        out = np.array([store[b] for b in keys], dtype=complex)
+        return out.reshape(len(keys), 3, self.n_bus), self._r0
+
+    def _solve_responses(self, states: MachineStates, keys: list[int]) -> None:
+        """Solve and store the responses of the bus positions in keys that
+        the store lacks (``responses``)."""
+        n, residual = self.n_bus, None
+        if self._response_states is not states:
+            self._response, self._response_states, self._r0 = {}, states, None
+            r = states.t_m - electrical_torque(self, states.currents,
+                                               states.v_bus[self.machine_bus])
+            residual = r / (2.0 * self.h_sec) if r.any() else None
+        new = [b for b in keys if b not in self._response]
+        z = np.array(self._unit_rows(new), dtype=complex).reshape(len(new), n)
+        g = z.T[self.machine_bus] * (np.conj(states.currents) * self.s_base
+                                     / (self.s_mach * 2.0 * self.h_sec))[:, None]
+        # the machines' accelerations, one column each: Re(w g) at w = 1
+        # and w = j for each new bus, the parts of conj(g) side by side,
+        # after the residual's
+        accel = np.conj(g).view(float)
+        if residual is not None:
+            accel = np.column_stack((residual, accel))
+        if not accel.size:
+            return
+        rhs = np.zeros((n, accel.shape[1]), dtype=complex)
+        np.add.at(rhs, self.machine_bus, states.di_ddelta[:, None] * accel)
+        solved = self.factorize().solve(rhs).T
+        if residual is not None:
+            self._r0 = solved[0].copy()
+            self._r0.flags.writeable = False
+        for b, zb, pq in zip(new, z, solved[len(solved) - 2 * len(new):].reshape(
+                len(new), 2, n)):
+            block = np.empty((3, n), dtype=complex)
+            block[0], block[1:] = zb, pq
+            block.flags.writeable = False
+            self._response[b] = block
+            self._unit[b] = block[0]
 
     def y_with_diag_update(self, bus_pos: np.ndarray,
                            delta_y: np.ndarray) -> sp.csc_matrix:

@@ -9,7 +9,8 @@ for each loading case, scenarios.run_bank). A batch runs in at most two
 multi-right-hand-side sparse solves against the base factorization of the
 network model, whatever the batch size; solve 1 has one right-hand side
 per distinct outaged bus of the batch that the model has not solved
-before, and solve 2 one per contingency:
+before, and solve 2 one per contingency. A single screen makes no solve 2
+and, once its buses are screened on the model, no solve at all (below):
 
 1. solve 1 gives the columns Z = Y^-1 E at the outaged buses. They depend
    on the buses alone, not on the contingency, so the model keeps them
@@ -36,6 +37,18 @@ before, and solve 2 one per contingency:
    which keep them from initialization;
 4. solve Y Vdd = Idd, with the same compensation, and convert each bus's
    voltage-angle second derivative to Hz/s via the system frequency base.
+
+A single screen (a batch of one) replaces solve 2 by a sum. The Norton
+admittances are purely imaginary, so T_e is real-linear in the terminal
+voltages, and V is v_bus less Z times the currents w drawn at the k buses:
+each acceleration, and so Y^-1 Idd, is linear in the real and imaginary
+parts of w. The model keeps, beside each bus's unit column, its two
+responses P and Q, Y^-1 of the injections that a unit real and a unit
+imaginary current drawn there drive (NetworkModel.responses, solved in one
+solve after solve 1 for buses new to it), so Y^-1 Idd is a sum of 3k
+stored rows, which the compensation then corrects. A batch keeps solve 2:
+it would need 2|U| response columns instead of m, and a bank's loading
+case is a fresh model that screens each bus once.
 
 Angles here follow the per-unit speed convention (delta-dot equals the
 per-unit speed deviation), so the angle second derivative emerges in
@@ -187,11 +200,12 @@ def locational_rocof(model: NetworkModel, states: MachineStates,
     """Theoretical per-bus ROCOF for one machine-loss contingency: column 0
     of locational_rocof_batch on the batch of one.
 
-    Costs at most two sparse linear solves against the base factorization
-    (one for the voltages, one for the voltage second derivative); solve 1
-    has a right-hand side per distinct outaged bus whose unit column the
-    model has not solved yet (none on a repeat), and no current: the
-    voltages start from the states' own (MachineStates.v_bus). Islands that
+    Costs at most two sparse linear solves against the base factorization,
+    both for outaged buses new to the model: solve 1 for their unit columns
+    and one for their acceleration responses (NetworkModel.responses), two
+    right-hand sides per bus. A repeat solves nothing: the voltages start
+    from the states' own (MachineStates.v_bus), and the voltage second
+    derivatives are a sum of the stored responses. Islands that
     lose their last machine are reported as undefined rather than
     diverging; see RocofResult. Raises the contingency's batch error, e.g.
     SingularOutageError when the outage leaves a singular network.
@@ -223,7 +237,9 @@ def locational_rocof_batch(model: NetworkModel, states: MachineStates,
     earlier screens and runs (no solve when that leaves none); each
     contingency's capacitance matrix, padded to the largest one, is solved
     in one stacked dense solve; solve 2 has the m injection second
-    derivatives. A contingency that cannot be screened (an unknown machine,
+    derivatives. A batch of one is a single screen, which sums the model's
+    stored responses instead of making solve 2 (locational_rocof). A
+    contingency that cannot be screened (an unknown machine,
     a singular network, no inertia left) gets its exception in
     RocofBatch.errors and NaN columns; the other columns are unaffected.
     An unknown machine's error names the contingency's first unknown id in
@@ -275,7 +291,9 @@ def _screen_lost(model: NetworkModel, states: MachineStates, ids: list[str],
     The arithmetic holds one row per contingency, machines or buses on the
     last axis. The path is chosen by the batch size: a batch of one leaves
     the row axis out of the per-machine and per-bus arithmetic, which is
-    then done on vectors, and the stacked parts see one row.
+    then done on vectors, and the stacked parts see one row; it reads its
+    buses' unit columns and responses from the model (NetworkModel.responses)
+    and sums them instead of making solve 2.
     """
     solves_before = model.solve_count
     n, m, nm = model.n_bus, len(ids), len(model.machine_ids)
@@ -318,11 +336,11 @@ def _screen_lost(model: NetworkModel, states: MachineStates, ids: list[str],
     # is v_bus - Z i, v_bus = Y^-1 I_all being kept on the states, so
     # V = v_bus - Z w with w = i + C^-1 D x[b] = C^-1 (i + D v_bus[b]), and
     # solve 1 is [e_U] alone.
-    row, bus, d, i_lost = _outage_pairs(model, lost.reshape(m, nm), states.currents)
+    row, bus, d, i_lost, mach, at = _outage_pairs(model, lost.reshape(m, nm),
+                                                  states.currents)
     k = np.bincount(row, minlength=m)
     k_max = max(k.tolist(), default=0)
     slot = np.arange(row.size) - np.searchsorted(row, row)
-    union = bus if single else np.unique(bus)
     bus_of = np.zeros((m, k_max), dtype=np.int64)        # padded with bus 0
     bus_of[row, slot] = bus
     # the right-hand sides [D | i + D v_bus[b]] of the capacitance solve
@@ -330,17 +348,22 @@ def _screen_lost(model: NetworkModel, states: MachineStates, ids: list[str],
     d_rhs[row, slot, slot] = d
     d_rhs[row, slot, k_max] = i_lost + d * states.v_bus[bus]
 
-    z = model.unit_columns(union)           # solve 1, for buses not yet cached
     # C[j, s, t] is delta_st + d_js times the column of Z at j's slot t,
     # read at b_js. A padded row of C is a unit row (d = 0), so the padding
     # solves to zero: C^-1 D vanishes outside j's k_j x k_j block, and C is
     # singular only if that block is. z_j[j, s] is the row of z at j's slot
     # s (a padded slot reads U's first, with a zero coefficient). A batch of
-    # one's buses are U itself, in order, so its z_j is z, read in place.
+    # one's buses are U itself, in order, so its z_j is z, read in place
+    # from the blocks of its buses' acceleration responses.
     if single:
+        # solve 1 and the responses, for buses the model has not kept
+        zpq, r0 = model.responses(states, bus)
+        z = zpq[:, 0]
         cap = (np.eye(k_max) + d[:, None] * z[:, bus].T)[None]
         z_j = z[None]
     else:
+        union = np.unique(bus)
+        z = model.unit_columns(union)       # solve 1, for buses not yet cached
         d_of = np.zeros((m, k_max), dtype=complex)        # padded with 0
         d_of[row, slot] = d
         z_of = np.searchsorted(union, bus_of)
@@ -376,12 +399,33 @@ def _screen_lost(model: NetworkModel, states: MachineStates, ids: list[str],
     wdot = np.where(active, accel, np.nan)
     # an outaged machine has zero acceleration here, so no injection; the
     # states keep |I| /_ delta, the first factor of injection_derivatives
-    idd = model.to_buses(states.di_ddelta * np.where(active, accel, 0.0))
-    v_ddot = model.factorize().solve(idd.reshape(m, n).T).T    # solve 2
-    coef = np.einsum("jst,jt->js", c_inv_d, v_ddot[np.arange(m)[:, None], bus_of])
-    v_ddot = v_ddot - np.einsum("js,jsn->jn", coef, z_j)
+    injection = states.di_ddelta * accel
+    idd = np.where(active, injection, 0.0)
+    if single:
+        # the accelerations are R0's plus each slot's responses to the real
+        # and imaginary parts of the current w_s drawn at its bus
+        # (NetworkModel.responses), so Y^-1 of the injections is R0 +
+        # sum_s (Re w_s P_s + Im w_s Q_s), less Z_s times the lost machines'
+        # own injections at b_s: c holds each slot's coefficients of Z, P
+        # and Q. The compensation needs that sum at the k buses; it takes
+        # it as Z's rows at the machine buses times the injections instead,
+        # since the sum's terms cancel where the lost units carried no
+        # load, and a near-singular C would amplify their rounding.
+        c = np.zeros((k_max, 3), dtype=complex)
+        c[:, 1], c[:, 2] = w[0].real, w[0].imag
+        np.subtract.at(c[:, 0], at, injection[mach])
+        at_buses = np.einsum("sp,p->s", z.take(model.machine_bus, axis=1), idd)
+        c[:, 0] -= np.einsum("st,t->s", c_inv_d[0], at_buses)
+        v_ddot = np.einsum("sr,srn->n", c, zpq)
+        if r0 is not None:
+            v_ddot += r0
+    else:
+        idd = model.to_buses(idd)
+        v_ddot = model.factorize().solve(idd.reshape(m, n).T).T    # solve 2
+        coef = np.einsum("jst,jt->js", c_inv_d, v_ddot[np.arange(m)[:, None], bus_of])
+        v_ddot = v_ddot - np.einsum("js,jsn->jn", coef, z_j)
     if any_dead:
-        v_ddot[dead_rows] = 0.0
+        v_ddot.reshape(m, n)[dead_rows] = 0.0
     v_ddot = v_ddot.reshape(shape)
 
     # a dead island's buses read 0 V, so they fail the test too
@@ -427,8 +471,9 @@ def _outage_pairs(model: NetworkModel, lost: np.ndarray,
     (an m x machines mask): the rows and bus positions, ascending by
     contingency, then bus, and at each pair d, the sum of the lost machines'
     -y_norton, and their Norton currents (``currents``), both summed in
-    machine order as NetworkModel.to_buses sums. Pairs whose d is 0 are
-    dropped."""
+    machine order as NetworkModel.to_buses sums; then the lost machines, in
+    that order, and the pair of each. A pair whose reactances cancel, d = 0,
+    stays: its machines' currents leave all the same."""
     n = model.n_bus
     row, mach = np.nonzero(lost)
     key = row * n + model.machine_bus[mach]
@@ -439,6 +484,5 @@ def _outage_pairs(model: NetworkModel, lost: np.ndarray,
     np.add.at(d, at, -model.norton_y[mach])
     i_lost = np.zeros(pairs.size, dtype=complex)
     np.add.at(i_lost, at, currents[mach])
-    keep = d != 0
-    row, bus = np.divmod(pairs[keep], n)
-    return row, bus, d[keep], i_lost[keep]
+    row, bus = np.divmod(pairs, n)
+    return row, bus, d, i_lost, mach, at

@@ -185,10 +185,10 @@ def test_empty_contingency_is_null(solved9):
 
 
 def test_two_solves_per_contingency(case9):
-    # a fresh model: solve 1 solves gen3's bus column once, and a repeat
-    # reads it from the model's unit columns
+    # a fresh model: solve 1 solves gen3's bus column once, and the second
+    # solve its acceleration responses; a repeat reads both from the model
     _, model, states = build_model(case9)
-    for solves in (2, 1):
+    for solves in (2, 0):
         before = model.solve_count
         res = locational_rocof(model, states, Contingency.of("c", ["gen3"]))
         assert model.solve_count - before == res.n_solves == solves
@@ -344,8 +344,8 @@ def refactor_reference(model, states, contingency):
 
 def assert_matches_refactoring(model, states, contingency, solves):
     """The screen against refactor_reference, and its solve count: 2 when
-    the contingency has a live outaged bus whose unit column the model has
-    not solved yet, else 1."""
+    the contingency has a live outaged bus whose unit column and responses
+    the model has not solved yet, else 0."""
     res = locational_rocof(model, states, contingency)
     rocof, v, wdot, islands = refactor_reference(model, states, contingency)
     assert np.array_equal(np.isnan(res.bus_rocof_hz_s), np.isnan(rocof))
@@ -365,9 +365,9 @@ def test_compensation_matches_refactoring_on_grid():
     plant = units[2][:-2]                       # "g<bus>" of the second plant
     cases = [[units[5]], [plant + "u0", plant + "u1"],
              units[10:13], [units[20], units[21], units[30]], []]
-    # each loss reaches a bus not screened before; the empty one makes
-    # solve 2 alone
-    for k, (ids, solves) in enumerate(zip(cases, [2, 2, 2, 2, 1])):
+    # each loss reaches a bus not screened before; the empty one makes no
+    # solve
+    for k, (ids, solves) in enumerate(zip(cases, [2, 2, 2, 2, 0])):
         assert_matches_refactoring(model, states, Contingency.of(f"c{k}", ids),
                                    solves)
 
@@ -376,7 +376,7 @@ def test_compensation_matches_refactoring_on_fleet():
     _, model, states = build_model(make_fleet_case(1))
     units = model.machine_ids
     for k, (ids, solves) in enumerate(zip([units[:1], units[3:5], units[7:10], []],
-                                          [2, 2, 2, 1])):
+                                          [2, 2, 2, 0])):
         assert_matches_refactoring(model, states, Contingency.of(f"c{k}", ids),
                                    solves)
 
@@ -385,10 +385,11 @@ def test_compensation_matches_refactoring_on_fleet():
 @pytest.mark.parametrize("outage", [["gA"], ["gB"], []])
 def test_compensation_matches_refactoring_with_dead_island(load_on_island_b,
                                                            outage):
-    # each loss kills its island, so solve 1 has no live outaged bus
+    # each loss kills its island, so the screen has no live outaged bus
+    # and makes no solve
     _, model, states = build_model(two_island_case(load_on_island_b))
     res = assert_matches_refactoring(model, states,
-                                     Contingency.of("c", outage), 1)
+                                     Contingency.of("c", outage), 0)
     assert len(res.undefined_islands) == len(outage)
 
 
@@ -556,15 +557,15 @@ def test_singular_outage_is_numerical(solved9, monkeypatch):
 
 
 def test_screens_make_no_factorization(case9):
-    # on a fresh model, solve 1 is made only by the first screen of each
-    # machine bus; solve 2 by every screen
+    # on a fresh model, only the first screen of each machine bus solves:
+    # its unit column, then its acceleration responses
     _, model, states = build_model(case9)
     factors = model.factor_count
     ids = [[], ["gen1"], ["gen2"], ["gen3"], ["gen1", "gen2"],
            ["gen1", "gen3"], ["gen2", "gen3"], ["gen3"], ["gen2"], ["gen1"]]
     solves = [locational_rocof(model, states, Contingency.of(f"c{k}", gids)).n_solves
               for k, gids in enumerate(ids)]
-    assert solves == [1, 2, 2, 2, 1, 1, 1, 1, 1, 1]
+    assert solves == [0, 2, 2, 2, 0, 0, 0, 0, 0, 0]
     assert model.factor_count == factors
 
 
@@ -706,8 +707,9 @@ def solve_shapes(monkeypatch) -> list:
 
 def test_solve_1_has_a_column_per_outaged_bus(case9, monkeypatch):
     # solve 1 carries the unit columns of the live outaged buses that the
-    # model has not solved before, and no current; solve 2 one column per
-    # contingency
+    # model has not solved before, and no current; a batch's solve 2 one
+    # column per contingency, a single screen's the two responses of each
+    # bus new to it
     _, model, states = build_model(case9)
     widths = solve_shapes(monkeypatch)
     batch = locational_rocof_batch(model, states, [
@@ -716,7 +718,13 @@ def test_solve_1_has_a_column_per_outaged_bus(case9, monkeypatch):
     assert widths == [(9, 2), (9, 4)] and batch.n_solves == 2
     widths.clear()
     assert locational_rocof(model, states, Contingency.of("c", ["gen3"])).n_solves == 2
-    assert widths == [(9, 1), (9, 1)]
+    assert widths == [(9, 1), (9, 2)]
+    # the unit column stored by the batch: the responses alone; a repeat
+    # solves nothing
+    widths.clear()
+    assert locational_rocof(model, states, Contingency.of("a", ["gen1"])).n_solves == 1
+    assert locational_rocof(model, states, Contingency.of("a", ["gen1"])).n_solves == 0
+    assert widths == [(9, 2)]
     # every outaged bus solved before: no solve 1
     widths.clear()
     batch = locational_rocof_batch(model, states, [
@@ -734,7 +742,7 @@ def test_solve_1_is_empty_when_the_outage_kills_its_island(monkeypatch):
     _, model, states = build_model(two_island_case(True))
     widths = solve_shapes(monkeypatch)
     res = locational_rocof(model, states, Contingency.of("b", ["gB"]))
-    assert widths == [(3, 1)] and res.n_solves == 1
+    assert widths == [] and res.n_solves == 0
     assert res.undefined_islands == [[3]]
 
 
@@ -814,7 +822,7 @@ def test_unit_columns_hold_the_union_of_live_outaged_buses(fleet_case):
         locational_rocof(model, states, c)
         buses = set(model.machine_bus[model.machine_positions(
             c.outaged_generator_ids)].tolist())
-        assert model.solve_count - solves == (2 if buses - expected else 1)
+        assert model.solve_count - solves == (2 if buses - expected else 0)
         expected |= buses
         # the store keeps a row for each bus screened so far, and no other
         assert set(model._unit) == expected
