@@ -258,10 +258,10 @@ class NetworkModel:
         return block
 
     def responses(self, states: MachineStates, buses: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray | None]:
+                  ) -> tuple[list[np.ndarray], np.ndarray | None]:
         """The acceleration responses of the k distinct bus positions given,
-        at these machine states: one block [Z_b; P_b; Q_b] per bus b, k x 3
-        x n, and R0, or None where R0 is zero.
+        at these machine states: the stored block [Z_b; P_b; Q_b] of each
+        bus b, a read-only 3 x n array, and R0, or None where R0 is zero.
 
         Z_b is the unit column Y^-1 e_b (``unit_columns``). The Norton
         admittances are purely imaginary, so electrical_torque is
@@ -279,15 +279,15 @@ class NetworkModel:
         first row, its only copy: two n-vectors per bus beyond that column.
         Another states object starts the store afresh. Each column solves to
         the same bits alone or stacked, so the rows do not depend on the
-        order of requests. Returns a copy of the blocks.
+        order of requests. Returns the store's own blocks, not copies: a
+        repeat request gives the same objects, and a write to one raises.
         """
         keys = np.asarray(buses).tolist()
         store = self._response
         if self._response_states is not states or not all(b in store for b in keys):
             self._solve_responses(states, keys)
             store = self._response
-        out = np.array([store[b] for b in keys], dtype=complex)
-        return out.reshape(len(keys), 3, self.n_bus), self._r0
+        return [store[b] for b in keys], self._r0
 
     def _solve_responses(self, states: MachineStates, keys: list[int]) -> None:
         """Solve and store the responses of the bus positions in keys that
@@ -506,11 +506,7 @@ def _augment_dynamic(ybus: sp.csc_matrix, case: GridCase,
     gen_shunt[sync] = norton_y
     np.add.at(diag, gen_bus, gen_shunt)
 
-    # the sum drops the zeros of the diagonal, as with sp.diags, which costs
-    # more than the rest of this function on a small case
-    y_dyn = (ybus + sp.csc_matrix((diag, np.arange(n), np.arange(n + 1)),
-                                  shape=(n, n))).tocsc()
-    y_dyn.sort_indices()
+    y_dyn = _add_diagonal(ybus, diag)
 
     model = NetworkModel(
         case=case,
@@ -538,6 +534,29 @@ def _augment_dynamic(ybus: sp.csc_matrix, case: GridCase,
         raise SingularNetworkError(
             f"dynamic admittance matrix is singular: {islands or exc}") from exc
     return model
+
+
+def _add_diagonal(ybus: sp.csc_matrix, diag: np.ndarray) -> sp.csc_matrix:
+    """ybus plus the diagonal matrix of diag, with the bits and the entries
+    that SciPy's sparse add gives, at less cost: the values go into a copy
+    of ybus's own at its diagonal entries, and an entry that sums to
+    exactly zero is dropped, as the add drops it. Where ybus lacks a
+    diagonal entry (a bus without a branch) or is not in canonical form,
+    the add itself runs."""
+    n = len(diag)
+    columns = np.repeat(np.arange(n, dtype=ybus.indices.dtype), np.diff(ybus.indptr))
+    at = np.flatnonzero(ybus.indices == columns)
+    if at.size < n or not ybus.has_canonical_format:
+        y = (ybus + sp.csc_matrix((diag, np.arange(n), np.arange(n + 1)),
+                                  shape=(n, n))).tocsc()
+        y.sort_indices()
+        return y
+    # the add's a + 0 off the diagonal, which turns a -0.0 part into 0.0
+    data = ybus.data + 0.0
+    data[at] = ybus.data.take(at) + diag
+    y = sp.csc_matrix((data, ybus.indices.copy(), ybus.indptr.copy()), shape=(n, n))
+    y.eliminate_zeros()
+    return y
 
 
 def _groundless_islands(model: NetworkModel, shunts: np.ndarray) -> list[list[int]]:

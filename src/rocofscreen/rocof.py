@@ -46,9 +46,13 @@ parts of w. The model keeps, beside each bus's unit column, its two
 responses P and Q, Y^-1 of the injections that a unit real and a unit
 imaginary current drawn there drive (NetworkModel.responses, solved in one
 solve after solve 1 for buses new to it), so Y^-1 Idd is a sum of 3k
-stored rows, which the compensation then corrects. A batch keeps solve 2:
-it would need 2|U| response columns instead of m, and a bank's loading
-case is a fresh model that screens each bus once.
+stored rows, which the compensation then corrects. The single screen reads
+those rows in place, as the model's own blocks, and forms V and Vdd slot by
+slot in elementwise multiply-adds: no stacked copy of the rows, and no
+matrix product, whose BLAS threads would cost more than the n-long work.
+A batch keeps solve 2: it would need 2|U| response columns instead of m,
+and a bank's loading case is a fresh model that screens each bus once. It
+gathers each contingency's columns of Z and contracts them with einsum.
 
 Angles here follow the per-unit speed convention (delta-dot equals the
 per-unit speed deviation), so the angle second derivative emerges in
@@ -106,7 +110,8 @@ class RocofResult:
     machine (listed in ``undefined_islands``); ``machine_accel`` is the
     per-machine speed derivative in per-unit/s, NaN for outaged machines.
     ``n_solves`` counts the linear solves of the call that produced the
-    result.
+    result. ``bus_ids`` and ``machine_ids`` are the model's own lists,
+    read-only by convention as the model is.
     """
 
     contingency_id: str
@@ -131,6 +136,8 @@ class RocofBatch:
     belong to ``contingency_ids[j]``, as in RocofResult. ``errors[j]`` holds
     the exception of a contingency that could not be screened, whose
     columns are NaN. ``n_solves`` counts the linear solves of the batch.
+    ``bus_ids`` and ``machine_ids`` are the model's own lists, as in
+    RocofResult.
     """
 
     contingency_ids: list[str]
@@ -291,9 +298,10 @@ def _screen_lost(model: NetworkModel, states: MachineStates, ids: list[str],
     The arithmetic holds one row per contingency, machines or buses on the
     last axis. The path is chosen by the batch size: a batch of one leaves
     the row axis out of the per-machine and per-bus arithmetic, which is
-    then done on vectors, and the stacked parts see one row; it reads its
-    buses' unit columns and responses from the model (NetworkModel.responses)
-    and sums them instead of making solve 2.
+    then done on vectors, and the capacitance solve sees one row; it reads
+    its buses' unit columns and responses in place from the model's store
+    (NetworkModel.responses) and sums them slot by slot instead of making
+    solve 2.
     """
     solves_before = model.solve_count
     n, m, nm = model.n_bus, len(ids), len(model.machine_ids)
@@ -303,7 +311,6 @@ def _screen_lost(model: NetworkModel, states: MachineStates, ids: list[str],
         lost = lost[0]
     active = ~lost
 
-    shape = active.shape[:-1] + (n,)
     # islands die only through their machines: the bus-wide mask is built
     # only for a batch in which some island does
     dead_isl = model.dead_islands(active)
@@ -338,30 +345,39 @@ def _screen_lost(model: NetworkModel, states: MachineStates, ids: list[str],
     # solve 1 is [e_U] alone.
     row, bus, d, i_lost, mach, at = _outage_pairs(model, lost.reshape(m, nm),
                                                   states.currents)
-    k = np.bincount(row, minlength=m)
-    k_max = max(k.tolist(), default=0)
-    slot = np.arange(row.size) - np.searchsorted(row, row)
-    bus_of = np.zeros((m, k_max), dtype=np.int64)        # padded with bus 0
-    bus_of[row, slot] = bus
-    # the right-hand sides [D | i + D v_bus[b]] of the capacitance solve
-    d_rhs = np.zeros((m, k_max, k_max + 1), dtype=complex)
-    d_rhs[row, slot, slot] = d
-    d_rhs[row, slot, k_max] = i_lost + d * states.v_bus[bus]
-
-    # C[j, s, t] is delta_st + d_js times the column of Z at j's slot t,
-    # read at b_js. A padded row of C is a unit row (d = 0), so the padding
-    # solves to zero: C^-1 D vanishes outside j's k_j x k_j block, and C is
-    # singular only if that block is. z_j[j, s] is the row of z at j's slot
-    # s (a padded slot reads U's first, with a zero coefficient). A batch of
-    # one's buses are U itself, in order, so its z_j is z, read in place
-    # from the blocks of its buses' acceleration responses.
     if single:
-        # solve 1 and the responses, for buses the model has not kept
-        zpq, r0 = model.responses(states, bus)
-        z = zpq[:, 0]
-        cap = (np.eye(k_max) + d[:, None] * z[:, bus].T)[None]
-        z_j = z[None]
+        # the blocks [Z; P; Q] of its buses' unit columns and acceleration
+        # responses, the model's own rows, read in place: its buses are U
+        # itself, in order, and its slots their places in bus
+        blocks, r0 = model.responses(states, bus)
+        k_max = bus.size
+        k, bus_of = [k_max], bus[None]       # as a batch has them, for errors
+        # Z's values at the k buses, for C, and at the machine buses, for
+        # the compensation sum below, read from each block
+        z_at = np.empty((k_max, k_max + nm), dtype=complex)
+        at_index = np.concatenate((bus, model.machine_bus))
+        for s, block in enumerate(blocks):
+            block[0].take(at_index, out=z_at[s])
+        cap = (np.eye(k_max) + d[:, None] * z_at[:, :k_max].T)[None]
+        d_rhs = np.zeros((1, k_max, k_max + 1), dtype=complex)
+        np.fill_diagonal(d_rhs[0], d)
+        d_rhs[0, :, k_max] = i_lost + d * states.v_bus[bus]
     else:
+        k = np.bincount(row, minlength=m)
+        k_max = max(k.tolist(), default=0)
+        slot = np.arange(row.size) - np.searchsorted(row, row)
+        bus_of = np.zeros((m, k_max), dtype=np.int64)        # padded with bus 0
+        bus_of[row, slot] = bus
+        # the right-hand sides [D | i + D v_bus[b]] of the capacitance solve
+        d_rhs = np.zeros((m, k_max, k_max + 1), dtype=complex)
+        d_rhs[row, slot, slot] = d
+        d_rhs[row, slot, k_max] = i_lost + d * states.v_bus[bus]
+        # C[j, s, t] is delta_st + d_js times the column of Z at j's slot
+        # t, read at b_js. A padded row of C is a unit row (d = 0), so the
+        # padding solves to zero: C^-1 D vanishes outside j's k_j x k_j
+        # block, and C is singular only if that block is. z_j[j, s] is the
+        # row of z at j's slot s (a padded slot reads U's first, with a
+        # zero coefficient).
         union = np.unique(bus)
         z = model.unit_columns(union)       # solve 1, for buses not yet cached
         d_of = np.zeros((m, k_max), dtype=complex)        # padded with 0
@@ -386,12 +402,19 @@ def _screen_lost(model: NetworkModel, states: MachineStates, ids: list[str],
                     errors[j].__cause__ = exc
     c_inv_d, w = c_inv[:, :, :k_max], c_inv[:, :, k_max]
 
-    # einsum, not a matrix product: BLAS threads its n-long products, which
-    # costs more than the k_j x n work itself
-    v_post = states.v_bus - np.einsum("js,jsn->jn", w, z_j)
+    if single:
+        # v_bus less w_s Z_s, slot by slot, in elementwise operations
+        # through a scratch row of the terms below
+        terms = np.empty((3, n), dtype=complex)
+        v_post = states.v_bus.copy()
+        for s, block in enumerate(blocks):
+            v_post -= np.multiply(block[0], w[0, s], out=terms[0])
+    else:
+        # einsum, not a matrix product: BLAS threads its n-long products,
+        # which costs more than the k_j x n work itself
+        v_post = states.v_bus - np.einsum("js,jsn->jn", w, z_j)
     if any_dead:
-        v_post[dead_rows] = 0.0
-    v_post = v_post.reshape(shape)
+        v_post.reshape(m, n)[dead_rows] = 0.0
 
     vb_post = v_post.T[model.machine_bus].T
     accel = (states.t_m - electrical_torque(model, states.currents, vb_post)) / (
@@ -408,17 +431,20 @@ def _screen_lost(model: NetworkModel, states: MachineStates, ids: list[str],
         # sum_s (Re w_s P_s + Im w_s Q_s), less Z_s times the lost machines'
         # own injections at b_s: c holds each slot's coefficients of Z, P
         # and Q. The compensation needs that sum at the k buses; it takes
-        # it as Z's rows at the machine buses times the injections instead,
-        # since the sum's terms cancel where the lost units carried no
-        # load, and a near-singular C would amplify their rounding.
+        # it as Z's values at the machine buses times the injections
+        # instead, since the sum's terms cancel where the lost units carried
+        # no load, and a near-singular C would amplify their rounding. The
+        # sum runs slot by slot: one elementwise product of the block and
+        # its coefficients, whose three rows are then added.
         c = np.zeros((k_max, 3), dtype=complex)
         c[:, 1], c[:, 2] = w[0].real, w[0].imag
         np.subtract.at(c[:, 0], at, injection[mach])
-        at_buses = np.einsum("sp,p->s", z.take(model.machine_bus, axis=1), idd)
-        c[:, 0] -= np.einsum("st,t->s", c_inv_d[0], at_buses)
-        v_ddot = np.einsum("sr,srn->n", c, zpq)
-        if r0 is not None:
-            v_ddot += r0
+        c[:, 0] -= np.einsum("st,t->s", c_inv_d[0],
+                             np.einsum("sp,p->s", z_at[:, k_max:], idd))
+        v_ddot = np.zeros(n, dtype=complex) if r0 is None else r0.copy()
+        for block, c_s in zip(blocks, c[:, :, None]):
+            for term in np.multiply(block, c_s, out=terms):
+                v_ddot += term
     else:
         idd = model.to_buses(idd)
         v_ddot = model.factorize().solve(idd.reshape(m, n).T).T    # solve 2
@@ -426,16 +452,8 @@ def _screen_lost(model: NetworkModel, states: MachineStates, ids: list[str],
         v_ddot = v_ddot - np.einsum("js,jsn->jn", coef, z_j)
     if any_dead:
         v_ddot.reshape(m, n)[dead_rows] = 0.0
-    v_ddot = v_ddot.reshape(shape)
 
-    # a dead island's buses read 0 V, so they fail the test too
-    ok = np.abs(v_post) > 1e-9
-    if ok.all():
-        rocof_pu = angle_second_derivative(v_post, v_ddot)
-    else:
-        rocof_pu = np.full(shape, np.nan)
-        rocof_pu[ok] = angle_second_derivative(v_post[ok], v_ddot[ok])
-    bus_rocof = model.f_base * rocof_pu
+    bus_rocof = _bus_rocof(model.f_base, v_post, v_ddot)
 
     # a running sum adds the outaged machines in machine order
     mw_lost = np.where(active, 0.0, states.t_m * model.s_mach).cumsum(axis=-1)[..., -1]
@@ -452,8 +470,8 @@ def _screen_lost(model: NetworkModel, states: MachineStates, ids: list[str],
         block.reshape(m, -1)[failed] = np.nan
     return RocofBatch(
         contingency_ids=ids,
-        bus_ids=list(model.bus_ids),
-        machine_ids=list(model.machine_ids),
+        bus_ids=model.bus_ids,
+        machine_ids=model.machine_ids,
         mw_lost=mw_lost.reshape(m),
         system_rocof_hz_s=sys_rocof.reshape(m),
         bus_rocof_hz_s=bus_rocof.reshape(m, n).T,
@@ -463,6 +481,23 @@ def _screen_lost(model: NetworkModel, states: MachineStates, ids: list[str],
         errors=errors,
         n_solves=model.solve_count - solves_before,
     )
+
+
+def _bus_rocof(f_base: float, v: np.ndarray, v_ddot: np.ndarray) -> np.ndarray:
+    """f_base times each bus's angle second derivative (as
+    angle_second_derivative computes it), NaN where |V|^2 is 1e-18 or less:
+    a dead island's buses read 0 V, so they fail the test too."""
+    mag2 = v.real * v.real
+    mag2 += v.imag * v.imag
+    rocof = v.real * v_ddot.imag
+    rocof -= v.imag * v_ddot.real
+    ok = mag2 > 1e-18
+    if ok.all():
+        rocof /= mag2
+    else:
+        rocof = np.divide(rocof, mag2, out=np.full(v.shape, np.nan), where=ok)
+    rocof *= f_base
+    return rocof
 
 
 def _outage_pairs(model: NetworkModel, lost: np.ndarray,

@@ -10,15 +10,16 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from rocofscreen import (PowerFlowSolution, augment_dynamic, build_model,
-                         build_ybus, electrical_torque, init_machines,
+                         build_ybus, electrical_torque, init_machines, netdyn,
                          solve_powerflow)
 from rocofscreen.case_model import (Branch, Bus, Generator, GridCase, Load,
                                     UnknownIdError, island_labels)
 from rocofscreen.netdyn import ModelBuildError, SingularNetworkError
 from rocofscreen.powerflow import SUPERLU_OPTIONS, bus_injections
 from rocofscreen.rocof import injection_derivatives
+from rocofscreen.scenarios import apply_loading_case, generate_loading_cases
 from conftest import currents, tiny_case
-from test_rocof import groundless_island_case
+from test_rocof import groundless_island_case, two_island_case
 
 
 def pair_case(**branch_kw):
@@ -99,6 +100,25 @@ def test_machine_bus_block_is_gathered_from_the_store(fleet_case):
     assert np.array_equal(again, block)
     for b in (block, again):
         assert b.flags.f_contiguous and not b.flags.writeable
+
+
+def test_responses_are_the_stored_blocks(case9):
+    # a lookup hands out the store's own read-only blocks, no copy: the
+    # same objects again, in the order asked, whose first row is the unit
+    # column
+    _, model, states = build_model(case9)
+    buses = np.unique(model.machine_bus)[:2]
+    blocks, r0 = model.responses(states, buses)
+    solves = model.solve_count
+    again, _ = model.responses(states, buses[::-1])
+    assert model.solve_count == solves and r0 is None
+    assert [id(b) for b in again] == [id(b) for b in blocks[::-1]]
+    for b, block in zip(buses, blocks):
+        assert block.shape == (3, model.n_bus) and not block.flags.writeable
+        with pytest.raises(ValueError):
+            block[1, 0] = 0.0
+        assert np.shares_memory(block, model._unit[int(b)])
+        assert np.array_equal(block[0], model.unit_columns([b])[0])
 
 
 def test_models_and_states_compare_by_identity(case9):
@@ -509,3 +529,58 @@ def test_vectorized_builders_match_record_loops(case9):
     assert_builders_match_loops(case, v_mag, v_ang)
     sol = solve_powerflow(case9)
     assert_builders_match_loops(case9, sol.v_mag, sol.v_ang)
+
+
+def sparse_add(ybus, diag):
+    """ybus plus the diagonal matrix of diag by SciPy's sparse add, as
+    augment_dynamic formed y_dyn before netdyn._add_diagonal: the
+    reference."""
+    n = len(diag)
+    y = (ybus + sp.csc_matrix((diag, np.arange(n), np.arange(n + 1)),
+                              shape=(n, n))).tocsc()
+    y.sort_indices()
+    return y
+
+
+def assert_same_matrix(got, expected):
+    assert got.shape == expected.shape
+    for part in ("data", "indices", "indptr"):
+        assert_same_bits(getattr(got, part), getattr(expected, part))
+
+
+def test_y_dyn_matches_the_sparse_add(case9, fleet_case, monkeypatch):
+    # the shunts are added at y_dyn's diagonal entries in place of the
+    # sparse add, with its bits and pattern, on the 9-bus case, both
+    # two-island cases and the fleet's 25 loading cases
+    loading = generate_loading_cases(fleet_case, 25, (15000.0, 75000.0),
+                                     (10000.0, 30000.0))
+    cases = [case9, two_island_case(True), two_island_case(False),
+             *(apply_loading_case(fleet_case, lc) for lc in loading)]
+    got = [build_model(case)[1].y_dyn for case in cases]
+    monkeypatch.setattr(netdyn, "_add_diagonal", sparse_add)
+    for case, y_dyn in zip(cases, got):
+        assert_same_matrix(y_dyn, build_model(case)[1].y_dyn)
+
+
+def test_diagonal_add_drops_zeros_and_fills_missing_diagonals(case9):
+    # a diagonal that cancels to exactly 0, an explicit zero off the
+    # diagonal and a -0.0 part, which the add turns into 0.0: the entries
+    # that the add drops are dropped
+    ybus = build_ybus(case9)
+    n = ybus.shape[0]
+    rng = np.random.default_rng(3)
+    diag = rng.normal(size=n) + 1j * rng.normal(size=n)
+    diag[4] = -ybus[4, 4]
+    off = np.flatnonzero(ybus.indices != np.repeat(np.arange(n), np.diff(ybus.indptr)))
+    ybus.data[off[0]] = 0.0
+    ybus.data[off[1]] = complex(-0.0, 5.0)
+    got = netdyn._add_diagonal(ybus, diag)
+    assert_same_matrix(got, sparse_add(ybus, diag))
+    assert got.nnz == ybus.nnz - 2
+    column = np.searchsorted(ybus.indptr, off[1], side="right") - 1
+    assert math.copysign(1.0, got[ybus.indices[off[1]], column].real) == 1.0
+    # a bus without a branch has no diagonal entry in ybus: the add makes it
+    isolated = sp.csc_matrix((ybus.data, ybus.indices, np.append(ybus.indptr, ybus.nnz)),
+                             shape=(n + 1, n + 1))
+    diag = np.append(diag, 2.0 - 1.0j)
+    assert_same_matrix(netdyn._add_diagonal(isolated, diag), sparse_add(isolated, diag))
