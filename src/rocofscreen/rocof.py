@@ -1,16 +1,16 @@
 """System-wide and per-bus theoretical ROCOF after generation-loss events.
 
-The per-bus screen, locational_rocof_batch, takes a batch of contingencies
-(locational_rocof screens a batch of one), lists the units each loses as
-(contingency, unit) pairs and hands them to one screen core, _screen_lost,
-which turns them into the machines each contingency loses (a bank takes
-its pairs from the incidence it builds once, and calls the core directly
-for each loading case, scenarios.run_bank). A batch runs in at most two
-multi-right-hand-side sparse solves against the base factorization of the
-network model, whatever the batch size; solve 1 has one right-hand side
-per distinct outaged bus of the batch that the model has not solved
-before, and solve 2 one per contingency. A single screen makes no solve 2
-and, once its buses are screened on the model, no solve at all (below):
+Two functions screen per bus, over shared stages: locational_rocof one
+contingency, on vectors, and locational_rocof_batch a batch, listing the
+units each contingency loses as (contingency, unit) pairs for the batch
+core, _screen_lost (a bank calls the core directly for each loading case,
+with the pairs of the incidence it builds once, scenarios.run_bank). A
+batch runs in at most two multi-right-hand-side sparse solves against the
+base factorization of the network model, whatever its size; solve 1 has
+one right-hand side per distinct outaged bus of the batch that the model
+has not solved before, and solve 2 one per contingency. A single screen
+makes no solve 2 and, once its buses are screened on the model, no solve
+at all (below):
 
 1. solve 1 gives the columns Z = Y^-1 E at the outaged buses. They depend
    on the buses alone, not on the contingency, so the model keeps them
@@ -18,17 +18,16 @@ and, once its buses are screened on the model, no solve at all (below):
    and a batch whose outaged buses were all screened before makes no
    solve 1. The post-disturbance voltages V follow from the
    pre-disturbance ones, v_bus = Y^-1 I, which the machine states carry
-   (netdyn.init_machines):
-   the outaged machines' currents enter only at their own buses, so
-   removing them subtracts Z times those currents, and removing their
-   Norton shunts is a rank-k change to the diagonal, applied by
-   compensation (Alsac, Stott & Tinney, IEEE Trans. PAS, 1983) rather than
-   by refactoring. The (contingency, bus) pairs of the update and their
+   (netdyn.init_machines): the outaged machines' currents enter only at
+   their own buses, so removing them subtracts Z times those currents,
+   and removing their Norton shunts is a rank-k change to the diagonal,
+   applied by compensation (Alsac, Stott & Tinney, IEEE Trans. PAS, 1983)
+   rather than by refactoring. The outaged buses of the update and their
    sums come from the lost machines themselves, so finding the k outaged
-   buses costs work in k, not in the number of buses. Each contingency's
-   k x k capacitance matrix is solved in one stacked dense solve for the
-   batch, and its correction reads only its own k columns of Z (a batch
-   of one, screened on vectors without a row axis, reads Z in place);
+   buses costs work in k, not in the number of buses. A batch solves each
+   contingency's k x k capacitance matrix in one stacked dense solve, and
+   its correction reads only its own k columns of Z; a single screen
+   solves its one matrix and reads Z in place;
 2. recompute each remaining machine's electrical torque and acceleration
    wdot = (T_m - T_e) / (2 H), with mechanical torque frozen (no governors);
 3. form the injection second derivative Idd = (E'/x'd) /_ delta * wdot
@@ -38,21 +37,21 @@ and, once its buses are screened on the model, no solve at all (below):
 4. solve Y Vdd = Idd, with the same compensation, and convert each bus's
    voltage-angle second derivative to Hz/s via the system frequency base.
 
-A single screen (a batch of one) replaces solve 2 by a sum. The Norton
-admittances are purely imaginary, so T_e is real-linear in the terminal
-voltages, and V is v_bus less Z times the currents w drawn at the k buses:
-each acceleration, and so Y^-1 Idd, is linear in the real and imaginary
-parts of w. The model keeps, beside each bus's unit column, its two
-responses P and Q, Y^-1 of the injections that a unit real and a unit
-imaginary current drawn there drive (NetworkModel.responses, solved in one
-solve after solve 1 for buses new to it), so Y^-1 Idd is a sum of 3k
-stored rows, which the compensation then corrects. The single screen reads
-those rows in place, as the model's own blocks, and forms V and Vdd slot by
-slot in elementwise multiply-adds: no stacked copy of the rows, and no
-matrix product, whose BLAS threads would cost more than the n-long work.
-A batch keeps solve 2: it would need 2|U| response columns instead of m,
-and a bank's loading case is a fresh model that screens each bus once. It
-gathers each contingency's columns of Z and contracts them with einsum.
+A single screen replaces solve 2 by a sum. The Norton admittances are
+purely imaginary, so T_e is real-linear in the terminal voltages, and V is
+v_bus less Z times the currents w drawn at the k buses: each acceleration,
+and so Y^-1 Idd, is linear in the real and imaginary parts of w. The model
+keeps, beside each bus's unit column, its two responses P and Q, Y^-1 of
+the injections that a unit real and a unit imaginary current drawn there
+drive (NetworkModel.responses, solved in one solve after solve 1 for buses
+new to it), so Y^-1 Idd is a sum of 3k stored rows, which the compensation
+then corrects. The single screen reads those rows in place, as the model's
+own blocks, and forms V and Vdd slot by slot in elementwise multiply-adds:
+no stacked copy of the rows, and no matrix product, whose BLAS threads
+would cost more than the n-long work. A batch, of any size, keeps solve 2:
+it would need 2|U| response columns instead of m, and a bank's loading
+case is a fresh model that screens each bus once. It gathers each
+contingency's columns of Z and contracts them with einsum.
 
 Angles here follow the per-unit speed convention (delta-dot equals the
 per-unit speed deviation), so the angle second derivative emerges in
@@ -204,34 +203,94 @@ def injection_derivatives(currents: np.ndarray, delta: np.ndarray,
 
 def locational_rocof(model: NetworkModel, states: MachineStates,
                      contingency: Contingency) -> RocofResult:
-    """Theoretical per-bus ROCOF for one machine-loss contingency: column 0
-    of locational_rocof_batch on the batch of one.
+    """Theoretical per-bus ROCOF for one machine-loss contingency, on vectors.
 
     Costs at most two sparse linear solves against the base factorization,
     both for outaged buses new to the model: solve 1 for their unit columns
     and one for their acceleration responses (NetworkModel.responses), two
     right-hand sides per bus. A repeat solves nothing: the voltages start
     from the states' own (MachineStates.v_bus), and the voltage second
-    derivatives are a sum of the stored responses. Islands that
-    lose their last machine are reported as undefined rather than
-    diverging; see RocofResult. Raises the contingency's batch error, e.g.
-    SingularOutageError when the outage leaves a singular network.
+    derivatives are a sum of the stored responses. Islands that lose their
+    last machine are reported as undefined rather than diverging; see
+    RocofResult. Raises what locational_rocof_batch records as an error:
+    UnknownIdError (NetworkModel.machine_positions), SingularOutageError
+    or ZeroInertiaError.
     """
-    batch = locational_rocof_batch(model, states, [contingency])
-    if batch.errors[0] is not None:
-        raise batch.errors[0]
+    solves_before, n = model.solve_count, model.n_bus
+    mach = model.machine_positions(contingency.outaged_generator_ids)
+    active = np.ones(len(model.machine_ids), dtype=bool)
+    active[mach] = False
+    dead, dead_mach, undefined_islands = _dead_islands(model, [contingency.id], active)
+    if dead is not None:
+        mach = mach[~dead_mach[mach]]
+    # the k buses of the lost machines in live islands, ascending, with d
+    # and i at each, as in _screen_lost; then the blocks [Z; P; Q] of their
+    # unit columns and responses, the model's own rows, read in place
+    bus, d, i_lost, at = _pair_sums(model, states.currents, mach, model.machine_bus[mach])
+    blocks, r0 = model.responses(states, bus)
+    k = bus.size
+    # Z's values at the k buses, for C, and at the machine buses, for the
+    # compensation sum below, read from each block
+    at_index = np.concatenate((bus, model.machine_bus))
+    z_at = np.empty((k, at_index.size), dtype=complex)
+    for s, block in enumerate(blocks):
+        block[0].take(at_index, out=z_at[s])
+    cap = np.eye(k) + d[:, None] * z_at[:, :k].T
+    d_rhs = np.column_stack((np.diag(d), i_lost + d * states.v_bus[bus]))
+    try:
+        c_inv = np.linalg.solve(cap, d_rhs)
+    except np.linalg.LinAlgError as exc:
+        raise _singular_outage(model, contingency.id, bus, exc) from exc
+    c_inv_d, w = c_inv[:, :k], c_inv[:, k]
+
+    # v_bus less w_s Z_s, slot by slot, in elementwise operations through a
+    # scratch row of the terms below
+    terms = np.empty((3, n), dtype=complex)
+    v_post = states.v_bus.copy()
+    for s, block in enumerate(blocks):
+        v_post -= np.multiply(block[0], w[s], out=terms[0])
+    if dead is not None:
+        v_post[dead] = 0.0
+
+    accel = (states.t_m - electrical_torque(
+        model, states.currents, v_post[model.machine_bus])) / (2.0 * model.h_sec)
+    # an outaged machine has zero acceleration here, so no injection; the
+    # states keep |I| /_ delta, the first factor of injection_derivatives
+    injection = states.di_ddelta * accel
+    # the accelerations are R0's plus each slot's responses to the real and
+    # imaginary parts of the current w_s drawn at its bus
+    # (NetworkModel.responses), so Y^-1 of the injections is R0 + sum_s
+    # (Re w_s P_s + Im w_s Q_s), less Z_s times the lost machines' own
+    # injections at b_s: c holds each slot's coefficients of Z, P and Q.
+    # The compensation needs that sum at the k buses; it takes it as Z's
+    # values at the machine buses times the injections instead, since the
+    # sum's terms cancel where the lost units carried no load, and a
+    # near-singular C would amplify their rounding. The sum runs slot by
+    # slot: one elementwise product of the block and its coefficients,
+    # whose three rows are then added.
+    c = np.zeros((k, 3), dtype=complex)
+    c[:, 1], c[:, 2] = w.real, w.imag
+    np.subtract.at(c[:, 0], at, injection[mach])
+    c[:, 0] -= np.einsum("st,t->s", c_inv_d, np.einsum(
+        "sp,p->s", z_at[:, k:], np.where(active, injection, 0.0)))
+    v_ddot = np.zeros(n, dtype=complex) if r0 is None else r0.copy()
+    for block, c_s in zip(blocks, c[:, :, None]):
+        for term in np.multiply(block, c_s, out=terms):
+            v_ddot += term
+    if dead is not None:
+        v_ddot[dead] = 0.0
+
+    errors: list[Exception | None] = [None]
+    mw_lost, sys_rocof = _loss_tail(model, states, active, [contingency.id], errors)
+    if errors[0] is not None:
+        raise errors[0]
     return RocofResult(
-        contingency_id=contingency.id,
-        mw_lost=float(batch.mw_lost[0]),
-        system_rocof_hz_s=float(batch.system_rocof_hz_s[0]),
-        bus_ids=batch.bus_ids,
-        bus_rocof_hz_s=batch.bus_rocof_hz_s[:, 0],
-        machine_ids=batch.machine_ids,
-        machine_accel=batch.machine_accel[:, 0],
-        post_disturbance_voltages=batch.post_disturbance_voltages[:, 0],
-        undefined_islands=batch.undefined_islands[0],
-        n_solves=batch.n_solves,
-    )
+        contingency_id=contingency.id, mw_lost=float(mw_lost),
+        system_rocof_hz_s=float(sys_rocof), bus_ids=model.bus_ids,
+        bus_rocof_hz_s=_bus_rocof(model.f_base, v_post, v_ddot),
+        machine_ids=model.machine_ids, machine_accel=np.where(active, accel, np.nan),
+        post_disturbance_voltages=v_post, undefined_islands=undefined_islands[0],
+        n_solves=model.solve_count - solves_before)
 
 
 def locational_rocof_batch(model: NetworkModel, states: MachineStates,
@@ -244,11 +303,10 @@ def locational_rocof_batch(model: NetworkModel, states: MachineStates,
     earlier screens and runs (no solve when that leaves none); each
     contingency's capacitance matrix, padded to the largest one, is solved
     in one stacked dense solve; solve 2 has the m injection second
-    derivatives. A batch of one is a single screen, which sums the model's
-    stored responses instead of making solve 2 (locational_rocof). A
-    contingency that cannot be screened (an unknown machine,
-    a singular network, no inertia left) gets its exception in
-    RocofBatch.errors and NaN columns; the other columns are unaffected.
+    derivatives, for a batch of one too. A contingency that cannot be
+    screened (an unknown machine, a singular network, no inertia left) gets
+    its exception in RocofBatch.errors and NaN columns; the other columns
+    are unaffected.
     An unknown machine's error names the contingency's first unknown id in
     sorted order (NetworkModel.machine_positions).
 
@@ -266,10 +324,9 @@ def _lost_machines(model: NetworkModel, m: int, rows: list[int],
     """The m x machines mask of the model's machines that m contingencies
     lose, given as pairs (contingency rows[i] loses unit units[i]), and each
     contingency's error or None. A contingency with a unit the model has no
-    machine for loses none, and its error is the UnknownIdError
-    NetworkModel.machine_positions raises for its units, which names the
-    first such unit in sorted order; the mask does not depend on the order
-    of the pairs."""
+    machine for loses none, and its error is NetworkModel.machine_positions'
+    UnknownIdError for its units, naming the first such unit in sorted
+    order; the mask does not depend on the order of the pairs."""
     pos = model._machine_pos
     machine = [pos.get(u, -1) for u in units]
     lost = np.zeros((m, len(model.machine_ids)), dtype=bool)
@@ -293,40 +350,14 @@ def _screen_lost(model: NetworkModel, states: MachineStates, ids: list[str],
     contingency rows[i] loses unit units[i]. The pairs become the machines
     each loses (_lost_machines); a contingency with a unit the model lacks
     loses no machine and gets the unknown-unit error, and the columns of
-    every contingency with an error are NaN.
-
-    The arithmetic holds one row per contingency, machines or buses on the
-    last axis. The path is chosen by the batch size: a batch of one leaves
-    the row axis out of the per-machine and per-bus arithmetic, which is
-    then done on vectors, and the capacitance solve sees one row; it reads
-    its buses' unit columns and responses in place from the model's store
-    (NetworkModel.responses) and sums them slot by slot instead of making
-    solve 2.
-    """
-    solves_before = model.solve_count
-    n, m, nm = model.n_bus, len(ids), len(model.machine_ids)
-    single = m == 1
+    every contingency with an error are NaN. The arithmetic holds one row
+    per contingency, machines or buses on the last axis, whatever m is."""
+    solves_before, n, m = model.solve_count, model.n_bus, len(ids)
     lost, errors = _lost_machines(model, m, rows, units)
-    if single:
-        lost = lost[0]
     active = ~lost
-
-    # islands die only through their machines: the bus-wide mask is built
-    # only for a batch in which some island does
-    dead_isl = model.dead_islands(active)
-    any_dead = dead_isl.any()
-    undefined_islands: list[list[list[int]]] = [[] for _ in range(m)]
-    if any_dead:
-        dead_isl_rows = dead_isl.reshape(m, -1)
-        dead_rows = dead_isl_rows[:, model.islands]
-        lost &= ~dead_isl[..., model.machine_islands]
-        for j in np.flatnonzero(dead_isl_rows.any(axis=1)):
-            undefined_islands[j] = [
-                [model.bus_ids[i] for i in np.flatnonzero(model.islands == isl)]
-                for isl in np.flatnonzero(dead_isl_rows[j])]
-            log.warning("contingency %s leaves %d island(s) without a machine; "
-                        "ROCOF reported as undefined there",
-                        ids[j], len(undefined_islands[j]))
+    dead, dead_mach, undefined_islands = _dead_islands(model, ids, active)
+    if dead is not None:
+        lost &= ~dead_mach
 
     # contingency j adds d to the diagonal at its buses b, the sum of the
     # -y_norton of its outaged machines there (live islands only: a dead
@@ -335,56 +366,39 @@ def _screen_lost(model: NetworkModel, states: MachineStates, ids: list[str],
     # Woodbury, (Y + E D E^T)^-1 r = x - Z C^-1 D x[b] with x = Y^-1 r,
     # Z = Y^-1 E and C = I + D Z[b]. Z has one column per bus of U, the
     # union of all b, kept as a row of z. The pairs (j, b) come from the
-    # lost machines themselves (_outage_pairs), by contingency, then bus;
-    # slot is b's place among the k_j buses of j, and blocks are padded to
-    # the largest k.
+    # lost machines themselves, by contingency, then bus; slot is b's place
+    # among the k_j buses of j, and blocks are padded to the largest k.
     # Solve 1's right-hand side would be I_all - E i, with i the outaged
     # machines' Norton currents at b (summed in the same pass as d). Its x
     # is v_bus - Z i, v_bus = Y^-1 I_all being kept on the states, so
     # V = v_bus - Z w with w = i + C^-1 D x[b] = C^-1 (i + D v_bus[b]), and
     # solve 1 is [e_U] alone.
-    row, bus, d, i_lost, mach, at = _outage_pairs(model, lost.reshape(m, nm),
-                                                  states.currents)
-    if single:
-        # the blocks [Z; P; Q] of its buses' unit columns and acceleration
-        # responses, the model's own rows, read in place: its buses are U
-        # itself, in order, and its slots their places in bus
-        blocks, r0 = model.responses(states, bus)
-        k_max = bus.size
-        k, bus_of = [k_max], bus[None]       # as a batch has them, for errors
-        # Z's values at the k buses, for C, and at the machine buses, for
-        # the compensation sum below, read from each block
-        z_at = np.empty((k_max, k_max + nm), dtype=complex)
-        at_index = np.concatenate((bus, model.machine_bus))
-        for s, block in enumerate(blocks):
-            block[0].take(at_index, out=z_at[s])
-        cap = (np.eye(k_max) + d[:, None] * z_at[:, :k_max].T)[None]
-        d_rhs = np.zeros((1, k_max, k_max + 1), dtype=complex)
-        np.fill_diagonal(d_rhs[0], d)
-        d_rhs[0, :, k_max] = i_lost + d * states.v_bus[bus]
-    else:
-        k = np.bincount(row, minlength=m)
-        k_max = max(k.tolist(), default=0)
-        slot = np.arange(row.size) - np.searchsorted(row, row)
-        bus_of = np.zeros((m, k_max), dtype=np.int64)        # padded with bus 0
-        bus_of[row, slot] = bus
-        # the right-hand sides [D | i + D v_bus[b]] of the capacitance solve
-        d_rhs = np.zeros((m, k_max, k_max + 1), dtype=complex)
-        d_rhs[row, slot, slot] = d
-        d_rhs[row, slot, k_max] = i_lost + d * states.v_bus[bus]
-        # C[j, s, t] is delta_st + d_js times the column of Z at j's slot
-        # t, read at b_js. A padded row of C is a unit row (d = 0), so the
-        # padding solves to zero: C^-1 D vanishes outside j's k_j x k_j
-        # block, and C is singular only if that block is. z_j[j, s] is the
-        # row of z at j's slot s (a padded slot reads U's first, with a
-        # zero coefficient).
-        union = np.unique(bus)
-        z = model.unit_columns(union)       # solve 1, for buses not yet cached
-        d_of = np.zeros((m, k_max), dtype=complex)        # padded with 0
-        d_of[row, slot] = d
-        z_of = np.searchsorted(union, bus_of)
-        cap = np.eye(k_max) + d_of[:, :, None] * z[z_of[:, None, :], bus_of[:, :, None]]
-        z_j = z[z_of]
+    row, mach = np.nonzero(lost)
+    pairs, d, i_lost, _ = _pair_sums(model, states.currents, mach,
+                                     row * n + model.machine_bus[mach])
+    row, bus = np.divmod(pairs, n)
+    k = np.bincount(row, minlength=m)
+    k_max = max(k.tolist(), default=0)
+    slot = np.arange(row.size) - np.searchsorted(row, row)
+    bus_of = np.zeros((m, k_max), dtype=np.int64)        # padded with bus 0
+    bus_of[row, slot] = bus
+    # the right-hand sides [D | i + D v_bus[b]] of the capacitance solve
+    d_rhs = np.zeros((m, k_max, k_max + 1), dtype=complex)
+    d_rhs[row, slot, slot] = d
+    d_rhs[row, slot, k_max] = i_lost + d * states.v_bus[bus]
+    # C[j, s, t] is delta_st + d_js times the column of Z at j's slot
+    # t, read at b_js. A padded row of C is a unit row (d = 0), so the
+    # padding solves to zero: C^-1 D vanishes outside j's k_j x k_j
+    # block, and C is singular only if that block is. z_j[j, s] is the
+    # row of z at j's slot s (a padded slot reads U's first, with a
+    # zero coefficient).
+    union = np.unique(bus)
+    z = model.unit_columns(union)       # solve 1, for buses not yet cached
+    d_of = np.zeros((m, k_max), dtype=complex)        # padded with 0
+    d_of[row, slot] = d
+    z_of = np.searchsorted(union, bus_of)
+    cap = np.eye(k_max) + d_of[:, :, None] * z[z_of[:, None, :], bus_of[:, :, None]]
+    z_j = z[z_of]
     try:
         c_inv = np.linalg.solve(cap, d_rhs)
     except np.linalg.LinAlgError:
@@ -394,93 +408,86 @@ def _screen_lost(model: NetworkModel, states: MachineStates, ids: list[str],
             try:
                 c_inv[j] = np.linalg.solve(cap[j], d_rhs[j])
             except np.linalg.LinAlgError as exc:
-                if errors[j] is None:
-                    errors[j] = SingularOutageError(
-                        f"contingency {ids[j]}: removing the outaged machines "
-                        f"leaves a singular network at buses "
-                        f"{[model.bus_ids[b] for b in bus_of[j, :k[j]]]}")
-                    errors[j].__cause__ = exc
+                errors[j] = errors[j] or _singular_outage(model, ids[j],
+                                                          bus_of[j, :k[j]], exc)
     c_inv_d, w = c_inv[:, :, :k_max], c_inv[:, :, k_max]
 
-    if single:
-        # v_bus less w_s Z_s, slot by slot, in elementwise operations
-        # through a scratch row of the terms below
-        terms = np.empty((3, n), dtype=complex)
-        v_post = states.v_bus.copy()
-        for s, block in enumerate(blocks):
-            v_post -= np.multiply(block[0], w[0, s], out=terms[0])
-    else:
-        # einsum, not a matrix product: BLAS threads its n-long products,
-        # which costs more than the k_j x n work itself
-        v_post = states.v_bus - np.einsum("js,jsn->jn", w, z_j)
-    if any_dead:
-        v_post.reshape(m, n)[dead_rows] = 0.0
+    # einsum, not a matrix product: BLAS threads its n-long products,
+    # which costs more than the k_j x n work itself
+    v_post = states.v_bus - np.einsum("js,jsn->jn", w, z_j)
+    if dead is not None:
+        v_post[dead] = 0.0
 
-    vb_post = v_post.T[model.machine_bus].T
-    accel = (states.t_m - electrical_torque(model, states.currents, vb_post)) / (
-        2.0 * model.h_sec)
-    wdot = np.where(active, accel, np.nan)
-    # an outaged machine has zero acceleration here, so no injection; the
-    # states keep |I| /_ delta, the first factor of injection_derivatives
-    injection = states.di_ddelta * accel
-    idd = np.where(active, injection, 0.0)
-    if single:
-        # the accelerations are R0's plus each slot's responses to the real
-        # and imaginary parts of the current w_s drawn at its bus
-        # (NetworkModel.responses), so Y^-1 of the injections is R0 +
-        # sum_s (Re w_s P_s + Im w_s Q_s), less Z_s times the lost machines'
-        # own injections at b_s: c holds each slot's coefficients of Z, P
-        # and Q. The compensation needs that sum at the k buses; it takes
-        # it as Z's values at the machine buses times the injections
-        # instead, since the sum's terms cancel where the lost units carried
-        # no load, and a near-singular C would amplify their rounding. The
-        # sum runs slot by slot: one elementwise product of the block and
-        # its coefficients, whose three rows are then added.
-        c = np.zeros((k_max, 3), dtype=complex)
-        c[:, 1], c[:, 2] = w[0].real, w[0].imag
-        np.subtract.at(c[:, 0], at, injection[mach])
-        c[:, 0] -= np.einsum("st,t->s", c_inv_d[0],
-                             np.einsum("sp,p->s", z_at[:, k_max:], idd))
-        v_ddot = np.zeros(n, dtype=complex) if r0 is None else r0.copy()
-        for block, c_s in zip(blocks, c[:, :, None]):
-            for term in np.multiply(block, c_s, out=terms):
-                v_ddot += term
-    else:
-        idd = model.to_buses(idd)
-        v_ddot = model.factorize().solve(idd.reshape(m, n).T).T    # solve 2
-        coef = np.einsum("jst,jt->js", c_inv_d, v_ddot[np.arange(m)[:, None], bus_of])
-        v_ddot = v_ddot - np.einsum("js,jsn->jn", coef, z_j)
-    if any_dead:
-        v_ddot.reshape(m, n)[dead_rows] = 0.0
+    accel = (states.t_m - electrical_torque(
+        model, states.currents, v_post[:, model.machine_bus])) / (2.0 * model.h_sec)
+    # as in locational_rocof: no injection from an outaged machine
+    idd = model.to_buses(np.where(active, states.di_ddelta * accel, 0.0))
+    v_ddot = model.factorize().solve(idd.T).T                   # solve 2
+    coef = np.einsum("jst,jt->js", c_inv_d, v_ddot[np.arange(m)[:, None], bus_of])
+    v_ddot = v_ddot - np.einsum("js,jsn->jn", coef, z_j)
+    if dead is not None:
+        v_ddot[dead] = 0.0
 
     bus_rocof = _bus_rocof(model.f_base, v_post, v_ddot)
-
-    # a running sum adds the outaged machines in machine order
-    mw_lost = np.where(active, 0.0, states.t_m * model.s_mach).cumsum(axis=-1)[..., -1]
-    remaining_mws = np.where(active, model.h_sec * model.s_mach, 0.0).sum(axis=-1)
-    lossy, inertia_left = mw_lost != 0.0, remaining_mws > 0
-    for j in () if inertia_left.all() else np.flatnonzero(lossy & ~inertia_left):
-        errors[j] = errors[j] or ZeroInertiaError(
-            f"contingency {ids[j]} removes all synchronous inertia")
-    sys_rocof = np.divide(-model.f_base * mw_lost, 2.0 * remaining_mws,
-                          out=np.zeros(mw_lost.shape), where=lossy & inertia_left)
-
+    wdot = np.where(active, accel, np.nan)
+    mw_lost, sys_rocof = _loss_tail(model, states, active, ids, errors)
     failed = [j for j, e in enumerate(errors) if e is not None]
     for block in (mw_lost, sys_rocof, bus_rocof, wdot, v_post) if failed else ():
-        block.reshape(m, -1)[failed] = np.nan
+        block[failed] = np.nan
     return RocofBatch(
-        contingency_ids=ids,
-        bus_ids=model.bus_ids,
-        machine_ids=model.machine_ids,
-        mw_lost=mw_lost.reshape(m),
-        system_rocof_hz_s=sys_rocof.reshape(m),
-        bus_rocof_hz_s=bus_rocof.reshape(m, n).T,
-        machine_accel=wdot.reshape(m, nm).T,
-        post_disturbance_voltages=v_post.reshape(m, n).T,
-        undefined_islands=undefined_islands,
-        errors=errors,
-        n_solves=model.solve_count - solves_before,
-    )
+        contingency_ids=ids, bus_ids=model.bus_ids, machine_ids=model.machine_ids,
+        mw_lost=mw_lost, system_rocof_hz_s=sys_rocof, bus_rocof_hz_s=bus_rocof.T,
+        machine_accel=wdot.T, post_disturbance_voltages=v_post.T,
+        undefined_islands=undefined_islands, errors=errors,
+        n_solves=model.solve_count - solves_before)
+
+
+def _dead_islands(model: NetworkModel, ids: list[str], active: np.ndarray) -> tuple:
+    """The bus and machine masks of the islands that contingencies ids
+    leave without a machine (NetworkModel.dead_islands of their active
+    machines, a row each or a vector for one), or None, None if none does;
+    and each one's dead islands' buses, logged as a warning."""
+    dead_isl = model.dead_islands(active)
+    undefined_islands: list[list[list[int]]] = [[] for _ in ids]
+    # islands die only through their machines: the screens build the
+    # bus-wide masks only where some island does
+    if not dead_isl.any():
+        return None, None, undefined_islands
+    dead_isl_rows = dead_isl.reshape(len(ids), -1)
+    for j in np.flatnonzero(dead_isl_rows.any(axis=1)):
+        undefined_islands[j] = [
+            [model.bus_ids[i] for i in np.flatnonzero(model.islands == isl)]
+            for isl in np.flatnonzero(dead_isl_rows[j])]
+        log.warning("contingency %s leaves %d island(s) without a machine; "
+                    "ROCOF reported as undefined there",
+                    ids[j], len(undefined_islands[j]))
+    return (dead_isl[..., model.islands], dead_isl[..., model.machine_islands],
+            undefined_islands)
+
+
+def _pair_sums(model: NetworkModel, currents: np.ndarray, mach: np.ndarray,
+               key: np.ndarray) -> tuple:
+    """The distinct keys of the lost machines mach (a key each), ascending;
+    at each key d and i, its machines' -y_norton and Norton currents summed
+    in machine order, as NetworkModel.to_buses sums; and each machine's
+    key place. A key whose reactances cancel (d = 0) stays: currents leave."""
+    keys = np.unique(key)
+    # np.unique's inverse, at about a third of return_inverse's cost
+    at = np.searchsorted(keys, key)
+    d = np.zeros(keys.size, dtype=complex)
+    np.add.at(d, at, -model.norton_y[mach])
+    i_lost = np.zeros(keys.size, dtype=complex)
+    np.add.at(i_lost, at, currents[mach])
+    return keys, d, i_lost, at
+
+
+def _singular_outage(model: NetworkModel, contingency_id: str, buses, cause) -> Exception:
+    """The error of a contingency singular at the bus positions buses."""
+    error = SingularOutageError(
+        f"contingency {contingency_id}: removing the outaged machines leaves "
+        f"a singular network at buses {[model.bus_ids[b] for b in buses]}")
+    error.__cause__ = cause
+    return error
 
 
 def _bus_rocof(f_base: float, v: np.ndarray, v_ddot: np.ndarray) -> np.ndarray:
@@ -500,24 +507,18 @@ def _bus_rocof(f_base: float, v: np.ndarray, v_ddot: np.ndarray) -> np.ndarray:
     return rocof
 
 
-def _outage_pairs(model: NetworkModel, lost: np.ndarray,
-                  currents: np.ndarray) -> tuple:
-    """The (contingency, bus) pairs of m outages, from their lost machines
-    (an m x machines mask): the rows and bus positions, ascending by
-    contingency, then bus, and at each pair d, the sum of the lost machines'
-    -y_norton, and their Norton currents (``currents``), both summed in
-    machine order as NetworkModel.to_buses sums; then the lost machines, in
-    that order, and the pair of each. A pair whose reactances cancel, d = 0,
-    stays: its machines' currents leave all the same."""
-    n = model.n_bus
-    row, mach = np.nonzero(lost)
-    key = row * n + model.machine_bus[mach]
-    pairs = np.unique(key)
-    # np.unique's inverse, at about a third of return_inverse's cost
-    at = np.searchsorted(pairs, key)
-    d = np.zeros(pairs.size, dtype=complex)
-    np.add.at(d, at, -model.norton_y[mach])
-    i_lost = np.zeros(pairs.size, dtype=complex)
-    np.add.at(i_lost, at, currents[mach])
-    row, bus = np.divmod(pairs, n)
-    return row, bus, d, i_lost, mach, at
+def _loss_tail(model: NetworkModel, states: MachineStates, active: np.ndarray,
+               ids: list[str], errors: list) -> tuple[np.ndarray, np.ndarray]:
+    """The MW lost and system ROCOF of contingencies ids, from their active
+    machines; one with a loss and no inertia left gets system ROCOF 0 and,
+    if it has no error yet, ZeroInertiaError in errors."""
+    # a running sum adds the outaged machines in machine order
+    mw_lost = np.where(active, 0.0, states.t_m * model.s_mach).cumsum(axis=-1)[..., -1]
+    remaining_mws = np.where(active, model.h_sec * model.s_mach, 0.0).sum(axis=-1)
+    lossy, inertia_left = mw_lost != 0.0, remaining_mws > 0
+    for j in () if inertia_left.all() else np.flatnonzero(lossy & ~inertia_left):
+        errors[j] = errors[j] or ZeroInertiaError(
+            f"contingency {ids[j]} removes all synchronous inertia")
+    sys_rocof = np.divide(-model.f_base * mw_lost, 2.0 * remaining_mws,
+                          out=np.zeros(mw_lost.shape), where=lossy & inertia_left)
+    return mw_lost, sys_rocof

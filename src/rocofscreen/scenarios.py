@@ -18,13 +18,12 @@ and loads) with a store of the power flow's Jacobian patterns. Each
 loading case then builds its model once, serially, with
 netdyn.build_model on that shared network, and works on arrays: its
 online units and dispatched MW come off the incidence, locational mode
-hands the screen core the (contingency, unit) pairs of the online outaged
-units in one batch (rocof._screen_lost, two multi-right-hand-side solves
-per loading case),
-and its rows are filled a column at a time. Output ordering is by
-(loading id, contingency id), and each loading case's rows reach the
-table file (case_io's scenario table) as soon as that loading case
-completes.
+hands the batch screen core (rocof._screen_lost, two multi-right-hand-side
+solves per loading case) the (contingency, unit) pairs of the online
+outaged units in one batch, even of one row, and its rows are filled a
+column at a time. Output ordering is by (loading id, contingency id), and
+each loading case's rows reach the table file (case_io's scenario table)
+as soon as that loading case completes.
 
 For a fixed loading case the tabulated system-wide ROCOF uses that case's
 total online inertia in the denominator, making it the linear-in-MW-lost
@@ -422,9 +421,9 @@ def _eval_loading_case(case: GridCase, lc: LoadingCase, bank: _Bank,
     A contingency's online units are its units in lc.committed, read off
     the bank's incidence, and its dispatched MW is their lc.dispatch MW, a
     plain running sum in unit id order on every Python. Locational mode
-    screens the rows with online units in one batch, handing the screen
-    core (rocof._screen_lost) the (contingency, unit) pairs of those rows'
-    online units; simulate mode simulates each."""
+    screens the rows with online units in one batch, one row too, handing
+    the batch screen core (rocof._screen_lost) the (contingency, unit)
+    pairs of those rows' online units; simulate mode simulates each."""
     model = states = None
     setup_error: str | None = None
     inertia_gws = math.nan

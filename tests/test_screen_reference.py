@@ -7,7 +7,7 @@ machines' -y_norton and Norton currents into a 2m x n array with
 rows for every contingency, also a single one. As a batch the library must
 give the same bytes: bus ROCOF, machine accelerations, post-disturbance
 voltages, MW lost and system ROCOF, and the same undefined islands, errors
-and solve counts. Singly and as a batch of one it adds up the acceleration
+and solve counts, for a batch of one too. Singly it adds up the acceleration
 responses the model keeps (NetworkModel.responses) instead of making
 solve 2, so its bus ROCOF agrees within 1e-9 Hz/s; it sums the stored rows
 slot by slot in elementwise multiply-adds where the reference contracts
@@ -225,16 +225,15 @@ def single_solves(model, states, ref_solves, first):
 def assert_same_screens(model, states, contingencies):
     """Each contingency singly and as a batch of one, in order, then all of
     them as one batch, by the library and by reference_screen, each on its
-    own cold copy of the model. The batch gives the same bytes, islands,
-    errors and solve counts; singly and as a batch of one, bus ROCOF within
-    1e-9 Hz/s, voltages and accelerations within close_values' 1e-13 and
-    the solves of single_solves."""
+    own cold copy of the model. A batch, of one too, gives the same bytes,
+    islands, errors and solve counts; singly, bus ROCOF within 1e-9 Hz/s,
+    voltages and accelerations within close_values' 1e-13 and the solves
+    of single_solves."""
     lib, ref = cold_copy(model), cold_copy(model)
     lib_one, ref_one = cold_copy(model), cold_copy(model)
     for k, ctg in enumerate(contingencies):
         expected = reference_screen(ref_one, states, [ctg])
-        assert_same_batch(locational_rocof_batch(lib_one, states, [ctg]), expected,
-                          single_solves(model, states, expected[-1], k == 0))
+        assert_same_batch(locational_rocof_batch(lib_one, states, [ctg]), expected)
         (mw_lost, sys_rocof, bus_rocof, wdot, v_post, islands, errors,
          n_solves) = reference_screen(ref, states, [ctg], single=True)
         try:
@@ -257,24 +256,22 @@ def assert_same_screens(model, states, contingencies):
     return batch
 
 
-def assert_same_batch(got, expected, solves=None):
-    """A RocofBatch against reference_screen's output for the batch; for a
-    batch of one, given its solves, bus ROCOF within 1e-9 Hz/s and machine
-    accelerations and voltages within close_values' 1e-13."""
+def assert_same_batch(got, expected):
+    """A RocofBatch against reference_screen's output for the batch, byte
+    for byte."""
     (mw_lost, sys_rocof, bus_rocof, wdot, v_post, islands, errors,
      n_solves) = expected
     same_bytes(got.mw_lost, mw_lost)
     same_bytes(got.system_rocof_hz_s, sys_rocof)
-    (same_bytes if solves is None else close_rocof)(got.bus_rocof_hz_s, bus_rocof.T)
-    (same_bytes if solves is None else close_values)(got.machine_accel, wdot.T)
-    (same_bytes if solves is None else close_values)(got.post_disturbance_voltages,
-                                                     v_post.T)
+    same_bytes(got.bus_rocof_hz_s, bus_rocof.T)
+    same_bytes(got.machine_accel, wdot.T)
+    same_bytes(got.post_disturbance_voltages, v_post.T)
     assert got.undefined_islands == islands
     assert [e is None for e in got.errors] == [e is None for e in errors]
     for new, old in zip(got.errors, errors):
         if old is not None:
             same_error(new, old)
-    assert got.n_solves == (n_solves if solves is None else solves)
+    assert got.n_solves == n_solves
 
 
 NINE_BUS_LOSSES = [[], ["gen1"], ["gen2"], ["gen3"], ["gen1", "gen2"],
