@@ -440,40 +440,48 @@ def write_scenario_table(records: Iterable[ScenarioRecord], path) -> None:
     """Write the scenario table, each row as ``records`` yields it; a NaN
     number or a missing worst bus is a blank cell, and the lines are those
     write_table writes. The rows go out a loading case at a time: each run
-    of records with one loading id, once the run ends
-    (_write_scenario_runs)."""
-    _write_scenario_runs((list(run) for _, run in
-                          groupby(records, attrgetter("loading_id"))), path)
+    of records with one loading id, once the run ends, turned into the
+    columns that a bank hands the same writer (_write_scenario_runs)."""
+    names = [f.name for f in fields(ScenarioRecord)]
+    runs = (list(run) for _, run in groupby(records, attrgetter("loading_id")))
+    _write_scenario_runs(([list(map(attrgetter(name), run)) for name in names]
+                          for run in runs), path)
 
 
-def _write_scenario_runs(runs: Iterable[list[ScenarioRecord]], path) -> None:
-    """write_scenario_table with the records given in runs, as a bank gives
-    them a loading case at a time: each run is formatted (_scenario_lines)
-    and reaches the file in one write as soon as ``runs`` yields it."""
+def _write_scenario_runs(runs: Iterable[tuple], path) -> None:
+    """write_scenario_table with the rows given in runs, as a bank gives
+    them a loading case at a time: each run is the rows' columns, in
+    SCENARIO_COLUMNS order, and is formatted (_scenario_lines) and reaches
+    the file in one write as soon as ``runs`` yields it."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(_csv_lines([SCENARIO_COLUMNS]))
-        for run in runs:
-            fh.write(_scenario_lines(run))
+        for columns in runs:
+            fh.write(_scenario_lines(*columns))
 
 
-def _scenario_lines(records: list[ScenarioRecord]) -> str:
-    """The scenario table's lines for the records, as csv.writer writes
-    them, their cells formatted a column at a time: a number is the repr of
-    its value as a float, as _fmt writes it, and blank for NaN or None."""
-    def column(name):
-        return list(map(attrgetter(name), records))
-
-    def numbers(name):
-        return ["" if x != x else repr(x)
-                for x in np.array(column(name), dtype=float).tolist()]
-
+def _scenario_lines(loading_id, contingency_id, mw_lost, inertia_gws,
+                    system_rocof, bus_rocof_min, bus_rocof_mean, bus_rocof_max,
+                    worst_bus, concern_flag, status) -> str:
+    """The scenario table's lines for rows given as columns, as csv.writer
+    writes them, their cells formatted a column at a time (_number_cells
+    for the numbers)."""
     return _csv_lines(zip(
-        column("loading_id"), column("contingency_id"), numbers("mw_lost"),
-        numbers("inertia_gws"), numbers("system_rocof_hz_s"),
-        numbers("bus_rocof_min"), numbers("bus_rocof_mean"),
-        numbers("bus_rocof_max"),
-        ["" if w is None else str(w) for w in column("worst_bus")],
-        ["1" if c else "0" for c in column("concern_flag")], column("status")))
+        loading_id, contingency_id,
+        *map(_number_cells, (mw_lost, inertia_gws, system_rocof, bus_rocof_min,
+                             bus_rocof_mean, bus_rocof_max)),
+        ["" if w is None else str(w) for w in worst_bus],
+        ["1" if c else "0" for c in concern_flag], status))
+
+
+def _number_cells(values) -> list[str]:
+    """The cells of a column of numbers: the repr of each value as a float,
+    as _fmt writes it, and blank for NaN or None. A column of one value (a
+    loading case's inertia) is formatted once."""
+    a = np.array(values, dtype=float)
+    bits = a.view(np.int64)
+    once = a.size > 1 and bool((bits == bits[0]).all())
+    cells = ["" if x != x else repr(x) for x in (a[:1] if once else a).tolist()]
+    return cells * len(a) if once else cells
 
 
 def _csv_lines(rows) -> str:

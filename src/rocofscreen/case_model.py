@@ -137,6 +137,32 @@ class GridCase:
             raise UnknownIdError(f"no bus with id {missing.flat[0]}")
         return pos
 
+    @cached_property
+    def arrays(self) -> "CaseArrays":
+        """The case's bus, unit and load fields as arrays, each read once
+        from the records and kept, so the stages of one case read them once
+        (the power flow, the model build, init_machines' check)."""
+        buses, gens, loads = self.buses, self.generators, self.loads
+        h = [g.h_sec for g in gens]
+        x = [g.xdp_pu for g in gens]
+        at = self._find_buses(np.concatenate(
+            [record_array(r, "bus_id", np.int64) for r in (gens, loads)]))
+        return CaseArrays(
+            case=self, bus_ids=[b.id for b in buses],
+            kinds=np.array([b.kind for b in buses]),
+            v_mag=record_array(buses, "v_mag"), v_ang=record_array(buses, "v_ang"),
+            gen_ids=[g.id for g in gens], gen_bus=at[:len(gens)],
+            synchronous=record_array(gens, "synchronous", bool),
+            s_base=record_array(gens, "s_base_mva"),
+            # None reads as NaN; the flags keep it apart from a NaN given
+            h_sec=np.array(h, dtype=float), xdp_pu=np.array(x, dtype=float),
+            has_h=np.array([v is not None for v in h], dtype=bool),
+            has_xdp=np.array([v is not None for v in x], dtype=bool),
+            status=record_array(gens, "status", bool),
+            p_mw=record_array(gens, "p_mw"), q_mvar=record_array(gens, "q_mvar"),
+            load_ids=[l.id for l in loads], load_bus=at[len(gens):],
+            load_p=record_array(loads, "p_mw"), load_q=record_array(loads, "q_mvar"))
+
     def bus(self, bus_id: int) -> Bus:
         for b in self.buses:
             if b.id == bus_id:
@@ -240,12 +266,63 @@ def record_array(records, name: str, dtype=float) -> np.ndarray:
     return np.fromiter(map(attrgetter(name), records), dtype, len(records))
 
 
-def complex_powers(records) -> np.ndarray:
-    """complex(p_mw, q_mvar) of each record of a sequence, MVA."""
-    s = np.empty(len(records), dtype=complex)
-    s.real = record_array(records, "p_mw")
-    s.imag = record_array(records, "q_mvar")
-    return s
+@dataclass(frozen=True, eq=False)
+class CaseArrays:
+    """A case's bus, generator and load fields as arrays (GridCase.arrays),
+    as MATPOWER keeps a case: the power flow, the model build and a bank's
+    inertia line read these, never a record, and a bank's loading case
+    re-dispatches its case by writing new units' status, MW and MVAr and
+    loads' MW and MVAr into a copy (scenarios._dispatch_arrays). ``case``
+    is the case they were read from; its ids, buses, branches and load
+    flags hold for a re-dispatch too, its units' and loads' MW need not.
+    Arrays are read-only by convention."""
+
+    case: GridCase
+    bus_ids: list[int]
+    kinds: np.ndarray              # bus kinds as given (powerflow demotes)
+    v_mag: np.ndarray              # bus voltage setpoints
+    v_ang: np.ndarray
+    gen_ids: list[str]
+    gen_bus: np.ndarray            # bus position per unit, -1 for no bus
+    synchronous: np.ndarray
+    s_base: np.ndarray             # unit MVA bases
+    h_sec: np.ndarray              # NaN where unset (has_h False)
+    xdp_pu: np.ndarray             # NaN where unset (has_xdp False)
+    has_h: np.ndarray
+    has_xdp: np.ndarray
+    status: np.ndarray
+    p_mw: np.ndarray
+    q_mvar: np.ndarray
+    load_ids: list[str]
+    load_bus: np.ndarray           # bus position per load, -1 for no bus
+    load_p: np.ndarray
+    load_q: np.ndarray
+
+    def buses_of(self, on: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The bus positions of the units that the mask on selects, and of
+        the loads. A bus id that no bus has raises GridCase.bus_positions'
+        UnknownIdError, naming the first such id, units before loads."""
+        units = self.gen_bus[on]
+        if (units < 0).any() or (self.load_bus < 0).any():
+            self.case.bus_positions(
+                [g.bus_id for g, k in zip(self.case.generators, on.tolist()) if k]
+                + [l.bus_id for l in self.case.loads])
+        return units, self.load_bus
+
+    def inertia_gws(self, unit_ids=None) -> float:
+        """total_inertia_gws of the case, or of its units whose ids are in
+        unit_ids: the same running sum, in unit order, and the same error."""
+        counted = self.status & self.synchronous
+        if unit_ids is not None:
+            counted &= np.fromiter(map(unit_ids.__contains__, self.gen_ids),
+                                   bool, len(self.gen_ids))
+        unset = counted & ~self.has_h
+        if unset.any():
+            raise _no_h_sec(self.gen_ids[int(np.argmax(unset))])
+        # Python's running sum from 0.0 (total_inertia_gws), as a cumsum,
+        # whose last + 0.0 turns a sum of signed zeros into 0.0
+        mws = (self.h_sec * self.s_base)[counted].cumsum()
+        return (float(mws[-1]) + 0.0 if mws.size else 0.0) / 1000.0
 
 
 def island_labels(case: GridCase) -> np.ndarray:
@@ -395,8 +472,11 @@ def total_inertia_gws(case: GridCase) -> float:
         if not (g.status and g.synchronous):
             continue
         if g.h_sec is None:
-            raise InputError(
-                f"generator {g.id!r} is in service but has no h_sec; "
-                "apply a dynamics sidecar or synthesize parameters first")
+            raise _no_h_sec(g.id)
         total_mws += g.h_sec * g.s_base_mva
     return total_mws / 1000.0
+
+
+def _no_h_sec(gen_id: str) -> InputError:
+    return InputError(f"generator {gen_id!r} is in service but has no h_sec; "
+                      "apply a dynamics sidecar or synthesize parameters first")

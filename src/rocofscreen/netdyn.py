@@ -1,6 +1,11 @@
 """Dynamic network model: admittance matrix, Norton machine equivalents,
 and classical machine initialization, joined by ``build_model``, the one
-entry point from a case to its power flow, model and machine states.
+entry point from a case to its power flow, model and machine states. It
+reads the case's unit, load and bus fields once into arrays
+(case_model.GridCase.arrays) and builds from them alone
+(``_build_model``), the one model build: a bank's loading case enters it
+with its case's arrays re-dispatched (scenarios.run_bank), so neither
+path copies or reads a unit or load record per loading case.
 
 The dynamic admittance matrix extends the branch network with constant
 impedance shunts for loads and non-synchronous generation, plus one Norton
@@ -37,8 +42,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .case_model import (GridCase, UnknownIdError, complex_powers, island_labels,
-                         record_array)
+from .case_model import (CaseArrays, GridCase, Load, UnknownIdError,
+                         island_labels, record_array)
 from .powerflow import SUPERLU_OPTIONS, PowerFlowSolution, _newton
 
 
@@ -137,19 +142,27 @@ class NetworkModel:
     """Factorized dynamic network plus the static machine table.
 
     Arrays are aligned with ``machine_ids`` (in-service synchronous machines,
-    case order). The model is read-only by convention after build, and
-    equal only to itself. It has one factorization, of y_dyn, made at
-    build: the screen and the simulator apply outages and load trips to it
-    by compensation, never by refactoring, with the unit columns of Y^-1
-    in the model's store (``unit_columns``), their only copy, and a single
-    screen's acceleration responses beside them (``responses``).
+    case order). The model keeps no case: a bank's loading case builds
+    from arrays, and no dispatched case exists. It keeps what its readers
+    need: ``loads``, the load records of the case it was built from (for a
+    loading case, the bank's case), whose ids, buses, UFLS stages and FFR
+    flags the simulator's shedding monitors read and a loading case does
+    not change (their MW are the case's, before a loading case's scale;
+    the model's load admittances are ``load_shunt``), and the bus, machine
+    and load ids that init_machines checks a case against. The model is
+    read-only by convention after build, and equal only to itself. It has
+    one factorization, of y_dyn, made at build: the screen and the
+    simulator apply outages and load trips to it by compensation, never by
+    refactoring, with the unit columns of Y^-1 in the model's store
+    (``unit_columns``), their only copy, and a single screen's acceleration
+    responses beside them (``responses``).
     ``solve_count`` counts linear solves and ``factor_count`` sparse LU
     factorizations made on this model; the cached factorization counts
     once, when made, and a stored unit column or response once, when
     solved.
     """
 
-    case: GridCase
+    loads: tuple[Load, ...]
     bus_ids: list[int]
     y_dyn: sp.csc_matrix
     machine_ids: list[str]
@@ -417,10 +430,19 @@ def build_model(case: GridCase, network: tuple | None = None
     flow's Jacobian patterns for the cases that share the network (a bank
     keeps one, scenarios.run_bank): a case whose pv and pq buses a case
     before it had reuses that case's pattern, to the same bits."""
+    return _build_model(case.arrays, network)
+
+
+def _build_model(arrays: CaseArrays, network: tuple | None = None
+                 ) -> tuple[PowerFlowSolution, NetworkModel, MachineStates]:
+    """build_model of the case whose arrays are given: GridCase.arrays of a
+    case, or a bank's re-dispatch of its case's arrays for a loading case
+    (scenarios.run_bank). The one model build, from arrays alone."""
+    case = arrays.case
     ybus, islands, *patterns = network or (build_ybus(case), island_labels(case))
-    solution = _newton(case, ybus, patterns=patterns[0] if patterns else None)
-    model = _augment_dynamic(ybus, case, solution, islands)
-    return solution, model, init_machines(model, case, solution)
+    solution = _newton(arrays, ybus, patterns=patterns[0] if patterns else None)
+    model = _augment_dynamic(ybus, arrays, solution, islands)
+    return solution, model, _init_machines(model, solution)
 
 
 def augment_dynamic(ybus: sp.csc_matrix, case: GridCase,
@@ -444,35 +466,37 @@ def augment_dynamic(ybus: sp.csc_matrix, case: GridCase,
     and no shunt to ground makes it, SingularNetworkError names that
     island's buses.
     """
-    return _augment_dynamic(ybus, case, solution, island_labels(case))
+    return _augment_dynamic(ybus, case.arrays, solution, island_labels(case))
 
 
-def _augment_dynamic(ybus: sp.csc_matrix, case: GridCase,
+def _augment_dynamic(ybus: sp.csc_matrix, arrays: CaseArrays,
                      solution: PowerFlowSolution,
                      islands: np.ndarray) -> NetworkModel:
-    """augment_dynamic with the case's island labels (island_labels) given:
-    they depend on the buses and branches alone, as ybus does, so a bank's
-    loading cases share them."""
-    n = len(case.buses)
+    """augment_dynamic of the case whose arrays are given, with its island
+    labels (island_labels) given: they depend on the buses and branches
+    alone, as ybus does, so a bank's loading cases share them."""
+    case = arrays.case
+    n = len(arrays.bus_ids)
     v = solution.v
     v_abs = np.hypot(v.real, v.imag)     # |v| as abs() rounds one number
     v_sq = _square(v_abs)
-    load_bus = case.bus_positions(record_array(case.loads, "bus_id", np.int64))
-    s_load = _quotient(complex_powers(case.loads), case.s_base_mva)
-    gens = [g for g in case.generators if g.status]
-    gen_bus = case.bus_positions(record_array(gens, "bus_id", np.int64))
-    sync = record_array(gens, "synchronous", bool)
-    base = record_array(gens, "s_base_mva")
+    on = arrays.status
+    gen_bus, load_bus = arrays.buses_of(on)
+    s_load = np.empty(len(load_bus), dtype=complex)
+    s_load.real, s_load.imag = arrays.load_p, arrays.load_q
+    s_load = _quotient(s_load, case.s_base_mva)
+    sync = arrays.synchronous[on]
+    base = arrays.s_base[on]
 
     s_bus = v * np.conj(ybus @ v)
     np.add.at(s_bus, load_bus, s_load)
-    disp = record_array(gens, "p_mw") / case.s_base_mva
+    disp = arrays.p_mw[on] / case.s_base_mva
     w_all = base / _group_sums(base, gen_bus, n)[gen_bus]
     w_sync = np.where(sync, base, 0.0)
     sync_sum = _group_sums(w_sync, gen_bus, n)[gen_bus]
     w_sync = np.divide(w_sync, sync_sum, out=w_all.copy(), where=sync_sum > 0)
     surplus = s_bus.real[gen_bus] - _group_sums(disp, gen_bus, n)[gen_bus]
-    s_gen = np.empty(len(gens), dtype=complex)
+    s_gen = np.empty(len(gen_bus), dtype=complex)
     s_gen.real = disp + surplus * w_sync
     s_gen.imag = s_bus.imag[gen_bus] * w_all
 
@@ -484,23 +508,23 @@ def _augment_dynamic(ybus: sp.csc_matrix, case: GridCase,
     load_shunt = np.conj(s_load) / v_sq[load_bus]
     np.add.at(diag, load_bus, load_shunt)
 
-    undefined = sync & np.array([g.h_sec is None or g.xdp_pu is None
-                                 for g in gens], dtype=bool)
+    units = np.flatnonzero(on)
+    undefined = sync & ~(arrays.has_h & arrays.has_xdp)[on]
     bad = (v_abs[gen_bus] == 0) | undefined
     if bad.any():
         k = int(np.argmax(bad))
-        g = gens[k]
+        g = case.generators[units[k]]
         if v_abs[gen_bus[k]] == 0:
             raise ModelBuildError(f"generator {g.id!r} at bus {g.bus_id} with |V| = 0")
         raise ModelBuildError(
             f"generator {g.id!r} lacks dynamic parameters (h_sec/xdp_pu); "
             "apply a sidecar or synthesize them first")
-    machines = [g for g in gens if g.synchronous]
-    if not machines:
+    machines = units[sync]
+    if not machines.size:
         raise ModelBuildError(
             f"case {case.name!r} has no in-service synchronous machine")
-    h_sec, s_mach = record_array(machines, "h_sec"), base[sync]
-    xdp_sys = record_array(machines, "xdp_pu") * case.s_base_mva / s_mach
+    h_sec, s_mach = arrays.h_sec[machines], base[sync]
+    xdp_sys = arrays.xdp_pu[machines] * case.s_base_mva / s_mach
     norton_y = 1.0 / (1j * xdp_sys)
     gen_shunt = -np.conj(s_gen) / v_sq[gen_bus]
     gen_shunt[sync] = norton_y
@@ -509,17 +533,17 @@ def _augment_dynamic(ybus: sp.csc_matrix, case: GridCase,
     y_dyn = _add_diagonal(ybus, diag)
 
     model = NetworkModel(
-        case=case,
-        bus_ids=[b.id for b in case.buses],
+        loads=case.loads,
+        bus_ids=arrays.bus_ids,
         y_dyn=y_dyn,
-        machine_ids=[g.id for g in machines],
+        machine_ids=[arrays.gen_ids[k] for k in machines.tolist()],
         machine_bus=gen_bus[sync],
         xdp_sys=xdp_sys,
         norton_y=norton_y,
         h_sec=h_sec,
         s_mach=s_mach,
         s_solved=s_gen[sync],
-        load_ids=[l.id for l in case.loads],
+        load_ids=arrays.load_ids,
         load_bus=load_bus,
         load_shunt=load_shunt,
         islands=islands,
@@ -530,7 +554,7 @@ def _augment_dynamic(ybus: sp.csc_matrix, case: GridCase,
         model.factorize()
     except RuntimeError as exc:     # SuperLU: "Factor is exactly singular"
         islands = "; ".join(f"buses {ids} form an island with no machine and "
-                            "no shunt" for ids in _groundless_islands(model, diag))
+                            "no shunt" for ids in _groundless_islands(model, case, diag))
         raise SingularNetworkError(
             f"dynamic admittance matrix is singular: {islands or exc}") from exc
     return model
@@ -559,10 +583,11 @@ def _add_diagonal(ybus: sp.csc_matrix, diag: np.ndarray) -> sp.csc_matrix:
     return y
 
 
-def _groundless_islands(model: NetworkModel, shunts: np.ndarray) -> list[list[int]]:
-    """Bus ids of each island that has no active machine and no path to
-    ground: no load, converter or line-charging shunt at any of its buses."""
-    case = model.case
+def _groundless_islands(model: NetworkModel, case: GridCase,
+                        shunts: np.ndarray) -> list[list[int]]:
+    """Bus ids of each island of the model of the case that has no active
+    machine and no path to ground: no load, converter or line-charging
+    shunt at any of its buses."""
     grounded = shunts != 0
     charged = [br for br in case.branches if br.status and br.b_pu != 0]
     grounded[case.bus_positions(np.concatenate(
@@ -587,9 +612,24 @@ def init_machines(model: NetworkModel, case: GridCase,
     dynamic source and solve to zero). The re-solved voltages are kept on
     the states as v_bus, and the Norton currents and |I| /_ delta as
     currents and di_ddelta.
+
+    The case serves only a check, since the solved outputs are the
+    model's own: its buses, loads and in-service synchronous machines must
+    be the model's, by id and in order, or ModelBuildError says the model
+    was built from a different case. build_model, which has no case to
+    check on a bank's loading case, initializes without the check.
     """
-    if case != model.case:
+    arrays = case.arrays
+    machines = np.flatnonzero(arrays.status & arrays.synchronous).tolist()
+    if (arrays.bus_ids != model.bus_ids or arrays.load_ids != model.load_ids
+            or [arrays.gen_ids[k] for k in machines] != model.machine_ids):
         raise ModelBuildError("model was built from a different case")
+    return _init_machines(model, solution)
+
+
+def _init_machines(model: NetworkModel, solution: PowerFlowSolution
+                   ) -> MachineStates:
+    """init_machines, without the check of its case."""
     vb = solution.v[model.machine_bus]
     i_t = np.conj(model.s_solved) / np.conj(vb)
     e_cplx = vb + 1j * model.xdp_sys * i_t

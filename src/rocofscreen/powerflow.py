@@ -13,10 +13,12 @@ uses for the dynamic admittance matrix too). An ordering depends only
 on the pattern, so it is computed once per solve: the first iteration's
 factorization orders the Jacobian, the pattern is relabelled by that
 ordering, and the later iterations factor the relabelled matrix in its
-natural order. The Newton iteration takes the branch Y-bus as an input, so
-a bank's loading cases, which share their buses and branches, solve
-against one through netdyn.build_model, the one entry point from a case to
-its solution and model (scenarios.run_bank). The Jacobian's pattern
+natural order. The Newton iteration reads the case's fields as arrays
+(case_model.CaseArrays: unit status, buses, MW and MVAr, load MW and MVAr,
+bus kinds and setpoints), never its records, and takes the branch Y-bus
+as an input, so a bank's loading cases, which share their buses and
+branches, solve against one through netdyn's one model build, each from
+its case's arrays re-dispatched (scenarios.run_bank). The Jacobian's pattern
 depends only on that Y-bus and on which buses are pv and pq, so the bank
 also keeps one store of patterns (_JacobianPattern: the index maps and the
 plain and relabelled CSC patterns), keyed by the pv and pq bus positions:
@@ -35,7 +37,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .case_model import GridCase, InputError, complex_powers, record_array
+from .case_model import CaseArrays, GridCase, InputError
 
 # SuperLU settings for the power-flow Jacobian and the dynamic admittance
 # matrix (netdyn), whose patterns are both structurally symmetric. Columns
@@ -105,28 +107,43 @@ def bus_injections(case: GridCase) -> np.ndarray:
     """Specified complex injections per bus, system-base pu (gen - load).
     Each bus adds its in-service generators, then subtracts its loads, in
     record order."""
-    gens = [g for g in case.generators if g.status]
-    s = np.zeros(len(case.buses), dtype=complex)
-    np.add.at(s, case.bus_positions(np.concatenate(
-        [record_array(r, "bus_id", np.int64) for r in (gens, case.loads)])),
-        np.concatenate((complex_powers(gens), -complex_powers(case.loads))))
-    return s / case.s_base_mva
+    return _injections(case.arrays)
+
+
+def _injections(arrays: CaseArrays) -> np.ndarray:
+    """bus_injections of the case whose arrays are given."""
+    on = arrays.status
+    s = np.zeros(len(arrays.bus_ids), dtype=complex)
+    units = np.empty(np.count_nonzero(on) + len(arrays.load_p), dtype=complex)
+    units.real = np.concatenate((arrays.p_mw[on], -arrays.load_p))
+    units.imag = np.concatenate((arrays.q_mvar[on], -arrays.load_q))
+    np.add.at(s, np.concatenate(arrays.buses_of(on)), units)
+    return s / arrays.case.s_base_mva
 
 
 def effective_kinds(case: GridCase) -> np.ndarray:
     """Bus kinds with sourceless pv buses demoted to pq: voltage can only be
     regulated where an in-service generator remains."""
-    alive = {g.bus_id for g in case.generators if g.status}
-    return np.array(["pq" if b.kind == "pv" and b.id not in alive else b.kind
-                     for b in case.buses])
+    return _kinds(case.arrays)
+
+
+def _kinds(arrays: CaseArrays) -> np.ndarray:
+    """effective_kinds of the case whose arrays are given. A unit counts at
+    its bus's position, which for a bus id that repeats (an invalid case)
+    is the last bus with that id (GridCase.bus_positions)."""
+    alive = np.zeros(len(arrays.bus_ids), dtype=bool)
+    at = arrays.gen_bus[arrays.status]
+    alive[at[at >= 0]] = True
+    return np.where((arrays.kinds == "pv") & ~alive, "pq", arrays.kinds)
 
 
 def mismatch_vector(case: GridCase, ybus: sp.csc_matrix, v: np.ndarray) -> np.ndarray:
     """Stacked [P at pv+pq; Q at pq] mismatch, pu, for the given voltages."""
-    kinds = effective_kinds(case)
+    arrays = case.arrays
+    kinds = _kinds(arrays)
     pvpq = np.flatnonzero(kinds != "slack")
     pq = np.flatnonzero(kinds == "pq")
-    mis = v * np.conj(ybus @ v) - bus_injections(case)
+    mis = v * np.conj(ybus @ v) - _injections(arrays)
     return np.concatenate((mis[pvpq].real, mis[pq].imag))
 
 
@@ -147,28 +164,29 @@ def solve_powerflow(case: GridCase, tol: float = 1e-8,
         raise InputError(f"max_iter must be >= 0, got {max_iter}")
     if not (math.isfinite(tol) and tol > 0):
         raise InputError(f"tol must be positive and finite, got {tol}")
-    return _newton(case, build_ybus(case), tol, max_iter)
+    return _newton(case.arrays, build_ybus(case), tol, max_iter)
 
 
-def _newton(case: GridCase, ybus: sp.csc_matrix, tol: float = 1e-8,
+def _newton(arrays: CaseArrays, ybus: sp.csc_matrix, tol: float = 1e-8,
             max_iter: int = 20, patterns: dict | None = None) -> PowerFlowSolution:
-    """solve_powerflow against a given branch Y-bus (netdyn.build_ybus of
-    the case, or of any case with the same buses and branches, as a bank's
-    loading cases share), with tol and max_iter already checked.
+    """solve_powerflow of the case whose arrays are given (GridCase.arrays, or
+    a bank's re-dispatch of them) against a given branch Y-bus
+    (netdyn.build_ybus of the case, or of any case with the same buses and
+    branches, as a bank's loading cases share), with tol and max_iter
+    already checked.
 
     patterns, when given, keeps the Jacobian patterns (_JacobianPattern) of
     solves against this ybus, keyed by their pv and pq bus positions; a
     solve with the same ones reuses its pattern, and a new one is added."""
-    kinds = effective_kinds(case)
+    sbus = _injections(arrays)
+    kinds = _kinds(arrays)
     pv = np.flatnonzero(kinds == "pv")
     pq = np.flatnonzero(kinds == "pq")
     pvpq = np.concatenate((pv, pq))
-    sbus = bus_injections(case)
 
     # flat start: setpoint magnitude at PV/slack, 1.0 at PQ, zero angles
-    vm = np.where((kinds == "pv") | (kinds == "slack"),
-                  record_array(case.buses, "v_mag"), 1.0)
-    va = np.where(kinds == "slack", record_array(case.buses, "v_ang"), 0.0)
+    vm = np.where((kinds == "pv") | (kinds == "slack"), arrays.v_mag, 1.0)
+    va = np.where(kinds == "slack", arrays.v_ang, 0.0)
 
     npvpq = len(pvpq)
     m = npvpq + len(pq)
@@ -187,8 +205,7 @@ def _newton(case: GridCase, ybus: sp.csc_matrix, tol: float = 1e-8,
         f = np.concatenate((mis[pvpq].real, mis[pq].imag))
         norm = float(np.max(np.abs(f), initial=0.0))
         if norm <= tol:
-            return PowerFlowSolution([b.id for b in case.buses], vm, va, it,
-                                     norm, ybus)
+            return PowerFlowSolution(arrays.bus_ids, vm, va, it, norm, ybus)
         if it == 0:
             limit = DIVERGENCE_GROWTH * norm
         if it == max_iter or not np.isfinite(norm) or norm > limit:
@@ -222,7 +239,7 @@ def _newton(case: GridCase, ybus: sp.csc_matrix, tol: float = 1e-8,
         except RuntimeError as exc:
             if "singular" in str(exc).lower():
                 jac.data = values[take]
-                raise SingularJacobian(_suspect_bus(case, jac, pvpq, pq)) from exc
+                raise SingularJacobian(_suspect_bus(arrays, jac, pvpq, pq)) from exc
             raise
         va[pvpq] += dx[:npvpq]
         vm[pq] += dx[npvpq:]
@@ -305,14 +322,14 @@ def _csc_pattern(rows: np.ndarray, cols: np.ndarray, take: np.ndarray, m: int):
     return jac, take[order]
 
 
-def _suspect_bus(case: GridCase, jac: sp.csc_matrix, pvpq, pq):
+def _suspect_bus(arrays: CaseArrays, jac: sp.csc_matrix, pvpq, pq):
     diag = np.abs(jac.diagonal())
     weak = np.flatnonzero(diag < 1e-12)
     if weak.size == 0:
         return None
     row = int(weak[0])
     bus_pos = pvpq[row] if row < len(pvpq) else pq[row - len(pvpq)]
-    return case.buses[bus_pos].id
+    return arrays.bus_ids[bus_pos]
 
 
 def accept_solved_voltages(case: GridCase, tol: float = 1e-4) -> PowerFlowSolution:

@@ -12,18 +12,24 @@ The bank runner evaluates every pair in one of three modes and emits a flat
 result table; per-scenario failures are recorded in their row and never
 abort the bank. It builds once per bank what does not depend on the
 loading case: the contingencies in id order, their contingency x unit
-incidence, and in the locational and simulate modes the branch network
-(Y-bus and island labels, since a loading case changes only generators
-and loads) with a store of the power flow's Jacobian patterns. Each
-loading case then builds its model once, serially, with
-netdyn.build_model on that shared network, and works on arrays: its
-online units and dispatched MW come off the incidence, locational mode
-hands the batch screen core (rocof._screen_lost, two multi-right-hand-side
-solves per loading case) the (contingency, unit) pairs of the online
-outaged units in one batch, even of one row, and its rows are filled a
-column at a time. Output ordering is by (loading id, contingency id), and
-each loading case's rows reach the table file (case_io's scenario table)
-as soon as that loading case completes.
+incidence, the case's unit, load and bus fields as arrays
+(case_model.GridCase.arrays), and in the locational and simulate modes the
+branch network (Y-bus and island labels, since a loading case changes
+only generators and loads) with a store of the power flow's Jacobian
+patterns. Each loading case then works on arrays, as MATPOWER keeps a
+case: it writes the units' status, MW and MVAr and the loads' scale into
+a copy of the bank's arrays (_dispatch_arrays, apply_loading_case to the
+same bits), sums its inertia line on them and builds its model once,
+serially, from them and the shared network (netdyn._build_model, the one
+model build, which build_model also takes); no record is copied or read.
+Its online units and dispatched MW come off the incidence, locational
+mode hands the batch screen core (rocof._screen_lost, two
+multi-right-hand-side solves per loading case) the (contingency, unit)
+pairs of the online outaged units in one batch, even of one row, and its
+rows are filled a column at a time and handed, as columns, to the
+scenario table's formatter (case_io). Output ordering is by (loading id,
+contingency id), and each loading case's rows reach the table file as
+soon as that loading case completes.
 
 For a fixed loading case the tabulated system-wide ROCOF uses that case's
 total online inertia in the denominator, making it the linear-in-MW-lost
@@ -38,14 +44,14 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
-from itertools import repeat
+from operator import attrgetter
 
 import numpy as np
 
 from .case_io import _write_scenario_runs
-from .case_model import (GridCase, InputError, LoadingCase, ScenarioRecord,
-                         island_labels, total_inertia_gws)
-from .netdyn import build_model, build_ybus
+from .case_model import (CaseArrays, GridCase, InputError, LoadingCase,
+                         ScenarioRecord, island_labels, total_inertia_gws)
+from .netdyn import _build_model, build_ybus
 from .rocof import Contingency, _screen_lost
 from .swingsim import SimOptions, simulate
 
@@ -157,6 +163,20 @@ def _dispatch(case: GridCase, target_load_mw: float,
     return replace(case, generators=tuple(new_gens), loads=tuple(new_loads))
 
 
+def _dispatch_arrays(arrays: CaseArrays, target_load_mw: float,
+                     p_mw: dict[str, float]) -> CaseArrays:
+    """_dispatch on the case's arrays, to the same bits: it writes the
+    units' status, MW and MVAr and the loads' MW and MVAr, and reads or
+    makes no record."""
+    factor = target_load_mw / sum(arrays.load_p.tolist())
+    n = len(arrays.gen_ids)
+    on = arrays.status & np.fromiter(map(p_mw.__contains__, arrays.gen_ids), bool, n)
+    mw = np.fromiter((p_mw.get(g, 0.0) for g in arrays.gen_ids), float, n)
+    return replace(arrays, status=on, p_mw=np.where(on, mw, arrays.p_mw),
+                   q_mvar=np.where(on & ~arrays.synchronous, 0.0, arrays.q_mvar),
+                   load_p=arrays.load_p * factor, load_q=arrays.load_q * factor)
+
+
 def _copy_record(record, **changes):
     """dataclasses.replace(record, **changes) for a Generator or a Load
     (neither has a __post_init__), without the frozen __init__ whose
@@ -228,7 +248,8 @@ def generate_loading_cases(case: GridCase, n: int,
 
 def apply_loading_case(case: GridCase, lc: LoadingCase) -> GridCase:
     """Reconstruct the dispatched case recorded in a LoadingCase. It is not
-    solved; callers build its model with netdyn.build_model."""
+    solved; callers build its model with netdyn.build_model. A bank does
+    not call it: it re-dispatches its case's arrays (_dispatch_arrays)."""
     return _dispatch(case, lc.target_load_mw, lc.dispatch)
 
 
@@ -376,14 +397,17 @@ class _Bank:
     """What every loading case of a bank shares, built once per bank by
     _bank: the contingency ids in sorted order, the ids of the units the
     contingencies name, in sorted order, the contingency x unit incidence
-    (True where the contingency loses the unit), and in the locational and
-    simulate modes the branch network as build_model takes it, the Y-bus,
-    the island labels and the power flow's Jacobian patterns, or the
-    exception that building it raised (_branch_network)."""
+    (True where the contingency loses the unit), the case's fields as
+    arrays (GridCase.arrays), which each loading case re-dispatches, and in
+    the locational and simulate modes the branch network as
+    netdyn._build_model takes it, the Y-bus, the island labels and the
+    power flow's Jacobian patterns (_branch_network). Where building the
+    arrays or the network raised, the exception stands in their place."""
 
     ids: list[str]
     unit_ids: list[str]
     incidence: np.ndarray
+    arrays: CaseArrays | Exception
     network: tuple | Exception | None
 
 
@@ -394,29 +418,49 @@ def _bank(case: GridCase, contingencies: list[Contingency], mode: str) -> _Bank:
     incidence = np.zeros((len(ctgs), len(unit_ids)), dtype=bool)
     incidence[[j for j, c in enumerate(ctgs) for _ in c.outaged_generator_ids],
               [column[u] for c in ctgs for u in c.outaged_generator_ids]] = True
-    network = None if mode == "system_only" else _branch_network(case)
-    return _Bank([c.id for c in ctgs], unit_ids, incidence, network)
+    network = None if mode == "system_only" else _or_error(_branch_network, case)
+    return _Bank([c.id for c in ctgs], unit_ids, incidence,
+                 _or_error(attrgetter("arrays"), case), network)
 
 
-def _branch_network(case: GridCase):
-    """The case's branch network as build_model takes it: the Y-bus, the
-    island labels (build_ybus, island_labels) and an empty store for the
-    power flow's Jacobian patterns, which the loading cases solved on it
-    fill; or the exception that building it raised."""
+def _branch_network(case: GridCase) -> tuple:
+    """The case's branch network as netdyn._build_model takes it: the
+    Y-bus, the island labels (build_ybus, island_labels) and an empty store
+    for the power flow's Jacobian patterns, which the loading cases solved
+    on it fill."""
+    return build_ybus(case), island_labels(case), {}
+
+
+def _or_error(build, case: GridCase):
+    """build(case), or the exception it raised, which a bank records on
+    every loading case that needs what build makes."""
     try:
-        return build_ybus(case), island_labels(case), {}
+        return build(case)
     except Exception as exc:  # noqa: BLE001 - recorded on every loading case
         return exc
 
 
+def _raised(built):
+    """built, or, where it is an exception (_or_error), that exception
+    raised with a fresh traceback: re-raising the one object must not
+    chain every loading case's frames onto it."""
+    if isinstance(built, Exception):
+        raise built.with_traceback(None)
+    return built
+
+
 def _eval_loading_case(case: GridCase, lc: LoadingCase, bank: _Bank,
-                       mode: str) -> list[ScenarioRecord]:
-    """One record per contingency of the bank, in id order, filled column
-    by column. The inertia line is summed over the case's units in
-    lc.dispatch, never read from the bank; if that sum or the model build
-    fails, every row fails. The model build (not made in system_only mode)
-    uses the bank's network; its exception fails the rows where the build
-    would have raised it, after the dispatch.
+                       mode: str) -> tuple[list, ...]:
+    """The loading case's rows, one per contingency of the bank in id
+    order, as the scenario table's columns (case_io.SCENARIO_COLUMNS, in
+    ScenarioRecord's field order), filled column by column; its id and
+    inertia columns hold one value. The inertia line is summed over the
+    case's units in lc.dispatch, on the bank's arrays
+    (CaseArrays.inertia_gws); if that sum or the model build fails, every
+    row fails. The model build (not made in system_only mode) re-dispatches
+    the bank's arrays (_dispatch_arrays) and builds on them and the bank's
+    network (netdyn._build_model); the bank's exception for either fails
+    the rows where the build would have raised it, after the dispatch.
 
     A contingency's online units are its units in lc.committed, read off
     the bank's incidence, and its dispatched MW is their lc.dispatch MW, a
@@ -428,15 +472,11 @@ def _eval_loading_case(case: GridCase, lc: LoadingCase, bank: _Bank,
     setup_error: str | None = None
     inertia_gws = math.nan
     try:
-        inertia_gws = total_inertia_gws(case.with_generators(
-            g for g in case.generators if g.id in lc.dispatch))
+        arrays = _raised(bank.arrays)
+        inertia_gws = arrays.inertia_gws(lc.dispatch)
         if mode != "system_only":
-            dispatched = apply_loading_case(case, lc)
-            if isinstance(bank.network, Exception):
-                # a fresh traceback: re-raising the one object must not
-                # chain every loading case's frames onto it
-                raise bank.network.with_traceback(None)
-            _, model, states = build_model(dispatched, bank.network)
+            dispatched = _dispatch_arrays(arrays, lc.target_load_mw, lc.dispatch)
+            _, model, states = _build_model(dispatched, _raised(bank.network))
     except Exception as exc:  # noqa: BLE001 - recorded per row
         setup_error = f"loading case failed: {exc}"
 
@@ -504,10 +544,9 @@ def _eval_loading_case(case: GridCase, lc: LoadingCase, bank: _Bank,
     system_rocof[lossy] = (-case.f_base_hz * mw_lost[lossy] / (2.0 * inertia_mws)
                            if inertia_mws > 0 else math.nan)
     concern = system_rocof < CONCERN_ROCOF_HZ_S
-    return list(map(ScenarioRecord, repeat(lc.id), bank.ids, mw_lost.tolist(),
-                    repeat(inertia_gws), system_rocof.tolist(), low.tolist(),
-                    mean.tolist(), high.tolist(), worst, concern.tolist(),
-                    status))
+    return ([lc.id] * m, bank.ids, mw_lost.tolist(), [inertia_gws] * m,
+            system_rocof.tolist(), low.tolist(), mean.tolist(), high.tolist(),
+            worst, concern.tolist(), status)
 
 
 def finite_difference_rocof(sim) -> np.ndarray:
@@ -542,21 +581,27 @@ def run_bank(case: GridCase, loading_cases: list[LoadingCase],
 
     What does not depend on the loading case is built once per bank: the
     contingencies in id order and their contingency x unit incidence over
-    the units they name, in sorted id order; and, in the locational and
+    the units they name, in sorted id order; the case's unit, load and bus
+    fields as arrays (GridCase.arrays); and, in the locational and
     simulate modes, the branch network (the Y-bus and the island labels),
     from case, since a loading case changes only generators and loads,
     with a store of the power flow's Jacobian patterns, which the loading
     cases with the same pv and pq buses share. system_only mode builds no
     network. A network that cannot be built fails every loading case's
     rows with its error, as each loading case's own build would. Each
-    loading case reads its online units and dispatched MW off the
-    incidence, hands the (contingency, unit) pairs of its online outaged
-    units to the screen core in one batch and fills its rows a column at a
-    time. Loading cases are evaluated one after another, and rows stream
-    to out_path as case_io's scenario table (write_scenario_table) in
-    sorted (loading_id, contingency_id) order, each loading case's rows in
-    one write as it completes. workers has no effect on evaluation and is
-    kept for callers that pass it; the output is the same for any value.
+    loading case sets three things from its dispatch on a copy of the
+    arrays, the units' status and MW and the load scale, to the bits of
+    apply_loading_case; the power flow, the model build and the inertia
+    line read the arrays, never a record, and its model keeps case's load
+    records, not a dispatched case (netdyn.NetworkModel.loads). It reads
+    its online units and dispatched MW off the incidence, hands the
+    (contingency, unit) pairs of its online outaged units to the screen
+    core in one batch and fills its rows a column at a time. Loading cases
+    are evaluated one after another, and rows stream to out_path as
+    case_io's scenario table (write_scenario_table) in sorted (loading_id,
+    contingency_id) order, each loading case's rows in one write, from
+    its columns, as it completes. workers has no effect on evaluation and
+    is kept for callers that pass it; the output is the same for any value.
     """
     if mode not in MODES:
         raise InputError(f"unknown mode {mode!r}; expected one of "
@@ -566,9 +611,9 @@ def run_bank(case: GridCase, loading_cases: list[LoadingCase],
     def batches():
         bank = _bank(case, contingencies, mode)
         for lc in sorted(loading_cases, key=lambda lc: lc.id):
-            batch = _eval_loading_case(case, lc, bank, mode)
-            records.extend(batch)
-            yield batch
+            columns = _eval_loading_case(case, lc, bank, mode)
+            records.extend(map(ScenarioRecord, *columns))
+            yield columns
 
     if out_path is None:
         for _ in batches():

@@ -291,7 +291,7 @@ def simulate(model: NetworkModel, states: MachineStates,
     net, m_slot = _CompensatedNetwork(model, contingency.id), model.machine_bus_slots[1]
     load_pos = {lid: i for i, lid in enumerate(model.load_ids)}
     bus_pos = {b: i for i, b in enumerate(model.bus_ids)}
-    monitors = _ShedMonitors(model.case.loads, bus_pos, opts.dt,
+    monitors = _ShedMonitors(model.loads, bus_pos, opts.dt,
                              ufls=opts.shedding, ffr=opts.shedding)
 
     # the stacked state [delta; omega]; an outaged machine's rates are zeroed

@@ -8,11 +8,13 @@ from hypothesis import example, given, settings, strategies as st
 from rocofscreen import (Contingency, GridCase, SimOptions, build_model,
                          locational_rocof, locational_rocof_batch, simulate,
                          solve_powerflow)
-from rocofscreen.case_model import Branch, Bus, Generator, Load, island_labels
+from rocofscreen.case_model import (Branch, Bus, Generator, Load, LoadingCase,
+                                    island_labels)
 from rocofscreen.scenarios import _column_stats, finite_difference_rocof
 from test_netdyn import (assert_builders_match_loops, assert_builds_match_stages,
                          loop_island_labels)
 from test_powerflow import assert_newton_matches_reference
+from test_scenarios import assert_arrays_build_the_records
 from test_screen_reference import assert_same_screens
 from test_rocof import (assert_cache_changes_no_bit, assert_matches_current_columns,
                         assert_matches_default_panel, assert_matches_plain_splu,
@@ -71,6 +73,32 @@ def networks(draw):
 @given(networks())
 def test_build_model_matches_the_stages_on_generated_networks(drawn):
     assert_builds_match_stages(drawn[0])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(networks(), st.data())
+def test_bank_arrays_build_the_bits_of_dispatched_records_on_generated_networks(
+        drawn, data):
+    # a random commitment and dispatch, which may name a unit the case
+    # lacks or one out of service, leave every machine out or find no load
+    # to scale, of units some of which are converters whose reactive
+    # output the dispatch zeroes, which shows at a pq bus
+    case, _ = drawn
+    mostly = st.sampled_from([True, True, True, False])
+    units = [dataclasses.replace(g, synchronous=data.draw(mostly),
+                                 status=data.draw(mostly),
+                                 q_mvar=data.draw(st.floats(1.0, 20.0)))
+             for g in case.generators]
+    buses = [dataclasses.replace(b, kind="pq")
+             if b.kind == "pv" and data.draw(st.booleans()) else b
+             for b in case.buses]
+    case = case.with_generators(units).with_buses(buses)
+    ids = [g.id for g in case.generators] + ["ghost"]
+    committed = [g for g in ids if data.draw(mostly)]
+    dispatch = {g: data.draw(st.floats(0.0, 60.0)) for g in committed}
+    load_mw = data.draw(st.floats(0.0, 1.5)) * sum(l.p_mw for l in case.loads)
+    assert_arrays_build_the_records(case, LoadingCase(
+        "lc", load_mw, 0.0, dispatch, frozenset(committed), 0.0, 0.0))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

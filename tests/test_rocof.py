@@ -555,14 +555,19 @@ def test_screen_solves_near_singular_outages(ties, unit_mw, outage, rel):
 
 @pytest.mark.parametrize("ties, unit_mw, outage, rel", [
     *[("weak", 0.0, "gen4", rel) for rel in (1e-3, 1e-6)],
+    *[pytest.param("weak", 0.0, "gen4", rel, marks=pytest.mark.xfail(
+        strict=True, reason="known defect: the screen loses digits in "
+        "proportion to the condition number of its capacitance matrix"))
+      for rel in (1e-9, 1e-12)],
     *[("charging", 5.0, "gen3", rel) for rel in (1e-3, 1e-6, 1e-9, 1e-12)]])
 def test_pair_loss_behind_a_near_singular_tie_matches_refactoring(ties, unit_mw,
                                                                   outage, rel):
     # the unit behind the tie and gen1 lost together, singly and as a
-    # batch's second column. The weak tie at rel 1e-9 and 1e-12 is left
-    # out: there the screen loses digits in proportion to the condition
-    # number of its capacitance matrix, 4.4e-8 and 4.6e-6 Hz/s from the
-    # exact answer, a known defect
+    # batch's second column. The weak tie at rel 1e-9 and 1e-12 fails, a
+    # known defect: there the screen loses digits in proportion to the
+    # condition number of its capacitance matrix, 4.4e-8 and 4.6e-6 Hz/s
+    # from the exact answer. A fix turns these strict xfails into failures
+    # that ask for the marks to go
     _, model, states = build_model(case9_with_bus10(ties, rel, unit_mw))
     pair = Contingency.of("pair", [outage, "gen1"])
     assert_matches_refactoring(model, states, pair, 2)

@@ -16,11 +16,11 @@ from rocofscreen import (Contingency, InfeasibleDispatch, SingularOutageError,
 from rocofscreen.case_io import read_scenario_table, write_scenario_table
 from rocofscreen.case_model import (Branch, Bus, Generator, GridCase, InputError,
                                     Load, LoadingCase)
-from rocofscreen.scenarios import (_branch_network, apply_loading_case,
-                                   loading_case_from)
+from rocofscreen.scenarios import (_branch_network, _dispatch_arrays,
+                                   apply_loading_case, loading_case_from)
 
 from conftest import record_fields
-from test_netdyn import assert_builds_match_stages, staged_build
+from test_netdyn import assert_builds_match_stages, assert_same_bits, staged_build
 from test_rocof import groundless_island_case
 
 STUDY_LOAD_RANGE = (15000.0, 75000.0)
@@ -276,8 +276,9 @@ def test_run_bank_worker_count_is_invisible(small_bank, tmp_path):
 
 def counting_builders(monkeypatch):
     """Lists that the bank's power flows, Y-bus builds, island labellings
-    and model builds append their case's name to, patched into every
-    module-level binding."""
+    and model builds append their case's name to (the name of the case of
+    the arrays they are given, for the power flow and the model build),
+    patched into every module-level binding."""
     calls = {}
     for name, owners in (("_newton", (powerflow, netdyn)),
                          ("build_ybus", (netdyn, scenarios)),
@@ -286,7 +287,8 @@ def counting_builders(monkeypatch):
         fn, seen = getattr(owners[0], name), calls.setdefault(name, [])
 
         def counting(*args, fn=fn, seen=seen, **kwargs):
-            seen.append(next(a.name for a in args if isinstance(a, GridCase)))
+            seen.append(next(getattr(a, "case", a).name for a in args
+                             if isinstance(a, (GridCase, case_model.CaseArrays))))
             return fn(*args, **kwargs)
 
         for module in owners:
@@ -342,6 +344,87 @@ def test_build_model_matches_the_stages(case9, fleet_study_bank):
         assert_builds_match_stages(apply_loading_case(case, lc), network)
 
 
+def outcome(build):
+    """What build() returns, or the exception it raises."""
+    try:
+        return build()
+    except Exception as exc:  # noqa: BLE001 - compared by the caller
+        return exc
+
+
+def assert_arrays_build_the_records(case, lc, networks=None):
+    """A bank's build of the loading case, the case's arrays re-dispatched
+    (_dispatch_arrays) and built (netdyn._build_model), has the bits of
+    build_model of apply_loading_case's records: the power flow, y_dyn, the
+    solved outputs, load shunts and machine order, and every state array.
+    So does its inertia line against total_inertia_gws of the dispatched
+    units' records. Where the records' path raises, the arrays' path
+    raises the same error with the same text. networks is a pair of
+    _branch_network stores, one per path, as a bank keeps one; None builds
+    each path its own. Returns whether a model was built."""
+    arrays_net, records_net = networks or (None, None)
+    inertia = (outcome(lambda: case.arrays.inertia_gws(lc.dispatch)),
+               outcome(lambda: total_inertia_gws(case.with_generators(
+                   g for g in case.generators if g.id in lc.dispatch))))
+    built = (outcome(lambda: netdyn._build_model(_dispatch_arrays(
+                 case.arrays, lc.target_load_mw, lc.dispatch), arrays_net)),
+             outcome(lambda: build_model(apply_loading_case(case, lc), records_net)))
+    for got, want in (inertia, built):
+        if isinstance(got, Exception) or isinstance(want, Exception):
+            assert (type(got), str(got)) == (type(want), str(want))
+    if not isinstance(inertia[1], Exception):
+        assert_same_bits(*inertia)
+    if isinstance(built[1], Exception):
+        return False
+    (sol, model, states), (ref_sol, ref_model, ref_states) = built
+    for name in ("v_mag", "v_ang", "iterations", "max_mismatch_pu"):
+        assert_same_bits(getattr(sol, name), getattr(ref_sol, name))
+    for part in ("data", "indices", "indptr"):
+        assert_same_bits(getattr(model.y_dyn, part), getattr(ref_model.y_dyn, part))
+    assert_same_bits(model.s_solved, ref_model.s_solved)
+    assert_same_bits(model.load_shunt, ref_model.load_shunt)
+    assert model.machine_ids == ref_model.machine_ids
+    for f in dataclasses.fields(states):
+        assert_same_bits(getattr(states, f.name), getattr(ref_states, f.name))
+    return True
+
+
+def test_bank_arrays_build_the_bits_of_dispatched_records(case9, fleet_study_bank):
+    # the fleet's 25 study loading cases on one bank network per path, and
+    # the 9-bus failure bank's two loading cases, which commit the missing
+    # unit ghost; the second one's power flow diverges in both paths
+    case, loading, _ = fleet_study_bank
+    networks = (_branch_network(case), _branch_network(case))
+    assert all(assert_arrays_build_the_records(case, lc, networks) for lc in loading)
+    assert len(loading) == 25
+    loading = case9_bank_with_failures(case9)[0]
+    assert [assert_arrays_build_the_records(case9, lc) for lc in loading] == [True, False]
+    # gen2 as a converter at a pq bus, whose reactive output the dispatch
+    # zeroes
+    converter = case9.with_generators(
+        dataclasses.replace(g, synchronous=False, q_mvar=20.0) if g.id == "gen2" else g
+        for g in case9.generators).with_buses(
+        dataclasses.replace(b, kind="pq") if b.id == 2 else b for b in case9.buses)
+    assert assert_arrays_build_the_records(converter, loading[0])
+
+
+def test_case9_bank_failure_texts(case9):
+    # each failed row names its cause, as the bank has always written it
+    loading, contingencies = case9_bank_with_failures(case9)
+    rows = run_bank(case9, loading, contingencies, mode="locational")
+    diverged = ("loading case failed: no convergence after 12 iterations "
+                "(max mismatch 1.493e+05 pu)")
+    assert [(r.loading_id, r.contingency_id, r.status) for r in rows] == [
+        ("lc000", "ctg000", "ok"), ("lc000", "ctg001", "ok"),
+        ("lc000", "ctg002", "error: contingency ctg002 removes all synchronous "
+                            "inertia"),
+        ("lc000", "ctg003", "error: generator 'ghost' is not an in-service "
+                            "synchronous machine of this model"),
+        ("lc000", "ctg004", "no_online_units"),
+        *[("lc001", f"ctg00{k}", diverged) for k in range(4)],
+        ("lc001", "ctg004", "no_online_units")]
+
+
 @pytest.mark.parametrize("mode", ["locational", "simulate"])
 @pytest.mark.parametrize("bank", ["fleet", "case9"])
 def test_shared_network_keeps_the_tables_of_per_case_builds(
@@ -355,12 +438,18 @@ def test_shared_network_keeps_the_tables_of_per_case_builds(
     else:
         case = case9
         loading, contingencies = case9_bank_with_failures(case9)
+    # the per-case tables come from the row-by-row bank of
+    # test_bank_reference, each loading case dispatched by
+    # apply_loading_case and built by the public stages
+    from test_bank_reference import reference_run_bank
+    import test_bank_reference
+
     shared, per_case = tmp_path / "shared.csv", tmp_path / "per_case.csv"
     run_bank(case, loading, contingencies, mode=mode, out_path=shared)
 
-    monkeypatch.setattr(scenarios, "build_model",
+    monkeypatch.setattr(test_bank_reference, "build_model",
                         lambda c, network: staged_build(c))
-    run_bank(case, loading, contingencies, mode=mode, out_path=per_case)
+    reference_run_bank(case, loading, contingencies, mode, per_case)
     assert len(loading) == (25 if bank == "fleet" else 2)
     assert shared.read_bytes() == per_case.read_bytes()
 
@@ -415,9 +504,8 @@ def test_run_bank_power_flow_failure_isolated(small_bank, fleet_case,
     solve = netdyn._newton
 
     def failing_solve(c, *args, **kwargs):
-        load = sum(l.p_mw for l in c.loads)
-        wind = sum(g.p_mw for g in c.generators
-                   if g.status and not g.synchronous)
+        load = c.load_p.sum()
+        wind = c.p_mw[c.status & ~c.synchronous].sum()
         if (math.isclose(load, bad.target_load_mw)
                 and math.isclose(wind, bad.target_wind_mw)):
             raise powerflow.PowerFlowDivergence(20, 1.0)
@@ -525,14 +613,14 @@ def test_locational_bank_makes_two_solves_per_loading_case(small_bank,
     # by the same two solves and no factorization
     case, loading, contingencies = small_bank
     after_init = []
-    init = netdyn.init_machines
+    init = netdyn._init_machines
 
     def recording_init(model, *args):
         states = init(model, *args)
         after_init.append((model, model.solve_count, model.factor_count))
         return states
 
-    monkeypatch.setattr(netdyn, "init_machines", recording_init)
+    monkeypatch.setattr(netdyn, "_init_machines", recording_init)
     rows = run_bank(case, loading, contingencies, mode="locational")
     assert sum(r.status == "ok" for r in rows) > 2 * len(loading)
     assert len(after_init) == len(loading)

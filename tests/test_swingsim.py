@@ -440,7 +440,7 @@ def refactor_simulate(model, states, contingency, opts):
     lu, z_block = refactor()
     load_pos = {lid: i for i, lid in enumerate(model.load_ids)}
     monitors = swingsim._ShedMonitors(
-        model.case.loads, {b: i for i, b in enumerate(model.bus_ids)}, opts.dt,
+        model.loads, {b: i for i, b in enumerate(model.bus_ids)}, opts.dt,
         ufls=opts.shedding, ffr=opts.shedding)
     y = np.concatenate((states.delta, states.omega))
     e_over_x = states.e_prime / model.xdp_sys
@@ -619,7 +619,7 @@ def four_solve_simulate(model, states, contingency, opts):
     net = swingsim._CompensatedNetwork(model, contingency.id)
     load_pos = {lid: i for i, lid in enumerate(model.load_ids)}
     monitors = swingsim._ShedMonitors(
-        model.case.loads, {b: i for i, b in enumerate(model.bus_ids)}, opts.dt,
+        model.loads, {b: i for i, b in enumerate(model.bus_ids)}, opts.dt,
         ufls=opts.shedding, ffr=opts.shedding)
     delta, omega, t_m = states.delta.copy(), states.omega.copy(), states.t_m
     e_over_x = states.e_prime / model.xdp_sys
@@ -733,7 +733,7 @@ def two_array_simulate(model, states, contingency, opts):
     m_slot = model.machine_bus_slots[1]
     load_pos = {lid: i for i, lid in enumerate(model.load_ids)}
     monitors = swingsim._ShedMonitors(
-        model.case.loads, {b: i for i, b in enumerate(model.bus_ids)}, opts.dt,
+        model.loads, {b: i for i, b in enumerate(model.bus_ids)}, opts.dt,
         ufls=opts.shedding, ffr=opts.shedding)
     delta, omega, t_m = states.delta.copy(), states.omega.copy(), states.t_m
     e_over_x = states.e_prime / model.xdp_sys
