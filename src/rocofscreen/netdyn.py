@@ -20,8 +20,9 @@ that factors y_dyn in 7.4 ms instead of 9.8 at SuperLU's default panel of
 unit columns Y^-1 e_b that the screen's and the simulator's compensations
 need are solved once per model and kept in one store, their only copy
 (NetworkModel.unit_columns); beside a single screen's columns the model
-keeps their acceleration responses for one machine states object, so a
-repeat single screen makes no solve (NetworkModel.responses).
+keeps their acceleration responses for one machine states object, and
+their values at the machine buses, so a repeat single screen makes no
+solve (NetworkModel.responses).
 
 Machine-base to system-base conversion happens exactly once, here:
     x_sys = x_mach * s_base_sys / s_base_mach      (impedance)
@@ -155,7 +156,8 @@ class NetworkModel:
     simulator apply outages and load trips to it by compensation, never by
     refactoring, with the unit columns of Y^-1 in the model's store
     (``unit_columns``), their only copy, and a single screen's acceleration
-    responses beside them (``responses``).
+    responses beside them, with their values at the machine buses
+    (``responses``).
     ``solve_count`` counts linear solves and ``factor_count`` sparse LU
     factorizations made on this model; the cached factorization counts
     once, when made, and a stored unit column or response once, when
@@ -186,9 +188,10 @@ class NetworkModel:
     _unit: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
     # the store of acceleration responses (``responses``), valid for the
     # one states object _response_states: each bus position's [Z; P; Q]
-    # block, whose row Z is the bus's row in _unit, and R0 (None for zero)
-    _response: dict[int, np.ndarray] = field(default_factory=dict, init=False,
-                                             repr=False)
+    # block, whose row Z is the bus's row in _unit, with Z at the machine
+    # buses beside it, and R0 (None for zero)
+    _response: dict[int, tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=dict, init=False, repr=False)
     _response_states: MachineStates | None = field(default=None, init=False,
                                                    repr=False)
     _r0: np.ndarray | None = field(default=None, init=False, repr=False)
@@ -270,11 +273,13 @@ class NetworkModel:
         block.flags.writeable = False
         return block
 
-    def responses(self, states: MachineStates, buses: np.ndarray
-                  ) -> tuple[list[np.ndarray], np.ndarray | None]:
+    def responses(self, states: MachineStates, buses
+                  ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray | None]:
         """The acceleration responses of the k distinct bus positions given,
         at these machine states: the stored block [Z_b; P_b; Q_b] of each
-        bus b, a read-only 3 x n array, and R0, or None where R0 is zero.
+        bus b, a read-only 3 x n array; the stored slice Z_b[machine_bus],
+        Z_b's values at each machine's bus (read-only, one per machine); and
+        R0, or None where R0 is zero.
 
         Z_b is the unit column Y^-1 e_b (``unit_columns``). The Norton
         admittances are purely imaginary, so electrical_torque is
@@ -289,18 +294,20 @@ class NetworkModel:
         get their P and Q (and R0 its column, on the first request) in one
         solve, after the solve of any unit column not stored yet, and are
         kept for the model's life with their unit column as the block's
-        first row, its only copy: two n-vectors per bus beyond that column.
-        Another states object starts the store afresh. Each column solves to
-        the same bits alone or stacked, so the rows do not depend on the
-        order of requests. Returns the store's own blocks, not copies: a
-        repeat request gives the same objects, and a write to one raises.
+        first row, its only copy: two n-vectors per bus beyond that column,
+        and the machine-bus slice, which g_b reads anyway. Another states
+        object starts the store afresh, slices included. Each column solves
+        to the same bits alone or stacked, so the rows do not depend on the
+        order of requests. Returns the store's own blocks and slices, not
+        copies: a repeat request gives the same objects, and a write to one
+        raises.
         """
         keys = np.asarray(buses).tolist()
         store = self._response
         if self._response_states is not states or not all(b in store for b in keys):
             self._solve_responses(states, keys)
             store = self._response
-        return [store[b] for b in keys], self._r0
+        return [store[b][0] for b in keys], [store[b][1] for b in keys], self._r0
 
     def _solve_responses(self, states: MachineStates, keys: list[int]) -> None:
         """Solve and store the responses of the bus positions in keys that
@@ -313,8 +320,10 @@ class NetworkModel:
             residual = r / (2.0 * self.h_sec) if r.any() else None
         new = [b for b in keys if b not in self._response]
         z = np.array(self._unit_rows(new), dtype=complex).reshape(len(new), n)
-        g = z.T[self.machine_bus] * (np.conj(states.currents) * self.s_base
-                                     / (self.s_mach * 2.0 * self.h_sec))[:, None]
+        at_machines = z[:, self.machine_bus]
+        at_machines.flags.writeable = False
+        g = at_machines.T * (np.conj(states.currents) * self.s_base
+                             / (self.s_mach * 2.0 * self.h_sec))[:, None]
         # the machines' accelerations, one column each: Re(w g) at w = 1
         # and w = j for each new bus, the parts of conj(g) side by side,
         # after the residual's
@@ -329,12 +338,12 @@ class NetworkModel:
         if residual is not None:
             self._r0 = solved[0].copy()
             self._r0.flags.writeable = False
-        for b, zb, pq in zip(new, z, solved[len(solved) - 2 * len(new):].reshape(
-                len(new), 2, n)):
+        for b, zb, pq, zm in zip(new, z, solved[len(solved) - 2 * len(new):].reshape(
+                len(new), 2, n), at_machines):
             block = np.empty((3, n), dtype=complex)
             block[0], block[1:] = zb, pq
             block.flags.writeable = False
-            self._response[b] = block
+            self._response[b] = block, zm
             self._unit[b] = block[0]
 
     def y_with_diag_update(self, bus_pos: np.ndarray,
@@ -369,6 +378,16 @@ class NetworkModel:
     def machine_islands(self) -> np.ndarray:
         """The island label of each machine's bus."""
         return self.islands[self.machine_bus]
+
+    @cached_property
+    def island_machine_counts(self) -> np.ndarray:
+        """The number of machines in each island, by island label."""
+        return np.bincount(self.machine_islands, minlength=self._n_islands)
+
+    @cached_property
+    def machine_inertia(self) -> np.ndarray:
+        """Each machine's stored kinetic energy at rated speed, H S (MW s)."""
+        return self.h_sec * self.s_mach
 
     def dead_islands(self, active_machines: np.ndarray | None = None) -> np.ndarray:
         """Flags, by island label (islands on the last axis), of the islands

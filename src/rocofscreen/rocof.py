@@ -53,6 +53,17 @@ it would need 2|U| response columns instead of m, and a bank's loading
 case is a fresh model that screens each bus once. It gathers each
 contingency's columns of Z and contracts them with einsum.
 
+Beyond its n-long sums (V, the torques, Vdd and the angle conversion), a
+repeat single screen costs work in its k lost machines and their buses,
+not in the model's machines. It sums d, i, the lost injections and MW lost
+over the lost machines as Python scalars in machine order, with the bits
+of the batch core's np.add.at and running sum. It reads C's k x k entries
+from the stored blocks, and takes the compensation's sum over the machines
+as one dot per slot with Z at the machine buses, a slice the model stores
+beside each block. It runs the dead-island pass only when the loss takes
+every machine of some island. The batch core keeps its passes over all
+machines, which serve all m contingencies at once.
+
 Angles here follow the per-unit speed convention (delta-dot equals the
 per-unit speed deviation), so the angle second derivative emerges in
 per-unit-speed/s and a single f_base factor yields Hz/s.
@@ -181,7 +192,7 @@ def angle_second_derivative(v, v_ddot):
     v = np.asarray(v, dtype=complex)
     v_ddot = np.asarray(v_ddot, dtype=complex)
     mag2 = v.real**2 + v.imag**2
-    if not mag2.all():      # np.any(mag2 == 0) costs the screen ~4 us more
+    if not mag2.all():      # no mask array, as np.any(mag2 == 0) would make
         raise ZeroDivisionError("voltage magnitude is zero")
     out = (v.real * v_ddot.imag - v.imag * v_ddot.real) / mag2
     return float(out) if out.ndim == 0 else out
@@ -215,28 +226,54 @@ def locational_rocof(model: NetworkModel, states: MachineStates,
     RocofResult. Raises what locational_rocof_batch records as an error:
     UnknownIdError (NetworkModel.machine_positions), SingularOutageError
     or ZeroInertiaError.
+
+    Beyond those n-long sums, a repeat costs work in the k lost machines
+    and their buses, not in the model's machines: the dead-island pass runs
+    only when the loss takes every machine of some island; d, i, MW lost and
+    the lost injections are sums over the lost machines; C's k x k entries
+    are read from the stored blocks; and the compensation's sum over the
+    machines is one dot per slot with Z_b at the machine buses, a slice the
+    model stores beside each block (NetworkModel.responses). MW lost and
+    system ROCOF have the bits of the batch core's (_loss_tail).
     """
     solves_before, n = model.solve_count, model.n_bus
-    mach = model.machine_positions(contingency.outaged_generator_ids)
-    active = np.ones(len(model.machine_ids), dtype=bool)
-    active[mach] = False
-    dead, dead_mach, undefined_islands = _dead_islands(model, [contingency.id], active)
-    if dead is not None:
-        mach = mach[~dead_mach[mach]]
+    lost = model.machine_positions(contingency.outaged_generator_ids)
+    mach, dead, undefined_islands = lost, None, []
+    # islands die only through their machines: the dead-island pass runs
+    # only when the loss takes every machine of some island (or the model
+    # has an island without one)
+    if (np.bincount(model.machine_islands[lost], minlength=model.island_machine_counts.size)
+            == model.island_machine_counts).any():
+        active = np.ones(len(model.machine_ids), dtype=bool)
+        active[lost] = False
+        dead, dead_mach, undefined = _dead_islands(model, [contingency.id], active)
+        mach, undefined_islands = lost[~dead_mach[lost]], undefined[0]
     # the k buses of the lost machines in live islands, ascending, with d
-    # and i at each, as in _screen_lost; then the blocks [Z; P; Q] of their
-    # unit columns and responses, the model's own rows, read in place
-    bus, d, i_lost, at = _pair_sums(model, states.currents, mach, model.machine_bus[mach])
-    blocks, r0 = model.responses(states, bus)
-    k = bus.size
-    # Z's values at the k buses, for C, and at the machine buses, for the
-    # compensation sum below, read from each block
-    at_index = np.concatenate((bus, model.machine_bus))
-    z_at = np.empty((k, at_index.size), dtype=complex)
-    for s, block in enumerate(blocks):
-        block[0].take(at_index, out=z_at[s])
-    cap = np.eye(k) + d[:, None] * z_at[:, :k].T
-    d_rhs = np.column_stack((np.diag(d), i_lost + d * states.v_bus[bus]))
+    # and i at each: their machines' -y_norton and Norton currents summed
+    # from 0 in machine order, the bits of _pair_sums' np.add.at; then the
+    # blocks [Z; P; Q] of their unit columns and responses and the slices
+    # of Z at the machine buses, the model's own, read in place
+    mach_bus = model.machine_bus[mach].tolist()
+    sums: dict[int, list[complex]] = {}
+    for b, y, i in zip(mach_bus, model.norton_y[mach].tolist(),
+                       states.currents[mach].tolist()):
+        d_i = sums.setdefault(b, [0j, 0j])
+        d_i[0] -= y
+        d_i[1] += i
+    bus = sorted(sums)
+    k = len(bus)
+    d, i_lost = np.array([sums[b] for b in bus], dtype=complex).reshape(k, 2).T
+    blocks, at_machines, r0 = model.responses(states, bus)
+    # C = I + D Z[b], with Z of slot t at the bus of slot s read from the
+    # blocks, and the right-hand sides [D | i + D v_bus[b]]
+    z_kk = np.empty((k, k), dtype=complex)
+    for t, block in enumerate(blocks):
+        block[0].take(bus, out=z_kk[:, t])
+    cap = d[:, None] * z_kk
+    cap.flat[::k + 1] += 1.0
+    d_rhs = np.zeros((k, k + 1), dtype=complex)
+    d_rhs.flat[::k + 2] = d
+    d_rhs[:, k] = i_lost + d * states.v_bus[bus]
     try:
         c_inv = np.linalg.solve(cap, d_rhs)
     except np.linalg.LinAlgError as exc:
@@ -263,33 +300,55 @@ def locational_rocof(model: NetworkModel, states: MachineStates,
     # (Re w_s P_s + Im w_s Q_s), less Z_s times the lost machines' own
     # injections at b_s: c holds each slot's coefficients of Z, P and Q.
     # The compensation needs that sum at the k buses; it takes it as Z's
-    # values at the machine buses times the injections instead, since the
-    # sum's terms cancel where the lost units carried no load, and a
-    # near-singular C would amplify their rounding. The sum runs slot by
-    # slot: one elementwise product of the block and its coefficients,
-    # whose three rows are then added.
+    # values at the machine buses times the injections instead, one dot per
+    # slot with the stored slice, since the sum's terms cancel where the
+    # lost units carried no load, and a near-singular C would amplify their
+    # rounding. The lost machines' own injections enter c in machine order.
     c = np.zeros((k, 3), dtype=complex)
     c[:, 1], c[:, 2] = w.real, w.imag
-    np.subtract.at(c[:, 0], at, injection[mach])
-    c[:, 0] -= np.einsum("st,t->s", c_inv_d, np.einsum(
-        "sp,p->s", z_at[:, k:], np.where(active, injection, 0.0)))
-    v_ddot = np.zeros(n, dtype=complex) if r0 is None else r0.copy()
-    for block, c_s in zip(blocks, c[:, :, None]):
-        for term in np.multiply(block, c_s, out=terms):
-            v_ddot += term
+    slot = dict(zip(bus, range(k)))
+    for b, inj in zip(mach_bus, injection[mach].tolist()):
+        c[slot[b], 0] -= inj
+    injection[lost] = 0.0
+    accel[lost] = np.nan
+    c[:, 0] -= c_inv_d @ np.array([z.dot(injection) for z in at_machines],
+                                  dtype=complex)
+    # the sum runs slot by slot: one elementwise product of the block and
+    # its coefficients, whose three rows are added to R0, or with no R0 to
+    # the first of them
+    products = (term for block, c_s in zip(blocks, c[:, :, None])
+                for term in np.multiply(block, c_s, out=terms))
+    v_ddot = (r0 if r0 is not None else next(products) if k
+              else np.zeros(n, dtype=complex)).copy()
+    for term in products:
+        v_ddot += term
     if dead is not None:
         v_ddot[dead] = 0.0
 
-    errors: list[Exception | None] = [None]
-    mw_lost, sys_rocof = _loss_tail(model, states, active, [contingency.id], errors)
-    if errors[0] is not None:
-        raise errors[0]
+    # MW lost to the bytes of _loss_tail's running sum over every machine:
+    # an active machine adds 0.0, so it is the lost machines' plain sum in
+    # machine order (not sum(), which compensates on later Pythons). A
+    # start of -0.0 leaves the first term as it is; a start of 0.0 stands
+    # for the active machines' 0.0, which turns a -0.0 sum into 0.0, and
+    # only a loss of every machine has none. The inertia left is
+    # _loss_tail's sum too, of H S with the lost machines' zeroed.
+    mw_lost = -0.0 if lost.size == len(model.machine_ids) else 0.0
+    for p in (states.t_m[lost] * model.s_mach[lost]).tolist():
+        mw_lost += p
+    remaining = model.machine_inertia.copy()
+    remaining[lost] = 0.0
+    remaining_mws = float(remaining.sum())
+    sys_rocof = 0.0
+    if mw_lost != 0.0:
+        if not remaining_mws > 0:
+            raise _zero_inertia(contingency.id)
+        sys_rocof = -model.f_base * mw_lost / (2.0 * remaining_mws)
     return RocofResult(
-        contingency_id=contingency.id, mw_lost=float(mw_lost),
-        system_rocof_hz_s=float(sys_rocof), bus_ids=model.bus_ids,
+        contingency_id=contingency.id, mw_lost=mw_lost,
+        system_rocof_hz_s=sys_rocof, bus_ids=model.bus_ids,
         bus_rocof_hz_s=_bus_rocof(model.f_base, v_post, v_ddot),
-        machine_ids=model.machine_ids, machine_accel=np.where(active, accel, np.nan),
-        post_disturbance_voltages=v_post, undefined_islands=undefined_islands[0],
+        machine_ids=model.machine_ids, machine_accel=accel,
+        post_disturbance_voltages=v_post, undefined_islands=undefined_islands,
         n_solves=model.solve_count - solves_before)
 
 
@@ -490,6 +549,12 @@ def _singular_outage(model: NetworkModel, contingency_id: str, buses, cause) -> 
     return error
 
 
+def _zero_inertia(contingency_id: str) -> Exception:
+    """The error of a contingency that loses power and every machine's
+    inertia."""
+    return ZeroInertiaError(f"contingency {contingency_id} removes all synchronous inertia")
+
+
 def _bus_rocof(f_base: float, v: np.ndarray, v_ddot: np.ndarray) -> np.ndarray:
     """f_base times each bus's angle second derivative (as
     angle_second_derivative computes it), NaN where |V|^2 is 1e-18 or less:
@@ -514,11 +579,10 @@ def _loss_tail(model: NetworkModel, states: MachineStates, active: np.ndarray,
     if it has no error yet, ZeroInertiaError in errors."""
     # a running sum adds the outaged machines in machine order
     mw_lost = np.where(active, 0.0, states.t_m * model.s_mach).cumsum(axis=-1)[..., -1]
-    remaining_mws = np.where(active, model.h_sec * model.s_mach, 0.0).sum(axis=-1)
+    remaining_mws = np.where(active, model.machine_inertia, 0.0).sum(axis=-1)
     lossy, inertia_left = mw_lost != 0.0, remaining_mws > 0
     for j in () if inertia_left.all() else np.flatnonzero(lossy & ~inertia_left):
-        errors[j] = errors[j] or ZeroInertiaError(
-            f"contingency {ids[j]} removes all synchronous inertia")
+        errors[j] = errors[j] or _zero_inertia(ids[j])
     sys_rocof = np.divide(-model.f_base * mw_lost, 2.0 * remaining_mws,
                           out=np.zeros(mw_lost.shape), where=lossy & inertia_left)
     return mw_lost, sys_rocof

@@ -493,8 +493,8 @@ NUMBER = st.one_of(st.none(), st.integers(-10**6, 10**6),
                           st.booleans(), st.one_of(TEXT, st.none())),
                 max_size=12))
 def test_scenario_table_cells_match_the_reference_writer(tmp_path_factory, rows):
-    # the column-wise cells, and the lines joined without csv.writer when no
-    # id or status cell needs quoting, against a cell-by-cell csv.writer
+    # the column-wise cells, whose lines csv.writer writes in one string
+    # (case_io._csv_lines), against a cell-by-cell csv.writer
     records = [ScenarioRecord(*row) for row in rows]
     path = tmp_path_factory.mktemp("table")
     write_scenario_table(records, path / "got.csv")

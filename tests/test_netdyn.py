@@ -103,22 +103,27 @@ def test_machine_bus_block_is_gathered_from_the_store(fleet_case):
 
 
 def test_responses_are_the_stored_blocks(case9):
-    # a lookup hands out the store's own read-only blocks, no copy: the
-    # same objects again, in the order asked, whose first row is the unit
-    # column
+    # a lookup hands out the store's own read-only blocks and machine-bus
+    # slices, no copy: the same objects again, in the order asked; a
+    # block's first row is the unit column, and the slice is that column
+    # at the machine buses
     _, model, states = build_model(case9)
     buses = np.unique(model.machine_bus)[:2]
-    blocks, r0 = model.responses(states, buses)
+    blocks, slices, r0 = model.responses(states, buses)
     solves = model.solve_count
-    again, _ = model.responses(states, buses[::-1])
+    again, slices_again, _ = model.responses(states, buses[::-1])
     assert model.solve_count == solves and r0 is None
     assert [id(b) for b in again] == [id(b) for b in blocks[::-1]]
-    for b, block in zip(buses, blocks):
+    assert [id(z) for z in slices_again] == [id(z) for z in slices[::-1]]
+    for b, block, at_machines in zip(buses, blocks, slices):
         assert block.shape == (3, model.n_bus) and not block.flags.writeable
         with pytest.raises(ValueError):
             block[1, 0] = 0.0
         assert np.shares_memory(block, model._unit[int(b)])
         assert np.array_equal(block[0], model.unit_columns([b])[0])
+        assert at_machines.shape == (len(model.machine_ids),)
+        assert not at_machines.flags.writeable
+        assert at_machines.tobytes() == block[0][model.machine_bus].tobytes()
 
 
 def test_models_and_states_compare_by_identity(case9):

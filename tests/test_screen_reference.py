@@ -13,23 +13,31 @@ solve 2, so its bus ROCOF agrees within 1e-9 Hz/s; it sums the stored rows
 slot by slot in elementwise multiply-adds where the reference contracts
 them with einsum, so its post-disturbance voltages and machine
 accelerations agree within 1e-13 (pu, pu/s), and MW lost and system ROCOF
-keep their bytes.
+keep their bytes. The single screen's bookkeeping works on its lost
+machines alone, so the tests at the end take each branch of it: losses
+that empty an island or leave each one a machine, an island without one,
+the loss of every machine, MW lost's order and signed zero, and a model
+whose states alternate.
 """
 
 import dataclasses
 import logging
+import math
 
 import numpy as np
 import pytest
 
 from rocofscreen import (Contingency, SingularOutageError, ZeroInertiaError,
                          build_model, locational_rocof, locational_rocof_batch)
+from rocofscreen.case_model import Bus, Load
 from rocofscreen.netdyn import UnknownIdError, electrical_torque, norton_currents
-from rocofscreen.rocof import angle_second_derivative, injection_derivatives
+from rocofscreen.rocof import (_dead_islands, angle_second_derivative,
+                               injection_derivatives)
 from rocofscreen.scenarios import dispatch_heuristic, generate_contingencies
 
 from conftest import case9_with_bus10
-from test_rocof import refactor_reference, two_island_case
+from test_rocof import (assert_close_to_refactoring, refactor_reference,
+                        two_island_case)
 
 log = logging.getLogger("rocofscreen.rocof")
 
@@ -388,9 +396,12 @@ def test_off_equilibrium_states_match_reference(build, case9, grid71):
 
 
 def screen_bytes(model, states, ctg):
+    """A single screen's outputs as bytes, and its undefined islands."""
     res = locational_rocof(model, states, ctg)
-    return [getattr(res, name).tobytes() for name in
-            ("bus_rocof_hz_s", "machine_accel", "post_disturbance_voltages")]
+    return ([getattr(res, name).tobytes() for name in
+             ("bus_rocof_hz_s", "machine_accel", "post_disturbance_voltages")]
+            + [np.float64(res.mw_lost).tobytes(),
+               np.float64(res.system_rocof_hz_s).tobytes(), res.undefined_islands])
 
 
 @pytest.mark.parametrize("network", ["fleet", "grid"])
@@ -430,16 +441,171 @@ def test_single_screen_does_not_depend_on_the_screens_before(network, fleet_case
 
 def test_cancelling_norton_shunts_match_refactoring(case9):
     # a unit with the opposite reactance beside gen2: losing both leaves
-    # their bus's diagonal as it was, but their currents still leave, singly
-    # and in a batch
+    # their bus's diagonal as it was (d = 0), but their currents still
+    # leave, singly and in a batch. The frozen reference drops a bus whose d
+    # is 0, so the screens go against refactoring, and the single screen's
+    # MW lost and system ROCOF against the batch core's bytes
     gen2 = next(g for g in case9.generators if g.id == "gen2")
     twin = dataclasses.replace(gen2, id="twin", p_mw=10.0, xdp_pu=-gen2.xdp_pu)
     _, model, states = build_model(case9.with_generators([*case9.generators, twin]))
     ctgs = [Contingency.of("pair", ["gen2", "twin"]), Contingency.of("twin", ["twin"]),
             Contingency.of("three", ["gen1", "gen2", "twin"])]
+    assert model.norton_y[model.machine_positions(["gen2", "twin"])].sum() == 0
     batch = locational_rocof_batch(model, states, ctgs)
     for j, ctg in enumerate(ctgs):
-        rocof = refactor_reference(model, states, ctg)[0]
-        for got in (locational_rocof(model, states, ctg).bus_rocof_hz_s,
-                    batch.bus_rocof_hz_s[:, j]):
-            np.testing.assert_allclose(got, rocof, rtol=0, atol=1e-9)
+        expected = refactor_reference(model, states, ctg)
+        single = locational_rocof(model, states, ctg)
+        for got in ((single.bus_rocof_hz_s, single.post_disturbance_voltages,
+                     single.machine_accel, single.undefined_islands),
+                    (batch.bus_rocof_hz_s[:, j], batch.post_disturbance_voltages[:, j],
+                     batch.machine_accel[:, j], batch.undefined_islands[j])):
+            assert_close_to_refactoring(got, expected)
+        same_bytes(single.mw_lost, batch.mw_lost[j])
+        same_bytes(single.system_rocof_hz_s, batch.system_rocof_hz_s[j])
+
+
+def two_island_twins_case():
+    """two_island_case(True) with a second unit beside each island's one,
+    gA2 at bus 1 and gB2 at bus 3, so a loss can leave each island a
+    machine."""
+    case = two_island_case(True)
+    twins = [dataclasses.replace(g, id=g.id + "2", p_mw=g.p_mw / 2)
+             for g in case.generators]
+    return case.with_generators([*case.generators, *twins])
+
+
+def machineless_island_case():
+    """two_island_case(True) plus bus 4, an island with a load and no
+    machine: every screen reports it undefined."""
+    case = two_island_case(True)
+    return dataclasses.replace(
+        case, buses=case.buses + (Bus(id=4, kind="slack"),),
+        loads=case.loads + (Load(id="l4", bus_id=4, p_mw=20.0, q_mvar=2.0),))
+
+
+ISLAND_LOSSES = {
+    # each loss of one unit empties its island
+    "two_islands": [["gA"], ["gB"], ["gA", "gB"]],
+    "two_islands_no_load_b": [["gA"], ["gB"], ["gA", "gB"]],
+    # gA or gA and gB leave each island a machine; gA and gA2 empty A
+    "twins": [["gA"], ["gB2"], ["gA", "gB"], ["gA", "gA2"], ["gA", "gA2", "gB"],
+              ["gA", "gA2", "gB", "gB2"]],
+    "machineless": [[], ["gA"], ["gB"]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ISLAND_LOSSES))
+def test_single_screen_finds_dead_islands_only_where_a_loss_empties_one(
+        name, monkeypatch, caplog):
+    # the single screen runs the dead-island pass only when a loss takes
+    # every machine of some island (always, with an island that has none);
+    # each loss that empties islands reports them and logs one warning,
+    # and the screens match the reference
+    case = {"two_islands": lambda: two_island_case(True),
+            "two_islands_no_load_b": lambda: two_island_case(False),
+            "twins": two_island_twins_case,
+            "machineless": machineless_island_case}[name]()
+    _, model, states = build_model(case)
+    ctgs = [Contingency.of("+".join(g) or "none", g) for g in ISLAND_LOSSES[name]]
+    assert_same_screens(model, states, ctgs)
+
+    passes = []
+    monkeypatch.setattr("rocofscreen.rocof._dead_islands",
+                        lambda *args: passes.append(None) or _dead_islands(*args))
+    assert model.island_machine_counts.tolist() == {
+        "twins": [2, 2], "machineless": [1, 1, 0]}.get(name, [1, 1])
+    for ctg in ctgs:
+        active = np.ones(len(model.machine_ids), dtype=bool)
+        active[model.machine_positions(ctg.outaged_generator_ids)] = False
+        emptied = model.dead_islands(active)
+        caplog.clear()
+        del passes[:]
+        try:
+            res = locational_rocof(model, states, ctg)
+        except ZeroInertiaError as exc:
+            assert str(exc) == f"contingency {ctg.id} removes all synchronous inertia"
+            assert not active.any()
+            continue
+        warnings = [r for r in caplog.records
+                    if r.name == "rocofscreen.rocof" and r.levelno == logging.WARNING]
+        assert len(passes) == len(warnings) == int(emptied.any())
+        assert len(res.undefined_islands) == int(emptied.sum())
+        if emptied.any():
+            assert warnings[0].getMessage() == (
+                f"contingency {ctg.id} leaves {int(emptied.sum())} island(s) "
+                "without a machine; ROCOF reported as undefined there")
+        rocof_ref, _, _, islands = refactor_reference(model, states, ctg)
+        np.testing.assert_allclose(res.bus_rocof_hz_s, rocof_ref, rtol=0, atol=1e-9)
+        assert res.undefined_islands == islands
+
+
+def test_loss_of_every_machine_raises_the_zero_inertia_text(case9, fleet_case):
+    # singly and in a batch, with the one text of both screens
+    base = dispatch_heuristic(fleet_case, 50000.0, 15000.0)
+    for case in (case9, base, two_island_case(False)):
+        _, model, states = build_model(case)
+        ctg = Contingency.of("all", model.machine_ids)
+        text = "contingency all removes all synchronous inertia"
+        with pytest.raises(ZeroInertiaError) as info:
+            locational_rocof(model, states, ctg)
+        assert str(info.value) == text
+        error = locational_rocof_batch(model, states, [ctg]).errors[0]
+        assert type(error) is ZeroInertiaError and str(error) == text
+
+
+def test_single_screen_mw_lost_is_the_running_sum_in_machine_order(fleet_case):
+    # losses of three or four units, most with machine 0, whose term starts
+    # the running sum; for some of them another order of the same terms
+    # rounds otherwise, so the bytes pin the order
+    base = dispatch_heuristic(fleet_case, 50000.0, 15000.0)
+    _, model, states = build_model(base)
+    rng = np.random.default_rng(33)
+    ids = model.machine_ids
+    ctgs = [Contingency.of(f"c{j}", [ids[0], *rng.choice(ids[1:], j % 3 + 2, replace=False)]
+                           if j % 4 else rng.choice(ids, 4, replace=False))
+            for j in range(40)]
+    terms = states.t_m * model.s_mach
+    orders = 0
+    for ctg in ctgs:
+        lost = model.machine_positions(ctg.outaged_generator_ids).tolist()
+        forward = backward = 0.0
+        for p, q in zip(terms[lost].tolist(), terms[lost[::-1]].tolist()):
+            forward, backward = forward + p, backward + q
+        orders += forward != backward
+    assert orders >= 3
+    assert_same_screens(model, states, ctgs)
+
+
+def test_single_screen_mw_lost_keeps_the_signed_zero_of_the_running_sum(case9):
+    # with every mechanical torque -0.0 each lost term is -0.0: the sum is
+    # -0.0 only for the loss of every machine, which no active machine's
+    # 0.0 turns into 0.0, and is then no loss (no ZeroInertiaError)
+    _, model, states = build_model(case9)
+    zero = dataclasses.replace(states, t_m=np.full_like(states.t_m, -0.0))
+    ctgs = [Contingency.of(f"c{k}", g) for k, g in enumerate(NINE_BUS_LOSSES[:-1])]
+    assert_same_screens(model, zero, ctgs)
+    signs = [math.copysign(1.0, locational_rocof(model, zero, c).mw_lost) for c in ctgs]
+    assert signs == [1.0] * 7 + [-1.0]
+
+
+@pytest.mark.parametrize("network", ["case9", "fleet"])
+def test_single_screens_alternating_states_match_cold_models(network, case9,
+                                                             fleet_case):
+    # one model screens under states A, then off_equilibrium(A) (R0 != 0),
+    # then A again: each switch starts the response store afresh, machine-
+    # bus slices included, and each screen has the bits of a cold model's
+    if network == "case9":
+        model, states = build_model(case9)[1:]
+        ctgs = [Contingency.of(f"c{k}", g) for k, g in enumerate(NINE_BUS_LOSSES[:-2])]
+    else:
+        base = dispatch_heuristic(fleet_case, 50000.0, 15000.0)
+        model, states = build_model(base)[1:]
+        ctgs = generate_contingencies(base, 24, np.random.default_rng(33))
+    off = off_equilibrium(states)
+    for phase in (states, off, states):
+        for ctg in ctgs:
+            assert screen_bytes(model, phase, ctg) == screen_bytes(cold_copy(model), phase, ctg)
+        buses = {int(b) for c in ctgs
+                 for b in model.machine_bus[model.machine_positions(c.outaged_generator_ids)]}
+        assert model._response_states is phase and set(model._response) == buses
+    assert model._r0 is None
