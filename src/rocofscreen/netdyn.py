@@ -299,8 +299,10 @@ class NetworkModel:
         object starts the store afresh, slices included. Each column solves
         to the same bits alone or stacked, so the rows do not depend on the
         order of requests. Returns the store's own blocks and slices, not
-        copies: a repeat request gives the same objects, and a write to one
-        raises.
+        copies: a repeat request gives the same objects, and a NumPy write
+        to one raises. SciPy's BLAS wrappers do not check the flag (zaxpy
+        writes its y in place even when it is read-only), so a caller
+        hands them these arrays only as inputs.
         """
         keys = np.asarray(buses).tolist()
         store = self._response

@@ -46,23 +46,30 @@ the injections that a unit real and a unit imaginary current drawn there
 drive (NetworkModel.responses, solved in one solve after solve 1 for buses
 new to it), so Y^-1 Idd is a sum of 3k stored rows, which the compensation
 then corrects. The single screen reads those rows in place, as the model's
-own blocks, and forms V and Vdd slot by slot in elementwise multiply-adds:
-no stacked copy of the rows, and no matrix product, whose BLAS threads
-would cost more than the n-long work. A batch, of any size, keeps solve 2:
-it would need 2|U| response columns instead of m, and a bank's loading
-case is a fresh model that screens each bus once. It gathers each
-contingency's columns of Z and contracts them with einsum.
+own blocks, and adds each row times its coefficient into V or Vdd with
+BLAS's zaxpy (y += a x; Lawson et al., ACM TOMS 5(3), 1979): one pass over
+the row, with no scratch row and no stacked copy of the rows. The sums are
+bound by memory traffic, so a single pass is what saves. OpenBLAS runs an
+axpy of up to 10,000 entries on the calling thread, but wakes its thread
+pool for a matrix-vector product with a 3 x n block (zgemv) already at
+n = 5041, and on a shared machine that costs more than the n-long work.
+A batch, of any size, keeps solve 2: it would need 2|U| response columns
+instead of m, and a bank's loading case is a fresh model that screens each
+bus once. It gathers each contingency's columns of Z and contracts them
+with einsum.
 
 Beyond its n-long sums (V, the torques, Vdd and the angle conversion), a
 repeat single screen costs work in its k lost machines and their buses,
 not in the model's machines. It sums d, i, the lost injections and MW lost
 over the lost machines as Python scalars in machine order, with the bits
 of the batch core's np.add.at and running sum. It reads C's k x k entries
-from the stored blocks, and takes the compensation's sum over the machines
-as one dot per slot with Z at the machine buses, a slice the model stores
-beside each block. It runs the dead-island pass only when the loss takes
-every machine of some island. The batch core keeps its passes over all
-machines, which serve all m contingencies at once.
+from the stored blocks and solves C with LAPACK's zgesv, as
+np.linalg.solve would but without its checks and copies. It takes the
+compensation's sum over the machines as one dot per slot with Z at the
+machine buses, a slice the model stores beside each block. It runs the
+dead-island pass only when the loss takes every machine of some island.
+The batch core keeps its passes over all machines, which serve all m
+contingencies at once.
 
 Angles here follow the per-unit speed convention (delta-dot equals the
 per-unit speed deviation), so the angle second derivative emerges in
@@ -79,6 +86,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import zaxpy
+from scipy.linalg.lapack import zgesv
 
 from .case_model import GridCase, InputError, total_inertia_gws
 from .netdyn import MachineStates, NetworkModel, electrical_torque
@@ -231,10 +240,13 @@ def locational_rocof(model: NetworkModel, states: MachineStates,
     and their buses, not in the model's machines: the dead-island pass runs
     only when the loss takes every machine of some island; d, i, MW lost and
     the lost injections are sums over the lost machines; C's k x k entries
-    are read from the stored blocks; and the compensation's sum over the
-    machines is one dot per slot with Z_b at the machine buses, a slice the
-    model stores beside each block (NetworkModel.responses). MW lost and
-    system ROCOF have the bits of the batch core's (_loss_tail).
+    are read from the stored blocks and solved with LAPACK's zgesv; and the
+    compensation's sum over the machines is one dot per slot with Z_b at
+    the machine buses, a slice the model stores beside each block
+    (NetworkModel.responses). MW lost and system ROCOF have the bits of the
+    batch core's (_loss_tail). The n-long sums add each stored row in place
+    into a fresh V or Vdd with BLAS's zaxpy; the model's blocks and the
+    states are read, never written.
     """
     solves_before, n = model.solve_count, model.n_bus
     lost = model.machine_positions(contingency.outaged_generator_ids)
@@ -274,18 +286,22 @@ def locational_rocof(model: NetworkModel, states: MachineStates,
     d_rhs = np.zeros((k, k + 1), dtype=complex)
     d_rhs.flat[::k + 2] = d
     d_rhs[:, k] = i_lost + d * states.v_bus[bus]
-    try:
-        c_inv = np.linalg.solve(cap, d_rhs)
-    except np.linalg.LinAlgError as exc:
-        raise _singular_outage(model, contingency.id, bus, exc) from exc
+    # zgesv rejects a 0 x 0 matrix: a loss whose machines all sit in dead
+    # islands has k = 0 and nothing to solve
+    c_inv = d_rhs
+    if k:
+        _, _, c_inv, info = zgesv(cap, d_rhs)
+        if info > 0:
+            raise _singular_outage(model, contingency.id, bus, np.linalg.LinAlgError(
+                f"Singular matrix: U[{info - 1}, {info - 1}] is zero"))
     c_inv_d, w = c_inv[:, :k], c_inv[:, k]
 
-    # v_bus less w_s Z_s, slot by slot, in elementwise operations through a
-    # scratch row of the terms below
-    terms = np.empty((3, n), dtype=complex)
+    # v_bus less w_s Z_s, slot by slot, each added in place by zaxpy. The
+    # copy keeps the states' v_bus as it is: zaxpy writes y in place, even
+    # where the array is read-only
     v_post = states.v_bus.copy()
-    for s, block in enumerate(blocks):
-        v_post -= np.multiply(block[0], w[s], out=terms[0])
+    for block, w_s in zip(blocks, w.tolist()):
+        v_post = zaxpy(block[0], v_post, a=-w_s)
     if dead is not None:
         v_post[dead] = 0.0
 
@@ -313,15 +329,12 @@ def locational_rocof(model: NetworkModel, states: MachineStates,
     accel[lost] = np.nan
     c[:, 0] -= c_inv_d @ np.array([z.dot(injection) for z in at_machines],
                                   dtype=complex)
-    # the sum runs slot by slot: one elementwise product of the block and
-    # its coefficients, whose three rows are added to R0, or with no R0 to
-    # the first of them
-    products = (term for block, c_s in zip(blocks, c[:, :, None])
-                for term in np.multiply(block, c_s, out=terms))
-    v_ddot = (r0 if r0 is not None else next(products) if k
-              else np.zeros(n, dtype=complex)).copy()
-    for term in products:
-        v_ddot += term
+    # the sum runs slot by slot, each of a block's three rows added in place
+    # to a copy of R0, or to zeros, by zaxpy with its coefficient
+    v_ddot = r0.copy() if r0 is not None else np.zeros(n, dtype=complex)
+    for block, c_s in zip(blocks, c.tolist()):
+        for row, a in zip(block, c_s):
+            v_ddot = zaxpy(row, v_ddot, a=a)
     if dead is not None:
         v_ddot[dead] = 0.0
 
@@ -433,8 +446,8 @@ def _screen_lost(model: NetworkModel, states: MachineStates, ids: list[str],
     # V = v_bus - Z w with w = i + C^-1 D x[b] = C^-1 (i + D v_bus[b]), and
     # solve 1 is [e_U] alone.
     row, mach = np.nonzero(lost)
-    pairs, d, i_lost, _ = _pair_sums(model, states.currents, mach,
-                                     row * n + model.machine_bus[mach])
+    pairs, d, i_lost = _pair_sums(model, states.currents, mach,
+                                  row * n + model.machine_bus[mach])
     row, bus = np.divmod(pairs, n)
     k = np.bincount(row, minlength=m)
     k_max = max(k.tolist(), default=0)
@@ -526,10 +539,10 @@ def _dead_islands(model: NetworkModel, ids: list[str], active: np.ndarray) -> tu
 
 def _pair_sums(model: NetworkModel, currents: np.ndarray, mach: np.ndarray,
                key: np.ndarray) -> tuple:
-    """The distinct keys of the lost machines mach (a key each), ascending;
-    at each key d and i, its machines' -y_norton and Norton currents summed
-    in machine order, as NetworkModel.to_buses sums; and each machine's
-    key place. A key whose reactances cancel (d = 0) stays: currents leave."""
+    """The distinct keys of the lost machines mach (a key each), ascending,
+    and at each key d and i, its machines' -y_norton and Norton currents
+    summed in machine order, as NetworkModel.to_buses sums. A key whose
+    reactances cancel (d = 0) stays: currents leave."""
     keys = np.unique(key)
     # np.unique's inverse, at about a third of return_inverse's cost
     at = np.searchsorted(keys, key)
@@ -537,7 +550,7 @@ def _pair_sums(model: NetworkModel, currents: np.ndarray, mach: np.ndarray,
     np.add.at(d, at, -model.norton_y[mach])
     i_lost = np.zeros(keys.size, dtype=complex)
     np.add.at(i_lost, at, currents[mach])
-    return keys, d, i_lost, at
+    return keys, d, i_lost
 
 
 def _singular_outage(model: NetworkModel, contingency_id: str, buses, cause) -> Exception:

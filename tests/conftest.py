@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from rocofscreen import GridCase, build_model, load_case9, norton_currents
+from rocofscreen import GridCase, build_model, load_case9, norton_currents, rocof
 from rocofscreen.case_model import Branch, Bus, Generator, Load
 
 
@@ -30,6 +30,20 @@ def record_fields(record):
 def currents(model, states):
     """The machines' Norton currents at their present angles."""
     return norton_currents(states.e_prime / model.xdp_sys, states.delta)
+
+
+def force_singular_capacitance(monkeypatch, where=lambda cap, rhs: True):
+    """Make a single screen's capacitance solve, LAPACK's zgesv in
+    rocof.locational_rocof, report a singular matrix (info > 0) wherever
+    where(cap, rhs) holds; elsewhere it solves as before. A batch solves
+    with np.linalg.solve, which this leaves alone."""
+    zgesv = rocof.zgesv
+
+    def singular_where(cap, rhs):
+        flagged = where(cap, rhs)
+        lu, piv, x, info = zgesv(cap, rhs)
+        return lu, piv, x, max(info, 1) if flagged else info
+    monkeypatch.setattr(rocof, "zgesv", singular_where)
 
 
 def case9_with_bus10(ties: str, rel: float, unit_mw: float | None = None) -> GridCase:

@@ -3,12 +3,11 @@ import json
 import math
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from rocofscreen import load_case9, write_case
 from rocofscreen.cli import build_parser, main
-from conftest import tiny_case
+from conftest import force_singular_capacitance, tiny_case
 from test_rocof import groundless_island_case
 
 CASE9 = Path(__file__).resolve().parents[1] / "src/rocofscreen/data/wscc9.json"
@@ -226,9 +225,7 @@ def test_rocof_local_without_a_defined_bus_rocof_exits_0(tmp_path, capsys):
 
 
 def test_rocof_local_singular_outage_exits_2(tmp_path, capsys, monkeypatch):
-    def singular(*args, **kwargs):
-        raise np.linalg.LinAlgError("Singular matrix")
-    monkeypatch.setattr(np.linalg, "solve", singular)
+    force_singular_capacitance(monkeypatch)
     code, _, err = run(["rocof-local", "--case", str(CASE9), "--outage", "gen3",
                         "--out", str(tmp_path / "rocof.csv")], capsys)
     assert code == 2

@@ -17,8 +17,8 @@ from rocofscreen.case_model import (Branch, Bus, Generator, GridCase,
 from rocofscreen.netdyn import norton_currents
 from rocofscreen.scenarios import apply_loading_case, generate_loading_cases
 from rocofscreen.swingsim import SimOptions
-from conftest import (case9_with_bus10, currents, make_fleet_case, make_grid_case,
-                      tiny_case)
+from conftest import (case9_with_bus10, currents, force_singular_capacitance,
+                      make_fleet_case, make_grid_case, tiny_case)
 
 
 def test_system_rocof_gen3_trip(case9):
@@ -581,10 +581,7 @@ def test_pair_loss_behind_a_near_singular_tie_matches_refactoring(ties, unit_mw,
 
 def test_singular_outage_is_numerical(solved9, monkeypatch):
     case, sol, model, states = solved9
-
-    def singular(*args, **kwargs):
-        raise np.linalg.LinAlgError("Singular matrix")
-    monkeypatch.setattr(np.linalg, "solve", singular)
+    force_singular_capacitance(monkeypatch)
     with pytest.raises(SingularOutageError,
                        match=r"contingency c3: .* at buses \[3\]"):
         locational_rocof(model, states, Contingency.of("c3", ["gen3"]))

@@ -19,7 +19,7 @@ from rocofscreen.case_model import (Branch, Bus, Generator, GridCase, InputError
 from rocofscreen.scenarios import (_branch_network, _dispatch_arrays,
                                    apply_loading_case, loading_case_from)
 
-from conftest import record_fields
+from conftest import force_singular_capacitance, record_fields
 from test_netdyn import assert_builds_match_stages, assert_same_bits, staged_build
 from test_rocof import groundless_island_case
 
@@ -676,6 +676,9 @@ def test_run_bank_isolates_faults_within_one_batch(small_bank, monkeypatch):
     clean = run_bank(case, [lc], contingencies, mode="locational")
 
     monkeypatch.setattr(np.linalg, "solve", singular_for_target)
+    # the single screen solves with LAPACK's zgesv, the batch with
+    # np.linalg.solve: both fail on the target's matrix alone
+    force_singular_capacitance(monkeypatch, lambda cap, rhs: np.any(rhs == marker))
     with pytest.raises(SingularOutageError) as err:
         locational_rocof(model, states, Contingency(target.id, online[target.id]))
     expected[target.id] = f"error: {err.value}"

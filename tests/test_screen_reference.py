@@ -9,15 +9,18 @@ give the same bytes: bus ROCOF, machine accelerations, post-disturbance
 voltages, MW lost and system ROCOF, and the same undefined islands, errors
 and solve counts, for a batch of one too. Singly it adds up the acceleration
 responses the model keeps (NetworkModel.responses) instead of making
-solve 2, so its bus ROCOF agrees within 1e-9 Hz/s; it sums the stored rows
-slot by slot in elementwise multiply-adds where the reference contracts
-them with einsum, so its post-disturbance voltages and machine
+solve 2, so its bus ROCOF agrees within 1e-9 Hz/s; it adds the stored
+rows in place with BLAS's zaxpy and solves its capacitance matrix with
+LAPACK's zgesv, where the reference contracts the rows with einsum and
+solves with np.linalg.solve, so its post-disturbance voltages and machine
 accelerations agree within 1e-13 (pu, pu/s), and MW lost and system ROCOF
 keep their bytes. The single screen's bookkeeping works on its lost
 machines alone, so the tests at the end take each branch of it: losses
 that empty an island or leave each one a machine, an island without one,
 the loss of every machine, MW lost's order and signed zero, and a model
-whose states alternate.
+whose states alternate. zaxpy writes into the array it is given even
+where that is read-only, so the last test checks that a single screen
+writes only to fresh arrays.
 """
 
 import dataclasses
@@ -205,8 +208,9 @@ def close_rocof(got, expected):
 def close_values(got, expected):
     """Within 1e-13, NaN at the same places: a single screen's
     post-disturbance voltages (pu) and machine accelerations (pu/s), which
-    round otherwise than the reference's einsum (by up to 3.2e-16 pu and
-    1.6e-16 pu/s on the 9-bus, fleet and grid cases)."""
+    round otherwise than the reference's einsum and np.linalg.solve (by up
+    to 4.6e-16 pu and 2.3e-16 pu/s on the 9-bus, fleet and grid cases, and
+    6.7e-16 pu over every test here)."""
     got, expected = np.asarray(got), np.asarray(expected)
     assert got.dtype == expected.dtype and got.shape == expected.shape
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
@@ -609,3 +613,54 @@ def test_single_screens_alternating_states_match_cold_models(network, case9,
                  for b in model.machine_bus[model.machine_positions(c.outaged_generator_ids)]}
         assert model._response_states is phase and set(model._response) == buses
     assert model._r0 is None
+
+
+def stored_arrays(model, states):
+    """The arrays a single screen reads and must not write: the states',
+    and the model's stored response blocks, machine-bus slices, unit rows
+    and R0."""
+    arrays = [getattr(states, f.name) for f in dataclasses.fields(states)]
+    arrays += [a for block, at_machines in model._response.values()
+               for a in (block, at_machines)]
+    arrays += list(model._unit.values())
+    return arrays + ([] if model._r0 is None else [model._r0])
+
+
+@pytest.mark.parametrize("network", ["case9", "fleet", "grid", "two_islands"])
+def test_single_screens_write_only_to_fresh_arrays(network, case9, fleet_case,
+                                                   grid71):
+    # BLAS's zaxpy adds in place into whatever array it is given, read-only
+    # or not: every array a screen reads, and every one stored so far,
+    # keeps its bytes across cold and warm screens, under states with and
+    # without R0, and a result shares no memory with them. The two-island
+    # losses of one unit empty its island, so k = 0 and nothing is solved
+    if network == "case9":
+        model, states = build_model(case9)[1:]
+        ctgs = [Contingency.of(f"c{k}", g) for k, g in enumerate(NINE_BUS_LOSSES[:-2])]
+    elif network == "fleet":
+        base = dispatch_heuristic(fleet_case, 50000.0, 15000.0)
+        model, states = build_model(base)[1:]
+        ctgs = generate_contingencies(base, 24, np.random.default_rng(34))
+    elif network == "grid":
+        model, states = grid71[1:]
+        rng = np.random.default_rng(34)
+        ctgs = [Contingency.of(f"c{j}", rng.choice(model.machine_ids, j % 4 + 1,
+                                                   replace=False)) for j in range(8)]
+    else:
+        model, states = build_model(two_island_case(True))[1:]
+        ctgs = [Contingency.of("a", ["gA"]), Contingency.of("b", ["gB"])]
+    model = cold_copy(model)
+    seen = {}
+    for phase in (states, off_equilibrium(states)):
+        for ctg in ctgs + ctgs:
+            for a in stored_arrays(model, phase):
+                seen.setdefault(id(a), (a, a.tobytes()))
+            res = locational_rocof(model, phase, ctg)
+            for a, before in seen.values():
+                assert a.tobytes() == before
+                for out in (res.bus_rocof_hz_s, res.machine_accel,
+                            res.post_disturbance_voltages):
+                    assert not np.may_share_memory(out, a)
+    assert model._r0 is not None
+    if network == "two_islands":
+        assert model._response == {}
