@@ -41,6 +41,7 @@ the outage removes a large inertia share.)
 
 from __future__ import annotations
 
+import bisect
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -95,11 +96,21 @@ def dispatch_heuristic(case: GridCase, target_load_mw: float,
     the input, and callers solve it, with solve_powerflow or
     netdyn.build_model (the slack then absorbs the losses).
     """
-    if sum(l.p_mw for l in case.loads) <= 0:
+    return _dispatch(case, target_load_mw,
+                     _merit_dispatch(case, target_load_mw, target_wind_mw))
+
+
+def _merit_dispatch(case: GridCase, target_load_mw: float,
+                    target_wind_mw: float) -> dict[str, float]:
+    """dispatch_heuristic's checks and merit order: the MW of each unit it
+    runs, wind first, then the must-run units and the committed merit
+    units in commitment order. Its float sums are plain running sums in
+    record order, the same on every Python (_running_sum)."""
+    if _running_sum(l.p_mw for l in case.loads) <= 0:
         raise InfeasibleDispatch("case has no load to scale")
 
     wind = [g for g in case.generators if not g.synchronous and g.status]
-    wind_cap = sum(g.p_max_mw for g in wind)
+    wind_cap = _running_sum(g.p_max_mw for g in wind)
     if target_wind_mw > wind_cap:
         raise InfeasibleDispatch(
             f"wind target {target_wind_mw:.0f} MW exceeds installed wind "
@@ -108,7 +119,7 @@ def dispatch_heuristic(case: GridCase, target_load_mw: float,
 
     slack_buses = {b.id for b in case.buses if b.kind == "slack"}
     sync = [g for g in case.generators if g.synchronous and g.status]
-    nuclear_mw = sum(g.p_max_mw for g in sync if g.fuel == "nuclear")
+    nuclear_mw = _running_sum(g.p_max_mw for g in sync if g.fuel == "nuclear")
     required = target_load_mw - target_wind_mw - nuclear_mw
     if required < 0:
         raise InfeasibleDispatch(
@@ -124,7 +135,7 @@ def dispatch_heuristic(case: GridCase, target_load_mw: float,
                    key=lambda g: (FUEL_MERIT_ORDER.get(g.fuel, 9),
                                   -g.p_max_mw, g.id))
     committed = list(must_run)
-    cap = sum(g.p_max_mw for g in must_run if g.fuel != "nuclear")
+    cap = _running_sum(g.p_max_mw for g in must_run if g.fuel != "nuclear")
     for g in merit:
         if cap >= required:
             break
@@ -139,7 +150,17 @@ def dispatch_heuristic(case: GridCase, target_load_mw: float,
     p_mw = {g.id: g.p_max_mw * wind_factor for g in wind}
     p_mw.update((g.id, g.p_max_mw if g.fuel == "nuclear" else lam * g.p_max_mw)
                 for g in committed)
-    return _dispatch(case, target_load_mw, p_mw)
+    return p_mw
+
+
+def _running_sum(values) -> float:
+    """The plain running sum of values from 0.0, in their order: what
+    Python 3.11's sum() gives for floats. Later versions' sum() compensates
+    and can round otherwise, which would move generated banks' bytes."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def _dispatch(case: GridCase, target_load_mw: float,
@@ -147,7 +168,7 @@ def _dispatch(case: GridCase, target_load_mw: float,
     """Scale every load to the target total, run each in-service unit listed
     in p_mw at its MW (non-synchronous units at zero MVAr) and take the
     other in-service units out of service. Bus voltages are left as given."""
-    factor = target_load_mw / sum(l.p_mw for l in case.loads)
+    factor = target_load_mw / _running_sum(l.p_mw for l in case.loads)
     new_gens = []
     for g in case.generators:
         if not g.status:
@@ -168,7 +189,7 @@ def _dispatch_arrays(arrays: CaseArrays, target_load_mw: float,
     """_dispatch on the case's arrays, to the same bits: it writes the
     units' status, MW and MVAr and the loads' MW and MVAr, and reads or
     makes no record."""
-    factor = target_load_mw / sum(arrays.load_p.tolist())
+    factor = target_load_mw / _running_sum(arrays.load_p.tolist())
     n = len(arrays.gen_ids)
     on = arrays.status & np.fromiter(map(p_mw.__contains__, arrays.gen_ids), bool, n)
     mw = np.fromiter((p_mw.get(g, 0.0) for g in arrays.gen_ids), float, n)
@@ -190,13 +211,22 @@ def _copy_record(record, **changes):
 
 def loading_case_from(dispatched: GridCase, lc_id: str, target_load_mw: float,
                       target_wind_mw: float) -> LoadingCase:
-    disp = {g.id: g.p_mw for g in dispatched.generators if g.status}
-    inertia = total_inertia_gws(dispatched)
-    sync_mw = sum(g.p_mw for g in dispatched.generators
-                  if g.status and g.synchronous)
+    on = [g for g in dispatched.generators if g.status]
+    return _loading_case(lc_id, target_load_mw, target_wind_mw,
+                         {g.id: g.p_mw for g in on},
+                         total_inertia_gws(dispatched),
+                         _running_sum(g.p_mw for g in on if g.synchronous))
+
+
+def _loading_case(lc_id: str, target_load_mw: float, target_wind_mw: float,
+                  disp: dict[str, float], inertia_gws: float,
+                  sync_mw: float) -> LoadingCase:
+    """The LoadingCase of a dispatch: disp, the MW of each in-service unit
+    in unit order, the inertia of its synchronous units and their MW,
+    summed in unit order."""
     total = sync_mw + target_wind_mw
     return LoadingCase(lc_id, target_load_mw, target_wind_mw, disp, frozenset(disp),
-                       inertia, target_wind_mw / total if total > 0 else 0.0)
+                       inertia_gws, target_wind_mw / total if total > 0 else 0.0)
 
 
 def generate_loading_cases(case: GridCase, n: int,
@@ -209,6 +239,11 @@ def generate_loading_cases(case: GridCase, n: int,
     minus the nuclear must-run floor), so every generated case dispatches.
     Raises when some demand level cannot accept even the minimum wind, and
     InputError for an n below 1 or a range end that is not finite.
+
+    Each loading case is loading_case_from of dispatch_heuristic's case,
+    field for field, built from the merit order's MW without dispatching
+    records: its units are case's in-service units that the merit order
+    runs, in unit order, and its inertia is case.arrays.inertia_gws of them.
     """
     if n <= 0:
         raise InputError("n must be positive")
@@ -217,9 +252,10 @@ def generate_loading_cases(case: GridCase, n: int,
     lo_l, hi_l = load_range_mw
     lo_w, hi_w = wind_range_mw
     sync = [g for g in case.generators if g.synchronous and g.status]
-    nuclear_mw = sum(g.p_max_mw for g in sync if g.fuel == "nuclear")
-    wind_cap = sum(g.p_max_mw for g in case.generators
-                   if not g.synchronous and g.status)
+    nuclear_mw = _running_sum(g.p_max_mw for g in sync if g.fuel == "nuclear")
+    wind_cap = _running_sum(g.p_max_mw for g in case.generators
+                            if not g.synchronous and g.status)
+    in_service = [g for g in case.generators if g.status]
 
     n_load = max(int(round(math.sqrt(n))), 1)
     n_wind = math.ceil(n / n_load)
@@ -239,10 +275,13 @@ def generate_loading_cases(case: GridCase, n: int,
         for wind_mw in wind_levels:
             if len(out) >= n:
                 break
-            lc_id = f"lc{len(out):03d}"
-            dispatched = dispatch_heuristic(case, float(load_mw), float(wind_mw))
-            out.append(loading_case_from(dispatched, lc_id, float(load_mw),
-                                         float(wind_mw)))
+            load, wind = float(load_mw), float(wind_mw)
+            p_mw = _merit_dispatch(case, load, wind)
+            on = [g for g in in_service if g.id in p_mw]
+            disp = {g.id: p_mw[g.id] for g in on}
+            out.append(_loading_case(
+                f"lc{len(out):03d}", load, wind, disp, case.arrays.inertia_gws(disp),
+                _running_sum(disp[g.id] for g in on if g.synchronous)))
     return out
 
 
@@ -264,27 +303,37 @@ def generate_contingencies(case: GridCase, n: int,
     only when a fleet is too small to keep the bank distinct); the rest
     combine whole plants from several sites into losses of up to twice the
     design size. Plants are picked with probability proportional to
-    dispatched MW. InputError ends a draw in which MAX_IDLE_ATTEMPTS
-    attempts in a row add no contingency, and rejects an n below 1 before
-    any other check.
+    dispatched MW, each plant's MW a plain running sum over its units in
+    unit order. InputError ends a draw in which MAX_IDLE_ATTEMPTS attempts
+    in a row add no contingency, and rejects an n below 1 before any other
+    check.
 
     The sequence of draws from rng is part of this contract: for a given
     case, n and generator state the bank is the same, and so is the state
-    rng is left in. A weighted pick of one plant is a search of its CDF at
-    one rng.random(), the draw Generator.choice(k, p=w) makes (a test pins
-    the two together).
+    rng is left in. Each attempt draws, in this order:
+
+    - a multi-site attempt: the target, rng.uniform(DESIGN_CONTINGENCY_MW,
+      2 * DESIGN_CONTINGENCY_MW), then the plant order,
+      rng.choice(plants, size=plants, replace=False, p=weights);
+    - a single-site attempt: the log target, lo + (hi - lo) * rng.random(),
+      which is rng.uniform(lo, hi); once draws go stale, one rng.random()
+      that decides on a second site; one plant, or two for a second site,
+      each a search of its CDF at one rng.random(), which is
+      rng.choice(k, p=w) (_draw); then the order of their units,
+      rng.shuffle of a list, which draws what rng.permutation does.
+
+    Tests pin each of these pairs of calls to the same numbers and the same
+    generator state.
     """
     if n <= 0:
         raise InputError("n must be positive")
     units = [g for g in case.generators if g.synchronous and g.status and g.p_mw > 0]
-    plants: dict[int, list] = {}
-    for g in units:
-        plants.setdefault(g.bus_id, []).append(g)
-    for members in plants.values():
-        members.sort(key=lambda g: (-g.p_mw, g.id))
-    plant_ids = sorted(plants)
-    plant_mw = np.array([sum(g.p_mw for g in plants[b]) for b in plant_ids])
-    if not plant_ids or plant_mw.sum() <= MIN_CONTINGENCY_MW:
+    plants: dict[int, list] = {}       # each plant's units as (id, MW), largest first
+    for g in sorted(units, key=lambda g: (-g.p_mw, g.id)):
+        plants.setdefault(g.bus_id, []).append((g.id, g.p_mw))
+    plant_units = [plants[b] for b in sorted(plants)]
+    plant_mw = np.array([_running_sum(mw for _, mw in units) for units in plant_units])
+    if not plant_units or plant_mw.sum() <= MIN_CONTINGENCY_MW:
         raise InputError(
             f"case dispatch ({plant_mw.sum():.0f} MW) is too small to build "
             f"outages above {MIN_CONTINGENCY_MW:.0f} MW")
@@ -292,9 +341,10 @@ def generate_contingencies(case: GridCase, n: int,
     plant_cdf = _cdf(weights)
     # a single-site draw picks among the plants above MIN_CONTINGENCY_MW; a
     # second-site draw among all plants, since each has dispatched MW
-    large = np.flatnonzero(plant_mw > MIN_CONTINGENCY_MW)
-    large_cdf = _cdf(plant_mw[large] / plant_mw[large].sum()) if large.size else None
-    log_lo, log_hi = math.log(MIN_CONTINGENCY_MW), math.log(DESIGN_CONTINGENCY_MW)
+    large = [i for i, mw in enumerate(plant_mw.tolist()) if mw > MIN_CONTINGENCY_MW]
+    large_cdf = _cdf(plant_mw[large] / plant_mw[large].sum()) if large else None
+    log_lo = math.log(MIN_CONTINGENCY_MW)
+    log_span = math.log(DESIGN_CONTINGENCY_MW) - log_lo
 
     n_multi = int(round(n * MULTI_SITE_FRACTION))
     seen: set[frozenset[str]] = set()
@@ -312,43 +362,44 @@ def generate_contingencies(case: GridCase, n: int,
             target = rng.uniform(DESIGN_CONTINGENCY_MW, 2.0 * DESIGN_CONTINGENCY_MW)
             chosen: list = []
             total = 0.0
-            order = rng.choice(len(plant_ids), size=len(plant_ids),
+            order = rng.choice(len(plant_units), size=len(plant_units),
                                replace=False, p=weights)
             for pi in order:
-                chosen.extend(plants[plant_ids[pi]])
+                chosen.extend(uid for uid, _ in plant_units[pi])
                 total += plant_mw[pi]
                 if total >= target:
                     break
             if total <= MIN_CONTINGENCY_MW:
                 continue
         else:
-            target = math.exp(rng.uniform(log_lo, log_hi))
+            target = math.exp(log_lo + log_span * rng.random())
             # widen to a second site only once single-plant draws go stale
             second_site = stale > 25 and rng.random() < 0.7
             if second_site:
-                picks = [_draw(plant_cdf, rng)]
-                if len(plant_ids) > 1:
-                    picks.append(_draw(plant_cdf, rng))
-            elif large.size:
-                picks = [int(large[_draw(large_cdf, rng)])]
+                first = _draw(plant_cdf, rng)
+                members = plant_units[first][:]
+                if len(plant_units) > 1:
+                    second = _draw(plant_cdf, rng)
+                    if second != first:
+                        members += plant_units[second]
+            elif large:
+                members = plant_units[large[_draw(large_cdf, rng)]][:]
             else:
                 n_multi = n  # no single plant is large enough
                 continue
-            members = [g for pi in dict.fromkeys(picks)
-                       for g in plants[plant_ids[pi]]]
+            rng.shuffle(members)
             chosen = []
             total = 0.0
-            for ui in rng.permutation(len(members)):
-                g = members[int(ui)]
+            for uid, mw in members:
                 if total > MIN_CONTINGENCY_MW and (
-                        total >= target or total + g.p_mw > DESIGN_CONTINGENCY_MW):
+                        total >= target or total + mw > DESIGN_CONTINGENCY_MW):
                     break
-                chosen.append(g)
-                total += g.p_mw
+                chosen.append(uid)
+                total += mw
             if not (MIN_CONTINGENCY_MW < total <= DESIGN_CONTINGENCY_MW):
                 stale += 1
                 continue
-        key = frozenset(g.id for g in chosen)
+        key = frozenset(chosen)
         if key in seen:
             stale += 1
             continue
@@ -358,18 +409,18 @@ def generate_contingencies(case: GridCase, n: int,
     return out
 
 
-def _cdf(p: np.ndarray) -> np.ndarray:
+def _cdf(p: np.ndarray) -> list[float]:
     """The CDF Generator.choice searches for a draw with probabilities p:
-    the cumulative sum, divided by its last entry."""
+    the cumulative sum, divided by its last entry, as a list for bisect."""
     cdf = p.cumsum()
     cdf /= cdf[-1]
-    return cdf
+    return cdf.tolist()
 
 
-def _draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
+def _draw(cdf: list[float], rng: np.random.Generator) -> int:
     """rng.choice(len(p), p=p) for the p whose _cdf is cdf: the same index
     from the same one rng.random(), without choice's checks of p."""
-    return int(cdf.searchsorted(rng.random(), side="right"))
+    return bisect.bisect_right(cdf, rng.random())
 
 
 def _column_stats(rocof: np.ndarray, bus_ids) -> tuple:

@@ -6,13 +6,16 @@ The tables are the fleet banks of the benchmark's fleet40-bank workload
 bank whose rows take every status (test_scenarios.case9_bank_with_failures),
 each run by run_bank in locational mode. Behaviour counts as unchanged when
 these tables keep their bytes, so a change to the screen compares these
-lines before and after. The last line digests the outputs of the
+lines before and after. The next line digests the outputs of the
 grid5041-screen workload's seed-1 contingencies (GridScreen.prepare), each
 screened singly on one model after a first, cold pass over them all: the
 warm screens add stored rows with BLAS, so a run with OPENBLAS_NUM_THREADS=1
-must print the same line as one with the default threads. It reports and
-checks nothing, and imports the benchmark's modules without writing to its
-directory. Run from the repository root:
+must print the same line as one with the default threads. The last line
+digests the generated banks themselves: the bytes that write_contingencies
+and write_loading_cases write for the fleet banks of seeds 1-3, so a change
+to bank generation, or a Python whose sum() rounds otherwise, shows too.
+It reports and checks nothing, and imports the benchmark's modules without
+writing to its directory. Run from the repository root:
 
     PYTHONPATH=src:tests python tests/bank_digest.py
 """
@@ -30,6 +33,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402 - from the benchmark's directory, added above
 
 from rocofscreen import build_model, load_case9, locational_rocof, run_bank  # noqa: E402
+from rocofscreen.case_io import write_contingencies, write_loading_cases  # noqa: E402
 
 from test_scenarios import case9_bank_with_failures  # noqa: E402
 
@@ -38,6 +42,16 @@ def table_digest(case, loading, contingencies, tmp: Path) -> str:
     path = tmp / "bank.csv"
     run_bank(case, loading, contingencies, mode="locational", out_path=path)
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def bank_files_digest(states, tmp: Path) -> str:
+    digest = hashlib.sha256()
+    for st in states:
+        write_contingencies(st.ctgs, tmp / "contingencies.csv")
+        write_loading_cases(st.extra["lcs"], tmp / "loading_cases.json")
+        for name in ("contingencies.csv", "loading_cases.json"):
+            digest.update((tmp / name).read_bytes())
+    return digest.hexdigest()
 
 
 def warm_screens_digest() -> str:
@@ -56,14 +70,18 @@ def warm_screens_digest() -> str:
 
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
+        fleet_states = []
         for seed in (1, 2, 3):
             st = workloads.FleetBank().prepare(seed)
+            fleet_states.append(st)
             digest = table_digest(st.extra["fleet"], st.extra["lcs"], st.ctgs, Path(tmp))
             print(f"fleet40-bank seed {seed}  {digest}")
         case9 = load_case9()
         digest = table_digest(case9, *case9_bank_with_failures(case9), Path(tmp))
         print(f"case9 failure bank  {digest}")
-    print(f"grid5041-screen seed 1 warm single screens  {warm_screens_digest()}")
+        print(f"grid5041-screen seed 1 warm single screens  {warm_screens_digest()}")
+        print(f"fleet40-bank seeds 1-3 generated bank files  "
+              f"{bank_files_digest(fleet_states, Path(tmp))}")
 
 
 if __name__ == "__main__":

@@ -2,14 +2,22 @@
 implementations.
 
 ``reference_generate_contingencies`` draws each weighted plant with
-``Generator.choice`` and rebuilds the eligible plants and their weights on
-every attempt; ``reference_dispatch_heuristic`` builds every record with
-``dataclasses.replace``. The library hoists the weights into CDFs searched
-at one ``rng.random()`` and copies records without the frozen ``__init__``.
-A seed's bank is part of ``generate_contingencies``'s contract, so the
-library must give the same contingencies, the same MW, the same errors,
-the same generator state after a draw that succeeds, and the same
-dispatched records.
+``Generator.choice``, rebuilds the eligible plants and their weights on
+every attempt, takes its targets with ``Generator.uniform`` and orders a
+plant's units with ``Generator.permutation``; ``reference_dispatch_heuristic``
+builds every record with ``dataclasses.replace``. The library hoists the
+weights into CDFs, held as lists and searched by ``bisect`` at one
+``rng.random()``, takes its single-site target from one ``rng.random()``,
+orders units by ``rng.shuffle`` of a list and copies records without the
+frozen ``__init__``. A seed's bank is part of ``generate_contingencies``'s
+contract, so the library must give the same contingencies, the same MW,
+the same errors, the same generator state after a draw that succeeds, and
+the same dispatched records. ``reference_generate_loading_cases`` builds
+each loading case from a dispatched case (``reference_dispatch_heuristic``
+and the record-reading ``reference_loading_case_from``); the library builds
+it from the merit order's MW and the case's arrays, field for field.
+The references add floats as plain running sums (``running_sum``), as
+Python 3.11's ``sum()`` does, so they pin 3.11's bytes on every Python.
 
 ``reference_run_bank`` evaluates a loading case row by row: a frozenset of
 online units, a running sum of their MW in sorted id order and a
@@ -29,10 +37,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rocofscreen import build_model, build_ybus
+from rocofscreen import build_model, build_ybus, scenarios
 from rocofscreen.case_io import SCENARIO_COLUMNS, write_scenario_table
-from rocofscreen.case_model import (GridCase, InputError, ScenarioRecord,
-                                    island_labels,
+from rocofscreen.case_model import (GridCase, InputError, LoadingCase,
+                                    ScenarioRecord, island_labels,
                                     total_inertia_gws)
 from rocofscreen.powerflow import _newton
 from rocofscreen.rocof import Contingency, locational_rocof_batch
@@ -54,6 +62,15 @@ STUDY_LOAD_RANGE = (15000.0, 75000.0)
 STUDY_WIND_RANGE = (10000.0, 30000.0)
 
 
+def running_sum(values) -> float:
+    """The plain running sum from 0.0 that Python 3.11's sum() makes of
+    floats; later versions' sum() compensates."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def reference_generate_contingencies(case: GridCase, n: int,
                                      rng: np.random.Generator) -> list[Contingency]:
     units = [g for g in case.generators if g.synchronous and g.status and g.p_mw > 0]
@@ -63,7 +80,7 @@ def reference_generate_contingencies(case: GridCase, n: int,
     for members in plants.values():
         members.sort(key=lambda g: (-g.p_mw, g.id))
     plant_ids = sorted(plants)
-    plant_mw = np.array([sum(g.p_mw for g in plants[b]) for b in plant_ids])
+    plant_mw = np.array([running_sum(g.p_mw for g in plants[b]) for b in plant_ids])
     if not plant_ids or plant_mw.sum() <= MIN_CONTINGENCY_MW:
         raise InputError(
             f"case dispatch ({plant_mw.sum():.0f} MW) is too small to build "
@@ -135,7 +152,7 @@ def reference_generate_contingencies(case: GridCase, n: int,
 
 def reference_dispatch(case: GridCase, target_load_mw: float,
                        p_mw: dict[str, float]) -> GridCase:
-    factor = target_load_mw / sum(l.p_mw for l in case.loads)
+    factor = target_load_mw / running_sum(l.p_mw for l in case.loads)
     new_gens = []
     for g in case.generators:
         if not g.status:
@@ -153,18 +170,18 @@ def reference_dispatch(case: GridCase, target_load_mw: float,
 def reference_dispatch_heuristic(case: GridCase, target_load_mw: float,
                                  target_wind_mw: float) -> GridCase:
     wind = [g for g in case.generators if not g.synchronous and g.status]
-    wind_cap = sum(g.p_max_mw for g in wind)
+    wind_cap = running_sum(g.p_max_mw for g in wind)
     wind_factor = target_wind_mw / wind_cap if wind_cap > 0 else 0.0
     slack_buses = {b.id for b in case.buses if b.kind == "slack"}
     sync = [g for g in case.generators if g.synchronous and g.status]
-    nuclear_mw = sum(g.p_max_mw for g in sync if g.fuel == "nuclear")
+    nuclear_mw = running_sum(g.p_max_mw for g in sync if g.fuel == "nuclear")
     required = target_load_mw - target_wind_mw - nuclear_mw
     must_run = [g for g in sync if g.fuel == "nuclear" or g.bus_id in slack_buses]
     merit = sorted((g for g in sync if g not in must_run),
                    key=lambda g: (FUEL_MERIT_ORDER.get(g.fuel, 9),
                                   -g.p_max_mw, g.id))
     committed = list(must_run)
-    cap = sum(g.p_max_mw for g in must_run if g.fuel != "nuclear")
+    cap = running_sum(g.p_max_mw for g in must_run if g.fuel != "nuclear")
     for g in merit:
         if cap >= required:
             break
@@ -177,6 +194,51 @@ def reference_dispatch_heuristic(case: GridCase, target_load_mw: float,
     p_mw.update((g.id, g.p_max_mw if g.fuel == "nuclear" else lam * g.p_max_mw)
                 for g in committed)
     return reference_dispatch(case, target_load_mw, p_mw)
+
+
+def reference_loading_case_from(dispatched: GridCase, lc_id: str,
+                                target_load_mw: float,
+                                target_wind_mw: float) -> LoadingCase:
+    disp = {g.id: g.p_mw for g in dispatched.generators if g.status}
+    inertia = total_inertia_gws(dispatched)
+    sync_mw = running_sum(g.p_mw for g in dispatched.generators
+                          if g.status and g.synchronous)
+    total = sync_mw + target_wind_mw
+    return LoadingCase(lc_id, target_load_mw, target_wind_mw, disp, frozenset(disp),
+                       inertia, target_wind_mw / total if total > 0 else 0.0)
+
+
+def reference_generate_loading_cases(case: GridCase, n: int,
+                                     load_range_mw: tuple[float, float],
+                                     wind_range_mw: tuple[float, float]) -> list[LoadingCase]:
+    lo_l, hi_l = load_range_mw
+    lo_w, hi_w = wind_range_mw
+    sync = [g for g in case.generators if g.synchronous and g.status]
+    nuclear_mw = running_sum(g.p_max_mw for g in sync if g.fuel == "nuclear")
+    wind_cap = running_sum(g.p_max_mw for g in case.generators
+                           if not g.synchronous and g.status)
+    n_load = max(int(round(math.sqrt(n))), 1)
+    n_wind = math.ceil(n / n_load)
+    out: list[LoadingCase] = []
+    for load_mw in np.linspace(lo_l, hi_l, n_load):
+        w_max = min(hi_w, wind_cap, load_mw - nuclear_mw)
+        for wind_mw in np.linspace(lo_w, w_max, n_wind):
+            if len(out) >= n:
+                break
+            dispatched = reference_dispatch_heuristic(case, float(load_mw),
+                                                      float(wind_mw))
+            out.append(reference_loading_case_from(
+                dispatched, f"lc{len(out):03d}", float(load_mw), float(wind_mw)))
+    return out
+
+
+def loading_case_fields(lc: LoadingCase) -> list:
+    """A loading case's fields, each float as its repr and the dispatch as
+    its (unit, MW repr) items in their order."""
+    assert type(lc.dispatch) is dict and type(lc.committed) is frozenset
+    return [lc.id, repr(lc.target_load_mw), repr(lc.target_wind_mw),
+            [(u, repr(mw)) for u, mw in lc.dispatch.items()], sorted(lc.committed),
+            repr(lc.online_inertia_gws), repr(lc.wind_fraction)]
 
 
 def draw_both(case, n, seed):
@@ -210,6 +272,27 @@ def assert_same_bank(case, n, seed):
     return bank
 
 
+def second_site_pairs(monkeypatch, case, n, seed) -> list[tuple[int, int]]:
+    """The (first, second) plant indices of the library's second-site
+    draws. They are the _draw calls on the CDF of all plants, two per
+    attempt; the bank's first single-site attempt, which is never stale,
+    draws on the other CDF, that of the plants above MIN_CONTINGENCY_MW."""
+    calls = []
+    draw = scenarios._draw
+
+    def logged(cdf, rng):
+        calls.append((cdf, draw(cdf, rng)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(scenarios, "_draw", logged)
+    generate_contingencies(case, n, np.random.default_rng(seed))
+    monkeypatch.undo()
+    single = calls[0][0]
+    picks = [pick for cdf, pick in calls if cdf is not single]
+    assert len(picks) % 2 == 0
+    return list(zip(picks[::2], picks[1::2]))
+
+
 def plant_mw(case) -> list[float]:
     """Dispatched MW of each plant (bus) the sampler draws from."""
     mw: dict[int, float] = {}
@@ -239,11 +322,12 @@ def study_cases(fleet_case):
                                [1e-9, 1.0 - 2e-9, 1e-9], [0.0, 0.0, 1.0],
                                np.linspace(1.0, 30.0, 30)])
 def test_cdf_search_is_numpys_weighted_draw(p):
-    # the sampler draws one plant as a search of _cdf(p) at one
+    # the sampler draws one plant as a bisect of _cdf(p), a list, at one
     # rng.random(); a NumPy whose choice(k, p=p) draws otherwise would
     # silently re-draw every bank, so pin the two together
     p = np.asarray(p, dtype=float) / np.sum(p)
     cdf = _cdf(p)
+    assert type(cdf) is list
     for seed in (0, 1, 7, 2024):
         a, b = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(200):
@@ -251,12 +335,48 @@ def test_cdf_search_is_numpys_weighted_draw(p):
         assert a.bit_generator.state == b.bit_generator.state
 
 
+@pytest.mark.parametrize("lo, hi", [
+    (math.log(MIN_CONTINGENCY_MW), math.log(DESIGN_CONTINGENCY_MW)),
+    (DESIGN_CONTINGENCY_MW, 2.0 * DESIGN_CONTINGENCY_MW), (-3.5, 1e-3), (0.0, 1.0)])
+def test_scaled_random_is_numpys_uniform(lo, hi):
+    # the sampler takes a single-site attempt's log target as
+    # lo + (hi - lo) * rng.random(), the number rng.uniform(lo, hi) returns
+    span = hi - lo
+    for seed in (0, 1, 7, 2024):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(200):
+            assert repr(lo + span * a.random()) == repr(b.uniform(lo, hi))
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_shuffle_of_a_list_is_numpys_permutation(k):
+    # the sampler orders a plant's units by rng.shuffle of a list, which
+    # must make the swaps, and so the draws, of rng.permutation(k)
+    for seed in (0, 1, 7, 2024):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(100):
+            order = list(range(k))
+            a.shuffle(order)
+            assert order == b.permutation(k).tolist()
+        assert a.bit_generator.state == b.bit_generator.state
+
+
 @pytest.mark.parametrize("n", [20, 163, 250])
 def test_fleet_base_bank_matches_reference(fleet_case, n):
     base = dispatch_heuristic(fleet_case, 50000.0, 15000.0)
-    for seed in (1, 2, 11):
+    for seed in (range(1, 21) if n == 163 else (1, 2, 11)):
         bank = assert_same_bank(base, n, seed)
         assert len(bank) == n
+
+
+def test_second_site_draws_that_pick_one_plant_twice(monkeypatch, fleet_case):
+    # a second-site draw may pick its first plant again, which adds no
+    # units; the seed-1 bank on the base dispatch has such draws, and
+    # test_fleet_base_bank_matches_reference matches it to the reference
+    base = dispatch_heuristic(fleet_case, 50000.0, 15000.0)
+    pairs = second_site_pairs(monkeypatch, base, 163, 1)
+    assert any(a == b for a, b in pairs) and any(a != b for a, b in pairs)
 
 
 def test_every_study_loading_case_matches_reference(fleet_case, study_cases):
@@ -272,6 +392,20 @@ def test_every_study_loading_case_matches_reference(fleet_case, study_cases):
     # the banks drawn on the first, middle and last study dispatches
     for k, lc in enumerate(study_cases[::12]):
         assert_same_bank(apply_loading_case(fleet_case, lc), 40, 5 + k)
+
+
+@pytest.mark.parametrize("n, load_range, wind_range", [
+    (25, STUDY_LOAD_RANGE, STUDY_WIND_RANGE),
+    (12, (20000.0, 60000.0), (10000.0, 25000.0)),
+    (10, (18000.0, 42000.0), (0.0, 40000.0))])
+def test_generated_loading_cases_match_reference(fleet_case, n, load_range,
+                                                 wind_range):
+    # field for field, floats by repr and the dispatch in its key order;
+    # the last range caps wind by the nuclear floor and by installed wind
+    got = generate_loading_cases(fleet_case, n, load_range, wind_range)
+    want = reference_generate_loading_cases(fleet_case, n, load_range, wind_range)
+    assert len(got) == n
+    assert list(map(loading_case_fields, got)) == list(map(loading_case_fields, want))
 
 
 def test_grid_bank_matches_reference(grid71):
