@@ -23,9 +23,8 @@ from .netdyn import (MachineStates, ModelBuildError, NetworkModel,
                      build_ybus, electrical_torque, init_machines,
                      norton_currents)
 from .rocof import (Contingency, RocofBatch, RocofResult, SingularOutageError,
-                    ZeroInertiaError, angle_second_derivative,
-                    injection_derivatives, locational_rocof,
-                    locational_rocof_batch, system_rocof)
+                    ZeroInertiaError, locational_rocof, locational_rocof_batch,
+                    system_rocof)
 from .swingsim import (SimOptions, SimResult, SimulationBlowup, TripEvent,
                        bus_frequency, check_ffr, check_ufls, simulate)
 from .synthdyn import (DEFAULT_FUEL_SPECS, FuelInertiaSpec,

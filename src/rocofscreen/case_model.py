@@ -140,8 +140,8 @@ class GridCase:
     @cached_property
     def arrays(self) -> "CaseArrays":
         """The case's bus, unit and load fields as arrays, each read once
-        from the records and kept, so the stages of one case read them once
-        (the power flow, the model build, init_machines' check)."""
+        from the records and kept: every stage of the case reads these,
+        never a record, under CaseArrays' rule."""
         buses, gens, loads = self.buses, self.generators, self.loads
         h = [g.h_sec for g in gens]
         x = [g.xdp_pu for g in gens]
@@ -275,7 +275,13 @@ class CaseArrays:
     loads' MW and MVAr into a copy (scenarios._dispatch_arrays). ``case``
     is the case they were read from; its ids, buses, branches and load
     flags hold for a re-dispatch too, its units' and loads' MW need not.
-    Arrays are read-only by convention."""
+    Arrays are read-only by convention.
+
+    The model-build stages (powerflow's bus_injections, effective_kinds and
+    solve_powerflow; netdyn's build_model, augment_dynamic and
+    init_machines) take a GridCase or a CaseArrays under one rule: the
+    stage reads ``case.arrays``, which for arrays is the arrays themselves,
+    and builds what needs the branches from ``case.arrays.case``."""
 
     case: GridCase
     bus_ids: list[int]
@@ -297,6 +303,11 @@ class CaseArrays:
     load_bus: np.ndarray           # bus position per load, -1 for no bus
     load_p: np.ndarray
     load_q: np.ndarray
+
+    @property
+    def arrays(self) -> "CaseArrays":
+        """These arrays, as GridCase.arrays gives a case's."""
+        return self
 
     def buses_of(self, on: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The bus positions of the units that the mask on selects, and of

@@ -1,11 +1,11 @@
 """Dynamic network model: admittance matrix, Norton machine equivalents,
 and classical machine initialization, joined by ``build_model``, the one
-entry point from a case to its power flow, model and machine states. It
-reads the case's unit, load and bus fields once into arrays
-(case_model.GridCase.arrays) and builds from them alone
-(``_build_model``), the one model build: a bank's loading case enters it
-with its case's arrays re-dispatched (scenarios.run_bank), so neither
-path copies or reads a unit or load record per loading case.
+entry point from a case to its power flow, model and machine states. Each
+stage takes a GridCase or its arrays and reads the case's unit, load and
+bus fields as arrays (case_model.CaseArrays), never a record: a bank's
+loading case enters build_model as its case's arrays re-dispatched
+(scenarios.run_bank), so it copies or reads no unit or load record, and
+runs the stages a user calls.
 
 The dynamic admittance matrix extends the branch network with constant
 impedance shunts for loads and non-synchronous generation, plus one Norton
@@ -45,7 +45,7 @@ import scipy.sparse.linalg as spla
 
 from .case_model import (CaseArrays, GridCase, Load, UnknownIdError,
                          island_labels, record_array)
-from .powerflow import SUPERLU_OPTIONS, PowerFlowSolution, _newton
+from .powerflow import SUPERLU_OPTIONS, PowerFlowSolution, solve_powerflow
 
 
 class ModelBuildError(ValueError):
@@ -442,32 +442,29 @@ class MachineStates:
                              self.di_ddelta.copy())
 
 
-def build_model(case: GridCase, network: tuple | None = None
+def build_model(case: GridCase | CaseArrays, network: tuple | None = None
                 ) -> tuple[PowerFlowSolution, NetworkModel, MachineStates]:
-    """solve_powerflow (at its defaults), augment_dynamic and init_machines
-    of the case. network is the (build_ybus, island_labels) pair of a case
-    with the same buses and branches, as a bank's loading cases share one;
-    None builds the case's own. A third item, a dict, keeps the power
-    flow's Jacobian patterns for the cases that share the network (a bank
-    keeps one, scenarios.run_bank): a case whose pv and pq buses a case
-    before it had reuses that case's pattern, to the same bits."""
-    return _build_model(case.arrays, network)
+    """solve_powerflow (at its default tol and max_iter), augment_dynamic
+    and init_machines of the case, a GridCase or its arrays (a bank's
+    loading case is its case's arrays re-dispatched, scenarios.run_bank).
+    network is the (build_ybus, island_labels) pair of a case with the same
+    buses and branches, as a bank's loading cases share one; None builds
+    the case's own. A third item, a dict, keeps the power flow's Jacobian
+    patterns for the cases that share the network (a bank keeps one): a
+    case whose pv and pq buses a case before it had reuses that case's
+    pattern, to the same bits."""
+    arrays = case.arrays
+    ybus, islands, *patterns = network or (build_ybus(arrays.case),
+                                           island_labels(arrays.case))
+    solution = solve_powerflow(arrays, ybus=ybus,
+                               patterns=patterns[0] if patterns else None)
+    model = augment_dynamic(ybus, arrays, solution, islands)
+    return solution, model, init_machines(model, arrays, solution)
 
 
-def _build_model(arrays: CaseArrays, network: tuple | None = None
-                 ) -> tuple[PowerFlowSolution, NetworkModel, MachineStates]:
-    """build_model of the case whose arrays are given: GridCase.arrays of a
-    case, or a bank's re-dispatch of its case's arrays for a loading case
-    (scenarios.run_bank). The one model build, from arrays alone."""
-    case = arrays.case
-    ybus, islands, *patterns = network or (build_ybus(case), island_labels(case))
-    solution = _newton(arrays, ybus, patterns=patterns[0] if patterns else None)
-    model = _augment_dynamic(ybus, arrays, solution, islands)
-    return solution, model, _init_machines(model, solution)
-
-
-def augment_dynamic(ybus: sp.csc_matrix, case: GridCase,
-                    solution: PowerFlowSolution) -> NetworkModel:
+def augment_dynamic(ybus: sp.csc_matrix, case: GridCase | CaseArrays,
+                    solution: PowerFlowSolution,
+                    islands: np.ndarray | None = None) -> NetworkModel:
     """Attach load/non-synchronous shunts and machine Norton shunts to ybus.
 
     Each in-service generator's solved output S (system-base pu) is its
@@ -486,17 +483,15 @@ def augment_dynamic(ybus: sp.csc_matrix, case: GridCase,
     when SuperLU finds it exactly singular, which an island with no machine
     and no shunt to ground makes it, SingularNetworkError names that
     island's buses.
+
+    islands are the case's island labels (island_labels); they depend on
+    the buses and branches alone, as ybus does, so a bank's loading cases
+    share them. None labels case.arrays.case.
     """
-    return _augment_dynamic(ybus, case.arrays, solution, island_labels(case))
-
-
-def _augment_dynamic(ybus: sp.csc_matrix, arrays: CaseArrays,
-                     solution: PowerFlowSolution,
-                     islands: np.ndarray) -> NetworkModel:
-    """augment_dynamic of the case whose arrays are given, with its island
-    labels (island_labels) given: they depend on the buses and branches
-    alone, as ybus does, so a bank's loading cases share them."""
+    arrays = case.arrays
     case = arrays.case
+    if islands is None:
+        islands = island_labels(case)
     n = len(arrays.bus_ids)
     v = solution.v
     v_abs = np.hypot(v.real, v.imag)     # |v| as abs() rounds one number
@@ -619,7 +614,7 @@ def _groundless_islands(model: NetworkModel, case: GridCase,
             if not grounded[model.islands == isl].any()]
 
 
-def init_machines(model: NetworkModel, case: GridCase,
+def init_machines(model: NetworkModel, case: GridCase | CaseArrays,
                   solution: PowerFlowSolution) -> MachineStates:
     """Initialize E', delta and steady-state torques.
 
@@ -635,22 +630,16 @@ def init_machines(model: NetworkModel, case: GridCase,
     currents and di_ddelta.
 
     The case serves only a check, since the solved outputs are the
-    model's own: its buses, loads and in-service synchronous machines must
-    be the model's, by id and in order, or ModelBuildError says the model
-    was built from a different case. build_model, which has no case to
-    check on a bank's loading case, initializes without the check.
+    model's own: its buses, loads and in-service synchronous machines (of
+    case.arrays, so of a bank's re-dispatch too) must be the model's, by id
+    and in order, or ModelBuildError says the model was built from a
+    different case.
     """
     arrays = case.arrays
     machines = np.flatnonzero(arrays.status & arrays.synchronous).tolist()
     if (arrays.bus_ids != model.bus_ids or arrays.load_ids != model.load_ids
             or [arrays.gen_ids[k] for k in machines] != model.machine_ids):
         raise ModelBuildError("model was built from a different case")
-    return _init_machines(model, solution)
-
-
-def _init_machines(model: NetworkModel, solution: PowerFlowSolution
-                   ) -> MachineStates:
-    """init_machines, without the check of its case."""
     vb = solution.v[model.machine_bus]
     i_t = np.conj(model.s_solved) / np.conj(vb)
     e_cplx = vb + 1j * model.xdp_sys * i_t

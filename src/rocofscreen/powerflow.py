@@ -15,10 +15,11 @@ factorization orders the Jacobian, the pattern is relabelled by that
 ordering, and the later iterations factor the relabelled matrix in its
 natural order. The Newton iteration reads the case's fields as arrays
 (case_model.CaseArrays: unit status, buses, MW and MVAr, load MW and MVAr,
-bus kinds and setpoints), never its records, and takes the branch Y-bus
-as an input, so a bank's loading cases, which share their buses and
-branches, solve against one through netdyn's one model build, each from
-its case's arrays re-dispatched (scenarios.run_bank). The Jacobian's pattern
+bus kinds and setpoints), never its records, and takes a GridCase or its
+arrays alike (the stage reads case.arrays). It can be given the branch
+Y-bus, so a bank's loading cases, which share their buses and branches,
+solve against one through netdyn.build_model, each from its case's arrays
+re-dispatched (scenarios.run_bank). The Jacobian's pattern
 depends only on that Y-bus and on which buses are pv and pq, so the bank
 also keeps one store of patterns (_JacobianPattern: the index maps and the
 plain and relabelled CSC patterns), keyed by the pv and pq bus positions:
@@ -103,15 +104,11 @@ class PowerFlowSolution:
         return self.v_mag * np.exp(1j * self.v_ang)
 
 
-def bus_injections(case: GridCase) -> np.ndarray:
+def bus_injections(case: GridCase | CaseArrays) -> np.ndarray:
     """Specified complex injections per bus, system-base pu (gen - load).
     Each bus adds its in-service generators, then subtracts its loads, in
     record order."""
-    return _injections(case.arrays)
-
-
-def _injections(arrays: CaseArrays) -> np.ndarray:
-    """bus_injections of the case whose arrays are given."""
+    arrays = case.arrays
     on = arrays.status
     s = np.zeros(len(arrays.bus_ids), dtype=complex)
     units = np.empty(np.count_nonzero(on) + len(arrays.load_p), dtype=complex)
@@ -121,36 +118,40 @@ def _injections(arrays: CaseArrays) -> np.ndarray:
     return s / arrays.case.s_base_mva
 
 
-def effective_kinds(case: GridCase) -> np.ndarray:
+def effective_kinds(case: GridCase | CaseArrays) -> np.ndarray:
     """Bus kinds with sourceless pv buses demoted to pq: voltage can only be
-    regulated where an in-service generator remains."""
-    return _kinds(case.arrays)
-
-
-def _kinds(arrays: CaseArrays) -> np.ndarray:
-    """effective_kinds of the case whose arrays are given. A unit counts at
-    its bus's position, which for a bus id that repeats (an invalid case)
-    is the last bus with that id (GridCase.bus_positions)."""
+    regulated where an in-service generator remains. A unit counts at its
+    bus's position, which for a bus id that repeats (an invalid case) is
+    the last bus with that id (GridCase.bus_positions)."""
+    arrays = case.arrays
     alive = np.zeros(len(arrays.bus_ids), dtype=bool)
     at = arrays.gen_bus[arrays.status]
     alive[at[at >= 0]] = True
     return np.where((arrays.kinds == "pv") & ~alive, "pq", arrays.kinds)
 
 
-def mismatch_vector(case: GridCase, ybus: sp.csc_matrix, v: np.ndarray) -> np.ndarray:
+def mismatch_vector(case: GridCase | CaseArrays, ybus: sp.csc_matrix,
+                    v: np.ndarray) -> np.ndarray:
     """Stacked [P at pv+pq; Q at pq] mismatch, pu, for the given voltages."""
-    arrays = case.arrays
-    kinds = _kinds(arrays)
+    kinds = effective_kinds(case)
     pvpq = np.flatnonzero(kinds != "slack")
     pq = np.flatnonzero(kinds == "pq")
-    mis = v * np.conj(ybus @ v) - _injections(arrays)
+    mis = v * np.conj(ybus @ v) - bus_injections(case)
     return np.concatenate((mis[pvpq].real, mis[pq].imag))
 
 
-def solve_powerflow(case: GridCase, tol: float = 1e-8,
-                    max_iter: int = 20) -> PowerFlowSolution:
+def solve_powerflow(case: GridCase | CaseArrays, tol: float = 1e-8,
+                    max_iter: int = 20, *, ybus: sp.csc_matrix | None = None,
+                    patterns: dict | None = None) -> PowerFlowSolution:
     """Full Newton power flow from a flat start; a case with no pv or pq
     bus has no unknowns, so it returns at iteration 0 with mismatch 0.0.
+
+    ybus is the branch Y-bus to solve against: netdyn.build_ybus of the
+    case, or of any case with the same buses and branches, as a bank's
+    loading cases share one; None builds it from case.arrays.case.
+    patterns, when given, keeps the Jacobian patterns (_JacobianPattern) of
+    solves against this ybus, keyed by their pv and pq bus positions; a
+    solve with the same ones reuses its pattern, and a new one is added.
 
     Raises PowerFlowDivergence after max_iter or once the mismatch diverges
     (see DIVERGENCE_GROWTH), and SingularJacobian when the factorization
@@ -164,22 +165,11 @@ def solve_powerflow(case: GridCase, tol: float = 1e-8,
         raise InputError(f"max_iter must be >= 0, got {max_iter}")
     if not (math.isfinite(tol) and tol > 0):
         raise InputError(f"tol must be positive and finite, got {tol}")
-    return _newton(case.arrays, build_ybus(case), tol, max_iter)
-
-
-def _newton(arrays: CaseArrays, ybus: sp.csc_matrix, tol: float = 1e-8,
-            max_iter: int = 20, patterns: dict | None = None) -> PowerFlowSolution:
-    """solve_powerflow of the case whose arrays are given (GridCase.arrays, or
-    a bank's re-dispatch of them) against a given branch Y-bus
-    (netdyn.build_ybus of the case, or of any case with the same buses and
-    branches, as a bank's loading cases share), with tol and max_iter
-    already checked.
-
-    patterns, when given, keeps the Jacobian patterns (_JacobianPattern) of
-    solves against this ybus, keyed by their pv and pq bus positions; a
-    solve with the same ones reuses its pattern, and a new one is added."""
-    sbus = _injections(arrays)
-    kinds = _kinds(arrays)
+    arrays = case.arrays
+    if ybus is None:
+        ybus = build_ybus(arrays.case)
+    sbus = bus_injections(arrays)
+    kinds = effective_kinds(arrays)
     pv = np.flatnonzero(kinds == "pv")
     pq = np.flatnonzero(kinds == "pq")
     pvpq = np.concatenate((pv, pq))

@@ -195,32 +195,6 @@ def system_rocof(case: GridCase, p_loss_mw: float, outaged_ids=()) -> float:
     return -case.f_base_hz * p_loss_mw / (2000.0 * inertia_gws)
 
 
-def angle_second_derivative(v, v_ddot):
-    """Second time derivative of the voltage angle for V-dot = 0:
-    (Vr * Vdd_i - Vi * Vdd_r) / (Vr^2 + Vi^2). Accepts scalars or arrays."""
-    v = np.asarray(v, dtype=complex)
-    v_ddot = np.asarray(v_ddot, dtype=complex)
-    mag2 = v.real**2 + v.imag**2
-    if not mag2.all():      # no mask array, as np.any(mag2 == 0) would make
-        raise ZeroDivisionError("voltage magnitude is zero")
-    out = (v.real * v_ddot.imag - v.imag * v_ddot.real) / mag2
-    return float(out) if out.ndim == 0 else out
-
-
-def injection_derivatives(currents: np.ndarray, delta: np.ndarray,
-                          omega_dot: np.ndarray) -> np.ndarray:
-    """Second time derivative of each machine's Norton current in the
-    instant after a disturbance, from the currents (netdyn.norton_currents)
-    at the rotor angles delta.
-
-    In general Idd = (dI/d delta) wdot + omega^2 (d2I/d delta2), with
-    dI/d delta = (E'/x'd) /_ delta. The screen is taken at zero speed
-    deviation, omega = 0, which leaves only the first term. E'/x'd is the
-    Norton current's magnitude.
-    """
-    return np.abs(currents) * np.exp(1j * delta) * np.asarray(omega_dot)
-
-
 def locational_rocof(model: NetworkModel, states: MachineStates,
                      contingency: Contingency) -> RocofResult:
     """Theoretical per-bus ROCOF for one machine-loss contingency, on vectors.
@@ -308,7 +282,7 @@ def locational_rocof(model: NetworkModel, states: MachineStates,
     accel = (states.t_m - electrical_torque(
         model, states.currents, v_post[model.machine_bus])) / (2.0 * model.h_sec)
     # an outaged machine has zero acceleration here, so no injection; the
-    # states keep |I| /_ delta, the first factor of injection_derivatives
+    # states keep |I| /_ delta, the Norton currents' derivative by the angle
     injection = states.di_ddelta * accel
     # the accelerations are R0's plus each slot's responses to the real and
     # imaginary parts of the current w_s drawn at its bus
@@ -569,9 +543,9 @@ def _zero_inertia(contingency_id: str) -> Exception:
 
 
 def _bus_rocof(f_base: float, v: np.ndarray, v_ddot: np.ndarray) -> np.ndarray:
-    """f_base times each bus's angle second derivative (as
-    angle_second_derivative computes it), NaN where |V|^2 is 1e-18 or less:
-    a dead island's buses read 0 V, so they fail the test too."""
+    """f_base times each bus's angle second derivative for V-dot = 0,
+    (Vr * Vdd_i - Vi * Vdd_r) / (Vr^2 + Vi^2), NaN where |V|^2 is 1e-18 or
+    less: a dead island's buses read 0 V, so they fail the test too."""
     mag2 = v.real * v.real
     mag2 += v.imag * v.imag
     rocof = v.real * v_ddot.imag

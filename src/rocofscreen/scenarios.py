@@ -20,8 +20,9 @@ patterns. Each loading case then works on arrays, as MATPOWER keeps a
 case: it writes the units' status, MW and MVAr and the loads' scale into
 a copy of the bank's arrays (_dispatch_arrays, apply_loading_case to the
 same bits), sums its inertia line on them and builds its model once,
-serially, from them and the shared network (netdyn._build_model, the one
-model build, which build_model also takes); no record is copied or read.
+serially, from them and the shared network (netdyn.build_model, whose
+stages take a case's arrays as they take the case); no record is copied
+or read.
 Its online units and dispatched MW come off the incidence, locational
 mode hands the batch screen core (rocof._screen_lost, two
 multi-right-hand-side solves per loading case) the (contingency, unit)
@@ -52,7 +53,7 @@ import numpy as np
 from .case_io import _write_scenario_runs
 from .case_model import (CaseArrays, GridCase, InputError, LoadingCase,
                          ScenarioRecord, island_labels, total_inertia_gws)
-from .netdyn import _build_model, build_ybus
+from .netdyn import build_model, build_ybus
 from .rocof import Contingency, _screen_lost
 from .swingsim import SimOptions, simulate
 
@@ -97,36 +98,22 @@ def dispatch_heuristic(case: GridCase, target_load_mw: float,
     netdyn.build_model (the slack then absorbs the losses).
     """
     return _dispatch(case, target_load_mw,
-                     _merit_dispatch(case, target_load_mw, target_wind_mw))
+                     _merit_dispatch(case)(target_load_mw, target_wind_mw))
 
 
-def _merit_dispatch(case: GridCase, target_load_mw: float,
-                    target_wind_mw: float) -> dict[str, float]:
-    """dispatch_heuristic's checks and merit order: the MW of each unit it
-    runs, wind first, then the must-run units and the committed merit
-    units in commitment order. Its float sums are plain running sums in
-    record order, the same on every Python (_running_sum)."""
-    if _running_sum(l.p_mw for l in case.loads) <= 0:
-        raise InfeasibleDispatch("case has no load to scale")
-
+def _merit_dispatch(case: GridCase):
+    """dispatch_heuristic's checks and merit order, as a function of the
+    demand and wind targets that returns the MW of each unit it runs, wind
+    first, then the must-run units and the committed merit units in
+    commitment order. What does not depend on the targets is read from the
+    case once, here, for all of a generated bank's loading cases. Its
+    float sums are plain running sums in record order (_running_sum)."""
+    load_mw = _running_sum(l.p_mw for l in case.loads)
     wind = [g for g in case.generators if not g.synchronous and g.status]
     wind_cap = _running_sum(g.p_max_mw for g in wind)
-    if target_wind_mw > wind_cap:
-        raise InfeasibleDispatch(
-            f"wind target {target_wind_mw:.0f} MW exceeds installed wind "
-            f"capability {wind_cap:.0f} MW")
-    wind_factor = target_wind_mw / wind_cap if wind_cap > 0 else 0.0
-
     slack_buses = {b.id for b in case.buses if b.kind == "slack"}
     sync = [g for g in case.generators if g.synchronous and g.status]
     nuclear_mw = _running_sum(g.p_max_mw for g in sync if g.fuel == "nuclear")
-    required = target_load_mw - target_wind_mw - nuclear_mw
-    if required < 0:
-        raise InfeasibleDispatch(
-            f"wind target {target_wind_mw:.0f} MW exceeds load "
-            f"{target_load_mw:.0f} MW minus the {nuclear_mw:.0f} MW "
-            "must-run nuclear floor")
-
     # a unit equal to a must-run unit is must-run itself, so the flags are
     # the membership test, without comparing records
     must = [g.fuel == "nuclear" or g.bus_id in slack_buses for g in sync]
@@ -134,23 +121,41 @@ def _merit_dispatch(case: GridCase, target_load_mw: float,
     merit = sorted((g for g, m in zip(sync, must) if not m),
                    key=lambda g: (FUEL_MERIT_ORDER.get(g.fuel, 9),
                                   -g.p_max_mw, g.id))
-    committed = list(must_run)
-    cap = _running_sum(g.p_max_mw for g in must_run if g.fuel != "nuclear")
-    for g in merit:
-        if cap >= required:
-            break
-        committed.append(g)
-        cap += g.p_max_mw
-    if cap < required:
-        raise InfeasibleDispatch(
-            f"insufficient synchronous capacity: need {required:.0f} MW "
-            f"beyond nuclear, have {cap:.0f} MW")
-    lam = required / cap if cap > 0 else 0.0
+    must_run_cap = _running_sum(g.p_max_mw for g in must_run if g.fuel != "nuclear")
 
-    p_mw = {g.id: g.p_max_mw * wind_factor for g in wind}
-    p_mw.update((g.id, g.p_max_mw if g.fuel == "nuclear" else lam * g.p_max_mw)
-                for g in committed)
-    return p_mw
+    def dispatch(target_load_mw: float, target_wind_mw: float) -> dict[str, float]:
+        if load_mw <= 0:
+            raise InfeasibleDispatch("case has no load to scale")
+        if target_wind_mw > wind_cap:
+            raise InfeasibleDispatch(
+                f"wind target {target_wind_mw:.0f} MW exceeds installed wind "
+                f"capability {wind_cap:.0f} MW")
+        wind_factor = target_wind_mw / wind_cap if wind_cap > 0 else 0.0
+        required = target_load_mw - target_wind_mw - nuclear_mw
+        if required < 0:
+            raise InfeasibleDispatch(
+                f"wind target {target_wind_mw:.0f} MW exceeds load "
+                f"{target_load_mw:.0f} MW minus the {nuclear_mw:.0f} MW "
+                "must-run nuclear floor")
+
+        committed = list(must_run)
+        cap = must_run_cap
+        for g in merit:
+            if cap >= required:
+                break
+            committed.append(g)
+            cap += g.p_max_mw
+        if cap < required:
+            raise InfeasibleDispatch(
+                f"insufficient synchronous capacity: need {required:.0f} MW "
+                f"beyond nuclear, have {cap:.0f} MW")
+        lam = required / cap if cap > 0 else 0.0
+
+        p_mw = {g.id: g.p_max_mw * wind_factor for g in wind}
+        p_mw.update((g.id, g.p_max_mw if g.fuel == "nuclear" else lam * g.p_max_mw)
+                    for g in committed)
+        return p_mw
+    return dispatch
 
 
 def _running_sum(values) -> float:
@@ -256,6 +261,7 @@ def generate_loading_cases(case: GridCase, n: int,
     wind_cap = _running_sum(g.p_max_mw for g in case.generators
                             if not g.synchronous and g.status)
     in_service = [g for g in case.generators if g.status]
+    dispatch = _merit_dispatch(case)
 
     n_load = max(int(round(math.sqrt(n))), 1)
     n_wind = math.ceil(n / n_load)
@@ -276,7 +282,7 @@ def generate_loading_cases(case: GridCase, n: int,
             if len(out) >= n:
                 break
             load, wind = float(load_mw), float(wind_mw)
-            p_mw = _merit_dispatch(case, load, wind)
+            p_mw = dispatch(load, wind)
             on = [g for g in in_service if g.id in p_mw]
             disp = {g.id: p_mw[g.id] for g in on}
             out.append(_loading_case(
@@ -451,7 +457,7 @@ class _Bank:
     (True where the contingency loses the unit), the case's fields as
     arrays (GridCase.arrays), which each loading case re-dispatches, and in
     the locational and simulate modes the branch network as
-    netdyn._build_model takes it, the Y-bus, the island labels and the
+    netdyn.build_model takes it, the Y-bus, the island labels and the
     power flow's Jacobian patterns (_branch_network). Where building the
     arrays or the network raised, the exception stands in their place."""
 
@@ -475,7 +481,7 @@ def _bank(case: GridCase, contingencies: list[Contingency], mode: str) -> _Bank:
 
 
 def _branch_network(case: GridCase) -> tuple:
-    """The case's branch network as netdyn._build_model takes it: the
+    """The case's branch network as netdyn.build_model takes it: the
     Y-bus, the island labels (build_ybus, island_labels) and an empty store
     for the power flow's Jacobian patterns, which the loading cases solved
     on it fill."""
@@ -510,7 +516,7 @@ def _eval_loading_case(case: GridCase, lc: LoadingCase, bank: _Bank,
     (CaseArrays.inertia_gws); if that sum or the model build fails, every
     row fails. The model build (not made in system_only mode) re-dispatches
     the bank's arrays (_dispatch_arrays) and builds on them and the bank's
-    network (netdyn._build_model); the bank's exception for either fails
+    network (netdyn.build_model); the bank's exception for either fails
     the rows where the build would have raised it, after the dispatch.
 
     A contingency's online units are its units in lc.committed, read off
@@ -527,7 +533,7 @@ def _eval_loading_case(case: GridCase, lc: LoadingCase, bank: _Bank,
         inertia_gws = arrays.inertia_gws(lc.dispatch)
         if mode != "system_only":
             dispatched = _dispatch_arrays(arrays, lc.target_load_mw, lc.dispatch)
-            _, model, states = _build_model(dispatched, _raised(bank.network))
+            _, model, states = build_model(dispatched, _raised(bank.network))
     except Exception as exc:  # noqa: BLE001 - recorded per row
         setup_error = f"loading case failed: {exc}"
 

@@ -32,6 +32,32 @@ def currents(model, states):
     return norton_currents(states.e_prime / model.xdp_sys, states.delta)
 
 
+def angle_second_derivative(v, v_ddot):
+    """Second time derivative of the voltage angle for V-dot = 0:
+    (Vr * Vdd_i - Vi * Vdd_r) / (Vr^2 + Vi^2). Accepts scalars or arrays."""
+    v = np.asarray(v, dtype=complex)
+    v_ddot = np.asarray(v_ddot, dtype=complex)
+    mag2 = v.real**2 + v.imag**2
+    if not mag2.all():      # no mask array, as np.any(mag2 == 0) would make
+        raise ZeroDivisionError("voltage magnitude is zero")
+    out = (v.real * v_ddot.imag - v.imag * v_ddot.real) / mag2
+    return float(out) if out.ndim == 0 else out
+
+
+def injection_derivatives(currents: np.ndarray, delta: np.ndarray,
+                          omega_dot: np.ndarray) -> np.ndarray:
+    """Second time derivative of each machine's Norton current in the
+    instant after a disturbance, from the currents (netdyn.norton_currents)
+    at the rotor angles delta.
+
+    In general Idd = (dI/d delta) wdot + omega^2 (d2I/d delta2), with
+    dI/d delta = (E'/x'd) /_ delta. The screen is taken at zero speed
+    deviation, omega = 0, which leaves only the first term. E'/x'd is the
+    Norton current's magnitude.
+    """
+    return np.abs(currents) * np.exp(1j * delta) * np.asarray(omega_dot)
+
+
 def force_singular_capacitance(monkeypatch, where=lambda cap, rhs: True):
     """Make a single screen's capacitance solve, LAPACK's zgesv in
     rocof.locational_rocof, report a singular matrix (info > 0) wherever

@@ -16,9 +16,8 @@ from rocofscreen.case_model import (Branch, Bus, Generator, GridCase, Load,
                                     UnknownIdError, island_labels)
 from rocofscreen.netdyn import ModelBuildError, SingularNetworkError
 from rocofscreen.powerflow import SUPERLU_OPTIONS, bus_injections
-from rocofscreen.rocof import injection_derivatives
 from rocofscreen.scenarios import apply_loading_case, generate_loading_cases
-from conftest import currents, tiny_case
+from conftest import currents, injection_derivatives, tiny_case
 from test_rocof import groundless_island_case, two_island_case
 
 
@@ -190,6 +189,26 @@ def test_missing_dynamics_blocks_model(case9):
     sol = solve_powerflow(case)
     with pytest.raises(ModelBuildError, match="gen2"):
         augment_dynamic(sol.ybus, case, sol)
+
+
+@pytest.mark.parametrize("change", ["bus", "load", "machine"])
+def test_init_machines_rejects_a_model_of_another_case(case9, change):
+    # the case serves init_machines as a check of the model's bus, load and
+    # machine ids, whether it is given as a case or as its arrays
+    sol, model, _ = build_model(case9)
+    if change == "bus":
+        other = case9.with_buses(dataclasses.replace(b, id=99) if b.id == 9 else b
+                                 for b in case9.buses)
+    elif change == "load":
+        other = case9.with_loads(dataclasses.replace(l, id=l.id + "x")
+                                 for l in case9.loads)
+    else:
+        other = case9.with_generators(dataclasses.replace(g, status=False)
+                                      if g.id == "gen3" else g for g in case9.generators)
+    for given in (other, other.arrays):
+        with pytest.raises(ModelBuildError, match="^model was built from a different case$"):
+            init_machines(model, given, sol)
+    init_machines(model, case9.arrays, sol)
 
 
 def test_init_no_load_machine():
@@ -447,17 +466,19 @@ def staged_build(case):
 
 
 def assert_builds_match_stages(case, network=None):
-    """build_model of the case on the given branch network has the bits of
-    staged_build: solution, y_dyn, solved machine outputs, state arrays."""
-    sol, model, states = build_model(case, network)
+    """build_model of the case on the given branch network, and of the
+    case's arrays (CaseArrays) on it, have the bits of staged_build:
+    solution, y_dyn, solved machine outputs, state arrays."""
     ref_sol, ref_model, ref_states = staged_build(case)
-    for name in ("v_mag", "v_ang", "iterations", "max_mismatch_pu"):
-        assert_same_bits(getattr(sol, name), getattr(ref_sol, name))
-    for part in ("data", "indices", "indptr"):
-        assert_same_bits(getattr(model.y_dyn, part), getattr(ref_model.y_dyn, part))
-    assert_same_bits(model.s_solved, ref_model.s_solved)
-    for f in dataclasses.fields(states):
-        assert_same_bits(getattr(states, f.name), getattr(ref_states, f.name))
+    for given in (case, case.arrays):
+        sol, model, states = build_model(given, network)
+        for name in ("v_mag", "v_ang", "iterations", "max_mismatch_pu"):
+            assert_same_bits(getattr(sol, name), getattr(ref_sol, name))
+        for part in ("data", "indices", "indptr"):
+            assert_same_bits(getattr(model.y_dyn, part), getattr(ref_model.y_dyn, part))
+        assert_same_bits(model.s_solved, ref_model.s_solved)
+        for f in dataclasses.fields(states):
+            assert_same_bits(getattr(states, f.name), getattr(ref_states, f.name))
 
 
 def assert_builders_match_loops(case, v_mag, v_ang):

@@ -8,16 +8,16 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from rocofscreen import (Contingency, SingularOutageError, ZeroInertiaError,
-                         angle_second_derivative, build_model,
-                         electrical_torque, injection_derivatives,
-                         locational_rocof, locational_rocof_batch, netdyn,
-                         powerflow, simulate, system_rocof)
+                         build_model, electrical_torque, locational_rocof,
+                         locational_rocof_batch, netdyn, powerflow, simulate,
+                         system_rocof)
 from rocofscreen.case_model import (Branch, Bus, Generator, GridCase,
                                     InputError, Load, total_inertia_gws)
 from rocofscreen.netdyn import norton_currents
 from rocofscreen.scenarios import apply_loading_case, generate_loading_cases
 from rocofscreen.swingsim import SimOptions
-from conftest import (case9_with_bus10, currents, force_singular_capacitance,
+from conftest import (angle_second_derivative, case9_with_bus10, currents,
+                      force_singular_capacitance, injection_derivatives,
                       make_fleet_case, make_grid_case, tiny_case)
 
 

@@ -126,13 +126,13 @@ def test_loading_cases_inertia_tracks_demand(fleet_case):
 def test_loading_cases_solve_no_power_flow(fleet_case, monkeypatch):
     # generation keeps only MW and inertia figures; banks solve each case
     solved = []
-    solve = netdyn._newton
+    solve = netdyn.solve_powerflow
 
     def counting_solve(c, *args, **kwargs):
-        solved.append(c.name)
+        solved.append(c.arrays.case.name)
         return solve(c, *args, **kwargs)
 
-    monkeypatch.setattr(netdyn, "_newton", counting_solve)
+    monkeypatch.setattr(netdyn, "solve_powerflow", counting_solve)
     cases = generate_loading_cases(fleet_case, 9, STUDY_LOAD_RANGE,
                                    STUDY_WIND_RANGE)
     assert len(cases) == 9
@@ -280,10 +280,10 @@ def counting_builders(monkeypatch):
     the arrays they are given, for the power flow and the model build),
     patched into every module-level binding."""
     calls = {}
-    for name, owners in (("_newton", (powerflow, netdyn)),
+    for name, owners in (("solve_powerflow", (powerflow, netdyn)),
                          ("build_ybus", (netdyn, scenarios)),
                          ("island_labels", (case_model, netdyn, scenarios)),
-                         ("_augment_dynamic", (netdyn,))):
+                         ("augment_dynamic", (netdyn,))):
         fn, seen = getattr(owners[0], name), calls.setdefault(name, [])
 
         def counting(*args, fn=fn, seen=seen, **kwargs):
@@ -309,7 +309,7 @@ def test_run_bank_solves_each_loading_case_once(small_bank, monkeypatch):
         run_bank(case, loading, contingencies[:2], mode=mode)
         assert calls["build_ybus"] == [case.name]
         assert calls["island_labels"] == [case.name]
-        assert (len(calls["_newton"]) == len(calls["_augment_dynamic"])
+        assert (len(calls["solve_powerflow"]) == len(calls["augment_dynamic"])
                 == len(loading))
 
 
@@ -354,7 +354,7 @@ def outcome(build):
 
 def assert_arrays_build_the_records(case, lc, networks=None):
     """A bank's build of the loading case, the case's arrays re-dispatched
-    (_dispatch_arrays) and built (netdyn._build_model), has the bits of
+    (_dispatch_arrays) and built (build_model), has the bits of
     build_model of apply_loading_case's records: the power flow, y_dyn, the
     solved outputs, load shunts and machine order, and every state array.
     So does its inertia line against total_inertia_gws of the dispatched
@@ -366,7 +366,7 @@ def assert_arrays_build_the_records(case, lc, networks=None):
     inertia = (outcome(lambda: case.arrays.inertia_gws(lc.dispatch)),
                outcome(lambda: total_inertia_gws(case.with_generators(
                    g for g in case.generators if g.id in lc.dispatch))))
-    built = (outcome(lambda: netdyn._build_model(_dispatch_arrays(
+    built = (outcome(lambda: build_model(_dispatch_arrays(
                  case.arrays, lc.target_load_mw, lc.dispatch), arrays_net)),
              outcome(lambda: build_model(apply_loading_case(case, lc), records_net)))
     for got, want in (inertia, built):
@@ -501,17 +501,18 @@ def test_run_bank_power_flow_failure_isolated(small_bank, fleet_case,
     case, loading, contingencies = small_bank
     clean = run_bank(case, loading, contingencies, mode="locational")
     bad = loading[1]
-    solve = netdyn._newton
+    solve = netdyn.solve_powerflow
 
     def failing_solve(c, *args, **kwargs):
-        load = c.load_p.sum()
-        wind = c.p_mw[c.status & ~c.synchronous].sum()
+        a = c.arrays
+        load = a.load_p.sum()
+        wind = a.p_mw[a.status & ~a.synchronous].sum()
         if (math.isclose(load, bad.target_load_mw)
                 and math.isclose(wind, bad.target_wind_mw)):
             raise powerflow.PowerFlowDivergence(20, 1.0)
         return solve(c, *args, **kwargs)
 
-    monkeypatch.setattr(netdyn, "_newton", failing_solve)
+    monkeypatch.setattr(netdyn, "solve_powerflow", failing_solve)
     regenerated = generate_loading_cases(fleet_case, 5, (30000.0, 60000.0),
                                          (12000.0, 25000.0))
     assert regenerated == loading
@@ -613,14 +614,14 @@ def test_locational_bank_makes_two_solves_per_loading_case(small_bank,
     # by the same two solves and no factorization
     case, loading, contingencies = small_bank
     after_init = []
-    init = netdyn._init_machines
+    init = netdyn.init_machines
 
     def recording_init(model, *args):
         states = init(model, *args)
         after_init.append((model, model.solve_count, model.factor_count))
         return states
 
-    monkeypatch.setattr(netdyn, "_init_machines", recording_init)
+    monkeypatch.setattr(netdyn, "init_machines", recording_init)
     rows = run_bank(case, loading, contingencies, mode="locational")
     assert sum(r.status == "ok" for r in rows) > 2 * len(loading)
     assert len(after_init) == len(loading)

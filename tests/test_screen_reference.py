@@ -34,11 +34,11 @@ from rocofscreen import (Contingency, SingularOutageError, ZeroInertiaError,
                          build_model, locational_rocof, locational_rocof_batch)
 from rocofscreen.case_model import Bus, Load
 from rocofscreen.netdyn import UnknownIdError, electrical_torque, norton_currents
-from rocofscreen.rocof import (_dead_islands, angle_second_derivative,
-                               injection_derivatives)
+from rocofscreen.rocof import _dead_islands
 from rocofscreen.scenarios import dispatch_heuristic, generate_contingencies
 
-from conftest import case9_with_bus10
+from conftest import (angle_second_derivative, case9_with_bus10,
+                      injection_derivatives)
 from test_rocof import (assert_close_to_refactoring, refactor_reference,
                         two_island_case)
 
